@@ -41,7 +41,7 @@
 #                    # `// lint:allow(<rule>): <reason>` waivers) and
 #                    # check_gate (doc-check: exhaustive bounded
 #                    # thread-interleaving exploration of the real
-#                    # SpmcRing/WorkerDeque/Park/ShardedCache/
+#                    # SpmcRing/ShardedCache/ShardedResponseCache/
 #                    # proxy-stats primitives, failing with a minimal
 #                    # replayable schedule).
 #

@@ -132,7 +132,8 @@ pub struct ProxyRow {
     pub p99_us: f64,
     /// Heap allocations per request over the measured window.
     pub allocs_per_req: f64,
-    /// Successful cross-worker steals, one entry per worker (v4).
+    /// Cross-worker steals, one entry per worker (v4); the pool has
+    /// no stealing, so every entry is zero.
     pub steals_per_worker: Vec<u64>,
 }
 

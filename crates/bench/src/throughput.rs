@@ -86,7 +86,8 @@ pub struct ThroughputRow {
     pub allocs_per_req: f64,
     /// Proxy cache hit rate over the measured window.
     pub cache_hit_rate: f64,
-    /// Successful cross-worker steals, one entry per worker.
+    /// Cross-worker steals, one entry per worker; always zero (the
+    /// pool has one shared injector), kept for the v4 schema.
     pub steals_per_worker: Vec<u64>,
 }
 
@@ -216,9 +217,10 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
     // Measured closed-loop window.
     let total = spec.total_requests;
     let enqueue_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
-    // Full capacity per bucket: with work stealing a single worker can
-    // end up recording most of the run, and a mid-window realloc would
-    // both skew latency and count against `allocs_per_req`.
+    // Full capacity per bucket: any worker may take any drain, so one
+    // worker can end up recording most of the run, and a mid-window
+    // realloc would both skew latency and count against
+    // `allocs_per_req`.
     let latency_buckets: Vec<Mutex<Vec<u64>>> = (0..spec.workers)
         .map(|_| Mutex::new(Vec::with_capacity(total as usize)))
         .collect();

@@ -1,27 +1,22 @@
-//! Multi-worker datagram front-end: a bounded injector ring plus
-//! per-worker work-stealing deques fanning request datagrams onto N
-//! worker threads.
+//! Multi-worker datagram front-end: one bounded injector ring fanning
+//! request datagrams onto N worker threads.
 //!
 //! The paper's evaluation is single-node and the whole protocol stack
 //! is sans-IO, so scaling across cores is purely a front-end concern:
-//! workers pull raw datagrams off the queues and run the *existing*
+//! workers pull raw datagrams off the ring and run the *existing*
 //! borrowed-view hot path — [`CoapProxy::serve_wire`] for the proxy
 //! leg and [`DocServer::handle_request_wire`] for the origin leg —
 //! against state that is lock-striped per shard ([`doc_coap::shard`]).
-//! Nothing in the protocol logic knows it is being run concurrently.
+//! Nothing in the protocol logic knows it is being run concurrently,
+//! and no per-peer state depends on which worker serves a datagram,
+//! so any idle worker may take any datagram.
 //!
 //! * [`SpmcRing`] — a bounded single-producer/multi-consumer ring of
 //!   fixed power-of-two capacity, the pool's shared **injector**. The
 //!   producer blocks when the ring is full (closed-loop backpressure:
-//!   in-flight work is bounded by the ring), consumers drain in
-//!   batches to amortize lock/wake traffic.
-//! * [`WorkerDeque`] — one bounded deque per worker: the owner pushes
-//!   and pops at the back (LIFO, cache-hot), idle workers steal from
-//!   the front (FIFO). A worker that grabs a large injector batch
-//!   parks the excess on its own deque, where siblings can steal it.
-//! * [`Park`] — sleep/wake coordination: workers with every source
-//!   empty park on one condvar; producers pay a single atomic read to
-//!   skip the wakeup when nobody sleeps.
+//!   in-flight work is bounded by the ring), workers drain it in
+//!   batches of up to `INJECTOR_GRAB` to amortize lock/wake traffic
+//!   and sleep on its condvar when it is empty.
 //! * [`ProxyPool`] — N workers sharing one `Arc<CoapProxy>` and one
 //!   `Arc<DocServer>`; each datagram runs the full client → proxy →
 //!   (origin, on a cache miss) → client exchange and the reply is
@@ -40,11 +35,10 @@ use crate::transport::TransportKind;
 // The sync primitives come from `doc-check`: outside a model execution
 // they are passthroughs to `std::sync`, inside one every operation is
 // a scheduling point — so `check_gate` explores the interleavings of
-// *this* ring, deque and park, not copies (see `crates/check`).
+// *this* ring, not a copy (see `crates/check`).
 use doc_check::sync::atomic::{AtomicU64, Ordering};
 use doc_check::sync::{Arc, Condvar, Mutex};
 use doc_dtls::record::{CipherState, ContentType, Record, RecordSeal};
-use std::collections::VecDeque;
 
 /// What wire format the pool's workers speak.
 ///
@@ -222,205 +216,12 @@ impl<T> SpmcRing<T> {
         }
     }
 
-    /// Non-blocking [`SpmcRing::pop_batch`]: drain up to `max` items
-    /// if any are immediately available, else return 0 without waiting
-    /// (`out` is cleared either way). Work-stealing workers use this
-    /// to fall through to their other sources instead of parking on
-    /// the ring's condvar.
-    pub fn try_pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        out.clear();
-        let mut st = self.state.lock().unwrap();
-        let n = st.len().min(max.max(1));
-        for _ in 0..n {
-            let idx = (st.head & st.mask()) as usize;
-            out.push(st.slots[idx].take().expect("occupied slot"));
-            st.head += 1;
-        }
-        if n > 0 {
-            drop(st);
-            self.not_full.notify_all();
-        }
-        n
-    }
-
-    /// Whether the ring is closed *and* fully drained — the worker
-    /// termination condition.
-    pub fn is_drained(&self) -> bool {
-        let st = self.state.lock().unwrap();
-        st.closed && st.len() == 0
-    }
-
     /// Close the ring: subsequent pushes fail, pops drain what is left.
     /// Idempotent.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-}
-
-/// A bounded per-worker deque: the owner pushes and pops at the
-/// **back** (LIFO — the freshest datagrams stay cache-hot), thieves
-/// steal from the **front** (FIFO — the oldest work migrates first,
-/// preserving rough arrival order under imbalance). All operations
-/// are non-blocking; sleeping is [`Park`]'s job.
-///
-/// Built on the model-checkable `doc_check::sync` mutex, so
-/// `check_gate`'s `deque-steal`/`deque-drain` models explore the
-/// owner-vs-thief interleavings of *this* type.
-pub struct WorkerDeque<T> {
-    items: Mutex<VecDeque<T>>,
-    capacity: usize,
-}
-
-impl<T> WorkerDeque<T> {
-    /// Create a deque bounded to `capacity` items (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        WorkerDeque {
-            items: Mutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-        }
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.items.lock().unwrap().len()
-    }
-
-    /// Whether the deque is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Push one item at the back; returns it back (without blocking)
-    /// if the deque is full.
-    pub fn push_back(&self, item: T) -> Result<(), T> {
-        let mut q = self.items.lock().unwrap();
-        if q.len() >= self.capacity {
-            return Err(item);
-        }
-        q.push_back(item);
-        Ok(())
-    }
-
-    /// Owner drain: pop up to `max` items from the back (LIFO). `out`
-    /// is cleared at entry — same contract as [`SpmcRing::pop_batch`].
-    pub fn pop_back_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        out.clear();
-        let mut q = self.items.lock().unwrap();
-        let n = q.len().min(max.max(1));
-        for _ in 0..n {
-            out.push(q.pop_back().expect("length checked under the lock"));
-        }
-        n
-    }
-
-    /// Owner bulk push: move `src[keep..]` to the back — as much as
-    /// capacity allows, under **one** lock — leaving the first `keep`
-    /// items (and any overflow) in `src`. Returns the number moved.
-    pub fn push_back_from(&self, src: &mut Vec<T>, keep: usize) -> usize {
-        let mut q = self.items.lock().unwrap();
-        let room = self.capacity.saturating_sub(q.len());
-        let start = keep.max(src.len().saturating_sub(room)).min(src.len());
-        let n = src.len() - start;
-        q.extend(src.drain(start..));
-        n
-    }
-
-    /// Thief drain: steal up to `max` items from the front (FIFO).
-    /// `out` is cleared at entry.
-    pub fn steal_front_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        out.clear();
-        let mut q = self.items.lock().unwrap();
-        let n = q.len().min(max.max(1));
-        for _ in 0..n {
-            out.push(q.pop_front().expect("length checked under the lock"));
-        }
-        n
-    }
-}
-
-/// Producer ↔ worker sleep/wake coordination for the work-stealing
-/// pool.
-///
-/// Workers that find every source empty park here; anyone who makes
-/// new work reachable (the producer after a push, a worker after
-/// offloading stealable work, the close path) calls [`Park::notify`]
-/// afterwards. The `parked` counter makes the nobody-sleeps case one
-/// atomic read. The lost-wakeup race is closed by operation order
-/// under sequential consistency: a worker raises `parked` *before*
-/// its final source re-check (inside [`Park::park_until`]), and a
-/// notifier publishes the work *before* reading the counter — so
-/// either the worker's re-check sees the work, or the notifier's read
-/// sees the parked worker and takes the lock to wake it. `check_gate`'s
-/// `pool-park` model explores exactly this handoff.
-pub struct Park {
-    generation: Mutex<u64>,
-    wake: Condvar,
-    parked: AtomicU64,
-}
-
-impl Park {
-    /// A park with no sleepers.
-    pub fn new() -> Self {
-        Park {
-            generation: Mutex::new(0),
-            wake: Condvar::new(),
-            parked: AtomicU64::new(0),
-        }
-    }
-
-    /// Wake every parked worker. Call *after* the new work (or the
-    /// shutdown condition) is visible to their `wake` predicates.
-    pub fn notify(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let mut generation = self.generation.lock().unwrap();
-            *generation = generation.wrapping_add(1);
-            drop(generation);
-            self.wake.notify_all();
-        }
-    }
-
-    /// Wake one parked worker — the per-publish fast path (one item
-    /// of new work needs one server, not a stampede). Shutdown paths
-    /// must use [`Park::notify`] so *every* worker observes the close.
-    /// The lost-wakeup ordering argument is the same as for `notify`;
-    /// under the model checker `notify_one` wakes every waiter, so
-    /// the `pool-park` model explores the superset of real schedules.
-    pub fn notify_one(&self) {
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let mut generation = self.generation.lock().unwrap();
-            *generation = generation.wrapping_add(1);
-            drop(generation);
-            self.wake.notify_one();
-        }
-    }
-
-    /// Whether any worker is currently parked — one atomic read. Used
-    /// as an offload hint: spilling stealable work is only worth its
-    /// lock traffic when somebody is idle enough to take it.
-    pub fn any_parked(&self) -> bool {
-        self.parked.load(Ordering::SeqCst) > 0
-    }
-
-    /// Park until `wake` returns true. The predicate is evaluated
-    /// under the park lock with this thread already counted in
-    /// `parked`, so a concurrent [`Park::notify`] can never be lost.
-    pub fn park_until(&self, wake: impl Fn() -> bool) {
-        let mut generation = self.generation.lock().unwrap();
-        self.parked.fetch_add(1, Ordering::SeqCst);
-        while !wake() {
-            generation = self.wake.wait(generation).unwrap();
-        }
-        self.parked.fetch_sub(1, Ordering::SeqCst);
-        drop(generation);
-    }
-}
-
-impl Default for Park {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -478,19 +279,15 @@ impl Default for BufferPool {
     }
 }
 
-/// Closes the injector and wakes every parked worker when dropped —
-/// including when a worker or the producer unwinds. Without this, a
-/// panicking participant would leave the others parked forever
-/// instead of letting the scope join and propagate the panic.
-struct CloseGuard<'a> {
-    ring: &'a SpmcRing<Datagram>,
-    park: &'a Park,
-}
+/// Closes the injector when dropped — including when a worker or the
+/// producer unwinds. Without this, a panicking participant would leave
+/// the others blocked on the ring forever instead of letting the scope
+/// join and propagate the panic.
+struct CloseGuard<'a>(&'a SpmcRing<Datagram>);
 
 impl Drop for CloseGuard<'_> {
     fn drop(&mut self) {
-        self.ring.close();
-        self.park.notify();
+        self.0.close();
     }
 }
 
@@ -524,20 +321,23 @@ pub struct Reply {
 /// Counters aggregated over one [`ProxyPool::run`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolRunStats {
-    /// Datagrams pulled off the queues.
+    /// Datagrams pulled off the ring: always `replies + errors`.
     pub processed: u64,
     /// Replies produced.
     pub replies: u64,
     /// Malformed datagrams dropped.
     pub errors: u64,
-    /// Per-worker count of successful steals from a sibling's deque
-    /// (one entry per worker, indexed by worker id). Empty only for a
+    /// One entry per worker, always zero: the pool has a single shared
+    /// injector and no stealing. Kept so existing consumers of the
+    /// per-worker steal column (the `BENCH_proxy.json` v4 schema, the
+    /// standalone benchmark) read the same shape. Empty only for a
     /// default-constructed value.
     pub steals_per_worker: Vec<u64>,
 }
 
 impl PoolRunStats {
-    /// Total cross-worker steals over the run.
+    /// Sum of [`PoolRunStats::steals_per_worker`]; always zero for a
+    /// pool run, kept for the same compatibility reason.
     pub fn total_steals(&self) -> u64 {
         self.steals_per_worker.iter().sum()
     }
@@ -735,25 +535,11 @@ pub struct ProxyPool {
     /// When set, spent `Datagram::wire` buffers are returned here
     /// after each drain so the producer can reuse them.
     recycle: Option<Arc<BufferPool>>,
-    /// Route datagrams to `deques[peer % workers]` instead of the
-    /// shared injector (stealing topologies: a hot peer loads one
-    /// worker, siblings steal).
-    affinity: bool,
 }
 
-/// How many datagrams a worker drains from its own deque (or steals)
-/// per lock acquisition.
-const POP_BATCH: usize = 32;
-
-/// How many datagrams a worker grabs from the shared injector at once;
-/// the excess beyond `POP_BATCH` is parked on its own deque where
-/// siblings can steal it.
+/// How many datagrams a worker drains from the injector per lock
+/// acquisition — also the largest batch one seal/open pass covers.
 const INJECTOR_GRAB: usize = 128;
-
-/// Per-worker deque bound: big enough to hold an injector grab's
-/// offload plus affinity-routed bursts, small enough to keep
-/// backpressure meaningful.
-const DEQUE_CAPACITY: usize = 256;
 
 impl ProxyPool {
     /// Create a pool of `workers` threads (at least 1) over shared
@@ -777,7 +563,6 @@ impl ProxyPool {
             seal: None,
             request_open: None,
             recycle: None,
-            affinity: false,
         }
     }
 
@@ -801,15 +586,6 @@ impl ProxyPool {
     /// [`BufferPool::take`] instead of allocating.
     pub fn with_wire_recycling(mut self, pool: Arc<BufferPool>) -> Self {
         self.recycle = Some(pool);
-        self
-    }
-
-    /// Route each datagram to the deque of worker `peer % workers`
-    /// instead of the shared injector. With a skewed peer mix this
-    /// loads some workers and leaves others idle — which is exactly
-    /// what exercises stealing.
-    pub fn with_affinity(mut self, affinity: bool) -> Self {
-        self.affinity = affinity;
         self
     }
 
@@ -909,19 +685,19 @@ impl ProxyPool {
         })
     }
 
-    /// Fan `datagrams` over the worker threads — through a bounded
-    /// injector ring of `ring_capacity` slots (or, with
-    /// [`ProxyPool::with_affinity`], straight onto the per-worker
-    /// deques) — and hand every reply to `on_reply` (called from
-    /// worker threads; replies arrive in completion order, not
-    /// submission order). The `Reply` is **borrowed**: the worker
-    /// keeps ownership of the reply buffer and reuses it on the next
-    /// drain, so a sink that only inspects or copies out costs the
-    /// pool nothing.
+    /// Fan `datagrams` over the worker threads through a bounded
+    /// injector ring of `ring_capacity` slots and hand every reply to
+    /// `on_reply` (called from worker threads; replies arrive in
+    /// completion order, not submission order). The `Reply` is
+    /// **borrowed**: the worker keeps ownership of the reply buffer and
+    /// reuses it on the next drain, so a sink that only inspects or
+    /// copies out costs the pool nothing.
     ///
     /// The calling thread is the single producer: it blocks while the
     /// injector is full, which bounds in-flight work and gives
-    /// closed-loop behaviour when the iterator is replayed load.
+    /// closed-loop behaviour when the iterator is replayed load. A
+    /// panic in a worker (including in `on_reply`) or in the iterator
+    /// closes the ring and propagates out of `run`.
     pub fn run<I>(
         &self,
         ring_capacity: usize,
@@ -932,112 +708,78 @@ impl ProxyPool {
         I: IntoIterator<Item = Datagram>,
     {
         let injector: SpmcRing<Datagram> = SpmcRing::new(ring_capacity);
-        let deques: Vec<WorkerDeque<Datagram>> = (0..self.workers)
-            .map(|_| WorkerDeque::new(DEQUE_CAPACITY))
-            .collect();
-        let park = Park::new();
-        let steals: Vec<AtomicU64> = (0..self.workers).map(|_| AtomicU64::new(0)).collect();
-        let processed = AtomicU64::new(0);
-        let replies = AtomicU64::new(0);
-        let errors = AtomicU64::new(0);
+        let (mut replies, mut errors) = (0, 0);
         std::thread::scope(|scope| {
             // The producer needs the same unwind protection as the
             // workers: if the datagram iterator panics, the scope body
             // unwinds before the explicit close below, and scope()
-            // would join workers parked on the empty queues forever.
-            let _producer_guard = CloseGuard {
-                ring: &injector,
-                park: &park,
-            };
-            for worker in 0..self.workers {
-                let ctx = WorkerCtx {
-                    injector: &injector,
-                    deques: &deques,
-                    park: &park,
-                    steals: &steals,
-                    index: worker,
-                    blocking_injector: !(self.affinity && self.workers > 1),
-                };
-                let processed = &processed;
-                let replies = &replies;
-                let errors = &errors;
-                scope.spawn(move || {
-                    // If this worker unwinds (serve or on_reply
-                    // panicking), the guard closes the injector and
-                    // wakes everyone so the producer unblocks and the
-                    // scope can join and propagate the panic instead
-                    // of deadlocking.
-                    let _close_guard = CloseGuard {
-                        ring: ctx.injector,
-                        park: ctx.park,
-                    };
-                    let mut batch: Vec<Datagram> = Vec::with_capacity(INJECTOR_GRAB);
-                    let mut scratch = WorkerScratch::default();
-                    while ctx.fetch(&mut batch) {
-                        if let Some(open) = &self.request_open {
-                            open.open_drain(&mut batch);
-                        }
-                        self.serve_batch(
-                            worker,
-                            &mut batch,
-                            &mut scratch,
-                            processed,
-                            replies,
-                            errors,
-                            on_reply,
-                        );
-                    }
-                });
-            }
+            // would join workers blocked on the empty ring forever.
+            let _producer_guard = CloseGuard(&injector);
+            let injector = &injector;
+            let workers: Vec<_> = (0..self.workers)
+                .map(|worker| scope.spawn(move || self.work(worker, injector, on_reply)))
+                .collect();
             for d in datagrams {
-                if self.affinity && self.workers > 1 {
-                    let target = (d.peer % self.workers as u64) as usize;
-                    match deques[target].push_back(d) {
-                        Ok(()) => {
-                            park.notify_one();
-                            continue;
-                        }
-                        // Deque full: spill to the shared injector,
-                        // where the target (or a thief) will find it.
-                        Err(d) => {
-                            if injector.push(d).is_err() {
-                                break;
-                            }
-                            park.notify_one();
-                        }
-                    }
-                } else if injector.push(d).is_err() {
-                    // No park wake needed: without affinity the
-                    // workers sleep in the ring's condvar, which
-                    // `push` already notifies.
+                if injector.push(d).is_err() {
                     break;
                 }
             }
             injector.close();
-            park.notify();
+            for w in workers {
+                let (r, e) = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                replies += r;
+                errors += e;
+            }
         });
         PoolRunStats {
-            processed: processed.load(Ordering::Relaxed),
-            replies: replies.load(Ordering::Relaxed),
-            errors: errors.load(Ordering::Relaxed),
-            steals_per_worker: steals.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            processed: replies + errors,
+            replies,
+            errors,
+            steals_per_worker: vec![0; self.workers],
         }
     }
 
-    /// Serve one fetched drain: open/serve every datagram into the
-    /// worker's reply slab, batch-seal if the reply leg is protected,
-    /// emit borrowed [`Reply`]s, then recycle the spent wire buffers.
-    #[allow(clippy::too_many_arguments)]
+    /// One worker thread: drain the injector until it is closed and
+    /// empty, returning this worker's `(replies, errors)`. The tally
+    /// stays local and is summed once at join, so serving touches no
+    /// shared counter per datagram.
+    fn work(
+        &self,
+        worker: usize,
+        injector: &SpmcRing<Datagram>,
+        on_reply: &(dyn Fn(&Reply) + Sync),
+    ) -> (u64, u64) {
+        // If this worker unwinds (serve or on_reply panicking), the
+        // guard closes the injector so the producer unblocks and the
+        // scope can join and propagate the panic instead of
+        // deadlocking.
+        let _close_guard = CloseGuard(injector);
+        let mut batch: Vec<Datagram> = Vec::with_capacity(INJECTOR_GRAB);
+        let mut scratch = WorkerScratch::default();
+        let (mut replies, mut errors) = (0, 0);
+        while injector.pop_batch(&mut batch, INJECTOR_GRAB) > 0 {
+            if let Some(open) = &self.request_open {
+                open.open_drain(&mut batch);
+            }
+            let drained = batch.len() as u64;
+            let served = self.serve_batch(worker, &mut batch, &mut scratch, on_reply);
+            replies += served;
+            errors += drained - served;
+        }
+        (replies, errors)
+    }
+
+    /// Serve one drain: serve every datagram into the worker's reply
+    /// slab, batch-seal if the reply leg is protected, emit
+    /// borrowed [`Reply`]s, then recycle the spent wire buffers.
+    /// Returns how many datagrams got a reply; the rest were malformed.
     fn serve_batch(
         &self,
         worker: usize,
         batch: &mut Vec<Datagram>,
         scratch: &mut WorkerScratch,
-        processed: &AtomicU64,
-        replies: &AtomicU64,
-        errors: &AtomicU64,
         on_reply: &(dyn Fn(&Reply) + Sync),
-    ) {
+    ) -> u64 {
         let WorkerScratch {
             reply_bufs,
             served,
@@ -1052,13 +794,10 @@ impl ProxyPool {
             reply_bufs.push(Vec::new());
         }
         served.clear();
+        let mut replies = 0;
         for (i, d) in batch.iter().enumerate() {
             let ok = self.serve_into(d, proxy, upstream, &mut reply_bufs[i]);
-            processed.fetch_add(1, Ordering::Relaxed);
-            match ok {
-                true => replies.fetch_add(1, Ordering::Relaxed),
-                false => errors.fetch_add(1, Ordering::Relaxed),
-            };
+            replies += u64::from(ok);
             served.push(ok);
         }
         // When the reply leg is protected, the whole drain is sealed
@@ -1093,6 +832,7 @@ impl ProxyPool {
             })),
             None => batch.clear(),
         }
+        replies
     }
 }
 
@@ -1106,89 +846,6 @@ struct WorkerScratch {
     served: Vec<bool>,
     proxy: ProxyScratch,
     upstream: Vec<u8>,
-}
-
-/// A worker's view of the pool's queues: its own deque, the shared
-/// injector, every sibling deque (for stealing), and the park.
-struct WorkerCtx<'a> {
-    injector: &'a SpmcRing<Datagram>,
-    deques: &'a [WorkerDeque<Datagram>],
-    park: &'a Park,
-    steals: &'a [AtomicU64],
-    index: usize,
-    /// When the producer feeds only the injector (affinity off), the
-    /// deques can never gain work while this worker sleeps: offload
-    /// requires a parked sibling, and on this path nobody parks. So
-    /// instead of the park handshake, an idle worker blocks inside
-    /// the injector's own condvar — one lock to sleep and wake, the
-    /// same wait path the plain ring pool used.
-    blocking_injector: bool,
-}
-
-impl WorkerCtx<'_> {
-    /// Fetch the next drain into `batch` (cleared first). Source
-    /// priority: own deque (LIFO, cache-hot) → shared injector →
-    /// steal from a sibling (FIFO). Returns `false` once every source
-    /// is empty and the injector is closed; parks in between.
-    fn fetch(&self, batch: &mut Vec<Datagram>) -> bool {
-        if self.blocking_injector {
-            // The deques are provably empty on this path (see the
-            // field doc), so the fetch collapses to the plain
-            // blocking ring pop: one lock to grab a drain, the
-            // ring's own condvar to sleep until the producer pushes
-            // or closes.
-            return self.injector.pop_batch(batch, INJECTOR_GRAB) > 0;
-        }
-        loop {
-            if self.deques[self.index].pop_back_batch(batch, POP_BATCH) > 0 {
-                return true;
-            }
-            if self.injector.try_pop_batch(batch, INJECTOR_GRAB) > 0 {
-                self.offload(batch);
-                return true;
-            }
-            for k in 1..self.deques.len() {
-                let victim = (self.index + k) % self.deques.len();
-                if self.deques[victim].steal_front_batch(batch, POP_BATCH) > 0 {
-                    self.steals[self.index].fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-            }
-            if self.drained() {
-                return false;
-            }
-            self.park.park_until(|| self.has_work() || self.drained());
-        }
-    }
-
-    /// Keep `POP_BATCH` datagrams of a large injector grab and park
-    /// the excess on our own deque, where siblings can steal it.
-    fn offload(&self, batch: &mut Vec<Datagram>) {
-        // A single worker has no sibling to steal; keep the whole
-        // grab so replies stay in submission order.
-        // Spilling only pays off when an idle sibling can actually
-        // steal the spill; while everyone is busy, serving the whole
-        // grab in-line beats the extra deque round-trip.
-        if self.deques.len() <= 1 || batch.len() <= POP_BATCH || !self.park.any_parked() {
-            return;
-        }
-        // One lock for the whole spill; whatever exceeds the deque's
-        // room just stays in this batch and gets served now.
-        if self.deques[self.index].push_back_from(batch, POP_BATCH) > 0 {
-            self.park.notify();
-        }
-    }
-
-    /// Whether any queue currently holds work.
-    fn has_work(&self) -> bool {
-        !self.injector.is_empty() || self.deques.iter().any(|d| !d.is_empty())
-    }
-
-    /// The termination condition: injector closed and drained, every
-    /// deque empty.
-    fn drained(&self) -> bool {
-        self.injector.is_drained() && self.deques.iter().all(|d| d.is_empty())
-    }
 }
 
 #[cfg(test)]
@@ -1587,8 +1244,6 @@ mod tests {
         };
         let (s1, p1, sv1) = run(1);
         let (s4, p4, sv4) = run(4);
-        // Steal counts are topology-dependent; the serve totals are
-        // what must agree across worker counts.
         assert_eq!(s1.processed, s4.processed);
         assert_eq!(s1.replies, s4.replies);
         assert_eq!(s1.errors, s4.errors);
@@ -1596,40 +1251,6 @@ mod tests {
         assert_eq!(p1.cache_hits, p4.cache_hits);
         assert_eq!(p1.cache_hits, total as u32, "every measured request hits");
         assert_eq!(sv1.full_responses, sv4.full_responses);
-    }
-
-    #[test]
-    fn deque_owner_lifo_thief_fifo_bounded() {
-        let dq = WorkerDeque::new(4);
-        for i in 0..4 {
-            dq.push_back(i).unwrap();
-        }
-        assert_eq!(dq.len(), 4);
-        assert_eq!(dq.push_back(9), Err(9), "full deque rejects non-blocking");
-        let mut out = vec![99]; // stale scratch content must not survive
-        assert_eq!(dq.pop_back_batch(&mut out, 2), 2);
-        assert_eq!(out, vec![3, 2], "owner pops newest first (LIFO)");
-        assert_eq!(dq.steal_front_batch(&mut out, 2), 2);
-        assert_eq!(out, vec![0, 1], "thief steals oldest first (FIFO)");
-        assert!(dq.is_empty());
-        assert_eq!(dq.pop_back_batch(&mut out, 2), 0);
-        assert!(out.is_empty(), "batch drains clear the scratch buffer");
-    }
-
-    #[test]
-    fn park_wakes_on_notify() {
-        let park = Arc::new(Park::new());
-        let flag = Arc::new(AtomicU64::new(0));
-        let (p2, f2) = (Arc::clone(&park), Arc::clone(&flag));
-        let sleeper = std::thread::spawn(move || {
-            p2.park_until(|| f2.load(Ordering::SeqCst) == 1);
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // Publish the condition, then notify — the park_until predicate
-        // re-check under the lock makes this race-free.
-        flag.store(1, Ordering::SeqCst);
-        park.notify();
-        sleeper.join().unwrap();
     }
 
     #[test]
@@ -1647,35 +1268,6 @@ mod tests {
         assert_eq!(again.capacity(), cap, "…with their capacity intact");
         pool.put_batch((0..3).map(|_| vec![0u8; 16]));
         assert_eq!(pool.len(), 3);
-    }
-
-    /// Affinity routing with a single hot peer loads one worker's
-    /// deque; the idle siblings must steal and the totals must still
-    /// be exact.
-    #[test]
-    fn idle_workers_steal_from_hot_worker() {
-        let names = ["a.example.org"];
-        let pool = pool(4, &names).with_affinity(true);
-        let total = 400u64;
-        let replies = Mutex::new(Vec::new());
-        let stats = pool.run(
-            16,
-            (0..total).map(|seq| Datagram {
-                peer: 1, // every datagram routes to worker 1 % 4
-                seq,
-                at: doc_time::Instant::from_millis(1),
-                wire: fetch_wire("a.example.org", seq),
-            }),
-            &|r| replies.lock().unwrap().push(r.clone()),
-        );
-        assert_eq!(stats.processed, total);
-        assert_eq!(stats.replies, total);
-        assert_eq!(stats.errors, 0);
-        assert_eq!(stats.steals_per_worker.len(), 4);
-        let replies = replies.lock().unwrap();
-        let mut seqs: Vec<u64> = replies.iter().map(|r| r.seq).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, (0..total).collect::<Vec<_>>(), "exactly-once");
     }
 
     fn quic_request_wire(

@@ -1,9 +1,9 @@
 //! `check_gate` — the model-checking CI gate: exhaustively explores
 //! bounded thread interleavings of the workspace's *real* concurrency
-//! primitives (`SpmcRing`, `WorkerDeque`, the pool's `Park` wakeup
-//! protocol, `ShardedCache`/`ShardedResponseCache`, the proxy's atomic
-//! stats) via `doc-check` and fails with a replayable minimal schedule
-//! on any panic, deadlock, or live-lock.
+//! primitives (the pool's `SpmcRing` injector, `ShardedCache`/
+//! `ShardedResponseCache`, the proxy's atomic stats) via `doc-check`
+//! and fails with a replayable minimal schedule on any panic, deadlock,
+//! or live-lock.
 //!
 //! With no arguments every model runs under the default bounds,
 //! exiting 0 on a clean exploration and 2 with a full failure report
@@ -21,7 +21,6 @@
 
 use std::process::ExitCode;
 
-use doc_check::sync::atomic::{AtomicU64, Ordering};
 use doc_check::sync::Arc;
 use doc_check::{explore, replay, thread, Config, Schedule};
 use doc_coap::cache::{cache_key, Lookup};
@@ -29,7 +28,7 @@ use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::shard::{ShardedCache, ShardedResponseCache};
 use doc_core::method::{build_request, DocMethod};
-use doc_core::pool::{Park, SpmcRing, WorkerDeque};
+use doc_core::pool::SpmcRing;
 use doc_core::proxy::{CoapProxy, ProxyAction};
 use doc_dns::{Message, Name, RecordType};
 
@@ -52,21 +51,6 @@ const MODELS: &[Model] = &[
         name: "ring-close",
         about: "SpmcRing: concurrent close() drains queued items, then pops yield None",
         body: ring_close,
-    },
-    Model {
-        name: "deque-steal",
-        about: "WorkerDeque: owner LIFO pop racing a FIFO thief, exactly-once delivery",
-        body: deque_steal,
-    },
-    Model {
-        name: "deque-drain",
-        about: "WorkerDeque: owner + two stealers drain concurrently, nothing lost or doubled",
-        body: deque_drain,
-    },
-    Model {
-        name: "pool-park",
-        about: "Park: publish-then-notify producer vs parking worker, no lost wakeup",
-        body: pool_park,
     },
     Model {
         name: "shard-cache",
@@ -128,103 +112,6 @@ fn ring_close() {
     let (first, second) = popper.join();
     assert_eq!(first, Some(7), "queued item must survive a racing close");
     assert_eq!(second, None, "closed and drained");
-}
-
-/// The worker-pool deque under its two access patterns at once: the
-/// owner popping LIFO from the back while a thief steals FIFO from the
-/// front. Every item must surface exactly once, on exactly one side.
-fn deque_steal() {
-    let deque: Arc<WorkerDeque<u32>> = Arc::new(WorkerDeque::new(4));
-    for i in 0..2u32 {
-        deque.push_back(i).expect("under capacity");
-    }
-    let thief = {
-        let deque = Arc::clone(&deque);
-        thread::spawn(move || {
-            let mut got = Vec::new();
-            deque.steal_front_batch(&mut got, 1);
-            got
-        })
-    };
-    let mut all = Vec::new();
-    let mut batch = Vec::new();
-    deque.pop_back_batch(&mut batch, 2);
-    all.append(&mut batch);
-    all.extend(thief.join());
-    // Whatever the race left behind is still owner-poppable.
-    deque.pop_back_batch(&mut batch, 4);
-    all.append(&mut batch);
-    all.sort_unstable();
-    assert_eq!(all, vec![0, 1], "exactly-once across owner pop and steal");
-    assert!(deque.is_empty(), "fully drained");
-}
-
-/// Drain under contention: three queued items, the owner and two
-/// concurrent stealers all pulling. The union of everything popped must
-/// be the original items — nothing lost, nothing doubled.
-fn deque_drain() {
-    let deque: Arc<WorkerDeque<u32>> = Arc::new(WorkerDeque::new(4));
-    for i in 0..3u32 {
-        deque.push_back(i).expect("under capacity");
-    }
-    let stealers: Vec<_> = (0..2)
-        .map(|_| {
-            let deque = Arc::clone(&deque);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                deque.steal_front_batch(&mut got, 2);
-                got
-            })
-        })
-        .collect();
-    let mut all = Vec::new();
-    let mut batch = Vec::new();
-    deque.pop_back_batch(&mut batch, 3);
-    all.append(&mut batch);
-    for h in stealers {
-        all.extend(h.join());
-    }
-    deque.pop_back_batch(&mut batch, 4);
-    all.append(&mut batch);
-    all.sort_unstable();
-    assert_eq!(all, vec![0, 1, 2], "exactly-once under concurrent stealers");
-    assert!(deque.is_empty(), "fully drained");
-}
-
-/// The pool's wakeup protocol: the producer publishes work *before*
-/// notifying, the worker raises its parked flag *before* re-checking
-/// the predicate. Under every interleaving the worker must drain the
-/// item and terminate — a lost wakeup shows up as a deadlock, a missed
-/// item as the assertion below.
-fn pool_park() {
-    let deque: Arc<WorkerDeque<u32>> = Arc::new(WorkerDeque::new(2));
-    let park = Arc::new(Park::default());
-    let closed = Arc::new(AtomicU64::new(0));
-    let worker = {
-        let deque = Arc::clone(&deque);
-        let park = Arc::clone(&park);
-        let closed = Arc::clone(&closed);
-        thread::spawn(move || {
-            let mut got = Vec::new();
-            loop {
-                let mut batch = Vec::new();
-                if deque.pop_back_batch(&mut batch, 2) > 0 {
-                    got.append(&mut batch);
-                    continue;
-                }
-                if closed.load(Ordering::SeqCst) == 1 && deque.is_empty() {
-                    return got;
-                }
-                park.park_until(|| !deque.is_empty() || closed.load(Ordering::SeqCst) == 1);
-            }
-        })
-    };
-    // Same order the pool uses: publish, then notify.
-    deque.push_back(42).expect("under capacity");
-    park.notify();
-    closed.store(1, Ordering::SeqCst);
-    park.notify();
-    assert_eq!(worker.join(), vec![42], "worker must observe the item");
 }
 
 /// Two threads doing locked read-modify-write on the same shard entry:
