@@ -2,7 +2,9 @@
 # One-command gate for this repository. Later PRs must keep this green.
 #
 #   ./ci.sh          # full: tier-1 + smoke benches + parsed JSON gates
-#                    #       + format + lints
+#                    #       + the standalone benchmark's tests and a
+#                    #       1 s correctness run of each of its four
+#                    #       workloads + format + lints
 #   ./ci.sh quick    # tier-1 + the DoQ-vs-analytical-model conformance
 #                    # test re-run in release (it gates the simulated
 #                    # QUIC transport against doc-models::quic)
@@ -101,6 +103,24 @@ run_check() {
     cargo run --release -q -p doc-repro --bin check_gate
 }
 
+run_docbench() {
+    # The standalone benchmark (docbench/, a workspace of its own that
+    # BENCHMARK.json runs) compiles against the public proxy, server
+    # and pool API, so a reshaped entry point must not break it: its
+    # own tests, then one second of each workload, every run validated
+    # by bench_gate (all answers correct, no failed request).
+    echo "==> docbench: cargo test --release --manifest-path docbench/Cargo.toml"
+    cargo test --release -q --manifest-path docbench/Cargo.toml
+    docbench_json=$(mktemp)
+    for workload in hot churn sealed udp; do
+        echo "==> docbench smoke: $workload, 1 s"
+        cargo run --release -q --manifest-path docbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 1 > "$docbench_json"
+        run_gate docbench "$docbench_json"
+    done
+    rm -f "$docbench_json"
+}
+
 run_conformance() {
     # The DoQ conformance suite (simulated transport vs the
     # doc-models::quic analytical envelope) is part of tier-1's debug
@@ -121,6 +141,7 @@ case "$mode" in
         run_conformance
         run_check
         run_fuzz
+        run_docbench
         # Shortened measurement windows: the allocation bounds are
         # exact and always asserted in-process by the encode bench; the
         # structural JSON gates run on the emitted artifacts. Timing

@@ -7,6 +7,7 @@
 //! bench_gate proxy  PATH [--require-scaling]
 //! bench_gate crypto PATH
 //! bench_gate codecs PATH
+//! bench_gate docbench PATH
 //! ```
 //!
 //! * `codecs PATH` — validate a `doc-bench/codecs/v2` artifact
@@ -24,6 +25,10 @@
 //!   windows also the vectorization bounds: AES-NI seal ≥ 2× the
 //!   scalar reference, batch-8 ≥ 1.3× batch-1 on the multi-block
 //!   backends).
+//! * `docbench PATH` — validate one run of the standalone benchmark
+//!   (`docbench/`, one JSON document on stdout): `"correct": true`,
+//!   `"failed": 0`, a positive `attempted` count, a `cpu_us_per_req`
+//!   metric.
 //! * `--require-scaling` (proxy only) — additionally enforce the
 //!   4-vs-1 worker throughput ratio; the required ratio depends on the
 //!   parallelism recorded in the artifact (≥ 2× on ≥ 4 cores, a
@@ -61,9 +66,10 @@ enum Kind {
     Codecs,
     Proxy,
     Crypto,
+    Docbench,
 }
 
-const USAGE: &str = "usage: bench_gate {proxy|crypto|codecs} PATH ... [--require-scaling]";
+const USAGE: &str = "usage: bench_gate {proxy|crypto|codecs|docbench} PATH ... [--require-scaling]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,6 +88,7 @@ fn main() {
             "codecs" => subcommand(Kind::Codecs, "codecs"),
             "proxy" => subcommand(Kind::Proxy, "proxy"),
             "crypto" => subcommand(Kind::Crypto, "crypto"),
+            "docbench" => subcommand(Kind::Docbench, "docbench"),
             "--require-scaling" => require_scaling = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -102,6 +109,7 @@ fn main() {
             Kind::Codecs => gate::check_codecs(&doc),
             Kind::Proxy => gate::check_proxy(&doc, require_scaling),
             Kind::Crypto => gate::check_crypto(&doc),
+            Kind::Docbench => gate::check_docbench(&doc),
         };
         match result {
             Ok(summary) => println!("bench_gate: OK {path}: {summary}"),

@@ -486,6 +486,40 @@ pub fn check_crypto(doc: &Json) -> Result<String, String> {
     Ok(summary)
 }
 
+/// Validate one run of the standalone benchmark (`docbench` prints
+/// one JSON document per run): it must report `"correct": true`,
+/// `"failed": 0`, a positive `attempted` count and a
+/// `cpu_us_per_req` metric. Returns a human-readable summary on
+/// success.
+pub fn check_docbench(doc: &Json) -> Result<String, String> {
+    let ctx = "document root";
+    let correct = doc
+        .get("correct")
+        .and_then(Json::as_bool)
+        .ok_or("document root: missing boolean \"correct\"")?;
+    let attempted = field_f64(doc, "attempted", ctx)?;
+    let failed = field_f64(doc, "failed", ctx)?;
+    let cpu = doc
+        .get("metrics")
+        .and_then(|m| m.get("cpu_us_per_req"))
+        .map(|m| field_f64(m, "value", "metrics.cpu_us_per_req"))
+        .ok_or("document root: missing metrics.cpu_us_per_req")??;
+    if !correct {
+        return Err(format!(
+            "\"correct\" is false ({failed} of {attempted} failed)"
+        ));
+    }
+    if failed != 0.0 {
+        return Err(format!("{failed} of {attempted} requests failed"));
+    }
+    if attempted <= 0.0 {
+        return Err("no request attempted".into());
+    }
+    Ok(format!(
+        "docbench: {attempted} requests, all correct, {cpu:.3} us/req"
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,5 +846,21 @@ mod tests {
         );
         check_proxy(&parse(&stream_leaky).unwrap(), false)
             .expect("stream-row allocations are not gated");
+    }
+
+    #[test]
+    fn docbench_gate_requires_a_correct_run_without_failures() {
+        let doc = |correct: bool, attempted: u32, failed: u32| {
+            parse(&format!(
+                r#"{{"correct": {correct}, "attempted": {attempted}, "failed": {failed}, "metrics": {{"cpu_us_per_req": {{"value": 1.5, "unit": "us"}}}}}}"#
+            ))
+            .unwrap()
+        };
+        assert!(check_docbench(&doc(true, 100, 0)).is_ok());
+        assert!(check_docbench(&doc(false, 100, 0)).is_err());
+        assert!(check_docbench(&doc(true, 100, 1)).is_err());
+        assert!(check_docbench(&doc(true, 0, 0)).is_err());
+        let no_metrics = parse(r#"{"correct": true, "attempted": 1, "failed": 0}"#).unwrap();
+        assert!(check_docbench(&no_metrics).is_err());
     }
 }

@@ -119,10 +119,6 @@ pub fn build_mix(spec: &LoadSpec, upstream: &MockUpstream) -> QueryMix {
         } else {
             RecordType::A
         };
-        match rtype {
-            RecordType::Aaaa => upstream.add_aaaa(name.clone(), 1),
-            _ => upstream.add_a(name.clone(), 1),
-        }
         let mut q = Message::query(0, name, rtype);
         q.canonicalize_id();
         let wire = match spec.mode {
@@ -145,6 +141,12 @@ pub fn build_mix(spec: &LoadSpec, upstream: &MockUpstream) -> QueryMix {
             ServeMode::Doq | ServeMode::Dot => doc_quic::doq::encode_doq(&q.encode()),
             ServeMode::DohLite => doc_quic::doq::encode_doh_request(&q.encode()),
         };
+        // The zone entry takes the query's own name: no clone.
+        let name = q.questions.pop().expect("a query has one question").qname;
+        match rtype {
+            RecordType::Aaaa => upstream.add_aaaa(name, 1),
+            _ => upstream.add_a(name, 1),
+        }
         wires.push(wire);
     }
     QueryMix { wires }

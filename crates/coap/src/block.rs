@@ -62,8 +62,12 @@ impl BlockOpt {
 
     /// Append the option value bytes to `out` without allocating.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let v = (self.num << 4) | ((self.more as u32) << 3) | self.szx as u32;
-        crate::opt::encode_uint_into(v, out);
+        crate::opt::encode_uint_into(self.value(), out);
+    }
+
+    /// The option's uint value (`NUM << 4 | M << 3 | SZX`).
+    pub fn value(&self) -> u32 {
+        (self.num << 4) | ((self.more as u32) << 3) | self.szx as u32
     }
 
     /// Decode from option value bytes.
@@ -245,17 +249,21 @@ impl Block2Server {
     /// Produce block `num` (at `size` bytes per block, allowing the
     /// client to renegotiate a smaller size). Returns payload + option.
     pub fn block(&self, num: u32, size: usize) -> Result<(Vec<u8>, BlockOpt), CoapError> {
+        let (slice, opt) = Self::slice(&self.body, num, size)?;
+        Ok((slice.to_vec(), opt))
+    }
+
+    /// [`Block2Server::block`] over a borrowed body: block `num` at
+    /// `size` bytes per block, as a slice of `body` plus its option.
+    pub fn slice(body: &[u8], num: u32, size: usize) -> Result<(&[u8], BlockOpt), CoapError> {
         BlockOpt::new(0, false, size)?;
         let start = num as usize * size;
-        if start >= self.body.len() && !(num == 0 && self.body.is_empty()) {
+        if start >= body.len() && !(num == 0 && body.is_empty()) {
             return Err(CoapError::BlockSequence);
         }
-        let end = (start + size).min(self.body.len());
-        let more = end < self.body.len();
-        Ok((
-            self.body[start..end].to_vec(),
-            BlockOpt::new(num, more, size)?,
-        ))
+        let end = (start + size).min(body.len());
+        let more = end < body.len();
+        Ok((&body[start..end], BlockOpt::new(num, more, size)?))
     }
 
     /// The default block size negotiated at construction (used when the

@@ -16,11 +16,14 @@
 //!   `2.03 Valid` response refreshes the entry (new Max-Age) without
 //!   re-transferring the payload.
 
-use crate::msg::{encode_raw_option_into, CoapMessage, Code, MsgType};
+use crate::msg::{
+    encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
+    CoapMessage, Code, MsgType,
+};
 use crate::opt::{CoapOption, OptionNumber};
 use crate::shard::{BuildPassThrough, Fnv1a};
 use crate::view::CoapView;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// A computed cache key: opaque bytes plus their FNV-1a hash, computed
 /// once at derivation time. The hash does double duty — it selects the
@@ -179,6 +182,47 @@ pub enum Lookup {
     StaleNoEtag,
 }
 
+/// What [`ResponseCache::lookup_into`] found. It counts in the
+/// statistics exactly like the matching [`Lookup`] variant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe {
+    /// Fresh entry: the client reply was encoded into `out`.
+    Hit,
+    /// No entry.
+    Miss,
+    /// Stale entry; its ETag was copied out for revalidation.
+    Stale,
+    /// Stale entry without an ETag — must be re-fetched in full.
+    StaleNoEtag,
+}
+
+/// The client exchange a reply is addressed to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReplyTo<'a> {
+    /// The client's message ID.
+    pub message_id: u16,
+    /// The client's token (at most 8 bytes).
+    pub token: &'a [u8],
+    /// The ETag the client presented, if any.
+    pub etag: Option<&'a [u8]>,
+}
+
+impl ReplyTo<'_> {
+    /// Whether the client already holds the representation tagged
+    /// `etag`, so a payload-free `2.03 Valid` answers it.
+    pub fn holds(&self, etag: &[u8]) -> bool {
+        self.etag == Some(etag)
+    }
+}
+
+/// Encode a `2.03 Valid` ACK carrying only the ETag and `max_age`: the
+/// reply to a client whose ETag matches the representation.
+pub fn encode_valid_into(to: ReplyTo<'_>, etag: &[u8], max_age: u32, out: &mut Vec<u8>) {
+    encode_header_into(MsgType::Ack, Code::VALID, to.message_id, to.token, out);
+    let prev = encode_raw_option_into(0, OptionNumber::ETAG.0, etag, out);
+    encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, max_age, out);
+}
+
 /// Cache statistics (the counters behind Fig. 11's cache-hit events).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -198,7 +242,7 @@ pub struct CacheStats {
 /// fixed-size caches of `CONFIG_NANOCOAP_CACHE_ENTRIES` in Table 6).
 pub struct ResponseCache {
     entries: HashMap<CacheKey, Entry, BuildPassThrough>,
-    order: Vec<CacheKey>,
+    order: VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
 }
@@ -209,7 +253,7 @@ impl ResponseCache {
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
             entries: HashMap::default(),
-            order: Vec::new(),
+            order: VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
         }
@@ -256,64 +300,40 @@ impl ResponseCache {
         }
     }
 
-    /// Zero-alloc fresh-hit fast path: if `key` holds a fresh entry,
-    /// encode the client-facing reply straight into `out` (cleared at
-    /// entry) and return `true`, counting a hit. The reply is
-    /// byte-identical to what [`ResponseCache::lookup`]'s `Fresh` arm
-    /// plus the proxy's owned reply construction would produce: the
-    /// cached response re-keyed to the client's MID/token, `mtype`
-    /// forced to Ack, `Max-Age` rewritten to the remaining freshness —
-    /// or a payload-free `2.03 Valid` when `client_etag` matches the
-    /// entry's ETag.
-    ///
-    /// A miss or stale entry returns `false` *without* touching the
-    /// statistics; the caller falls back to `lookup`, which classifies
-    /// and counts the outcome.
-    pub fn serve_hit_into(
+    /// Zero-alloc lookup for the proxy's wire path: a fresh entry's
+    /// client reply is encoded straight into `out` (cleared at entry);
+    /// a stale entry's ETag is copied into `stale_etag` (cleared at
+    /// entry). The reply is byte-identical to [`ResponseCache::lookup`]'s
+    /// `Fresh` response re-keyed to `to` with `mtype` forced to Ack — or
+    /// a payload-free `2.03 Valid` when `to` already holds the entry's
+    /// ETag. Counts exactly like `lookup`.
+    pub fn lookup_into(
         &mut self,
         key: &CacheKey,
         now: u64,
-        client_mid: u16,
-        client_token: &[u8],
-        client_etag: Option<&[u8]>,
+        to: ReplyTo<'_>,
         out: &mut Vec<u8>,
-    ) -> bool {
+        stale_etag: &mut Vec<u8>,
+    ) -> Probe {
         let Some(e) = self.entries.get(key) else {
-            return false;
+            self.stats.misses += 1;
+            return Probe::Miss;
         };
-        if !e.is_fresh(now) {
-            return false;
+        if e.is_fresh(now) {
+            self.stats.hits += 1;
+            out.clear();
+            encode_entry_reply_into(&e.response, e.remaining_s(now), to, out);
+            return Probe::Hit;
         }
-        self.stats.hits += 1;
-        let remaining = e.remaining_s(now);
-        out.clear();
-        let entry_etag = e
-            .response
-            .option(OptionNumber::ETAG)
-            .map(|o| o.value.as_slice());
-        if client_etag.is_some() && client_etag == entry_etag {
-            // The client already holds the representation: a tiny
-            // `2.03 Valid` carrying only ETag + decayed Max-Age.
-            debug_assert!(client_token.len() <= 8);
-            out.push(0x40 | (MsgType::Ack.to_bits() << 4) | client_token.len() as u8);
-            out.push(Code::VALID.0);
-            out.extend_from_slice(&client_mid.to_be_bytes());
-            out.extend_from_slice(client_token);
-            let mut prev = 0u16;
-            if let Some(etag) = entry_etag {
-                prev = encode_raw_option_into(prev, OptionNumber::ETAG.0, etag, out);
+        self.stats.stale += 1;
+        match e.response.option(OptionNumber::ETAG) {
+            Some(etag) => {
+                stale_etag.clear();
+                stale_etag.extend_from_slice(&etag.value);
+                Probe::Stale
             }
-            let mut scratch = [0u8; 4];
-            encode_raw_option_into(
-                prev,
-                OptionNumber::MAX_AGE.0,
-                uint_value_bytes(remaining, &mut scratch),
-                out,
-            );
-        } else {
-            encode_entry_reply_into(&e.response, client_mid, client_token, remaining, out);
+            None => Probe::StaleNoEtag,
         }
-        true
     }
 
     /// Store a (success) response under `key`. Non-success responses
@@ -324,11 +344,12 @@ impl ResponseCache {
         if !self.entries.contains_key(&key) {
             if self.entries.len() >= self.capacity {
                 // FIFO eviction.
-                let victim = self.order.remove(0);
-                self.entries.remove(&victim);
-                self.stats.evictions += 1;
+                if let Some(victim) = self.order.pop_front() {
+                    self.entries.remove(&victim);
+                    self.stats.evictions += 1;
+                }
             }
-            self.order.push(key.clone());
+            self.order.push_back(key.clone());
         }
         self.entries.insert(
             key,
@@ -354,24 +375,62 @@ impl ResponseCache {
         now: u64,
     ) -> Option<CoapMessage> {
         debug_assert_eq!(valid.code, Code::VALID);
+        let options = valid.options.iter().map(|o| (o.number, o.value.as_slice()));
+        let e = self.refresh(key, options, valid.max_age(), now)?;
+        Some(e.response.clone())
+    }
+
+    /// [`ResponseCache::revalidate`] for a borrowed `2.03 Valid`, with
+    /// the client reply encoded into `out` (cleared at entry) instead of
+    /// returned — the refreshed response addressed to `to`, exactly as
+    /// [`ResponseCache::lookup_into`] serves a fresh hit. Returns
+    /// `false` (and leaves `out` empty) if the entry vanished.
+    pub fn revalidate_wire(
+        &mut self,
+        key: &CacheKey,
+        valid: &CoapView<'_>,
+        now: u64,
+        to: ReplyTo<'_>,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        debug_assert_eq!(valid.code, Code::VALID);
+        out.clear();
+        let options = valid.options().map(|o| (o.number, o.value));
+        let Some(e) = self.refresh(key, options, valid.max_age(), now) else {
+            return false;
+        };
+        encode_entry_reply_into(&e.response, e.remaining_s(now), to, out);
+        true
+    }
+
+    /// The refresh shared by both revalidation entry points: drop every
+    /// cached instance of an option number the 2.03 carries, adopt the
+    /// 2.03's instances (so repeatable options keep all their values and
+    /// their order), and store a single Max-Age of `max_age` — a 2.03
+    /// without an explicit Max-Age means the default 60 s (RFC 7252
+    /// §5.10.5), and the served copy says so.
+    fn refresh<'v>(
+        &mut self,
+        key: &CacheKey,
+        options: impl Iterator<Item = (OptionNumber, &'v [u8])> + Clone,
+        max_age: u32,
+        now: u64,
+    ) -> Option<&Entry> {
         let e = self.entries.get_mut(key)?;
         e.stored_at_ms = now;
-        e.max_age_ms = valid.max_age() as u64 * 1000;
-        // Replace whole option runs: drop every cached instance of a
-        // number the 2.03 carries, then adopt the 2.03's instances (so
-        // repeatable options keep all their values and their order).
-        for opt in &valid.options {
-            e.response.remove_option(opt.number);
+        e.max_age_ms = max_age as u64 * 1000;
+        for (number, _) in options.clone() {
+            e.response.remove_option(number);
         }
-        for opt in &valid.options {
-            e.response.options.push(opt.clone());
+        for (number, value) in options.filter(|(n, _)| *n != OptionNumber::MAX_AGE) {
+            e.response
+                .options
+                .push(CoapOption::new(number, value.to_vec()));
         }
-        // A 2.03 without an explicit Max-Age means the default 60 s
-        // (RFC 7252 §5.10.5); make the served copy say so.
         e.response
-            .set_option(CoapOption::uint(OptionNumber::MAX_AGE, valid.max_age()));
+            .set_option(CoapOption::uint(OptionNumber::MAX_AGE, max_age));
         self.stats.revalidations += 1;
-        Some(e.response.clone())
+        Some(e)
     }
 
     /// Remove an entry (e.g. after the origin replaced the payload).
@@ -387,38 +446,28 @@ impl ResponseCache {
     }
 }
 
-/// Shortest-form big-endian bytes of a uint option value, borrowed
-/// from a caller stack buffer — the non-allocating sibling of the
-/// owned uint-option constructor (`0` encodes as the empty string).
-fn uint_value_bytes(v: u32, buf: &mut [u8; 4]) -> &[u8] {
-    *buf = v.to_be_bytes();
-    let skip = buf.iter().take_while(|&&b| b == 0).count();
-    &buf[skip..]
-}
-
-/// Encode the client-facing reply for a fresh cached response directly
-/// into `out`: the cached message with the client's MID and token,
-/// `mtype` forced to Ack, and every `Max-Age` instance replaced by one
-/// carrying `remaining_s`. Byte-identical to cloning the entry,
-/// calling `set_option(Max-Age)` and re-encoding, without owning
-/// anything: the substituted Max-Age is emitted at its stable-sorted
-/// position (after every option numbered below it, before any above),
-/// which is exactly where the owned path's remove-then-append plus
-/// stable sort lands it.
+/// Encode the client-facing reply for a cached response with
+/// `remaining_s` of freshness left, addressed to `to`: a payload-free
+/// `2.03 Valid` when the client holds the entry's ETag, else the cached
+/// message with the client's MID and token, `mtype` forced to Ack, and
+/// every `Max-Age` instance replaced by one carrying `remaining_s`.
+/// Byte-identical to cloning the entry, calling `set_option(Max-Age)`
+/// and re-encoding, without owning anything: the substituted Max-Age is
+/// emitted at its stable-sorted position (after every option numbered
+/// below it, before any above), which is exactly where the owned path's
+/// remove-then-append plus stable sort lands it.
 fn encode_entry_reply_into(
     resp: &CoapMessage,
-    client_mid: u16,
-    client_token: &[u8],
     remaining_s: u32,
+    to: ReplyTo<'_>,
     out: &mut Vec<u8>,
 ) {
-    debug_assert!(client_token.len() <= 8);
-    out.push(0x40 | (MsgType::Ack.to_bits() << 4) | client_token.len() as u8);
-    out.push(resp.code.0);
-    out.extend_from_slice(&client_mid.to_be_bytes());
-    out.extend_from_slice(client_token);
-    let mut scratch = [0u8; 4];
-    let max_age_value = uint_value_bytes(remaining_s, &mut scratch);
+    let entry_etag = resp.option(OptionNumber::ETAG).map(|o| o.value.as_slice());
+    if let Some(etag) = entry_etag.filter(|e| to.holds(e)) {
+        encode_valid_into(to, etag, remaining_s, out);
+        return;
+    }
+    encode_header_into(MsgType::Ack, resp.code, to.message_id, to.token, out);
     // Stream the options in stable (number, original index) order via
     // repeated minimum scans — option lists are a handful of entries,
     // so this beats building a sorted copy and allocates nothing.
@@ -440,19 +489,16 @@ fn encode_entry_reply_into(
             break;
         };
         if !max_age_emitted && num > OptionNumber::MAX_AGE.0 {
-            prev = encode_raw_option_into(prev, OptionNumber::MAX_AGE.0, max_age_value, out);
+            prev = encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, remaining_s, out);
             max_age_emitted = true;
         }
         prev = encode_raw_option_into(prev, num, &resp.options[idx].value, out);
         last = Some((num, idx));
     }
     if !max_age_emitted {
-        encode_raw_option_into(prev, OptionNumber::MAX_AGE.0, max_age_value, out);
+        encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, remaining_s, out);
     }
-    if !resp.payload.is_empty() {
-        out.push(0xFF);
-        out.extend_from_slice(&resp.payload);
-    }
+    encode_payload_into(&resp.payload, out);
 }
 
 #[cfg(test)]
@@ -759,7 +805,7 @@ mod tests {
     /// shape: plain hit, decayed Max-Age, options above/below Max-Age,
     /// ETag-match 2.03, empty payload, zero remaining seconds.
     #[test]
-    fn serve_hit_into_matches_owned_path_bytes() {
+    fn lookup_into_hit_matches_owned_path_bytes() {
         let mut shaped = response(300, Some(&[0xE7, 0x01]), b"payload-bytes");
         // Options straddling Max-Age (14): Uri-Path (11) below... and
         // Proxy-Uri (35) / Size1 (60) above, plus a repeatable option.
@@ -787,15 +833,13 @@ mod tests {
                 let key = cache_key(&fetch_req(b"q"));
                 cache.insert(key.clone(), resp.clone(), 0);
                 let mut wire = vec![0xAA; 7]; // stale garbage must be cleared
-                let hit = cache.serve_hit_into(
-                    &key,
-                    now,
-                    0x1234,
-                    &[9, 8, 7],
-                    client_etag.as_deref(),
-                    &mut wire,
-                );
-                assert!(hit, "case {i} now {now}");
+                let to = ReplyTo {
+                    message_id: 0x1234,
+                    token: &[9, 8, 7],
+                    etag: client_etag.as_deref(),
+                };
+                let probe = cache.lookup_into(&key, now, to, &mut wire, &mut Vec::new());
+                assert_eq!(probe, Probe::Hit, "case {i} now {now}");
                 // Owned reference: lookup's Fresh arm + the proxy's
                 // reply construction.
                 let cached = match cache.lookup(&key, now) {
@@ -823,17 +867,123 @@ mod tests {
         }
     }
 
-    /// Miss and stale outcomes leave the statistics untouched so the
-    /// fallback `lookup` counts them exactly once.
+    /// Miss and stale outcomes count exactly like `lookup`, write no
+    /// reply, and hand out the stale entry's ETag for revalidation.
     #[test]
-    fn serve_hit_into_declines_miss_and_stale_without_counting() {
-        let mut cache = ResponseCache::new(8);
+    fn lookup_into_classifies_and_counts_like_lookup() {
+        let mut probed = ResponseCache::new(8);
+        let mut looked_up = ResponseCache::new(8);
+        let tagged = cache_key(&fetch_req(b"tagged"));
+        let untagged = cache_key(&fetch_req(b"untagged"));
+        for cache in [&mut probed, &mut looked_up] {
+            cache.insert(tagged.clone(), response(5, Some(&[0xE1, 0xE2]), b"data"), 0);
+            cache.insert(untagged.clone(), response(5, None, b"data"), 0);
+        }
+        let to = ReplyTo {
+            message_id: 1,
+            token: &[1],
+            etag: None,
+        };
+        let (mut out, mut etag) = (Vec::new(), vec![0xAA; 3]);
+        let absent = cache_key(&fetch_req(b"absent"));
+        assert_eq!(
+            probed.lookup_into(&absent, 0, to, &mut out, &mut etag),
+            Probe::Miss
+        );
+        assert_eq!(looked_up.lookup(&absent, 0), Lookup::Miss);
+        assert_eq!(
+            probed.lookup_into(&tagged, 6_000, to, &mut out, &mut etag),
+            Probe::Stale
+        );
+        assert_eq!(
+            etag,
+            vec![0xE1, 0xE2],
+            "stale ETag copied, old bytes cleared"
+        );
+        assert!(matches!(
+            looked_up.lookup(&tagged, 6_000),
+            Lookup::Stale { .. }
+        ));
+        assert_eq!(
+            probed.lookup_into(&untagged, 6_000, to, &mut out, &mut etag),
+            Probe::StaleNoEtag
+        );
+        assert_eq!(looked_up.lookup(&untagged, 6_000), Lookup::StaleNoEtag);
+        assert!(out.is_empty(), "no reply for a non-hit");
+        assert_eq!(probed.stats(), looked_up.stats());
+    }
+
+    /// The wire revalidation refreshes the entry exactly like the owned
+    /// one and serves the refreshed response as a hit would: full reply
+    /// with the 2.03's Max-Age and rotated ETag, or a 2.03 to a client
+    /// that already holds the new ETag; a vanished entry writes nothing.
+    #[test]
+    fn revalidate_wire_matches_owned_revalidate() {
         let key = cache_key(&fetch_req(b"q"));
-        let mut out = Vec::new();
-        assert!(!cache.serve_hit_into(&key, 0, 1, &[1], None, &mut out));
-        cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
-        assert!(!cache.serve_hit_into(&key, 6_000, 1, &[1], None, &mut out));
-        assert_eq!(cache.stats(), CacheStats::default());
+        let mut valid = valid_response(7, Some(&[0xE2]));
+        valid
+            .options
+            .push(CoapOption::new(OptionNumber::SIZE1, vec![9]));
+        let valid_wire = valid.encode();
+        let valid_view = CoapView::parse(&valid_wire).unwrap();
+        for client_etag in [None, Some(&[0xE2][..]), Some(&[0xE1][..])] {
+            let mut owned = ResponseCache::new(8);
+            let mut wire = ResponseCache::new(8);
+            for cache in [&mut owned, &mut wire] {
+                cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
+            }
+            let to = ReplyTo {
+                message_id: 0x4242,
+                token: &[4, 2],
+                etag: client_etag,
+            };
+            let mut out = vec![0xAA];
+            assert!(wire.revalidate_wire(&key, &valid_view, 6_000, to, &mut out));
+            let refreshed = owned.revalidate(&key, &valid, 6_000).unwrap();
+            let mut expect = Vec::new();
+            encode_entry_reply_into(&refreshed, refreshed.max_age(), to, &mut expect);
+            assert_eq!(out, expect, "{client_etag:?}");
+            assert_eq!(
+                wire.lookup(&key, 8_000),
+                owned.lookup(&key, 8_000),
+                "same refreshed entry"
+            );
+            assert_eq!(wire.stats(), owned.stats());
+        }
+        let mut empty = ResponseCache::new(8);
+        let to = ReplyTo {
+            message_id: 1,
+            token: &[],
+            etag: None,
+        };
+        let mut out = vec![0xAA];
+        assert!(!empty.revalidate_wire(&key, &valid_view, 0, to, &mut out));
+        assert!(out.is_empty());
+    }
+
+    /// Filling a shard past its capacity twice over evicts strictly in
+    /// insertion order, and a re-insert does not move a key's place.
+    #[test]
+    fn fifo_eviction_order_survives_two_full_turnovers() {
+        let mut cache = ResponseCache::new(3);
+        let key = |i: u8| cache_key(&fetch_req(&[i]));
+        cache.insert(key(0), response(60, None, b"0"), 0);
+        cache.insert(key(1), response(60, None, b"1"), 0);
+        cache.insert(key(0), response(60, None, b"0'"), 0);
+        for i in 2..9u8 {
+            cache.insert(key(i), response(60, None, &[i]), 0);
+            // After inserting i, exactly the three newest keys survive.
+            for j in 0..=i {
+                let alive = j + 3 > i;
+                assert_eq!(
+                    matches!(cache.lookup(&key(j), 1), Lookup::Fresh(_)),
+                    alive,
+                    "after {i}: key {j}"
+                );
+            }
+        }
+        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.stats().evictions, 6);
     }
 
     /// Key derivation into a recycled buffer matches the allocating

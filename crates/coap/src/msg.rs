@@ -276,15 +276,9 @@ impl CoapMessage {
     /// values are written directly into the output.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         assert!(self.token.len() <= 8, "token too long");
-        out.push(0x40 | (self.mtype.to_bits() << 4) | self.token.len() as u8);
-        out.push(self.code.0);
-        out.extend_from_slice(&self.message_id.to_be_bytes());
-        out.extend_from_slice(&self.token);
+        encode_header_into(self.mtype, self.code, self.message_id, &self.token, out);
         encode_options_into(self.options.iter(), out);
-        if !self.payload.is_empty() {
-            out.push(0xFF);
-            out.extend_from_slice(&self.payload);
-        }
+        encode_payload_into(&self.payload, out);
     }
 
     /// Decode from wire bytes.
@@ -437,6 +431,41 @@ pub fn encode_raw_option_into(
     push_ext(ln, len, out);
     out.extend_from_slice(value);
     number
+}
+
+/// [`encode_raw_option_into`] for a uint-valued option (RFC 7252 §3.2
+/// shortest big-endian form, `0` as the empty string), with the value
+/// bytes on the stack instead of in a [`CoapOption`].
+pub fn encode_uint_option_into(prev_number: u16, number: u16, v: u32, out: &mut Vec<u8>) -> u16 {
+    let bytes = v.to_be_bytes();
+    let skip = bytes.iter().take_while(|&&b| b == 0).count();
+    encode_raw_option_into(prev_number, number, &bytes[skip..], out)
+}
+
+/// Append the fixed header and token of a message (version 1). Callers
+/// that assemble a reply field by field start here, then add options
+/// in ascending order and the payload.
+pub fn encode_header_into(
+    mtype: MsgType,
+    code: Code,
+    message_id: u16,
+    token: &[u8],
+    out: &mut Vec<u8>,
+) {
+    debug_assert!(token.len() <= 8, "token too long");
+    out.push(0x40 | (mtype.to_bits() << 4) | token.len() as u8);
+    out.push(code.0);
+    out.extend_from_slice(&message_id.to_be_bytes());
+    out.extend_from_slice(token);
+}
+
+/// Append a payload behind the payload marker; nothing for an empty
+/// payload (RFC 7252 §3: a marker followed by zero bytes is invalid).
+pub fn encode_payload_into(payload: &[u8], out: &mut Vec<u8>) {
+    if !payload.is_empty() {
+        out.push(0xFF);
+        out.extend_from_slice(payload);
+    }
 }
 
 /// Append a run of options in ascending option-number order.

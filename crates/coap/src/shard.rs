@@ -28,8 +28,10 @@
 //! [`cache_key`]: crate::cache::cache_key
 //! [`cache_key_view`]: crate::cache::cache_key_view
 
-use crate::cache::{CacheKey, CacheStats, Lookup, ResponseCache};
+use crate::cache::{CacheKey, CacheStats, Lookup, Probe, ReplyTo, ResponseCache};
 use crate::msg::CoapMessage;
+use crate::view::CoapView;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 // `doc_check::sync::Mutex` is a passthrough to `std::sync::Mutex`
@@ -159,7 +161,10 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
         self.shards.len()
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, V, S>> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<HashMap<K, V, S>>
+    where
+        K: Borrow<Q>,
+    {
         let h = self.build.hash_one(key);
         &self.shards[shard_index(h, self.mask)]
     }
@@ -184,8 +189,17 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
 
     /// Run `f` with the locked shard map that owns `key` — the escape
     /// hatch for read-modify-write sequences (entry API, conditional
-    /// removal) that must be atomic under one lock.
-    pub fn with_shard_mut<R>(&self, key: &K, f: impl FnOnce(&mut HashMap<K, V, S>) -> R) -> R {
+    /// removal) that must be atomic under one lock. `key` may be any
+    /// borrowed form of `K` (e.g. `&[u8]` for `Box<[u8]>` keys), so a
+    /// caller can find an entry's shard without building an owned key.
+    pub fn with_shard_mut<Q: Hash + ?Sized, R>(
+        &self,
+        key: &Q,
+        f: impl FnOnce(&mut HashMap<K, V, S>) -> R,
+    ) -> R
+    where
+        K: Borrow<Q>,
+    {
         f(&mut self.shard(key).lock().unwrap())
     }
 
@@ -255,30 +269,21 @@ impl ShardedResponseCache {
         self.shard(key).lock().unwrap().lookup(key, now)
     }
 
-    /// Zero-alloc fresh-hit fast path (see
-    /// [`ResponseCache::serve_hit_into`]): on a fresh entry the
-    /// client-facing reply wire is encoded into `out` under the shard
-    /// lock and `true` is returned; a miss or stale entry returns
-    /// `false` without touching statistics, and the caller falls back
-    /// to [`ShardedResponseCache::lookup`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_hit_into(
+    /// Zero-alloc lookup with the client reply of a fresh hit encoded
+    /// into `out` under the shard lock (see
+    /// [`ResponseCache::lookup_into`]).
+    pub fn lookup_into(
         &self,
         key: &CacheKey,
         now: u64,
-        client_mid: u16,
-        client_token: &[u8],
-        client_etag: Option<&[u8]>,
+        to: ReplyTo<'_>,
         out: &mut Vec<u8>,
-    ) -> bool {
-        self.shard(key).lock().unwrap().serve_hit_into(
-            key,
-            now,
-            client_mid,
-            client_token,
-            client_etag,
-            out,
-        )
+        stale_etag: &mut Vec<u8>,
+    ) -> Probe {
+        self.shard(key)
+            .lock()
+            .unwrap()
+            .lookup_into(key, now, to, out, stale_etag)
     }
 
     /// Store a success response (see [`ResponseCache::insert`]).
@@ -290,6 +295,22 @@ impl ShardedResponseCache {
     /// [`ResponseCache::revalidate`]).
     pub fn revalidate(&self, key: &CacheKey, valid: &CoapMessage, now: u64) -> Option<CoapMessage> {
         self.shard(key).lock().unwrap().revalidate(key, valid, now)
+    }
+
+    /// Refresh a stale entry from a borrowed `2.03 Valid` and encode the
+    /// client reply into `out` (see [`ResponseCache::revalidate_wire`]).
+    pub fn revalidate_wire(
+        &self,
+        key: &CacheKey,
+        valid: &CoapView<'_>,
+        now: u64,
+        to: ReplyTo<'_>,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        self.shard(key)
+            .lock()
+            .unwrap()
+            .revalidate_wire(key, valid, now, to, out)
     }
 
     /// Remove an entry.

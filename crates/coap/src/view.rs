@@ -13,7 +13,10 @@
 //! parsing. [`CoapView::to_owned`] is the escape hatch for the moment a
 //! message must be stored (cache insertion, outstanding exchanges).
 
-use crate::msg::{read_ext, CoapMessage, Code, MsgType};
+use crate::msg::{
+    encode_header_into, encode_payload_into, encode_raw_option_into, read_ext, CoapMessage, Code,
+    MsgType,
+};
 use crate::opt::{decode_uint_value, CoapOption, OptionNumber};
 use crate::CoapError;
 
@@ -145,6 +148,43 @@ impl<'a> CoapView<'a> {
         self.option(OptionNumber::MAX_AGE)
             .map(|o| o.as_uint())
             .unwrap_or(60)
+    }
+
+    /// Append this message re-addressed to another exchange: type,
+    /// message ID and token replaced, code, options and payload copied
+    /// verbatim. A validated option run is canonical (each delta and
+    /// length has exactly one encoding), so this is byte-identical to
+    /// re-encoding [`CoapView::to_owned`] with those fields swapped.
+    pub fn encode_rekeyed_into(
+        &self,
+        mtype: MsgType,
+        message_id: u16,
+        token: &[u8],
+        out: &mut Vec<u8>,
+    ) {
+        encode_header_into(mtype, self.code, message_id, token, out);
+        out.extend_from_slice(self.options_wire);
+        encode_payload_into(self.payload, out);
+    }
+
+    /// Append this message with every `number` option replaced by one
+    /// carrying `value`, emitted after the lower-numbered options — the
+    /// wire twin of `to_owned()`, `set_option` and `encode`.
+    pub fn encode_replacing_into(&self, number: OptionNumber, value: &[u8], out: &mut Vec<u8>) {
+        encode_header_into(self.mtype, self.code, self.message_id, self.token, out);
+        let mut prev = 0u16;
+        let mut placed = false;
+        for o in self.options().filter(|o| o.number != number) {
+            if !placed && o.number.0 > number.0 {
+                prev = encode_raw_option_into(prev, number.0, value, out);
+                placed = true;
+            }
+            prev = encode_raw_option_into(prev, o.number.0, o.value, out);
+        }
+        if !placed {
+            encode_raw_option_into(prev, number.0, value, out);
+        }
+        encode_payload_into(self.payload, out);
     }
 
     /// Materialize a fully owned [`CoapMessage`] — the escape hatch for
@@ -287,6 +327,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// The wire re-encoders equal the owned round trip: re-keying swaps
+    /// only the exchange fields, and replacing an option lands it where
+    /// `set_option` + `encode` would (below, between and above the
+    /// other options, and replacing repeated instances).
+    #[test]
+    fn wire_reencoders_match_owned_round_trip() {
+        let with_etags = fetch_request()
+            .with_option(CoapOption::new(OptionNumber::ETAG, vec![1, 2]))
+            .with_option(CoapOption::new(OptionNumber::ETAG, vec![3]));
+        let only_high = CoapMessage::request(Code::GET, MsgType::Non, 9, vec![])
+            .with_option(CoapOption::new(OptionNumber::ECHO, vec![0x5A; 300]));
+        let only_low = CoapMessage::request(Code::GET, MsgType::Con, 9, vec![7])
+            .with_option(CoapOption::new(OptionNumber::IF_MATCH, vec![1]));
+        for m in [fetch_request(), with_etags, only_high, only_low] {
+            let wire = m.encode();
+            let view = CoapView::parse(&wire).unwrap();
+            let mut out = Vec::new();
+            view.encode_rekeyed_into(MsgType::Ack, 0xBEEF, &[4, 5, 6], &mut out);
+            let mut rekeyed = m.clone();
+            rekeyed.mtype = MsgType::Ack;
+            rekeyed.message_id = 0xBEEF;
+            rekeyed.token = vec![4, 5, 6];
+            assert_eq!(out, rekeyed.encode(), "{m:?}");
+            out.clear();
+            view.encode_replacing_into(OptionNumber::ETAG, &[0xE7; 8], &mut out);
+            let mut replaced = m.clone();
+            replaced.set_option(CoapOption::new(OptionNumber::ETAG, vec![0xE7; 8]));
+            assert_eq!(out, replaced.encode(), "{m:?}");
         }
     }
 }

@@ -154,27 +154,28 @@ pub fn extract_query(req: &CoapMessage) -> Result<Vec<u8>, DocError> {
 }
 
 /// [`extract_query`] over a borrowed request view. FETCH/POST queries
-/// come back as a borrow of the datagram payload — no copy; only GET's
-/// base64url variable forces an owned decode.
+/// come back as a borrow of the datagram payload — no copy; GET's
+/// base64url variable is decoded into `buf` (cleared first), a buffer
+/// the caller reuses across requests.
 pub fn extract_query_view<'a>(
     req: &doc_coap::view::CoapView<'a>,
-) -> Result<std::borrow::Cow<'a, [u8]>, DocError> {
+    buf: &'a mut Vec<u8>,
+) -> Result<&'a [u8], DocError> {
     match req.code {
         Code::FETCH | Code::POST => {
             if req.payload().is_empty() {
                 return Err(DocError::BadRequest);
             }
-            Ok(std::borrow::Cow::Borrowed(req.payload()))
+            Ok(req.payload())
         }
         Code::GET => {
             for q in req.options_of(OptionNumber::URI_QUERY) {
                 if let Some(encoded) = q.value.strip_prefix(b"dns=") {
-                    // base64url is ASCII; invalid UTF-8 is just an
-                    // invalid encoding.
-                    let s = std::str::from_utf8(encoded).map_err(|_| DocError::BadEncoding)?;
-                    return base64url::decode(s)
-                        .map(std::borrow::Cow::Owned)
-                        .map_err(|_| DocError::BadEncoding);
+                    // base64url is ASCII: any other byte, invalid
+                    // UTF-8 included, is just an invalid encoding.
+                    buf.clear();
+                    base64url::decode_into(encoded, buf).map_err(|_| DocError::BadEncoding)?;
+                    return Ok(buf);
                 }
             }
             Err(DocError::BadRequest)

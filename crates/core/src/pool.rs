@@ -4,9 +4,12 @@
 //! The paper's evaluation is single-node and the whole protocol stack
 //! is sans-IO, so scaling across cores is purely a front-end concern:
 //! workers pull raw datagrams off the ring and run the *existing*
-//! borrowed-view hot path — [`CoapProxy::serve_wire`] for the proxy
-//! leg and [`DocServer::handle_request_wire`] for the origin leg —
-//! against state that is lock-striped per shard ([`doc_coap::shard`]).
+//! borrowed-view path, wire in and wire out on every leg —
+//! [`CoapProxy::serve_wire`] for the client leg and, on a miss or
+//! revalidation, [`ForwardRequest::encode_into`] →
+//! [`DocServer::serve_wire`] → [`CoapProxy::serve_upstream_wire`] for
+//! the origin leg, all on per-worker buffers — against state that is
+//! lock-striped per shard ([`doc_coap::shard`]).
 //! Nothing in the protocol logic knows it is being run concurrently,
 //! and no per-peer state depends on which worker serves a datagram,
 //! so any idle worker may take any datagram.
@@ -21,16 +24,18 @@
 //!   `Arc<DocServer>`; each datagram runs the full client → proxy →
 //!   (origin, on a cache miss) → client exchange and the reply is
 //!   handed to a caller-supplied sink as a *borrowed* [`Reply`] — the
-//!   worker retains the reply buffer, so the steady-state serve loop
-//!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`).
+//!   worker retains the reply buffer, so a steady-state cache hit
+//!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`) and
+//!   a forward allocates only what the cache keeps: the key and the
+//!   stored response.
 //!
 //! The queues are transport-agnostic: the closed-loop throughput
 //! harness (`doc-bench`) feeds them from a replayed query mix, and the
 //! [`crate::io`] providers feed them from `doc-netsim` drains or real
 //! UDP sockets through the identical worker code.
 
-use crate::proxy::{CoapProxy, ProxyScratch, WireAction};
-use crate::server::DocServer;
+use crate::proxy::{CoapProxy, ForwardRequest, ProxyScratch, WireAction};
+use crate::server::{DocServer, ServerScratch};
 use crate::transport::TransportKind;
 // The sync primitives come from `doc-check`: outside a model execution
 // they are passthroughs to `std::sync`, inside one every operation is
@@ -605,24 +610,23 @@ impl ProxyPool {
     /// the reply wire bytes, or `None` for malformed datagrams.
     ///
     /// `upstream_buf` is a scratch buffer reused across calls for the
-    /// re-encoded upstream request.
+    /// upstream request wire. Callers serving many datagrams keep a
+    /// [`ServeScratch`] and call [`ProxyPool::serve_wire`] instead.
     pub fn serve(&self, d: &Datagram, upstream_buf: &mut Vec<u8>) -> Option<Vec<u8>> {
-        let mut scratch = ProxyScratch::default();
+        let mut scratch = ServeScratch::default();
+        std::mem::swap(&mut scratch.origin.request, upstream_buf);
         let mut out = Vec::new();
-        self.serve_into(d, &mut scratch, upstream_buf, &mut out)
-            .then_some(out)
+        let served = self.serve_wire(d, &mut scratch, &mut out);
+        std::mem::swap(&mut scratch.origin.request, upstream_buf);
+        served.then_some(out)
     }
 
-    /// The allocation-free serve core: the reply wire is written into
-    /// `out` (cleared first), `scratch`/`upstream_buf` are reused
-    /// across calls. Returns whether a reply was produced.
-    fn serve_into(
-        &self,
-        d: &Datagram,
-        scratch: &mut ProxyScratch,
-        upstream_buf: &mut Vec<u8>,
-        out: &mut Vec<u8>,
-    ) -> bool {
+    /// The serve core the workers run: the reply wire is written into
+    /// `out` (cleared first) and `scratch` is reused across calls, so
+    /// once both are warm a fresh cache hit allocates nothing and a
+    /// forward allocates only what the proxy cache keeps (the key and
+    /// the stored response). Returns whether a reply was produced.
+    pub fn serve_wire(&self, d: &Datagram, scratch: &mut ServeScratch, out: &mut Vec<u8>) -> bool {
         out.clear();
         if self.mode != ServeMode::Coap {
             let Some(wire) = self.serve_stream(d) else {
@@ -631,36 +635,14 @@ impl ProxyPool {
             out.extend_from_slice(&wire);
             return true;
         }
-        match self
-            .proxy
-            .serve_wire(&d.wire, d.at.as_millis(), scratch, out)
-        {
+        let now = d.at.as_millis();
+        let ServeScratch { proxy, origin } = scratch;
+        match self.proxy.serve_wire(&d.wire, now, proxy, out) {
             Ok(WireAction::Responded) => true,
             Ok(WireAction::Forward {
                 request,
                 exchange_id,
-            }) => {
-                upstream_buf.clear();
-                request.encode_into(upstream_buf);
-                let Ok(upstream_resp) =
-                    self.server
-                        .handle_request_wire(d.peer, upstream_buf, d.at.as_millis())
-                else {
-                    return false;
-                };
-                match self.proxy.handle_upstream_response(
-                    exchange_id,
-                    &upstream_resp,
-                    d.at.as_millis(),
-                ) {
-                    Some(resp) => {
-                        out.clear();
-                        resp.encode_into(out);
-                        true
-                    }
-                    None => false,
-                }
-            }
+            }) => origin.exchange(self, d.peer, now, request, exchange_id, out),
             Err(_) => false,
         }
     }
@@ -783,11 +765,10 @@ impl ProxyPool {
         let WorkerScratch {
             reply_bufs,
             served,
-            proxy,
-            upstream,
+            serve,
         } = scratch;
         // The reply slab: one buffer per batch slot, grown once to the
-        // largest drain seen and then reused forever. `serve_into`
+        // largest drain seen and then reused forever. `serve_wire`
         // clears each buffer before writing, so nothing from a
         // previous batch can leak across the boundary.
         while reply_bufs.len() < batch.len() {
@@ -796,7 +777,7 @@ impl ProxyPool {
         served.clear();
         let mut replies = 0;
         for (i, d) in batch.iter().enumerate() {
-            let ok = self.serve_into(d, proxy, upstream, &mut reply_bufs[i]);
+            let ok = self.serve_wire(d, serve, &mut reply_bufs[i]);
             replies += u64::from(ok);
             served.push(ok);
         }
@@ -837,15 +818,57 @@ impl ProxyPool {
 }
 
 /// Per-worker reusable scratch state: the reply slab, the served
-/// flags, and the proxy/upstream encode buffers. Everything here is
-/// grown during warmup and reused for the rest of the run — the
-/// steady-state serve loop allocates nothing.
+/// flags, and the serve buffers. Everything here is grown during
+/// warmup and reused for the rest of the run.
 #[derive(Default)]
 struct WorkerScratch {
     reply_bufs: Vec<Vec<u8>>,
     served: Vec<bool>,
+    serve: ServeScratch,
+}
+
+/// Reusable buffers for [`ProxyPool::serve_wire`]: the proxy's scratch
+/// and the buffers of a forwarded exchange's origin leg.
+#[derive(Debug, Default)]
+pub struct ServeScratch {
     proxy: ProxyScratch,
-    upstream: Vec<u8>,
+    origin: OriginLeg,
+}
+
+/// The buffers of a forwarded exchange's origin leg.
+#[derive(Debug, Default)]
+struct OriginLeg {
+    /// The upstream request wire.
+    request: Vec<u8>,
+    server: ServerScratch,
+    /// The origin's reply wire.
+    reply: Vec<u8>,
+}
+
+impl OriginLeg {
+    /// Run a forwarded exchange through the origin and back into the
+    /// proxy, writing the client reply into `out`. Returns whether a
+    /// reply was produced.
+    fn exchange(
+        &mut self,
+        pool: &ProxyPool,
+        peer: u64,
+        now: u64,
+        request: ForwardRequest<'_>,
+        exchange_id: u64,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        self.request.clear();
+        request.encode_into(&mut self.request);
+        let served =
+            pool.server
+                .serve_wire(peer, &self.request, now, &mut self.server, &mut self.reply);
+        served.is_ok()
+            && pool
+                .proxy
+                .serve_upstream_wire(exchange_id, &self.reply, now, out)
+                .unwrap_or(false)
+    }
 }
 
 #[cfg(test)]

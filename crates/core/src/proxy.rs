@@ -7,6 +7,17 @@
 //! paper's §4.2 design — and with OSCORE the proxy caches *encrypted*
 //! responses it cannot read (Fig. 4b).
 //!
+//! Both legs of an exchange run wire in, wire out:
+//! [`CoapProxy::serve_wire`] parses the client datagram as a borrowed
+//! view and either encodes the reply (fresh hit) or hands back a
+//! [`ForwardRequest`] that borrows the datagram;
+//! [`CoapProxy::serve_upstream_wire`] parses the origin's reply as a
+//! view, makes the one owned copy the cache stores, and encodes the
+//! client reply. The owned-message entry points
+//! ([`CoapProxy::handle_client_request`],
+//! [`CoapProxy::handle_upstream_response`]) are encode → wire core →
+//! decode wrappers around the same two calls.
+//!
 //! The proxy is **thread-safe**: every public method takes `&self`, so
 //! an `Arc<CoapProxy>` can be shared across the workers of a
 //! [`crate::pool`] front-end. Internally the response cache and the
@@ -17,9 +28,11 @@
 //! bit-identical to the historical unsharded proxy, FIFO eviction
 //! included.
 
-use doc_coap::cache::{cache_key_view, cache_key_view_reusing, CacheKey, Lookup};
-use doc_coap::msg::{CoapMessage, Code};
-use doc_coap::opt::{CoapOption, OptionNumber};
+use doc_coap::cache::{
+    cache_key_view_reusing, encode_valid_into, is_cacheable_method, CacheKey, Probe, ReplyTo,
+};
+use doc_coap::msg::{encode_header_into, CoapMessage, Code, MsgType};
+use doc_coap::opt::OptionNumber;
 use doc_coap::shard::{ShardedCache, ShardedResponseCache};
 use doc_coap::view::CoapView;
 use doc_coap::CoapError;
@@ -44,18 +57,41 @@ pub enum ProxyAction {
 }
 
 /// What [`CoapProxy::serve_wire`] did with the request.
-#[derive(Debug, PartialEq, Eq)]
-pub enum WireAction {
+#[derive(Debug)]
+pub enum WireAction<'a> {
     /// The reply wire was encoded into the caller's buffer.
     Responded,
-    /// Forward this request upstream — exactly
+    /// Forward this request upstream — the wire form of
     /// [`ProxyAction::Forward`].
     Forward {
-        /// Request to send upstream.
-        request: Box<CoapMessage>,
-        /// Correlation handle for [`CoapProxy::handle_upstream_response`].
+        /// Request to send upstream, borrowing the client datagram.
+        request: ForwardRequest<'a>,
+        /// Correlation handle for [`CoapProxy::serve_upstream_wire`].
         exchange_id: u64,
     },
+}
+
+/// A request the proxy forwards upstream: the client's datagram, with
+/// the cached ETag substituted on a revalidation. Nothing is copied
+/// until [`ForwardRequest::encode_into`] writes the upstream wire.
+#[derive(Debug, Clone, Copy)]
+pub struct ForwardRequest<'a> {
+    request: CoapView<'a>,
+    /// The stale entry's ETag, sent instead of the client's.
+    etag: Option<&'a [u8]>,
+}
+
+impl ForwardRequest<'_> {
+    /// Append the upstream request wire: the client's request as it
+    /// arrived, or on a revalidation the same message with every ETag
+    /// replaced by the cached one.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let req = &self.request;
+        match self.etag {
+            None => req.encode_rekeyed_into(req.mtype, req.message_id, req.token(), out),
+            Some(etag) => req.encode_replacing_into(OptionNumber::ETAG, etag, out),
+        }
+    }
 }
 
 /// Reusable per-caller scratch for [`CoapProxy::serve_wire`] — holds
@@ -65,6 +101,8 @@ pub struct ProxyScratch {
     /// Cache-key bytes, recycled between requests (see
     /// [`cache_key_view_reusing`]).
     key_buf: Vec<u8>,
+    /// The ETag of a stale entry being revalidated.
+    etag: Vec<u8>,
 }
 
 /// Proxy statistics (Fig. 10/11 cache events at `P`).
@@ -82,10 +120,36 @@ pub struct ProxyStats {
     pub forwards: u32,
 }
 
+/// A client token held inline (the parser caps tokens at 8 bytes).
+#[derive(Clone, Copy)]
+struct Token {
+    len: u8,
+    bytes: [u8; 8],
+}
+
+impl Token {
+    fn new(token: &[u8]) -> Self {
+        let mut bytes = [0u8; 8];
+        bytes[..token.len()].copy_from_slice(token);
+        Token {
+            len: token.len() as u8,
+            bytes,
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+/// A forwarded exchange awaiting the origin's reply: what the client
+/// reply needs, and where to cache the response.
 struct Outstanding {
     key: CacheKey,
-    client_request: CoapMessage,
-    client_etag: Option<Vec<u8>>,
+    client_mid: u16,
+    client_token: Token,
+    method: Code,
+    client_etag: Option<Box<[u8]>>,
     revalidating: bool,
 }
 
@@ -165,16 +229,15 @@ impl CoapProxy {
 
     /// Handle a client request at time `now_ms`.
     ///
-    /// Owned-message convenience wrapper over the wire hot path: the
-    /// request is encoded once and handled as a borrowed view, so both
-    /// entry points exercise exactly the same logic (the serialize pass
-    /// is the deliberate price for not maintaining two request
-    /// handlers; latency-sensitive callers hold wire bytes already and
-    /// use [`CoapProxy::handle_client_request_wire`] directly). A
-    /// message that cannot be represented on the wire (e.g. a token
-    /// longer than 8 bytes) is answered `4.00 Bad Request` rather than
-    /// processed — with the token truncated to 8 bytes so the reply
-    /// itself stays encodable.
+    /// Owned-message convenience wrapper over the wire path: the
+    /// request is encoded once and handled by [`CoapProxy::serve_wire`],
+    /// so both entry points exercise exactly the same logic (the
+    /// serialize pass is the deliberate price for not maintaining two
+    /// request handlers; latency-sensitive callers hold wire bytes
+    /// already and call `serve_wire` directly). A message that cannot
+    /// be represented on the wire (e.g. a token longer than 8 bytes) is
+    /// answered `4.00 Bad Request` rather than processed — with the
+    /// token truncated to 8 bytes so the reply itself stays encodable.
     pub fn handle_client_request(&self, req: &CoapMessage, now_ms: u64) -> ProxyAction {
         if req.token.len() > 8 {
             bump(&self.stats.requests);
@@ -198,229 +261,204 @@ impl CoapProxy {
         }
     }
 
-    /// Handle a client request straight from its datagram bytes — the
-    /// zero-copy hot path. The request is parsed as a borrowed
-    /// [`CoapView`]: a fresh cache hit touches no owned message at all
-    /// (the key is derived from the view, the reply reuses the cached
-    /// entry), and the request is materialized with `to_owned()` only
-    /// at the single point where it must outlive the datagram — when it
-    /// is forwarded upstream and parked in the outstanding-exchange
-    /// table.
+    /// Handle a client request straight from its datagram bytes, with
+    /// the outcome as owned messages: a decode of what
+    /// [`CoapProxy::serve_wire`] writes or forwards.
     pub fn handle_client_request_wire(
         &self,
         wire: &[u8],
         now_ms: u64,
     ) -> Result<ProxyAction, CoapError> {
-        let req = CoapView::parse(wire)?;
-        bump(&self.stats.requests);
-        // The key (and its FNV hash) is derived from the view exactly
-        // once per request; every later consumer — cache lookup, shard
-        // selection, the outstanding-exchange entry — reuses it.
-        let key = cache_key_view(&req);
-        Ok(self.dispatch(key, &req, now_ms))
+        let mut out = Vec::new();
+        Ok(
+            match self.serve_wire(wire, now_ms, &mut ProxyScratch::default(), &mut out)? {
+                WireAction::Responded => ProxyAction::Respond(Box::new(CoapMessage::decode(&out)?)),
+                WireAction::Forward {
+                    request,
+                    exchange_id,
+                } => {
+                    request.encode_into(&mut out);
+                    ProxyAction::Forward {
+                        request: Box::new(CoapMessage::decode(&out)?),
+                        exchange_id,
+                    }
+                }
+            },
+        )
     }
 
-    /// Wire-in/wire-out hot path: like
-    /// [`CoapProxy::handle_client_request_wire`], but a fresh cache hit
-    /// encodes the reply *directly into* `out` (cleared at entry) via
-    /// the cache's zero-copy hit encoder, and the cache key is derived
-    /// into `scratch`'s recycled buffer — so a steady-state hit
-    /// allocates nothing at all. Miss/stale/POST requests fall back to
-    /// the shared slow path, reusing the already-derived key; a
-    /// resulting `Respond` is also encoded into `out`.
-    pub fn serve_wire(
+    /// The proxy's client leg, wire in and wire out. The request is
+    /// parsed as a borrowed [`CoapView`] and its cache key derived into
+    /// `scratch`'s recycled buffer. A fresh hit encodes the reply
+    /// directly into `out` (cleared at entry) and allocates nothing. A
+    /// miss, a stale entry or a non-cacheable method opens an exchange
+    /// — its table entry holds an exact-size copy of the key and the
+    /// client's identifiers inline — and returns the request to
+    /// forward, borrowing `wire` (and, on a revalidation, the stale
+    /// ETag in `scratch`).
+    pub fn serve_wire<'a>(
         &self,
-        wire: &[u8],
+        wire: &'a [u8],
         now_ms: u64,
-        scratch: &mut ProxyScratch,
+        scratch: &'a mut ProxyScratch,
         out: &mut Vec<u8>,
-    ) -> Result<WireAction, CoapError> {
+    ) -> Result<WireAction<'a>, CoapError> {
         let req = CoapView::parse(wire)?;
         bump(&self.stats.requests);
-        let key = cache_key_view_reusing(&req, std::mem::take(&mut scratch.key_buf));
-        if doc_coap::cache::is_cacheable_method(req.code) {
-            let client_etag = req.option(OptionNumber::ETAG).map(|o| o.value);
-            if self.cache.serve_hit_into(
-                &key,
-                now_ms,
-                req.message_id,
-                req.token(),
-                client_etag,
-                out,
-            ) {
-                bump(&self.stats.cache_hits);
-                scratch.key_buf = key.into_bytes();
-                return Ok(WireAction::Responded);
+        let ProxyScratch { key_buf, etag } = scratch;
+        let key = cache_key_view_reusing(&req, std::mem::take(key_buf));
+        let client_etag = req.option(OptionNumber::ETAG).map(|o| o.value);
+        let revalidating = if is_cacheable_method(req.code) {
+            let to = ReplyTo {
+                message_id: req.message_id,
+                token: req.token(),
+                etag: client_etag,
+            };
+            match self.cache.lookup_into(&key, now_ms, to, out, etag) {
+                Probe::Hit => {
+                    bump(&self.stats.cache_hits);
+                    *key_buf = key.into_bytes();
+                    return Ok(WireAction::Responded);
+                }
+                Probe::Stale => {
+                    bump(&self.stats.revalidations);
+                    true
+                }
+                Probe::Miss | Probe::StaleNoEtag => {
+                    bump(&self.stats.forwards);
+                    false
+                }
             }
-        }
-        // Slow path: identical decision logic to the owned entry point.
-        // (A concurrent insert may have landed since the fast-path
-        // probe; `dispatch`'s own lookup then serves and counts the
-        // fresh hit — never double-counted, since the probe declined
-        // without counting.)
-        match self.dispatch(key, &req, now_ms) {
-            ProxyAction::Respond(resp) => {
-                out.clear();
-                resp.encode_into(out);
-                Ok(WireAction::Responded)
-            }
-            ProxyAction::Forward {
-                request,
-                exchange_id,
-            } => Ok(WireAction::Forward {
-                request,
-                exchange_id,
-            }),
-        }
-    }
-
-    /// The proxy's request decision tree, shared by every entry point.
-    /// `bump(requests)` has already happened; `key` is the request's
-    /// derived cache key, consumed by the forward path.
-    fn dispatch(&self, key: CacheKey, req: &CoapView<'_>, now_ms: u64) -> ProxyAction {
-        if !doc_coap::cache::is_cacheable_method(req.code) {
+        } else {
             // POST etc.: pure pass-through.
             bump(&self.stats.forwards);
-            return self.forward(key, req.to_owned(), None, false);
-        }
-        match self.cache.lookup(&key, now_ms) {
-            Lookup::Fresh(cached) => {
-                bump(&self.stats.cache_hits);
-                let client_etag = req.option(OptionNumber::ETAG).map(|o| o.value);
-                let resp = Self::reply_from_entry(
-                    req.message_id,
-                    req.token().to_vec(),
-                    &cached,
-                    client_etag,
-                );
-                ProxyAction::Respond(Box::new(resp))
-            }
-            Lookup::Stale { etag, .. } => {
-                // Revalidate upstream with the cached ETag.
-                bump(&self.stats.revalidations);
-                let original = req.to_owned();
-                let mut upstream_req = original.clone();
-                upstream_req.set_option(CoapOption::new(OptionNumber::ETAG, etag));
-                self.forward(key, upstream_req, Some(original), true)
-            }
-            Lookup::Miss | Lookup::StaleNoEtag => {
-                bump(&self.stats.forwards);
-                self.forward(key, req.to_owned(), None, false)
-            }
-        }
-    }
-
-    fn forward(
-        &self,
-        key: CacheKey,
-        upstream_req: CoapMessage,
-        original: Option<CoapMessage>,
-        revalidating: bool,
-    ) -> ProxyAction {
-        let id = self.next_exchange.fetch_add(1, Ordering::Relaxed);
-        let client_request = original.unwrap_or_else(|| upstream_req.clone());
-        let client_etag = client_request
-            .option(OptionNumber::ETAG)
-            .map(|o| o.value.clone());
+            false
+        };
+        let exchange_id = self.next_exchange.fetch_add(1, Ordering::Relaxed);
         self.outstanding.insert(
-            id,
+            exchange_id,
             Outstanding {
-                key,
-                client_request,
-                client_etag,
+                key: key.clone(),
+                client_mid: req.message_id,
+                client_token: Token::new(req.token()),
+                method: req.code,
+                client_etag: client_etag.map(Box::from),
                 revalidating,
             },
         );
-        ProxyAction::Forward {
-            request: Box::new(upstream_req),
-            exchange_id: id,
-        }
+        *key_buf = key.into_bytes();
+        let etag: &'a Vec<u8> = etag;
+        Ok(WireAction::Forward {
+            request: ForwardRequest {
+                request: req,
+                etag: revalidating.then_some(etag.as_slice()),
+            },
+            exchange_id,
+        })
     }
 
     /// Handle the upstream's response for `exchange_id`; returns the
     /// response to relay to the client (None if the exchange is
-    /// unknown).
+    /// unknown). Owned-message wrapper over
+    /// [`CoapProxy::serve_upstream_wire`].
     pub fn handle_upstream_response(
         &self,
         exchange_id: u64,
         resp: &CoapMessage,
         now_ms: u64,
     ) -> Option<CoapMessage> {
-        let mut out = self.outstanding.remove(&exchange_id)?;
-        // The exchange state is consumed here: its identifiers move
-        // into the reply instead of being cloned.
-        let client_mid = out.client_request.message_id;
-        let client_token = std::mem::take(&mut out.client_request.token);
-        match resp.code {
-            Code::VALID if out.revalidating => {
-                bump(&self.stats.revalidated);
-                let refreshed = self.cache.revalidate(&out.key, resp, now_ms);
-                match refreshed {
-                    Some(entry) => Some(Self::reply_from_entry(
-                        client_mid,
-                        client_token,
-                        &entry,
-                        out.client_etag.as_deref(),
-                    )),
-                    // Entry evicted meanwhile: degrade to an error the
-                    // client will retry.
-                    None => Some(CoapMessage::ack_reply(
-                        client_mid,
-                        client_token,
-                        Code::BAD_GATEWAY,
-                    )),
-                }
+        // The relay is re-keyed to the client's token, so the upstream
+        // token never reaches the client: one the wire cannot carry is
+        // dropped instead of failing the encode.
+        let wire = if resp.token.len() <= 8 {
+            resp.encode()
+        } else {
+            CoapMessage {
+                token: Vec::new(),
+                ..resp.clone()
             }
-            code if code.is_success() => {
-                if doc_coap::cache::is_cacheable_method(out.client_request.code)
-                    && code == Code::CONTENT
-                {
-                    self.cache.insert(out.key, resp.clone(), now_ms);
-                }
-                Some(Self::reply_from_entry(
-                    client_mid,
-                    client_token,
-                    resp,
-                    out.client_etag.as_deref(),
-                ))
-            }
-            _ => {
-                // Error responses pass through unchanged (re-keyed to
-                // the client's exchange).
-                let mut relay = resp.clone();
-                relay.message_id = client_mid;
-                relay.token = client_token;
-                Some(relay)
-            }
+            .encode()
+        };
+        let mut out = Vec::new();
+        match self.serve_upstream_wire(exchange_id, &wire, now_ms, &mut out) {
+            Ok(true) => CoapMessage::decode(&out).ok(),
+            Ok(false) | Err(_) => None,
         }
     }
 
-    /// Build the client-facing reply from a cached/fresh entry,
-    /// downgrading to `2.03 Valid` when the client already holds the
-    /// same representation (its ETag matches). The client token is
-    /// taken by value — moved from consumed exchange state or copied
-    /// once out of a borrowed request view, never double-cloned.
-    fn reply_from_entry(
-        client_mid: u16,
-        client_token: Vec<u8>,
-        entry: &CoapMessage,
-        client_etag: Option<&[u8]>,
-    ) -> CoapMessage {
-        let entry_etag = entry.option(OptionNumber::ETAG).map(|o| o.value.clone());
-        if client_etag.is_some() && client_etag == entry_etag.as_deref() {
-            let mut v = CoapMessage::ack_reply(client_mid, client_token, Code::VALID);
-            if let Some(e) = entry_etag {
-                v.set_option(CoapOption::new(OptionNumber::ETAG, e));
+    /// The proxy's origin leg, wire in and wire out: parse the origin's
+    /// reply `wire` for `exchange_id` as a borrowed view, close the
+    /// exchange and encode the client reply into `out` (cleared at
+    /// entry). Returns `Ok(false)` for an unknown exchange and an error
+    /// (leaving the exchange open) for a datagram that is not CoAP.
+    ///
+    /// * `2.03 Valid` to a revalidation refreshes the cache entry and
+    ///   serves it like a hit (`5.02 Bad Gateway` if it was evicted
+    ///   meanwhile).
+    /// * Any other success is relayed; a `2.05 Content` to a cacheable
+    ///   method is also cached — the one owned copy of the reply.
+    /// * Errors pass through unchanged, re-keyed to the client.
+    ///
+    /// A success whose ETag the client already holds becomes a
+    /// payload-free `2.03 Valid`.
+    pub fn serve_upstream_wire(
+        &self,
+        exchange_id: u64,
+        wire: &[u8],
+        now_ms: u64,
+        out: &mut Vec<u8>,
+    ) -> Result<bool, CoapError> {
+        let resp = CoapView::parse(wire)?;
+        let Some(ex) = self.outstanding.remove(&exchange_id) else {
+            return Ok(false);
+        };
+        out.clear();
+        let to = ReplyTo {
+            message_id: ex.client_mid,
+            token: ex.client_token.as_slice(),
+            etag: ex.client_etag.as_deref(),
+        };
+        match resp.code {
+            Code::VALID if ex.revalidating => {
+                bump(&self.stats.revalidated);
+                if !self.cache.revalidate_wire(&ex.key, &resp, now_ms, to, out) {
+                    // Entry evicted meanwhile: degrade to an error the
+                    // client will retry.
+                    encode_header_into(
+                        MsgType::Ack,
+                        Code::BAD_GATEWAY,
+                        to.message_id,
+                        to.token,
+                        out,
+                    );
+                }
             }
-            v.set_option(CoapOption::uint(OptionNumber::MAX_AGE, entry.max_age()));
-            v
-        } else {
-            let mut full = entry.clone();
-            full.message_id = client_mid;
-            full.token = client_token;
-            full.mtype = doc_coap::msg::MsgType::Ack;
-            full
+            code if code.is_success() => {
+                if is_cacheable_method(ex.method) && code == Code::CONTENT {
+                    // The stored copy leaves out the origin's token: a
+                    // cached reply is always re-addressed to the client
+                    // it serves.
+                    let stored = CoapMessage {
+                        mtype: resp.mtype,
+                        code,
+                        message_id: resp.message_id,
+                        token: Vec::new(),
+                        options: resp.options().map(|o| o.to_owned()).collect(),
+                        payload: resp.payload().to_vec(),
+                    };
+                    self.cache.insert(ex.key, stored, now_ms);
+                }
+                let etag = resp.option(OptionNumber::ETAG).map(|o| o.value);
+                match etag.filter(|e| to.holds(e)) {
+                    Some(etag) => encode_valid_into(to, etag, resp.max_age(), out),
+                    None => resp.encode_rekeyed_into(MsgType::Ack, to.message_id, to.token, out),
+                }
+            }
+            // Error responses pass through unchanged (re-keyed to the
+            // client's exchange).
+            _ => resp.encode_rekeyed_into(resp.mtype, to.message_id, to.token, out),
         }
+        Ok(true)
     }
 }
 
@@ -429,8 +467,8 @@ mod tests {
     use super::*;
     use crate::method::{build_request, DocMethod};
     use crate::policy::CachePolicy;
-    use crate::server::{DocServer, MockUpstream};
-    use doc_coap::msg::MsgType;
+    use crate::server::{DocServer, MockUpstream, ServerScratch};
+    use doc_coap::opt::CoapOption;
     use doc_dns::{Message, Name, RecordType};
 
     fn name() -> Name {
@@ -536,48 +574,31 @@ mod tests {
         assert!(proxy.handle_client_request_wire(&[0xFF, 0x01], 0).is_err());
     }
 
-    /// `serve_wire` (scratch-threading, wire-direct) must be
-    /// observationally identical to `handle_client_request_wire`:
-    /// byte-identical replies, same statistics, same forward actions.
+    /// The wire chain (`serve_wire` → `ForwardRequest::encode_into` →
+    /// `DocServer::serve_wire` → `serve_upstream_wire`, on reused
+    /// buffers) is observationally identical to the owned entry points:
+    /// byte-identical forwards and replies, same statistics. The
+    /// sequence covers miss, hit, client-ETag 2.03 from the cache, POST
+    /// pass-through, stale → revalidate → 2.03 from the origin (served
+    /// in full, then to a client holding the ETag), and an origin error
+    /// passed through.
     #[test]
     fn serve_wire_matches_wire_entry_point() {
-        let mk = || (CoapProxy::new(8), doc_server(CachePolicy::EolTtls, 300));
-        let (p_ref, s_ref) = mk();
+        let mk = || (CoapProxy::new(8), doc_server(CachePolicy::EolTtls, 5));
         let (p_new, s_new) = mk();
+        let (p_ref, s_ref) = mk();
         let mut scratch = ProxyScratch::default();
-        let mut out = Vec::new();
-        let drive_new = |p: &CoapProxy,
-                         s: &DocServer,
-                         wire: &[u8],
-                         now: u64,
-                         scratch: &mut ProxyScratch,
-                         out: &mut Vec<u8>| {
-            match p.serve_wire(wire, now, scratch, out).unwrap() {
-                WireAction::Responded => {}
-                WireAction::Forward {
-                    request,
-                    exchange_id,
-                } => {
-                    let up = s.handle_request(&request, now);
-                    let reply = p
-                        .handle_upstream_response(exchange_id, &up, now)
-                        .expect("known exchange");
-                    out.clear();
-                    reply.encode_into(out);
-                }
-            }
+        let mut server_scratch = ServerScratch::default();
+        let (mut out, mut fwd, mut up) = (Vec::new(), Vec::new(), Vec::new());
+        let with_etag = |mut req: CoapMessage, etag: &[u8]| {
+            req.set_option(CoapOption::new(OptionNumber::ETAG, etag.to_vec()));
+            req
         };
-        // Miss → hit → ETag-match 2.03 → POST pass-through.
-        let mut reqs = vec![
-            (fetch_req(1).encode(), 0u64),
-            (fetch_req(2).encode(), 10_000),
-        ];
-        let r1 = via_proxy(&p_ref, &s_ref, &fetch_req(1), 0);
-        let _ = via_proxy(&p_ref, &s_ref, &fetch_req(2), 10_000);
-        let etag = r1.option(OptionNumber::ETAG).unwrap().value.clone();
-        let mut req3 = fetch_req(3);
-        req3.set_option(CoapOption::new(OptionNumber::ETAG, etag));
-        reqs.push((req3.encode(), 20_000));
+        let etag = via_proxy(&mk().0, &mk().1, &fetch_req(1), 0)
+            .option(OptionNumber::ETAG)
+            .unwrap()
+            .value
+            .clone();
         let post = build_request(
             DocMethod::Post,
             &query_bytes(),
@@ -586,25 +607,98 @@ mod tests {
             vec![4, 0xCC],
         )
         .unwrap();
-        reqs.push((post.encode(), 21_000));
-        let _ = via_proxy(&p_ref, &s_ref, &req3, 20_000);
-        let _ = via_proxy(&p_ref, &s_ref, &post, 21_000);
-        // Replay the same sequence through serve_wire on the fresh
-        // pair, comparing the reply bytes against the owned path.
-        let (p_cmp, s_cmp) = mk();
-        for (wire, now) in &reqs {
-            drive_new(&p_new, &s_new, wire, *now, &mut scratch, &mut out);
-            let req = CoapMessage::decode(wire).unwrap();
-            let expect = via_proxy(&p_cmp, &s_cmp, &req, *now);
-            assert_eq!(out, expect.encode(), "now {now}");
+        let bad_dns =
+            build_request(DocMethod::Fetch, &[1, 2, 3], MsgType::Non, 8, vec![8]).unwrap();
+        // (request, time, whether it is another client's query straight
+        // to the origin — Fig. 3 step 3's refresh).
+        let steps = [
+            (fetch_req(1), 0u64, false),
+            (fetch_req(2), 1_000, false),
+            (with_etag(fetch_req(3), &etag), 2_000, false),
+            (post, 2_100, false),
+            (fetch_req(9), 7_000, true),
+            (fetch_req(5), 9_000, false),
+            (with_etag(fetch_req(6), &etag), 20_000, false),
+            (bad_dns, 21_000, false),
+        ];
+        for (req, now, origin_only) in &steps {
+            let wire = req.encode();
+            if *origin_only {
+                s_new
+                    .serve_wire(9, &wire, *now, &mut server_scratch, &mut up)
+                    .unwrap();
+                s_ref.handle_request_from(9, req, *now);
+                continue;
+            }
+            let expect_fwd = match p_ref.handle_client_request(req, *now) {
+                ProxyAction::Respond(resp) => {
+                    match p_new
+                        .serve_wire(&wire, *now, &mut scratch, &mut out)
+                        .unwrap()
+                    {
+                        WireAction::Responded => {}
+                        other => panic!("now {now}: {other:?}"),
+                    }
+                    assert_eq!(out, resp.encode(), "now {now}");
+                    continue;
+                }
+                ProxyAction::Forward {
+                    request,
+                    exchange_id,
+                } => {
+                    let upstream = s_ref.handle_request(&request, *now);
+                    let reply = p_ref
+                        .handle_upstream_response(exchange_id, &upstream, *now)
+                        .unwrap();
+                    (request.encode(), reply.encode())
+                }
+            };
+            let (request, exchange_id) = match p_new
+                .serve_wire(&wire, *now, &mut scratch, &mut out)
+                .unwrap()
+            {
+                WireAction::Forward {
+                    request,
+                    exchange_id,
+                } => (request, exchange_id),
+                other => panic!("now {now}: {other:?}"),
+            };
+            fwd.clear();
+            request.encode_into(&mut fwd);
+            assert_eq!(fwd, expect_fwd.0, "forward at {now}");
+            s_new
+                .serve_wire(0, &fwd, *now, &mut server_scratch, &mut up)
+                .unwrap();
+            out.push(0xAA); // stale bytes must be cleared
+            assert_eq!(
+                p_new.serve_upstream_wire(exchange_id, &up, *now, &mut out),
+                Ok(true)
+            );
+            assert_eq!(out, expect_fwd.1, "reply at {now}");
         }
+        let decoded = |w: &[u8]| CoapMessage::decode(w).unwrap();
+        assert_eq!(
+            decoded(&out).code,
+            Code::BAD_REQUEST,
+            "origin error relayed"
+        );
+        assert_eq!(
+            decoded(&out).mtype,
+            MsgType::Ack,
+            "relay keeps the origin's type"
+        );
         assert_eq!(p_new.stats(), p_ref.stats());
-        assert_eq!(s_new.stats().requests, s_ref.stats().requests);
+        assert_eq!(p_new.stats().revalidations, 2);
+        assert_eq!(p_new.stats().revalidated, 2);
         assert_eq!(p_new.cache_stats(), p_ref.cache_stats());
-        // Malformed datagrams error out, not panic.
+        assert_eq!(s_new.stats(), s_ref.stats());
+        // Malformed datagrams error out, not panic; a reply for an
+        // unknown exchange is ignored.
         assert!(p_new
             .serve_wire(&[0xFF, 0x01], 0, &mut scratch, &mut out)
             .is_err());
+        assert!(p_new.serve_upstream_wire(1, &[0xFF], 0, &mut out).is_err());
+        assert_eq!(p_new.serve_upstream_wire(99, &up, 0, &mut out), Ok(false));
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! CoAP freshness, and supports ETag revalidation with `2.03 Valid`
 //! responses and Block2 slicing of large responses.
 //!
+//! The request path runs wire in, wire out ([`DocServer::serve_wire`]):
+//! request and query are borrowed views, the upstream writes the
+//! prepared answer straight from its zone into a reusable buffer
+//! ([`MockUpstream::answer_into`]), and the reply is assembled field by
+//! field — the owned-message entry points decode what it writes.
+//!
 //! The upstream mirrors the paper's setup: "The recursive resolver is
 //! mocked up to generate the desired responses" — a programmable zone
 //! whose records refresh their TTLs on expiry (uniformly drawn from a
@@ -22,24 +28,127 @@
 //! through snapshot accessors.
 
 use crate::method::extract_query_view;
-use crate::policy::{prepare_response, CachePolicy, PreparedResponse};
+use crate::policy::CachePolicy;
 use crate::{DocError, CONTENT_FORMAT_DNS_MESSAGE};
 use doc_coap::block::{Block2Server, BlockAssembler, BlockOpt};
-use doc_coap::msg::{CoapMessage, Code};
-use doc_coap::opt::{CoapOption, OptionNumber};
+use doc_coap::cache::{encode_valid_into, ReplyTo};
+use doc_coap::msg::{
+    encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
+    CoapMessage, Code, MsgType,
+};
+use doc_coap::opt::OptionNumber;
 use doc_coap::shard::ShardedCache;
 use doc_coap::view::CoapView;
 use doc_coap::CoapError;
+use doc_dns::name::{encode_labels_compressed, MAX_LABELS, MAX_NAME_LEN};
 use doc_dns::view::MessageView;
-use doc_dns::{Message, Name, Rcode, Record, RecordClass, RecordData, RecordType};
-use std::borrow::Cow;
+use doc_dns::{
+    CompressionMap, Header, Message, Name, Rcode, Record, RecordClass, RecordData, RecordType,
+};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// One RRset of the mock zone: the records plus the TTL state machine
 /// (absolute expiry of the current TTL draw; 0 = not yet drawn).
 struct Rrset {
+    /// Records in registration order — the order `resolve` answers in.
     data: Vec<RecordData>,
+    /// `data` indices in answer order (by RDATA wire bytes, ties in
+    /// registration order: what `Message::sort_answers` does to one
+    /// RRset); empty when that is registration order.
+    order: Box<[u16]>,
     expires_at_ms: u64,
+}
+
+impl Rrset {
+    fn new(data: Vec<RecordData>, expires_at_ms: u64) -> Self {
+        Rrset {
+            order: Self::answer_order(&data),
+            data,
+            expires_at_ms,
+        }
+    }
+
+    /// The `order` of `data`: empty when registration order is already
+    /// answer order.
+    fn answer_order(data: &[RecordData]) -> Box<[u16]> {
+        if data.len() < 2 {
+            return Box::default();
+        }
+        let index = |i: usize| u16::try_from(i).expect("an RRset fits one DNS message");
+        let mut keyed: Vec<(Vec<u8>, u16)> = data
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                let mut wire = Vec::with_capacity(d.encoded_len());
+                d.encode(&mut wire);
+                (wire, index(i))
+            })
+            .collect();
+        keyed.sort();
+        let identity = keyed
+            .iter()
+            .enumerate()
+            .all(|(i, &(_, j))| usize::from(j) == i);
+        if identity {
+            Box::default()
+        } else {
+            keyed.into_iter().map(|(_, j)| j).collect()
+        }
+    }
+
+    /// The records in answer order.
+    fn sorted(&self) -> impl Iterator<Item = &RecordData> {
+        (0..self.data.len()).map(move |i| match self.order.get(i) {
+            Some(&j) => &self.data[usize::from(j)],
+            None => &self.data[i],
+        })
+    }
+}
+
+/// A zone key built on the stack: the name's lowercased uncompressed
+/// wire form followed by the big-endian record type. The zone stores
+/// these bytes boxed, so a lookup needs no owned key.
+struct ZoneKey {
+    bytes: [u8; MAX_NAME_LEN + 2],
+    len: usize,
+}
+
+impl ZoneKey {
+    /// Build from a validated name's labels (wire form at most
+    /// [`MAX_NAME_LEN`] bytes — every `Name` and `NameRef` is).
+    fn new<'l>(labels: impl Iterator<Item = &'l [u8]>, rtype: RecordType) -> Self {
+        let mut key = ZoneKey {
+            bytes: [0; MAX_NAME_LEN + 2],
+            len: 0,
+        };
+        for label in labels {
+            let end = key.len + 1 + label.len();
+            key.bytes[key.len] = label.len() as u8;
+            key.bytes[key.len + 1..end].copy_from_slice(label);
+            key.bytes[key.len + 1..end].make_ascii_lowercase();
+            key.len = end;
+        }
+        key.bytes[key.len] = 0;
+        key.bytes[key.len + 1..key.len + 3].copy_from_slice(&rtype.to_u16().to_be_bytes());
+        key.len += 3;
+        key
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// Append the (lowercase) name, compressed against `table`.
+    fn encode_name(&self, msg: &mut Vec<u8>, table: &mut CompressionMap) {
+        let mut labels: [&[u8]; MAX_LABELS] = [&[]; MAX_LABELS];
+        let (mut n, mut pos) = (0, 0);
+        while let Some(&len) = self.bytes.get(pos).filter(|&&l| l != 0) {
+            labels[n] = &self.bytes[pos + 1..pos + 1 + usize::from(len)];
+            n += 1;
+            pos += 1 + usize::from(len);
+        }
+        encode_labels_compressed(&labels[..n], msg, table);
+    }
 }
 
 /// One xorshift64 step (shared by the upstream's atomic RNG).
@@ -52,9 +161,10 @@ fn xorshift64(mut x: u64) -> u64 {
 
 /// A programmable mock recursive resolver.
 pub struct MockUpstream {
-    /// The resource table: zone data + TTL state, lock-striped so
-    /// concurrent workers resolving different names never contend.
-    zone: ShardedCache<(Name, RecordType), Rrset>,
+    /// The resource table: zone data + TTL state keyed by [`ZoneKey`]
+    /// bytes, lock-striped so concurrent workers resolving different
+    /// names never contend.
+    zone: ShardedCache<Box<[u8]>, Rrset>,
     ttl_min: u32,
     ttl_max: u32,
     rng: AtomicU64,
@@ -113,15 +223,13 @@ impl MockUpstream {
     /// matching the historical behaviour where record data and TTL
     /// state lived in separate maps.
     pub fn add_rrset(&self, name: Name, rtype: RecordType, data: Vec<RecordData>) {
-        let key = (name, rtype);
+        let key = ZoneKey::new(name.labels().iter().map(Vec::as_slice), rtype);
+        let key = key.as_bytes();
         self.zone
-            .with_shard_mut(&key, |shard| match shard.entry(key.clone()) {
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().data = data,
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(Rrset {
-                        data,
-                        expires_at_ms: 0,
-                    });
+            .with_shard_mut(key, |shard| match shard.get_mut(key) {
+                Some(rrset) => *rrset = Rrset::new(data, rrset.expires_at_ms),
+                None => {
+                    shard.insert(key.into(), Rrset::new(data, 0));
                 }
             });
     }
@@ -142,18 +250,19 @@ impl MockUpstream {
         self.add_rrset(name, RecordType::A, data);
     }
 
-    /// Resolve a DNS query at virtual time `now_ms`. Returns a response
-    /// with *remaining* TTLs (the decrementing behaviour of a real
-    /// recursive cache).
-    pub fn resolve(&self, query: &Message, now_ms: u64) -> Message {
-        let Some(q) = query.questions.first() else {
-            return Message::response(query, Rcode::FormErr, vec![]);
-        };
-        let key = (q.qname.clone(), q.qtype);
-        // One shard lock covers the whole read-check-refresh sequence,
-        // so two workers cannot both decide to refresh the same RRset.
-        let resolved = self.zone.with_shard_mut(&key, |shard| {
-            let rrset = shard.get_mut(&key)?;
+    /// The TTL state machine every resolution runs: under the RRset's
+    /// shard lock (so two workers cannot both decide to refresh it),
+    /// serve the remaining TTL of the current draw or draw a new one,
+    /// then hand the RRset and its remaining TTL in seconds to `f`.
+    /// `None` if the zone has no RRset under `key`.
+    fn with_rrset<R>(
+        &self,
+        key: &[u8],
+        now_ms: u64,
+        f: impl FnOnce(&Rrset, u32) -> R,
+    ) -> Option<R> {
+        self.zone.with_shard_mut(key, |shard| {
+            let rrset = shard.get_mut(key)?;
             let remaining_ms = if rrset.expires_at_ms > now_ms {
                 bump(&self.cache_hits);
                 rrset.expires_at_ms - now_ms
@@ -169,12 +278,24 @@ impl MockUpstream {
                 rrset.expires_at_ms = now_ms + ttl_s * 1000;
                 ttl_s * 1000
             };
-            Some((rrset.data.clone(), remaining_ms))
+            Some(f(rrset, remaining_ms.div_ceil(1000) as u32))
+        })
+    }
+
+    /// Resolve a DNS query at virtual time `now_ms`. Returns a response
+    /// with *remaining* TTLs (the decrementing behaviour of a real
+    /// recursive cache).
+    pub fn resolve(&self, query: &Message, now_ms: u64) -> Message {
+        let Some(q) = query.questions.first() else {
+            return Message::response(query, Rcode::FormErr, vec![]);
+        };
+        let key = ZoneKey::new(q.qname.labels().iter().map(Vec::as_slice), q.qtype);
+        let resolved = self.with_rrset(key.as_bytes(), now_ms, |rrset, ttl| {
+            (rrset.data.clone(), ttl)
         });
-        let Some((data, remaining_ms)) = resolved else {
+        let Some((data, ttl)) = resolved else {
             return Message::response(query, Rcode::NxDomain, vec![]);
         };
-        let ttl = remaining_ms.div_ceil(1000) as u32;
         let answers: Vec<Record> = data
             .into_iter()
             .map(|d| Record {
@@ -186,6 +307,72 @@ impl MockUpstream {
             })
             .collect();
         Message::response(query, Rcode::NoError, answers)
+    }
+
+    /// Resolve `query` at `now_ms` and write the DoC response prepared
+    /// under `policy` into `out` (cleared first), returning its Max-Age.
+    /// The bytes and the Max-Age are those of
+    /// `prepare_response(policy, &self.resolve(&query.to_owned(), now_ms))`
+    /// and the TTL state and draw sequence advance exactly as there;
+    /// but the RRset is found by a key built on the stack and its sorted
+    /// answers are written straight from the zone, so no `Name`,
+    /// `Message` or record copy is built.
+    pub fn answer_into(
+        &self,
+        query: &MessageView<'_>,
+        policy: CachePolicy,
+        now_ms: u64,
+        out: &mut Vec<u8>,
+    ) -> u32 {
+        out.clear();
+        // Header last (its rcode and answer count depend on the
+        // lookup); compression offsets count from the message start.
+        out.extend_from_slice(&[0; 12]);
+        let mut table = CompressionMap::new();
+        let mut first: Option<ZoneKey> = None;
+        for q in query.questions() {
+            let key = ZoneKey::new(q.qname.labels(), q.qtype);
+            key.encode_name(out, &mut table);
+            out.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
+            out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
+            first.get_or_insert(key);
+        }
+        let (rcode, answers, max_age) = match &first {
+            None => (Rcode::FormErr, 0, 0),
+            Some(key) => {
+                let answered = self.with_rrset(key.as_bytes(), now_ms, |rrset, ttl| {
+                    let wire_ttl = match policy {
+                        CachePolicy::EolTtls => 0,
+                        CachePolicy::DohLike => ttl,
+                    };
+                    let rtype = &key.as_bytes()[key.len - 2..];
+                    for data in rrset.sorted() {
+                        key.encode_name(out, &mut table);
+                        out.extend_from_slice(rtype);
+                        out.extend_from_slice(&RecordClass::In.to_u16().to_be_bytes());
+                        out.extend_from_slice(&wire_ttl.to_be_bytes());
+                        let rdlen_at = out.len();
+                        out.extend_from_slice(&[0, 0]);
+                        data.encode(out);
+                        let rdlen = (out.len() - rdlen_at - 2) as u16;
+                        out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+                    }
+                    let n = rrset.data.len();
+                    (n, if n > 0 { ttl } else { 0 })
+                });
+                match answered {
+                    Some((n, max_age)) => (Rcode::NoError, n, max_age),
+                    None => (Rcode::NxDomain, 0, 0),
+                }
+            }
+        };
+        let header = Header {
+            id: 0,
+            ..Header::response_to(&query.header(), rcode)
+        };
+        let counts = [query.question_count() as u16, answers as u16, 0, 0];
+        out[..12].copy_from_slice(&header.to_bytes(counts));
+        max_age
     }
 }
 
@@ -300,12 +487,12 @@ impl DocServer {
     /// Handle one DoC request from peer `peer` (block-wise transfer
     /// state is scoped per peer).
     ///
-    /// Owned-message convenience wrapper over the wire hot path: the
-    /// request is encoded once and handled as a borrowed view, so both
-    /// entry points exercise exactly the same logic (the serialize pass
-    /// is the deliberate price for not maintaining two request
-    /// handlers; latency-sensitive callers hold wire bytes already and
-    /// use [`DocServer::handle_request_wire`] directly). A message that
+    /// Owned-message convenience wrapper over the wire path: the
+    /// request is encoded once and handled by [`DocServer::serve_wire`],
+    /// so both entry points exercise exactly the same logic (the
+    /// serialize pass is the deliberate price for not maintaining two
+    /// request handlers; latency-sensitive callers hold wire bytes
+    /// already and call `serve_wire` directly). A message that
     /// cannot be represented on the wire (e.g. a token longer than 8
     /// bytes) is answered `4.00 Bad Request` rather than processed —
     /// with the token truncated to 8 bytes so the reply itself stays
@@ -331,40 +518,62 @@ impl DocServer {
         }
     }
 
-    /// Handle one DoC request straight from its datagram bytes — the
-    /// zero-copy hot path. The CoAP request is parsed as a borrowed
-    /// [`CoapView`] and the DNS query inside it as a borrowed
-    /// [`MessageView`] (pure validation plus field access, no per-label
-    /// `Vec`s); an owned query is materialized only at the upstream
-    /// resolve boundary, where the resolver builds the response from it.
+    /// Handle one DoC request straight from its datagram bytes, as an
+    /// owned reply: a decode of what [`DocServer::serve_wire`] writes.
     pub fn handle_request_wire(
         &self,
         peer: u64,
         wire: &[u8],
         now_ms: u64,
     ) -> Result<CoapMessage, CoapError> {
-        let req = CoapView::parse(wire)?;
-        bump(&self.stats.requests);
-        Ok(match self.try_handle(peer, &req, now_ms) {
-            Ok(resp) => resp,
-            Err(e) => {
-                bump(&self.stats.errors);
-                let code = match e {
-                    DocError::BadEncoding | DocError::BadDnsMessage => Code::BAD_REQUEST,
-                    DocError::BadRequest => Code::METHOD_NOT_ALLOWED,
-                    _ => Code::INTERNAL_SERVER_ERROR,
-                };
-                CoapMessage::ack_reply(req.message_id, req.token().to_vec(), code)
-            }
-        })
+        let mut out = Vec::new();
+        self.serve_wire(peer, wire, now_ms, &mut ServerScratch::default(), &mut out)?;
+        CoapMessage::decode(&out)
     }
 
-    fn try_handle(
+    /// The server's request path, wire in and wire out: the reply to
+    /// the request datagram `wire` from `peer` is written into `out`
+    /// (cleared first). The request is parsed as a borrowed
+    /// [`CoapView`] and the query inside it as a borrowed
+    /// [`MessageView`]; the upstream writes the prepared DNS answer
+    /// into `scratch` ([`MockUpstream::answer_into`]), the ETag is the
+    /// first 8 bytes of its SHA-256, and the CoAP reply is assembled
+    /// field by field. With a warm `scratch` and `out`, a FETCH, GET or
+    /// POST that needs no block-wise transfer allocates nothing. A
+    /// datagram that is not CoAP at all is an error (no reply); a
+    /// malformed DoC request is answered with a 4.xx.
+    pub fn serve_wire(
+        &self,
+        peer: u64,
+        wire: &[u8],
+        now_ms: u64,
+        scratch: &mut ServerScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CoapError> {
+        let req = CoapView::parse(wire)?;
+        bump(&self.stats.requests);
+        out.clear();
+        if let Err(e) = self.respond(peer, &req, now_ms, scratch, out) {
+            bump(&self.stats.errors);
+            let code = match e {
+                DocError::BadEncoding | DocError::BadDnsMessage => Code::BAD_REQUEST,
+                DocError::BadRequest => Code::METHOD_NOT_ALLOWED,
+                _ => Code::INTERNAL_SERVER_ERROR,
+            };
+            out.clear();
+            encode_header_into(MsgType::Ack, code, req.message_id, req.token(), out);
+        }
+        Ok(())
+    }
+
+    fn respond(
         &self,
         peer: u64,
         req: &CoapView<'_>,
         now_ms: u64,
-    ) -> Result<CoapMessage, DocError> {
+        scratch: &mut ServerScratch,
+        out: &mut Vec<u8>,
+    ) -> Result<(), DocError> {
         // Block1 reassembly: a block-wise transferred query (paper
         // Fig. 12a) is accumulated per token; non-final blocks are
         // answered 2.31 Continue. The whole push-or-finish sequence
@@ -395,11 +604,9 @@ impl DocServer {
             match outcome {
                 Block1Outcome::Done(full) => reassembled = Some(full),
                 Block1Outcome::Continue => {
-                    return Ok(doc_coap::block::continue_reply(
-                        req.message_id,
-                        req.token().to_vec(),
-                        block1,
-                    ));
+                    ack_into(Code::CONTINUE, req, out);
+                    encode_uint_option_into(0, OptionNumber::BLOCK1.0, block1.value(), out);
+                    return Ok(());
                 }
                 Block1Outcome::Bad => return Err(DocError::BadRequest),
             }
@@ -409,97 +616,120 @@ impl DocServer {
         // already prepared.
         if let Some(Ok(block2)) = BlockOpt::from_view(req, OptionNumber::BLOCK2) {
             if block2.num > 0 {
-                if let Some(payload) = self.block_state.get_cloned(&(peer, req.token().to_vec())) {
-                    let server = Block2Server::new(payload, block2.size())
-                        .map_err(|_| DocError::BadRequest)?;
-                    let (slice, opt) = server
-                        .block(block2.num, block2.size())
-                        .map_err(|_| DocError::BadRequest)?;
-                    let mut resp =
-                        CoapMessage::ack_reply(req.message_id, req.token().to_vec(), Code::CONTENT);
-                    resp.set_option(opt.to_option(OptionNumber::BLOCK2));
-                    resp.payload = slice;
+                let key = (peer, req.token().to_vec());
+                let served = self.block_state.with_shard_mut(&key, |shard| {
+                    let payload = shard.get(&key)?;
+                    let (slice, opt) = match Block2Server::slice(payload, block2.num, block2.size())
+                    {
+                        Ok(block) => block,
+                        Err(_) => return Some(Err(DocError::BadRequest)),
+                    };
+                    ack_into(Code::CONTENT, req, out);
+                    encode_uint_option_into(0, OptionNumber::BLOCK2.0, opt.value(), out);
+                    encode_payload_into(slice, out);
+                    Some(Ok(()))
+                });
+                if let Some(served) = served {
+                    served?;
                     bump(&self.stats.full_responses);
-                    return Ok(resp);
+                    return Ok(());
                 }
             }
         }
 
         // FETCH/POST queries stay borrowed from the datagram (or the
-        // reassembled body); only GET's base64url variable is decoded
-        // into an owned buffer. Any other method is rejected by
+        // reassembled body); GET's base64url variable is decoded into
+        // the scratch buffer. Any other method is rejected by
         // `extract_query_view` regardless of Block1 reassembly.
-        let query_bytes: Cow<'_, [u8]> = match reassembled {
+        let ServerScratch { payload, query } = scratch;
+        let query = match &reassembled {
             Some(full) if matches!(req.code, Code::FETCH | Code::POST) => {
                 if full.is_empty() {
                     return Err(DocError::BadRequest);
                 }
-                Cow::Owned(full)
+                full
             }
-            _ => extract_query_view(req)?,
+            _ => extract_query_view(req, query)?,
         };
-        // Validate the DNS query in place; materialize the owned query
-        // only for the upstream resolver, which builds the response
-        // message from it.
-        let qview = MessageView::parse(&query_bytes).map_err(|_| DocError::BadDnsMessage)?;
-        let query = qview.to_owned();
-        let resolved = self.upstream.resolve(&query, now_ms);
-        let prepared = self.prepare(&resolved);
+        let qview = MessageView::parse(query).map_err(|_| DocError::BadDnsMessage)?;
+        let max_age = self
+            .upstream
+            .answer_into(&qview, self.policy, now_ms, payload);
+        // The paper's naive ETag (§7): 8 bytes of SHA-256 over the
+        // payload — what breaks under DoH-like TTL decay.
+        let mut etag = [0u8; 8];
+        etag.copy_from_slice(&doc_crypto::sha256::sha256(payload)[..8]);
 
         // ETag revalidation: if the client presented the current ETag,
         // confirm with 2.03 Valid carrying only ETag + Max-Age.
-        if let Some(etag_opt) = req.option(OptionNumber::ETAG) {
-            if etag_opt.value == prepared.etag {
-                bump(&self.stats.validations);
-                let mut resp =
-                    CoapMessage::ack_reply(req.message_id, req.token().to_vec(), Code::VALID);
-                resp.set_option(CoapOption::new(OptionNumber::ETAG, prepared.etag));
-                resp.set_option(CoapOption::uint(OptionNumber::MAX_AGE, prepared.max_age));
-                return Ok(resp);
-            }
+        if req
+            .option(OptionNumber::ETAG)
+            .is_some_and(|o| o.value == etag)
+        {
+            bump(&self.stats.validations);
+            let to = ReplyTo {
+                message_id: req.message_id,
+                token: req.token(),
+                etag: None,
+            };
+            encode_valid_into(to, &etag, max_age, out);
+            return Ok(());
         }
 
         bump(&self.stats.full_responses);
-        let mut resp = CoapMessage::ack_reply(req.message_id, req.token().to_vec(), Code::CONTENT);
-        resp.set_option(CoapOption::new(OptionNumber::ETAG, prepared.etag.clone()));
-        resp.set_option(CoapOption::uint(OptionNumber::MAX_AGE, prepared.max_age));
-        resp.set_option(CoapOption::uint(
-            OptionNumber::CONTENT_FORMAT,
-            CONTENT_FORMAT_DNS_MESSAGE as u32,
-        ));
-
         // Proactive Block2 slicing.
         let requested_size = BlockOpt::from_view(req, OptionNumber::BLOCK2)
             .and_then(|r| r.ok())
             .map(|b| b.size());
-        let slice_size = requested_size.or(self.block_size);
-        match slice_size {
-            Some(size) if prepared.payload.len() > size => {
+        let block = match requested_size.or(self.block_size) {
+            Some(size) if payload.len() > size => {
                 self.block_state
-                    .insert((peer, req.token().to_vec()), prepared.payload.clone());
-                let server =
-                    Block2Server::new(prepared.payload, size).map_err(|_| DocError::BadRequest)?;
-                let (slice, opt) = server.block(0, size).map_err(|_| DocError::BadRequest)?;
-                resp.set_option(opt.to_option(OptionNumber::BLOCK2));
-                resp.payload = slice;
+                    .insert((peer, req.token().to_vec()), payload.clone());
+                Some(Block2Server::slice(payload, 0, size).map_err(|_| DocError::BadRequest)?)
             }
-            _ => {
-                resp.payload = prepared.payload;
+            _ => None,
+        };
+        ack_into(Code::CONTENT, req, out);
+        let mut prev = encode_raw_option_into(0, OptionNumber::ETAG.0, &etag, out);
+        prev = encode_uint_option_into(
+            prev,
+            OptionNumber::CONTENT_FORMAT.0,
+            CONTENT_FORMAT_DNS_MESSAGE as u32,
+            out,
+        );
+        prev = encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, max_age, out);
+        match block {
+            Some((slice, opt)) => {
+                encode_uint_option_into(prev, OptionNumber::BLOCK2.0, opt.value(), out);
+                encode_payload_into(slice, out);
             }
+            None => encode_payload_into(payload, out),
         }
-        Ok(resp)
+        Ok(())
     }
+}
 
-    fn prepare(&self, resolved: &Message) -> PreparedResponse {
-        prepare_response(self.policy, resolved)
-    }
+/// Start a piggybacked (ACK) reply to `req` with `code`: header and
+/// token; options and payload follow.
+fn ack_into(code: Code, req: &CoapView<'_>, out: &mut Vec<u8>) {
+    encode_header_into(MsgType::Ack, code, req.message_id, req.token(), out);
+}
+
+/// Reusable per-caller buffers for [`DocServer::serve_wire`].
+#[derive(Debug, Default)]
+pub struct ServerScratch {
+    /// The prepared DNS response, written before the CoAP reply so its
+    /// ETag can be hashed first.
+    payload: Vec<u8>,
+    /// A GET request's base64url-decoded query.
+    query: Vec<u8>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::method::{build_request, DocMethod};
-    use doc_coap::msg::MsgType;
+    use doc_coap::opt::CoapOption;
 
     fn name() -> Name {
         Name::parse("name-01234.c.example.org").unwrap()

@@ -42,12 +42,19 @@ fn decode_char(c: u8) -> Result<u32, CryptoError> {
 
 /// Decode unpadded base64url text.
 pub fn decode(text: &str) -> Result<Vec<u8>, CryptoError> {
-    let bytes = text.as_bytes();
-    if bytes.len() % 4 == 1 {
+    let mut out = Vec::with_capacity(text.len() * 3 / 4);
+    decode_into(text.as_bytes(), &mut out)?;
+    Ok(out)
+}
+
+/// Append the decoding of unpadded base64url `text` to `out` — the
+/// allocation-free form of [`decode`] for a reused buffer. On error
+/// `out` may hold a partial decode.
+pub fn decode_into(text: &[u8], out: &mut Vec<u8>) -> Result<(), CryptoError> {
+    if text.len() % 4 == 1 {
         return Err(CryptoError::Malformed);
     }
-    let mut out = Vec::with_capacity(bytes.len() * 3 / 4);
-    for chunk in bytes.chunks(4) {
+    for chunk in text.chunks(4) {
         let mut n = 0u32;
         for &c in chunk {
             n = (n << 6) | decode_char(c)?;
@@ -62,7 +69,7 @@ pub fn decode(text: &str) -> Result<Vec<u8>, CryptoError> {
             out.push(n as u8);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The exact encoded length for `n` input bytes (no padding).

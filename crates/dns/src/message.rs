@@ -125,6 +125,39 @@ impl Header {
     }
 }
 
+impl Header {
+    /// The 12-byte wire header: ID, flag word, then the
+    /// question/answer/authority/additional `counts`.
+    pub fn to_bytes(&self, counts: [u16; 4]) -> [u8; 12] {
+        let mut flags = 0u16;
+        if self.qr {
+            flags |= 1 << 15;
+        }
+        flags |= (self.opcode.to_u8() as u16) << 11;
+        if self.aa {
+            flags |= 1 << 10;
+        }
+        if self.tc {
+            flags |= 1 << 9;
+        }
+        if self.rd {
+            flags |= 1 << 8;
+        }
+        if self.ra {
+            flags |= 1 << 7;
+        }
+        flags |= self.rcode.to_u8() as u16;
+        let mut bytes = [0u8; 12];
+        for (chunk, word) in bytes
+            .chunks_exact_mut(2)
+            .zip([self.id, flags].into_iter().chain(counts))
+        {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        bytes
+    }
+}
+
 /// A question-section entry.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Question {
@@ -280,30 +313,13 @@ impl Message {
 
     /// The 12-byte header: id, flag word, section counts.
     fn encode_header_into(&self, msg: &mut Vec<u8>) {
-        msg.extend_from_slice(&self.header.id.to_be_bytes());
-        let mut flags = 0u16;
-        if self.header.qr {
-            flags |= 1 << 15;
-        }
-        flags |= (self.header.opcode.to_u8() as u16) << 11;
-        if self.header.aa {
-            flags |= 1 << 10;
-        }
-        if self.header.tc {
-            flags |= 1 << 9;
-        }
-        if self.header.rd {
-            flags |= 1 << 8;
-        }
-        if self.header.ra {
-            flags |= 1 << 7;
-        }
-        flags |= self.header.rcode.to_u8() as u16;
-        msg.extend_from_slice(&flags.to_be_bytes());
-        msg.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
-        msg.extend_from_slice(&(self.answers.len() as u16).to_be_bytes());
-        msg.extend_from_slice(&(self.authority.len() as u16).to_be_bytes());
-        msg.extend_from_slice(&(self.additional.len() as u16).to_be_bytes());
+        let counts = [
+            self.questions.len(),
+            self.answers.len(),
+            self.authority.len(),
+            self.additional.len(),
+        ];
+        msg.extend_from_slice(&self.header.to_bytes(counts.map(|c| c as u16)));
     }
 
     /// Decode from wire format.

@@ -82,7 +82,7 @@ impl CompressionMap {
 
     /// Find a registered suffix equal to `labels`, verifying candidate
     /// offsets against `msg` in place.
-    fn find(&self, hash: u64, msg: &[u8], labels: &[Vec<u8>]) -> Option<u16> {
+    fn find<L: AsRef<[u8]>>(&self, hash: u64, msg: &[u8], labels: &[L]) -> Option<u16> {
         self.entries[..self.len]
             .iter()
             .find(|&&(h, off)| h == hash && suffix_matches(msg, off as usize, labels))
@@ -93,7 +93,7 @@ impl CompressionMap {
 /// Compare the label sequence encoded in `msg` at `offset` (following
 /// compression pointers) against `labels`. Message bytes are lowercase
 /// by construction, so a direct byte comparison suffices.
-fn suffix_matches(msg: &[u8], mut offset: usize, labels: &[Vec<u8>]) -> bool {
+fn suffix_matches<L: AsRef<[u8]>>(msg: &[u8], mut offset: usize, labels: &[L]) -> bool {
     let mut next = 0usize;
     // Pointers strictly decrease in well-formed output; the guard makes
     // the walk total even on a corrupted buffer.
@@ -113,7 +113,7 @@ fn suffix_matches(msg: &[u8], mut offset: usize, labels: &[Vec<u8>]) -> bool {
                 let Some(wire_label) = msg.get(offset + 1..offset + 1 + l) else {
                     return false;
                 };
-                if next >= labels.len() || labels[next] != wire_label {
+                if next >= labels.len() || labels[next].as_ref() != wire_label {
                     return false;
                 }
                 next += 1;
@@ -150,6 +150,50 @@ fn suffix_hash(label: &[u8], rest: u64) -> u64 {
     rest.rotate_left(23)
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(label_hash(label))
+}
+
+/// [`Name::encode_compressed`] for a name given as its label sequence,
+/// which must already be lowercase and at most [`MAX_NAME_LEN`] bytes in
+/// wire form — so a name read from a message view can be written
+/// without building a [`Name`].
+pub fn encode_labels_compressed<L: AsRef<[u8]>>(
+    labels: &[L],
+    msg: &mut Vec<u8>,
+    table: &mut CompressionMap,
+) {
+    let n = labels.len();
+    debug_assert!(n <= MAX_LABELS, "wire_len bound implies label bound");
+    // Hash every suffix right-to-left in one pass.
+    let mut hashes = [0u64; MAX_LABELS];
+    let mut h = 0u64;
+    for i in (0..n).rev() {
+        h = suffix_hash(labels[i].as_ref(), h);
+        hashes[i] = h;
+    }
+    // Longest known suffix = smallest skip.
+    let mut skip = n;
+    let mut pointer = None;
+    for (s, &h) in hashes[..n].iter().enumerate() {
+        if let Some(off) = table.find(h, msg, &labels[s..]) {
+            skip = s;
+            pointer = Some(off);
+            break;
+        }
+    }
+    // Emit the unshared leading labels, registering their suffixes.
+    for (i, label) in labels[..skip].iter().enumerate() {
+        let label = label.as_ref();
+        table.insert(hashes[i], msg.len());
+        msg.push(label.len() as u8);
+        msg.extend_from_slice(label);
+    }
+    match pointer {
+        Some(off) => {
+            msg.push(0xC0 | ((off >> 8) as u8));
+            msg.push(off as u8);
+        }
+        None => msg.push(0),
+    }
 }
 
 /// A fully-qualified domain name stored as lowercase labels.
@@ -251,38 +295,7 @@ impl Name {
     /// The whole operation is allocation-free: suffixes are keyed by
     /// hash and verified against `msg` in place.
     pub fn encode_compressed(&self, msg: &mut Vec<u8>, table: &mut CompressionMap) {
-        let n = self.labels.len();
-        debug_assert!(n <= MAX_LABELS, "wire_len bound implies label bound");
-        // Hash every suffix right-to-left in one pass.
-        let mut hashes = [0u64; MAX_LABELS];
-        let mut h = 0u64;
-        for i in (0..n).rev() {
-            h = suffix_hash(&self.labels[i], h);
-            hashes[i] = h;
-        }
-        // Longest known suffix = smallest skip.
-        let mut skip = n;
-        let mut pointer = None;
-        for (s, &h) in hashes[..n].iter().enumerate() {
-            if let Some(off) = table.find(h, msg, &self.labels[s..]) {
-                skip = s;
-                pointer = Some(off);
-                break;
-            }
-        }
-        // Emit the unshared leading labels, registering their suffixes.
-        for (i, label) in self.labels[..skip].iter().enumerate() {
-            table.insert(hashes[i], msg.len());
-            msg.push(label.len() as u8);
-            msg.extend_from_slice(label);
-        }
-        match pointer {
-            Some(off) => {
-                msg.push(0xC0 | ((off >> 8) as u8));
-                msg.push(off as u8);
-            }
-            None => msg.push(0),
-        }
+        encode_labels_compressed(&self.labels, msg, table);
     }
 
     /// Decode a (possibly compressed) name from `msg` starting at
