@@ -165,7 +165,7 @@ case "$mode" in
         cargo build --release
         # The socket front-end must serve the same mix as the sim
         # front-end before the throughput numbers mean anything.
-        echo "==> UDP loopback smoke (UdpProvider vs SimProvider parity + multi-worker serve)"
+        echo "==> UDP loopback smoke (UdpProvider vs SimProvider parity, two providers on one pool, protected legs)"
         cargo test --release -q --test io_providers
         echo "==> codec bench, full windows (asserts >=2x view-decode speedup in-process)"
         cargo bench -p doc-bench --bench encode

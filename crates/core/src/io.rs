@@ -21,17 +21,17 @@
 //! seam. Deadlines are [`Millis`]-typed; providers never see protocol
 //! state.
 //!
-//! [`ProxyPool::run_io`] is the pump: it turns a provider into the
-//! pool's datagram iterator (the calling thread alternates
-//! `send_batch` flushes and `recv_batch` fills) and routes every
-//! worker reply back out through the provider.
+//! [`ProxyPool::run_io`] is the pump, one per provider: the calling
+//! thread receives a batch, serves it as one drain and sends the
+//! drain's replies, with no queue or second thread in between. More
+//! cores means more providers, each pumped by its own thread over the
+//! one shared pool.
 
-use crate::pool::{Datagram, PoolRunStats, ProxyPool, Reply};
+use crate::pool::{Datagram, PoolRunStats, ProxyPool, Reply, WorkerScratch};
 use doc_netsim::{NodeId, Sim, SimEvent, Tag};
 use doc_time::{Instant, Millis};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
-use std::sync::Mutex;
 
 /// One receive slot a provider fills: `recv_batch` writes at most one
 /// datagram per slot, front-to-back.
@@ -149,8 +149,10 @@ impl IoProvider for SimProvider<'_> {
 }
 
 /// Largest datagram the UDP provider accepts (CoAP over UDP fits
-/// comfortably; anything bigger is truncated by the socket and will
-/// fail parsing downstream like any other malformed datagram).
+/// comfortably). The socket receives into one byte more, so a longer
+/// datagram is detected instead of silently truncated, and is passed
+/// on with an empty wire: the pool drops it like any other malformed
+/// datagram and counts it in `errors`.
 const UDP_RECV_BUF: usize = 2048;
 
 /// [`IoProvider`] over a real [`std::net::UdpSocket`]: block for the
@@ -172,7 +174,7 @@ pub struct UdpProvider {
     peer_ids: HashMap<SocketAddr, u64>,
     seq: u64,
     at: Instant,
-    buf: [u8; UDP_RECV_BUF],
+    buf: [u8; UDP_RECV_BUF + 1],
 }
 
 impl UdpProvider {
@@ -185,7 +187,7 @@ impl UdpProvider {
             peer_ids: HashMap::new(),
             seq: 0,
             at: Instant::EPOCH,
-            buf: [0u8; UDP_RECV_BUF],
+            buf: [0u8; UDP_RECV_BUF + 1],
         })
     }
 
@@ -220,7 +222,10 @@ impl UdpProvider {
             peer: self.peer_id(addr),
             seq,
             at: self.at,
-            wire: self.buf[..len].to_vec(),
+            wire: match len {
+                0..=UDP_RECV_BUF => self.buf[..len].to_vec(),
+                _ => Vec::new(),
+            },
         }
     }
 }
@@ -274,82 +279,51 @@ impl IoProvider for UdpProvider {
 }
 
 impl ProxyPool {
-    /// Pump a provider through the pool: the calling thread alternates
-    /// reply flushes (`send_batch`) and receive fills (`recv_batch`,
-    /// up to `slots` datagrams per fill, waiting up to `recv_timeout`
-    /// for the first), feeding the worker threads through a bounded
-    /// injector of `ring_capacity` slots. Returns once the provider
-    /// reports idle (a `recv_batch` of 0) and every in-flight datagram
-    /// has been served and flushed back out.
+    /// Pump a provider through the pool on the calling thread: each
+    /// `recv_batch` (up to `slots` datagrams, waiting up to
+    /// `recv_timeout` for the first) is served as one drain — the same
+    /// per-drain step as [`ProxyPool::run`]'s workers — and its replies
+    /// go back out in one `send_batch`. Returns once `recv_batch`
+    /// reports idle (0 datagrams); every datagram received by then has
+    /// been answered. Replies carry worker 0.
+    ///
+    /// No thread is spawned: to use more cores, call `run_io` from
+    /// several threads on the same pool, each with its own provider.
+    /// Peer ids are per provider: two providers may give different
+    /// clients the same id, and block-wise transfer state is keyed by
+    /// peer id, so only one provider per pool may carry block-wise
+    /// traffic. `ring_capacity` is unused and kept only for existing
+    /// callers.
     pub fn run_io<P: IoProvider>(
         &self,
         provider: &mut P,
-        ring_capacity: usize,
+        _ring_capacity: usize,
         slots: usize,
         recv_timeout: Millis,
     ) -> PoolRunStats {
-        let outbox: Mutex<Vec<Reply>> = Mutex::new(Vec::new());
         let mut slot_buf: Vec<RecvSlot> = Vec::new();
         slot_buf.resize_with(slots.max(1), RecvSlot::default);
-        let mut pending: VecDeque<Datagram> = VecDeque::new();
-        let stats = {
-            let outbox = &outbox;
-            let provider = &mut *provider;
-            let slot_buf = &mut slot_buf;
-            let pending = &mut pending;
-            // In-flight ledger: datagrams yielded to the pool minus
-            // replies drained from the outbox. A recv timeout with
-            // exchanges still in flight means the peers may be waiting
-            // on *us* (serial clients), so keep flushing instead of
-            // declaring the source idle.
-            let mut yielded: u64 = 0;
-            let mut drained: u64 = 0;
-            let feed = std::iter::from_fn(move || loop {
-                if let Some(d) = pending.pop_front() {
-                    yielded += 1;
-                    return Some(d);
-                }
-                // Flush finished replies before blocking in recv — a
-                // serial client is waiting for them before it sends
-                // its next query.
-                let ready = std::mem::take(&mut *outbox.lock().unwrap());
-                drained += ready.len() as u64;
-                if !ready.is_empty() {
-                    provider.send_batch(&ready);
-                }
-                // While replies are still in flight, poll with a short
-                // wait so a finished reply gets flushed promptly — a
-                // serial peer won't send again until it lands. Only a
-                // fully-flushed pump waits out the real deadline.
-                let wait = if drained < yielded {
-                    Millis::from_millis(1).min(recv_timeout)
-                } else {
-                    recv_timeout
-                };
-                let n = provider.recv_batch(slot_buf, wait);
-                if n == 0 {
-                    if drained < yielded {
-                        continue;
-                    }
-                    return None;
-                }
-                for slot in slot_buf.iter_mut().take(n) {
-                    if let Some(d) = slot.datagram.take() {
-                        pending.push_back(d);
-                    }
-                }
-            });
-            self.run(ring_capacity, feed, &|r| {
-                outbox.lock().unwrap().push(r.clone())
-            })
+        let mut batch: Vec<Datagram> = Vec::with_capacity(slot_buf.len());
+        let mut scratch = WorkerScratch::with_capacity(slot_buf.len());
+        let mut stats = PoolRunStats {
+            steals_per_worker: vec![0],
+            ..PoolRunStats::default()
         };
-        // The workers finished after the provider went idle; flush the
-        // tail of replies.
-        let ready = std::mem::take(&mut *outbox.lock().unwrap());
-        if !ready.is_empty() {
-            provider.send_batch(&ready);
+        loop {
+            let n = provider.recv_batch(&mut slot_buf, recv_timeout);
+            if n == 0 {
+                return stats;
+            }
+            batch.extend(
+                slot_buf
+                    .iter_mut()
+                    .take(n)
+                    .filter_map(|s| s.datagram.take()),
+            );
+            let replies = self.serve_batch(0, &mut batch, &mut scratch);
+            stats.count(replies);
+            provider.send_batch(replies);
         }
-        stats
     }
 }
 
@@ -411,10 +385,8 @@ mod tests {
         let stats = pool.run_io(&mut provider, 16, 8, Millis::from_millis(10));
         assert_eq!(stats.processed, total);
         assert_eq!(stats.replies, total);
-        // Pump the sim dry so the replies sent back actually arrive
-        // (the tail of the final flush is still in the event queue).
-        let mut none: [RecvSlot; 1] = Default::default();
-        assert_eq!(provider.recv_batch(&mut none, Millis::from_millis(1)), 0);
+        // The pump only returns once the sim is idle, so every reply
+        // sent back has already arrived.
         let delivered = provider.take_delivered();
         assert_eq!(delivered.len(), total as usize, "every reply delivered");
         assert!(delivered.iter().all(|(node, _)| *node == client));

@@ -29,10 +29,11 @@
 //!   a forward allocates only what the cache keeps: the key and the
 //!   stored response.
 //!
-//! The queues are transport-agnostic: the closed-loop throughput
-//! harness (`doc-bench`) feeds them from a replayed query mix, and the
-//! [`crate::io`] providers feed them from `doc-netsim` drains or real
-//! UDP sockets through the identical worker code.
+//! Serving is transport-agnostic: the closed-loop throughput harness
+//! (`doc-bench`) feeds [`ProxyPool::run`] from a replayed query mix,
+//! and [`ProxyPool::run_io`] serves a [`crate::io`] provider
+//! (`doc-netsim` drains or a real UDP socket) on its calling thread.
+//! Both serve each drain through the identical per-drain step.
 
 use crate::proxy::{CoapProxy, ForwardRequest, ProxyScratch, WireAction};
 use crate::server::{DocServer, ServerScratch};
@@ -43,7 +44,7 @@ use crate::transport::TransportKind;
 // *this* ring, not a copy (see `crates/check`).
 use doc_check::sync::atomic::{AtomicU64, Ordering};
 use doc_check::sync::{Arc, Condvar, Mutex};
-use doc_dtls::record::{CipherState, ContentType, Record, RecordSeal};
+use doc_dtls::record::{CipherState, ContentType, Record, RecordSeal, RECORD_HEADER_LEN};
 
 /// What wire format the pool's workers speak.
 ///
@@ -316,26 +317,29 @@ pub struct Reply {
     pub peer: u64,
     /// Sequence number of the request this answers.
     pub seq: u64,
-    /// Index of the worker that served the exchange.
+    /// Index of the worker that served the exchange (always 0 for
+    /// [`ProxyPool::run_io`], which serves on its calling thread).
     pub worker: usize,
     /// The CoAP response wire bytes (`None`: the datagram was
     /// malformed and dropped, like a real UDP front-end would).
     pub wire: Option<Vec<u8>>,
 }
 
-/// Counters aggregated over one [`ProxyPool::run`] call.
+/// Counters aggregated over one [`ProxyPool::run`] or
+/// [`ProxyPool::run_io`] call.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolRunStats {
-    /// Datagrams pulled off the ring: always `replies + errors`.
+    /// Datagrams served: always `replies + errors`.
     pub processed: u64,
     /// Replies produced.
     pub replies: u64,
     /// Malformed datagrams dropped.
     pub errors: u64,
-    /// One entry per worker, always zero: the pool has a single shared
-    /// injector and no stealing. Kept so existing consumers of the
-    /// per-worker steal column (the `BENCH_proxy.json` v4 schema, the
-    /// standalone benchmark) read the same shape. Empty only for a
+    /// One entry per serving thread (each `run` worker; the one
+    /// calling thread of `run_io`), always zero: the pool has no
+    /// stealing. Kept so existing consumers of the per-worker steal
+    /// column (the `BENCH_proxy.json` v4 schema, the standalone
+    /// benchmark) read the same shape. Empty only for a
     /// default-constructed value.
     pub steals_per_worker: Vec<u64>,
 }
@@ -346,11 +350,19 @@ impl PoolRunStats {
     pub fn total_steals(&self) -> u64 {
         self.steals_per_worker.iter().sum()
     }
+
+    /// Count one drain's replies.
+    pub(crate) fn count(&mut self, replies: &[Reply]) {
+        let served = replies.iter().filter(|r| r.wire.is_some()).count() as u64;
+        self.processed += replies.len() as u64;
+        self.replies += served;
+        self.errors += replies.len() as u64 - served;
+    }
 }
 
-/// DTLS protection for the pool's reply leg: every reply leaving a
-/// worker is sealed as an epoch-`epoch` ApplicationData record, with
-/// the whole `pop_batch` drain protected in **one** batched AEAD pass
+/// DTLS protection for the pool's reply leg: every reply leaving the
+/// pool is sealed as an epoch-`epoch` ApplicationData record, with
+/// each whole drain protected in **one** batched AEAD pass
 /// ([`CipherState::seal_batch`]) so the keystream setup is amortized
 /// across the drain instead of paid per reply.
 pub struct ReplySeal {
@@ -376,45 +388,40 @@ impl ReplySeal {
         self.seq.fetch_add(n, Ordering::Relaxed)
     }
 
-    /// Seal the batch's reply wires, returning full DTLS record wire
-    /// bytes per reply. `wires[i]` is only a reply when `served[i]` is
-    /// true (malformed datagrams keep a `None` in the output), so the
-    /// worker's reply slab can be passed in borrowed instead of moved.
-    fn seal_replies(&self, wires: &[Vec<u8>], served: &[bool]) -> Vec<Option<Vec<u8>>> {
-        let n_ok = served.iter().filter(|&&s| s).count() as u64;
-        let first = self.reserve(n_ok);
-        let items: Vec<RecordSeal<'_>> = wires
+    /// Seal every served reply in place: its plaintext wire becomes
+    /// the full DTLS record wire, written back into the same buffer.
+    /// Replies without a wire (malformed datagrams) stay as they are.
+    fn seal_replies(&self, replies: &mut [Reply]) {
+        let first = self.reserve(replies.iter().filter(|r| r.wire.is_some()).count() as u64);
+        let items: Vec<RecordSeal<'_>> = replies
             .iter()
-            .zip(served)
-            .filter(|(_, &s)| s)
-            .enumerate()
-            .map(|(i, (w, _))| RecordSeal {
+            .filter_map(|r| r.wire.as_deref())
+            .zip(first..)
+            .map(|(plaintext, seq)| RecordSeal {
                 ctype: ContentType::ApplicationData,
                 epoch: self.epoch,
-                seq: first + i as u64,
-                plaintext: w,
+                seq,
+                plaintext,
             })
             .collect();
         let payloads = self
             .cipher
             .seal_batch(&items)
             .expect("record parameters are valid");
-        let mut sealed = items.iter().zip(payloads);
-        served
-            .iter()
-            .map(|&s| {
-                s.then(|| {
-                    let (item, payload) = sealed.next().expect("one sealed payload per reply");
-                    Record {
-                        ctype: item.ctype,
-                        epoch: item.epoch,
-                        seq: item.seq,
-                        payload,
-                    }
-                    .encode()
-                })
-            })
-            .collect()
+        let wires = replies.iter_mut().filter_map(|r| r.wire.as_mut());
+        for ((wire, payload), seq) in wires.zip(payloads).zip(first..) {
+            // Exact: the plaintext of the next drain fits the record
+            // buffer, so the slab settles at record size, not double.
+            wire.clear();
+            wire.reserve_exact(RECORD_HEADER_LEN + payload.len());
+            Record {
+                ctype: ContentType::ApplicationData,
+                epoch: self.epoch,
+                seq,
+                payload,
+            }
+            .encode_into(wire);
+        }
     }
 }
 
@@ -542,8 +549,9 @@ pub struct ProxyPool {
     recycle: Option<Arc<BufferPool>>,
 }
 
-/// How many datagrams a worker drains from the injector per lock
-/// acquisition — also the largest batch one seal/open pass covers.
+/// How many datagrams a `run` worker drains from the injector per lock
+/// acquisition — also the largest batch one seal/open pass covers
+/// there (`run_io` drains are `recv_batch`-sized).
 const INJECTOR_GRAB: usize = 128;
 
 impl ProxyPool {
@@ -690,7 +698,10 @@ impl ProxyPool {
         I: IntoIterator<Item = Datagram>,
     {
         let injector: SpmcRing<Datagram> = SpmcRing::new(ring_capacity);
-        let (mut replies, mut errors) = (0, 0);
+        let mut stats = PoolRunStats {
+            steals_per_worker: vec![0; self.workers],
+            ..PoolRunStats::default()
+        };
         std::thread::scope(|scope| {
             // The producer needs the same unwind protection as the
             // workers: if the datagram iterator panics, the scope body
@@ -708,103 +719,81 @@ impl ProxyPool {
             }
             injector.close();
             for w in workers {
-                let (r, e) = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                replies += r;
-                errors += e;
+                let tally = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                stats.processed += tally.processed;
+                stats.replies += tally.replies;
+                stats.errors += tally.errors;
             }
         });
-        PoolRunStats {
-            processed: replies + errors,
-            replies,
-            errors,
-            steals_per_worker: vec![0; self.workers],
-        }
+        stats
     }
 
     /// One worker thread: drain the injector until it is closed and
-    /// empty, returning this worker's `(replies, errors)`. The tally
-    /// stays local and is summed once at join, so serving touches no
-    /// shared counter per datagram.
+    /// empty, returning this worker's tally. The tally stays local and
+    /// is summed once at join, so serving touches no shared counter
+    /// per datagram.
     fn work(
         &self,
         worker: usize,
         injector: &SpmcRing<Datagram>,
         on_reply: &(dyn Fn(&Reply) + Sync),
-    ) -> (u64, u64) {
+    ) -> PoolRunStats {
         // If this worker unwinds (serve or on_reply panicking), the
         // guard closes the injector so the producer unblocks and the
         // scope can join and propagate the panic instead of
         // deadlocking.
         let _close_guard = CloseGuard(injector);
         let mut batch: Vec<Datagram> = Vec::with_capacity(INJECTOR_GRAB);
-        let mut scratch = WorkerScratch::default();
-        let (mut replies, mut errors) = (0, 0);
+        let mut scratch = WorkerScratch::with_capacity(INJECTOR_GRAB);
+        let mut tally = PoolRunStats::default();
         while injector.pop_batch(&mut batch, INJECTOR_GRAB) > 0 {
-            if let Some(open) = &self.request_open {
-                open.open_drain(&mut batch);
-            }
-            let drained = batch.len() as u64;
-            let served = self.serve_batch(worker, &mut batch, &mut scratch, on_reply);
-            replies += served;
-            errors += drained - served;
+            let replies = self.serve_batch(worker, &mut batch, &mut scratch);
+            tally.count(replies);
+            replies.iter().for_each(on_reply);
         }
-        (replies, errors)
+        tally
     }
 
-    /// Serve one drain: serve every datagram into the worker's reply
-    /// slab, batch-seal if the reply leg is protected, emit
-    /// borrowed [`Reply`]s, then recycle the spent wire buffers.
-    /// Returns how many datagrams got a reply; the rest were malformed.
-    fn serve_batch(
+    /// Serve one drain on the calling thread — the per-drain step of
+    /// both [`ProxyPool::run`]'s workers and [`ProxyPool::run_io`]:
+    /// open the drain if the request leg is protected, serve every
+    /// datagram into the reply slab, batch-seal the slab if the reply
+    /// leg is protected, then recycle the spent request wires. Returns
+    /// the drain's replies, one per datagram in drain order, borrowed
+    /// from the slab; a malformed datagram's reply has no wire.
+    pub(crate) fn serve_batch<'s>(
         &self,
         worker: usize,
         batch: &mut Vec<Datagram>,
-        scratch: &mut WorkerScratch,
-        on_reply: &(dyn Fn(&Reply) + Sync),
-    ) -> u64 {
-        let WorkerScratch {
-            reply_bufs,
-            served,
-            serve,
-        } = scratch;
-        // The reply slab: one buffer per batch slot, grown once to the
-        // largest drain seen and then reused forever. `serve_wire`
-        // clears each buffer before writing, so nothing from a
-        // previous batch can leak across the boundary.
-        while reply_bufs.len() < batch.len() {
-            reply_bufs.push(Vec::new());
+        scratch: &'s mut WorkerScratch,
+    ) -> &'s [Reply] {
+        if let Some(open) = &self.request_open {
+            open.open_drain(batch);
         }
-        served.clear();
-        let mut replies = 0;
-        for (i, d) in batch.iter().enumerate() {
-            let ok = self.serve_wire(d, serve, &mut reply_bufs[i]);
-            replies += u64::from(ok);
-            served.push(ok);
-        }
-        // When the reply leg is protected, the whole drain is sealed
-        // in one batched AEAD pass before emitting.
-        let mut sealed = self
-            .seal
-            .as_ref()
-            .map(|s| s.seal_replies(&reply_bufs[..batch.len()], served));
-        for (i, d) in batch.iter().enumerate() {
-            let wire = match &mut sealed {
-                Some(wires) => wires[i].take(),
-                None => served[i].then(|| std::mem::take(&mut reply_bufs[i])),
-            };
-            let reply = Reply {
-                peer: d.peer,
-                seq: d.seq,
+        let WorkerScratch { replies, serve } = scratch;
+        // The reply slab: one reply per batch slot, grown once to the
+        // largest drain seen. A served reply's wire buffer stays in its
+        // slot and is reused by the next drain; `serve_wire` clears it
+        // before writing, so nothing leaks across the boundary. A slab
+        // serves one thread, whose `worker` never changes.
+        while replies.len() < batch.len() {
+            replies.push(Reply {
+                peer: 0,
+                seq: 0,
                 worker,
-                wire,
-            };
-            on_reply(&reply);
-            if sealed.is_none() {
-                // Reclaim the slab buffer the borrowed reply carried.
-                if let Some(buf) = reply.wire {
-                    reply_bufs[i] = buf;
-                }
+                wire: None,
+            });
+        }
+        let replies = &mut replies[..batch.len()];
+        for (d, r) in batch.iter().zip(replies.iter_mut()) {
+            r.peer = d.peer;
+            r.seq = d.seq;
+            if !self.serve_wire(d, serve, r.wire.get_or_insert_with(Vec::new)) {
+                r.wire = None;
             }
+        }
+        if let Some(seal) = &self.seal {
+            seal.seal_replies(replies);
         }
         match &self.recycle {
             Some(recycle) => recycle.put_batch(batch.drain(..).map(|mut d| {
@@ -817,14 +806,22 @@ impl ProxyPool {
     }
 }
 
-/// Per-worker reusable scratch state: the reply slab, the served
-/// flags, and the serve buffers. Everything here is grown during
-/// warmup and reused for the rest of the run.
-#[derive(Default)]
-struct WorkerScratch {
-    reply_bufs: Vec<Vec<u8>>,
-    served: Vec<bool>,
+/// Per-thread reusable scratch state: the reply slab and the serve
+/// buffers. Everything here is grown during warmup and reused for the
+/// rest of the run.
+pub(crate) struct WorkerScratch {
+    replies: Vec<Reply>,
     serve: ServeScratch,
+}
+
+impl WorkerScratch {
+    /// Scratch whose reply slab holds `drain` replies without growing.
+    pub(crate) fn with_capacity(drain: usize) -> Self {
+        WorkerScratch {
+            replies: Vec::with_capacity(drain),
+            serve: ServeScratch::default(),
+        }
+    }
 }
 
 /// Reusable buffers for [`ProxyPool::serve_wire`]: the proxy's scratch

@@ -1,14 +1,16 @@
 //! End-to-end tests of the scale-out front-end: the sharded
 //! proxy/server behind the SPMC-ring worker pool, fed both by the
 //! throughput harness's replay mix and by the network simulator's
-//! batched event drain.
+//! batched event drain (through [`SimProvider`]).
 
 use doc_bench::throughput::{build_mix, LoadSpec};
+use doc_repro::doc::io::SimProvider;
 use doc_repro::doc::policy::CachePolicy;
 use doc_repro::doc::pool::{Datagram, ProxyPool};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 use doc_repro::doc::CoapProxy;
-use doc_repro::netsim::{LinkKind, Sim, SimEvent, Tag};
+use doc_repro::netsim::{LinkKind, Sim, Tag};
+use doc_repro::time::Millis;
 use std::sync::{Arc, Mutex};
 
 fn sharded_pool(workers: usize, spec: &LoadSpec) -> (ProxyPool, Vec<Vec<u8>>) {
@@ -58,11 +60,11 @@ fn pool_replays_query_mix_end_to_end() {
     assert_eq!(pool.server.stats().requests, p.forwards + p.revalidations);
 }
 
-/// The simulator feeds the ring in batched virtual-time windows:
+/// The simulator feeds the pool in batched virtual-time windows:
 /// clients transmit queries over the simulated 802.15.4 topology,
-/// `drain_due` harvests each window's arrivals, the pool serves them,
-/// and the replies are injected back into the simulator toward the
-/// clients. Every client ends up with a reply datagram.
+/// `run_io` over a [`SimProvider`] serves each window's arrivals, and
+/// the replies are sent back into the simulator toward the clients.
+/// Every client ends up with a reply datagram.
 #[test]
 fn netsim_batched_drain_feeds_the_pool() {
     const CLIENTS: usize = 8;
@@ -89,45 +91,14 @@ fn netsim_batched_drain_feeds_the_pool() {
         sim.send_datagram(c, PROXY_NODE, wire.clone(), Tag::Query);
     }
 
-    // Pump the simulator in 50 ms batches; each batch's datagrams fan
-    // through the worker pool, and replies re-enter the simulator.
-    let mut horizon_us = 0;
-    let mut batch = Vec::new();
+    // Pump the simulator through the pool in 50 ms drain windows;
+    // replies re-enter the simulator and arrive back at the clients.
+    let mut provider = SimProvider::new(&mut sim, PROXY_NODE, 50_000);
+    let stats = pool.run_io(&mut provider, 16, 16, Millis::from_millis(10));
+    assert_eq!(stats.errors, 0);
     let mut client_replies = vec![0u32; CLIENTS];
-    while !sim.is_idle() {
-        horizon_us += 50_000;
-        batch.clear();
-        sim.drain_due(horizon_us, &mut batch);
-        let at = sim.now();
-        let mut arrived = Vec::new();
-        for (_, ev) in batch.drain(..) {
-            match ev {
-                SimEvent::Datagram { from, to, bytes } if to == PROXY_NODE => {
-                    arrived.push(Datagram {
-                        peer: from as u64,
-                        seq: from as u64,
-                        at,
-                        wire: bytes,
-                    });
-                }
-                SimEvent::Datagram { to, .. } => {
-                    client_replies[to] += 1;
-                }
-                SimEvent::Timer { .. } => {}
-            }
-        }
-        if arrived.is_empty() {
-            continue;
-        }
-        let replies = Mutex::new(Vec::new());
-        let stats = pool.run(16, arrived, &|r| {
-            replies.lock().unwrap().push(r.clone());
-        });
-        assert_eq!(stats.errors, 0);
-        for r in replies.into_inner().unwrap() {
-            let wire = r.wire.expect("served");
-            sim.send_datagram(PROXY_NODE, r.peer as usize, wire, Tag::Response);
-        }
+    for (to, _) in provider.take_delivered() {
+        client_replies[to] += 1;
     }
     assert_eq!(client_replies, vec![1; CLIENTS], "one reply per client");
     assert_eq!(pool.proxy.stats().requests, CLIENTS as u32);
