@@ -28,8 +28,8 @@
 #                    # deterministic in virtual time, so always
 #                    # enforced), and the crypto vectorization gates
 #                    # (bench_gate crypto: AES-NI seal >=2x the scalar
-#                    # reference, batch-8 sealing >=1.3x batch-1 on the
-#                    # multi-block backends).
+#                    # reference, batch-8 sealing and opening each
+#                    # >=1.3x batch-1 on the multi-block backends).
 #   ./ci.sh fuzz     # release build + the deterministic differential
 #                    # fuzzing campaign (fuzz_gate): 140k fixed-seed
 #                    # iterations across the seven differential

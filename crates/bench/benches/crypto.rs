@@ -1,6 +1,6 @@
 //! Crypto-substrate micro-benchmarks: every AES backend (scalar
 //! reference / bitsliced soft / AES-NI), batched vs. unbatched CCM
-//! sealing, the in-place open path, and both SHA-256 compression loops.
+//! sealing and opening, and both SHA-256 compression loops.
 //!
 //! Emits `BENCH_crypto.json` (schema `doc-bench/crypto/v1`) at the
 //! workspace root (override the path with `BENCH_CRYPTO_JSON`): one row
@@ -11,23 +11,26 @@
 //!
 //! * AES-NI seal ≥ 2× the scalar reference at batch 1 (when the
 //!   machine has AES-NI);
-//! * batch-8 sealing ≥ 1.3× batch-1 on the multi-block backends
-//!   (AES-NI and soft) — the scalar reference encrypts one block at a
-//!   time either way, gains nothing from batching, and is exempt.
+//! * batch-8 sealing and opening each ≥ 1.3× batch-1 on the
+//!   multi-block backends (AES-NI and soft) — the scalar reference
+//!   encrypts one block at a time either way, gains nothing from
+//!   batching, and is exempt.
 //!
 //! The same bounds are asserted in-process on full windows so
 //! `cargo bench -p doc-bench --bench crypto` fails loudly without the
 //! gate; smoke runs (`BENCH_MEASURE_MS` < 100) print the observed
-//! ratios instead. The batch-1 rows drive `seal_suffix_in_place` (the
-//! single-packet DTLS/OSCORE path); larger batches drive
-//! `seal_suffix_batch` (what the proxy pool's drain amortizes).
+//! ratios instead. The batch-1 rows drive `seal_suffix_in_place` and
+//! `open_in_place` (the single-packet DTLS/OSCORE paths); larger
+//! batches drive `seal_suffix_batch` and `open_suffix_batch` (what the
+//! proxy pool's drain amortizes). Every open row copies its sealed
+//! packets in first, like a receive path refilling its buffers.
 
 use std::time::{Duration, Instant};
 
 use doc_bench::alloc_counter::CountingAllocator;
 use doc_crypto::aes::Aes128;
 use doc_crypto::backend::{sha_ni_active, sha_ni_detected, Backend};
-use doc_crypto::ccm::{AesCcm, SealRequest};
+use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
 use doc_crypto::sha256::{sha256, sha256_portable};
 
 #[global_allocator]
@@ -163,20 +166,44 @@ fn main() {
             }));
         }
 
-        // In-place open of one sealed 64-byte packet (includes the
-        // copy-in, like a receive path refilling its scratch buffer).
-        let nonce = [7u8; 13];
-        let sealed = ccm
-            .seal(&nonce, b"aad", &payload)
-            .expect("parameters are valid");
-        let mut buf: Vec<u8> = Vec::with_capacity(sealed.len());
-        rows.push(run("ccm/open", label, 1, PAYLOAD_LEN, 1, || {
-            buf.clear();
-            buf.extend_from_slice(std::hint::black_box(&sealed));
-            ccm.open_in_place(&nonce, b"aad", &mut buf)
-                .expect("sealed bytes authenticate");
-            std::hint::black_box(buf.len());
-        }));
+        for batch in BATCHES {
+            let nonces: Vec<[u8; 13]> = (0..batch).map(|i| [(i * 29) as u8; 13]).collect();
+            let sealed: Vec<Vec<u8>> = nonces
+                .iter()
+                .map(|nonce| {
+                    ccm.seal(nonce, b"aad", &payload)
+                        .expect("parameters are valid")
+                })
+                .collect();
+            let mut bufs: Vec<Vec<u8>> = vec![Vec::with_capacity(PAYLOAD_LEN + 16); batch];
+            rows.push(run("ccm/open", label, batch, PAYLOAD_LEN, batch, || {
+                if batch == 1 {
+                    let buf = &mut bufs[0];
+                    buf.clear();
+                    buf.extend_from_slice(std::hint::black_box(&sealed[0]));
+                    ccm.open_in_place(&nonces[0], b"aad", buf)
+                        .expect("sealed bytes authenticate");
+                } else {
+                    let mut reqs: Vec<OpenRequest<'_>> = bufs
+                        .iter_mut()
+                        .zip(sealed.iter().zip(nonces.iter()))
+                        .map(|(buf, (packet, nonce))| {
+                            buf.clear();
+                            buf.extend_from_slice(std::hint::black_box(packet));
+                            OpenRequest {
+                                nonce,
+                                aad: b"aad",
+                                buf,
+                                start: 0,
+                            }
+                        })
+                        .collect();
+                    ccm.open_suffix_batch(&mut reqs)
+                        .expect("sealed bytes authenticate");
+                }
+                std::hint::black_box(&mut bufs);
+            }));
+        }
     }
 
     // SHA-256: the portable schedule and the dispatched path (SHA-NI
@@ -226,16 +253,18 @@ fn main() {
         if !Backend::available().iter().any(|b| b.label() == backend) {
             continue;
         }
-        let gain = ns_of("ccm/seal", backend, 1) / ns_of("ccm/seal", backend, 8);
-        if full_measurement {
-            assert!(
-                gain >= 1.3,
-                "{backend} batch-8 seal gains only {gain:.2}x over batch-1 (claimed: >=1.3x)"
-            );
-        } else {
-            println!(
-                "note: {backend} batch-8/batch-1 seal gain {gain:.2}x (smoke run, not asserted)"
-            );
+        for op in ["ccm/seal", "ccm/open"] {
+            let gain = ns_of(op, backend, 1) / ns_of(op, backend, 8);
+            if full_measurement {
+                assert!(
+                    gain >= 1.3,
+                    "{backend} batch-8 {op} gains only {gain:.2}x over batch-1 (claimed: >=1.3x)"
+                );
+            } else {
+                println!(
+                    "note: {backend} batch-8/batch-1 {op} gain {gain:.2}x (smoke run, not asserted)"
+                );
+            }
         }
     }
 

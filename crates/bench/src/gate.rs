@@ -376,6 +376,10 @@ pub struct CryptoRow {
     pub ns_per_op: f64,
 }
 
+/// CCM operations every backend row-set must sweep over
+/// [`REQUIRED_CRYPTO_BATCHES`], each held to the batch-gain bound.
+pub const CCM_BATCHED_OPS: [&str; 2] = ["ccm/seal", "ccm/open"];
+
 /// CCM batch sizes every backend row-set must sweep.
 pub const REQUIRED_CRYPTO_BATCHES: [u32; 3] = [1, 4, 8];
 
@@ -383,19 +387,20 @@ pub const REQUIRED_CRYPTO_BATCHES: [u32; 3] = [1, 4, 8];
 /// (only checked when the measuring machine has AES-NI).
 pub const REQUIRED_AESNI_SPEEDUP: f64 = 2.0;
 
-/// Batch-8 sealing must beat batch-1 by this factor on the multi-block
-/// backends (`aesni`, `soft`). The scalar reference encrypts one block
+/// Batch-8 sealing and opening must each beat batch-1 by this factor
+/// on the multi-block backends (`aesni`, `soft`). The scalar reference encrypts one block
 /// per call either way — batching only adds bookkeeping there, so it
 /// is deliberately exempt.
 pub const REQUIRED_BATCH_GAIN: f64 = 1.3;
 
 /// Validate `BENCH_crypto.json` (schema `doc-bench/crypto/v1`): row
-/// shapes, the per-backend 1/4/8 CCM seal sweep (`reference` and
-/// `soft` always; `aesni` when the artifact says the machine has it),
-/// and — when the artifact was produced with a full measurement window
-/// (`measure_ms` ≥ 100) — the vectorization bounds: AES-NI ≥ 2× the
-/// reference at batch 1, and batch-8 ≥ 1.3× batch-1 on the
-/// multi-block backends. Returns a human-readable summary on success.
+/// shapes, the per-backend 1/4/8 CCM seal and open sweeps (`reference`
+/// and `soft` always; `aesni` when the artifact says the machine has
+/// it), and — when the artifact was produced with a full measurement
+/// window (`measure_ms` ≥ 100) — the vectorization bounds: AES-NI ≥ 2×
+/// the reference sealing at batch 1, and batch-8 ≥ 1.3× batch-1 for
+/// both seal and open on the multi-block backends. Returns a
+/// human-readable summary on success.
 pub fn check_crypto(doc: &Json) -> Result<String, String> {
     check_schema(doc, "doc-bench/crypto/v1")?;
     let aes_ni = doc
@@ -428,12 +433,12 @@ pub fn check_crypto(doc: &Json) -> Result<String, String> {
         }
         rows.push(parsed);
     }
-    let seal_ns = |backend: &str, batch: u32| {
+    let ns = |op: &str, backend: &str, batch: u32| {
         rows.iter()
-            .find(|r| r.name == "ccm/seal" && r.backend == backend && r.batch == batch)
+            .find(|r| r.name == op && r.backend == backend && r.batch == batch)
             .map(|r| r.ns_per_op)
             .ok_or(format!(
-                "missing ccm/seal row for backend \"{backend}\" batch {batch}"
+                "missing {op} row for backend \"{backend}\" batch {batch}"
             ))
     };
     let mut backends = vec!["reference", "soft"];
@@ -441,8 +446,10 @@ pub fn check_crypto(doc: &Json) -> Result<String, String> {
         backends.push("aesni");
     }
     for backend in &backends {
-        for batch in REQUIRED_CRYPTO_BATCHES {
-            seal_ns(backend, batch)?;
+        for op in CCM_BATCHED_OPS {
+            for batch in REQUIRED_CRYPTO_BATCHES {
+                ns(op, backend, batch)?;
+            }
         }
     }
     if !rows
@@ -461,7 +468,7 @@ pub fn check_crypto(doc: &Json) -> Result<String, String> {
         return Ok(summary);
     }
     if aes_ni {
-        let speedup = seal_ns("reference", 1)? / seal_ns("aesni", 1)?;
+        let speedup = ns("ccm/seal", "reference", 1)? / ns("ccm/seal", "aesni", 1)?;
         if speedup < REQUIRED_AESNI_SPEEDUP {
             return Err(format!(
                 "aesni seal gate failed: {speedup:.2}x the reference at batch 1 \
@@ -474,14 +481,16 @@ pub fn check_crypto(doc: &Json) -> Result<String, String> {
         if backend == "aesni" && !aes_ni {
             continue;
         }
-        let gain = seal_ns(backend, 1)? / seal_ns(backend, 8)?;
-        if gain < REQUIRED_BATCH_GAIN {
-            return Err(format!(
-                "batch gate failed: {backend} batch-8 seal is {gain:.2}x batch-1 \
-                 < required {REQUIRED_BATCH_GAIN:.1}x"
-            ));
+        for op in CCM_BATCHED_OPS {
+            let gain = ns(op, backend, 1)? / ns(op, backend, 8)?;
+            if gain < REQUIRED_BATCH_GAIN {
+                return Err(format!(
+                    "batch gate failed: {backend} batch-8 {op} is {gain:.2}x batch-1 \
+                     < required {REQUIRED_BATCH_GAIN:.1}x"
+                ));
+            }
+            summary.push_str(&format!(", {backend} {op} batch gain {gain:.2}x"));
         }
-        summary.push_str(&format!(", {backend} batch gain {gain:.2}x"));
     }
     Ok(summary)
 }
@@ -666,7 +675,8 @@ mod tests {
 
     /// Crypto artifact with tunable aesni batch-1/batch-8 seal times
     /// (reference pinned at 2000ns b1, and — like the real scalar
-    /// path — *slower* per packet when batched).
+    /// path — *slower* per packet when batched). Every `ccm/open` row
+    /// repeats its `ccm/seal` row's time.
     fn crypto_doc(aes_ni: bool, measure_ms: u32, aesni_b1: f64, aesni_b8: f64) -> String {
         let row = |name: &str, backend: &str, batch: u32, ns: f64| {
             format!(
@@ -687,6 +697,12 @@ mod tests {
             rows.push(row("ccm/seal", "aesni", 4, (aesni_b1 + aesni_b8) / 2.0));
             rows.push(row("ccm/seal", "aesni", 8, aesni_b8));
         }
+        let opens: Vec<String> = rows
+            .iter()
+            .filter(|r| r.contains("ccm/seal"))
+            .map(|r| r.replace("ccm/seal", "ccm/open"))
+            .collect();
+        rows.extend(opens);
         format!(
             r#"{{"schema": "doc-bench/crypto/v1", "machine": {{"aes_ni": {aes_ni}, "sha_ni": false}}, "active_backend": "{}", "measure_ms": {measure_ms}, "rows": [{}]}}"#,
             if aes_ni { "aesni" } else { "soft" },
@@ -699,7 +715,14 @@ mod tests {
         let doc = parse(&crypto_doc(true, 200, 450.0, 300.0)).unwrap();
         let summary = check_crypto(&doc).unwrap();
         assert!(summary.contains("aesni/reference seal 4.44x"), "{summary}");
-        assert!(summary.contains("aesni batch gain 1.50x"), "{summary}");
+        assert!(
+            summary.contains("aesni ccm/seal batch gain 1.50x"),
+            "{summary}"
+        );
+        assert!(
+            summary.contains("aesni ccm/open batch gain 1.50x"),
+            "{summary}"
+        );
         // No AES-NI: the aesni rows and speedup gate are not required.
         let no_ni = parse(&crypto_doc(false, 200, 0.0, 0.0)).unwrap();
         assert!(check_crypto(&no_ni).is_ok());
@@ -713,6 +736,14 @@ mod tests {
         // Batched sealing barely better than unbatched on aesni.
         let flat = parse(&crypto_doc(true, 200, 450.0, 400.0)).unwrap();
         assert!(check_crypto(&flat).unwrap_err().contains("batch gate"));
+        // Batched opening barely better while sealing passes: the open
+        // rows are held to the same bound.
+        let flat_open = crypto_doc(true, 200, 450.0, 300.0).replace(
+            r#""ccm/open", "backend": "aesni", "batch": 8, "ns_per_op": 300"#,
+            r#""ccm/open", "backend": "aesni", "batch": 8, "ns_per_op": 400"#,
+        );
+        let err = check_crypto(&parse(&flat_open).unwrap()).unwrap_err();
+        assert!(err.contains("aesni batch-8 ccm/open is 1.12x"), "{err}");
         // The reference backend rows are batched-slower by construction
         // in every passing fixture above — proving it is exempt.
     }
@@ -735,6 +766,13 @@ mod tests {
         doc = doc.replace(r#""aes_ni": false"#, r#""aes_ni": true"#);
         let err = check_crypto(&parse(&doc).unwrap()).unwrap_err();
         assert!(err.contains(r#"backend "aesni" batch 1"#), "{err}");
+        // The open sweep is required like the seal sweep.
+        let no_open = crypto_doc(false, 200, 0.0, 0.0).replace("ccm/open", "ccm/other");
+        let err = check_crypto(&parse(&no_open).unwrap()).unwrap_err();
+        assert!(
+            err.contains(r#"missing ccm/open row for backend "reference""#),
+            "{err}"
+        );
         // Unknown backend label.
         let bad = crypto_doc(true, 200, 450.0, 300.0).replace("\"soft\"", "\"neon\"");
         assert!(check_crypto(&parse(&bad).unwrap())

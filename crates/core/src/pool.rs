@@ -44,7 +44,9 @@ use crate::transport::TransportKind;
 // *this* ring, not a copy (see `crates/check`).
 use doc_check::sync::atomic::{AtomicU64, Ordering};
 use doc_check::sync::{Arc, Condvar, Mutex};
-use doc_dtls::record::{CipherState, ContentType, Record, RecordSeal, RECORD_HEADER_LEN};
+use doc_crypto::ccm::{recycle, CcmScratch, SealRequest, LOCKSTEP_GROUP};
+use doc_dtls::record::{CipherState, ContentType, RecordCrypto, CIPHERTEXT_OFFSET};
+use doc_quic::packet::{Header, OpenScratch, PacketKeys, PacketOpen};
 
 /// What wire format the pool's workers speak.
 ///
@@ -361,10 +363,13 @@ impl PoolRunStats {
 }
 
 /// DTLS protection for the pool's reply leg: every reply leaving the
-/// pool is sealed as an epoch-`epoch` ApplicationData record, with
-/// each whole drain protected in **one** batched AEAD pass
-/// ([`CipherState::seal_batch`]) so the keystream setup is amortized
-/// across the drain instead of paid per reply.
+/// pool is sealed as an epoch-`epoch` ApplicationData record, built in
+/// the reply's own slab buffer. The record header and explicit nonce
+/// go in front of the plaintext already there
+/// ([`CipherState::frame_in_place`]), then the drain is sealed in
+/// place in batched AEAD passes of up to [`LOCKSTEP_GROUP`] replies
+/// ([`doc_crypto::ccm::AesCcm::seal_suffix_batch_with`]) on buffers the
+/// worker keeps: no payload copy, and no allocation once warm.
 pub struct ReplySeal {
     cipher: CipherState,
     epoch: u16,
@@ -389,140 +394,205 @@ impl ReplySeal {
     }
 
     /// Seal every served reply in place: its plaintext wire becomes
-    /// the full DTLS record wire, written back into the same buffer.
-    /// Replies without a wire (malformed datagrams) stay as they are.
-    fn seal_replies(&self, replies: &mut [Reply]) {
-        let first = self.reserve(replies.iter().filter(|r| r.wire.is_some()).count() as u64);
-        let items: Vec<RecordSeal<'_>> = replies
-            .iter()
-            .filter_map(|r| r.wire.as_deref())
-            .zip(first..)
-            .map(|(plaintext, seq)| RecordSeal {
-                ctype: ContentType::ApplicationData,
-                epoch: self.epoch,
-                seq,
-                plaintext,
-            })
-            .collect();
-        let payloads = self
-            .cipher
-            .seal_batch(&items)
-            .expect("record parameters are valid");
-        let wires = replies.iter_mut().filter_map(|r| r.wire.as_mut());
-        for ((wire, payload), seq) in wires.zip(payloads).zip(first..) {
-            // Exact: the plaintext of the next drain fits the record
-            // buffer, so the slab settles at record size, not double.
-            wire.clear();
-            wire.reserve_exact(RECORD_HEADER_LEN + payload.len());
-            Record {
-                ctype: ContentType::ApplicationData,
-                epoch: self.epoch,
-                seq,
-                payload,
+    /// the full DTLS record wire, in the same buffer. Replies without
+    /// a wire (malformed datagrams) stay as they are. A reply that
+    /// cannot be sealed — its record sequence number is past
+    /// [`doc_dtls::record::MAX_SEQ`], where the nonce would repeat —
+    /// is dropped (`wire = None`) and so counted as an error.
+    fn seal_replies(&self, replies: &mut [Reply], scratch: &mut SealScratch) {
+        let SealScratch { ccm, records, reqs } = scratch;
+        let mut seq = self.reserve(replies.iter().filter(|r| r.wire.is_some()).count() as u64);
+        // In lockstep-group chunks, so the per-reply buffers below stay
+        // group-sized whatever the drain size.
+        for chunk in replies.chunks_mut(LOCKSTEP_GROUP) {
+            records.clear();
+            for r in chunk.iter_mut() {
+                let Some(wire) = r.wire.as_mut() else {
+                    continue;
+                };
+                match self.cipher.frame_in_place(
+                    ContentType::ApplicationData,
+                    self.epoch,
+                    seq,
+                    wire,
+                ) {
+                    Ok(crypto) => records.push(crypto),
+                    Err(_) => r.wire = None,
+                }
+                seq = seq.saturating_add(1);
             }
-            .encode_into(wire);
+            let mut batch = recycle(std::mem::take(reqs));
+            batch.extend(
+                chunk
+                    .iter_mut()
+                    .filter_map(|r| r.wire.as_mut())
+                    .zip(records.iter())
+                    .map(|(buf, crypto)| SealRequest {
+                        nonce: &crypto.nonce,
+                        aad: &crypto.aad,
+                        buf,
+                        start: CIPHERTEXT_OFFSET,
+                    }),
+            );
+            let sealed = self.cipher.ccm().seal_suffix_batch_with(&mut batch, ccm);
+            *reqs = recycle(batch);
+            if sealed.is_err() {
+                // Framing validated every record, so the batch cannot
+                // fail; should it, no framed plaintext may leave.
+                for r in chunk.iter_mut() {
+                    r.wire = None;
+                }
+            }
         }
     }
 }
 
+/// The buffers [`ReplySeal`] reuses from drain to drain.
+#[derive(Default)]
+pub(crate) struct SealScratch {
+    ccm: CcmScratch,
+    /// Each framed record's nonce and AAD, in chunk order.
+    records: Vec<RecordCrypto>,
+    /// Emptied between drains; parked at `'static` (see [`recycle`]).
+    reqs: Vec<SealRequest<'static>>,
+}
+
 /// QUIC-lite packet protection for the pool's *inbound* leg: each
 /// datagram arrives as `header || ciphertext || tag` under these keys,
-/// and a worker opens its whole drain in **one** batched keystream
-/// pass ([`PacketKeys::open_batch`]) — the decrypt-side mirror of
-/// [`ReplySeal`]'s batched seal. Datagrams that fail header parsing or
-/// authentication have their wire cleared, so they fall through the
-/// serve path as malformed and are counted as errors.
+/// and a worker opens its drain in batched passes of up to
+/// [`LOCKSTEP_GROUP`] datagrams ([`PacketKeys::open_batch_with`]) — the
+/// decrypt-side mirror of [`ReplySeal`]'s batched seal, on buffers the
+/// worker keeps.
+/// Datagrams that fail header parsing or authentication have their
+/// wire cleared, so they fall through the serve path as malformed and
+/// are counted as errors.
 pub struct RequestOpen {
-    keys: doc_quic::packet::PacketKeys,
+    keys: PacketKeys,
 }
 
 /// Headers are 1 flag byte + 2 CID bytes + a varint packet number —
-/// never more than 11 bytes; 16 gives slack for the scratch copies
-/// the batch-open borrow split needs.
+/// never more than 11 bytes; 16 gives slack.
 const HEADER_SCRATCH: usize = 16;
+
+/// A request datagram's parsed QUIC-lite header, its bytes copied out:
+/// [`PacketOpen`] borrows the header immutably and the buffer mutably,
+/// which can't both come from the same `d.wire`.
+struct ParsedHeader {
+    pn: u64,
+    len: usize,
+    bytes: [u8; HEADER_SCRATCH],
+}
+
+/// The buffers [`RequestOpen`] reuses from drain to drain.
+#[derive(Default)]
+pub(crate) struct OpenDrainScratch {
+    /// Per datagram: its header, or `None` when it did not parse.
+    headers: Vec<Option<ParsedHeader>>,
+    /// Emptied between drains; parked at `'static` (see [`recycle`]).
+    opens: Vec<PacketOpen<'static>>,
+    keys: OpenScratch,
+}
 
 impl RequestOpen {
     /// Protect the inbound leg with `keys` (the client-write
     /// direction).
-    pub fn new(keys: doc_quic::packet::PacketKeys) -> Self {
+    pub fn new(keys: PacketKeys) -> Self {
         RequestOpen { keys }
     }
 
     /// Open every datagram in `batch` in place: on success `d.wire`
     /// becomes the plaintext request; on parse/auth failure it is
-    /// cleared. Returns the failure count.
-    ///
-    /// The happy path is a single [`PacketKeys::open_batch`] pass over
-    /// the drain. That call is all-or-nothing, so when a batch
-    /// contains a forgery the whole batch is retried packet-at-a-time
-    /// to salvage the authentic ones — the slow path only runs under
-    /// active tampering.
+    /// cleared. Returns the failure count. Allocates its buffers for
+    /// this one call; the pool's workers keep theirs across drains.
     pub fn open_drain(&self, batch: &mut [Datagram]) -> u64 {
-        use doc_quic::packet::{Header, PacketOpen};
+        self.open_drain_with(batch, &mut OpenDrainScratch::default())
+    }
+
+    /// [`RequestOpen::open_drain`] on reused buffers, in lockstep-group
+    /// chunks so the per-datagram buffers stay group-sized whatever the
+    /// drain size.
+    pub(crate) fn open_drain_with(
+        &self,
+        batch: &mut [Datagram],
+        scratch: &mut OpenDrainScratch,
+    ) -> u64 {
+        batch
+            .chunks_mut(LOCKSTEP_GROUP)
+            .map(|chunk| self.open_chunk(chunk, scratch))
+            .sum()
+    }
+
+    /// Open one chunk of a drain; returns its failure count. The happy
+    /// path is a single [`PacketKeys::open_batch_with`] pass. That call
+    /// is all-or-nothing, so when the chunk contains a forgery it is
+    /// retried packet-at-a-time to salvage the authentic ones — the
+    /// slow path only runs under active tampering.
+    fn open_chunk(&self, batch: &mut [Datagram], scratch: &mut OpenDrainScratch) -> u64 {
+        let OpenDrainScratch {
+            headers,
+            opens,
+            keys,
+        } = scratch;
         let mut failed = 0u64;
-        // Phase 1: parse headers, copying the header bytes out to a
-        // scratch array per packet — `PacketOpen` borrows the header
-        // immutably and the buffer mutably, which can't both come from
-        // the same `d.wire`.
-        let mut metas: Vec<Option<(u64, usize)>> = Vec::with_capacity(batch.len());
-        let mut headers: Vec<[u8; HEADER_SCRATCH]> = Vec::with_capacity(batch.len());
+        // Phase 1: parse the headers.
+        headers.clear();
+        headers.reserve(batch.len());
         for d in batch.iter_mut() {
-            let mut scratch = [0u8; HEADER_SCRATCH];
-            match Header::decode(&d.wire) {
+            let parsed = match Header::decode(&d.wire) {
                 Ok(h) if h.len <= HEADER_SCRATCH && h.len <= d.wire.len() => {
-                    scratch[..h.len].copy_from_slice(&d.wire[..h.len]);
-                    metas.push(Some((h.pn, h.len)));
+                    let mut bytes = [0u8; HEADER_SCRATCH];
+                    bytes[..h.len].copy_from_slice(&d.wire[..h.len]);
+                    Some(ParsedHeader {
+                        pn: h.pn,
+                        len: h.len,
+                        bytes,
+                    })
                 }
                 _ => {
                     d.wire.clear();
-                    metas.push(None);
                     failed += 1;
+                    None
                 }
-            }
-            headers.push(scratch);
+            };
+            headers.push(parsed);
         }
         // Phase 2: one batched open over the parseable packets.
-        let mut ok: Vec<bool> = Vec::new();
-        {
-            let mut opens: Vec<PacketOpen<'_>> = Vec::new();
-            for (i, d) in batch.iter_mut().enumerate() {
-                if let Some((pn, hlen)) = metas[i] {
-                    opens.push(PacketOpen {
-                        pn,
-                        header: &headers[i][..hlen],
-                        buf: &mut d.wire,
-                        start: hlen,
-                    });
-                }
+        let mut packets = recycle(std::mem::take(opens));
+        packets.reserve(batch.len());
+        for (d, h) in batch.iter_mut().zip(headers.iter()) {
+            if let Some(h) = h {
+                packets.push(PacketOpen {
+                    pn: h.pn,
+                    header: &h.bytes[..h.len],
+                    buf: &mut d.wire,
+                    start: h.len,
+                });
             }
-            ok.resize(opens.len(), true);
-            if self.keys.open_batch(&mut opens).is_err() {
-                // Batch failed atomically (buffers restored): retry
-                // each packet alone so one forgery doesn't take the
-                // authentic drain down with it.
-                for (j, o) in opens.iter_mut().enumerate() {
-                    match self.keys.open(o.pn, o.header, &o.buf[o.start..]) {
-                        Ok(plain) => {
-                            o.buf.truncate(o.start);
-                            o.buf.extend_from_slice(&plain);
-                        }
-                        Err(_) => ok[j] = false,
+        }
+        if self.keys.open_batch_with(&mut packets, keys).is_err() {
+            // Batch failed atomically (buffers restored): retry each
+            // packet alone so one forgery doesn't take the authentic
+            // drain down with it. A forgery's wire is cleared.
+            for o in packets.iter_mut() {
+                match self.keys.open(o.pn, o.header, &o.buf[o.start..]) {
+                    Ok(plain) => {
+                        o.buf.truncate(o.start);
+                        o.buf.extend_from_slice(&plain);
                     }
+                    Err(_) => o.buf.clear(),
                 }
             }
         }
-        // Phase 3: strip headers off the opened packets, clear the
-        // forgeries.
-        let mut j = 0;
-        for (i, d) in batch.iter_mut().enumerate() {
-            if let Some((_, hlen)) = metas[i] {
-                if ok[j] {
-                    d.wire.drain(..hlen);
-                } else {
-                    d.wire.clear();
+        *opens = recycle(packets);
+        // Phase 3: strip the headers off the opened packets; an opened
+        // packet keeps at least its header, a forgery nothing.
+        for (d, h) in batch.iter_mut().zip(headers.iter()) {
+            if let Some(h) = h {
+                if d.wire.is_empty() {
                     failed += 1;
+                } else {
+                    d.wire.drain(..h.len);
                 }
-                j += 1;
             }
         }
         failed
@@ -767,10 +837,15 @@ impl ProxyPool {
         batch: &mut Vec<Datagram>,
         scratch: &'s mut WorkerScratch,
     ) -> &'s [Reply] {
+        let WorkerScratch {
+            replies,
+            serve,
+            open: open_scratch,
+            seal: seal_scratch,
+        } = scratch;
         if let Some(open) = &self.request_open {
-            open.open_drain(batch);
+            open.open_drain_with(batch, open_scratch);
         }
-        let WorkerScratch { replies, serve } = scratch;
         // The reply slab: one reply per batch slot, grown once to the
         // largest drain seen. A served reply's wire buffer stays in its
         // slot and is reused by the next drain; `serve_wire` clears it
@@ -793,7 +868,7 @@ impl ProxyPool {
             }
         }
         if let Some(seal) = &self.seal {
-            seal.seal_replies(replies);
+            seal.seal_replies(replies, seal_scratch);
         }
         match &self.recycle {
             Some(recycle) => recycle.put_batch(batch.drain(..).map(|mut d| {
@@ -806,12 +881,15 @@ impl ProxyPool {
     }
 }
 
-/// Per-thread reusable scratch state: the reply slab and the serve
-/// buffers. Everything here is grown during warmup and reused for the
-/// rest of the run.
+/// Per-thread reusable scratch state: the reply slab, the serve
+/// buffers and the protected legs' crypto buffers. Everything here is
+/// grown during warmup and reused for the rest of the run; a leg that
+/// is not protected leaves its buffers empty, holding no heap.
 pub(crate) struct WorkerScratch {
     replies: Vec<Reply>,
     serve: ServeScratch,
+    open: OpenDrainScratch,
+    seal: SealScratch,
 }
 
 impl WorkerScratch {
@@ -820,6 +898,8 @@ impl WorkerScratch {
         WorkerScratch {
             replies: Vec::with_capacity(drain),
             serve: ServeScratch::default(),
+            open: OpenDrainScratch::default(),
+            seal: SealScratch::default(),
         }
     }
 }
@@ -877,6 +957,7 @@ mod tests {
     use doc_coap::msg::{Code, MsgType};
     use doc_coap::view::CoapView;
     use doc_dns::{Message, Name, RecordType};
+    use doc_dtls::record::{Record, MAX_SEQ};
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1227,6 +1308,39 @@ mod tests {
         seen_seqs.sort_unstable();
         seen_seqs.dedup();
         assert_eq!(seen_seqs.len(), total as usize, "record seqs unique");
+    }
+
+    /// Record sequence numbers never wrap: at the last 48-bit value the
+    /// first reply is sealed as record `MAX_SEQ`, and the next, which
+    /// would reuse record 0's nonce, is dropped and counted as an error.
+    #[test]
+    fn reply_seal_drops_replies_past_the_48_bit_sequence_space() {
+        let key = [0x4Du8; 16];
+        let iv = [1, 2, 3, 4];
+        let seal = ReplySeal::new(&key, iv, 1);
+        seal.seq.store(MAX_SEQ, Ordering::Relaxed);
+        let pool = pool(1, &["a.example.org"]).with_reply_seal(seal);
+        let replies = Mutex::new(Vec::new());
+        let stats = pool.run(
+            8,
+            (0..2u64).map(|seq| Datagram {
+                peer: 0,
+                seq,
+                at: doc_time::Instant::from_millis(1),
+                wire: fetch_wire("a.example.org", seq),
+            }),
+            &|r| replies.lock().unwrap().push(r.clone()),
+        );
+        assert_eq!((stats.replies, stats.errors), (1, 1));
+        let mut replies = replies.lock().unwrap().clone();
+        replies.sort_by_key(|r| r.seq);
+        let (rec, _) = Record::decode(replies[0].wire.as_ref().expect("first sealed")).unwrap();
+        assert_eq!(rec.seq, MAX_SEQ);
+        let inner = CipherState::new(&key, iv)
+            .open(rec.ctype, rec.epoch, rec.seq, &rec.payload)
+            .unwrap();
+        assert_eq!(CoapView::parse(&inner).unwrap().message_id, 0);
+        assert_eq!(replies[1].wire, None, "second reply dropped");
     }
 
     #[test]

@@ -11,17 +11,21 @@
 //! Both directions (seal/open) are implemented; CCM only needs the AES
 //! forward transform.
 //!
-//! Every path is built from two shared pieces so the fast and slow
-//! lanes cannot diverge: [`MacStream`] derives the exact CBC-MAC block
-//! sequence (`B_0`, length-prefixed AAD, message) for both the
-//! sequential MAC and the batch-interleaved MAC, and `ctr_stream`
-//! produces the whole CTR keystream (`S_0` for the tag plus the data
-//! blocks) through one multi-block [`Aes128::encrypt_blocks`] call, so
-//! even a single-packet seal keeps 8 counter blocks in flight on
-//! AES-NI. [`AesCcm::seal_suffix_batch`] goes further and interleaves
-//! the CBC-MAC chains of *many* packets through the same wide encrypt,
-//! which is what the pool workers use to amortize a whole `pop_batch`
-//! drain.
+//! Every path builds the CBC-MAC block sequence (`B_0`, the
+//! length-prefixed AAD, the zero-padded message; RFC 3610 §2.2) and the
+//! counter blocks from the same helpers (`b0`, `aad_block`,
+//! `load_block`, `counter`), so the single-packet and batched paths
+//! cannot diverge. A single packet runs one MAC chain, and `ctr_stream`
+//! produces its CTR keystream (`S_0` for the tag plus the data blocks)
+//! eight counter blocks per [`Aes128::encrypt_blocks`] call. The batched
+//! paths ([`AesCcm::seal_suffix_batch_with`],
+//! [`AesCcm::open_suffix_batch_with`]) share one lockstep core, run over
+//! groups of up to 32 packets: the group's keystreams come from one
+//! wide encrypt, its CBC-MAC chains advance one block per round through
+//! one wide encrypt of their states, and each message block is
+//! encrypted (or decrypted) in the same visit that feeds it to the MAC.
+//! The core's buffers live in a caller-held [`CcmScratch`], so a pool
+//! worker sealing or opening a whole drain allocates nothing once warm.
 
 use crate::aes::Aes128;
 use crate::backend::Backend;
@@ -64,6 +68,76 @@ pub struct OpenRequest<'a> {
     pub buf: &'a mut Vec<u8>,
     /// Offset where the `ciphertext || tag` suffix begins.
     pub start: usize,
+}
+
+/// The buffers of the batched paths, held by the caller across
+/// batches: empty (no heap) until first used, then grown to the largest
+/// group seen (at most [`LOCKSTEP_GROUP`] packets) and reused, so a
+/// warm batch allocates nothing.
+#[derive(Debug, Default)]
+pub struct CcmScratch {
+    /// Each packet's place in the group; one lane per packet.
+    spans: Vec<Span>,
+    /// Every packet's counter blocks `A_0..=A_m`, encrypted in place
+    /// into its keystream `S_0..=S_m`, group by group.
+    keystream: Vec<[u8; 16]>,
+    /// The CBC-MAC state of each lane, in span order.
+    states: Vec<[u8; 16]>,
+}
+
+/// Where one packet of a batch sits: its data region `buf[start..end]`
+/// (plaintext when sealing, ciphertext when opening), its keystream and
+/// the length of its CBC-MAC chain.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// The packet's index in the group.
+    packet: usize,
+    start: usize,
+    end: usize,
+    /// Index of the packet's `S_0` in the keystream.
+    ks: usize,
+    /// CBC-MAC blocks before the message: `B_0` and the AAD region.
+    head: usize,
+    /// All of the packet's CBC-MAC blocks.
+    blocks: usize,
+}
+
+/// The request fields the lockstep core reads: `(nonce, aad, buf,
+/// start)`.
+trait BatchItem {
+    fn parts(&mut self) -> (&[u8], &[u8], &mut Vec<u8>, usize);
+}
+
+impl BatchItem for SealRequest<'_> {
+    fn parts(&mut self) -> (&[u8], &[u8], &mut Vec<u8>, usize) {
+        (self.nonce, self.aad, self.buf, self.start)
+    }
+}
+
+impl BatchItem for OpenRequest<'_> {
+    fn parts(&mut self) -> (&[u8], &[u8], &mut Vec<u8>, usize) {
+        (self.nonce, self.aad, self.buf, self.start)
+    }
+}
+
+/// Packets whose CBC-MAC chains the batched paths run in lockstep at
+/// once: enough lanes to keep the eight-wide AES-NI kernel full, few
+/// enough that a group's keystream, states and buffers stay in L1 and
+/// a [`CcmScratch`] stays a few KiB whatever the batch size. A caller
+/// that hands over its batches in chunks of this size bounds its own
+/// per-packet buffers the same way at no cost in parallelism.
+pub const LOCKSTEP_GROUP: usize = 32;
+
+/// Hand back `v`'s allocation, emptied, as a vector of `U`. When `T`
+/// and `U` share a layout — one request type at two lifetimes — the
+/// allocation itself is reused (std collects a `vec::IntoIter` in
+/// place), so a caller can keep a vector of borrowing requests
+/// ([`SealRequest`], [`OpenRequest`]) warm across batches, parked as
+/// `Vec<SealRequest<'static>>` between them. The pool's allocation pin
+/// (`tests/sealed_allocs.rs`) fails if the reuse is ever lost.
+pub fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
 }
 
 /// Validate the CCM mode parameters (tag length 4..=16 and even,
@@ -196,45 +270,32 @@ impl AesCcm {
         Ok(())
     }
 
-    /// Seal many packets in one batched pass: the CBC-MAC chains of all
-    /// packets advance in lockstep through one wide
-    /// [`Aes128::encrypt_blocks`] per block round, then every packet's
-    /// CTR keystream (including `S_0`) is generated in a single batch.
-    /// Validation is all-or-nothing: if any packet has a bad nonce or
-    /// an oversized payload, no buffer is modified.
+    /// [`AesCcm::seal_suffix_batch_with`] on buffers allocated for this
+    /// one call. A caller sealing batch after batch keeps a
+    /// [`CcmScratch`] and calls that instead.
     pub fn seal_suffix_batch(&self, reqs: &mut [SealRequest<'_>]) -> Result<(), CryptoError> {
+        self.seal_suffix_batch_with(reqs, &mut CcmScratch::default())
+    }
+
+    /// Seal many packets in one batched pass through the lockstep core
+    /// (see the module doc): per group of packets, the keystreams come
+    /// from one wide encrypt and the CBC-MAC chains advance together,
+    /// one wide encrypt per block round. Validation is all-or-nothing:
+    /// if any packet has a bad nonce or an oversized payload, no buffer
+    /// is modified.
+    pub fn seal_suffix_batch_with(
+        &self,
+        reqs: &mut [SealRequest<'_>],
+        scratch: &mut CcmScratch,
+    ) -> Result<(), CryptoError> {
         for r in reqs.iter() {
             let Some(len) = r.buf.len().checked_sub(r.start) else {
                 return Err(CryptoError::InvalidParameter);
             };
             self.check_seal_params(r.nonce, len)?;
         }
-        let tags = self.cbc_mac_batch(reqs);
-
-        // Every packet's counter blocks (A_0 .. A_n), flattened into
-        // one keystream batch.
-        let mut spans = Vec::with_capacity(reqs.len());
-        let mut ks: Vec<[u8; 16]> = Vec::new();
-        for r in reqs.iter() {
-            spans.push(ks.len());
-            let nblocks = (r.buf.len() - r.start).div_ceil(16) as u64;
-            for ctr in 0..=nblocks {
-                ks.push(self.counter_block(r.nonce, ctr));
-            }
-        }
-        self.aes.encrypt_blocks(&mut ks);
-
-        for (r, (&off, tag)) in reqs.iter_mut().zip(spans.iter().zip(tags.iter())) {
-            let payload = &mut r.buf[r.start..];
-            for (chunk, key) in payload.chunks_mut(16).zip(ks[off + 1..].iter()) {
-                for (b, k) in chunk.iter_mut().zip(key.iter()) {
-                    *b ^= k;
-                }
-            }
-            let s0 = &ks[off];
-            for (t, k) in tag.iter().zip(s0.iter()).take(self.tag_len) {
-                r.buf.push(t ^ k);
-            }
+        for group in reqs.chunks_mut(LOCKSTEP_GROUP) {
+            self.lockstep::<true, _>(group, scratch);
         }
         Ok(())
     }
@@ -350,12 +411,17 @@ impl AesCcm {
         Ok(())
     }
 
+    /// [`AesCcm::open_suffix_batch_with`] on buffers allocated for this
+    /// one call. A caller opening batch after batch keeps a
+    /// [`CcmScratch`] and calls that instead.
+    pub fn open_suffix_batch(&self, reqs: &mut [OpenRequest<'_>]) -> Result<(), CryptoError> {
+        self.open_suffix_batch_with(reqs, &mut CcmScratch::default())
+    }
+
     /// Open many packets in one batched pass — the inbound mirror of
-    /// [`AesCcm::seal_suffix_batch`], built for a pool worker draining
-    /// a whole batch of protected datagrams at once. Every packet's
-    /// CTR keystream (including `S_0`) comes from one flattened
-    /// multi-block AES pass, and the CBC-MAC chains of all packets
-    /// advance in lockstep through the same wide encrypt.
+    /// [`AesCcm::seal_suffix_batch_with`], built for a pool worker
+    /// draining a whole batch of protected datagrams at once, on the
+    /// same lockstep core.
     ///
     /// Verification is all-or-nothing: if any packet has a bad
     /// parameter or a bad tag, *every* buffer is restored byte-exactly
@@ -363,8 +429,11 @@ impl AesCcm {
     /// the trial decryption) and no plaintext is exposed. A caller
     /// that needs to isolate the offending packet falls back to
     /// per-packet [`AesCcm::open_suffix_in_place`].
-    pub fn open_suffix_batch(&self, reqs: &mut [OpenRequest<'_>]) -> Result<(), CryptoError> {
-        let mut splits = Vec::with_capacity(reqs.len());
+    pub fn open_suffix_batch_with(
+        &self,
+        reqs: &mut [OpenRequest<'_>],
+        scratch: &mut CcmScratch,
+    ) -> Result<(), CryptoError> {
         for r in reqs.iter() {
             if r.nonce.len() != self.nonce_len() {
                 return Err(CryptoError::InvalidParameter);
@@ -372,125 +441,168 @@ impl AesCcm {
             let Some(suffix_len) = r.buf.len().checked_sub(r.start) else {
                 return Err(CryptoError::InvalidParameter);
             };
-            let Some(pt_len) = suffix_len.checked_sub(self.tag_len) else {
+            if suffix_len < self.tag_len {
                 return Err(CryptoError::AuthFailed);
-            };
-            splits.push(r.start + pt_len);
-        }
-
-        // Every packet's counter blocks (A_0 .. A_n), flattened into
-        // one keystream batch — same layout as the seal side.
-        let mut spans = Vec::with_capacity(reqs.len());
-        let mut ks: Vec<[u8; 16]> = Vec::new();
-        for (r, &split) in reqs.iter().zip(splits.iter()) {
-            spans.push(ks.len());
-            let nblocks = (split - r.start).div_ceil(16) as u64;
-            for ctr in 0..=nblocks {
-                ks.push(self.counter_block(r.nonce, ctr));
             }
         }
-        self.aes.encrypt_blocks(&mut ks);
-
-        // XOR each packet's data blocks with its keystream slice; an
-        // involution, so calling it twice restores the ciphertext.
-        let xor_data = |reqs: &mut [OpenRequest<'_>]| {
-            for ((r, &split), &off) in reqs.iter_mut().zip(splits.iter()).zip(spans.iter()) {
-                let data = &mut r.buf[r.start..split];
-                for (chunk, key) in data.chunks_mut(16).zip(ks[off + 1..].iter()) {
-                    for (b, k) in chunk.iter_mut().zip(key.iter()) {
-                        *b ^= k;
-                    }
-                }
+        let mut verified = true;
+        for group in reqs.chunks_mut(LOCKSTEP_GROUP) {
+            verified &= self.lockstep::<false, _>(group, scratch);
+        }
+        for r in reqs.iter_mut() {
+            let split = r.buf.len() - self.tag_len;
+            if verified {
+                r.buf.truncate(split);
+            } else {
+                // Re-XOR the keystream: restores the original
+                // ciphertext bytes exactly.
+                let mut discard = [0u8; 16];
+                self.ctr_stream(r.nonce, &mut discard, &mut r.buf[r.start..split]);
             }
-        };
-        xor_data(reqs); // trial decryption
-
-        // Batched CBC-MAC over the trial plaintexts.
-        let tags = self.cbc_mac_streams(
-            reqs.iter()
-                .zip(splits.iter())
-                .map(|(r, &split)| MacStream::new(self, r.nonce, r.aad, &r.buf[r.start..split]))
-                .collect(),
-        );
-
-        // Check every tag (no early exit) before deciding the batch.
-        let mut ok = true;
-        for ((r, &split), (&off, tag)) in reqs
-            .iter()
-            .zip(splits.iter())
-            .zip(spans.iter().zip(tags.iter()))
-        {
-            let s0 = &ks[off];
-            let mut recv_tag = [0u8; 16];
-            for i in 0..self.tag_len {
-                recv_tag[i] = r.buf[split + i] ^ s0[i];
-            }
-            ok &= ct_eq(&recv_tag[..self.tag_len], &tag[..self.tag_len]);
         }
-        if !ok {
-            xor_data(reqs); // restore the original ciphertext bytes
-            return Err(CryptoError::AuthFailed);
+        if verified {
+            Ok(())
+        } else {
+            Err(CryptoError::AuthFailed)
         }
-        for (r, &split) in reqs.iter_mut().zip(splits.iter()) {
-            r.buf.truncate(split);
-        }
-        Ok(())
     }
 
-    /// Compute the raw (unencrypted) CBC-MAC tag over the block
-    /// sequence [`MacStream`] yields.
+    /// The lockstep core of both batched paths, over one group of
+    /// validated requests. Sealing (`SEAL`), each message block is
+    /// MACed as plaintext and replaced by its ciphertext, and the tag is
+    /// appended. Opening, each block is decrypted in place and the
+    /// plaintext MACed; the tag is checked but the buffers are left for
+    /// the caller to truncate or restore. Returns whether every tag
+    /// verified (always `true` when sealing).
+    fn lockstep<const SEAL: bool, R: BatchItem>(
+        &self,
+        reqs: &mut [R],
+        scratch: &mut CcmScratch,
+    ) -> bool {
+        let CcmScratch {
+            spans,
+            keystream,
+            states,
+        } = scratch;
+        spans.clear();
+        spans.reserve_exact(reqs.len());
+        for (packet, r) in reqs.iter_mut().enumerate() {
+            let (_, aad, buf, start) = r.parts();
+            let end = if SEAL {
+                buf.len()
+            } else {
+                buf.len() - self.tag_len
+            };
+            spans.push(span(packet, aad.len(), start, end));
+        }
+        // Longest chain first: the chains still running at any round
+        // are then a prefix of the lanes.
+        spans.sort_unstable_by_key(|s| core::cmp::Reverse(s.blocks));
+
+        // The group's counter blocks, flattened into one wide encrypt;
+        // each lane's chain starts from its packet's B_0.
+        let total: usize = spans.iter().map(|s| msg_blocks(s) + 1).sum();
+        keystream.clear();
+        keystream.reserve_exact(total);
+        states.clear();
+        states.reserve_exact(spans.len());
+        for s in spans.iter_mut() {
+            let (nonce, aad, _, _) = reqs[s.packet].parts();
+            let a0 = self.counter_base(nonce);
+            s.ks = keystream.len();
+            keystream.extend((0..msg_blocks(s) + 1).map(|i| self.counter(a0, i)));
+            states.push(self.b0(a0, !aad.is_empty(), s.end - s.start));
+        }
+        self.aes.encrypt_blocks(keystream);
+
+        // Each round encrypts the live states in one call, retires the
+        // chains that just absorbed their last block (the tail of the
+        // live lanes), then feeds block `k` to the rest.
+        let mut verified = true;
+        let mut live = spans.len();
+        let mut k = 1;
+        while live > 0 {
+            self.aes.encrypt_blocks(&mut states[..live]);
+            while let Some(s) = spans[..live].last().filter(|s| s.blocks == k) {
+                live -= 1;
+                let tag = xor(states[live], keystream[s.ks]);
+                let (_, _, buf, _) = reqs[s.packet].parts();
+                if SEAL {
+                    buf.extend_from_slice(&tag[..self.tag_len]);
+                } else {
+                    verified &= ct_eq(&buf[s.end..s.end + self.tag_len], &tag[..self.tag_len]);
+                }
+            }
+            for (x, s) in states[..live].iter_mut().zip(spans.iter()) {
+                let (_, aad, buf, _) = reqs[s.packet].parts();
+                if k < s.head {
+                    *x = xor(*x, aad_block(aad, k - 1));
+                    continue;
+                }
+                let j = k - s.head;
+                let key = keystream[s.ks + 1 + j];
+                let rest = &mut buf[s.start + 16 * j..s.end];
+                if let Some(chunk) = rest.first_chunk_mut::<16>() {
+                    let input = *chunk;
+                    let output = xor(input, key);
+                    *chunk = output;
+                    *x = xor(*x, if SEAL { input } else { output });
+                } else {
+                    let input = load_partial(rest);
+                    let mask = front_mask(rest.len());
+                    let output = core::array::from_fn(|i| (input[i] ^ key[i]) & mask[i]);
+                    store_partial(rest, &output);
+                    *x = xor(*x, if SEAL { input } else { output });
+                }
+            }
+            k += 1;
+        }
+        verified
+    }
+
+    /// Compute the raw (unencrypted) CBC-MAC tag over the RFC 3610 §2.2
+    /// block sequence of one packet.
     fn cbc_mac(&self, nonce: &[u8], aad: &[u8], msg: &[u8]) -> [u8; 16] {
-        let mut stream = MacStream::new(self, nonce, aad, msg);
-        let mut x = [0u8; 16];
-        while stream.xor_next(&mut x) {
+        let mut x = self.b0(self.counter_base(nonce), !aad.is_empty(), msg.len());
+        self.aes.encrypt_block(&mut x);
+        for i in 0..head_blocks(aad.len()) - 1 {
+            x = xor(x, aad_block(aad, i));
+            self.aes.encrypt_block(&mut x);
+        }
+        for j in 0..msg.len().div_ceil(16) {
+            x = xor(x, load_block(msg, j));
             self.aes.encrypt_block(&mut x);
         }
         x
     }
 
-    /// CBC-MAC many packets at once: each packet's chain is the same
-    /// sequential recurrence, but the block encryptions of all packets
-    /// still alive at round `k` run through one wide
-    /// [`Aes128::encrypt_blocks`] call. Packets whose streams are
-    /// exhausted drop out; the survivors keep batching.
-    fn cbc_mac_batch(&self, reqs: &[SealRequest<'_>]) -> Vec<[u8; 16]> {
-        self.cbc_mac_streams(
-            reqs.iter()
-                .map(|r| MacStream::new(self, r.nonce, r.aad, &r.buf[r.start..]))
-                .collect(),
-        )
-    }
-
-    /// The interleaved CBC-MAC recurrence shared by the seal and open
-    /// batches, over pre-built per-packet block streams.
-    fn cbc_mac_streams(&self, mut streams: Vec<MacStream<'_>>) -> Vec<[u8; 16]> {
-        let n = streams.len();
-        let mut states = vec![[0u8; 16]; n];
-        let mut scratch = vec![[0u8; 16]; n];
-        let mut live: Vec<usize> = (0..n).collect();
-        loop {
-            live.retain(|&i| streams[i].xor_next(&mut states[i]));
-            if live.is_empty() {
-                return states;
-            }
-            for (slot, &i) in scratch.iter_mut().zip(live.iter()) {
-                *slot = states[i];
-            }
-            self.aes.encrypt_blocks(&mut scratch[..live.len()]);
-            for (slot, &i) in scratch.iter().zip(live.iter()) {
-                states[i] = *slot;
-            }
-        }
-    }
-
-    /// Build counter block A_i.
-    fn counter_block(&self, nonce: &[u8], counter: u64) -> [u8; 16] {
+    /// Counter block `A_0` (flags, nonce, zero counter) as a
+    /// big-endian integer: every other block of the packet — `A_i` and
+    /// `B_0` — is it with a field ORed in.
+    fn counter_base(&self, nonce: &[u8]) -> u128 {
         let mut a = [0u8; 16];
         a[0] = (self.l - 1) as u8;
-        a[1..1 + nonce.len()].copy_from_slice(nonce);
-        let ctr = counter.to_be_bytes();
-        a[16 - self.l..].copy_from_slice(&ctr[8 - self.l..]);
-        a
+        a[1..].copy_from_slice(&load_partial(nonce)[..15]);
+        u128::from_be_bytes(a)
+    }
+
+    /// `value` in the low `L` bytes of a block: its counter or length
+    /// field.
+    fn field(&self, value: u64) -> u128 {
+        u128::from(value) & ((1u128 << (8 * self.l)) - 1)
+    }
+
+    /// Counter block `A_i` of the packet whose `A_0` is `a0`.
+    fn counter(&self, a0: u128, i: usize) -> [u8; 16] {
+        (a0 | self.field(i as u64)).to_be_bytes()
+    }
+
+    /// `B_0` (RFC 3610 §2.2): `A_0`'s nonce under the MAC flags, with
+    /// the message length in the length field.
+    fn b0(&self, a0: u128, has_aad: bool, msg_len: usize) -> [u8; 16] {
+        let adata_flag = if has_aad { 0x40u128 } else { 0 };
+        let m_enc = ((self.tag_len - 2) / 2) as u128;
+        (a0 | (adata_flag | m_enc << 3) << 120 | self.field(msg_len as u64)).to_be_bytes()
     }
 
     /// Generate the whole CTR keystream in multi-block batches: `S_0`
@@ -500,12 +612,13 @@ impl AesCcm {
     fn ctr_stream(&self, nonce: &[u8], tag: &mut [u8; 16], data: &mut [u8]) {
         const BATCH: usize = 8;
         let nblocks = data.len().div_ceil(16) as u64;
+        let a0 = self.counter_base(nonce);
         let mut ks = [[0u8; 16]; BATCH];
         let mut next = 0u64;
         while next <= nblocks {
             let m = usize::min(BATCH, (nblocks - next + 1) as usize);
             for (i, block) in ks[..m].iter_mut().enumerate() {
-                *block = self.counter_block(nonce, next + i as u64);
+                *block = self.counter(a0, next as usize + i);
             }
             self.aes.encrypt_blocks(&mut ks[..m]);
             for (i, key) in ks[..m].iter().enumerate() {
@@ -529,102 +642,146 @@ impl AesCcm {
     }
 }
 
-/// The CBC-MAC block sequence of one packet: `B_0`, then the
-/// length-prefixed zero-padded AAD blocks, then the zero-padded message
-/// blocks (RFC 3610 §2.2). Both the sequential and the batched MAC pull
-/// blocks from this one derivation, so they cannot diverge.
-struct MacStream<'a> {
-    b0: [u8; 16],
-    /// AAD length prefix (2, 6 or 10 bytes, RFC 3610 §2.2).
-    prefix: [u8; 10],
-    prefix_len: usize,
-    aad: &'a [u8],
-    msg: &'a [u8],
-    /// Number of 16-byte blocks the AAD region occupies.
-    aad_blocks: usize,
-    /// Next block index to yield; `total` blocks overall.
-    next: usize,
-    total: usize,
+/// The span of a packet with `aad_len` bytes of AAD and data region
+/// `start..end`; its keystream offset is set by the core.
+fn span(packet: usize, aad_len: usize, start: usize, end: usize) -> Span {
+    let head = head_blocks(aad_len);
+    Span {
+        packet,
+        start,
+        end,
+        ks: 0,
+        head,
+        blocks: head + (end - start).div_ceil(16),
+    }
 }
 
-impl<'a> MacStream<'a> {
-    fn new(ccm: &AesCcm, nonce: &[u8], aad: &'a [u8], msg: &'a [u8]) -> Self {
-        // B_0: flags || nonce || message length.
-        let mut b0 = [0u8; 16];
-        let adata_flag = if aad.is_empty() { 0 } else { 0x40 };
-        let m_enc = ((ccm.tag_len - 2) / 2) as u8;
-        let l_enc = (ccm.l - 1) as u8;
-        b0[0] = adata_flag | (m_enc << 3) | l_enc;
-        b0[1..1 + nonce.len()].copy_from_slice(nonce);
-        let len_bytes = (msg.len() as u64).to_be_bytes();
-        b0[16 - ccm.l..].copy_from_slice(&len_bytes[8 - ccm.l..]);
+/// Message blocks of a span's data region.
+fn msg_blocks(s: &Span) -> usize {
+    (s.end - s.start).div_ceil(16)
+}
 
-        let mut prefix = [0u8; 10];
-        let alen = aad.len() as u64;
-        let prefix_len = if aad.is_empty() {
-            0
-        } else if alen < 0xFF00 {
-            prefix[..2].copy_from_slice(&(alen as u16).to_be_bytes());
-            2
-        } else if alen <= 0xFFFF_FFFF {
-            prefix[..2].copy_from_slice(&[0xff, 0xfe]);
-            prefix[2..6].copy_from_slice(&(alen as u32).to_be_bytes());
-            6
-        } else {
-            prefix[..2].copy_from_slice(&[0xff, 0xff]);
-            prefix[2..10].copy_from_slice(&alen.to_be_bytes());
-            10
-        };
-        let aad_blocks = (prefix_len + aad.len()).div_ceil(16);
-        let msg_blocks = msg.len().div_ceil(16);
-        MacStream {
-            b0,
-            prefix,
-            prefix_len,
-            aad,
-            msg,
-            aad_blocks,
-            next: 0,
-            total: 1 + aad_blocks + msg_blocks,
+/// Block `i` of the CBC-MAC's AAD region (RFC 3610 §2.2): the AAD's
+/// length prefix (2, 6 or 10 bytes, at the front of block 0), the AAD,
+/// then zero padding.
+fn aad_block(aad: &[u8], i: usize) -> [u8; 16] {
+    let lead = aad_prefix_len(aad.len());
+    let front = |n: usize| load_partial(&aad[..usize::min(n, aad.len())]);
+    if i > 0 {
+        let from = 16 * i - lead;
+        return load_partial(&aad[from..usize::min(from + 16, aad.len())]);
+    }
+    let mut block = [0u8; 16];
+    let alen = aad.len() as u64;
+    match lead {
+        2 => {
+            block[..2].copy_from_slice(&(alen as u16).to_be_bytes());
+            block[2..].copy_from_slice(&front(14)[..14]);
+        }
+        6 => {
+            block[..2].copy_from_slice(&[0xff, 0xfe]);
+            block[2..6].copy_from_slice(&(alen as u32).to_be_bytes());
+            block[6..].copy_from_slice(&front(10)[..10]);
+        }
+        _ => {
+            block[..2].copy_from_slice(&[0xff, 0xff]);
+            block[2..10].copy_from_slice(&alen.to_be_bytes());
+            block[10..].copy_from_slice(&front(6)[..6]);
         }
     }
+    block
+}
 
-    /// Byte `i` of the AAD region (prefix || aad || zero padding).
-    #[inline]
-    fn aad_byte(&self, i: usize) -> u8 {
-        if i < self.prefix_len {
-            self.prefix[i]
-        } else {
-            self.aad.get(i - self.prefix_len).copied().unwrap_or(0)
-        }
+/// Length of the AAD's length prefix: none without AAD, else 2, 6 or
+/// 10 bytes.
+fn aad_prefix_len(aad_len: usize) -> usize {
+    match aad_len as u64 {
+        0 => 0,
+        1..0xFF00 => 2,
+        0xFF00..=0xFFFF_FFFF => 6,
+        _ => 10,
     }
+}
 
-    /// XOR the next block of the sequence into `x`; `false` once the
-    /// stream is exhausted.
-    fn xor_next(&mut self, x: &mut [u8; 16]) -> bool {
-        if self.next == self.total {
-            return false;
-        }
-        let idx = self.next;
-        self.next += 1;
-        if idx == 0 {
-            for (xb, b) in x.iter_mut().zip(self.b0.iter()) {
-                *xb ^= b;
-            }
-        } else if idx <= self.aad_blocks {
-            let base = (idx - 1) * 16;
-            for (j, xb) in x.iter_mut().enumerate() {
-                *xb ^= self.aad_byte(base + j);
-            }
-        } else {
-            let base = (idx - 1 - self.aad_blocks) * 16;
-            let chunk = &self.msg[base..usize::min(base + 16, self.msg.len())];
-            for (xb, b) in x.iter_mut().zip(chunk.iter()) {
-                *xb ^= b;
-            }
-        }
-        true
+/// CBC-MAC blocks before the message: `B_0` plus the AAD region.
+fn head_blocks(aad_len: usize) -> usize {
+    1 + (aad_prefix_len(aad_len) + aad_len).div_ceil(16)
+}
+
+/// Message block `j` of `data`, zero padded.
+#[inline]
+fn load_block(data: &[u8], j: usize) -> [u8; 16] {
+    let rest = &data[16 * j..];
+    match rest.first_chunk::<16>() {
+        Some(full) => *full,
+        None => load_partial(rest),
     }
+}
+
+/// `src` (at most 16 bytes) at the front of a zero-padded block. The
+/// two overlapping fixed-size copies stand in for a variable-length
+/// `memcpy` call, which costs more than the rest of a block's visit.
+#[inline]
+fn load_partial(src: &[u8]) -> [u8; 16] {
+    let mut block = [0u8; 16];
+    let n = src.len();
+    if n >= 8 {
+        block[..8].copy_from_slice(&src[..8]);
+        block[n - 8..n].copy_from_slice(&src[n - 8..]);
+    } else if n >= 4 {
+        block[..4].copy_from_slice(&src[..4]);
+        block[n - 4..n].copy_from_slice(&src[n - 4..]);
+    } else if n >= 2 {
+        block[..2].copy_from_slice(&src[..2]);
+        block[n - 2..n].copy_from_slice(&src[n - 2..]);
+    } else if let Some(&byte) = src.first() {
+        block[0] = byte;
+    }
+    block
+}
+
+/// Write the front of `block` over `dst` (at most 16 bytes): the store
+/// mirror of [`load_partial`].
+#[inline]
+fn store_partial(dst: &mut [u8], block: &[u8; 16]) {
+    let n = dst.len();
+    if n >= 8 {
+        dst[..8].copy_from_slice(&block[..8]);
+        dst[n - 8..].copy_from_slice(&block[n - 8..n]);
+    } else if n >= 4 {
+        dst[..4].copy_from_slice(&block[..4]);
+        dst[n - 4..].copy_from_slice(&block[n - 4..n]);
+    } else if n >= 2 {
+        dst[..2].copy_from_slice(&block[..2]);
+        dst[n - 2..].copy_from_slice(&block[n - 2..n]);
+    } else if let Some(byte) = dst.first_mut() {
+        *byte = block[0];
+    }
+}
+
+/// A block whose first `n` (at most 16) bytes are `0xff`, the rest zero.
+#[inline]
+fn front_mask(n: usize) -> [u8; 16] {
+    const ONES_THEN_ZEROS: [u8; 32] = {
+        let mut m = [0u8; 32];
+        let mut i = 0;
+        while i < 16 {
+            m[i] = 0xff;
+            i += 1;
+        }
+        m
+    };
+    let window = &ONES_THEN_ZEROS[16 - n..];
+    core::array::from_fn(|i| window[i])
+}
+
+/// XOR of two blocks. Written bytewise so it compiles to one 16-byte
+/// vector XOR: a `u128` XOR splits into two 8-byte halves, and the
+/// AES kernel's 16-byte load of a state stored in halves cannot be
+/// forwarded from the store buffer.
+#[inline]
+fn xor(a: [u8; 16], b: [u8; 16]) -> [u8; 16] {
+    core::array::from_fn(|i| a[i] ^ b[i])
 }
 
 #[cfg(test)]
@@ -817,6 +974,92 @@ mod tests {
             for (i, buf) in bufs.iter().enumerate() {
                 assert_eq!(&buf[..3], &[0xEE, 0xFF, i as u8], "{}", backend.label());
                 assert_eq!(&buf[3..], plains[i], "{}", backend.label());
+            }
+        }
+    }
+
+    /// The lockstep core against the per-packet paths at every block
+    /// edge: plaintexts on both sides of one (the batch ending on a
+    /// block-aligned packet) crossed with AADs that do and do not fill
+    /// their blocks, then one scratch reused across batches of 1, 128
+    /// and 3 packets — sealed and opened on every backend.
+    #[test]
+    fn batch_matches_per_packet_at_block_edges_with_reused_scratch() {
+        const PLAIN: [usize; 7] = [0, 1, 15, 17, 33, 16, 32];
+        const AAD: [usize; 5] = [0, 13, 14, 30, 31];
+        let every: Vec<(usize, usize)> = PLAIN
+            .iter()
+            .flat_map(|&p| AAD.iter().map(move |&a| (p, a)))
+            .collect();
+        let reused: [Vec<(usize, usize)>; 3] = [
+            vec![(16, 13)],
+            every.iter().copied().cycle().take(128).collect(),
+            vec![(33, 31), (17, 0), (32, 30)],
+        ];
+        for backend in Backend::available() {
+            let ccm = AesCcm::with_backend(&[0x5A; 16], 8, 3, backend).unwrap();
+            let label = backend.label();
+            let check = |salt: usize, shapes: &[(usize, usize)], scratch: &mut CcmScratch| {
+                let nonces: Vec<[u8; 12]> = (0..shapes.len())
+                    .map(|i| core::array::from_fn(|j| (salt + i * 7 + j) as u8))
+                    .collect();
+                let aads: Vec<Vec<u8>> = shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(_, a))| (0..a).map(|j| ((salt ^ i) + j) as u8).collect())
+                    .collect();
+                // Two framing bytes, then the plaintext.
+                let framed: Vec<Vec<u8>> = shapes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(p, _))| {
+                        let mut buf = vec![0xEE, i as u8];
+                        buf.extend((0..p).map(|j| (salt + 3 * i + j) as u8));
+                        buf
+                    })
+                    .collect();
+                let mut expect = framed.clone();
+                for (i, buf) in expect.iter_mut().enumerate() {
+                    ccm.seal_suffix_in_place(&nonces[i], &aads[i], buf, 2)
+                        .unwrap();
+                }
+                let mut bufs = framed.clone();
+                let mut reqs: Vec<SealRequest<'_>> = bufs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, buf)| SealRequest {
+                        nonce: &nonces[i],
+                        aad: &aads[i],
+                        buf,
+                        start: 2,
+                    })
+                    .collect();
+                ccm.seal_suffix_batch_with(&mut reqs, scratch).unwrap();
+                assert_eq!(bufs, expect, "{label}: seal of {shapes:?}");
+
+                let mut one_by_one = expect.clone();
+                for (i, buf) in one_by_one.iter_mut().enumerate() {
+                    ccm.open_suffix_in_place(&nonces[i], &aads[i], buf, 2)
+                        .unwrap();
+                }
+                assert_eq!(one_by_one, framed, "{label}: per-packet open");
+                let mut reqs: Vec<OpenRequest<'_>> = bufs
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, buf)| OpenRequest {
+                        nonce: &nonces[i],
+                        aad: &aads[i],
+                        buf,
+                        start: 2,
+                    })
+                    .collect();
+                ccm.open_suffix_batch_with(&mut reqs, scratch).unwrap();
+                assert_eq!(bufs, framed, "{label}: open of {shapes:?}");
+            };
+            check(1, &every, &mut CcmScratch::default());
+            let mut scratch = CcmScratch::default();
+            for (salt, shapes) in reused.iter().enumerate() {
+                check(salt + 2, shapes, &mut scratch);
             }
         }
     }

@@ -48,6 +48,9 @@ pub enum DtlsError {
     BadCipherSuite,
     /// The handshake has not completed yet.
     NotConnected,
+    /// The 48-bit record sequence space is used up; sealing another
+    /// record under these keys would reuse a nonce.
+    SeqExhausted,
 }
 
 impl core::fmt::Display for DtlsError {
@@ -61,6 +64,7 @@ impl core::fmt::Display for DtlsError {
             DtlsError::BadCookie => write!(f, "cookie verification failed"),
             DtlsError::BadCipherSuite => write!(f, "unsupported cipher suite"),
             DtlsError::NotConnected => write!(f, "handshake not complete"),
+            DtlsError::SeqExhausted => write!(f, "record sequence numbers exhausted"),
         }
     }
 }

@@ -56,6 +56,24 @@ pub const RECORD_HEADER_LEN: usize = 13;
 pub const EXPLICIT_NONCE_LEN: usize = 8;
 /// CCM-8 tag length.
 pub const TAG_LEN: usize = 8;
+/// Where a protected record's ciphertext starts in its wire form:
+/// after the record header and the explicit nonce.
+pub const CIPHERTEXT_OFFSET: usize = RECORD_HEADER_LEN + EXPLICIT_NONCE_LEN;
+/// The largest record sequence number. The record header and the
+/// explicit nonce carry 48 bits of it (RFC 6347 §4.1), so sealing past
+/// it would repeat an earlier record's CCM nonce.
+pub const MAX_SEQ: u64 = (1 << 48) - 1;
+
+/// The 13-byte header of a record with a `payload_len`-byte payload;
+/// the sequence number is cut to its 48 wire bits.
+fn header(ctype: ContentType, epoch: u16, seq: u64, payload_len: usize) -> [u8; RECORD_HEADER_LEN] {
+    let [v0, v1] = VERSION_DTLS12;
+    let [e0, e1] = epoch.to_be_bytes();
+    let [_, _, s2, s3, s4, s5, s6, s7] = seq.to_be_bytes();
+    let [l0, l1] = (payload_len as u16).to_be_bytes();
+    let t = ctype.to_u8();
+    [t, v0, v1, e0, e1, s2, s3, s4, s5, s6, s7, l0, l1]
+}
 
 /// One DTLS record (possibly protected payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,12 +100,12 @@ impl Record {
     /// buffer, and appendable, so a multi-record datagram (flight) can
     /// be assembled in one buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let [_, _, s2, s3, s4, s5, s6, s7] = self.seq.to_be_bytes();
-        out.push(self.ctype.to_u8());
-        out.extend_from_slice(&VERSION_DTLS12);
-        out.extend_from_slice(&self.epoch.to_be_bytes());
-        out.extend_from_slice(&[s2, s3, s4, s5, s6, s7]); // 48 bits
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        out.extend_from_slice(&header(
+            self.ctype,
+            self.epoch,
+            self.seq,
+            self.payload.len(),
+        ));
         out.extend_from_slice(&self.payload);
     }
 
@@ -237,6 +255,16 @@ pub struct RecordSeal<'a> {
     pub plaintext: &'a [u8],
 }
 
+/// The CCM nonce and AAD that protect one record (see
+/// [`CipherState::frame_in_place`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RecordCrypto {
+    /// `write_IV(4) || explicit_nonce(8)`.
+    pub nonce: [u8; 12],
+    /// `epoch || seq || type || version || plaintext_length`.
+    pub aad: [u8; 13],
+}
+
 /// Write-direction cipher state for `TLS_PSK_WITH_AES_128_CCM_8`.
 pub struct CipherState {
     ccm: AesCcm,
@@ -281,6 +309,34 @@ impl CipherState {
         ]
     }
 
+    /// The explicit nonce and the CCM nonce and AAD of record
+    /// (`ctype`, `epoch`, `seq`) with a `len`-byte plaintext. A
+    /// sequence number past [`MAX_SEQ`] would reuse a nonce and is
+    /// refused, as is a plaintext too long for the record's 16-bit
+    /// length field.
+    fn protect_params(
+        &self,
+        ctype: ContentType,
+        epoch: u16,
+        seq: u64,
+        len: usize,
+    ) -> Result<([u8; EXPLICIT_NONCE_LEN], RecordCrypto), DtlsError> {
+        if seq > MAX_SEQ {
+            return Err(DtlsError::SeqExhausted);
+        }
+        if len > usize::from(u16::MAX) - Self::OVERHEAD {
+            return Err(DtlsError::Malformed);
+        }
+        let [e0, e1] = epoch.to_be_bytes();
+        let [_, _, s2, s3, s4, s5, s6, s7] = seq.to_be_bytes();
+        let explicit = [e0, e1, s2, s3, s4, s5, s6, s7];
+        let crypto = RecordCrypto {
+            nonce: self.nonce(&explicit),
+            aad: Self::aad(ctype, epoch, seq, len),
+        };
+        Ok((explicit, crypto))
+    }
+
     /// Protect a plaintext into a record payload
     /// (`explicit_nonce || ciphertext || tag`). The explicit nonce is
     /// the epoch+sequence (a common, RFC-sanctioned choice).
@@ -291,17 +347,13 @@ impl CipherState {
         seq: u64,
         plaintext: &[u8],
     ) -> Result<Vec<u8>, DtlsError> {
-        let [e0, e1] = epoch.to_be_bytes();
-        let [_, _, s2, s3, s4, s5, s6, s7] = seq.to_be_bytes();
-        let explicit = [e0, e1, s2, s3, s4, s5, s6, s7];
-        let nonce = self.nonce(&explicit);
-        let aad = Self::aad(ctype, epoch, seq, plaintext.len());
+        let (explicit, crypto) = self.protect_params(ctype, epoch, seq, plaintext.len())?;
         // Seal straight after the explicit nonce: one output buffer,
         // no intermediate ciphertext allocation.
-        let mut out = Vec::with_capacity(EXPLICIT_NONCE_LEN + plaintext.len() + TAG_LEN);
+        let mut out = Vec::with_capacity(Self::OVERHEAD + plaintext.len());
         out.extend_from_slice(&explicit);
         self.ccm
-            .seal_into(&nonce, &aad, plaintext, &mut out)
+            .seal_into(&crypto.nonce, &crypto.aad, plaintext, &mut out)
             .map_err(|_| DtlsError::Crypto)?;
         Ok(out)
     }
@@ -312,39 +364,28 @@ impl CipherState {
     ///
     /// The CBC-MAC chains of every record advance in lockstep and the
     /// CTR keystreams are generated in one flattened multi-block AES
-    /// pass ([`AesCcm::seal_suffix_batch`]), so a `ProxyPool` worker
-    /// that drained a `pop_batch` of queries amortizes the whole
-    /// batch's keystream setup. Validation is all-or-nothing.
+    /// pass ([`AesCcm::seal_suffix_batch`]). Validation is
+    /// all-or-nothing. This allocates every payload; a caller whose
+    /// plaintexts already sit in buffers that should become the record
+    /// wire frames them with [`CipherState::frame_in_place`] instead.
     pub fn seal_batch(&self, items: &[RecordSeal<'_>]) -> Result<Vec<Vec<u8>>, DtlsError> {
-        let mut outs: Vec<Vec<u8>> = items
-            .iter()
-            .map(|it| {
-                let mut out = Vec::with_capacity(EXPLICIT_NONCE_LEN + it.plaintext.len() + TAG_LEN);
-                let [e0, e1] = it.epoch.to_be_bytes();
-                let [_, _, s2, s3, s4, s5, s6, s7] = it.seq.to_be_bytes();
-                out.extend_from_slice(&[e0, e1, s2, s3, s4, s5, s6, s7]);
-                out.extend_from_slice(it.plaintext);
-                out
-            })
-            .collect();
-        let nonces: Vec<[u8; 12]> = items
-            .iter()
-            .map(|it| {
-                let [e0, e1] = it.epoch.to_be_bytes();
-                let [_, _, s2, s3, s4, s5, s6, s7] = it.seq.to_be_bytes();
-                self.nonce(&[e0, e1, s2, s3, s4, s5, s6, s7])
-            })
-            .collect();
-        let aads: Vec<[u8; 13]> = items
-            .iter()
-            .map(|it| Self::aad(it.ctype, it.epoch, it.seq, it.plaintext.len()))
-            .collect();
+        let mut outs = Vec::with_capacity(items.len());
+        let mut params = Vec::with_capacity(items.len());
+        for it in items {
+            let (explicit, crypto) =
+                self.protect_params(it.ctype, it.epoch, it.seq, it.plaintext.len())?;
+            let mut out = Vec::with_capacity(Self::OVERHEAD + it.plaintext.len());
+            out.extend_from_slice(&explicit);
+            out.extend_from_slice(it.plaintext);
+            outs.push(out);
+            params.push(crypto);
+        }
         let mut reqs: Vec<SealRequest<'_>> = outs
             .iter_mut()
-            .zip(nonces.iter().zip(aads.iter()))
-            .map(|(buf, (nonce, aad))| SealRequest {
-                nonce,
-                aad,
+            .zip(params.iter())
+            .map(|(buf, crypto)| SealRequest {
+                nonce: &crypto.nonce,
+                aad: &crypto.aad,
                 buf,
                 start: EXPLICIT_NONCE_LEN,
             })
@@ -353,6 +394,37 @@ impl CipherState {
             .seal_suffix_batch(&mut reqs)
             .map_err(|_| DtlsError::Crypto)?;
         Ok(outs)
+    }
+
+    /// Frame the plaintext in `buf` as record (`ctype`, `epoch`,
+    /// `seq`), in place: the record header and the explicit nonce are
+    /// written in front of it, and the returned nonce and AAD then seal
+    /// the suffix at [`CIPHERTEXT_OFFSET`] through [`CipherState::ccm`]
+    /// — batch after batch with [`AesCcm::seal_suffix_batch_with`].
+    /// Once sealed, `buf` holds exactly the wire of a [`Record`] whose
+    /// payload [`CipherState::seal`] produced: the header's length
+    /// already counts the tag the seal appends. On error (see
+    /// [`MAX_SEQ`]) `buf` is left untouched.
+    pub fn frame_in_place(
+        &self,
+        ctype: ContentType,
+        epoch: u16,
+        seq: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<RecordCrypto, DtlsError> {
+        let len = buf.len();
+        let (explicit, crypto) = self.protect_params(ctype, epoch, seq, len)?;
+        // Exact: a reused buffer settles at record size, not double.
+        buf.reserve_exact(CIPHERTEXT_OFFSET + TAG_LEN);
+        let header = header(ctype, epoch, seq, len + Self::OVERHEAD);
+        buf.splice(..0, header.into_iter().chain(explicit));
+        Ok(crypto)
+    }
+
+    /// The AEAD this state seals with, for sealing framed records (see
+    /// [`CipherState::frame_in_place`]).
+    pub fn ccm(&self) -> &AesCcm {
+        &self.ccm
     }
 
     /// Unprotect a record payload.
@@ -654,6 +726,48 @@ mod tests {
             Err(DtlsError::Crypto)
         );
         assert_eq!(buf, vec![0x77]);
+    }
+
+    /// A record framed in place and sealed at `CIPHERTEXT_OFFSET` is
+    /// the encoded record of `seal`'s payload; a sequence number past
+    /// 48 bits is refused on every seal path, leaving buffers as they
+    /// were.
+    #[test]
+    fn frame_in_place_matches_sealed_record_and_refuses_seq_wrap() {
+        let cs = CipherState::new(&[7u8; 16], [1, 2, 3, 4]);
+        let ct = ContentType::ApplicationData;
+        for (seq, len) in [(0u64, 0usize), (5, 1), (MAX_SEQ, 100)] {
+            let plain: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            let mut buf = plain.clone();
+            let crypto = cs.frame_in_place(ct, 3, seq, &mut buf).unwrap();
+            cs.ccm()
+                .seal_suffix_in_place(&crypto.nonce, &crypto.aad, &mut buf, CIPHERTEXT_OFFSET)
+                .unwrap();
+            let expect = Record {
+                ctype: ct,
+                epoch: 3,
+                seq,
+                payload: cs.seal(ct, 3, seq, &plain).unwrap(),
+            };
+            assert_eq!(buf, expect.encode(), "seq {seq} len {len}");
+        }
+        let mut buf = b"reply".to_vec();
+        assert_eq!(
+            cs.frame_in_place(ct, 3, MAX_SEQ + 1, &mut buf).unwrap_err(),
+            DtlsError::SeqExhausted
+        );
+        assert_eq!(buf, b"reply");
+        assert_eq!(
+            cs.seal(ct, 3, MAX_SEQ + 1, b"reply"),
+            Err(DtlsError::SeqExhausted)
+        );
+        let item = RecordSeal {
+            ctype: ct,
+            epoch: 3,
+            seq: 1 << 48,
+            plaintext: b"reply",
+        };
+        assert_eq!(cs.seal_batch(&[item]), Err(DtlsError::SeqExhausted));
     }
 
     #[test]

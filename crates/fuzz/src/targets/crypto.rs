@@ -7,17 +7,20 @@
 //! an entropy pool the target derives keys, nonces, AAD and plaintext
 //! from. Each implementation pair must then agree *byte-exactly*:
 //! the bitsliced and AES-NI backends must seal identically to the
-//! scalar reference ([`Backend::Reference`]), `seal_suffix_batch` must
-//! match per-packet `seal_suffix_in_place`, a tampered ciphertext must
-//! fail on every backend and leave the in-place buffer restored, and
+//! scalar reference ([`Backend::Reference`]), `seal_suffix_batch` and
+//! `open_suffix_batch` must match per-packet `seal_suffix_in_place`
+//! and `open_suffix_in_place`, a tampered ciphertext must fail on every
+//! backend — alone or inside a batch — and leave every buffer restored,
+//! and
 //! the SHA-NI and portable SHA-256 schedules must hash identically.
 //! Any disagreement is a divergence the engine shrinks, so every CI
 //! run cross-checks the vector paths against the reference on mutated
 //! inputs — not just on the fixed known-answer vectors.
 
 use doc_crypto::backend::Backend;
-use doc_crypto::ccm::{AesCcm, SealRequest};
+use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
 use doc_crypto::sha256::{sha256, sha256_portable};
+use doc_crypto::CryptoError;
 use doc_oscore::context::SecurityContext;
 use doc_oscore::protect::OscoreEndpoint;
 
@@ -154,6 +157,63 @@ impl DifferentialTarget for CryptoTarget {
             if bufs != expect {
                 return Err(format!(
                     "{}: seal_suffix_batch diverges from sequential sealing",
+                    backend.label()
+                ));
+            }
+
+            // Batched opening of the same mixed-length packets must
+            // match per-packet opening.
+            let one_by_one: Vec<Vec<u8>> = expect
+                .iter()
+                .zip(nonces.iter())
+                .map(|(sealed, n)| {
+                    let mut buf = sealed.clone();
+                    ccm.open_suffix_in_place(n, aad, &mut buf, 0)
+                        .map(|()| buf)
+                        .map_err(|e| format!("{}: chunk open failed: {e:?}", backend.label()))
+                })
+                .collect::<Result<_, _>>()?;
+            let open_batch = |bufs: &mut [Vec<u8>]| {
+                let mut reqs: Vec<OpenRequest<'_>> = bufs
+                    .iter_mut()
+                    .zip(nonces.iter())
+                    .map(|(buf, n)| OpenRequest {
+                        nonce: n,
+                        aad,
+                        buf,
+                        start: 0,
+                    })
+                    .collect();
+                ccm.open_suffix_batch(&mut reqs)
+            };
+            open_batch(&mut bufs)
+                .map_err(|e| format!("{}: open_suffix_batch failed: {e:?}", backend.label()))?;
+            if bufs != one_by_one || bufs != chunks {
+                return Err(format!(
+                    "{}: open_suffix_batch diverges from sequential opening",
+                    backend.label()
+                ));
+            }
+
+            // One tampered packet fails the whole batch and leaves every
+            // buffer exactly as it was.
+            let mut forged = expect.clone();
+            let victim = input[3] as usize % forged.len();
+            let at = input[0] as usize % forged[victim].len();
+            forged[victim][at] ^= 1 << (input[2] % 8);
+            let before = forged.clone();
+            match open_batch(&mut forged) {
+                Err(CryptoError::AuthFailed) => {}
+                other => {
+                    return Err(format!(
+                        "{}: batch with a tampered packet gave {other:?}",
+                        backend.label()
+                    ))
+                }
+            }
+            if forged != before {
+                return Err(format!(
+                    "{}: failed batch open did not restore every buffer",
                     backend.label()
                 ));
             }

@@ -15,7 +15,7 @@
 //! ```
 
 use crate::{varint, QuicError};
-use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
+use doc_crypto::ccm::{recycle, AesCcm, CcmScratch, OpenRequest, SealRequest};
 use doc_crypto::hkdf;
 
 /// First byte of a QUIC-lite long-header (handshake) packet.
@@ -175,30 +175,56 @@ impl PacketKeys {
         })
     }
 
+    /// [`PacketKeys::open_batch_with`] on buffers allocated for this
+    /// one call.
+    pub fn open_batch(&self, items: &mut [PacketOpen<'_>]) -> Result<(), QuicError> {
+        self.open_batch_with(items, &mut OpenScratch::default())
+    }
+
     /// Open a whole batch of 1-RTT packet bodies in one pass — the
     /// inbound mirror of [`PacketKeys::seal_batch`] for a worker
     /// draining many protected datagrams at once
-    /// ([`AesCcm::open_suffix_batch`]). Each item's `buf[start..]`
+    /// ([`AesCcm::open_suffix_batch_with`]). Each item's `buf[start..]`
     /// holds `ciphertext || tag` and becomes the plaintext on success.
     /// All-or-nothing: on any failure every buffer is restored
     /// byte-exactly; fall back to per-packet [`PacketKeys::open`] to
-    /// isolate the forged datagram.
-    pub fn open_batch(&self, items: &mut [PacketOpen<'_>]) -> Result<(), QuicError> {
-        let nonces: Vec<[u8; 12]> = items.iter().map(|it| self.nonce(it.pn)).collect();
-        let mut reqs: Vec<OpenRequest<'_>> = items
-            .iter_mut()
-            .zip(nonces.iter())
-            .map(|(it, nonce)| OpenRequest {
-                nonce,
-                aad: it.header,
-                buf: &mut *it.buf,
-                start: it.start,
-            })
-            .collect();
-        self.ccm
-            .open_suffix_batch(&mut reqs)
-            .map_err(|_| QuicError::Crypto)
+    /// isolate the forged datagram. `scratch` is reused across calls,
+    /// so a warm batch allocates nothing.
+    pub fn open_batch_with(
+        &self,
+        items: &mut [PacketOpen<'_>],
+        scratch: &mut OpenScratch,
+    ) -> Result<(), QuicError> {
+        let OpenScratch { ccm, nonces, reqs } = scratch;
+        nonces.clear();
+        nonces.extend(items.iter().map(|it| self.nonce(it.pn)));
+        let mut batch = recycle(std::mem::take(reqs));
+        batch.extend(
+            items
+                .iter_mut()
+                .zip(nonces.iter())
+                .map(|(it, nonce)| OpenRequest {
+                    nonce,
+                    aad: it.header,
+                    buf: &mut *it.buf,
+                    start: it.start,
+                }),
+        );
+        let opened = self.ccm.open_suffix_batch_with(&mut batch, ccm);
+        *reqs = recycle(batch);
+        opened.map_err(|_| QuicError::Crypto)
     }
+}
+
+/// The buffers of [`PacketKeys::open_batch_with`], held by the caller
+/// across batches: empty until first used, then grown to the largest
+/// batch seen.
+#[derive(Default)]
+pub struct OpenScratch {
+    ccm: CcmScratch,
+    nonces: Vec<[u8; 12]>,
+    /// Emptied between calls; parked at `'static` (see [`recycle`]).
+    reqs: Vec<OpenRequest<'static>>,
 }
 
 /// One packet of a batched 1-RTT open (see [`PacketKeys::open_batch`]).
