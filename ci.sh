@@ -2,6 +2,9 @@
 # One-command gate for this repository. Later PRs must keep this green.
 #
 #   ./ci.sh          # full: tier-1 + smoke benches + parsed JSON gates
+#                    #       (the throughput bench's BENCH_proxy.json
+#                    #       and the doc-bench load generator's own
+#                    #       artifact both pass bench_gate proxy)
 #                    #       + the standalone benchmark's tests and a
 #                    #       1 s correctness run of each of its four
 #                    #       workloads + format + lints
@@ -17,11 +20,9 @@
 #                    # gate (bench_gate proxy --require-scaling; the
 #                    # required ratio follows the machine parallelism
 #                    # recorded in BENCH_proxy.json: >=2x on >=4 cores,
-#                    # a no-collapse bound below — the >=2x bound stays
-#                    # dormant on smaller runners but is always present
-#                    # in the v4 schema), the zero-alloc pool gate
-#                    # (allocs_per_req < 1 on the 4-worker CoAP sim
-#                    # path, always enforced),
+#                    # a no-collapse bound below), the zero-alloc pool
+#                    # gate (allocs_per_req < 1 on the 4-worker row,
+#                    # always enforced),
 #                    # the congested-bottleneck recovery gate (all
 #                    # three congestion controllers' rows present and
 #                    # both adaptive p99s below the fixed-RTO oracle;
@@ -155,6 +156,14 @@ case "$mode" in
         echo "==> crypto-bench smoke (emits BENCH_crypto.json; per-backend seal/open/batch rows)"
         BENCH_WARMUP_MS=10 BENCH_MEASURE_MS=25 cargo bench -p doc-bench --bench crypto
         run_gate codecs BENCH_codecs.json proxy BENCH_proxy.json crypto BENCH_crypto.json
+        # The load generator writes the same v5 artifact as the bench.
+        # Each run's warm-up (fresh wire buffers, first-drain reply
+        # buffers per worker) costs ~2k allocations at 4 workers, so
+        # the window must be long enough for the per-request bound.
+        echo "==> load-generator smoke (emits target/BENCH_loadgen.json)"
+        cargo run --release -q -p doc-bench --bin doc-bench -- \
+            --workers 1,2,4,8 --requests 20000 --json target/BENCH_loadgen.json
+        run_gate proxy target/BENCH_loadgen.json
         echo "==> cargo fmt --check"
         cargo fmt --check
         echo "==> cargo clippy --workspace --all-targets -- -D warnings"

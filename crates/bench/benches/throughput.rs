@@ -3,9 +3,8 @@
 //!
 //! Replays the DoC query mix closed-loop through the sharded
 //! proxy/server behind the SPMC-ring worker pool at 1/2/4/8 workers,
-//! adds one row per stream transport (DoQ/DoH/DoT framing over the
-//! same pool), prints a summary table, and emits `BENCH_proxy.json`
-//! (schema `doc-bench/proxy/v3`, path overridable via
+//! prints a summary table, and emits `BENCH_proxy.json`
+//! (schema `doc-bench/proxy/v5`, path overridable via
 //! `BENCH_PROXY_JSON`) for the `bench_gate` CI check. The artifact
 //! also carries one congested-bottleneck `recovery` row per
 //! congestion controller (fixed_rto / cubic / bbr_lite), produced by
@@ -31,9 +30,7 @@
 //! oversubscription does not collapse throughput.
 
 use doc_bench::alloc_counter::{alloc_count, CountingAllocator};
-use doc_bench::throughput::{
-    env_u64, proxy_json, recovery_rows, run_load, stream_modes, LoadSpec, WORKER_SWEEP,
-};
+use doc_bench::throughput::{env_u64, proxy_json, recovery_rows, run_load, LoadSpec, WORKER_SWEEP};
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
@@ -54,30 +51,18 @@ fn main() {
         base.total_requests, base.concurrency, base.unique_names, base.shards, cores
     );
     println!(
-        "{:<10} {:<8} {:>12} {:>10} {:>10} {:>12} {:>10}",
-        "transport", "workers", "req/s", "p50 µs", "p99 µs", "allocs/req", "hit rate"
+        "{:<8} {:>12} {:>10} {:>10} {:>12} {:>10}",
+        "workers", "req/s", "p50 µs", "p99 µs", "allocs/req", "hit rate"
     );
     let mut rows = Vec::new();
-    // CoAP worker sweep (the scale-out tentpole) followed by one row
-    // per stream transport (DoQ/DoH/DoT application hot path) at the
-    // 4-worker point — the row set bench_gate's v2 schema requires.
-    let mut specs: Vec<LoadSpec> = WORKER_SWEEP
-        .iter()
-        .map(|&w| LoadSpec {
-            workers: w,
+    for workers in WORKER_SWEEP {
+        let spec = LoadSpec {
+            workers,
             ..base.clone()
-        })
-        .collect();
-    specs.extend(stream_modes().into_iter().map(|mode| LoadSpec {
-        workers: 4,
-        mode,
-        ..base.clone()
-    }));
-    for spec in specs {
+        };
         let row = run_load(&spec, &alloc_count);
         println!(
-            "{:<10} {:<8} {:>12.0} {:>10.1} {:>10.1} {:>12.1} {:>9.1}%",
-            row.mode.label(),
+            "{:<8} {:>12.0} {:>10.1} {:>10.1} {:>12.1} {:>9.1}%",
             row.workers,
             row.req_per_s,
             row.p50_us,
@@ -88,17 +73,14 @@ fn main() {
         // Machine-independent sanity: a healthy closed loop answers
         // every request, from a hit-dominated steady state.
         assert_eq!(
-            row.replies,
-            row.requests,
-            "lost replies at {} workers ({})",
-            row.workers,
-            row.mode.label()
+            row.replies, row.requests,
+            "lost replies at {} workers",
+            row.workers
         );
         assert!(
             row.cache_hit_rate > 0.9,
-            "steady state not hit-dominated at {} workers ({}): {}",
+            "steady state not hit-dominated at {} workers: {}",
             row.workers,
-            row.mode.label(),
             row.cache_hit_rate
         );
         rows.push(row);

@@ -10,24 +10,21 @@
 //! ```
 //!
 //! All flags are optional; the defaults match the `throughput` bench.
-//! `--transport coap|doq|doh|dot` selects the wire format the pool
-//! serves (default `coap`). With `--json PATH` the run also emits the
-//! rows in the `doc-bench/proxy/v4` format — note the full `bench_gate`
-//! check additionally requires the complete transport row set, which
-//! the `throughput` bench produces.
+//! Worker counts and `--names` must be at least 1. With `--json PATH`
+//! the run also writes a `doc-bench/proxy/v5` artifact; a 1,2,4,8
+//! sweep passes `bench_gate proxy` like the bench's own.
 
 use doc_bench::alloc_counter::{alloc_count, CountingAllocator};
 use doc_bench::throughput::{
     proxy_json, recovery_rows, run_load, LoadSpec, ThroughputRow, WORKER_SWEEP,
 };
-use doc_core::pool::ServeMode;
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 const USAGE: &str = "usage: doc-bench [--workers N,N,..] [--requests N] [--concurrency N] \
-                     [--names N] [--shards N] [--get-permille N] \
-                     [--transport coap|doq|doh|dot] [--json PATH]";
+                     [--names N] [--shards N] [--get-permille N] [--json PATH]\n\
+                     worker counts and --names must be >= 1";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -36,8 +33,7 @@ fn usage() -> ! {
 
 fn print_row(r: &ThroughputRow) {
     println!(
-        "{:<5} {:>3} workers  {:>10.0} req/s  p50 {:>8.1} µs  p99 {:>8.1} µs  {:>6.1} allocs/req  hit rate {:>5.1}%",
-        r.mode.label(),
+        "{:>3} workers  {:>10.0} req/s  p50 {:>8.1} µs  p99 {:>8.1} µs  {:>6.1} allocs/req  hit rate {:>5.1}%",
         r.workers,
         r.req_per_s,
         r.p50_us,
@@ -61,26 +57,22 @@ fn main() {
                 let list = it.next().unwrap_or_else(|| usage());
                 workers = list
                     .split(',')
-                    .map(|w| w.trim().parse().unwrap_or_else(|_| usage()))
+                    .map(|w| match w.trim().parse() {
+                        Ok(n) if n > 0 => n,
+                        _ => usage(),
+                    })
                     .collect();
-                if workers.is_empty() {
-                    usage();
-                }
             }
             "--requests" => base.total_requests = parse_num(it.next()),
             "--concurrency" => base.concurrency = parse_num(it.next()) as usize,
-            "--names" => base.unique_names = parse_num(it.next()) as u32,
-            "--shards" => base.shards = parse_num(it.next()) as usize,
-            "--get-permille" => base.get_permille = parse_num(it.next()) as u32,
-            "--transport" => {
-                base.mode = match it.next().map(String::as_str) {
-                    Some("coap") => ServeMode::Coap,
-                    Some("doq") => ServeMode::Doq,
-                    Some("doh") => ServeMode::DohLite,
-                    Some("dot") => ServeMode::Dot,
-                    _ => usage(),
+            "--names" => {
+                base.unique_names = parse_num(it.next()) as u32;
+                if base.unique_names == 0 {
+                    usage();
                 }
             }
+            "--shards" => base.shards = parse_num(it.next()) as usize,
+            "--get-permille" => base.get_permille = parse_num(it.next()) as u32,
             "--json" => json_path = Some(it.next().unwrap_or_else(|| usage()).clone()),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -104,7 +96,7 @@ fn main() {
         rows.push(row);
     }
     if let Some(path) = json_path {
-        // The artifact must satisfy the v4 schema, so the ad-hoc
+        // The artifact must satisfy the v5 schema, so the ad-hoc
         // loadgen run carries the same deterministic recovery rows
         // the full bench emits.
         std::fs::write(&path, proxy_json(&rows, &recovery_rows())).expect("write JSON artifact");

@@ -16,7 +16,7 @@
 //! live in the final binary), and the proxy cache hit rate.
 
 use doc_core::policy::CachePolicy;
-use doc_core::pool::{Datagram, ProxyPool, ServeMode};
+use doc_core::pool::{Datagram, ProxyPool};
 use doc_core::server::{DocServer, MockUpstream};
 use doc_core::transport::experiment_name;
 use doc_core::{CoapProxy, DocMethod};
@@ -39,13 +39,10 @@ pub struct LoadSpec {
     /// Distinct names in the replayed mix.
     pub unique_names: u32,
     /// GET share of the mix in permille (rest is FETCH, the paper's
-    /// preferred method; CoAP mode only).
+    /// preferred method).
     pub get_permille: u32,
     /// Upstream TTL in seconds (large = cache-hit steady state).
     pub ttl_s: u32,
-    /// Wire format the pool serves (CoAP proxy path or a DoQ/DoH/DoT
-    /// stream framing).
-    pub mode: ServeMode,
 }
 
 impl Default for LoadSpec {
@@ -58,7 +55,6 @@ impl Default for LoadSpec {
             unique_names: 256,
             get_permille: 300,
             ttl_s: 3600,
-            mode: ServeMode::Coap,
         }
     }
 }
@@ -66,8 +62,6 @@ impl Default for LoadSpec {
 /// Result of one throughput run (one `BENCH_proxy.json` row).
 #[derive(Debug, Clone)]
 pub struct ThroughputRow {
-    /// Wire format of this run (`transport` field of the artifact).
-    pub mode: ServeMode,
     /// Worker-thread count of this run.
     pub workers: usize,
     /// Requests replayed.
@@ -86,9 +80,6 @@ pub struct ThroughputRow {
     pub allocs_per_req: f64,
     /// Proxy cache hit rate over the measured window.
     pub cache_hit_rate: f64,
-    /// Cross-worker steals, one entry per worker; always zero (the
-    /// pool has one shared injector), kept for the v4 schema.
-    pub steals_per_worker: Vec<u64>,
 }
 
 /// Pre-encoded replay mix: one wire datagram per (name, method,
@@ -121,26 +112,20 @@ pub fn build_mix(spec: &LoadSpec, upstream: &MockUpstream) -> QueryMix {
         };
         let mut q = Message::query(0, name, rtype);
         q.canonicalize_id();
-        let wire = match spec.mode {
-            ServeMode::Coap => {
-                let method = if (i * 1000 / spec.unique_names.max(1)) < spec.get_permille {
-                    DocMethod::Get
-                } else {
-                    DocMethod::Fetch
-                };
-                doc_core::method::build_request(
-                    method,
-                    &q.encode(),
-                    doc_coap::msg::MsgType::Con,
-                    i as u16,
-                    vec![i as u8, (i >> 8) as u8],
-                )
-                .expect("experiment queries are well-formed")
-                .encode()
-            }
-            ServeMode::Doq | ServeMode::Dot => doc_quic::doq::encode_doq(&q.encode()),
-            ServeMode::DohLite => doc_quic::doq::encode_doh_request(&q.encode()),
+        let method = if (i * 1000 / spec.unique_names.max(1)) < spec.get_permille {
+            DocMethod::Get
+        } else {
+            DocMethod::Fetch
         };
+        let wire = doc_core::method::build_request(
+            method,
+            &q.encode(),
+            doc_coap::msg::MsgType::Con,
+            i as u16,
+            vec![i as u8, (i >> 8) as u8],
+        )
+        .expect("experiment queries are well-formed")
+        .encode();
         // The zone entry takes the query's own name: no clone.
         let name = q.questions.pop().expect("a query has one question").qname;
         match rtype {
@@ -186,13 +171,8 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
     // of allocating — after warmup the closed loop runs on a fixed
     // set of buffers (this is what holds `allocs_per_req` below 1).
     let recycle = Arc::new(doc_core::BufferPool::new());
-    let pool = ProxyPool::with_mode(
-        spec.workers,
-        Arc::clone(&proxy),
-        Arc::clone(&server),
-        spec.mode,
-    )
-    .with_wire_recycling(Arc::clone(&recycle));
+    let pool = ProxyPool::new(spec.workers, Arc::clone(&proxy), server)
+        .with_wire_recycling(Arc::clone(&recycle));
 
     // Prime: every mix entry once, single-threaded.
     let mut scratch = Vec::new();
@@ -208,13 +188,7 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         );
         assert!(served.is_some(), "mix entry {i} must be servable");
     }
-    // Hit accounting: CoAP measures the proxy response cache; the
-    // stream modes have no CoAP proxy, so the steady-state signal is
-    // the upstream's own TTL cache (primed above, long TTLs).
-    let hits_before = match spec.mode {
-        ServeMode::Coap => proxy.cache_stats().hits,
-        _ => server.upstream.cache_hits(),
-    };
+    let hits_before = proxy.cache_stats().hits;
 
     // Measured closed-loop window.
     let total = spec.total_requests;
@@ -223,7 +197,7 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
     // worker can end up recording most of the run, and a mid-window
     // realloc would both skew latency and count against
     // `allocs_per_req`.
-    let latency_buckets: Vec<Mutex<Vec<u64>>> = (0..spec.workers)
+    let latency_buckets: Vec<Mutex<Vec<u64>>> = (0..pool.workers())
         .map(|_| Mutex::new(Vec::with_capacity(total as usize)))
         .collect();
     let epoch = Instant::now();
@@ -258,13 +232,9 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         latencies.append(&mut b.lock().unwrap());
     }
     latencies.sort_unstable();
-    let hits = match spec.mode {
-        ServeMode::Coap => proxy.cache_stats().hits,
-        _ => server.upstream.cache_hits(),
-    } - hits_before;
+    let hits = proxy.cache_stats().hits - hits_before;
     ThroughputRow {
-        mode: spec.mode,
-        workers: spec.workers,
+        workers: pool.workers(),
         requests: total,
         replies: stats.replies,
         elapsed_ns: elapsed.as_nanos() as u64,
@@ -273,7 +243,6 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         p99_us: percentile_us(&latencies, 0.99),
         allocs_per_req: allocs as f64 / total.max(1) as f64,
         cache_hit_rate: f64::from(hits) / total.max(1) as f64,
-        steals_per_worker: stats.steals_per_worker,
     }
 }
 
@@ -294,12 +263,11 @@ pub fn recovery_rows() -> Vec<doc_core::bottleneck::BottleneckResult> {
         .collect()
 }
 
-/// Render the `BENCH_proxy.json` artifact (schema `doc-bench/proxy/v4`)
+/// Render the `BENCH_proxy.json` artifact (schema `doc-bench/proxy/v5`)
 /// for a set of runs, recording the measuring machine's parallelism so
-/// the gate can scale its expectations. Every throughput row carries
-/// its `transport` label (`coap`, `doq`, `doh`, `dot`) and its
-/// per-worker steal counts; the `recovery` rows record the congested-
-/// bottleneck scenario per congestion controller.
+/// the gate can scale its expectations. Each throughput row is one
+/// worker count of the CoAP pool; the `recovery` rows record the
+/// congested-bottleneck scenario per congestion controller.
 pub fn proxy_json(
     rows: &[ThroughputRow],
     recovery: &[doc_core::bottleneck::BottleneckResult],
@@ -308,18 +276,11 @@ pub fn proxy_json(
         .map(|n| n.get())
         .unwrap_or(1);
     let mut json = format!(
-        "{{\n  \"schema\": \"doc-bench/proxy/v4\",\n  \"machine\": {{\"available_parallelism\": {cores}}},\n  \"rows\": [\n"
+        "{{\n  \"schema\": \"doc-bench/proxy/v5\",\n  \"machine\": {{\"available_parallelism\": {cores}}},\n  \"rows\": [\n"
     );
     for (i, r) in rows.iter().enumerate() {
-        let steals = r
-            .steals_per_worker
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
         json.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"workers\": {}, \"requests\": {}, \"req_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"allocs_per_req\": {:.2}, \"cache_hit_rate\": {:.4}, \"steals_per_worker\": [{}]}}{}\n",
-            r.mode.label(),
+            "    {{\"workers\": {}, \"requests\": {}, \"req_per_s\": {:.1}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"allocs_per_req\": {:.2}, \"cache_hit_rate\": {:.4}}}{}\n",
             r.workers,
             r.requests,
             r.req_per_s,
@@ -327,7 +288,6 @@ pub fn proxy_json(
             r.p99_us,
             r.allocs_per_req,
             r.cache_hit_rate,
-            steals,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -348,21 +308,8 @@ pub fn proxy_json(
     json
 }
 
-/// The standard worker sweep of the throughput bench (CoAP rows).
+/// The standard worker sweep of the throughput bench.
 pub const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// The stream-transport rows of the bench, derived from the shared
-/// transport matrix so a new transport cannot be dropped from the
-/// artifact without also dropping it from the end-to-end suite.
-pub fn stream_modes() -> Vec<ServeMode> {
-    let mut modes: Vec<ServeMode> = doc_core::transport::TRANSPORT_MATRIX
-        .iter()
-        .filter(|(kind, _)| kind.stream_based())
-        .map(|&(kind, _)| ServeMode::for_transport(kind))
-        .collect();
-    modes.dedup();
-    modes
-}
 
 /// Read an env-var override for a numeric knob.
 pub fn env_u64(var: &str, default: u64) -> u64 {
@@ -401,6 +348,32 @@ mod tests {
         assert_eq!(uniq.len(), 10);
     }
 
+    /// FNV-1a over the concatenated mix wires for `names` distinct
+    /// names at docbench's 300 ‰ GET share.
+    fn mix_hash(names: u32) -> u64 {
+        let spec = LoadSpec {
+            unique_names: names,
+            get_permille: 300,
+            ..LoadSpec::default()
+        };
+        let mix = build_mix(&spec, &MockUpstream::new(1, 60, 60));
+        mix.wires()
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    #[test]
+    fn mix_bytes_are_pinned() {
+        // The standalone benchmark replays these exact wires (`hot`
+        // uses 256 names, `churn` 4096): any change to the mix changes
+        // what it measures.
+        assert_eq!(mix_hash(256), 0xb3d8_fde7_923f_888f);
+        assert_eq!(mix_hash(4096), 0x26d3_b5c4_9690_a040);
+    }
+
     #[test]
     fn small_load_run_is_sane() {
         let spec = LoadSpec {
@@ -431,39 +404,8 @@ mod tests {
     }
 
     #[test]
-    fn stream_mode_load_runs_are_sane() {
-        for mode in stream_modes() {
-            let spec = LoadSpec {
-                workers: 2,
-                total_requests: 300,
-                concurrency: 16,
-                unique_names: 8,
-                mode,
-                ..LoadSpec::default()
-            };
-            let row = run_load(&spec, &|| 0);
-            assert_eq!(row.replies, 300, "{mode:?}");
-            assert!(row.req_per_s > 0.0, "{mode:?}");
-            assert!(
-                row.cache_hit_rate > 0.95,
-                "{mode:?}: primed upstream must be hit-dominated, got {}",
-                row.cache_hit_rate
-            );
-        }
-    }
-
-    #[test]
-    fn stream_modes_cover_doq_doh_dot() {
-        assert_eq!(
-            stream_modes(),
-            vec![ServeMode::Doq, ServeMode::DohLite, ServeMode::Dot]
-        );
-    }
-
-    #[test]
     fn proxy_json_round_trips_through_the_gate() {
-        let row = |mode, workers: usize| ThroughputRow {
-            mode,
+        let row = |workers: usize| ThroughputRow {
             workers,
             requests: 100,
             replies: 100,
@@ -473,13 +415,8 @@ mod tests {
             p99_us: 90.0,
             allocs_per_req: 0.5,
             cache_hit_rate: 0.99,
-            steals_per_worker: vec![0; workers],
         };
-        let mut rows: Vec<ThroughputRow> = WORKER_SWEEP
-            .iter()
-            .map(|&w| row(ServeMode::Coap, w))
-            .collect();
-        rows.extend(stream_modes().into_iter().map(|m| row(m, 4)));
+        let rows: Vec<ThroughputRow> = WORKER_SWEEP.iter().map(|&w| row(w)).collect();
         let json = proxy_json(&rows, &recovery_rows());
         let doc = crate::json::parse(&json).expect("emitted JSON parses");
         crate::gate::check_proxy(&doc, false).expect("emitted JSON passes the structural gate");

@@ -21,23 +21,25 @@
 //!   batches of up to `INJECTOR_GRAB` to amortize lock/wake traffic
 //!   and sleep on its condvar when it is empty.
 //! * [`ProxyPool`] — N workers sharing one `Arc<CoapProxy>` and one
-//!   `Arc<DocServer>`; each datagram runs the full client → proxy →
-//!   (origin, on a cache miss) → client exchange and the reply is
+//!   `Arc<DocServer>`; each datagram is a DoC (CoAP) request, runs the
+//!   full client → proxy → (origin, on a cache miss) → client
+//!   exchange, optionally behind QUIC-lite request opening and DTLS
+//!   reply sealing ([`RequestOpen`], [`ReplySeal`]), and the reply is
 //!   handed to a caller-supplied sink as a *borrowed* [`Reply`] — the
 //!   worker retains the reply buffer, so a steady-state cache hit
 //!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`) and
 //!   a forward allocates only what the cache keeps: the key and the
 //!   stored response.
 //!
-//! Serving is transport-agnostic: the closed-loop throughput harness
-//! (`doc-bench`) feeds [`ProxyPool::run`] from a replayed query mix,
-//! and [`ProxyPool::run_io`] serves a [`crate::io`] provider
-//! (`doc-netsim` drains or a real UDP socket) on its calling thread.
-//! Both serve each drain through the identical per-drain step.
+//! Where datagrams come from is the caller's choice: the closed-loop
+//! throughput harness (`doc-bench`) feeds [`ProxyPool::run`] from a
+//! replayed query mix, and [`ProxyPool::run_io`] serves a
+//! [`crate::io`] provider (`doc-netsim` drains or a real UDP socket)
+//! on its calling thread. Both serve each drain through the identical
+//! per-drain step.
 
 use crate::proxy::{CoapProxy, ForwardRequest, ProxyScratch, WireAction};
 use crate::server::{DocServer, ServerScratch};
-use crate::transport::TransportKind;
 // The sync primitives come from `doc-check`: outside a model execution
 // they are passthroughs to `std::sync`, inside one every operation is
 // a scheduling point — so `check_gate` explores the interleavings of
@@ -47,49 +49,6 @@ use doc_check::sync::{Arc, Condvar, Mutex};
 use doc_crypto::ccm::{recycle, CcmScratch, SealRequest, LOCKSTEP_GROUP};
 use doc_dtls::record::{CipherState, ContentType, RecordCrypto, CIPHERTEXT_OFFSET};
 use doc_quic::packet::{Header, OpenScratch, PacketKeys, PacketOpen};
-
-/// What wire format the pool's workers speak.
-///
-/// The CoAP mode runs the full client → proxy → origin exchange (the
-/// paper's DoC deployment). The stream modes serve the DoQ/DoH/DoT
-/// application layer — parse the framed DNS message, resolve it
-/// against the origin's upstream, frame the response — which is the
-/// per-request hot path those transports add on top of QUIC-lite
-/// (connection crypto is per-session, not per-request, and is measured
-/// by the `doc-quic` crate itself).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// CoAP proxy + origin view path (default).
-    Coap,
-    /// RFC 9250 2-byte length-prefixed DNS (also the DoT framing).
-    Doq,
-    /// DoH-lite HEADERS+DATA framing.
-    DohLite,
-    /// RFC 7858 length-prefixed DNS, one message per datagram.
-    Dot,
-}
-
-impl ServeMode {
-    /// The pool mode serving a transport's application framing.
-    pub fn for_transport(kind: TransportKind) -> ServeMode {
-        match kind {
-            TransportKind::Quic => ServeMode::Doq,
-            TransportKind::DohLite => ServeMode::DohLite,
-            TransportKind::Dot => ServeMode::Dot,
-            _ => ServeMode::Coap,
-        }
-    }
-
-    /// Artifact label (`BENCH_proxy.json` `transport` field).
-    pub fn label(self) -> &'static str {
-        match self {
-            ServeMode::Coap => "coap",
-            ServeMode::Doq => "doq",
-            ServeMode::DohLite => "doh",
-            ServeMode::Dot => "dot",
-        }
-    }
-}
 
 /// A bounded single-producer/multi-consumer ring buffer.
 ///
@@ -339,16 +298,15 @@ pub struct PoolRunStats {
     pub errors: u64,
     /// One entry per serving thread (each `run` worker; the one
     /// calling thread of `run_io`), always zero: the pool has no
-    /// stealing. Kept so existing consumers of the per-worker steal
-    /// column (the `BENCH_proxy.json` v4 schema, the standalone
-    /// benchmark) read the same shape. Empty only for a
-    /// default-constructed value.
+    /// stealing. Its only reader is the standalone benchmark
+    /// (`docbench`), whose `pool.steals` metric sums it. Empty only
+    /// for a default-constructed value.
     pub steals_per_worker: Vec<u64>,
 }
 
 impl PoolRunStats {
     /// Sum of [`PoolRunStats::steals_per_worker`]; always zero for a
-    /// pool run, kept for the same compatibility reason.
+    /// pool run, kept for the same reader.
     pub fn total_steals(&self) -> u64 {
         self.steals_per_worker.iter().sum()
     }
@@ -607,7 +565,6 @@ pub struct ProxyPool {
     /// The shared origin server.
     pub server: Arc<DocServer>,
     workers: usize,
-    mode: ServeMode,
     /// When set, replies leave the pool as DTLS records, batch-sealed
     /// per drain. `None` (the default) keeps the plaintext reply wire.
     seal: Option<ReplySeal>,
@@ -626,23 +583,12 @@ const INJECTOR_GRAB: usize = 128;
 
 impl ProxyPool {
     /// Create a pool of `workers` threads (at least 1) over shared
-    /// proxy/server state, speaking CoAP.
+    /// proxy/server state.
     pub fn new(workers: usize, proxy: Arc<CoapProxy>, server: Arc<DocServer>) -> Self {
-        Self::with_mode(workers, proxy, server, ServeMode::Coap)
-    }
-
-    /// Like [`ProxyPool::new`] with an explicit wire format.
-    pub fn with_mode(
-        workers: usize,
-        proxy: Arc<CoapProxy>,
-        server: Arc<DocServer>,
-        mode: ServeMode,
-    ) -> Self {
         ProxyPool {
             proxy,
             server,
             workers: workers.max(1),
-            mode,
             seal: None,
             request_open: None,
             recycle: None,
@@ -677,11 +623,6 @@ impl ProxyPool {
         self.workers
     }
 
-    /// The wire format the workers speak.
-    pub fn mode(&self) -> ServeMode {
-        self.mode
-    }
-
     /// Serve one request datagram end to end on the calling thread:
     /// proxy view path, then (on miss/revalidation) the origin's view
     /// path, then the upstream response re-entering the proxy. Returns
@@ -706,13 +647,6 @@ impl ProxyPool {
     /// the stored response). Returns whether a reply was produced.
     pub fn serve_wire(&self, d: &Datagram, scratch: &mut ServeScratch, out: &mut Vec<u8>) -> bool {
         out.clear();
-        if self.mode != ServeMode::Coap {
-            let Some(wire) = self.serve_stream(d) else {
-                return false;
-            };
-            out.extend_from_slice(&wire);
-            return true;
-        }
         let now = d.at.as_millis();
         let ServeScratch { proxy, origin } = scratch;
         match self.proxy.serve_wire(&d.wire, now, proxy, out) {
@@ -723,26 +657,6 @@ impl ProxyPool {
             }) => origin.exchange(self, d.peer, now, request, exchange_id, out),
             Err(_) => false,
         }
-    }
-
-    /// Serve one framed DNS request in a stream mode: unframe, resolve
-    /// against the origin's upstream, re-frame. Malformed framing (or
-    /// a non-DNS body) drops the datagram, like the CoAP path.
-    fn serve_stream(&self, d: &Datagram) -> Option<Vec<u8>> {
-        let dns = match self.mode {
-            ServeMode::Doq | ServeMode::Dot => doc_quic::doq::decode_doq(&d.wire).ok()?,
-            ServeMode::DohLite => doc_quic::doq::decode_doh(&d.wire).ok()?,
-            ServeMode::Coap => unreachable!("handled by serve"),
-        };
-        let query = doc_dns::Message::decode(dns).ok()?;
-        let resp = self.server.upstream.resolve(&query, d.at.as_millis());
-        self.server.count_raw_dns_response();
-        let bytes = resp.encode();
-        Some(match self.mode {
-            ServeMode::Doq | ServeMode::Dot => doc_quic::doq::encode_doq(&bytes),
-            ServeMode::DohLite => doc_quic::doq::encode_doh_response(&bytes),
-            ServeMode::Coap => unreachable!("handled by serve"),
-        })
     }
 
     /// Fan `datagrams` over the worker threads through a bounded
@@ -1084,59 +998,6 @@ mod tests {
         let p = pool.proxy.stats();
         assert_eq!(p.requests, total as u32);
         assert!(p.cache_hits >= total as u32 - 12, "hits {}", p.cache_hits);
-    }
-
-    #[test]
-    fn stream_modes_serve_framed_dns() {
-        use doc_quic::doq;
-        for mode in [ServeMode::Doq, ServeMode::DohLite, ServeMode::Dot] {
-            let up = MockUpstream::new(7, 3600, 3600);
-            up.add_aaaa(Name::parse("a.example.org").unwrap(), 1);
-            let pool = ProxyPool::with_mode(
-                2,
-                Arc::new(CoapProxy::with_shards(64, 4)),
-                Arc::new(DocServer::new(CachePolicy::EolTtls, up)),
-                mode,
-            );
-            assert_eq!(pool.mode(), mode);
-            let mut q = Message::query(9, Name::parse("a.example.org").unwrap(), RecordType::Aaaa);
-            q.header.rd = true;
-            let framed = match mode {
-                ServeMode::DohLite => doq::encode_doh_request(&q.encode()),
-                _ => doq::encode_doq(&q.encode()),
-            };
-            let replies = Mutex::new(Vec::new());
-            let stats = pool.run(
-                8,
-                (0..50u64).map(|seq| Datagram {
-                    peer: 0,
-                    seq,
-                    at: doc_time::Instant::from_millis(1),
-                    wire: if seq == 13 {
-                        vec![0xFF; 3] // malformed framing is dropped
-                    } else {
-                        framed.clone()
-                    },
-                }),
-                &|r| replies.lock().unwrap().push(r.clone()),
-            );
-            assert_eq!(stats.processed, 50, "{mode:?}");
-            assert_eq!(stats.replies, 49, "{mode:?}");
-            assert_eq!(stats.errors, 1, "{mode:?}");
-            let replies = replies.lock().unwrap();
-            let wire = replies
-                .iter()
-                .find(|r| r.wire.is_some())
-                .and_then(|r| r.wire.clone())
-                .expect("a reply");
-            let dns = match mode {
-                ServeMode::DohLite => doq::decode_doh(&wire).unwrap(),
-                _ => doq::decode_doq(&wire).unwrap(),
-            };
-            let resp = Message::decode(dns).unwrap();
-            assert_eq!(resp.header.id, 9, "{mode:?}: response echoes the query ID");
-            assert_eq!(resp.answers.len(), 1, "{mode:?}");
-        }
     }
 
     #[test]

@@ -86,13 +86,13 @@ impl TransportKind {
 }
 
 /// The canonical transport × method evaluation matrix: every
-/// combination the end-to-end suite, the throughput bench and the
-/// Fig. 7-style sweeps must cover. Non-CoAP transports carry `Fetch`
-/// as a placeholder (the method only applies to CoAP-based rows).
+/// combination the end-to-end suite and the Fig. 7 sweep must cover.
+/// Non-CoAP transports carry `Fetch` as a placeholder (the method only
+/// applies to CoAP-based rows).
 ///
-/// This is the *single* source of truth — the end-to-end test and the
-/// bench derive their row sets from it, so a new transport cannot be
-/// silently omitted from either.
+/// This is the *single* source of truth — `tests/transports_end_to_end.rs`
+/// and the `fig7` binary derive their row sets from it, so a new
+/// transport cannot be silently omitted from either.
 pub const TRANSPORT_MATRIX: [(TransportKind, DocMethod); 12] = [
     (TransportKind::Udp, DocMethod::Fetch),
     (TransportKind::Dtls, DocMethod::Fetch),
@@ -875,7 +875,7 @@ mod tests {
     }
 
     /// The shared evaluation matrix covers every transport variant at
-    /// least once (the guard that keeps the e2e suite and the bench in
+    /// least once (the guard that keeps the e2e suite and `fig7` in
     /// sync when a transport is added).
     #[test]
     fn transport_matrix_covers_every_kind() {
