@@ -10,7 +10,11 @@
 #                    #       workloads + format + lints
 #   ./ci.sh quick    # tier-1 + the DoQ-vs-analytical-model conformance
 #                    # test re-run in release (it gates the simulated
-#                    # QUIC transport against doc-models::quic)
+#                    # QUIC transport against doc-models::quic) + the
+#                    # UDP provider tests (tests/io_providers.rs:
+#                    # sim/UDP byte parity, batches past 64 datagrams,
+#                    # IPv6) and the UDP allocation pin
+#                    # (tests/udp_allocs.rs), re-run in release
 #   ./ci.sh bench    # tier-1 build + the loopback UdpProvider smoke
 #                    # (real UDP sockets through the identical worker
 #                    # code, byte-identical to the sim front-end) + full
@@ -132,10 +136,19 @@ run_conformance() {
     cargo test --release -q --test quic_conformance
 }
 
+run_udp() {
+    # The batched socket path (recvmmsg/sendmmsg on Linux) in release:
+    # its provider tests, and the allocation pin of the UDP serving
+    # path (<= 0.05 allocations per request through one run_io call).
+    echo "==> udp provider (release): cargo test --release -q --test io_providers --test udp_allocs"
+    cargo test --release -q --test io_providers --test udp_allocs
+}
+
 case "$mode" in
     quick)
         run_tier1
         run_conformance
+        run_udp
         ;;
     full)
         run_tier1
@@ -157,9 +170,9 @@ case "$mode" in
         BENCH_WARMUP_MS=10 BENCH_MEASURE_MS=25 cargo bench -p doc-bench --bench crypto
         run_gate codecs BENCH_codecs.json proxy BENCH_proxy.json crypto BENCH_crypto.json
         # The load generator writes the same v5 artifact as the bench.
-        # Each run's warm-up (fresh wire buffers, first-drain reply
-        # buffers per worker) costs ~2k allocations at 4 workers, so
-        # the window must be long enough for the per-request bound.
+        # Its request buffers are allocated before the measured window
+        # (crates/bench/tests/run_load_allocs.rs pins a 2,000-request
+        # run under the bound); the longer window is kept as margin.
         echo "==> load-generator smoke (emits target/BENCH_loadgen.json)"
         cargo run --release -q -p doc-bench --bin doc-bench -- \
             --workers 1,2,4,8 --requests 20000 --json target/BENCH_loadgen.json

@@ -16,7 +16,7 @@
 //! live in the final binary), and the proxy cache hit rate.
 
 use doc_core::policy::CachePolicy;
-use doc_core::pool::{Datagram, ProxyPool};
+use doc_core::pool::{Datagram, ProxyPool, INJECTOR_GRAB};
 use doc_core::server::{DocServer, MockUpstream};
 use doc_core::transport::experiment_name;
 use doc_core::{CoapProxy, DocMethod};
@@ -152,7 +152,9 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
 /// `|| 0` to skip allocation accounting). The cache is primed with one
 /// single-threaded pass over the mix before timing starts, so the
 /// measured window exercises the steady-state (cache-hit dominated)
-/// hot path the sharding targets.
+/// hot path the sharding targets, and the request-buffer pool is
+/// filled before the window too, so a short window does not count
+/// the ring's and the workers' first buffers.
 pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow {
     let upstream = MockUpstream::with_shards(0xD0C, spec.ttl_s, spec.ttl_s, spec.shards);
     let proxy = Arc::new(CoapProxy::with_shards(
@@ -189,6 +191,13 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         assert!(served.is_some(), "mix entry {i} must be servable");
     }
     let hits_before = proxy.cache_stats().hits;
+    // Pre-filled, each buffer sized to the longest request, so the
+    // producer never finds the pool dry or grows a buffer inside the
+    // window: the ring's `concurrency` datagrams, every worker's
+    // largest grab and the one the producer holds.
+    let longest = mix.wires.iter().map(Vec::len).max().unwrap_or(0);
+    let in_flight = spec.concurrency + pool.workers() * INJECTOR_GRAB + 1;
+    recycle.put_batch((0..in_flight).map(|_| Vec::with_capacity(longest)));
 
     // Measured closed-loop window.
     let total = spec.total_requests;

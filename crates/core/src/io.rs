@@ -10,13 +10,15 @@
 //!   provider only re-plumbs `Sim::drain_due`, it does not reinterpret
 //!   the schedule.
 //! * [`UdpProvider`] serves real datagrams from a
-//!   [`std::net::UdpSocket`] with a batched receive loop (block for
-//!   the first datagram, then drain the socket non-blocking —
-//!   `recvmmsg` shaped, one syscall per datagram but one *blocking
-//!   point* per batch).
+//!   [`std::net::UdpSocket`]. On Linux a batch is one `recvmmsg` of up
+//!   to 64 datagrams (with one `poll` for the deadline when the socket
+//!   is empty) and its replies go out in one `sendmmsg` per 64; other
+//!   platforms make one `recv_from` / `send_to` per datagram. The
+//!   socket stays blocking, so sends wait for buffer space.
 //!
 //! The split follows the provider pattern of s2n-quic's platform
-//! layer: protocol code never touches a socket, so a test harness, a
+//! layer, whose Linux sockets batch with `recvmmsg`/`sendmmsg` too:
+//! protocol code never touches a socket, so a test harness, a
 //! simulator and a production front-end are interchangeable at one
 //! seam. Deadlines are [`Millis`]-typed; providers never see protocol
 //! state.
@@ -32,9 +34,17 @@ use doc_netsim::{NodeId, Sim, SimEvent, Tag};
 use doc_time::{Instant, Millis};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
+#[cfg(target_os = "linux")]
+use std::os::fd::AsRawFd;
 
 /// One receive slot a provider fills: `recv_batch` writes at most one
 /// datagram per slot, front-to-back.
+///
+/// A slot handed to `recv_batch` may already hold a datagram: the
+/// spent one [`ProxyPool::run_io`] put back after serving it, wire
+/// cleared and capacity kept. A provider may overwrite it in place and
+/// reuse its wire buffer, or replace it outright; either way only the
+/// first `n` slots of a call that returns `n` count as received.
 #[derive(Debug, Default)]
 pub struct RecvSlot {
     /// The received datagram, if this slot was filled.
@@ -155,10 +165,21 @@ impl IoProvider for SimProvider<'_> {
 /// datagram and counts it in `errors`.
 const UDP_RECV_BUF: usize = 2048;
 
-/// [`IoProvider`] over a real [`std::net::UdpSocket`]: block for the
-/// first datagram (up to the deadline), then drain whatever else the
-/// socket already holds without blocking — a `recvmmsg`-shaped batch
-/// per wakeup.
+/// [`IoProvider`] over a real [`std::net::UdpSocket`].
+///
+/// On Linux a receive is one non-blocking `recvmmsg` of up to 64
+/// datagrams; only when nothing is queued does it `poll` for the
+/// deadline and try once more, and it calls again only while a call
+/// came back full. A send is one `sendmmsg` per 64 replies, each
+/// `iovec` pointing at the reply's own buffer. The per-message receive
+/// buffers live on the receiving thread's stack, uninitialised until
+/// the kernel writes them. Elsewhere the provider falls back to one
+/// `recv_from` / `send_to` per datagram. Either way the socket is left
+/// blocking, so a send waits for buffer space rather than failing.
+///
+/// A received datagram is written into the wire buffer of the spent
+/// datagram its slot still holds (see [`RecvSlot`]), so once every
+/// slot has been used the receive path allocates nothing.
 ///
 /// Peers are keyed by source address: the first datagram from an
 /// address allocates the next peer id, and replies are routed back by
@@ -174,7 +195,6 @@ pub struct UdpProvider {
     peer_ids: HashMap<SocketAddr, u64>,
     seq: u64,
     at: Instant,
-    buf: [u8; UDP_RECV_BUF + 1],
 }
 
 impl UdpProvider {
@@ -187,7 +207,6 @@ impl UdpProvider {
             peer_ids: HashMap::new(),
             seq: 0,
             at: Instant::EPOCH,
-            buf: [0u8; UDP_RECV_BUF + 1],
         })
     }
 
@@ -215,44 +234,115 @@ impl UdpProvider {
         }
     }
 
-    fn slot_from(&mut self, len: usize, addr: SocketAddr) -> Datagram {
+    /// Write one received datagram into `slot`, reusing the wire
+    /// buffer of the spent datagram the slot may still hold. A datagram
+    /// longer than [`UDP_RECV_BUF`] gets an empty wire.
+    fn fill(&mut self, slot: &mut RecvSlot, bytes: &[u8], addr: SocketAddr) {
+        let peer = self.peer_id(addr);
         let seq = self.seq;
         self.seq += 1;
-        Datagram {
-            peer: self.peer_id(addr),
-            seq,
-            at: self.at,
-            wire: match len {
-                0..=UDP_RECV_BUF => self.buf[..len].to_vec(),
-                _ => Vec::new(),
-            },
+        let bytes: &[u8] = if bytes.len() > UDP_RECV_BUF {
+            &[]
+        } else {
+            bytes
+        };
+        match &mut slot.datagram {
+            Some(d) => {
+                d.peer = peer;
+                d.seq = seq;
+                d.at = self.at;
+                d.wire.clear();
+                d.wire.extend_from_slice(bytes);
+            }
+            None => {
+                slot.datagram = Some(Datagram {
+                    peer,
+                    seq,
+                    at: self.at,
+                    wire: bytes.to_vec(),
+                })
+            }
         }
     }
 }
 
+#[cfg(target_os = "linux")]
 impl IoProvider for UdpProvider {
     fn recv_batch(&mut self, slots: &mut [RecvSlot], timeout: Millis) -> usize {
-        if slots.is_empty() {
-            return 0;
+        let fd = self.socket.as_raw_fd();
+        let mut arena = mmsg::RecvArena::new();
+        let mut n = 0;
+        let mut waited = false;
+        loop {
+            let rest = slots.get_mut(n..).unwrap_or_default();
+            if rest.is_empty() {
+                return n;
+            }
+            let got = match arena.recv(fd, rest.len()) {
+                Some(got) => got,
+                // Nothing queued: wait for the deadline, then try once
+                // more.
+                None if n == 0 && !waited => {
+                    waited = true;
+                    if mmsg::wait_readable(fd, timeout) {
+                        continue;
+                    }
+                    return 0;
+                }
+                None => return n,
+            };
+            for ((bytes, addr), slot) in arena.received(got).zip(rest) {
+                self.fill(slot, bytes, addr);
+                n += 1;
+            }
+            if got < mmsg::BATCH {
+                return n;
+            }
         }
+    }
+
+    fn send_batch(&mut self, replies: &[Reply]) -> usize {
+        let fd = self.socket.as_raw_fd();
+        let mut batch = mmsg::SendBatch::new();
+        let mut sent = 0;
+        for r in replies {
+            let Some(wire) = &r.wire else { continue };
+            let Some(addr) = self.peers.get(r.peer as usize) else {
+                continue;
+            };
+            batch.push(wire, addr);
+            if batch.is_full() {
+                sent += batch.flush(fd);
+            }
+        }
+        sent + batch.flush(fd)
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+impl IoProvider for UdpProvider {
+    fn recv_batch(&mut self, slots: &mut [RecvSlot], timeout: Millis) -> usize {
+        let Some((first, rest)) = slots.split_first_mut() else {
+            return 0;
+        };
+        let mut buf = [0u8; UDP_RECV_BUF + 1];
         // Blocking wait (bounded by the deadline) for the first
         // datagram of the batch.
         let wait = std::time::Duration::from_millis(timeout.as_millis().max(1));
         if self.socket.set_read_timeout(Some(wait)).is_err() {
             return 0;
         }
-        let first = match self.socket.recv_from(&mut self.buf) {
-            Ok((len, addr)) => self.slot_from(len, addr),
+        match self.socket.recv_from(&mut buf) {
+            Ok((len, addr)) => self.fill(first, buf.get(..len).unwrap_or_default(), addr),
             Err(_) => return 0, // timeout / interrupted → idle
-        };
-        slots[0].datagram = Some(first);
+        }
         let mut n = 1;
         // Non-blocking drain of whatever is already queued.
         if self.socket.set_nonblocking(true).is_ok() {
-            while n < slots.len() {
-                match self.socket.recv_from(&mut self.buf) {
+            for slot in rest {
+                match self.socket.recv_from(&mut buf) {
                     Ok((len, addr)) => {
-                        slots[n].datagram = Some(self.slot_from(len, addr));
+                        self.fill(slot, buf.get(..len).unwrap_or_default(), addr);
                         n += 1;
                     }
                     Err(_) => break,
@@ -278,14 +368,396 @@ impl IoProvider for UdpProvider {
     }
 }
 
+/// The Linux batched socket calls `UdpProvider` makes: `recvmmsg`,
+/// `sendmmsg` and `poll`, declared by hand over `#[repr(C)]` mirrors of
+/// the kernel ABI structs (`size_t` fields as `usize`, as in glibc).
+/// Every array a call reads or writes is a local of the calling
+/// thread, linked to its headers just before the call.
+#[cfg(target_os = "linux")]
+mod mmsg {
+    use super::UDP_RECV_BUF;
+    use std::ffi::{c_int, c_uint, c_ulong, c_void};
+    use std::marker::PhantomData;
+    use std::mem::{size_of, MaybeUninit};
+    use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6};
+    use std::os::fd::RawFd;
+    use std::ptr;
+
+    /// Messages per `recvmmsg` / `sendmmsg` call.
+    pub(super) const BATCH: usize = 64;
+    /// Bytes per receive buffer: one past the largest accepted
+    /// datagram, so an oversize one shows as too long.
+    const RECV_LEN: usize = UDP_RECV_BUF + 1;
+
+    const MSG_DONTWAIT: c_int = 0x40;
+    const POLLIN: i16 = 0x1;
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+
+    /// `struct iovec`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct IoVec {
+        base: *mut c_void,
+        len: usize,
+    }
+
+    /// `struct msghdr`.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct MsgHdr {
+        name: *mut c_void,
+        namelen: u32,
+        iov: *mut IoVec,
+        iovlen: usize,
+        control: *mut c_void,
+        controllen: usize,
+        flags: c_int,
+    }
+
+    /// `struct mmsghdr`: one message of a batch and, after the call,
+    /// its length.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct MMsgHdr {
+        hdr: MsgHdr,
+        len: c_uint,
+    }
+
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: i16,
+        revents: i16,
+    }
+
+    /// `struct sockaddr_in`; port and address in network order.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct SockAddrIn {
+        family: u16,
+        port: u16,
+        addr: [u8; 4],
+        zero: [u8; 8],
+    }
+
+    /// `struct sockaddr_in6`; port in network order, flow info and
+    /// scope id passed through as `std` does.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct SockAddrIn6 {
+        family: u16,
+        port: u16,
+        flowinfo: u32,
+        addr: [u8; 16],
+        scope_id: u32,
+    }
+
+    /// Room for either address family; `family` overlays in both.
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    union SockAddr {
+        v4: SockAddrIn,
+        v6: SockAddrIn6,
+    }
+
+    extern "C" {
+        fn recvmmsg(
+            fd: c_int,
+            msgvec: *mut MMsgHdr,
+            vlen: c_uint,
+            flags: c_int,
+            timeout: *mut c_void,
+        ) -> c_int;
+        fn sendmmsg(fd: c_int, msgvec: *mut MMsgHdr, vlen: c_uint, flags: c_int) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+
+    impl IoVec {
+        const EMPTY: IoVec = IoVec {
+            base: ptr::null_mut(),
+            len: 0,
+        };
+    }
+
+    impl MMsgHdr {
+        const EMPTY: MMsgHdr = MMsgHdr {
+            hdr: MsgHdr {
+                name: ptr::null_mut(),
+                namelen: 0,
+                iov: ptr::null_mut(),
+                iovlen: 0,
+                control: ptr::null_mut(),
+                controllen: 0,
+                flags: 0,
+            },
+            len: 0,
+        };
+
+        /// A header for one message: `name` (`namelen` bytes) and one
+        /// buffer `iov`.
+        fn new(name: &mut SockAddr, namelen: u32, iov: &mut IoVec) -> MMsgHdr {
+            MMsgHdr {
+                hdr: MsgHdr {
+                    name: ptr::from_mut(name).cast(),
+                    namelen,
+                    iov: ptr::from_mut(iov),
+                    iovlen: 1,
+                    ..MMsgHdr::EMPTY.hdr
+                },
+                len: 0,
+            }
+        }
+    }
+
+    impl SockAddr {
+        const ZERO: SockAddr = SockAddr {
+            v6: SockAddrIn6 {
+                family: 0,
+                port: 0,
+                flowinfo: 0,
+                addr: [0; 16],
+                scope_id: 0,
+            },
+        };
+        const LEN: u32 = size_of::<SockAddr>() as u32;
+
+        /// `addr` in C form, with the length to pass alongside it.
+        fn encode(addr: &SocketAddr) -> (SockAddr, u32) {
+            // Written over `ZERO`, so the bytes past a `sockaddr_in`
+            // stay initialised too.
+            let mut name = SockAddr::ZERO;
+            let len = match addr {
+                SocketAddr::V4(a) => {
+                    name.v4 = SockAddrIn {
+                        family: AF_INET,
+                        port: a.port().to_be(),
+                        addr: a.ip().octets(),
+                        zero: [0; 8],
+                    };
+                    size_of::<SockAddrIn>()
+                }
+                SocketAddr::V6(a) => {
+                    name.v6 = SockAddrIn6 {
+                        family: AF_INET6,
+                        port: a.port().to_be(),
+                        flowinfo: a.flowinfo(),
+                        addr: a.ip().octets(),
+                        scope_id: a.scope_id(),
+                    };
+                    size_of::<SockAddrIn6>()
+                }
+            };
+            (name, len as u32)
+        }
+
+        /// The address the kernel wrote, `len` bytes long; `None` for a
+        /// family other than IPv4/IPv6 or a short length.
+        fn decode(&self, len: u32) -> Option<SocketAddr> {
+            // SAFETY: both variants are integers and byte arrays, valid
+            // for any bit pattern, and every byte of a `SockAddr` is
+            // initialised: each one starts as `ZERO`, and only field
+            // writes and the kernel write to it after that.
+            let (v4, v6) = unsafe { (self.v4, self.v6) };
+            let len = len as usize;
+            match v4.family {
+                AF_INET if len >= size_of::<SockAddrIn>() => Some(SocketAddr::V4(
+                    SocketAddrV4::new(Ipv4Addr::from(v4.addr), u16::from_be(v4.port)),
+                )),
+                AF_INET6 if len >= size_of::<SockAddrIn6>() => {
+                    Some(SocketAddr::V6(SocketAddrV6::new(
+                        Ipv6Addr::from(v6.addr),
+                        u16::from_be(v6.port),
+                        v6.flowinfo,
+                        v6.scope_id,
+                    )))
+                }
+                _ => None,
+            }
+        }
+    }
+
+    /// Wait up to `timeout` for `fd` to become readable.
+    pub(super) fn wait_readable(fd: RawFd, timeout: doc_time::Millis) -> bool {
+        let mut pfd = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = c_int::try_from(timeout.as_millis().max(1)).unwrap_or(c_int::MAX);
+        // SAFETY: `pfd` is one live, exclusively borrowed `pollfd`,
+        // matching `nfds` = 1; the kernel writes only its `revents`.
+        unsafe { poll(&mut pfd, 1, ms) > 0 }
+    }
+
+    /// The landing area of one `recv_batch`: up to [`BATCH`] receive
+    /// buffers, left uninitialised, with their names and headers.
+    pub(super) struct RecvArena {
+        bufs: [MaybeUninit<[u8; RECV_LEN]>; BATCH],
+        names: [SockAddr; BATCH],
+        iovs: [IoVec; BATCH],
+        hdrs: [MMsgHdr; BATCH],
+    }
+
+    impl RecvArena {
+        pub(super) fn new() -> RecvArena {
+            RecvArena {
+                bufs: [const { MaybeUninit::uninit() }; BATCH],
+                names: [SockAddr::ZERO; BATCH],
+                iovs: [IoVec::EMPTY; BATCH],
+                hdrs: [MMsgHdr::EMPTY; BATCH],
+            }
+        }
+
+        /// One non-blocking `recvmmsg` of up to `max` (at most
+        /// [`BATCH`]) datagrams. Returns how many arrived, or `None`
+        /// when none was queued or the call failed.
+        pub(super) fn recv(&mut self, fd: RawFd, max: usize) -> Option<usize> {
+            let want = max.min(BATCH);
+            // Re-armed on every call: the kernel overwrites each used
+            // header's name length, flags and message length.
+            let links = self.hdrs.iter_mut().zip(&mut self.iovs);
+            let bufs = self.names.iter_mut().zip(&mut self.bufs);
+            for ((hdr, iov), (name, buf)) in links.zip(bufs).take(want) {
+                *iov = IoVec {
+                    base: buf.as_mut_ptr().cast(),
+                    len: RECV_LEN,
+                };
+                *hdr = MMsgHdr::new(name, SockAddr::LEN, iov);
+            }
+            // SAFETY: each of the first `want` headers points at one
+            // iovec over a live `RECV_LEN`-byte buffer and at a
+            // `SockAddr::LEN`-byte name, all owned by `self` and not
+            // moved during the call; the kernel writes only into those
+            // and into the headers. MSG_DONTWAIT keeps the call from
+            // blocking, and a null timeout is allowed.
+            let got = unsafe {
+                recvmmsg(
+                    fd,
+                    self.hdrs.as_mut_ptr(),
+                    want as c_uint,
+                    MSG_DONTWAIT,
+                    ptr::null_mut(),
+                )
+            };
+            usize::try_from(got)
+                .ok()
+                .filter(|&got| got > 0)
+                .map(|got| got.min(want))
+        }
+
+        /// The first `got` datagrams of the last [`RecvArena::recv`]:
+        /// their bytes and source address. One whose source address
+        /// does not decode is skipped.
+        pub(super) fn received(&self, got: usize) -> impl Iterator<Item = (&[u8], SocketAddr)> {
+            let msgs = self.hdrs.iter().zip(&self.names).zip(&self.bufs);
+            msgs.take(got).filter_map(|((hdr, name), buf)| {
+                let len = (hdr.len as usize).min(RECV_LEN);
+                // SAFETY: a header's `msg_len` is 0 (as armed) unless the
+                // kernel set it to the byte count it wrote at the start
+                // of this header's buffer, never more than the iovec's
+                // `RECV_LEN`; buffers are never de-initialised, so the
+                // first `len` bytes are initialised.
+                let bytes = unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), len) };
+                Some((bytes, name.decode(hdr.hdr.namelen)?))
+            })
+        }
+    }
+
+    /// Up to [`BATCH`] replies queued for one `sendmmsg`; each `iovec`
+    /// points at the reply's own buffer, borrowed for `'w`.
+    pub(super) struct SendBatch<'w> {
+        /// Each destination with its length.
+        names: [(SockAddr, u32); BATCH],
+        iovs: [IoVec; BATCH],
+        len: usize,
+        wires: PhantomData<&'w [u8]>,
+    }
+
+    impl<'w> SendBatch<'w> {
+        pub(super) fn new() -> SendBatch<'w> {
+            SendBatch {
+                names: [(SockAddr::ZERO, 0); BATCH],
+                iovs: [IoVec::EMPTY; BATCH],
+                len: 0,
+                wires: PhantomData,
+            }
+        }
+
+        pub(super) fn is_full(&self) -> bool {
+            self.len == BATCH
+        }
+
+        /// Queue `wire` for `addr`; ignored when the batch is full.
+        pub(super) fn push(&mut self, wire: &'w [u8], addr: &SocketAddr) {
+            let (Some(name), Some(iov)) =
+                (self.names.get_mut(self.len), self.iovs.get_mut(self.len))
+            else {
+                return;
+            };
+            *name = SockAddr::encode(addr);
+            *iov = IoVec {
+                base: wire.as_ptr().cast_mut().cast(),
+                len: wire.len(),
+            };
+            self.len += 1;
+        }
+
+        /// Send everything queued and empty the batch. A short count
+        /// continues from the first unsent datagram; a datagram the
+        /// kernel refuses is skipped and the rest are still sent.
+        /// Returns how many were sent.
+        pub(super) fn flush(&mut self, fd: RawFd) -> usize {
+            let mut hdrs = [MMsgHdr::EMPTY; BATCH];
+            let links = hdrs.iter_mut().zip(&mut self.iovs);
+            for ((hdr, iov), (name, namelen)) in links.zip(&mut self.names).take(self.len) {
+                *hdr = MMsgHdr::new(name, *namelen, iov);
+            }
+            let mut rest = hdrs.get_mut(..self.len).unwrap_or_default();
+            self.len = 0;
+            let mut sent = 0;
+            while !rest.is_empty() {
+                // SAFETY: every header in `rest` points at one name of
+                // its recorded length and one iovec over a reply buffer
+                // borrowed for `'w`, all live and unmoved for the call;
+                // `sendmmsg` only reads them and writes the headers'
+                // `msg_len`.
+                let r = unsafe { sendmmsg(fd, rest.as_mut_ptr(), rest.len() as c_uint, 0) };
+                let step = match usize::try_from(r) {
+                    Ok(done) if done > 0 => {
+                        sent += done;
+                        done
+                    }
+                    Err(_)
+                        if std::io::Error::last_os_error().kind()
+                            == std::io::ErrorKind::Interrupted =>
+                    {
+                        0
+                    }
+                    // The first datagram was refused: skip it.
+                    _ => 1,
+                };
+                rest = rest.get_mut(step..).unwrap_or_default();
+            }
+            sent
+        }
+    }
+}
+
 impl ProxyPool {
     /// Pump a provider through the pool on the calling thread: each
     /// `recv_batch` (up to `slots` datagrams, waiting up to
     /// `recv_timeout` for the first) is served as one drain — the same
     /// per-drain step as [`ProxyPool::run`]'s workers — and its replies
-    /// go back out in one `send_batch`. Returns once `recv_batch`
-    /// reports idle (0 datagrams); every datagram received by then has
-    /// been answered. Replies carry worker 0.
+    /// go back out in one `send_batch`. Each spent datagram then goes
+    /// back into the slot it came from, its wire cleared with its
+    /// capacity kept, so a provider that overwrites filled slots
+    /// receives without allocating; a pool built
+    /// [`ProxyPool::with_wire_recycling`] does not take these buffers.
+    /// Returns once `recv_batch` reports idle (0 datagrams); every
+    /// datagram received by then has been answered. Replies carry
+    /// worker 0.
     ///
     /// No thread is spawned: to use more cores, call `run_io` from
     /// several threads on the same pool, each with its own provider.
@@ -323,6 +795,12 @@ impl ProxyPool {
             let replies = self.serve_batch(0, &mut batch, &mut scratch);
             stats.count(replies);
             provider.send_batch(replies);
+            // Hand the spent datagrams back, front to back, for the
+            // provider to overwrite.
+            for (slot, mut d) in slot_buf.iter_mut().zip(batch.drain(..)) {
+                d.wire.clear();
+                slot.datagram = Some(d);
+            }
         }
     }
 }

@@ -571,15 +571,21 @@ pub struct ProxyPool {
     /// When set, inbound datagrams are QUIC-lite protected and each
     /// drain is opened in one batched pass before serving.
     request_open: Option<RequestOpen>,
-    /// When set, spent `Datagram::wire` buffers are returned here
-    /// after each drain so the producer can reuse them.
+    /// When set, `run`'s workers return spent `Datagram::wire` buffers
+    /// here after each drain so the producer can reuse them.
     recycle: Option<Arc<BufferPool>>,
 }
 
 /// How many datagrams a `run` worker drains from the injector per lock
 /// acquisition — also the largest batch one seal/open pass covers
 /// there (`run_io` drains are `recv_batch`-sized).
-const INJECTOR_GRAB: usize = 128;
+pub const INJECTOR_GRAB: usize = 128;
+
+/// Initial capacity of a reply slab buffer: a cache-hit reply is
+/// written piecewise, and starting at 128 bytes, where a typical DoC
+/// reply ends up anyway, saves the 8 → 16 → 32 → 64 growth steps of
+/// every slot's first drain.
+const REPLY_BUF: usize = 128;
 
 impl ProxyPool {
     /// Create a pool of `workers` threads (at least 1) over shared
@@ -612,7 +618,9 @@ impl ProxyPool {
 
     /// Recycle spent `Datagram::wire` buffers through `pool` — the
     /// producer side of the closed loop takes them back with
-    /// [`BufferPool::take`] instead of allocating.
+    /// [`BufferPool::take`] instead of allocating. Only
+    /// [`ProxyPool::run`] feeds it: [`ProxyPool::run_io`] hands spent
+    /// datagrams back to its provider's receive slots instead.
     pub fn with_wire_recycling(mut self, pool: Arc<BufferPool>) -> Self {
         self.recycle = Some(pool);
         self
@@ -734,6 +742,13 @@ impl ProxyPool {
             let replies = self.serve_batch(worker, &mut batch, &mut scratch);
             tally.count(replies);
             replies.iter().for_each(on_reply);
+            // Spent request wires go back to the producer.
+            if let Some(recycle) = &self.recycle {
+                recycle.put_batch(batch.drain(..).map(|mut d| {
+                    d.wire.clear();
+                    d.wire
+                }));
+            }
         }
         tally
     }
@@ -741,14 +756,15 @@ impl ProxyPool {
     /// Serve one drain on the calling thread — the per-drain step of
     /// both [`ProxyPool::run`]'s workers and [`ProxyPool::run_io`]:
     /// open the drain if the request leg is protected, serve every
-    /// datagram into the reply slab, batch-seal the slab if the reply
-    /// leg is protected, then recycle the spent request wires. Returns
-    /// the drain's replies, one per datagram in drain order, borrowed
-    /// from the slab; a malformed datagram's reply has no wire.
+    /// datagram into the reply slab, then batch-seal the slab if the
+    /// reply leg is protected. Returns the drain's replies, one per
+    /// datagram in drain order, borrowed from the slab; a malformed
+    /// datagram's reply has no wire. `batch` is left in place (opened
+    /// in place on a protected leg) for the caller to dispose of.
     pub(crate) fn serve_batch<'s>(
         &self,
         worker: usize,
-        batch: &mut Vec<Datagram>,
+        batch: &mut [Datagram],
         scratch: &'s mut WorkerScratch,
     ) -> &'s [Reply] {
         let WorkerScratch {
@@ -777,19 +793,13 @@ impl ProxyPool {
         for (d, r) in batch.iter().zip(replies.iter_mut()) {
             r.peer = d.peer;
             r.seq = d.seq;
-            if !self.serve_wire(d, serve, r.wire.get_or_insert_with(Vec::new)) {
+            let out = r.wire.get_or_insert_with(|| Vec::with_capacity(REPLY_BUF));
+            if !self.serve_wire(d, serve, out) {
                 r.wire = None;
             }
         }
         if let Some(seal) = &self.seal {
             seal.seal_replies(replies, seal_scratch);
-        }
-        match &self.recycle {
-            Some(recycle) => recycle.put_batch(batch.drain(..).map(|mut d| {
-                d.wire.clear();
-                d.wire
-            })),
-            None => batch.clear(),
         }
         replies
     }

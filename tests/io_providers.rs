@@ -9,7 +9,7 @@ use doc_bench::throughput::{build_mix, LoadSpec};
 use doc_repro::coap::view::CoapView;
 use doc_repro::doc::io::{IoProvider, SimProvider, UdpProvider};
 use doc_repro::doc::policy::CachePolicy;
-use doc_repro::doc::pool::{ProxyPool, ReplySeal, RequestOpen};
+use doc_repro::doc::pool::{BufferPool, ProxyPool, ReplySeal, RequestOpen};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 use doc_repro::doc::CoapProxy;
 use doc_repro::dtls::record::{CipherState, ContentType, Record};
@@ -326,4 +326,126 @@ fn sim_provider_serves_protected_legs() {
     record_seqs.sort_unstable();
     record_seqs.dedup();
     assert_eq!(record_seqs.len(), expected.len(), "record seqs unique");
+}
+
+/// `queries` with query `i` carrying the 2-byte token `i` (big-endian),
+/// so each reply names the query it answers.
+fn tokened(queries: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| {
+            let mut q = q.clone();
+            assert_eq!(q[0] & 0x0F, 2, "mix requests carry a 2-byte token");
+            q[4..6].copy_from_slice(&(i as u16).to_be_bytes());
+            q
+        })
+        .collect()
+}
+
+/// The token of a reply built by [`tokened`].
+fn token_of(reply: &[u8]) -> usize {
+    let v = CoapView::parse(reply).unwrap();
+    let token: [u8; 2] = v.token().try_into().unwrap();
+    u16::from_be_bytes(token) as usize
+}
+
+/// More datagrams queued than one `recvmmsg`/`sendmmsg` call carries:
+/// 200 queries wait in the socket before the pump starts, and the pump
+/// offers 256 slots, so one receive spans several full 64-message calls
+/// and its replies several sends. Every query is answered exactly once,
+/// with the bytes the simulator front-end gives for the same sequence.
+#[test]
+fn udp_batches_past_64_datagrams_answer_each_query_once() {
+    const QUEUED: usize = 200;
+    let (pool, wires) = pool_and_wires(1);
+    let queries = tokened(&query_sequence(&wires, QUEUED));
+    let expected = replies_via_sim(&queries);
+    let mut provider = UdpProvider::bind("127.0.0.1:0")
+        .unwrap()
+        .with_virtual_time(Instant::from_millis(1));
+    let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+    client
+        .set_read_timeout(Some(std::time::Duration::from_millis(5_000)))
+        .unwrap();
+    for q in &queries {
+        client.send_to(q, provider.local_addr().unwrap()).unwrap();
+    }
+    let reader = std::thread::spawn(move || {
+        let mut replies = Vec::new();
+        let mut buf = [0u8; 2048];
+        for _ in 0..QUEUED {
+            let (len, _) = client.recv_from(&mut buf).unwrap();
+            replies.push(buf[..len].to_vec());
+        }
+        replies
+    });
+    let stats = pool.run_io(&mut provider, 256, 256, Millis::from_millis(500));
+    let replies = reader.join().unwrap();
+    assert_eq!(
+        (stats.processed, stats.replies),
+        (QUEUED as u64, QUEUED as u64)
+    );
+    let mut seen = [false; QUEUED];
+    for reply in &replies {
+        let i = token_of(reply);
+        assert!(!seen[i], "query {i} answered twice");
+        seen[i] = true;
+        assert_eq!(reply, &expected[i], "reply to query {i}");
+    }
+    assert!(seen.iter().all(|&s| s), "every query answered");
+}
+
+/// An IPv6 round trip: the provider decodes `sockaddr_in6` source
+/// addresses and encodes them back for the replies.
+#[test]
+fn udp_provider_serves_ipv6_loopback() {
+    let (pool, wires) = pool_and_wires(1);
+    let queries = query_sequence(&wires, 16);
+    let expected = replies_via_sim(&queries);
+    let mut provider = UdpProvider::bind("[::1]:0")
+        .unwrap()
+        .with_virtual_time(Instant::from_millis(1));
+    let server = provider.local_addr().unwrap();
+    assert!(server.is_ipv6());
+    let handle = std::thread::spawn(move || {
+        let client = UdpSocket::bind("[::1]:0").unwrap();
+        client
+            .set_read_timeout(Some(std::time::Duration::from_millis(5_000)))
+            .unwrap();
+        let mut replies = Vec::new();
+        let mut buf = [0u8; 2048];
+        for q in &queries {
+            client.send_to(q, server).unwrap();
+            let (len, from) = client.recv_from(&mut buf).unwrap();
+            assert_eq!(from, server, "the reply comes from the provider");
+            replies.push(buf[..len].to_vec());
+        }
+        replies
+    });
+    let stats = pool.run_io(&mut provider, 16, 8, Millis::from_millis(500));
+    let replies = handle.join().unwrap();
+    assert_eq!((stats.processed, stats.errors), (16, 0));
+    assert_eq!(replies, expected);
+}
+
+/// `run_io` hands spent datagrams back to its provider, not to the
+/// pool's wire-recycling `BufferPool`, so pumping a recycling pool
+/// leaves that pool's free-list as it was.
+#[test]
+fn run_io_leaves_the_wire_recycling_pool_unchanged() {
+    let buffers = std::sync::Arc::new(BufferPool::new());
+    buffers.put_batch((0..4).map(|_| Vec::with_capacity(128)));
+    let (pool, wires) = pool_and_wires(1);
+    let pool = pool.with_wire_recycling(std::sync::Arc::clone(&buffers));
+    let mut provider = UdpProvider::bind("127.0.0.1:0")
+        .unwrap()
+        .with_virtual_time(Instant::from_millis(1));
+    let server = provider.local_addr().unwrap();
+    let queries = query_sequence(&wires, 40);
+    let client = std::thread::spawn(move || serial_client(server, queries));
+    let stats = pool.run_io(&mut provider, 16, 8, Millis::from_millis(500));
+    assert_eq!(client.join().unwrap().len(), 40);
+    assert_eq!(stats.replies, 40);
+    assert_eq!(buffers.len(), 4, "the free-list neither grew nor shrank");
 }
