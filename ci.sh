@@ -48,9 +48,9 @@
 #                    # `// lint:allow(<rule>): <reason>` waivers) and
 #                    # check_gate (doc-check: exhaustive bounded
 #                    # thread-interleaving exploration of the real
-#                    # SpmcRing/ShardedCache/ShardedResponseCache/
-#                    # proxy-stats primitives, failing with a minimal
-#                    # replayable schedule).
+#                    # ShardedCache/ShardedResponseCache/proxy-stats
+#                    # primitives, failing with a minimal replayable
+#                    # schedule).
 #
 # Tier-1 is exactly what the project driver runs:
 #   cargo build --release && cargo test -q

@@ -2,7 +2,7 @@
 //! `encode` codec bench.
 //!
 //! Replays the DoC query mix closed-loop through the sharded
-//! proxy/server behind the SPMC-ring worker pool at 1/2/4/8 workers,
+//! proxy/server behind the worker pool at 1/2/4/8 workers,
 //! prints a summary table, and emits `BENCH_proxy.json`
 //! (schema `doc-bench/proxy/v5`, path overridable via
 //! `BENCH_PROXY_JSON`) for the `bench_gate` CI check. The artifact
@@ -16,8 +16,8 @@
 //!
 //! * `BENCH_PROXY_REQUESTS` — requests per worker-count run (default
 //!   200 000; `ci.sh` smoke uses a small value).
-//! * `BENCH_PROXY_CONCURRENCY` — ring capacity / closed-loop in-flight
-//!   bound (default 256).
+//! * `BENCH_PROXY_CONCURRENCY` — most datagrams a worker pulls at once
+//!   (default 256, clamped to `MAX_DRAIN`).
 //! * `BENCH_PROXY_NAMES` — distinct names in the mix (default 256).
 //! * `BENCH_PROXY_SHARDS` — cache shard count (default 16).
 //!

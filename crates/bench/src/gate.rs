@@ -117,7 +117,7 @@ pub struct ProxyRow {
     pub workers: u32,
     /// Closed-loop throughput.
     pub req_per_s: f64,
-    /// Median sojourn latency (enqueue → reply), microseconds.
+    /// Median sojourn latency (pull → reply), microseconds.
     pub p50_us: f64,
     /// 99th-percentile sojourn latency, microseconds.
     pub p99_us: f64,

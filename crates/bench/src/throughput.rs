@@ -3,20 +3,19 @@
 //! Replays the paper's DoC query mix (FETCH-dominant with a GET
 //! minority, A/AAAA answers, names drawn from the experiment name
 //! shape of Table 3) against the multi-worker front-end
-//! ([`doc_core::pool::ProxyPool`]): the calling thread feeds
-//! pre-encoded request datagrams into the bounded SPMC ring, N workers
-//! run the sans-IO view path against the sharded proxy/server, and the
-//! load is *closed-loop* — in-flight requests are bounded by the ring
-//! capacity, so the system is measured at saturation without unbounded
-//! queueing.
+//! ([`doc_core::pool::ProxyPool`]): N workers pull drains of
+//! pre-encoded request datagrams from one shared iterator and run the
+//! sans-IO view path against the sharded proxy/server, and the load is
+//! *closed-loop* — each worker holds at most one drain in flight, so
+//! the system is measured at saturation without unbounded queueing.
 //!
-//! Reported per run: requests/s, p50/p99 sojourn latency (ring enqueue
-//! → reply), heap allocations per request (the caller supplies the
+//! Reported per run: requests/s, p50/p99 sojourn latency (pull →
+//! reply), heap allocations per request (the caller supplies the
 //! allocation counter, since the counting `#[global_allocator]` must
 //! live in the final binary), and the proxy cache hit rate.
 
 use doc_core::policy::CachePolicy;
-use doc_core::pool::{Datagram, ProxyPool, INJECTOR_GRAB};
+use doc_core::pool::{Datagram, ProxyPool, MAX_DRAIN};
 use doc_core::server::{DocServer, MockUpstream};
 use doc_core::transport::experiment_name;
 use doc_core::{CoapProxy, DocMethod};
@@ -34,7 +33,9 @@ pub struct LoadSpec {
     pub shards: usize,
     /// Total requests replayed in the measured window.
     pub total_requests: u64,
-    /// Ring capacity = closed-loop in-flight bound.
+    /// Most datagrams a worker pulls at once (clamped to
+    /// `1..=MAX_DRAIN`); the closed loop holds at most `workers` times
+    /// that in flight.
     pub concurrency: usize,
     /// Distinct names in the replayed mix.
     pub unique_names: u32,
@@ -72,7 +73,7 @@ pub struct ThroughputRow {
     pub elapsed_ns: u64,
     /// Closed-loop throughput.
     pub req_per_s: f64,
-    /// Median sojourn latency (ring enqueue → reply), microseconds.
+    /// Median sojourn latency (pull → reply), microseconds.
     pub p50_us: f64,
     /// 99th-percentile sojourn latency, microseconds.
     pub p99_us: f64,
@@ -154,7 +155,7 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
 /// measured window exercises the steady-state (cache-hit dominated)
 /// hot path the sharding targets, and the request-buffer pool is
 /// filled before the window too, so a short window does not count
-/// the ring's and the workers' first buffers.
+/// the workers' first buffers.
 pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow {
     let upstream = MockUpstream::with_shards(0xD0C, spec.ttl_s, spec.ttl_s, spec.shards);
     let proxy = Arc::new(CoapProxy::with_shards(
@@ -192,16 +193,16 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
     }
     let hits_before = proxy.cache_stats().hits;
     // Pre-filled, each buffer sized to the longest request, so the
-    // producer never finds the pool dry or grows a buffer inside the
-    // window: the ring's `concurrency` datagrams, every worker's
-    // largest grab and the one the producer holds.
+    // source never finds the pool dry or grows a buffer inside the
+    // window: every worker holding a full drain, which it hands back
+    // before its next pull.
     let longest = mix.wires.iter().map(Vec::len).max().unwrap_or(0);
-    let in_flight = spec.concurrency + pool.workers() * INJECTOR_GRAB + 1;
+    let in_flight = pool.workers() * spec.concurrency.clamp(1, MAX_DRAIN);
     recycle.put_batch((0..in_flight).map(|_| Vec::with_capacity(longest)));
 
     // Measured closed-loop window.
     let total = spec.total_requests;
-    let enqueue_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
+    let pulled_ns: Vec<AtomicU64> = (0..total).map(|_| AtomicU64::new(0)).collect();
     // Full capacity per bucket: any worker may take any drain, so one
     // worker can end up recording most of the run, and a mid-window
     // realloc would both skew latency and count against
@@ -214,7 +215,7 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
     let stats = pool.run(
         spec.concurrency,
         (0..total).map(|seq| {
-            enqueue_ns[seq as usize].store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            pulled_ns[seq as usize].store(epoch.elapsed().as_nanos() as u64, Ordering::Relaxed);
             let mut wire = recycle.take();
             wire.extend_from_slice(&mix.wires[(seq % mix.wires.len() as u64) as usize]);
             Datagram {
@@ -226,11 +227,11 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         }),
         &|reply| {
             let done = epoch.elapsed().as_nanos() as u64;
-            let enq = enqueue_ns[reply.seq as usize].load(Ordering::Relaxed);
+            let pulled = pulled_ns[reply.seq as usize].load(Ordering::Relaxed);
             latency_buckets[reply.worker]
                 .lock()
                 .unwrap()
-                .push(done.saturating_sub(enq));
+                .push(done.saturating_sub(pulled));
         },
     );
     let elapsed = epoch.elapsed();

@@ -19,8 +19,8 @@ fn short_four_worker_run_reads_under_one_alloc_per_request() {
         total_requests: 2_000,
         ..LoadSpec::default()
     };
-    // A few runs: how the ring's datagrams spread over the workers
-    // varies run to run.
+    // A few runs: how the drains spread over the workers varies run
+    // to run.
     for _ in 0..5 {
         let row = run_load(&spec, &alloc_count);
         assert_eq!(row.replies, spec.total_requests);

@@ -54,7 +54,7 @@ pub struct Config {
     /// ordering bugs need 1–2.
     pub preemption_bound: usize,
     /// Command prefix printed in the failure report's replay line,
-    /// e.g. `cargo run --bin check_gate -- --model ring-spmc`.
+    /// e.g. `cargo run --bin check_gate -- --model shard-cache`.
     pub replay_hint: Option<String>,
 }
 

@@ -1,16 +1,16 @@
 //! `doc-check` — a deterministic thread-interleaving model checker in
 //! the spirit of [loom].
 //!
-//! The workspace's concurrency layer (`doc_core::pool::SpmcRing`,
-//! `doc_coap::shard::ShardedCache`, the proxy's atomic statistics) is
+//! The workspace's concurrency layer (`doc_coap::shard::ShardedCache`
+//! and `ShardedResponseCache`, the proxy's atomic statistics) is
 //! correct only if it is correct under *every* interleaving, but
 //! ordinary tests only see whatever schedules the OS happens to
 //! produce. This crate makes interleavings a controlled input:
 //!
-//! * [`sync`] exports drop-in [`sync::Mutex`], [`sync::Condvar`] and
-//!   [`sync::atomic`] types with the `std::sync` API. Outside a model
-//!   execution they are zero-cost passthroughs to `std` (a single
-//!   thread-local lookup per operation), so production code uses them
+//! * [`sync`] exports drop-in [`sync::Mutex`] and [`sync::atomic`]
+//!   types with the `std::sync` API. Outside a model execution they
+//!   are zero-cost passthroughs to `std` (a single thread-local
+//!   lookup per operation), so production code uses them
 //!   unconditionally — the real primitives are what gets checked, not
 //!   copies.
 //! * [`thread::spawn`]/[`thread::yield_now`] create *model* threads

@@ -55,8 +55,6 @@ impl core::str::FromStr for Schedule {
 pub(crate) enum BlockReason {
     /// Waiting to acquire the mutex with this identity.
     Mutex(usize),
-    /// Waiting on the condvar with this identity.
-    Cond(usize),
     /// Waiting for the thread with this id to finish.
     Join(usize),
 }
@@ -488,7 +486,7 @@ pub(crate) fn run_one(max_steps: u64, preset: &[usize], body: &(dyn Fn() + Sync)
     }
 }
 
-/// Stable identity for a mutex/condvar: its address. Model executions
+/// Stable identity for a mutex: its address. Model executions
 /// create primitives fresh inside the body, so addresses are stable
 /// *within* one execution, which is the only scope the scheduler needs
 /// them in; a map keyed by them never outlives the execution.

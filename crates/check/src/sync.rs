@@ -8,15 +8,15 @@
 //! exercises the *real* primitives, not parallel copies.
 //!
 //! Inside a model execution every operation becomes a scheduling
-//! point: acquiring a mutex, releasing it, waiting on or signalling a
-//! condvar, and every atomic access hand the scheduler a decision.
+//! point: acquiring a mutex, releasing it, and every atomic access
+//! hand the scheduler a decision.
 //! Atomics are forced to `SeqCst` under the model (sequential
 //! consistency is the memory model explored; see the crate docs).
 
 use crate::sched::{self, BlockReason, Execution};
 use std::sync::{
-    Arc as StdArc, Condvar as StdCondvar, LockResult, Mutex as StdMutex,
-    MutexGuard as StdMutexGuard, PoisonError, TryLockError,
+    Arc as StdArc, LockResult, Mutex as StdMutex, MutexGuard as StdMutexGuard, PoisonError,
+    TryLockError,
 };
 
 pub use std::sync::Arc;
@@ -123,79 +123,6 @@ impl<T> Drop for MutexGuard<'_, T> {
                 exec.yield_point(me);
             }
         }
-    }
-}
-
-/// A condition variable with the `std::sync::Condvar` API.
-///
-/// Under the model, `notify_one` wakes *every* waiter (std permits
-/// spurious wakeups, so callers already loop on their predicate);
-/// modelling the weakest allowed behaviour keeps the state space
-/// honest without tracking wake-set subsets.
-pub struct Condvar {
-    inner: StdCondvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: StdCondvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's mutex and wait for a
-    /// notification, then reacquire.
-    pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-        match guard.model.take() {
-            None => {
-                let std = guard.std.take().expect("guard holds the lock");
-                let mutex = guard.mutex;
-                drop(guard);
-                match self.inner.wait(std) {
-                    Ok(g) => Ok(mutex.guard(g, None)),
-                    Err(p) => Err(PoisonError::new(mutex.guard(p.into_inner(), None))),
-                }
-            }
-            Some((exec, me)) => {
-                let mutex = guard.mutex;
-                // Release the lock and park on the condvar. No other
-                // thread runs between the two (blocking *is* the next
-                // decision point), so the unlock+wait pair is atomic
-                // exactly as the condvar contract requires.
-                drop(guard.std.take());
-                drop(guard);
-                exec.wake(BlockReason::Mutex(sched::sync_id(mutex)));
-                exec.block(me, BlockReason::Cond(sched::sync_id(self)));
-                mutex.lock_model(exec, me)
-            }
-        }
-    }
-
-    /// Wake one waiter (all of them, under the model — see type docs).
-    pub fn notify_one(&self) {
-        self.notify();
-    }
-
-    /// Wake every waiter.
-    pub fn notify_all(&self) {
-        self.notify();
-    }
-
-    fn notify(&self) {
-        match sched::current() {
-            None => self.inner.notify_all(),
-            Some((exec, me)) => {
-                exec.wake(BlockReason::Cond(sched::sync_id(self)));
-                exec.yield_point(me);
-            }
-        }
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
     }
 }
 
@@ -411,25 +338,6 @@ mod tests {
             *g += 1;
         }
         assert_eq!(*m.lock().unwrap(), 8);
-    }
-
-    #[test]
-    fn passthrough_condvar_wakes_a_real_thread() {
-        let pair = StdArc::new((Mutex::new(false), Condvar::new()));
-        let p2 = StdArc::clone(&pair);
-        let waiter = std::thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut ready = m.lock().unwrap();
-            while !*ready {
-                ready = cv.wait(ready).unwrap();
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock().unwrap() = true;
-            cv.notify_one();
-        }
-        waiter.join().unwrap();
     }
 
     #[test]

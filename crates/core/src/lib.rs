@@ -49,7 +49,7 @@ pub use client::DocClient;
 pub use io::{IoProvider, RecvSlot, SimProvider, UdpProvider};
 pub use method::DocMethod;
 pub use policy::CachePolicy;
-pub use pool::{BufferPool, Datagram, ProxyPool, Reply, ServeScratch, SpmcRing};
+pub use pool::{BufferPool, Datagram, ProxyPool, Reply, ServeScratch};
 pub use proxy::CoapProxy;
 pub use server::{DocServer, MockUpstream};
 

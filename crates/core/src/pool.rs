@@ -1,9 +1,9 @@
-//! Multi-worker datagram front-end: one bounded injector ring fanning
-//! request datagrams onto N worker threads.
+//! Multi-worker datagram front-end: N worker threads pulling request
+//! datagrams straight from one shared source.
 //!
 //! The paper's evaluation is single-node and the whole protocol stack
 //! is sans-IO, so scaling across cores is purely a front-end concern:
-//! workers pull raw datagrams off the ring and run the *existing*
+//! each worker pulls a drain of raw datagrams and runs the *existing*
 //! borrowed-view path, wire in and wire out on every leg —
 //! [`CoapProxy::serve_wire`] for the client leg and, on a miss or
 //! revalidation, [`ForwardRequest::encode_into`] →
@@ -14,12 +14,6 @@
 //! and no per-peer state depends on which worker serves a datagram,
 //! so any idle worker may take any datagram.
 //!
-//! * [`SpmcRing`] — a bounded single-producer/multi-consumer ring of
-//!   fixed power-of-two capacity, the pool's shared **injector**. The
-//!   producer blocks when the ring is full (closed-loop backpressure:
-//!   in-flight work is bounded by the ring), workers drain it in
-//!   batches of up to `INJECTOR_GRAB` to amortize lock/wake traffic
-//!   and sleep on its condvar when it is empty.
 //! * [`ProxyPool`] — N workers sharing one `Arc<CoapProxy>` and one
 //!   `Arc<DocServer>`; each datagram is a DoC (CoAP) request, runs the
 //!   full client → proxy → (origin, on a cache miss) → client
@@ -31,171 +25,29 @@
 //!   a forward allocates only what the cache keeps: the key and the
 //!   stored response.
 //!
-//! Where datagrams come from is the caller's choice: the closed-loop
-//! throughput harness (`doc-bench`) feeds [`ProxyPool::run`] from a
-//! replayed query mix, and [`ProxyPool::run_io`] serves a
-//! [`crate::io`] provider (`doc-netsim` drains or a real UDP socket)
-//! on its calling thread. Both serve each drain through the identical
-//! per-drain step.
+//! Where datagrams come from is the caller's choice: the throughput
+//! harness (`doc-bench`) hands [`ProxyPool::run`] an iterator over a
+//! replayed query mix, which the workers share behind one lock, and
+//! [`ProxyPool::run_io`] serves a [`crate::io`] provider (`doc-netsim`
+//! drains or a real UDP socket) on its calling thread. Either way each
+//! serving thread pulls a drain, serves it and hands the replies out.
 
 use crate::proxy::{CoapProxy, ForwardRequest, ProxyScratch, WireAction};
 use crate::server::{DocServer, ServerScratch};
-// The sync primitives come from `doc-check`: outside a model execution
-// they are passthroughs to `std::sync`, inside one every operation is
-// a scheduling point — so `check_gate` explores the interleavings of
-// *this* ring, not a copy (see `crates/check`).
+// The sync primitives come from `doc-check`, as in the proxy: outside
+// a model execution they are passthroughs to `std::sync` (see
+// `crates/check`).
 use doc_check::sync::atomic::{AtomicU64, Ordering};
-use doc_check::sync::{Arc, Condvar, Mutex};
+use doc_check::sync::{Arc, Mutex, MutexGuard};
 use doc_crypto::ccm::{recycle, CcmScratch, SealRequest, LOCKSTEP_GROUP};
 use doc_dtls::record::{CipherState, ContentType, RecordCrypto, CIPHERTEXT_OFFSET};
 use doc_quic::packet::{Header, OpenScratch, PacketKeys, PacketOpen};
-
-/// A bounded single-producer/multi-consumer ring buffer.
-///
-/// Fixed storage allocated once at construction; `push` blocks while
-/// the ring is full, `pop`/`pop_batch` block while it is empty. After
-/// [`SpmcRing::close`], pushes fail and pops drain the remaining items
-/// before returning `None`.
-pub struct SpmcRing<T> {
-    state: Mutex<RingState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct RingState<T> {
-    /// `capacity` slots; `None` = empty slot.
-    slots: Box<[Option<T>]>,
-    /// Next slot to pop (wraps with the power-of-two mask).
-    head: u64,
-    /// Next slot to push.
-    tail: u64,
-    closed: bool,
-}
-
-impl<T> RingState<T> {
-    fn len(&self) -> usize {
-        (self.tail - self.head) as usize
-    }
-    fn mask(&self) -> u64 {
-        self.slots.len() as u64 - 1
-    }
-}
-
-impl<T> SpmcRing<T> {
-    /// Create a ring with `capacity` slots (rounded up to a power of
-    /// two, at least 2).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        SpmcRing {
-            state: Mutex::new(RingState {
-                slots: (0..cap).map(|_| None).collect(),
-                head: 0,
-                tail: 0,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Slot count.
-    pub fn capacity(&self) -> usize {
-        self.state.lock().unwrap().slots.len()
-    }
-
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.state.lock().unwrap().len()
-    }
-
-    /// Whether the ring is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Push an item, blocking while the ring is full. Returns the item
-    /// back if the ring was closed.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = self.state.lock().unwrap();
-        while st.len() == st.slots.len() && !st.closed {
-            st = self.not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return Err(item);
-        }
-        let idx = (st.tail & st.mask()) as usize;
-        st.slots[idx] = Some(item);
-        st.tail += 1;
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Pop one item, blocking while the ring is empty. Returns `None`
-    /// once the ring is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.len() > 0 {
-                let idx = (st.head & st.mask()) as usize;
-                let item = st.slots[idx].take();
-                st.head += 1;
-                drop(st);
-                self.not_full.notify_one();
-                return item;
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Pop up to `max` items into `out`, blocking while the ring is
-    /// empty. **`out` is cleared at entry**: the batch a call returns
-    /// is exactly the batch it drained, so a caller reusing a scratch
-    /// buffer across drains can never silently reprocess stale items.
-    /// Returns the number of items drained — 0 only once the ring is
-    /// closed and drained. Batch draining takes the lock once per
-    /// batch instead of once per datagram.
-    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        out.clear();
-        let mut st = self.state.lock().unwrap();
-        loop {
-            let n = st.len().min(max.max(1));
-            if n > 0 {
-                for _ in 0..n {
-                    let idx = (st.head & st.mask()) as usize;
-                    out.push(st.slots[idx].take().expect("occupied slot"));
-                    st.head += 1;
-                }
-                drop(st);
-                // Several slots freed: there may be room for more than
-                // one producer push and other consumers may still find
-                // items.
-                self.not_full.notify_all();
-                return n;
-            }
-            if st.closed {
-                return 0;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    /// Close the ring: subsequent pushes fail, pops drain what is left.
-    /// Idempotent.
-    pub fn close(&self) {
-        self.state.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
+use std::sync::PoisonError;
 
 /// A shared free-list of byte buffers — the allocation-recycling link
-/// between a producer that must give each [`Datagram`] an owned
-/// `wire` and the workers that are done with it. Workers return a
-/// whole drain's buffers in one lock acquisition; the producer
+/// between a datagram source that must give each [`Datagram`] an
+/// owned `wire` and the workers that are done with it. Workers return
+/// a whole drain's buffers in one lock acquisition; the source
 /// [`BufferPool::take`]s them back (cleared, capacity intact) instead
 /// of allocating. This is what holds the pool's steady-state
 /// `allocs_per_req` below 1.
@@ -214,14 +66,14 @@ impl BufferPool {
     /// Take a recycled buffer (empty, capacity preserved), or a fresh
     /// one if the pool is dry.
     pub fn take(&self) -> Vec<u8> {
-        let mut buf = self.bufs.lock().unwrap().pop().unwrap_or_default();
+        let mut buf = self.free_list().pop().unwrap_or_default();
         buf.clear();
         buf
     }
 
     /// Buffers currently pooled.
     pub fn len(&self) -> usize {
-        self.bufs.lock().unwrap().len()
+        self.free_list().len()
     }
 
     /// Whether the free-list is empty.
@@ -231,30 +83,24 @@ impl BufferPool {
 
     /// Return one spent buffer.
     pub fn put(&self, buf: Vec<u8>) {
-        self.bufs.lock().unwrap().push(buf);
+        self.free_list().push(buf);
     }
 
     /// Return a batch of spent buffers under one lock acquisition.
     pub fn put_batch(&self, bufs: impl Iterator<Item = Vec<u8>>) {
-        self.bufs.lock().unwrap().extend(bufs);
+        self.free_list().extend(bufs);
+    }
+
+    /// The locked free-list. A thread that panicked while holding it
+    /// left a list of whole buffers, so poisoning is ignored.
+    fn free_list(&self) -> MutexGuard<'_, Vec<Vec<u8>>> {
+        self.bufs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl Default for BufferPool {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// Closes the injector when dropped — including when a worker or the
-/// producer unwinds. Without this, a panicking participant would leave
-/// the others blocked on the ring forever instead of letting the scope
-/// join and propagate the panic.
-struct CloseGuard<'a>(&'a SpmcRing<Datagram>);
-
-impl Drop for CloseGuard<'_> {
-    fn drop(&mut self) {
-        self.0.close();
     }
 }
 
@@ -346,11 +192,6 @@ impl ReplySeal {
         }
     }
 
-    /// Reserve `n` consecutive record sequence numbers.
-    fn reserve(&self, n: u64) -> u64 {
-        self.seq.fetch_add(n, Ordering::Relaxed)
-    }
-
     /// Seal every served reply in place: its plaintext wire becomes
     /// the full DTLS record wire, in the same buffer. Replies without
     /// a wire (malformed datagrams) stay as they are. A reply that
@@ -359,7 +200,8 @@ impl ReplySeal {
     /// is dropped (`wire = None`) and so counted as an error.
     fn seal_replies(&self, replies: &mut [Reply], scratch: &mut SealScratch) {
         let SealScratch { ccm, records, reqs } = scratch;
-        let mut seq = self.reserve(replies.iter().filter(|r| r.wire.is_some()).count() as u64);
+        let served = replies.iter().filter(|r| r.wire.is_some()).count() as u64;
+        let mut seq = self.seq.fetch_add(served, Ordering::Relaxed);
         // In lockstep-group chunks, so the per-reply buffers below stay
         // group-sized whatever the drain size.
         for chunk in replies.chunks_mut(LOCKSTEP_GROUP) {
@@ -441,6 +283,14 @@ struct ParsedHeader {
     bytes: [u8; HEADER_SCRATCH],
 }
 
+impl ParsedHeader {
+    /// The header's bytes (`len` never exceeds the scratch: parsing
+    /// rejects a longer header).
+    fn header(&self) -> &[u8] {
+        self.bytes.get(..self.len).unwrap_or_default()
+    }
+}
+
 /// The buffers [`RequestOpen`] reuses from drain to drain.
 #[derive(Default)]
 pub(crate) struct OpenDrainScratch {
@@ -496,22 +346,20 @@ impl RequestOpen {
         headers.clear();
         headers.reserve(batch.len());
         for d in batch.iter_mut() {
-            let parsed = match Header::decode(&d.wire) {
-                Ok(h) if h.len <= HEADER_SCRATCH && h.len <= d.wire.len() => {
-                    let mut bytes = [0u8; HEADER_SCRATCH];
-                    bytes[..h.len].copy_from_slice(&d.wire[..h.len]);
-                    Some(ParsedHeader {
-                        pn: h.pn,
-                        len: h.len,
-                        bytes,
-                    })
-                }
-                _ => {
-                    d.wire.clear();
-                    failed += 1;
-                    None
-                }
-            };
+            let parsed = Header::decode(&d.wire).ok().and_then(|h| {
+                let mut bytes = [0u8; HEADER_SCRATCH];
+                let src = d.wire.get(..h.len)?;
+                bytes.get_mut(..h.len)?.copy_from_slice(src);
+                Some(ParsedHeader {
+                    pn: h.pn,
+                    len: h.len,
+                    bytes,
+                })
+            });
+            if parsed.is_none() {
+                d.wire.clear();
+                failed += 1;
+            }
             headers.push(parsed);
         }
         // Phase 2: one batched open over the parseable packets.
@@ -521,7 +369,7 @@ impl RequestOpen {
             if let Some(h) = h {
                 packets.push(PacketOpen {
                     pn: h.pn,
-                    header: &h.bytes[..h.len],
+                    header: h.header(),
                     buf: &mut d.wire,
                     start: h.len,
                 });
@@ -532,7 +380,8 @@ impl RequestOpen {
             // packet alone so one forgery doesn't take the authentic
             // drain down with it. A forgery's wire is cleared.
             for o in packets.iter_mut() {
-                match self.keys.open(o.pn, o.header, &o.buf[o.start..]) {
+                let ciphertext = o.buf.get(o.start..).unwrap_or_default();
+                match self.keys.open(o.pn, o.header, ciphertext) {
                     Ok(plain) => {
                         o.buf.truncate(o.start);
                         o.buf.extend_from_slice(&plain);
@@ -572,14 +421,14 @@ pub struct ProxyPool {
     /// drain is opened in one batched pass before serving.
     request_open: Option<RequestOpen>,
     /// When set, `run`'s workers return spent `Datagram::wire` buffers
-    /// here after each drain so the producer can reuse them.
+    /// here after each drain so the datagram source can reuse them.
     recycle: Option<Arc<BufferPool>>,
 }
 
-/// How many datagrams a `run` worker drains from the injector per lock
+/// The most datagrams a `run` worker pulls from the source per lock
 /// acquisition — also the largest batch one seal/open pass covers
 /// there (`run_io` drains are `recv_batch`-sized).
-pub const INJECTOR_GRAB: usize = 128;
+pub const MAX_DRAIN: usize = 128;
 
 /// Initial capacity of a reply slab buffer: a cache-hit reply is
 /// written piecewise, and starting at 128 bytes, where a typical DoC
@@ -602,8 +451,7 @@ impl ProxyPool {
     }
 
     /// Protect the reply leg: every reply this pool emits becomes a
-    /// DTLS ApplicationData record, sealed batch-at-a-time (the crypto
-    /// analogue of `pop_batch`'s lock amortization).
+    /// DTLS ApplicationData record, sealed a drain at a time.
     pub fn with_reply_seal(mut self, seal: ReplySeal) -> Self {
         self.seal = Some(seal);
         self
@@ -617,7 +465,7 @@ impl ProxyPool {
     }
 
     /// Recycle spent `Datagram::wire` buffers through `pool` — the
-    /// producer side of the closed loop takes them back with
+    /// datagram source of the closed loop takes them back with
     /// [`BufferPool::take`] instead of allocating. Only
     /// [`ProxyPool::run`] feeds it: [`ProxyPool::run_io`] hands spent
     /// datagrams back to its provider's receive slots instead.
@@ -667,49 +515,42 @@ impl ProxyPool {
         }
     }
 
-    /// Fan `datagrams` over the worker threads through a bounded
-    /// injector ring of `ring_capacity` slots and hand every reply to
-    /// `on_reply` (called from worker threads; replies arrive in
-    /// completion order, not submission order). The `Reply` is
+    /// Serve `datagrams` on the pool's worker threads and hand every
+    /// reply to `on_reply` (called from worker threads; replies arrive
+    /// in completion order, not submission order). The `Reply` is
     /// **borrowed**: the worker keeps ownership of the reply buffer and
     /// reuses it on the next drain, so a sink that only inspects or
     /// copies out costs the pool nothing.
     ///
-    /// The calling thread is the single producer: it blocks while the
-    /// injector is full, which bounds in-flight work and gives
-    /// closed-loop behaviour when the iterator is replayed load. A
-    /// panic in a worker (including in `on_reply`) or in the iterator
-    /// closes the ring and propagates out of `run`.
+    /// The iterator is the workers' shared queue: each worker locks it,
+    /// pulls a drain of up to `max_drain` datagrams (clamped to
+    /// `1..=`[`MAX_DRAIN`]), unlocks, serves the drain and pulls again,
+    /// until a pull comes back empty. The iterator therefore runs on
+    /// the workers, one pull at a time, and in-flight work is bounded
+    /// by one drain per worker. The calling thread only waits for the
+    /// workers. A panic in a worker (including in `on_reply`) or in the
+    /// iterator empties the source, so the other workers stop at their
+    /// next pull, and propagates out of `run`.
     pub fn run<I>(
         &self,
-        ring_capacity: usize,
+        max_drain: usize,
         datagrams: I,
         on_reply: &(dyn Fn(&Reply) + Sync),
     ) -> PoolRunStats
     where
         I: IntoIterator<Item = Datagram>,
+        I::IntoIter: Send,
     {
-        let injector: SpmcRing<Datagram> = SpmcRing::new(ring_capacity);
+        let source = &Mutex::new(Some(datagrams.into_iter()));
+        let grab = max_drain.clamp(1, MAX_DRAIN);
         let mut stats = PoolRunStats {
             steals_per_worker: vec![0; self.workers],
             ..PoolRunStats::default()
         };
         std::thread::scope(|scope| {
-            // The producer needs the same unwind protection as the
-            // workers: if the datagram iterator panics, the scope body
-            // unwinds before the explicit close below, and scope()
-            // would join workers blocked on the empty ring forever.
-            let _producer_guard = CloseGuard(&injector);
-            let injector = &injector;
             let workers: Vec<_> = (0..self.workers)
-                .map(|worker| scope.spawn(move || self.work(worker, injector, on_reply)))
+                .map(|worker| scope.spawn(move || self.work(worker, source, grab, on_reply)))
                 .collect();
-            for d in datagrams {
-                if injector.push(d).is_err() {
-                    break;
-                }
-            }
-            injector.close();
             for w in workers {
                 let tally = w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
                 stats.processed += tally.processed;
@@ -720,37 +561,38 @@ impl ProxyPool {
         stats
     }
 
-    /// One worker thread: drain the injector until it is closed and
-    /// empty, returning this worker's tally. The tally stays local and
-    /// is summed once at join, so serving touches no shared counter
-    /// per datagram.
-    fn work(
+    /// One worker thread: pull drains of up to `grab` datagrams from
+    /// `source` and serve them until a pull comes back empty, returning
+    /// this worker's tally. The tally stays local and is summed once at
+    /// join, so serving touches no shared counter per datagram.
+    fn work<S: Iterator<Item = Datagram>>(
         &self,
         worker: usize,
-        injector: &SpmcRing<Datagram>,
+        source: &Mutex<Option<S>>,
+        grab: usize,
         on_reply: &(dyn Fn(&Reply) + Sync),
     ) -> PoolRunStats {
-        // If this worker unwinds (serve or on_reply panicking), the
-        // guard closes the injector so the producer unblocks and the
-        // scope can join and propagate the panic instead of
-        // deadlocking.
-        let _close_guard = CloseGuard(injector);
-        let mut batch: Vec<Datagram> = Vec::with_capacity(INJECTOR_GRAB);
-        let mut scratch = WorkerScratch::with_capacity(INJECTOR_GRAB);
+        let _stop = StopSource(source);
+        let mut batch: Vec<Datagram> = Vec::with_capacity(grab);
+        let mut scratch = WorkerScratch::with_capacity(grab);
         let mut tally = PoolRunStats::default();
-        while injector.pop_batch(&mut batch, INJECTOR_GRAB) > 0 {
+        loop {
+            // A poisoned lock means a pull panicked: that pull is empty.
+            if let Ok(Some(it)) = source.lock().as_deref_mut() {
+                batch.extend(it.by_ref().take(grab));
+            }
+            if batch.is_empty() {
+                return tally;
+            }
             let replies = self.serve_batch(worker, &mut batch, &mut scratch);
             tally.count(replies);
             replies.iter().for_each(on_reply);
-            // Spent request wires go back to the producer.
+            // Spent request wires go back to the datagram source.
             if let Some(recycle) = &self.recycle {
-                recycle.put_batch(batch.drain(..).map(|mut d| {
-                    d.wire.clear();
-                    d.wire
-                }));
+                recycle.put_batch(batch.drain(..).map(|d| d.wire));
             }
+            batch.clear();
         }
-        tally
     }
 
     /// Serve one drain on the calling thread — the per-drain step of
@@ -789,7 +631,8 @@ impl ProxyPool {
                 wire: None,
             });
         }
-        let replies = &mut replies[..batch.len()];
+        // Never short: the slab was just grown to the drain.
+        let replies = replies.get_mut(..batch.len()).unwrap_or_default();
         for (d, r) in batch.iter().zip(replies.iter_mut()) {
             r.peer = d.peer;
             r.seq = d.seq;
@@ -802,6 +645,18 @@ impl ProxyPool {
             seal.seal_replies(replies, seal_scratch);
         }
         replies
+    }
+}
+
+/// Empties `run`'s datagram source when its worker stops — the source
+/// ran dry, or the iterator or the sink panicked — so every other
+/// worker stops at its next pull and the scope can join and propagate
+/// the panic. It drops the iterator even if the lock is poisoned.
+struct StopSource<'a, S>(&'a Mutex<Option<S>>);
+
+impl<S> Drop for StopSource<'_, S> {
+    fn drop(&mut self) {
+        *self.0.lock().unwrap_or_else(PoisonError::into_inner) = None;
     }
 }
 
@@ -883,67 +738,6 @@ mod tests {
     use doc_dns::{Message, Name, RecordType};
     use doc_dtls::record::{Record, MAX_SEQ};
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn ring_is_bounded_fifo() {
-        let ring = SpmcRing::new(4);
-        assert_eq!(ring.capacity(), 4);
-        for i in 0..4 {
-            ring.push(i).unwrap();
-        }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.pop(), Some(0));
-        assert_eq!(ring.pop(), Some(1));
-        ring.push(4).unwrap();
-        let mut batch = Vec::new();
-        assert_eq!(ring.pop_batch(&mut batch, 8), 3);
-        assert_eq!(batch, vec![2, 3, 4]);
-        ring.close();
-        assert_eq!(ring.pop(), None);
-        assert!(ring.push(9).is_err());
-    }
-
-    #[test]
-    fn ring_full_push_blocks_until_pop() {
-        let ring = Arc::new(SpmcRing::new(2));
-        ring.push(1u32).unwrap();
-        ring.push(2).unwrap();
-        let r2 = Arc::clone(&ring);
-        let producer = std::thread::spawn(move || r2.push(3).is_ok());
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(ring.pop(), Some(1), "push of 3 must still be parked");
-        assert!(producer.join().unwrap());
-        assert_eq!(ring.pop(), Some(2));
-        assert_eq!(ring.pop(), Some(3));
-    }
-
-    #[test]
-    fn ring_multi_consumer_partitions_items() {
-        let ring = Arc::new(SpmcRing::new(8));
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let consumers: Vec<_> = (0..3)
-            .map(|_| {
-                let ring = Arc::clone(&ring);
-                let seen = Arc::clone(&seen);
-                std::thread::spawn(move || {
-                    let mut batch = Vec::new();
-                    while ring.pop_batch(&mut batch, 4) > 0 {
-                        seen.lock().unwrap().append(&mut batch);
-                    }
-                })
-            })
-            .collect();
-        for i in 0..100u32 {
-            ring.push(i).unwrap();
-        }
-        ring.close();
-        for c in consumers {
-            c.join().unwrap();
-        }
-        let mut got = seen.lock().unwrap().clone();
-        got.sort_unstable();
-        assert_eq!(got, (0..100).collect::<Vec<_>>(), "exactly-once delivery");
-    }
 
     fn fetch_wire(name: &str, seq: u64) -> Vec<u8> {
         let mut q = Message::query(0, Name::parse(name).unwrap(), RecordType::Aaaa);
@@ -1039,13 +833,12 @@ mod tests {
     }
 
     /// A panicking worker must propagate out of `run` (via the scope
-    /// join), not leave the producer deadlocked on the full ring.
+    /// join), not leave `run` waiting on it.
     #[test]
     fn worker_panic_propagates_instead_of_deadlocking() {
         let pool = pool(1, &["a.example.org"]);
-        // Far more datagrams than ring slots, so the producer would
-        // park on the full ring if the sole (panicked) worker stopped
-        // draining without closing it.
+        // Far more datagrams than one drain, so the source is still
+        // full when the sole worker panics.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.run(
                 4,
@@ -1062,8 +855,8 @@ mod tests {
     }
 
     /// A panicking datagram source must propagate out of `run` the
-    /// same way a panicking worker does — not leave the workers parked
-    /// on the open ring's condvar.
+    /// same way a panicking worker does — the iterator runs on the
+    /// worker that pulls, and its panic poisons the source's lock.
     #[test]
     fn producer_panic_propagates_instead_of_deadlocking() {
         let pool = pool(2, &["a.example.org"]);
@@ -1082,6 +875,30 @@ mod tests {
                     }
                 }),
                 &|_| {},
+            )
+        }));
+        assert!(result.is_err(), "panic must propagate");
+    }
+
+    /// A worker that unwinds empties the source, so the other workers
+    /// stop at their next pull even when the source never ends.
+    #[test]
+    fn worker_panic_stops_an_endless_source() {
+        let pool = pool(4, &["a.example.org"]);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run(
+                8,
+                (0u64..).map(|seq| Datagram {
+                    peer: 0,
+                    seq,
+                    at: doc_time::Instant::from_millis(0),
+                    wire: fetch_wire("a.example.org", seq),
+                }),
+                &|r| {
+                    if r.seq == 100 {
+                        panic!("reply sink failure");
+                    }
+                },
             )
         }));
         assert!(result.is_err(), "panic must propagate");
@@ -1367,7 +1184,7 @@ mod tests {
 
     /// The wire-recycling loop: after a run with a [`BufferPool`]
     /// attached, the spent wires are back in the pool (cleared) for
-    /// the producer to take.
+    /// the datagram source to take.
     #[test]
     fn wire_recycling_returns_buffers_to_pool() {
         let recycle = Arc::new(BufferPool::new());

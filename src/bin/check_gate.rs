@@ -1,7 +1,7 @@
 //! `check_gate` — the model-checking CI gate: exhaustively explores
 //! bounded thread interleavings of the workspace's *real* concurrency
-//! primitives (the pool's `SpmcRing` injector, `ShardedCache`/
-//! `ShardedResponseCache`, the proxy's atomic stats) via `doc-check`
+//! primitives (`ShardedCache`/`ShardedResponseCache` and the proxy's
+//! atomic stats) via `doc-check`
 //! and fails with a replayable minimal schedule on any panic, deadlock,
 //! or live-lock.
 //!
@@ -28,7 +28,6 @@ use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::shard::{ShardedCache, ShardedResponseCache};
 use doc_core::method::{build_request, DocMethod};
-use doc_core::pool::SpmcRing;
 use doc_core::proxy::{CoapProxy, ProxyAction};
 use doc_dns::{Message, Name, RecordType};
 
@@ -42,16 +41,6 @@ struct Model {
 
 /// The registry `--list` prints and the default run explores.
 const MODELS: &[Model] = &[
-    Model {
-        name: "ring-spmc",
-        about: "SpmcRing: 1 producer / 2 batch-draining consumers, exactly-once delivery",
-        body: ring_spmc,
-    },
-    Model {
-        name: "ring-close",
-        about: "SpmcRing: concurrent close() drains queued items, then pops yield None",
-        body: ring_close,
-    },
     Model {
         name: "shard-cache",
         about: "ShardedCache: with_shard_mut read-modify-write loses no update",
@@ -68,51 +57,6 @@ const MODELS: &[Model] = &[
         body: stats_snapshot,
     },
 ];
-
-/// Exactly-once delivery through the real ring: every pushed item
-/// reaches exactly one consumer, under every interleaving of the
-/// producer, two batch-draining consumers, and close().
-fn ring_spmc() {
-    let ring: Arc<SpmcRing<u32>> = Arc::new(SpmcRing::new(2));
-    let consumers: Vec<_> = (0..2)
-        .map(|_| {
-            let ring = Arc::clone(&ring);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                let mut batch = Vec::new();
-                while ring.pop_batch(&mut batch, 2) > 0 {
-                    got.append(&mut batch);
-                }
-                got
-            })
-        })
-        .collect();
-    ring.push(1).expect("ring open");
-    ring.push(2).expect("ring open");
-    ring.close();
-    let mut all: Vec<u32> = consumers.into_iter().flat_map(|h| h.join()).collect();
-    all.sort_unstable();
-    assert_eq!(all, vec![1, 2], "exactly-once delivery");
-}
-
-/// Close/drain semantics: items pushed before a concurrent close are
-/// still delivered; pops after the drain observe the closed ring.
-fn ring_close() {
-    let ring: Arc<SpmcRing<u32>> = Arc::new(SpmcRing::new(2));
-    ring.push(7).expect("ring open");
-    let closer = {
-        let ring = Arc::clone(&ring);
-        thread::spawn(move || ring.close())
-    };
-    let popper = {
-        let ring = Arc::clone(&ring);
-        thread::spawn(move || (ring.pop(), ring.pop()))
-    };
-    closer.join();
-    let (first, second) = popper.join();
-    assert_eq!(first, Some(7), "queued item must survive a racing close");
-    assert_eq!(second, None, "closed and drained");
-}
 
 /// Two threads doing locked read-modify-write on the same shard entry:
 /// both increments must land.

@@ -6,7 +6,6 @@
 use doc_repro::check::sync::Arc;
 use doc_repro::check::{explore, thread, Config, FailureKind};
 use doc_repro::coap::shard::ShardedCache;
-use doc_repro::doc::pool::SpmcRing;
 use doc_repro::doc::proxy::{CoapProxy, ProxyAction};
 
 /// Debug builds explore noticeably slower than the release-mode gate,
@@ -18,52 +17,6 @@ fn cfg() -> Config {
         preemption_bound: 2,
         ..Config::default()
     }
-}
-
-#[test]
-fn spmc_ring_delivers_exactly_once_under_all_bounded_schedules() {
-    let report = explore(&cfg(), || {
-        let ring: Arc<SpmcRing<u32>> = Arc::new(SpmcRing::new(2));
-        let consumer = {
-            let ring = Arc::clone(&ring);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                let mut batch = Vec::new();
-                while ring.pop_batch(&mut batch, 2) > 0 {
-                    got.append(&mut batch);
-                }
-                got
-            })
-        };
-        ring.push(1).expect("open");
-        ring.push(2).expect("open");
-        ring.close();
-        assert_eq!(consumer.join(), vec![1, 2], "in-order, exactly once");
-    })
-    .expect("the ring has no failing interleaving");
-    assert!(report.completed, "search truncated at {}", report.schedules);
-    assert!(report.schedules > 1, "no branching happened");
-}
-
-#[test]
-fn spmc_ring_close_races_cleanly_with_blocked_consumer() {
-    let report = explore(&cfg(), || {
-        let ring: Arc<SpmcRing<u32>> = Arc::new(SpmcRing::new(2));
-        // The consumer may park on the empty ring before the producer
-        // pushes; every wake path (push's notify, close's notify_all)
-        // must eventually drain it.
-        let consumer = {
-            let ring = Arc::clone(&ring);
-            thread::spawn(move || (ring.pop(), ring.pop()))
-        };
-        ring.push(5).expect("open");
-        ring.close();
-        let (first, second) = consumer.join();
-        assert_eq!(first, Some(5));
-        assert_eq!(second, None, "closed and drained");
-    })
-    .expect("close/drain has no failing interleaving");
-    assert!(report.completed);
 }
 
 #[test]

@@ -702,7 +702,7 @@ proptest! {
                 .collect()
         };
 
-        // Slab path: 1 worker drains the injector in input order, so
+        // Slab path: 1 worker pulls the source in input order, so
         // cache state evolves exactly like the sequential pass below.
         let (pool, wires) = make_pool();
         let via_run = Mutex::new(vec![None; picks.len()]);

@@ -1,5 +1,5 @@
 //! End-to-end tests of the scale-out front-end: the sharded
-//! proxy/server behind the SPMC-ring worker pool, fed both by the
+//! proxy/server behind the worker pool, fed both by the
 //! throughput harness's replay mix and by the network simulator's
 //! batched event drain (through [`SimProvider`]).
 
@@ -105,7 +105,7 @@ fn netsim_batched_drain_feeds_the_pool() {
 }
 
 /// A single hot peer: every datagram comes from one client, and the
-/// shared injector spreads them over all workers. Every request is
+/// shared source spreads their drains over all workers. Every request is
 /// still answered exactly once, and the per-worker steal column keeps
 /// its shape (one zero per worker) for consumers of that field.
 #[test]
