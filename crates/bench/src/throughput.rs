@@ -252,7 +252,7 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         p50_us: percentile_us(&latencies, 0.50),
         p99_us: percentile_us(&latencies, 0.99),
         allocs_per_req: allocs as f64 / total.max(1) as f64,
-        cache_hit_rate: f64::from(hits) / total.max(1) as f64,
+        cache_hit_rate: hits as f64 / total.max(1) as f64,
     }
 }
 

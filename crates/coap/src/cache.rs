@@ -15,14 +15,41 @@
 //! * **Validation**: a stale entry with an ETag can be revalidated; a
 //!   `2.03 Valid` response refreshes the entry (new Max-Age) without
 //!   re-transferring the payload.
+//!
+//! # Entry layout
+//!
+//! An entry keeps the origin reply as the wire its hits copy, in one
+//! `Box<[u8]>`, with every Max-Age instance left out:
+//!
+//! ```text
+//! [code] [options numbered below 14] [options above 14] [0xFF payload]
+//!         ^ 1                        ^ split
+//! ```
+//!
+//! Max-Age (14) is the one option a served copy rewrites (RFC 7252
+//! §5.6.1), and its value changes length as it decays, so it is
+//! spliced in rather than patched. A hit writes the header (Ack, the
+//! stored code, the client's MID and token), copies `wire[1..split]`,
+//! encodes Max-Age as the seconds left — its delta counted from the
+//! last option before `split`, which the entry records — and copies
+//! `wire[split..]`. The first option there is stored delta-encoded from
+//! 14, since a served reply always carries Max-Age. The first ETag's
+//! value range is recorded too, so a client that already holds it gets
+//! a payload-free `2.03 Valid` without a walk of the options. The reply
+//! is byte-identical to encoding the response with every Max-Age
+//! replaced by one carrying the remaining seconds.
+//!
+//! The owned API ([`ResponseCache::insert`], [`ResponseCache::lookup`],
+//! [`ResponseCache::revalidate`]) encodes into and decodes out of the
+//! same entries.
 
 use crate::msg::{
-    encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
-    CoapMessage, Code, MsgType,
+    encode_header_into, encode_options_into, encode_payload_into, encode_raw_option_into,
+    encode_uint_option_into, CoapMessage, Code, MsgType,
 };
 use crate::opt::{CoapOption, OptionNumber};
 use crate::shard::{BuildPassThrough, Fnv1a};
-use crate::view::CoapView;
+use crate::view::{CoapView, OptionView};
 use std::collections::{HashMap, VecDeque};
 
 /// A computed cache key: opaque bytes plus their FNV-1a hash, computed
@@ -143,15 +170,83 @@ pub fn cache_key_view_reusing(msg: &CoapView<'_>, mut data: Vec<u8>) -> CacheKey
     CacheKey::from_bytes(data)
 }
 
-/// One cached response.
+/// The client a reply is encoded for when the owned API turns an entry
+/// back into a message: no exchange, no ETag.
+const NO_CLIENT: ReplyTo<'static> = ReplyTo {
+    message_id: 0,
+    token: &[],
+    etag: None,
+};
+
+/// One cached response: its wire without Max-Age (see the module doc)
+/// and its freshness timer. Offsets into the wire are `u32`, which a
+/// reply (datagram-sized) never outgrows; the map holds one of these
+/// per entry, so every byte counts.
 #[derive(Debug, Clone)]
 struct Entry {
-    response: CoapMessage,
+    /// The code, the options other than Max-Age, and the payload.
+    wire: Box<[u8]>,
+    /// Where Max-Age belongs in `wire`: the end of the options numbered
+    /// below it.
+    split: u32,
+    /// The number of the last option before `split` (0 if none), which
+    /// Max-Age's delta counts from.
+    before_split: u16,
+    /// The byte range of the first ETag's value in `wire`.
+    etag: Option<(u32, u32)>,
     stored_at_ms: u64,
     max_age_ms: u64,
 }
 
 impl Entry {
+    /// Build an entry from a response's code, its options in ascending
+    /// number order (every Max-Age is skipped) and its payload. The wire
+    /// is staged in `buf`, so the box is allocated once, at its size.
+    fn new<'v>(
+        code: Code,
+        options: impl IntoIterator<Item = OptionView<'v>>,
+        payload: &[u8],
+        max_age: u32,
+        now: u64,
+        buf: &mut Vec<u8>,
+    ) -> Self {
+        const MAX_AGE: u16 = OptionNumber::MAX_AGE.0;
+        buf.clear();
+        buf.push(code.0);
+        let (mut prev, mut before_split) = (0u16, 0u16);
+        let (mut split, mut etag) = (None, None);
+        for o in options {
+            if o.number.0 == MAX_AGE {
+                continue;
+            }
+            if split.is_none() && o.number.0 > MAX_AGE {
+                split = Some(buf.len() as u32);
+                before_split = prev;
+                prev = MAX_AGE;
+            }
+            prev = encode_raw_option_into(prev, o.number.0, o.value, buf);
+            if o.number == OptionNumber::ETAG && etag.is_none() {
+                etag = Some(((buf.len() - o.value.len()) as u32, buf.len() as u32));
+            }
+        }
+        let split = match split {
+            Some(at) => at,
+            None => {
+                before_split = prev;
+                buf.len() as u32
+            }
+        };
+        encode_payload_into(payload, buf);
+        Entry {
+            wire: Box::from(buf.as_slice()),
+            split,
+            before_split,
+            etag,
+            stored_at_ms: now,
+            max_age_ms: u64::from(max_age) * 1000,
+        }
+    }
+
     fn age_ms(&self, now: u64) -> u64 {
         now.saturating_sub(self.stored_at_ms)
     }
@@ -161,9 +256,77 @@ impl Entry {
     fn remaining_s(&self, now: u64) -> u32 {
         ((self.max_age_ms.saturating_sub(self.age_ms(now))) / 1000) as u32
     }
+
+    /// The stored response's code.
+    fn code(&self) -> Code {
+        Code(self.wire.first().copied().unwrap_or_default())
+    }
+
+    /// The first ETag's value.
+    fn etag(&self) -> Option<&[u8]> {
+        let (start, end) = self.etag?;
+        self.wire.get(start as usize..end as usize)
+    }
+
+    /// Whether a second ETag follows the first. Options ascend, so the
+    /// option after it repeats the number exactly when its delta nibble
+    /// is 0.
+    fn etag_repeats(&self) -> bool {
+        self.etag.is_some_and(|(_, end)| {
+            end < self.split && self.wire.get(end as usize).is_some_and(|b| b >> 4 == 0)
+        })
+    }
+
+    /// Encode the client reply with `max_age` seconds of freshness left:
+    /// a payload-free `2.03 Valid` when `to` holds the ETag, else the
+    /// stored response spliced around a Max-Age of `max_age`.
+    fn encode_reply_into(&self, max_age: u32, to: ReplyTo<'_>, out: &mut Vec<u8>) {
+        if let Some(etag) = self.etag().filter(|e| to.holds(e)) {
+            encode_valid_into(to, etag, max_age, out);
+            return;
+        }
+        encode_header_into(MsgType::Ack, self.code(), to.message_id, to.token, out);
+        let (head, tail) = (1..self.split as usize, self.split as usize..);
+        out.extend_from_slice(self.wire.get(head).unwrap_or_default());
+        encode_uint_option_into(self.before_split, OptionNumber::MAX_AGE.0, max_age, out);
+        out.extend_from_slice(self.wire.get(tail).unwrap_or_default());
+    }
+
+    /// The entry as an owned message: the reply a hit with `max_age`
+    /// seconds left would serve, decoded, as an Ack with message ID 0
+    /// and no token.
+    fn to_message(&self, max_age: u32) -> CoapMessage {
+        let mut wire = Vec::new();
+        self.encode_reply_into(max_age, NO_CLIENT, &mut wire);
+        // The wire was encoded from parsed options, so it decodes; the
+        // fallback keeps the owned API total.
+        CoapMessage::decode(&wire)
+            .unwrap_or_else(|_| CoapMessage::ack_reply(0, Vec::new(), self.code()))
+    }
+
+    /// Whether a refresh by `valid` leaves the stored options as they
+    /// are: it carries nothing but Max-Age and, at most, one ETag equal
+    /// to the entry's only ETag.
+    fn refresh_keeps_options(&self, valid: &CoapView<'_>) -> bool {
+        let mut etags = valid.options_of(OptionNumber::ETAG);
+        let only_validators = valid
+            .options()
+            .all(|o| o.number == OptionNumber::MAX_AGE || o.number == OptionNumber::ETAG);
+        only_validators
+            && match (etags.next(), etags.next()) {
+                (None, _) => true,
+                (Some(tag), None) => self.etag() == Some(tag.value) && !self.etag_repeats(),
+                (Some(_), Some(_)) => false,
+            }
+    }
 }
 
 /// Result of a cache lookup.
+///
+/// The responses are the entry as a hit would serve it, decoded: an Ack
+/// with message ID 0 and no token (a cached response belongs to no
+/// exchange until it is re-addressed) and one Max-Age carrying the
+/// seconds of freshness left.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Lookup {
     /// No entry.
@@ -175,7 +338,8 @@ pub enum Lookup {
     Stale {
         /// The ETag to send in the revalidation request.
         etag: Vec<u8>,
-        /// The stale response body (served again on `2.03 Valid`).
+        /// The stale response body (served again on `2.03 Valid`), with
+        /// Max-Age 0.
         response: CoapMessage,
     },
     /// Stale entry without an ETag — must be re-fetched in full.
@@ -227,15 +391,15 @@ pub fn encode_valid_into(to: ReplyTo<'_>, etag: &[u8], max_age: u32, out: &mut V
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Fresh hits served without network traffic.
-    pub hits: u32,
+    pub hits: u64,
     /// Lookups that found nothing.
-    pub misses: u32,
+    pub misses: u64,
     /// Lookups that found a stale entry (revalidation possible).
-    pub stale: u32,
+    pub stale: u64,
     /// Successful `2.03 Valid` revalidations.
-    pub revalidations: u32,
+    pub revalidations: u64,
     /// Entries evicted due to capacity.
-    pub evictions: u32,
+    pub evictions: u64,
 }
 
 /// An LRU-ish response cache (FIFO eviction, matching the small
@@ -245,6 +409,8 @@ pub struct ResponseCache {
     order: VecDeque<CacheKey>,
     capacity: usize,
     stats: CacheStats,
+    /// Where a new entry's wire is staged before it is boxed.
+    build: Vec<u8>,
 }
 
 impl ResponseCache {
@@ -256,6 +422,7 @@ impl ResponseCache {
             order: VecDeque::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
+            build: Vec::new(),
         }
     }
 
@@ -274,7 +441,8 @@ impl ResponseCache {
         self.entries.is_empty()
     }
 
-    /// Look up a request's cache key.
+    /// Look up a request's cache key; the owned form of
+    /// [`ResponseCache::lookup_into`].
     pub fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup {
         match self.entries.get(key) {
             None => {
@@ -283,16 +451,14 @@ impl ResponseCache {
             }
             Some(e) if e.is_fresh(now) => {
                 self.stats.hits += 1;
-                let mut resp = e.response.clone();
-                resp.set_option(CoapOption::uint(OptionNumber::MAX_AGE, e.remaining_s(now)));
-                Lookup::Fresh(resp)
+                Lookup::Fresh(e.to_message(e.remaining_s(now)))
             }
             Some(e) => {
                 self.stats.stale += 1;
-                match e.response.option(OptionNumber::ETAG) {
+                match e.etag() {
                     Some(etag) => Lookup::Stale {
-                        etag: etag.value.clone(),
-                        response: e.response.clone(),
+                        etag: etag.to_vec(),
+                        response: e.to_message(0),
                     },
                     None => Lookup::StaleNoEtag,
                 }
@@ -301,12 +467,12 @@ impl ResponseCache {
     }
 
     /// Zero-alloc lookup for the proxy's wire path: a fresh entry's
-    /// client reply is encoded straight into `out` (cleared at entry);
+    /// client reply is spliced straight into `out` (cleared at entry);
     /// a stale entry's ETag is copied into `stale_etag` (cleared at
     /// entry). The reply is byte-identical to [`ResponseCache::lookup`]'s
-    /// `Fresh` response re-keyed to `to` with `mtype` forced to Ack — or
-    /// a payload-free `2.03 Valid` when `to` already holds the entry's
-    /// ETag. Counts exactly like `lookup`.
+    /// `Fresh` response re-keyed to `to` — or a payload-free
+    /// `2.03 Valid` when `to` already holds the entry's ETag. Counts
+    /// exactly like `lookup`.
     pub fn lookup_into(
         &mut self,
         key: &CacheKey,
@@ -322,14 +488,14 @@ impl ResponseCache {
         if e.is_fresh(now) {
             self.stats.hits += 1;
             out.clear();
-            encode_entry_reply_into(&e.response, e.remaining_s(now), to, out);
+            e.encode_reply_into(e.remaining_s(now), to, out);
             return Probe::Hit;
         }
         self.stats.stale += 1;
-        match e.response.option(OptionNumber::ETAG) {
+        match e.etag() {
             Some(etag) => {
                 stale_etag.clear();
-                stale_etag.extend_from_slice(&etag.value);
+                stale_etag.extend_from_slice(etag);
                 Probe::Stale
             }
             None => Probe::StaleNoEtag,
@@ -338,11 +504,40 @@ impl ResponseCache {
 
     /// Store a (success) response under `key`. Non-success responses
     /// and responses to non-cacheable methods should not be inserted by
-    /// the caller.
+    /// the caller. The owned form of [`ResponseCache::insert_wire`]: the
+    /// response is encoded (without its token, which an entry does not
+    /// keep) and stored from that wire; one the wire cannot carry is
+    /// not stored.
     pub fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64) {
-        let max_age_ms = response.max_age() as u64 * 1000;
+        let wire = tokenless_wire(&response);
+        if let Ok(view) = CoapView::parse(&wire) {
+            self.insert_wire(key, &view, now);
+        }
+    }
+
+    /// Store a (success) response, borrowed from its wire, under `key`.
+    /// The entry is built straight from the view: one allocation, plus
+    /// the key's place in the eviction order when the key is new.
+    pub fn insert_wire(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64) {
+        let entry = Entry::new(
+            response.code,
+            response.options(),
+            response.payload(),
+            response.max_age(),
+            now,
+            &mut self.build,
+        );
         if !self.entries.contains_key(&key) {
             if self.entries.len() >= self.capacity {
+                // A full cache turns over: std's map rehashes its
+                // tombstones away in place only while at most half
+                // full, so it needs room for twice the entries or it
+                // grows mid-run. Reserved here, at the first eviction,
+                // so a cache that never fills never pays for it.
+                let room = 2 * self.capacity + 2;
+                if self.entries.capacity() < room {
+                    self.entries.reserve(room - self.entries.len());
+                }
                 // FIFO eviction.
                 if let Some(victim) = self.order.pop_front() {
                     self.entries.remove(&victim);
@@ -351,14 +546,7 @@ impl ResponseCache {
             }
             self.order.push_back(key.clone());
         }
-        self.entries.insert(
-            key,
-            Entry {
-                response,
-                stored_at_ms: now,
-                max_age_ms,
-            },
-        );
+        self.entries.insert(key, entry);
     }
 
     /// Refresh a stale entry after a `2.03 Valid`: the entry's timer is
@@ -367,7 +555,8 @@ impl ResponseCache {
     /// particular Max-Age *and* ETag, so a server that rotated the ETag
     /// while confirming the payload leaves us revalidating with the new
     /// tag, not a dead one). Returns the refreshed cached response
-    /// (full payload) or `None` if the entry vanished.
+    /// (full payload, Max-Age the 2.03's) or `None` if the entry
+    /// vanished. The owned form of [`ResponseCache::revalidate_wire`].
     pub fn revalidate(
         &mut self,
         key: &CacheKey,
@@ -375,9 +564,10 @@ impl ResponseCache {
         now: u64,
     ) -> Option<CoapMessage> {
         debug_assert_eq!(valid.code, Code::VALID);
-        let options = valid.options.iter().map(|o| (o.number, o.value.as_slice()));
-        let e = self.refresh(key, options, valid.max_age(), now)?;
-        Some(e.response.clone())
+        let wire = tokenless_wire(valid);
+        let valid = CoapView::parse(&wire).ok()?;
+        let e = self.refresh(key, &valid, now)?;
+        Some(e.to_message(e.remaining_s(now)))
     }
 
     /// [`ResponseCache::revalidate`] for a borrowed `2.03 Valid`, with
@@ -395,40 +585,46 @@ impl ResponseCache {
     ) -> bool {
         debug_assert_eq!(valid.code, Code::VALID);
         out.clear();
-        let options = valid.options().map(|o| (o.number, o.value));
-        let Some(e) = self.refresh(key, options, valid.max_age(), now) else {
+        let Some(e) = self.refresh(key, valid, now) else {
             return false;
         };
-        encode_entry_reply_into(&e.response, e.remaining_s(now), to, out);
+        e.encode_reply_into(e.remaining_s(now), to, out);
         true
     }
 
-    /// The refresh shared by both revalidation entry points: drop every
-    /// cached instance of an option number the 2.03 carries, adopt the
-    /// 2.03's instances (so repeatable options keep all their values and
-    /// their order), and store a single Max-Age of `max_age` — a 2.03
-    /// without an explicit Max-Age means the default 60 s (RFC 7252
-    /// §5.10.5), and the served copy says so.
-    fn refresh<'v>(
-        &mut self,
-        key: &CacheKey,
-        options: impl Iterator<Item = (OptionNumber, &'v [u8])> + Clone,
-        max_age: u32,
-        now: u64,
-    ) -> Option<&Entry> {
+    /// The refresh shared by both revalidation entry points: reset the
+    /// timer to the 2.03's Max-Age — a 2.03 without one means the
+    /// default 60 s (RFC 7252 §5.10.5) — and, unless the 2.03 carries
+    /// nothing but Max-Age and the entry's own ETag, rebuild the entry
+    /// once: every stored instance of an option number the 2.03 carries
+    /// is dropped and the 2.03's instances adopted, so repeatable
+    /// options keep all their values and their order.
+    fn refresh(&mut self, key: &CacheKey, valid: &CoapView<'_>, now: u64) -> Option<&Entry> {
         let e = self.entries.get_mut(key)?;
+        let max_age = valid.max_age();
+        if !e.refresh_keeps_options(valid) {
+            let mut old_wire = Vec::new();
+            e.encode_reply_into(0, NO_CLIENT, &mut old_wire);
+            if let Ok(old) = CoapView::parse(&old_wire) {
+                let carried = |n: OptionNumber| valid.options().any(|v| v.number == n);
+                let mut options: Vec<OptionView<'_>> = old
+                    .options()
+                    .filter(|o| !carried(o.number))
+                    .chain(valid.options())
+                    .collect();
+                options.sort_by_key(|o| o.number.0);
+                *e = Entry::new(
+                    old.code,
+                    options,
+                    old.payload(),
+                    max_age,
+                    now,
+                    &mut self.build,
+                );
+            }
+        }
         e.stored_at_ms = now;
-        e.max_age_ms = max_age as u64 * 1000;
-        for (number, _) in options.clone() {
-            e.response.remove_option(number);
-        }
-        for (number, value) in options.filter(|(n, _)| *n != OptionNumber::MAX_AGE) {
-            e.response
-                .options
-                .push(CoapOption::new(number, value.to_vec()));
-        }
-        e.response
-            .set_option(CoapOption::uint(OptionNumber::MAX_AGE, max_age));
+        e.max_age_ms = u64::from(max_age) * 1000;
         self.stats.revalidations += 1;
         Some(e)
     }
@@ -446,59 +642,15 @@ impl ResponseCache {
     }
 }
 
-/// Encode the client-facing reply for a cached response with
-/// `remaining_s` of freshness left, addressed to `to`: a payload-free
-/// `2.03 Valid` when the client holds the entry's ETag, else the cached
-/// message with the client's MID and token, `mtype` forced to Ack, and
-/// every `Max-Age` instance replaced by one carrying `remaining_s`.
-/// Byte-identical to cloning the entry, calling `set_option(Max-Age)`
-/// and re-encoding, without owning anything: the substituted Max-Age is
-/// emitted at its stable-sorted position (after every option numbered
-/// below it, before any above), which is exactly where the owned path's
-/// remove-then-append plus stable sort lands it.
-fn encode_entry_reply_into(
-    resp: &CoapMessage,
-    remaining_s: u32,
-    to: ReplyTo<'_>,
-    out: &mut Vec<u8>,
-) {
-    let entry_etag = resp.option(OptionNumber::ETAG).map(|o| o.value.as_slice());
-    if let Some(etag) = entry_etag.filter(|e| to.holds(e)) {
-        encode_valid_into(to, etag, remaining_s, out);
-        return;
-    }
-    encode_header_into(MsgType::Ack, resp.code, to.message_id, to.token, out);
-    // Stream the options in stable (number, original index) order via
-    // repeated minimum scans — option lists are a handful of entries,
-    // so this beats building a sorted copy and allocates nothing.
-    let mut prev = 0u16;
-    let mut max_age_emitted = false;
-    let mut last: Option<(u16, usize)> = None;
-    loop {
-        let mut next: Option<(u16, usize)> = None;
-        for (i, o) in resp.options.iter().enumerate() {
-            if o.number == OptionNumber::MAX_AGE {
-                continue;
-            }
-            let cand = (o.number.0, i);
-            if Some(cand) > last && (next.is_none() || Some(cand) < next) {
-                next = Some(cand);
-            }
-        }
-        let Some((num, idx)) = next else {
-            break;
-        };
-        if !max_age_emitted && num > OptionNumber::MAX_AGE.0 {
-            prev = encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, remaining_s, out);
-            max_age_emitted = true;
-        }
-        prev = encode_raw_option_into(prev, num, &resp.options[idx].value, out);
-        last = Some((num, idx));
-    }
-    if !max_age_emitted {
-        encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, remaining_s, out);
-    }
-    encode_payload_into(&resp.payload, out);
+/// The wire of an owned message without its token: what the owned API
+/// stores from and refreshes with (an entry keeps no token, and one
+/// longer than the wire's 8 bytes must not stop the caching).
+fn tokenless_wire(msg: &CoapMessage) -> Vec<u8> {
+    let mut wire = Vec::new();
+    encode_header_into(msg.mtype, msg.code, msg.message_id, &[], &mut wire);
+    encode_options_into(msg.options.iter(), &mut wire);
+    encode_payload_into(&msg.payload, &mut wire);
+    wire
 }
 
 #[cfg(test)]
@@ -534,6 +686,36 @@ mod tests {
             r.set_option(CoapOption::new(OptionNumber::ETAG, e.to_vec()));
         }
         r
+    }
+
+    /// The client reply for an owned cached response with `remaining_s`
+    /// of freshness left, built the owned way: a `2.03 Valid` with the
+    /// ETag when `to` holds it, else the response re-keyed to `to` as an
+    /// Ack with every Max-Age replaced by one carrying `remaining_s`.
+    fn encode_entry_reply_into(
+        resp: &CoapMessage,
+        remaining_s: u32,
+        to: ReplyTo<'_>,
+        out: &mut Vec<u8>,
+    ) {
+        let etag = resp.option(OptionNumber::ETAG).map(|o| o.value.clone());
+        let reply = match etag.filter(|e| to.holds(e)) {
+            Some(etag) => {
+                let mut v = CoapMessage::ack_reply(to.message_id, to.token.to_vec(), Code::VALID);
+                v.set_option(CoapOption::new(OptionNumber::ETAG, etag));
+                v.set_option(CoapOption::uint(OptionNumber::MAX_AGE, remaining_s));
+                v
+            }
+            None => {
+                let mut full = resp.clone();
+                full.set_option(CoapOption::uint(OptionNumber::MAX_AGE, remaining_s));
+                full.mtype = MsgType::Ack;
+                full.message_id = to.message_id;
+                full.token = to.token.to_vec();
+                full
+            }
+        };
+        reply.encode_into(out);
     }
 
     /// A `2.03 Valid` revalidation response (ETag + Max-Age, no body).

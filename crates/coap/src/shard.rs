@@ -291,6 +291,15 @@ impl ShardedResponseCache {
         self.shard(&key).lock().unwrap().insert(key, response, now)
     }
 
+    /// Store a success response borrowed from its wire (see
+    /// [`ResponseCache::insert_wire`]).
+    pub fn insert_wire(&self, key: CacheKey, response: &CoapView<'_>, now: u64) {
+        self.shard(&key)
+            .lock()
+            .unwrap()
+            .insert_wire(key, response, now)
+    }
+
     /// Refresh a stale entry after `2.03 Valid` (see
     /// [`ResponseCache::revalidate`]).
     pub fn revalidate(&self, key: &CacheKey, valid: &CoapMessage, now: u64) -> Option<CoapMessage> {

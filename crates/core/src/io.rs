@@ -745,6 +745,17 @@ mod mmsg {
     }
 }
 
+/// What one [`ProxyPool::run_io`] call serves with: its receive slots,
+/// the drain being served, and the worker scratch with the reply slab.
+/// A call takes a spent one from the pool and puts it back on return,
+/// so repeated pumps allocate none of it again.
+#[derive(Default)]
+pub(crate) struct IoRun {
+    slots: Vec<RecvSlot>,
+    batch: Vec<Datagram>,
+    scratch: WorkerScratch,
+}
+
 impl ProxyPool {
     /// Pump a provider through the pool on the calling thread: each
     /// `recv_batch` (up to `slots` datagrams, waiting up to
@@ -759,8 +770,13 @@ impl ProxyPool {
     /// datagram received by then has been answered. Replies carry
     /// worker 0.
     ///
+    /// The slots, the drain and the reply slab outlive the call: the
+    /// pool keeps them for the next `run_io`, so a pump restarted after
+    /// every idle timeout allocates nothing once warm.
+    ///
     /// No thread is spawned: to use more cores, call `run_io` from
-    /// several threads on the same pool, each with its own provider.
+    /// several threads on the same pool, each with its own provider
+    /// (each call takes its own run state).
     /// Peer ids are per provider: two providers may give different
     /// clients the same id, and block-wise transfer state is keyed by
     /// peer id, so only one provider per pool may carry block-wise
@@ -773,18 +789,20 @@ impl ProxyPool {
         slots: usize,
         recv_timeout: Millis,
     ) -> PoolRunStats {
-        let mut slot_buf: Vec<RecvSlot> = Vec::new();
+        let mut run = self.spent_io_runs().pop().unwrap_or_default();
+        let IoRun {
+            slots: slot_buf,
+            batch,
+            scratch,
+        } = &mut run;
         slot_buf.resize_with(slots.max(1), RecvSlot::default);
-        let mut batch: Vec<Datagram> = Vec::with_capacity(slot_buf.len());
-        let mut scratch = WorkerScratch::with_capacity(slot_buf.len());
-        let mut stats = PoolRunStats {
-            steals_per_worker: vec![0],
-            ..PoolRunStats::default()
-        };
+        batch.reserve(slot_buf.len());
+        scratch.reserve(slot_buf.len());
+        let mut stats = PoolRunStats::default();
         loop {
-            let n = provider.recv_batch(&mut slot_buf, recv_timeout);
+            let n = provider.recv_batch(slot_buf, recv_timeout);
             if n == 0 {
-                return stats;
+                break;
             }
             batch.extend(
                 slot_buf
@@ -792,7 +810,7 @@ impl ProxyPool {
                     .take(n)
                     .filter_map(|s| s.datagram.take()),
             );
-            let replies = self.serve_batch(0, &mut batch, &mut scratch);
+            let replies = self.serve_batch(0, batch, scratch);
             stats.count(replies);
             provider.send_batch(replies);
             // Hand the spent datagrams back, front to back, for the
@@ -802,6 +820,8 @@ impl ProxyPool {
                 slot.datagram = Some(d);
             }
         }
+        self.spent_io_runs().push(run);
+        stats
     }
 }
 

@@ -22,8 +22,9 @@
 //!   handed to a caller-supplied sink as a *borrowed* [`Reply`] — the
 //!   worker retains the reply buffer, so a steady-state cache hit
 //!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`) and
-//!   a forward allocates only what the cache keeps: the key and the
-//!   stored response.
+//!   a forward allocates only what the proxy keeps: the exchange's key,
+//!   the key's place in the cache's eviction order and the stored
+//!   reply wire.
 //!
 //! Where datagrams come from is the caller's choice: the throughput
 //! harness (`doc-bench`) hands [`ProxyPool::run`] an iterator over a
@@ -32,6 +33,7 @@
 //! drains or a real UDP socket) on its calling thread. Either way each
 //! serving thread pulls a drain, serves it and hands the replies out.
 
+use crate::io::IoRun;
 use crate::proxy::{CoapProxy, ForwardRequest, ProxyScratch, WireAction};
 use crate::server::{DocServer, ServerScratch};
 // The sync primitives come from `doc-check`, as in the proxy: outside
@@ -142,11 +144,11 @@ pub struct PoolRunStats {
     pub replies: u64,
     /// Malformed datagrams dropped.
     pub errors: u64,
-    /// One entry per serving thread (each `run` worker; the one
-    /// calling thread of `run_io`), always zero: the pool has no
+    /// One entry per `run` worker, always zero: the pool has no
     /// stealing. Its only reader is the standalone benchmark
-    /// (`docbench`), whose `pool.steals` metric sums it. Empty only
-    /// for a default-constructed value.
+    /// (`docbench`), whose `pool.steals` metric sums it. Empty for
+    /// `run_io`, so that a restarted pump allocates nothing, and for a
+    /// default-constructed value.
     pub steals_per_worker: Vec<u64>,
 }
 
@@ -423,6 +425,9 @@ pub struct ProxyPool {
     /// When set, `run`'s workers return spent `Datagram::wire` buffers
     /// here after each drain so the datagram source can reuse them.
     recycle: Option<Arc<BufferPool>>,
+    /// The run state of `run_io` calls that have returned, for the
+    /// next calls to take.
+    io_runs: Mutex<Vec<IoRun>>,
 }
 
 /// The most datagrams a `run` worker pulls from the source per lock
@@ -447,6 +452,7 @@ impl ProxyPool {
             seal: None,
             request_open: None,
             recycle: None,
+            io_runs: Mutex::new(Vec::new()),
         }
     }
 
@@ -479,6 +485,12 @@ impl ProxyPool {
         self.workers
     }
 
+    /// The spent `run_io` run states. A call that panicked while
+    /// holding the lock left whole run states, so poisoning is ignored.
+    pub(crate) fn spent_io_runs(&self) -> MutexGuard<'_, Vec<IoRun>> {
+        self.io_runs.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Serve one request datagram end to end on the calling thread:
     /// proxy view path, then (on miss/revalidation) the origin's view
     /// path, then the upstream response re-entering the proxy. Returns
@@ -499,8 +511,9 @@ impl ProxyPool {
     /// The serve core the workers run: the reply wire is written into
     /// `out` (cleared first) and `scratch` is reused across calls, so
     /// once both are warm a fresh cache hit allocates nothing and a
-    /// forward allocates only what the proxy cache keeps (the key and
-    /// the stored response). Returns whether a reply was produced.
+    /// forward allocates only what the proxy keeps (the exchange's key,
+    /// the key's place in the cache's eviction order and the stored
+    /// reply wire). Returns whether a reply was produced.
     pub fn serve_wire(&self, d: &Datagram, scratch: &mut ServeScratch, out: &mut Vec<u8>) -> bool {
         out.clear();
         let now = d.at.as_millis();
@@ -574,7 +587,8 @@ impl ProxyPool {
     ) -> PoolRunStats {
         let _stop = StopSource(source);
         let mut batch: Vec<Datagram> = Vec::with_capacity(grab);
-        let mut scratch = WorkerScratch::with_capacity(grab);
+        let mut scratch = WorkerScratch::default();
+        scratch.reserve(grab);
         let mut tally = PoolRunStats::default();
         loop {
             // A poisoned lock means a pull panicked: that pull is empty.
@@ -664,6 +678,7 @@ impl<S> Drop for StopSource<'_, S> {
 /// buffers and the protected legs' crypto buffers. Everything here is
 /// grown during warmup and reused for the rest of the run; a leg that
 /// is not protected leaves its buffers empty, holding no heap.
+#[derive(Default)]
 pub(crate) struct WorkerScratch {
     replies: Vec<Reply>,
     serve: ServeScratch,
@@ -672,14 +687,12 @@ pub(crate) struct WorkerScratch {
 }
 
 impl WorkerScratch {
-    /// Scratch whose reply slab holds `drain` replies without growing.
-    pub(crate) fn with_capacity(drain: usize) -> Self {
-        WorkerScratch {
-            replies: Vec::with_capacity(drain),
-            serve: ServeScratch::default(),
-            open: OpenDrainScratch::default(),
-            seal: SealScratch::default(),
-        }
+    /// Make room for a drain of `drain` replies in the slab, so it
+    /// holds them without growing (the replies of earlier drains stay
+    /// in place).
+    pub(crate) fn reserve(&mut self, drain: usize) {
+        self.replies
+            .reserve(drain.saturating_sub(self.replies.len()));
     }
 }
 

@@ -12,8 +12,8 @@
 //! view and either encodes the reply (fresh hit) or hands back a
 //! [`ForwardRequest`] that borrows the datagram;
 //! [`CoapProxy::serve_upstream_wire`] parses the origin's reply as a
-//! view, makes the one owned copy the cache stores, and encodes the
-//! client reply. The owned-message entry points
+//! view, builds the cache entry (one box of reply wire) straight from
+//! it, and encodes the client reply. The owned-message entry points
 //! ([`CoapProxy::handle_client_request`],
 //! [`CoapProxy::handle_upstream_response`]) are encode → wire core →
 //! decode wrappers around the same two calls.
@@ -128,17 +128,21 @@ struct Token {
 }
 
 impl Token {
+    /// Hold `token`, truncated to 8 bytes (a parsed token never is).
     fn new(token: &[u8]) -> Self {
         let mut bytes = [0u8; 8];
-        bytes[..token.len()].copy_from_slice(token);
+        let len = token.len().min(bytes.len());
+        for (b, t) in bytes.iter_mut().zip(token) {
+            *b = *t;
+        }
         Token {
-            len: token.len() as u8,
+            len: len as u8,
             bytes,
         }
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.bytes[..usize::from(self.len)]
+        self.bytes.get(..usize::from(self.len)).unwrap_or_default()
     }
 }
 
@@ -243,7 +247,7 @@ impl CoapProxy {
             bump(&self.stats.requests);
             return ProxyAction::Respond(Box::new(CoapMessage::ack_reply(
                 req.message_id,
-                req.token[..8].to_vec(),
+                Token::new(&req.token).as_slice().to_vec(),
                 Code::BAD_REQUEST,
             )));
         }
@@ -396,7 +400,7 @@ impl CoapProxy {
     ///   serves it like a hit (`5.02 Bad Gateway` if it was evicted
     ///   meanwhile).
     /// * Any other success is relayed; a `2.05 Content` to a cacheable
-    ///   method is also cached — the one owned copy of the reply.
+    ///   method is also cached, its entry built from the view.
     /// * Errors pass through unchanged, re-keyed to the client.
     ///
     /// A success whose ETag the client already holds becomes a
@@ -435,18 +439,10 @@ impl CoapProxy {
             }
             code if code.is_success() => {
                 if is_cacheable_method(ex.method) && code == Code::CONTENT {
-                    // The stored copy leaves out the origin's token: a
-                    // cached reply is always re-addressed to the client
-                    // it serves.
-                    let stored = CoapMessage {
-                        mtype: resp.mtype,
-                        code,
-                        message_id: resp.message_id,
-                        token: Vec::new(),
-                        options: resp.options().map(|o| o.to_owned()).collect(),
-                        payload: resp.payload().to_vec(),
-                    };
-                    self.cache.insert(ex.key, stored, now_ms);
+                    // The entry is built straight from the view; it
+                    // keeps no header, since a cached reply is always
+                    // re-addressed to the client it serves.
+                    self.cache.insert_wire(ex.key, &resp, now_ms);
                 }
                 let etag = resp.option(OptionNumber::ETAG).map(|o| o.value);
                 match etag.filter(|e| to.holds(e)) {

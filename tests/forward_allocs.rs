@@ -5,7 +5,10 @@
 //! the rest are forwards — misses with a FIFO eviction, and stale
 //! entries revalidated with their ETag. Once the per-caller buffers
 //! are warm, a fresh hit must allocate nothing and a forward at most
-//! what the cache keeps: the key and the stored response.
+//! three times: the exchange's key, the key's place in the cache's
+//! eviction order, and the stored reply wire. A revalidation the
+//! origin confirms with the same ETag only resets the entry's timer,
+//! so it allocates the exchange's key and nothing else.
 //!
 //! This binary holds a single test because the counting allocator is
 //! process-wide.
@@ -21,7 +24,10 @@ use std::sync::Arc;
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations one forwarded exchange may make in steady state.
-const FORWARD_BUDGET: u64 = 8;
+const FORWARD_BUDGET: u64 = 3;
+/// Allocations one revalidation confirmed with an unchanged ETag may
+/// make in steady state.
+const REVALIDATION_BUDGET: u64 = 1;
 
 #[test]
 fn forward_path_allocation_budget() {
@@ -49,6 +55,7 @@ fn forward_path_allocation_budget() {
     let mut rng = 0x9E37_79B9_7F4A_7C15u64;
     let (mut hits, mut hit_allocs) = (0u64, 0u64);
     let (mut forwards, mut forward_allocs, mut worst_forward) = (0u64, 0u64, 0u64);
+    let (mut revalidations, mut worst_revalidation) = (0u64, 0u64);
     for k in 0..WARMUP + MEASURED {
         rng ^= rng << 13;
         rng ^= rng >> 7;
@@ -59,17 +66,24 @@ fn forward_path_allocation_budget() {
         d.at = doc_time::Instant::from_millis(k);
         d.wire.clear();
         d.wire.extend_from_slice(&mix.wires()[entry]);
-        let hits_before = proxy.stats().cache_hits;
+        let before = proxy.stats();
         let a0 = alloc_count();
         assert!(pool.serve_wire(&d, &mut scratch, &mut out), "request {k}");
         let allocs = alloc_count() - a0;
         if k < WARMUP {
             continue;
         }
-        if proxy.stats().cache_hits > hits_before {
+        let after = proxy.stats();
+        if after.cache_hits > before.cache_hits {
             hits += 1;
             hit_allocs += allocs;
         } else {
+            // The mix's origin answers a revalidation with `2.03 Valid`
+            // only when the ETag is unchanged.
+            if after.revalidated > before.revalidated {
+                revalidations += 1;
+                worst_revalidation = worst_revalidation.max(allocs);
+            }
             forwards += 1;
             forward_allocs += allocs;
             worst_forward = worst_forward.max(allocs);
@@ -81,8 +95,8 @@ fn forward_path_allocation_budget() {
         "{hits} hits, {forwards} forwards"
     );
     assert!(
-        stats.revalidated > 100,
-        "revalidations exercised: {stats:?}"
+        stats.revalidated > 100 && revalidations > 100,
+        "revalidations exercised: {stats:?}, {revalidations} measured"
     );
     assert!(proxy.cache_stats().evictions > 1000, "evictions exercised");
     assert_eq!(hit_allocs, 0, "allocations over {hits} fresh hits");
@@ -90,5 +104,9 @@ fn forward_path_allocation_budget() {
         worst_forward <= FORWARD_BUDGET,
         "a forward allocated {worst_forward} times (mean {:.2})",
         forward_allocs as f64 / forwards as f64
+    );
+    assert!(
+        worst_revalidation <= REVALIDATION_BUDGET,
+        "a revalidation with an unchanged ETag allocated {worst_revalidation} times"
     );
 }

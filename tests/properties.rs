@@ -846,3 +846,550 @@ proptest! {
         }
     }
 }
+
+/// The proxy cache as it was before entries kept the reply wire: each
+/// entry an owned `CoapMessage`, every hit re-encoded by a walk over
+/// its options, every refresh an edit of the option list. The oracle
+/// the wire entries are checked against.
+mod message_cache {
+    use doc_repro::coap::cache::{encode_valid_into, CacheKey, CacheStats, Lookup, Probe, ReplyTo};
+    use doc_repro::coap::msg::{
+        encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
+        CoapMessage, MsgType,
+    };
+    use doc_repro::coap::opt::{CoapOption, OptionNumber};
+    use doc_repro::coap::view::CoapView;
+    use std::collections::HashMap;
+
+    struct Entry {
+        response: CoapMessage,
+        stored_at_ms: u64,
+        max_age_ms: u64,
+    }
+
+    impl Entry {
+        fn age_ms(&self, now: u64) -> u64 {
+            now.saturating_sub(self.stored_at_ms)
+        }
+        fn is_fresh(&self, now: u64) -> bool {
+            self.age_ms(now) < self.max_age_ms
+        }
+        fn remaining_s(&self, now: u64) -> u32 {
+            ((self.max_age_ms.saturating_sub(self.age_ms(now))) / 1000) as u32
+        }
+    }
+
+    /// One cache without capacity pressure: the properties use one key.
+    #[derive(Default)]
+    pub struct MessageCache {
+        entries: HashMap<CacheKey, Entry>,
+        stats: CacheStats,
+    }
+
+    impl MessageCache {
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup {
+            match self.entries.get(key) {
+                None => {
+                    self.stats.misses += 1;
+                    Lookup::Miss
+                }
+                Some(e) if e.is_fresh(now) => {
+                    self.stats.hits += 1;
+                    let mut resp = e.response.clone();
+                    resp.set_option(CoapOption::uint(OptionNumber::MAX_AGE, e.remaining_s(now)));
+                    Lookup::Fresh(resp)
+                }
+                Some(e) => {
+                    self.stats.stale += 1;
+                    match e.response.option(OptionNumber::ETAG) {
+                        Some(etag) => Lookup::Stale {
+                            etag: etag.value.clone(),
+                            response: e.response.clone(),
+                        },
+                        None => Lookup::StaleNoEtag,
+                    }
+                }
+            }
+        }
+
+        pub fn lookup_into(
+            &mut self,
+            key: &CacheKey,
+            now: u64,
+            to: ReplyTo<'_>,
+            out: &mut Vec<u8>,
+            stale_etag: &mut Vec<u8>,
+        ) -> Probe {
+            let Some(e) = self.entries.get(key) else {
+                self.stats.misses += 1;
+                return Probe::Miss;
+            };
+            if e.is_fresh(now) {
+                self.stats.hits += 1;
+                out.clear();
+                encode_entry_reply_into(&e.response, e.remaining_s(now), to, out);
+                return Probe::Hit;
+            }
+            self.stats.stale += 1;
+            match e.response.option(OptionNumber::ETAG) {
+                Some(etag) => {
+                    stale_etag.clear();
+                    stale_etag.extend_from_slice(&etag.value);
+                    Probe::Stale
+                }
+                None => Probe::StaleNoEtag,
+            }
+        }
+
+        pub fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64) {
+            let max_age_ms = response.max_age() as u64 * 1000;
+            self.entries.insert(
+                key,
+                Entry {
+                    response,
+                    stored_at_ms: now,
+                    max_age_ms,
+                },
+            );
+        }
+
+        /// What the proxy stored from an origin reply's view.
+        pub fn insert_view(&mut self, key: CacheKey, resp: &CoapView<'_>, now: u64) {
+            let stored = CoapMessage {
+                mtype: resp.mtype,
+                code: resp.code,
+                message_id: resp.message_id,
+                token: Vec::new(),
+                options: resp.options().map(|o| o.to_owned()).collect(),
+                payload: resp.payload().to_vec(),
+            };
+            self.insert(key, stored, now);
+        }
+
+        pub fn revalidate(
+            &mut self,
+            key: &CacheKey,
+            valid: &CoapMessage,
+            now: u64,
+        ) -> Option<CoapMessage> {
+            let options = valid.options.iter().map(|o| (o.number, o.value.as_slice()));
+            let e = self.refresh(key, options, valid.max_age(), now)?;
+            Some(e.response.clone())
+        }
+
+        pub fn revalidate_wire(
+            &mut self,
+            key: &CacheKey,
+            valid: &CoapView<'_>,
+            now: u64,
+            to: ReplyTo<'_>,
+            out: &mut Vec<u8>,
+        ) -> bool {
+            out.clear();
+            let options = valid.options().map(|o| (o.number, o.value));
+            let Some(e) = self.refresh(key, options, valid.max_age(), now) else {
+                return false;
+            };
+            encode_entry_reply_into(&e.response, e.remaining_s(now), to, out);
+            true
+        }
+
+        fn refresh<'v>(
+            &mut self,
+            key: &CacheKey,
+            options: impl Iterator<Item = (OptionNumber, &'v [u8])> + Clone,
+            max_age: u32,
+            now: u64,
+        ) -> Option<&Entry> {
+            let e = self.entries.get_mut(key)?;
+            e.stored_at_ms = now;
+            e.max_age_ms = max_age as u64 * 1000;
+            for (number, _) in options.clone() {
+                e.response.remove_option(number);
+            }
+            for (number, value) in options.filter(|(n, _)| *n != OptionNumber::MAX_AGE) {
+                e.response
+                    .options
+                    .push(CoapOption::new(number, value.to_vec()));
+            }
+            e.response
+                .set_option(CoapOption::uint(OptionNumber::MAX_AGE, max_age));
+            self.stats.revalidations += 1;
+            Some(e)
+        }
+    }
+
+    /// The stored message re-keyed to `to` with its Max-Age instances
+    /// replaced, streamed in stable (number, index) order by repeated
+    /// minimum scans; or a `2.03 Valid` when `to` holds the ETag.
+    fn encode_entry_reply_into(
+        resp: &CoapMessage,
+        remaining_s: u32,
+        to: ReplyTo<'_>,
+        out: &mut Vec<u8>,
+    ) {
+        let entry_etag = resp.option(OptionNumber::ETAG).map(|o| o.value.as_slice());
+        if let Some(etag) = entry_etag.filter(|e| to.holds(e)) {
+            encode_valid_into(to, etag, remaining_s, out);
+            return;
+        }
+        encode_header_into(MsgType::Ack, resp.code, to.message_id, to.token, out);
+        let mut prev = 0u16;
+        let mut max_age_emitted = false;
+        let mut last: Option<(u16, usize)> = None;
+        loop {
+            let mut next: Option<(u16, usize)> = None;
+            for (i, o) in resp.options.iter().enumerate() {
+                if o.number == OptionNumber::MAX_AGE {
+                    continue;
+                }
+                let cand = (o.number.0, i);
+                if Some(cand) > last && (next.is_none() || Some(cand) < next) {
+                    next = Some(cand);
+                }
+            }
+            let Some((num, idx)) = next else {
+                break;
+            };
+            if !max_age_emitted && num > OptionNumber::MAX_AGE.0 {
+                prev = encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, remaining_s, out);
+                max_age_emitted = true;
+            }
+            prev = encode_raw_option_into(prev, num, &resp.options[idx].value, out);
+            last = Some((num, idx));
+        }
+        if !max_age_emitted {
+            encode_uint_option_into(prev, OptionNumber::MAX_AGE.0, remaining_s, out);
+        }
+        encode_payload_into(&resp.payload, out);
+    }
+
+    /// The cache operations a differential script drives, implemented
+    /// by the wire cache and by this oracle alike.
+    pub trait CacheOps {
+        fn stats(&self) -> CacheStats;
+        fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64);
+        fn insert_view(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64);
+        fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup;
+        fn lookup_into(
+            &mut self,
+            key: &CacheKey,
+            now: u64,
+            to: ReplyTo<'_>,
+            out: &mut Vec<u8>,
+            stale_etag: &mut Vec<u8>,
+        ) -> Probe;
+        fn revalidate(
+            &mut self,
+            key: &CacheKey,
+            valid: &CoapMessage,
+            now: u64,
+        ) -> Option<CoapMessage>;
+        fn revalidate_wire(
+            &mut self,
+            key: &CacheKey,
+            valid: &CoapView<'_>,
+            now: u64,
+            to: ReplyTo<'_>,
+            out: &mut Vec<u8>,
+        ) -> bool;
+    }
+
+    macro_rules! cache_ops {
+        ($ty:ty, $insert_view:ident) => {
+            impl CacheOps for $ty {
+                fn stats(&self) -> CacheStats {
+                    <$ty>::stats(self)
+                }
+                fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64) {
+                    <$ty>::insert(self, key, response, now)
+                }
+                fn insert_view(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64) {
+                    <$ty>::$insert_view(self, key, response, now)
+                }
+                fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup {
+                    <$ty>::lookup(self, key, now)
+                }
+                fn lookup_into(
+                    &mut self,
+                    key: &CacheKey,
+                    now: u64,
+                    to: ReplyTo<'_>,
+                    out: &mut Vec<u8>,
+                    stale_etag: &mut Vec<u8>,
+                ) -> Probe {
+                    <$ty>::lookup_into(self, key, now, to, out, stale_etag)
+                }
+                fn revalidate(
+                    &mut self,
+                    key: &CacheKey,
+                    valid: &CoapMessage,
+                    now: u64,
+                ) -> Option<CoapMessage> {
+                    <$ty>::revalidate(self, key, valid, now)
+                }
+                fn revalidate_wire(
+                    &mut self,
+                    key: &CacheKey,
+                    valid: &CoapView<'_>,
+                    now: u64,
+                    to: ReplyTo<'_>,
+                    out: &mut Vec<u8>,
+                ) -> bool {
+                    <$ty>::revalidate_wire(self, key, valid, now, to, out)
+                }
+            }
+        };
+    }
+
+    cache_ops!(MessageCache, insert_view);
+    cache_ops!(doc_repro::coap::cache::ResponseCache, insert_wire);
+}
+
+/// Option numbers an origin reply draws from: below Max-Age (ETag
+/// among them, so a reply may carry a second one), above it by a
+/// one-byte extended delta (Size1 at 60), and by a two-byte one.
+const REPLY_OPTIONS: [OptionNumber; 8] = [
+    OptionNumber::IF_MATCH,
+    OptionNumber::ETAG,
+    OptionNumber::URI_PATH,
+    OptionNumber::CONTENT_FORMAT,
+    OptionNumber::URI_QUERY,
+    OptionNumber::PROXY_URI,
+    OptionNumber::SIZE1,
+    OptionNumber(300),
+];
+
+/// One differential case: the origin reply, the `2.03 Valid` that
+/// refreshes it, the client and the clock.
+#[derive(Debug, Clone)]
+struct CacheCase {
+    /// `(REPLY_OPTIONS index, value)`, in the order the message holds
+    /// them (not necessarily ascending).
+    options: Vec<(usize, Vec<u8>)>,
+    /// Max-Age instances and the option index each goes in front of.
+    max_ages: Vec<(u32, usize)>,
+    etag: Option<Vec<u8>>,
+    payload: Vec<u8>,
+    /// The 2.03's ETag: 0 none, 1 the stored one, 2 a rotated one.
+    valid_etag: u8,
+    valid_max_age: Option<u32>,
+    /// Another option the 2.03 carries (replacing the stored ones).
+    valid_extra: Option<(usize, Vec<u8>)>,
+    /// The client's ETag: 0 none, 1 the stored one, 2 the 2.03's, 3
+    /// an unrelated one.
+    client_etag: u8,
+    t1: u64,
+    dt: u64,
+}
+
+impl CacheCase {
+    fn origin(&self) -> CoapMessage {
+        let mut options: Vec<CoapOption> = self
+            .options
+            .iter()
+            .map(|(i, v)| CoapOption::new(REPLY_OPTIONS[*i], v.clone()))
+            .collect();
+        for &(age, at) in &self.max_ages {
+            let at = at.min(options.len());
+            options.insert(at, CoapOption::uint(OptionNumber::MAX_AGE, age));
+        }
+        // In front, so this is the entry's first ETag even when the
+        // options repeat it.
+        if let Some(etag) = &self.etag {
+            options.insert(0, CoapOption::new(OptionNumber::ETAG, etag.clone()));
+        }
+        CoapMessage {
+            mtype: MsgType::Ack,
+            code: Code::CONTENT,
+            message_id: 0x0102,
+            token: vec![0xA0, 0xA1],
+            options,
+            payload: self.payload.clone(),
+        }
+    }
+
+    fn rotated(&self) -> Vec<u8> {
+        let mut tag = self.etag.clone().unwrap_or_default();
+        tag.push(0x5A);
+        tag
+    }
+
+    fn valid(&self) -> CoapMessage {
+        let mut v = CoapMessage::ack_reply(0x0203, vec![0xB0], Code::VALID);
+        if let Some((i, value)) = &self.valid_extra {
+            v.options
+                .push(CoapOption::new(REPLY_OPTIONS[*i], value.clone()));
+        }
+        match (self.valid_etag, &self.etag) {
+            (1, Some(etag)) => v
+                .options
+                .push(CoapOption::new(OptionNumber::ETAG, etag.clone())),
+            (2, _) => v
+                .options
+                .push(CoapOption::new(OptionNumber::ETAG, self.rotated())),
+            _ => {}
+        }
+        if let Some(age) = self.valid_max_age {
+            v.options.push(CoapOption::uint(OptionNumber::MAX_AGE, age));
+        }
+        v
+    }
+
+    fn client_etag(&self) -> Option<Vec<u8>> {
+        match self.client_etag {
+            1 => self.etag.clone(),
+            2 => Some(self.rotated()),
+            3 => Some(vec![0xEE; 9]),
+            _ => None,
+        }
+    }
+}
+
+fn arb_cache_case() -> impl Strategy<Value = CacheCase> {
+    let option = || {
+        (
+            0..REPLY_OPTIONS.len(),
+            proptest::collection::vec(any::<u8>(), 0..20),
+        )
+    };
+    (
+        proptest::collection::vec(option(), 0..6),
+        proptest::collection::vec((0u32..100_000, 0usize..6), 0..=2),
+        (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..=8)),
+        proptest::collection::vec(any::<u8>(), 0..40),
+        (
+            0u8..3,
+            (any::<bool>(), 0u32..120),
+            (any::<bool>(), option()),
+        ),
+        0u8..4,
+        0u64..130_000,
+        0u64..130_000,
+    )
+        .prop_map(
+            |(
+                options,
+                max_ages,
+                (has_etag, etag),
+                payload,
+                (valid_etag, (has_age, age), (has_extra, extra)),
+                client_etag,
+                t1,
+                dt,
+            )| CacheCase {
+                options,
+                max_ages,
+                etag: has_etag.then_some(etag),
+                payload,
+                valid_etag,
+                valid_max_age: has_age.then_some(age),
+                valid_extra: has_extra.then_some(extra),
+                client_etag,
+                t1,
+                dt,
+            },
+        )
+}
+
+/// Drive one case through a cache, returning every reply it writes
+/// and its statistics. The wire script stores from the origin's view
+/// and serves through `lookup_into`/`revalidate_wire`; the owned one
+/// stores the message and serves through `lookup`/`revalidate`, whose
+/// messages are re-addressed to the client and encoded. A stale
+/// entry's response is compared with Max-Age 0: the message cache
+/// handed out its stored Max-Age there, the wire cache the seconds
+/// left.
+fn drive_cache_case(
+    cache: &mut impl message_cache::CacheOps,
+    case: &CacheCase,
+    wire: bool,
+) -> (Vec<Vec<u8>>, doc_repro::coap::cache::CacheStats) {
+    use doc_repro::coap::cache::{cache_key, Lookup, Probe, ReplyTo};
+    let key = cache_key(
+        &CoapMessage::request(Code::FETCH, MsgType::Con, 1, vec![1])
+            .with_option(CoapOption::new(OptionNumber::URI_PATH, b"dns".to_vec()))
+            .with_payload(b"query".to_vec()),
+    );
+    let client_etag = case.client_etag();
+    let to = ReplyTo {
+        message_id: 0x7788,
+        token: &[7, 8],
+        etag: client_etag.as_deref(),
+    };
+    let readdress = |mut m: CoapMessage| {
+        m.mtype = MsgType::Ack;
+        m.message_id = to.message_id;
+        m.token = to.token.to_vec();
+        m.encode()
+    };
+    let (origin, valid) = (case.origin(), case.valid());
+    let (origin_wire, valid_wire) = (origin.encode(), valid.encode());
+    let mut trace = Vec::new();
+    let mut probe = |cache: &mut dyn FnMut(&mut Vec<u8>, &mut Vec<u8>) -> Probe| {
+        let (mut out, mut etag) = (vec![0xAA], vec![0xBB]);
+        let p = cache(&mut out, &mut etag);
+        trace.push(format!("{p:?}").into_bytes());
+        match p {
+            Probe::Hit => out,
+            Probe::Stale => etag,
+            Probe::Miss | Probe::StaleNoEtag => Vec::new(),
+        }
+    };
+    let looked_up = |lookup: Lookup| match lookup {
+        Lookup::Fresh(m) => readdress(m),
+        Lookup::Stale { etag, mut response } => {
+            response.set_option(CoapOption::uint(OptionNumber::MAX_AGE, 0));
+            [etag, readdress(response)].concat()
+        }
+        other => format!("{other:?}").into_bytes(),
+    };
+    let mut replies = Vec::new();
+    if wire {
+        cache.insert_view(key.clone(), &CoapView::parse(&origin_wire).unwrap(), 0);
+        let valid_view = CoapView::parse(&valid_wire).unwrap();
+        replies.push(probe(&mut |out, etag| {
+            cache.lookup_into(&key, case.t1, to, out, etag)
+        }));
+        let mut out = vec![0xCC];
+        let refreshed = cache.revalidate_wire(&key, &valid_view, case.t1, to, &mut out);
+        replies.push([vec![u8::from(refreshed)], out].concat());
+        let t2 = case.t1 + case.dt;
+        replies.push(probe(&mut |out, etag| {
+            cache.lookup_into(&key, t2, to, out, etag)
+        }));
+    } else {
+        cache.insert(key.clone(), origin, 0);
+        replies.push(looked_up(cache.lookup(&key, case.t1)));
+        let refreshed = cache.revalidate(&key, &valid, case.t1);
+        replies.push(refreshed.map(readdress).unwrap_or_default());
+        replies.push(looked_up(cache.lookup(&key, case.t1 + case.dt)));
+    }
+    trace.extend(replies);
+    (trace, cache.stats())
+}
+
+proptest! {
+    /// The wire entries serve exactly what the message entries served:
+    /// byte-identical hits (full replies and `2.03 Valid`s), stale
+    /// ETags, revalidation replies and the lookups after a refresh, on
+    /// both the wire and the owned API, with identical statistics —
+    /// over origin replies with options on both sides of Max-Age
+    /// (repeated, unsorted, with extended deltas), zero to two Max-Age
+    /// instances, ETags absent, kept or rotated by the 2.03, a 2.03
+    /// without Max-Age (60 s) or with another option, and a client ETag
+    /// that matches or does not.
+    #[test]
+    fn wire_cache_matches_message_cache(case in arb_cache_case()) {
+        use doc_repro::coap::cache::ResponseCache;
+        for wire in [true, false] {
+            let ours = drive_cache_case(&mut ResponseCache::new(8), &case, wire);
+            let oracle = drive_cache_case(&mut message_cache::MessageCache::default(), &case, wire);
+            prop_assert_eq!(ours, oracle, "wire path: {}", wire);
+        }
+    }
+}

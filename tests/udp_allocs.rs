@@ -5,8 +5,10 @@
 //! Once every receive slot has carried a datagram, a received request
 //! lands in the wire buffer of the spent datagram its slot holds and
 //! its reply is written into the reply slab, so serving allocates
-//! nothing. What one `run_io` call still allocates is its slots,
-//! scratch and first buffers, spread over the call's requests.
+//! nothing. What the first `run_io` call still allocates is its slots,
+//! scratch and first buffers, spread over the call's requests; the
+//! pool keeps them, so the short pumps that follow it, each ending on
+//! its idle timeout, allocate nothing at all.
 //!
 //! The loopback client allocates nothing itself (stack buffers, a
 //! connected socket), so the process-wide count is the server's. Each
@@ -21,7 +23,7 @@ use doc_bench::throughput::{build_mix, LoadSpec};
 use doc_core::{CachePolicy, CoapProxy, Datagram, DocServer, MockUpstream, ProxyPool, UdpProvider};
 use doc_time::{Instant, Millis};
 use std::net::UdpSocket;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,8 +32,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocations per request one `run_io` call may make.
 const PER_REQUEST_BUDGET: f64 = 0.05;
-/// Requests driven through the one measured `run_io` call.
+/// Requests driven through the first measured `run_io` call.
 const REQUESTS: usize = 24_000;
+/// Short `run_io` calls after it, and the requests each serves.
+const SHORT_RUNS: usize = 4;
+const SHORT_REQUESTS: usize = 32;
 /// Queries the client keeps outstanding: two receive batches' worth.
 const WINDOW: usize = 128;
 /// Receive slots per `recv_batch`.
@@ -68,9 +73,14 @@ fn matches(reply: &[u8], expected: &[u8], token: [u8; TOKEN_LEN]) -> bool {
 }
 
 /// A closed-loop client keeping `WINDOW` queries outstanding until
-/// `REQUESTS` have been answered (or one reply is 2 s late). Uses
+/// `requests` have been answered (or one reply is 2 s late). Uses
 /// only stack memory.
-fn run_client(socket: &UdpSocket, wires: &[Vec<u8>], expected: &[Vec<u8>]) -> Outcome {
+fn run_client(
+    socket: &UdpSocket,
+    wires: &[Vec<u8>],
+    expected: &[Vec<u8>],
+    requests: usize,
+) -> Outcome {
     let mut out = Outcome::default();
     let mut slots = [Slot::default(); WINDOW];
     let mut sendbuf = [0u8; MAX_REQUEST];
@@ -89,7 +99,7 @@ fn run_client(socket: &UdpSocket, wires: &[Vec<u8>], expected: &[Vec<u8>]) -> Ou
         msg[TOKEN_AT..TOKEN_AT + TOKEN_LEN].copy_from_slice(&[slot as u8, s.generation]);
         socket.send(msg).expect("loopback send");
     };
-    while busy < WINDOW && next < REQUESTS {
+    while busy < WINDOW && next < requests {
         send(busy, &mut slots, &mut next);
         busy += 1;
     }
@@ -118,7 +128,7 @@ fn run_client(socket: &UdpSocket, wires: &[Vec<u8>], expected: &[Vec<u8>]) -> Ou
         }
         slots[slot].busy = false;
         busy -= 1;
-        if next < REQUESTS {
+        if next < requests {
             send(slot, &mut slots, &mut next);
             busy += 1;
         }
@@ -172,7 +182,7 @@ fn udp_path_allocation_budget() {
             while !go.load(Ordering::Acquire) {
                 std::hint::spin_loop();
             }
-            run_client(&client, wires, &expected)
+            run_client(&client, wires, &expected, REQUESTS)
         });
         let a0 = alloc_count();
         go.store(true, Ordering::Release);
@@ -198,5 +208,55 @@ fn udp_path_allocation_budget() {
     assert!(
         per_request <= PER_REQUEST_BUDGET,
         "{allocs} allocations over {REQUESTS} UDP requests ({per_request:.3}/req)"
+    );
+
+    // Short pumps, each returning on its idle timeout: the client
+    // thread serves every round, and each call reuses the run state
+    // the previous call left on the pool.
+    // The client thread reports in before the first call, so whatever
+    // its start-up allocates is not counted against `run_io`.
+    let round = AtomicUsize::new(0);
+    let ready = AtomicBool::new(false);
+    let (short, served, short_allocs) = std::thread::scope(|s| {
+        let handle = s.spawn(|| {
+            ready.store(true, Ordering::Release);
+            let mut total = Outcome::default();
+            for r in 1..=SHORT_RUNS {
+                while round.load(Ordering::Acquire) < r {
+                    std::hint::spin_loop();
+                }
+                let o = run_client(&client, wires, &expected, SHORT_REQUESTS);
+                total.answered += o.answered;
+                total.wrong += o.wrong;
+                total.lost += o.lost;
+            }
+            total
+        });
+        while !ready.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        let (mut served, mut allocs) = (0u64, [0u64; SHORT_RUNS]);
+        for (r, a) in allocs.iter_mut().enumerate() {
+            let a0 = alloc_count();
+            round.store(r + 1, Ordering::Release);
+            let stats = pool.run_io(&mut provider, WINDOW, SLOTS, Millis::from_millis(200));
+            *a = alloc_count() - a0;
+            served += stats.replies;
+        }
+        (handle.join().unwrap(), served, allocs)
+    });
+    assert_eq!(
+        short,
+        Outcome {
+            answered: SHORT_RUNS * SHORT_REQUESTS,
+            wrong: 0,
+            lost: 0
+        },
+        "every short-pump query answered with its expected reply"
+    );
+    assert_eq!(served, (SHORT_RUNS * SHORT_REQUESTS) as u64);
+    assert_eq!(
+        short_allocs, [0; SHORT_RUNS],
+        "allocations per restarted run_io call"
     );
 }
