@@ -15,6 +15,7 @@
 #                    # sim/UDP byte parity, batches past 64 datagrams,
 #                    # IPv6) and the UDP allocation pin
 #                    # (tests/udp_allocs.rs), re-run in release
+#                    # + the 17 fig/table goldens re-run in release
 #   ./ci.sh bench    # tier-1 build + the loopback UdpProvider smoke
 #                    # (real UDP sockets through the identical worker
 #                    # code, byte-identical to the sim front-end) + full
@@ -136,6 +137,16 @@ run_conformance() {
     cargo test --release -q --test quic_conformance
 }
 
+run_goldens() {
+    # The fig/table goldens (crates/bench/tests/fig_golden.rs) pin every
+    # paper figure and table byte for byte; tier-1 runs them in debug.
+    # A release re-run guards the experiment driver against behaviour
+    # that differs between debug and release, as run_conformance does
+    # for the QUIC transport.
+    echo "==> fig goldens (release): cargo test --release -q -p doc-bench --test fig_golden"
+    cargo test --release -q -p doc-bench --test fig_golden
+}
+
 run_udp() {
     # The batched socket path (recvmmsg/sendmmsg on Linux) in release:
     # its provider tests, and the allocation pin of the UDP serving
@@ -148,6 +159,7 @@ case "$mode" in
     quick)
         run_tier1
         run_conformance
+        run_goldens
         run_udp
         ;;
     full)

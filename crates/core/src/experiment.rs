@@ -217,12 +217,8 @@ impl RawRetrans {
         }
     }
     fn rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
+        self.rng = crate::server::xorshift64(self.rng);
+        self.rng.wrapping_mul(0x2545F4914F6CDD1D)
     }
     fn arm(&mut self, dns_id: u16, query_idx: usize, dns_bytes: Vec<u8>, now: u64) {
         let backoff = 2000 + self.rand() % 1001; // [2.0, 3.0] s
@@ -239,30 +235,37 @@ impl RawRetrans {
         let idx = self.entries.iter().position(|e| e.dns_id == dns_id)?;
         Some(self.entries.remove(idx).query_idx)
     }
-    /// Returns ((dns_bytes, query_idx) to resend, failed query idxs).
-    fn poll(&mut self, now: u64) -> (Vec<(Vec<u8>, usize)>, Vec<usize>) {
+    /// Returns the (dns_bytes, query_idx) pairs due for a resend. An
+    /// entry due after its fourth retransmission is dropped.
+    fn poll(&mut self, now: u64) -> Vec<(Vec<u8>, usize)> {
         let mut resend = Vec::new();
-        let mut failed = Vec::new();
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].timeout_at <= now {
-                if self.entries[i].retries >= 4 {
-                    failed.push(self.entries.remove(i).query_idx);
-                    continue;
-                }
-                let e = &mut self.entries[i];
-                e.retries += 1;
-                e.backoff_ms *= 2;
-                e.timeout_at = now + e.backoff_ms;
-                resend.push((e.dns_bytes.clone(), e.query_idx));
+        self.entries.retain_mut(|e| {
+            if e.timeout_at > now {
+                return true;
             }
-            i += 1;
-        }
-        (resend, failed)
+            if e.retries >= 4 {
+                return false;
+            }
+            e.retries += 1;
+            e.backoff_ms *= 2;
+            e.timeout_at = now + e.backoff_ms;
+            resend.push((e.dns_bytes.clone(), e.query_idx));
+            true
+        });
+        resend
     }
     fn next_timeout(&self) -> Option<u64> {
         self.entries.iter().map(|e| e.timeout_at).min()
     }
+}
+
+/// One CoAP exchange a client has open, keyed by its token.
+struct Exchange {
+    qidx: usize,
+    /// OSCORE: what the response must be bound to.
+    binding: Option<RequestBinding>,
+    /// Block-wise runs (Fig. 15).
+    blockwise: Option<BlockwiseState>,
 }
 
 /// Per-query block-wise state (Fig. 15 runs).
@@ -270,67 +273,122 @@ struct BlockwiseState {
     sender: Option<Block1Sender>,
     assembler: BlockAssembler,
     first_response: Option<CoapMessage>,
-    size: usize,
+}
+
+/// Which end of a client's [`Session`] acts.
+#[derive(Clone, Copy)]
+enum End {
+    Client,
+    Server,
+}
+
+/// One end of a QUIC-lite session, with the stream bytes it has
+/// received.
+struct QuicEnd {
+    conn: doc_quic::Connection,
+    /// DoQ/DoH: per-stream bytes kept until FIN.
+    streams: HashMap<u64, Vec<u8>>,
+    /// DoT: the splitter of the one pipelined stream.
+    dot: doc_quic::doq::DotReassembler,
+}
+
+impl QuicEnd {
+    /// Takes in one STREAM frame and returns the DNS messages it
+    /// completes.
+    fn receive(&mut self, kind: TransportKind, id: u64, data: &[u8], fin: bool) -> Vec<Vec<u8>> {
+        if kind == TransportKind::Dot {
+            // Pipelined messages, split on the 2-byte length prefix.
+            return self.dot.push(data);
+        }
+        // RFC 9250: one message per stream, complete at FIN.
+        self.streams.entry(id).or_default().extend_from_slice(data);
+        if !fin {
+            return Vec::new();
+        }
+        let buf = self.streams.remove(&id).unwrap_or_default();
+        let dns = match kind {
+            TransportKind::Quic => doc_quic::doq::decode_doq(&buf),
+            _ => doc_quic::doq::decode_doh(&buf),
+        };
+        dns.into_iter().map(<[u8]>::to_vec).collect()
+    }
+}
+
+/// Both ends of one session.
+struct Ends<C, S> {
+    client: C,
+    server: S,
+}
+
+/// The protection between one client and the server. Each end's state
+/// runs to kilobytes, so the pair is boxed.
+enum Session {
+    /// UDP and CoAP.
+    Plain,
+    Oscore(Box<Ends<OscoreEndpoint, OscoreEndpoint>>),
+    /// DTLS and CoAPS.
+    Dtls(Box<Ends<doc_dtls::DtlsClient, doc_dtls::DtlsServer>>),
+    /// The stream transports: DoQ, DoH, DoT.
+    Quic(Box<Ends<QuicEnd, QuicEnd>>),
+}
+
+impl Session {
+    /// Client `c`'s session, pre-established (paper §5.1: "we
+    /// pre-initialize DTLS sessions … before starting experiments").
+    /// QUIC-lite is set up the same way; its 1-RTT handshake cost is
+    /// measured separately by `session_setup` and the conformance test.
+    fn new(kind: TransportKind, c: usize, seed: u64) -> Self {
+        let seed = seed ^ ((c as u64 + 1) << 8);
+        match kind {
+            TransportKind::Oscore => {
+                let (secret, salt, kid) = (b"0123456789abcdef", b"doc-salt", [c as u8 + 1]);
+                let cctx = SecurityContext::derive(secret, salt, &kid, &[0x00]);
+                let sctx = SecurityContext::derive(secret, salt, &[0x00], &kid);
+                let (client, server) = (
+                    OscoreEndpoint::new(cctx, false),
+                    OscoreEndpoint::new(sctx, false),
+                );
+                Session::Oscore(Box::new(Ends { client, server }))
+            }
+            TransportKind::Dtls | TransportKind::Coaps => {
+                let (client, server) = establish_dtls(seed);
+                Session::Dtls(Box::new(Ends { client, server }))
+            }
+            TransportKind::Quic | TransportKind::DohLite | TransportKind::Dot => {
+                let (client, server) = doc_quic::establish_pair(seed, QUIC_PSK);
+                let end = |conn| QuicEnd {
+                    conn,
+                    streams: HashMap::new(),
+                    dot: doc_quic::doq::DotReassembler::new(),
+                };
+                let (client, server) = (end(client), end(server));
+                Session::Quic(Box::new(Ends { client, server }))
+            }
+            _ => Session::Plain,
+        }
+    }
+
+    fn quic(&mut self, end: End) -> Option<&mut QuicEnd> {
+        match (self, end) {
+            (Session::Quic(ends), End::Client) => Some(&mut ends.client),
+            (Session::Quic(ends), End::Server) => Some(&mut ends.server),
+            _ => None,
+        }
+    }
 }
 
 /// Everything one client owns.
 struct ClientNode {
     endpoint: Endpoint<NodeId>,
     doc: DocClient,
-    token_query: HashMap<Vec<u8>, usize>,
-    bindings: HashMap<Vec<u8>, RequestBinding>,
-    blockwise: HashMap<Vec<u8>, BlockwiseState>,
-    oscore: Option<OscoreEndpoint>,
-    dtls: Option<doc_dtls::DtlsClient>,
-    /// QUIC-lite connection (stream transports: DoQ/DoH/DoT).
-    quic: Option<doc_quic::Connection>,
-    /// Stream ID → query index (DoQ/DoH: one query per stream).
+    session: Session,
+    exchanges: HashMap<Vec<u8>, Exchange>,
+    /// Stream transports: match key → query index. The key is the
+    /// stream ID for DoQ/DoH (one query per stream) and the DNS
+    /// message ID for DoT (matched like UDP).
     stream_query: HashMap<u64, usize>,
-    /// Per-stream response bytes accumulated until FIN (DoQ/DoH).
-    stream_rx: HashMap<u64, Vec<u8>>,
-    /// The pipelined DoT response stream splitter.
-    dot_rx: doc_quic::doq::DotReassembler,
-    /// DNS message ID → query index (DoT matches by ID, like UDP).
-    dns_id_query: HashMap<u16, usize>,
     raw: RawRetrans,
     scheduled_poll: Option<u64>,
-}
-
-impl ClientNode {
-    /// Wrap outgoing bytes in DTLS when the transport demands it.
-    fn wrap(&mut self, kind: TransportKind, bytes: Vec<u8>) -> Vec<u8> {
-        match kind {
-            TransportKind::Coaps | TransportKind::Dtls => self
-                .dtls
-                .as_mut()
-                .expect("dtls client present")
-                .send_application_data(&bytes)
-                .expect("session established"),
-            _ => bytes,
-        }
-    }
-
-    /// Unwrap incoming bytes (returns None when the record was
-    /// dropped, e.g. replay).
-    fn unwrap(&mut self, kind: TransportKind, now: u64, bytes: &[u8]) -> Option<Vec<u8>> {
-        match kind {
-            TransportKind::Coaps | TransportKind::Dtls => {
-                let mut out = None;
-                for ev in self
-                    .dtls
-                    .as_mut()
-                    .expect("dtls client present")
-                    .handle_datagram(now, bytes)
-                {
-                    if let doc_dtls::DtlsEvent::ApplicationData(d) = ev {
-                        out = Some(d);
-                    }
-                }
-                out
-            }
-            _ => Some(bytes.to_vec()),
-        }
-    }
 }
 
 const QUERY_TOKEN_BASE: u64 = 1_000_000;
@@ -347,19 +405,9 @@ struct Driver<'a> {
     clients: Vec<ClientNode>,
     server: DocServer,
     server_ep: Endpoint<NodeId>,
-    server_oscore: Vec<Option<OscoreEndpoint>>,
-    server_dtls: Vec<Option<doc_dtls::DtlsServer>>,
-    server_quic: Vec<Option<doc_quic::Connection>>,
-    /// Per-(client, stream) request bytes accumulated until FIN.
-    server_stream_rx: HashMap<(NodeId, u64), Vec<u8>>,
-    /// Per-client pipelined DoT request splitters.
-    server_dot_rx: Vec<doc_quic::doq::DotReassembler>,
     proxy: CoapProxy,
     proxy_ep: Endpoint<NodeId>,
     proxy_exchanges: HashMap<Vec<u8>, (u64, NodeId)>,
-    /// (client, client-token) attribution snapshot for proxy events.
-    proxy_attribution: HashMap<u64, (NodeId, Vec<u8>)>,
-    names: Vec<doc_dns::Name>,
     queries: Vec<QueryRecord>,
     events: Vec<TxEvent>,
     n: usize,
@@ -414,11 +462,10 @@ impl<'a> Driver<'a> {
         sim.add_route(&[proxy_id, br_id, server_id]);
 
         let upstream = MockUpstream::new(cfg.seed ^ 0x5e4, cfg.ttl_range.0, cfg.ttl_range.1);
-        let names: Vec<doc_dns::Name> = (0..cfg.num_names as u32).map(experiment_name).collect();
-        for nm in &names {
+        for nm in (0..cfg.num_names as u32).map(experiment_name) {
             match cfg.record_type {
-                RecordType::A => upstream.add_a(nm.clone(), cfg.answers_per_response as u8),
-                _ => upstream.add_aaaa(nm.clone(), cfg.answers_per_response),
+                RecordType::A => upstream.add_a(nm, cfg.answers_per_response as u8),
+                _ => upstream.add_aaaa(nm, cfg.answers_per_response),
             }
         }
         let mut server = DocServer::new(cfg.policy, upstream);
@@ -426,9 +473,6 @@ impl<'a> Driver<'a> {
             server = server.with_block_size(bs);
         }
 
-        let mut server_oscore = Vec::new();
-        let mut server_dtls = Vec::new();
-        let mut server_quic = Vec::new();
         let clients: Vec<ClientNode> = (0..n)
             .map(|c| {
                 let mut doc = DocClient::new(cfg.method, cfg.policy);
@@ -438,60 +482,12 @@ impl<'a> Driver<'a> {
                 if cfg.client_coap_cache {
                     doc = doc.with_coap_cache();
                 }
-                let (oscore, dtls, quic) = match cfg.transport {
-                    TransportKind::Oscore => {
-                        let secret = b"0123456789abcdef";
-                        let salt = b"doc-salt";
-                        let kid = [c as u8 + 1];
-                        let cctx = SecurityContext::derive(secret, salt, &kid, &[0x00]);
-                        let sctx = SecurityContext::derive(secret, salt, &[0x00], &kid);
-                        server_oscore.push(Some(OscoreEndpoint::new(sctx, false)));
-                        server_dtls.push(None);
-                        server_quic.push(None);
-                        (Some(OscoreEndpoint::new(cctx, false)), None, None)
-                    }
-                    TransportKind::Dtls | TransportKind::Coaps => {
-                        // Pre-establish DTLS (paper §5.1: "we
-                        // pre-initialize DTLS sessions … before starting
-                        // experiments").
-                        let (dc, ds) = establish_dtls(cfg.seed ^ ((c as u64 + 1) << 8));
-                        server_oscore.push(None);
-                        server_dtls.push(Some(ds));
-                        server_quic.push(None);
-                        (None, Some(dc), None)
-                    }
-                    TransportKind::Quic | TransportKind::DohLite | TransportKind::Dot => {
-                        // Pre-establish the QUIC-lite session the same
-                        // way (the 1-RTT handshake cost is measured
-                        // separately by `session_setup` and the
-                        // conformance test).
-                        let (qc, qs) =
-                            doc_quic::establish_pair(cfg.seed ^ ((c as u64 + 1) << 8), QUIC_PSK);
-                        server_oscore.push(None);
-                        server_dtls.push(None);
-                        server_quic.push(Some(qs));
-                        (None, None, Some(qc))
-                    }
-                    _ => {
-                        server_oscore.push(None);
-                        server_dtls.push(None);
-                        server_quic.push(None);
-                        (None, None, None)
-                    }
-                };
                 ClientNode {
-                    endpoint: Endpoint::new(cfg.seed ^ ((c as u64 + 1) << 32)),
                     doc,
-                    token_query: HashMap::new(),
-                    bindings: HashMap::new(),
-                    blockwise: HashMap::new(),
-                    oscore,
-                    dtls,
-                    quic,
+                    session: Session::new(cfg.transport, c, cfg.seed),
+                    endpoint: Endpoint::new(cfg.seed ^ ((c as u64 + 1) << 32)),
+                    exchanges: HashMap::new(),
                     stream_query: HashMap::new(),
-                    stream_rx: HashMap::new(),
-                    dot_rx: doc_quic::doq::DotReassembler::new(),
-                    dns_id_query: HashMap::new(),
                     raw: RawRetrans::new(cfg.seed ^ 0xAB00 ^ c as u64),
                     scheduled_poll: None,
                 }
@@ -517,32 +513,15 @@ impl<'a> Driver<'a> {
             clients,
             server,
             server_ep: Endpoint::new(cfg.seed ^ 0x1111),
-            server_oscore,
-            server_dtls,
-            server_quic,
-            server_stream_rx: HashMap::new(),
-            server_dot_rx: (0..n)
-                .map(|_| doc_quic::doq::DotReassembler::new())
-                .collect(),
             proxy: CoapProxy::new(50),
             proxy_ep: Endpoint::new(cfg.seed ^ 0x2222),
             proxy_exchanges: HashMap::new(),
-            proxy_attribution: HashMap::new(),
-            names,
             queries,
             events: Vec::new(),
             n,
             proxy_id,
             br_id,
             server_id,
-        }
-    }
-
-    fn client_dest(&self) -> NodeId {
-        if self.cfg.proxy_cache {
-            self.proxy_id
-        } else {
-            self.server_id
         }
     }
 
@@ -553,6 +532,131 @@ impl<'a> Driver<'a> {
             offset_ms: now.saturating_sub(start),
             kind,
         });
+    }
+
+    /// Marks query `qidx` resolved at `now`; false if it already was.
+    fn resolve(&mut self, qidx: usize, now: u64) -> bool {
+        let resolved = &mut self.queries[qidx].resolved_ms;
+        if resolved.is_some() {
+            return false;
+        }
+        *resolved = Some(now);
+        true
+    }
+
+    /// Drops all that client `c` keeps for the CoAP exchange `token`.
+    fn forget(&mut self, c: usize, token: &[u8]) {
+        let node = &mut self.clients[c];
+        node.doc.fail_exchange(token);
+        node.exchanges.remove(token);
+    }
+
+    /// Puts one datagram on the air. Node IDs grow upstream (clients,
+    /// proxy, border router, server), so one sent to a higher ID is a
+    /// query and one sent to a lower ID a response.
+    fn send(&mut self, from: NodeId, to: NodeId, wire: Vec<u8>) {
+        let tag = if to > from { Tag::Query } else { Tag::Response };
+        self.sim.send_datagram(from, to, wire, tag);
+    }
+
+    /// The session between nodes `a` and `b` and the end of it that `a`
+    /// holds; None unless one is a client and the other the server.
+    fn session(&mut self, a: NodeId, b: NodeId) -> Option<(&mut Session, End)> {
+        if a < self.n && b == self.server_id {
+            Some((&mut self.clients[a].session, End::Client))
+        } else if a == self.server_id && b < self.n {
+            Some((&mut self.clients[b].session, End::Server))
+        } else {
+            None
+        }
+    }
+
+    /// Seals bytes that `from` sends to `to` in their session: a DTLS
+    /// record, or the bytes as they are.
+    fn seal(&mut self, from: NodeId, to: NodeId, bytes: Vec<u8>) -> Vec<u8> {
+        match self.session(from, to) {
+            Some((Session::Dtls(ends), End::Client)) => ends.client.send_application_data(&bytes),
+            Some((Session::Dtls(ends), End::Server)) => ends.server.send_application_data(&bytes),
+            _ => return bytes,
+        }
+        .expect("session established")
+    }
+
+    /// Opens bytes that `at` received from `from`; None when the session
+    /// dropped the record (e.g. a replay).
+    fn open(&mut self, at: NodeId, from: NodeId, now: u64, bytes: Vec<u8>) -> Option<Vec<u8>> {
+        let evs = match self.session(at, from) {
+            Some((Session::Dtls(ends), End::Client)) => ends.client.handle_datagram(now, &bytes),
+            Some((Session::Dtls(ends), End::Server)) => ends.server.handle_datagram(now, &bytes),
+            _ => return Some(bytes),
+        };
+        // The last application record the datagram carried.
+        evs.into_iter().rev().find_map(|ev| match ev {
+            doc_dtls::DtlsEvent::ApplicationData(d) => Some(d),
+            _ => None,
+        })
+    }
+
+    fn quic(&mut self, at: NodeId, peer: NodeId) -> Option<&mut QuicEnd> {
+        self.session(at, peer).and_then(|(s, end)| s.quic(end))
+    }
+
+    /// The CoAP endpoint of node `at`; None for the border router and
+    /// for an opaque forwarder.
+    fn endpoint(&mut self, at: NodeId) -> Option<&mut Endpoint<NodeId>> {
+        if at == self.server_id {
+            Some(&mut self.server_ep)
+        } else if at == self.proxy_id {
+            self.cfg.proxy_cache.then_some(&mut self.proxy_ep)
+        } else {
+            self.clients.get_mut(at).map(|c| &mut c.endpoint)
+        }
+    }
+
+    /// Acts on the events of node `at`'s CoAP endpoint, in order.
+    fn on_events(&mut self, at: NodeId, evs: Vec<EpEvent<NodeId>>, now: u64) {
+        for e in evs {
+            match e {
+                EpEvent::Transmit {
+                    to,
+                    datagram,
+                    retransmission,
+                } => self.transmit(at, to, datagram, retransmission, now),
+                EpEvent::Request { from, msg } if at == self.server_id => {
+                    self.serve_request(from, msg, now);
+                }
+                EpEvent::Request { from, msg } if at == self.proxy_id => {
+                    self.proxy_request(from, msg, now);
+                }
+                EpEvent::Response { msg, .. } if at == self.proxy_id => {
+                    self.proxy_response(msg, now);
+                }
+                EpEvent::Response { msg, .. } if at < self.n => {
+                    self.complete_client_response(at, msg, now);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Sends a CoAP datagram from `from` to `to`, sealed in their
+    /// session. A client's counts as its query's (re)transmission.
+    fn transmit(&mut self, from: NodeId, to: NodeId, datagram: Vec<u8>, resend: bool, now: u64) {
+        if from < self.n {
+            let qidx = CoapMessage::decode(&datagram)
+                .ok()
+                .and_then(|msg| self.clients[from].exchanges.get(&msg.token).map(|x| x.qidx));
+            if let Some(qidx) = qidx {
+                let kind = if resend {
+                    EventKind::Retransmission
+                } else {
+                    EventKind::Transmission
+                };
+                self.record_event(qidx, now, kind);
+            }
+        }
+        let wire = self.seal(from, to, datagram);
+        self.send(from, to, wire);
     }
 
     fn run(mut self) -> ExperimentResult {
@@ -572,13 +676,7 @@ impl<'a> Driver<'a> {
                     self.handle_poll(node, now);
                 }
                 SimEvent::Datagram { from, to, bytes } => {
-                    if to == self.server_id {
-                        self.handle_server_datagram(from, bytes, now);
-                    } else if to == self.proxy_id && self.cfg.proxy_cache {
-                        self.handle_proxy_datagram(from, bytes, now);
-                    } else if to < self.n {
-                        self.handle_client_datagram(to, from, bytes, now);
-                    }
+                    self.handle_datagram(to, from, bytes, now);
                 }
             }
             self.rearm_timers();
@@ -588,22 +686,18 @@ impl<'a> Driver<'a> {
 
     fn rearm_timers(&mut self) {
         for c in 0..self.n {
-            let next = self.clients[c]
+            let node = &mut self.clients[c];
+            let quic = node.session.quic(End::Client);
+            let next = node
                 .endpoint
                 .next_timeout()
                 .into_iter()
-                .chain(self.clients[c].raw.next_timeout())
-                .chain(
-                    self.clients[c]
-                        .quic
-                        .as_ref()
-                        .and_then(|q| q.next_timeout())
-                        .map(u64::from),
-                )
+                .chain(node.raw.next_timeout())
+                .chain(quic.and_then(|q| q.conn.next_timeout()).map(u64::from))
                 .min();
             if let Some(t) = next {
-                if self.clients[c].scheduled_poll.is_none_or(|s| t < s) {
-                    self.clients[c].scheduled_poll = Some(t);
+                if node.scheduled_poll.is_none_or(|s| t < s) {
+                    node.scheduled_poll = Some(t);
                     self.sim.set_timer(c, t.into(), POLL_TOKEN);
                 }
             }
@@ -615,12 +709,10 @@ impl<'a> Driver<'a> {
             .server_ep
             .next_timeout()
             .into_iter()
-            .chain(
-                self.server_quic
-                    .iter()
-                    .flatten()
-                    .filter_map(|q| q.next_timeout().map(u64::from)),
-            )
+            .chain(self.clients.iter_mut().filter_map(|c| {
+                let quic = c.session.quic(End::Server)?;
+                quic.conn.next_timeout().map(u64::from)
+            }))
             .min();
         if let Some(t) = server_next {
             self.sim.set_timer(self.server_id, t.into(), POLL_TOKEN);
@@ -630,289 +722,194 @@ impl<'a> Driver<'a> {
     // -- query issue ---------------------------------------------------
 
     fn issue_query(&mut self, c: NodeId, qidx: usize, now: u64) {
-        let name = self.names[qidx % self.names.len()].clone();
-        let question = Question::new(name.clone(), self.cfg.record_type);
-        match self.cfg.transport {
-            TransportKind::Udp | TransportKind::Dtls => {
-                let mut q = Message::query(qidx as u16 + 1, name, self.cfg.record_type);
-                q.header.rd = true;
-                let bytes = q.encode();
-                self.clients[c]
-                    .raw
-                    .arm(qidx as u16 + 1, qidx, bytes.clone(), now);
-                let wire = self.clients[c].wrap(self.cfg.transport, bytes);
-                self.sim.send_datagram(c, self.server_id, wire, Tag::Query);
-                self.record_event(qidx, now, EventKind::Transmission);
-            }
-            TransportKind::Quic | TransportKind::DohLite | TransportKind::Dot => {
-                // Stream transports: the DNS ID doubles as the match
-                // key (like the raw UDP path); loss recovery lives in
-                // the QUIC-lite connection, not in an app-level
-                // retransmitter.
-                let mut q = Message::query(qidx as u16 + 1, name, self.cfg.record_type);
-                q.header.rd = true;
-                let dns = q.encode();
-                let framed = frame_stream_query(self.cfg.transport, &dns);
-                let node = &mut self.clients[c];
-                let conn = node.quic.as_mut().expect("quic connection present");
-                let datagrams = if self.cfg.transport == TransportKind::Dot {
+        let name = experiment_name((qidx % self.cfg.num_names) as u32);
+        let kind = self.cfg.transport;
+        if !kind.coap_based() {
+            // The DNS ID is the match key, except on DoQ/DoH streams.
+            let id = qidx as u16 + 1;
+            let mut q = Message::query(id, name, self.cfg.record_type);
+            q.header.rd = true;
+            let dns = q.encode();
+            let node = &mut self.clients[c];
+            let datagrams = if let Some(quic) = node.session.quic(End::Client) {
+                // Loss recovery lives in the QUIC-lite connection, not
+                // in an app-level retransmitter.
+                let framed = frame_stream_query(kind, &dns);
+                let (key, sid, fin) = if kind == TransportKind::Dot {
                     // One pipelined stream for the whole session.
-                    node.dns_id_query.insert(qidx as u16 + 1, qidx);
-                    conn.send_stream(0, &framed, false, now.into())
+                    (u64::from(id), 0, false)
                 } else {
                     // RFC 9250: one query per stream, FIN after it.
-                    let sid = conn.open_stream();
-                    node.stream_query.insert(sid, qidx);
-                    conn.send_stream(sid, &framed, true, now.into())
-                }
-                .expect("session pre-established");
-                for d in datagrams {
-                    self.sim.send_datagram(c, self.server_id, d, Tag::Query);
-                }
-                self.record_event(qidx, now, EventKind::Transmission);
+                    let sid = quic.conn.open_stream();
+                    (sid, sid, true)
+                };
+                node.stream_query.insert(key, qidx);
+                quic.conn
+                    .send_stream(sid, &framed, fin, now.into())
+                    .expect("session pre-established")
+            } else {
+                node.raw.arm(id, qidx, dns.clone(), now);
+                vec![self.seal(c, self.server_id, dns)]
+            };
+            for d in datagrams {
+                self.send(c, self.server_id, d);
             }
-            _ => {
-                let mid = self.clients[c].endpoint.alloc_mid();
-                let tok = self.clients[c].endpoint.alloc_token();
-                match self.clients[c]
-                    .doc
-                    .begin_query(question, mid, tok.clone(), now)
-                {
-                    Ok(QueryOutcome::Answered(_)) => {
-                        self.queries[qidx].resolved_ms = Some(now);
-                        self.record_event(qidx, now, EventKind::CacheHit);
-                    }
-                    Ok(QueryOutcome::SendRequest(req)) => {
-                        self.clients[c].token_query.insert(tok.clone(), qidx);
-                        let mut outgoing = *req;
-                        if let Some(bs) = self.cfg.block_size {
-                            if outgoing.payload.len() > bs && self.cfg.method.blockwise_query() {
-                                let mut sender = Block1Sender::new(outgoing.payload.clone(), bs)
-                                    .expect("valid block size");
-                                let (slice, block) = sender.next_block().expect("non-empty body");
-                                doc_coap::block::apply_block1(&mut outgoing, slice, block);
-                                self.clients[c].blockwise.insert(
-                                    tok.clone(),
-                                    BlockwiseState {
-                                        sender: Some(sender),
-                                        assembler: BlockAssembler::new(),
-                                        first_response: None,
-                                        size: bs,
-                                    },
-                                );
-                            } else {
-                                self.clients[c].blockwise.insert(
-                                    tok.clone(),
-                                    BlockwiseState {
-                                        sender: None,
-                                        assembler: BlockAssembler::new(),
-                                        first_response: None,
-                                        size: bs,
-                                    },
-                                );
-                            }
-                        }
-                        let final_msg = if self.clients[c].oscore.is_some() {
-                            let osc = self.clients[c].oscore.as_mut().expect("checked");
-                            let (outer, binding) =
-                                osc.protect_request(&outgoing).expect("oscore protect");
-                            self.clients[c].bindings.insert(tok.clone(), binding);
-                            outer
-                        } else {
-                            outgoing
-                        };
-                        let dest = self.client_dest();
-                        let evs = self.clients[c].endpoint.send_request(now, dest, &final_msg);
-                        self.dispatch_client_events(c, evs, now);
-                    }
-                    Err(_) => {}
-                }
-            }
+            self.record_event(qidx, now, EventKind::Transmission);
+            return;
         }
+        let question = Question::new(name, self.cfg.record_type);
+        let mid = self.clients[c].endpoint.alloc_mid();
+        let tok = self.clients[c].endpoint.alloc_token();
+        match self.clients[c]
+            .doc
+            .begin_query(question, mid, tok.clone(), now)
+        {
+            Ok(QueryOutcome::Answered(_)) => {
+                self.resolve(qidx, now);
+                self.record_event(qidx, now, EventKind::CacheHit);
+            }
+            Ok(QueryOutcome::SendRequest(req)) => {
+                let mut outgoing = *req;
+                let blockwise = self.cfg.block_size.map(|bs| {
+                    let sender = (outgoing.payload.len() > bs && self.cfg.method.blockwise_query())
+                        .then(|| {
+                            let mut sender = Block1Sender::new(outgoing.payload.clone(), bs)
+                                .expect("valid block size");
+                            let (slice, block) = sender.next_block().expect("non-empty body");
+                            doc_coap::block::apply_block1(&mut outgoing, slice, block);
+                            sender
+                        });
+                    BlockwiseState {
+                        sender,
+                        assembler: BlockAssembler::new(),
+                        first_response: None,
+                    }
+                });
+                let node = &mut self.clients[c];
+                let binding = match &mut node.session {
+                    Session::Oscore(ends) => {
+                        let (outer, binding) = ends
+                            .client
+                            .protect_request(&outgoing)
+                            .expect("oscore protect");
+                        outgoing = outer;
+                        Some(binding)
+                    }
+                    _ => None,
+                };
+                let exchange = Exchange {
+                    qidx,
+                    binding,
+                    blockwise,
+                };
+                node.exchanges.insert(tok, exchange);
+                self.send_request(c, &outgoing, now);
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Sends client `c`'s request to the proxy or, without one, the
+    /// server.
+    fn send_request(&mut self, c: usize, req: &CoapMessage, now: u64) {
+        let dest = if self.cfg.proxy_cache {
+            self.proxy_id
+        } else {
+            self.server_id
+        };
+        let evs = self.clients[c].endpoint.send_request(now, dest, req);
+        self.on_events(c, evs, now);
     }
 
     // -- timers ----------------------------------------------------------
 
     fn handle_poll(&mut self, node: NodeId, now: u64) {
+        let Some(ep) = self.endpoint(node) else {
+            return;
+        };
+        let evs = ep.poll(now);
         if node < self.n {
             self.clients[node].scheduled_poll = None;
-            let evs = self.clients[node].endpoint.poll(now);
             // Timeouts first (they clear state).
             for e in &evs {
                 if let EpEvent::TimedOut { token, .. } = e {
-                    self.clients[node].doc.fail_exchange(token);
-                    self.clients[node].token_query.remove(token);
-                    self.clients[node].blockwise.remove(token);
-                    self.clients[node].bindings.remove(token);
+                    self.forget(node, token);
                 }
             }
-            self.dispatch_client_events(node, evs, now);
-            let (resend, _failed) = self.clients[node].raw.poll(now);
-            for (bytes, qidx) in resend {
-                let wire = self.clients[node].wrap(self.cfg.transport, bytes);
-                self.sim
-                    .send_datagram(node, self.server_id, wire, Tag::Query);
+        }
+        self.on_events(node, evs, now);
+        if node < self.n {
+            for (dns, qidx) in self.clients[node].raw.poll(now) {
+                let wire = self.seal(node, self.server_id, dns);
+                self.send(node, self.server_id, wire);
                 self.record_event(qidx, now, EventKind::Retransmission);
             }
-            if let Some(conn) = self.clients[node].quic.as_mut() {
-                for d in conn.poll(now.into()).datagrams {
-                    self.sim.send_datagram(node, self.server_id, d, Tag::Query);
-                }
-            }
-        } else if node == self.proxy_id {
-            let evs = self.proxy_ep.poll(now);
-            for e in evs {
-                if let EpEvent::Transmit { to, datagram, .. } = e {
-                    let tag = if to == self.server_id {
-                        Tag::Query
-                    } else {
-                        Tag::Response
-                    };
-                    self.sim.send_datagram(self.proxy_id, to, datagram, tag);
-                }
-            }
+            self.poll_quic(node, self.server_id, now);
         } else if node == self.server_id {
-            let evs = self.server_ep.poll(now);
-            for e in evs {
-                if let EpEvent::Transmit { to, datagram, .. } = e {
-                    let wire = self.server_wrap(to, datagram);
-                    self.sim
-                        .send_datagram(self.server_id, to, wire, Tag::Response);
-                }
-            }
-            for c in 0..self.server_quic.len() {
-                let Some(conn) = self.server_quic[c].as_mut() else {
-                    continue;
-                };
-                for d in conn.poll(now.into()).datagrams {
-                    self.sim.send_datagram(self.server_id, c, d, Tag::Response);
-                }
+            for c in 0..self.n {
+                self.poll_quic(node, c, now);
             }
         }
     }
 
-    // -- client events ---------------------------------------------------
-
-    fn dispatch_client_events(&mut self, c: usize, evs: Vec<EpEvent<NodeId>>, now: u64) {
-        for e in evs {
-            match e {
-                EpEvent::Transmit {
-                    to,
-                    datagram,
-                    retransmission,
-                } => {
-                    if let Ok(msg) = CoapMessage::decode(&datagram) {
-                        if let Some(&qidx) = self.clients[c].token_query.get(&msg.token) {
-                            self.record_event(
-                                qidx,
-                                now,
-                                if retransmission {
-                                    EventKind::Retransmission
-                                } else {
-                                    EventKind::Transmission
-                                },
-                            );
-                        }
-                    }
-                    let wire = self.clients[c].wrap(self.cfg.transport, datagram);
-                    self.sim.send_datagram(c, to, wire, Tag::Query);
-                }
-                EpEvent::Response { msg, .. } => {
-                    self.complete_client_response(c, msg, now);
-                }
-                EpEvent::TimedOut { token, .. } => {
-                    self.clients[c].doc.fail_exchange(&token);
-                    self.clients[c].token_query.remove(&token);
-                    self.clients[c].blockwise.remove(&token);
-                    self.clients[c].bindings.remove(&token);
-                }
-                _ => {}
-            }
+    /// Fires the QUIC-lite timers of `at`'s end of its session with
+    /// `peer`.
+    fn poll_quic(&mut self, at: NodeId, peer: NodeId, now: u64) {
+        let Some(quic) = self.quic(at, peer) else {
+            return;
+        };
+        for d in quic.conn.poll(now.into()).datagrams {
+            self.send(at, peer, d);
         }
     }
 
-    fn handle_client_datagram(&mut self, c: usize, from: NodeId, bytes: Vec<u8>, now: u64) {
-        if self.cfg.transport.stream_based() {
-            let evs = self.clients[c]
-                .quic
-                .as_mut()
-                .expect("quic connection present")
-                .handle_datagram(now.into(), &bytes);
-            self.process_client_quic_events(c, evs, now);
+    // -- datagrams ------------------------------------------------------
+
+    /// A datagram from `from` arrives at node `at`.
+    fn handle_datagram(&mut self, at: NodeId, from: NodeId, bytes: Vec<u8>, now: u64) {
+        let kind = self.cfg.transport;
+        if kind.stream_based() {
+            self.quic_datagram(at, from, &bytes, now);
             return;
         }
-        match self.cfg.transport {
-            TransportKind::Udp | TransportKind::Dtls => {
-                let Some(dns_bytes) = self.clients[c].unwrap(self.cfg.transport, now, &bytes)
-                else {
-                    return;
-                };
-                let Ok(msg) = Message::decode(&dns_bytes) else {
-                    return;
-                };
-                if let Some(qidx) = self.clients[c].raw.complete(msg.header.id) {
-                    if self.queries[qidx].resolved_ms.is_none() {
-                        self.queries[qidx].resolved_ms = Some(now);
-                    }
-                }
+        let Some(datagram) = self.open(at, from, now, bytes) else {
+            return;
+        };
+        if kind.coap_based() {
+            let Some(ep) = self.endpoint(at) else {
+                return;
+            };
+            let evs = ep.handle_datagram(now, from, &datagram);
+            self.on_events(at, evs, now);
+        } else if at == self.server_id {
+            if let Some(resp) = self.answer_dns(&datagram, now) {
+                let wire = self.seal(at, from, resp);
+                self.send(at, from, wire);
             }
-            _ => {
-                let Some(datagram) = self.clients[c].unwrap(self.cfg.transport, now, &bytes) else {
-                    return;
-                };
-                let evs = self.clients[c]
-                    .endpoint
-                    .handle_datagram(now, from, &datagram);
-                self.dispatch_client_events(c, evs, now);
+        } else if let Ok(msg) = Message::decode(&datagram) {
+            let node = self.clients.get_mut(at);
+            if let Some(qidx) = node.and_then(|n| n.raw.complete(msg.header.id)) {
+                self.resolve(qidx, now);
             }
         }
     }
 
-    fn process_client_quic_events(&mut self, c: usize, evs: Vec<doc_quic::QuicEvent>, now: u64) {
-        for ev in evs {
+    /// Feeds a datagram from `from` to `at`'s QUIC-lite end, sends what
+    /// the connection answers and hands on each DNS message a stream
+    /// completes.
+    fn quic_datagram(&mut self, at: NodeId, from: NodeId, bytes: &[u8], now: u64) {
+        let kind = self.cfg.transport;
+        let Some(quic) = self.quic(at, from) else {
+            return;
+        };
+        for ev in quic.conn.handle_datagram(now.into(), bytes) {
             match ev {
-                doc_quic::QuicEvent::Transmit(d) => {
-                    // ACKs and other connection maintenance.
-                    self.sim.send_datagram(c, self.server_id, d, Tag::Query);
-                }
+                // ACKs and other connection maintenance.
+                doc_quic::QuicEvent::Transmit(d) => self.send(at, from, d),
                 doc_quic::QuicEvent::Stream { id, data, fin } => {
-                    if self.cfg.transport == TransportKind::Dot {
-                        // Pipelined responses: split on the 2-byte
-                        // length prefix, match by DNS message ID.
-                        for msg in self.clients[c].dot_rx.push(&data) {
-                            let Ok(resp) = Message::decode(&msg) else {
-                                continue;
-                            };
-                            let Some(qidx) = self.clients[c].dns_id_query.remove(&resp.header.id)
-                            else {
-                                continue;
-                            };
-                            if self.queries[qidx].resolved_ms.is_none() {
-                                self.queries[qidx].resolved_ms = Some(now);
-                            }
-                        }
-                    } else {
-                        self.clients[c]
-                            .stream_rx
-                            .entry(id)
-                            .or_default()
-                            .extend_from_slice(&data);
-                        if !fin {
-                            continue;
-                        }
-                        let buf = self.clients[c].stream_rx.remove(&id).unwrap_or_default();
-                        let Some(qidx) = self.clients[c].stream_query.remove(&id) else {
-                            continue;
-                        };
-                        let dns = match self.cfg.transport {
-                            TransportKind::Quic => doc_quic::doq::decode_doq(&buf),
-                            _ => doc_quic::doq::decode_doh(&buf),
-                        };
-                        if dns.ok().and_then(|d| Message::decode(d).ok()).is_some()
-                            && self.queries[qidx].resolved_ms.is_none()
-                        {
-                            self.queries[qidx].resolved_ms = Some(now);
-                        }
+                    let quic = self.quic(at, from).expect("checked above");
+                    for dns in quic.receive(kind, id, &data, fin) {
+                        self.stream_message(at, from, id, &dns, now);
                     }
                 }
                 doc_quic::QuicEvent::Established => {}
@@ -920,31 +917,60 @@ impl<'a> Driver<'a> {
         }
     }
 
+    /// A DNS message that stream `sid` completed at `at`: the server
+    /// answers it on the same stream, a client resolves its query.
+    fn stream_message(&mut self, at: NodeId, peer: NodeId, sid: u64, dns: &[u8], now: u64) {
+        let kind = self.cfg.transport;
+        if at == self.server_id {
+            let Some(resp) = self.answer_dns(dns, now) else {
+                return;
+            };
+            let framed = frame_stream_response(kind, &resp);
+            let quic = self.quic(at, peer).expect("stream transport");
+            let datagrams = quic
+                .conn
+                .send_stream(sid, &framed, kind != TransportKind::Dot, now.into())
+                .expect("session pre-established");
+            for d in datagrams {
+                self.send(at, peer, d);
+            }
+        } else if let Ok(resp) = Message::decode(dns) {
+            let key = match kind {
+                TransportKind::Dot => u64::from(resp.header.id),
+                _ => sid,
+            };
+            if let Some(qidx) = self.clients[at].stream_query.remove(&key) {
+                self.resolve(qidx, now);
+            }
+        }
+    }
+
     fn complete_client_response(&mut self, c: usize, outer: CoapMessage, now: u64) {
         let token = outer.token.clone();
-        // OSCORE unprotect (responses bound to the stored binding).
-        let msg = if let Some(binding) = self.clients[c].bindings.get(&token) {
-            let osc = self.clients[c].oscore.as_ref().expect("binding ⇒ oscore");
-            match osc.unprotect_response(&outer, binding) {
-                Ok(inner) => inner,
-                Err(_) => return,
-            }
-        } else {
-            outer
-        };
-        let Some(&qidx) = self.clients[c].token_query.get(&token) else {
+        let node = &self.clients[c];
+        let Some(exchange) = node.exchanges.get(&token) else {
             return;
+        };
+        let qidx = exchange.qidx;
+        // OSCORE unprotect (responses bound to the stored binding).
+        let msg = match (&exchange.binding, &node.session) {
+            (Some(binding), Session::Oscore(ends)) => {
+                match ends.client.unprotect_response(&outer, binding) {
+                    Ok(inner) => inner,
+                    Err(_) => return,
+                }
+            }
+            _ => outer,
         };
 
         // Block-wise continuation.
-        if self.clients[c].blockwise.contains_key(&token) {
+        let exchange = self.clients[c]
+            .exchanges
+            .get_mut(&token)
+            .expect("looked up above");
+        if let Some(bw) = exchange.blockwise.as_mut() {
             if msg.code == Code::CONTINUE {
-                let next = self.clients[c]
-                    .blockwise
-                    .get_mut(&token)
-                    .and_then(|bw| bw.sender.as_mut())
-                    .and_then(|s| s.next_block());
-                if let Some((slice, block)) = next {
+                if let Some((slice, block)) = bw.sender.as_mut().and_then(|s| s.next_block()) {
                     let mid = self.clients[c].endpoint.alloc_mid();
                     let mut req = crate::method::build_request(
                         self.cfg.method,
@@ -955,33 +981,25 @@ impl<'a> Driver<'a> {
                     )
                     .expect("request construction");
                     doc_coap::block::apply_block1(&mut req, slice, block);
-                    let dest = self.client_dest();
-                    let evs = self.clients[c].endpoint.send_request(now, dest, &req);
-                    self.dispatch_client_events(c, evs, now);
+                    self.send_request(c, &req, now);
                 }
                 return;
             }
             if let Some(Ok(block2)) = BlockOpt::from_message(&msg, OptionNumber::BLOCK2) {
-                let (result, size) = {
-                    let bw = self.clients[c].blockwise.get_mut(&token).expect("present");
-                    if bw.first_response.is_none() {
-                        bw.first_response = Some(msg.clone());
-                    }
-                    (bw.assembler.push(block2, &msg.payload), bw.size)
-                };
-                match result {
+                if bw.first_response.is_none() {
+                    bw.first_response = Some(msg.clone());
+                }
+                match bw.assembler.push(block2, &msg.payload) {
                     Ok(Some(full)) => {
-                        let first = self.clients[c]
-                            .blockwise
-                            .remove(&token)
-                            .and_then(|bw| bw.first_response)
-                            .expect("first response recorded");
-                        let mut synthesized = first;
+                        let first = bw.first_response.take();
+                        let mut synthesized = first.expect("first response recorded");
+                        exchange.blockwise = None;
                         synthesized.payload = full;
                         synthesized.remove_option(OptionNumber::BLOCK2);
                         self.finish_query(c, &token, &synthesized, now, qidx);
                     }
                     Ok(None) => {
+                        let size = self.cfg.block_size.expect("block-wise run");
                         let mid = self.clients[c].endpoint.alloc_mid();
                         let mut follow = CoapMessage::request(
                             self.cfg.method.code(),
@@ -998,289 +1016,103 @@ impl<'a> Driver<'a> {
                                 .expect("valid block")
                                 .to_option(OptionNumber::BLOCK2),
                         );
-                        let dest = self.client_dest();
-                        let evs = self.clients[c].endpoint.send_request(now, dest, &follow);
-                        self.dispatch_client_events(c, evs, now);
+                        self.send_request(c, &follow, now);
                     }
-                    Err(_) => {
-                        self.clients[c].blockwise.remove(&token);
-                    }
+                    Err(_) => exchange.blockwise = None,
                 }
                 return;
             }
             // Response without a Block2 option: the body fit one
             // exchange after all.
-            self.clients[c].blockwise.remove(&token);
+            exchange.blockwise = None;
         }
         self.finish_query(c, &token, &msg, now, qidx);
     }
 
     fn finish_query(&mut self, c: usize, token: &[u8], msg: &CoapMessage, now: u64, qidx: usize) {
-        let was_validation = msg.code == Code::VALID;
         if self.clients[c].doc.handle_response(token, msg, now).is_ok()
-            && self.queries[qidx].resolved_ms.is_none()
+            && self.resolve(qidx, now)
+            && msg.code == Code::VALID
         {
-            self.queries[qidx].resolved_ms = Some(now);
-            if was_validation {
-                self.record_event(qidx, now, EventKind::CacheValidation);
-            }
+            self.record_event(qidx, now, EventKind::CacheValidation);
         }
-        self.clients[c].token_query.remove(token);
-        self.clients[c].bindings.remove(token);
+        self.clients[c].exchanges.remove(token);
     }
 
     // -- server ----------------------------------------------------------
 
-    fn server_wrap(&mut self, to: NodeId, bytes: Vec<u8>) -> Vec<u8> {
-        match self.cfg.transport {
-            TransportKind::Coaps | TransportKind::Dtls => self.server_dtls[to]
-                .as_mut()
-                .expect("dtls server present")
-                .send_application_data(&bytes)
-                .expect("session established"),
-            _ => bytes,
-        }
-    }
-
-    fn handle_server_datagram(&mut self, from: NodeId, bytes: Vec<u8>, now: u64) {
-        if self.cfg.transport.stream_based() {
-            self.handle_server_stream_datagram(from, bytes, now);
-            return;
-        }
-        match self.cfg.transport {
-            TransportKind::Udp | TransportKind::Dtls => {
-                let dns_bytes = match self.cfg.transport {
-                    TransportKind::Dtls => {
-                        let Some(ds) = self.server_dtls.get_mut(from).and_then(|d| d.as_mut())
-                        else {
-                            return;
-                        };
-                        let mut out = None;
-                        for ev in ds.handle_datagram(now, &bytes) {
-                            if let doc_dtls::DtlsEvent::ApplicationData(d) = ev {
-                                out = Some(d);
-                            }
-                        }
-                        match out {
-                            Some(d) => d,
-                            None => return,
-                        }
-                    }
-                    _ => bytes,
-                };
-                let Ok(query) = Message::decode(&dns_bytes) else {
-                    return;
-                };
-                let resp = self.server.upstream.resolve(&query, now);
-                self.server.count_raw_dns_response();
-                let wire = self.server_wrap(from, resp.encode());
-                self.sim
-                    .send_datagram(self.server_id, from, wire, Tag::Response);
-            }
-            _ => {
-                let datagram = match self.cfg.transport {
-                    TransportKind::Coaps => {
-                        let Some(ds) = self.server_dtls.get_mut(from).and_then(|d| d.as_mut())
-                        else {
-                            return;
-                        };
-                        let mut out = None;
-                        for ev in ds.handle_datagram(now, &bytes) {
-                            if let doc_dtls::DtlsEvent::ApplicationData(d) = ev {
-                                out = Some(d);
-                            }
-                        }
-                        match out {
-                            Some(d) => d,
-                            None => return,
-                        }
-                    }
-                    _ => bytes,
-                };
-                let evs = self.server_ep.handle_datagram(now, from, &datagram);
-                for e in evs {
-                    match e {
-                        EpEvent::Transmit { to, datagram, .. } => {
-                            let wire = self.server_wrap(to, datagram);
-                            self.sim
-                                .send_datagram(self.server_id, to, wire, Tag::Response);
-                        }
-                        EpEvent::Request { from, msg } => {
-                            let (inner, binding) =
-                                match self.server_oscore.get_mut(from).and_then(|o| o.as_mut()) {
-                                    Some(osc) => match osc.unprotect_request(&msg) {
-                                        Ok((inner, binding)) => (inner, Some(binding)),
-                                        Err(_) => continue,
-                                    },
-                                    None => (msg.clone(), None),
-                                };
-                            let mut resp =
-                                self.server.handle_request_from(from as u64, &inner, now);
-                            if let Some(binding) = &binding {
-                                let osc = self.server_oscore[from].as_ref().expect("present");
-                                match osc.protect_response(&resp, binding, &msg) {
-                                    Ok(outer) => resp = outer,
-                                    Err(_) => continue,
-                                }
-                            }
-                            let evs2 = self.server_ep.send_response(now, from, &resp);
-                            for e2 in evs2 {
-                                if let EpEvent::Transmit { to, datagram, .. } = e2 {
-                                    let wire = self.server_wrap(to, datagram);
-                                    self.sim
-                                        .send_datagram(self.server_id, to, wire, Tag::Response);
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-    }
-
-    /// Stream-transport server leg: pump the per-client QUIC-lite
-    /// connection, reassemble request streams, resolve each DNS query
-    /// against the upstream and write the framed response back on the
-    /// same stream.
-    fn handle_server_stream_datagram(&mut self, from: NodeId, bytes: Vec<u8>, now: u64) {
-        let Some(conn) = self.server_quic.get_mut(from).and_then(|c| c.as_mut()) else {
-            return;
+    /// The server answers client `from`'s CoAP request, OSCORE-protected
+    /// when the request was.
+    fn serve_request(&mut self, from: NodeId, msg: CoapMessage, now: u64) {
+        let mut osc = match self.clients.get_mut(from).map(|c| &mut c.session) {
+            Some(Session::Oscore(ends)) => Some(&mut ends.server),
+            _ => None,
         };
-        let evs = conn.handle_datagram(now.into(), &bytes);
-        for ev in evs {
-            match ev {
-                doc_quic::QuicEvent::Transmit(d) => {
-                    self.sim
-                        .send_datagram(self.server_id, from, d, Tag::Response);
-                }
-                doc_quic::QuicEvent::Stream { id, data, fin } => {
-                    if self.cfg.transport == TransportKind::Dot {
-                        let msgs = self.server_dot_rx[from].push(&data);
-                        for dns in msgs {
-                            self.answer_stream_query(from, 0, &dns, false, now);
-                        }
-                    } else {
-                        self.server_stream_rx
-                            .entry((from, id))
-                            .or_default()
-                            .extend_from_slice(&data);
-                        if !fin {
-                            continue;
-                        }
-                        let buf = self
-                            .server_stream_rx
-                            .remove(&(from, id))
-                            .unwrap_or_default();
-                        let dns = match self.cfg.transport {
-                            TransportKind::Quic => doc_quic::doq::decode_doq(&buf),
-                            _ => doc_quic::doq::decode_doh(&buf),
-                        };
-                        if let Ok(dns) = dns {
-                            let dns = dns.to_vec();
-                            self.answer_stream_query(from, id, &dns, true, now);
-                        }
-                    }
-                }
-                doc_quic::QuicEvent::Established => {}
+        let (inner, binding) = match osc.as_mut().map(|o| o.unprotect_request(&msg)) {
+            Some(Ok((inner, binding))) => (inner, Some(binding)),
+            Some(Err(_)) => return,
+            None => (msg.clone(), None),
+        };
+        let mut resp = self.server.handle_request_from(from as u64, &inner, now);
+        if let (Some(osc), Some(binding)) = (osc, &binding) {
+            match osc.protect_response(&resp, binding, &msg) {
+                Ok(outer) => resp = outer,
+                Err(_) => return,
             }
         }
+        let evs = self.server_ep.send_response(now, from, &resp);
+        self.on_events(self.server_id, evs, now);
     }
 
-    fn answer_stream_query(&mut self, from: NodeId, sid: u64, dns: &[u8], fin: bool, now: u64) {
-        let Ok(query) = Message::decode(dns) else {
-            return;
-        };
+    /// Answers a plain DNS query from the upstream, as the server does
+    /// for every non-CoAP transport.
+    fn answer_dns(&mut self, dns: &[u8], now: u64) -> Option<Vec<u8>> {
+        let query = Message::decode(dns).ok()?;
         let resp = self.server.upstream.resolve(&query, now);
         self.server.count_raw_dns_response();
-        let framed = frame_stream_response(self.cfg.transport, &resp.encode());
-        let conn = self.server_quic[from].as_mut().expect("stream transport");
-        let datagrams = conn
-            .send_stream(sid, &framed, fin, now.into())
-            .expect("session pre-established");
-        for d in datagrams {
-            self.sim
-                .send_datagram(self.server_id, from, d, Tag::Response);
-        }
+        Some(resp.encode())
     }
 
     // -- proxy -----------------------------------------------------------
 
-    fn handle_proxy_datagram(&mut self, from: NodeId, bytes: Vec<u8>, now: u64) {
-        let evs = self.proxy_ep.handle_datagram(now, from, &bytes);
-        for e in evs {
-            match e {
-                EpEvent::Transmit { to, datagram, .. } => {
-                    let tag = if to == self.server_id {
-                        Tag::Query
+    /// The caching proxy answers `client`'s request from its cache or
+    /// forwards it upstream.
+    fn proxy_request(&mut self, client: NodeId, msg: CoapMessage, now: u64) {
+        let evs = match self.proxy.handle_client_request(&msg, now) {
+            ProxyAction::Respond(resp) => {
+                let exchange = self.clients[client].exchanges.get(&msg.token);
+                if let Some(qidx) = exchange.map(|x| x.qidx) {
+                    let kind = if resp.code == Code::VALID {
+                        EventKind::CacheValidation
                     } else {
-                        Tag::Response
+                        EventKind::CacheHit
                     };
-                    self.sim.send_datagram(self.proxy_id, to, datagram, tag);
+                    self.record_event(qidx, now, kind);
                 }
-                EpEvent::Request { from: client, msg } => {
-                    match self.proxy.handle_client_request(&msg, now) {
-                        ProxyAction::Respond(resp) => {
-                            if let Some(&qidx) = self.clients[client].token_query.get(&msg.token) {
-                                let kind = if resp.code == Code::VALID {
-                                    EventKind::CacheValidation
-                                } else {
-                                    EventKind::CacheHit
-                                };
-                                self.record_event(qidx, now, kind);
-                            }
-                            let evs2 = self.proxy_ep.send_response(now, client, &resp);
-                            for e2 in evs2 {
-                                if let EpEvent::Transmit { to, datagram, .. } = e2 {
-                                    self.sim.send_datagram(
-                                        self.proxy_id,
-                                        to,
-                                        datagram,
-                                        Tag::Response,
-                                    );
-                                }
-                            }
-                        }
-                        ProxyAction::Forward {
-                            mut request,
-                            exchange_id,
-                        } => {
-                            let mid = self.proxy_ep.alloc_mid();
-                            let tok = self.proxy_ep.alloc_token();
-                            request.message_id = mid;
-                            request.token = tok.clone();
-                            self.proxy_exchanges.insert(tok, (exchange_id, client));
-                            self.proxy_attribution
-                                .insert(exchange_id, (client, msg.token.clone()));
-                            let evs2 = self.proxy_ep.send_request(now, self.server_id, &request);
-                            for e2 in evs2 {
-                                if let EpEvent::Transmit { to, datagram, .. } = e2 {
-                                    self.sim
-                                        .send_datagram(self.proxy_id, to, datagram, Tag::Query);
-                                }
-                            }
-                        }
-                    }
-                }
-                EpEvent::Response { msg, .. } => {
-                    let Some((exchange_id, client)) = self.proxy_exchanges.remove(&msg.token)
-                    else {
-                        continue;
-                    };
-                    self.proxy_attribution.remove(&exchange_id);
-                    if let Some(resp) = self.proxy.handle_upstream_response(exchange_id, &msg, now)
-                    {
-                        let evs2 = self.proxy_ep.send_response(now, client, &resp);
-                        for e2 in evs2 {
-                            if let EpEvent::Transmit { to, datagram, .. } = e2 {
-                                self.sim
-                                    .send_datagram(self.proxy_id, to, datagram, Tag::Response);
-                            }
-                        }
-                    }
-                }
-                _ => {}
+                self.proxy_ep.send_response(now, client, &resp)
             }
+            ProxyAction::Forward {
+                mut request,
+                exchange_id,
+            } => {
+                request.message_id = self.proxy_ep.alloc_mid();
+                request.token = self.proxy_ep.alloc_token();
+                self.proxy_exchanges
+                    .insert(request.token.clone(), (exchange_id, client));
+                self.proxy_ep.send_request(now, self.server_id, &request)
+            }
+        };
+        self.on_events(self.proxy_id, evs, now);
+    }
+
+    /// The proxy relays the server's response to the client that asked.
+    fn proxy_response(&mut self, msg: CoapMessage, now: u64) {
+        let Some((exchange_id, client)) = self.proxy_exchanges.remove(&msg.token) else {
+            return;
+        };
+        if let Some(resp) = self.proxy.handle_upstream_response(exchange_id, &msg, now) {
+            let evs = self.proxy_ep.send_response(now, client, &resp);
+            self.on_events(self.proxy_id, evs, now);
         }
     }
 
@@ -1561,6 +1393,40 @@ mod tests {
             p50_16,
             p50_plain
         );
+    }
+
+    /// At total loss every query is sent once, retransmitted four times
+    /// and given up: the raw retransmitter's cap and the CoAP
+    /// endpoint's `TimedOut` both end the run long before the deadline.
+    #[test]
+    fn retransmissions_stop_at_the_cap_under_total_loss() {
+        for transport in [TransportKind::Udp, TransportKind::Dtls, TransportKind::Coap] {
+            let mut cfg = base_cfg();
+            cfg.transport = transport;
+            cfg.loss_permille = 1000;
+            let r = run(&cfg);
+            assert_eq!(r.success_rate(), 0.0, "{transport:?}");
+            for q in &r.queries {
+                // Issue times may coincide at ms resolution.
+                let same_start = r.queries.iter().filter(|o| o.issued_ms == q.issued_ms);
+                let n = same_start.count();
+                let of_kind = |kind| {
+                    r.events
+                        .iter()
+                        .filter(|e| e.query_start_ms == q.issued_ms && e.kind == kind)
+                        .count()
+                };
+                assert_eq!(of_kind(EventKind::Transmission), n, "{transport:?}");
+                assert_eq!(of_kind(EventKind::Retransmission), 4 * n, "{transport:?}");
+            }
+            assert_eq!(r.events.len(), 5 * r.queries.len(), "{transport:?}");
+            let last = r
+                .events
+                .iter()
+                .map(|e| e.query_start_ms + e.offset_ms)
+                .max();
+            assert!(last.is_some_and(|t| t < 600_000), "{transport:?}: {last:?}");
+        }
     }
 
     #[test]

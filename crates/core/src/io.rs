@@ -9,11 +9,10 @@
 //!   code as production traffic — and stay bit-identical, because the
 //!   provider only re-plumbs `Sim::drain_due`, it does not reinterpret
 //!   the schedule.
-//! * [`UdpProvider`] serves real datagrams from a
-//!   [`std::net::UdpSocket`]. On Linux a batch is one `recvmmsg` of up
-//!   to 64 datagrams (with one `poll` for the deadline when the socket
-//!   is empty) and its replies go out in one `sendmmsg` per 64; other
-//!   platforms make one `recv_from` / `send_to` per datagram. The
+//! * [`UdpProvider`] (Linux only) serves real datagrams from a
+//!   [`std::net::UdpSocket`]. A batch is one `recvmmsg` of up to 64
+//!   datagrams (with one `poll` for the deadline when the socket is
+//!   empty) and its replies go out in one `sendmmsg` per 64. The
 //!   socket stays blocking, so sends wait for buffer space.
 //!
 //! The split follows the provider pattern of s2n-quic's platform
@@ -32,7 +31,10 @@
 use crate::pool::{Datagram, PoolRunStats, ProxyPool, Reply, WorkerScratch};
 use doc_netsim::{NodeId, Sim, SimEvent, Tag};
 use doc_time::{Instant, Millis};
-use std::collections::{HashMap, VecDeque};
+#[cfg(target_os = "linux")]
+use std::collections::HashMap;
+use std::collections::VecDeque;
+#[cfg(target_os = "linux")]
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 #[cfg(target_os = "linux")]
 use std::os::fd::AsRawFd;
@@ -163,19 +165,19 @@ impl IoProvider for SimProvider<'_> {
 /// datagram is detected instead of silently truncated, and is passed
 /// on with an empty wire: the pool drops it like any other malformed
 /// datagram and counts it in `errors`.
+#[cfg(target_os = "linux")]
 const UDP_RECV_BUF: usize = 2048;
 
-/// [`IoProvider`] over a real [`std::net::UdpSocket`].
+/// [`IoProvider`] over a real [`std::net::UdpSocket`] (Linux only).
 ///
-/// On Linux a receive is one non-blocking `recvmmsg` of up to 64
-/// datagrams; only when nothing is queued does it `poll` for the
-/// deadline and try once more, and it calls again only while a call
-/// came back full. A send is one `sendmmsg` per 64 replies, each
-/// `iovec` pointing at the reply's own buffer. The per-message receive
-/// buffers live on the receiving thread's stack, uninitialised until
-/// the kernel writes them. Elsewhere the provider falls back to one
-/// `recv_from` / `send_to` per datagram. Either way the socket is left
-/// blocking, so a send waits for buffer space rather than failing.
+/// A receive is one non-blocking `recvmmsg` of up to 64 datagrams;
+/// only when nothing is queued does it `poll` for the deadline and try
+/// once more, and it calls again only while a call came back full. A
+/// send is one `sendmmsg` per 64 replies, each `iovec` pointing at the
+/// reply's own buffer. The per-message receive buffers live on the
+/// receiving thread's stack, uninitialised until the kernel writes
+/// them. The socket is left blocking, so a send waits for buffer space
+/// rather than failing.
 ///
 /// A received datagram is written into the wire buffer of the spent
 /// datagram its slot still holds (see [`RecvSlot`]), so once every
@@ -187,6 +189,7 @@ const UDP_RECV_BUF: usize = 2048;
 /// instant ([`UdpProvider::with_virtual_time`]) so loopback runs are
 /// reproducible against sim runs; production callers would advance it
 /// from a wall clock.
+#[cfg(target_os = "linux")]
 pub struct UdpProvider {
     socket: UdpSocket,
     /// peer id → address.
@@ -197,6 +200,7 @@ pub struct UdpProvider {
     at: Instant,
 }
 
+#[cfg(target_os = "linux")]
 impl UdpProvider {
     /// Bind a socket (e.g. `"127.0.0.1:0"` for an ephemeral loopback
     /// port).
@@ -316,55 +320,6 @@ impl IoProvider for UdpProvider {
             }
         }
         sent + batch.flush(fd)
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-impl IoProvider for UdpProvider {
-    fn recv_batch(&mut self, slots: &mut [RecvSlot], timeout: Millis) -> usize {
-        let Some((first, rest)) = slots.split_first_mut() else {
-            return 0;
-        };
-        let mut buf = [0u8; UDP_RECV_BUF + 1];
-        // Blocking wait (bounded by the deadline) for the first
-        // datagram of the batch.
-        let wait = std::time::Duration::from_millis(timeout.as_millis().max(1));
-        if self.socket.set_read_timeout(Some(wait)).is_err() {
-            return 0;
-        }
-        match self.socket.recv_from(&mut buf) {
-            Ok((len, addr)) => self.fill(first, buf.get(..len).unwrap_or_default(), addr),
-            Err(_) => return 0, // timeout / interrupted → idle
-        }
-        let mut n = 1;
-        // Non-blocking drain of whatever is already queued.
-        if self.socket.set_nonblocking(true).is_ok() {
-            for slot in rest {
-                match self.socket.recv_from(&mut buf) {
-                    Ok((len, addr)) => {
-                        self.fill(slot, buf.get(..len).unwrap_or_default(), addr);
-                        n += 1;
-                    }
-                    Err(_) => break,
-                }
-            }
-            let _ = self.socket.set_nonblocking(false);
-        }
-        n
-    }
-
-    fn send_batch(&mut self, replies: &[Reply]) -> usize {
-        let mut n = 0;
-        for r in replies {
-            let Some(wire) = &r.wire else { continue };
-            let Some(&addr) = self.peers.get(r.peer as usize) else {
-                continue;
-            };
-            if self.socket.send_to(wire, addr).is_ok() {
-                n += 1;
-            }
-        }
-        n
     }
 }
 
@@ -890,6 +845,7 @@ mod tests {
         assert!(delivered.iter().all(|(node, _)| *node == client));
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn udp_provider_times_out_when_idle() {
         let pool = pool(1);
@@ -898,6 +854,7 @@ mod tests {
         assert_eq!(stats.processed, 0);
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn udp_provider_serves_loopback_queries() {
         let pool = pool(2);

@@ -46,7 +46,9 @@ pub mod ttl_integrity;
 pub mod uri_template;
 
 pub use client::DocClient;
-pub use io::{IoProvider, RecvSlot, SimProvider, UdpProvider};
+#[cfg(target_os = "linux")]
+pub use io::UdpProvider;
+pub use io::{IoProvider, RecvSlot, SimProvider};
 pub use method::DocMethod;
 pub use policy::CachePolicy;
 pub use pool::{BufferPool, Datagram, ProxyPool, Reply, ServeScratch};

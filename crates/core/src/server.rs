@@ -151,8 +151,9 @@ impl ZoneKey {
     }
 }
 
-/// One xorshift64 step (shared by the upstream's atomic RNG).
-fn xorshift64(mut x: u64) -> u64 {
+/// One xorshift64 step (shared by the upstream's atomic RNG and the
+/// experiment's raw retransmitter).
+pub(crate) fn xorshift64(mut x: u64) -> u64 {
     x ^= x >> 12;
     x ^= x << 25;
     x ^= x >> 27;

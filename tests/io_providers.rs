@@ -6,17 +6,21 @@
 //! the production front-end.
 
 use doc_bench::throughput::{build_mix, LoadSpec};
-use doc_repro::coap::view::CoapView;
-use doc_repro::doc::io::{IoProvider, SimProvider, UdpProvider};
+use doc_repro::doc::io::{IoProvider, SimProvider};
 use doc_repro::doc::policy::CachePolicy;
-use doc_repro::doc::pool::{BufferPool, ProxyPool, ReplySeal, RequestOpen};
+use doc_repro::doc::pool::{ProxyPool, ReplySeal, RequestOpen};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 use doc_repro::doc::CoapProxy;
 use doc_repro::dtls::record::{CipherState, ContentType, Record};
 use doc_repro::netsim::{LinkKind, NodeId, Sim, Tag};
 use doc_repro::quic::packet::{Header, PacketKeys, Space};
-use doc_repro::time::{Instant, Millis};
-use std::net::UdpSocket;
+use doc_repro::time::Millis;
+// `UdpProvider` is Linux-only, and so are the tests that use it.
+#[cfg(target_os = "linux")]
+use {
+    doc_repro::coap::view::CoapView, doc_repro::doc::io::UdpProvider,
+    doc_repro::doc::pool::BufferPool, doc_repro::time::Instant, std::net::UdpSocket,
+};
 
 /// One pool + the replay wires, identically seeded for every provider
 /// (same upstream zone, same mix, same cache geometry).
@@ -78,6 +82,7 @@ fn replies_via_sim(queries: &[Vec<u8>]) -> Vec<Vec<u8>> {
 /// N−1, so the ordering matches the sim's FIFO delivery. The provider's
 /// virtual receive time is pinned inside the same second the sim run
 /// uses, which is the granularity Max-Age decay observes.
+#[cfg(target_os = "linux")]
 fn replies_via_udp(queries: &[Vec<u8>]) -> Vec<Vec<u8>> {
     let (pool, _) = pool_and_wires(1);
     let mut provider = UdpProvider::bind("127.0.0.1:0")
@@ -109,6 +114,7 @@ fn replies_via_udp(queries: &[Vec<u8>]) -> Vec<Vec<u8>> {
 /// The tentpole guarantee: the simulated and the socket front-end are
 /// interchangeable — same queries through the same worker code yield
 /// byte-identical reply wires, per query.
+#[cfg(target_os = "linux")]
 #[test]
 fn sim_and_udp_providers_serve_byte_identical_replies() {
     let (_, wires) = pool_and_wires(1);
@@ -126,6 +132,7 @@ fn sim_and_udp_providers_serve_byte_identical_replies() {
 /// UDP provider (`run_io` serves on its calling thread whatever the
 /// worker count) serves a serial client's full query run — the cheap
 /// end-to-end proof that the socket path works on the build machine.
+#[cfg(target_os = "linux")]
 #[test]
 fn udp_loopback_smoke_multi_worker() {
     let (pool, wires) = pool_and_wires(4);
@@ -159,6 +166,7 @@ fn udp_loopback_smoke_multi_worker() {
 
 /// A serial loopback client: sends each query and waits for its reply.
 /// Returns the replies received, in query order.
+#[cfg(target_os = "linux")]
 fn serial_client(server: std::net::SocketAddr, queries: Vec<Vec<u8>>) -> Vec<Vec<u8>> {
     let client = UdpSocket::bind("127.0.0.1:0").unwrap();
     client
@@ -177,6 +185,7 @@ fn serial_client(server: std::net::SocketAddr, queries: Vec<Vec<u8>>) -> Vec<Vec
 /// A datagram longer than the provider's receive buffer is not served
 /// from its truncated prefix: it reaches the pool with an empty wire
 /// and is counted as malformed, and the next datagram is answered.
+#[cfg(target_os = "linux")]
 #[test]
 fn udp_oversize_datagram_is_an_error_not_a_truncated_request() {
     let (pool, wires) = pool_and_wires(1);
@@ -213,6 +222,7 @@ fn udp_oversize_datagram_is_an_error_not_a_truncated_request() {
 /// More cores means more providers: two threads each pump their own
 /// UDP provider through `run_io` on one shared pool, with no queue
 /// between them. Every query is answered and the pool's counts add up.
+#[cfg(target_os = "linux")]
 #[test]
 fn two_providers_share_one_pool() {
     let (pool, wires) = pool_and_wires(1);
@@ -330,6 +340,7 @@ fn sim_provider_serves_protected_legs() {
 
 /// `queries` with query `i` carrying the 2-byte token `i` (big-endian),
 /// so each reply names the query it answers.
+#[cfg(target_os = "linux")]
 fn tokened(queries: &[Vec<u8>]) -> Vec<Vec<u8>> {
     queries
         .iter()
@@ -344,6 +355,7 @@ fn tokened(queries: &[Vec<u8>]) -> Vec<Vec<u8>> {
 }
 
 /// The token of a reply built by [`tokened`].
+#[cfg(target_os = "linux")]
 fn token_of(reply: &[u8]) -> usize {
     let v = CoapView::parse(reply).unwrap();
     let token: [u8; 2] = v.token().try_into().unwrap();
@@ -355,6 +367,7 @@ fn token_of(reply: &[u8]) -> usize {
 /// offers 256 slots, so one receive spans several full 64-message calls
 /// and its replies several sends. Every query is answered exactly once,
 /// with the bytes the simulator front-end gives for the same sequence.
+#[cfg(target_os = "linux")]
 #[test]
 fn udp_batches_past_64_datagrams_answer_each_query_once() {
     const QUEUED: usize = 200;
@@ -398,6 +411,7 @@ fn udp_batches_past_64_datagrams_answer_each_query_once() {
 
 /// An IPv6 round trip: the provider decodes `sockaddr_in6` source
 /// addresses and encodes them back for the replies.
+#[cfg(target_os = "linux")]
 #[test]
 fn udp_provider_serves_ipv6_loopback() {
     let (pool, wires) = pool_and_wires(1);
@@ -432,6 +446,7 @@ fn udp_provider_serves_ipv6_loopback() {
 /// `run_io` hands spent datagrams back to its provider, not to the
 /// pool's wire-recycling `BufferPool`, so pumping a recycling pool
 /// leaves that pool's free-list as it was.
+#[cfg(target_os = "linux")]
 #[test]
 fn run_io_leaves_the_wire_recycling_pool_unchanged() {
     let buffers = std::sync::Arc::new(BufferPool::new());

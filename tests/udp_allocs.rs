@@ -16,7 +16,9 @@
 //! every reply must be the expected hit reply carrying that token.
 //!
 //! This binary holds a single test because the counting allocator is
-//! process-wide.
+//! process-wide. `UdpProvider` is Linux-only, and so is the test.
+
+#![cfg(target_os = "linux")]
 
 use doc_bench::alloc_counter::{alloc_count, CountingAllocator};
 use doc_bench::throughput::{build_mix, LoadSpec};
