@@ -19,15 +19,17 @@
 //! The same bounds are asserted in-process on full windows so
 //! `cargo bench -p doc-bench --bench crypto` fails loudly without the
 //! gate; smoke runs (`BENCH_MEASURE_MS` < 100) print the observed
-//! ratios instead. The batch-1 rows drive `seal_suffix_in_place` and
+//! ratios instead. Every row is timed by [`doc_bench::harness::time`].
+//! The batch-1 rows drive `seal_suffix_in_place` and
 //! `open_in_place` (the single-packet DTLS/OSCORE paths); larger
 //! batches drive `seal_suffix_batch` and `open_suffix_batch` (what the
 //! proxy pool's drain amortizes). Every open row copies its sealed
 //! packets in first, like a receive path refilling its buffers.
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
 
 use doc_bench::alloc_counter::CountingAllocator;
+use doc_bench::harness::{full_window, measure_ms, time};
 use doc_crypto::aes::Aes128;
 use doc_crypto::backend::{sha_ni_active, sha_ni_detected, Backend};
 use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
@@ -46,47 +48,21 @@ struct Row {
     bytes_per_op: usize,
 }
 
-fn env_ms(var: &str, default_ms: u64) -> Duration {
-    Duration::from_millis(
-        std::env::var(var)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_ms),
-    )
-}
-
-/// Warm up, size an iteration count from the observed rate, then time.
-/// `ops_per_iter` divides the per-iteration time so multi-packet
-/// routines report per-packet numbers.
-fn run(
-    name: &'static str,
-    backend: &'static str,
-    batch: usize,
-    bytes_per_op: usize,
-    ops_per_iter: usize,
-    mut routine: impl FnMut(),
-) -> Row {
-    let warmup = env_ms("BENCH_WARMUP_MS", 50);
-    let measure = env_ms("BENCH_MEASURE_MS", 200);
-    let warm_start = Instant::now();
-    let mut warm_iters: u64 = 0;
-    while warm_start.elapsed() < warmup {
-        routine();
-        warm_iters += 1;
-    }
-    let per_iter = warm_start.elapsed().as_nanos().max(1) / u128::from(warm_iters.max(1));
-    let iters = (measure.as_nanos() / per_iter.max(1)).clamp(1, u128::from(u64::MAX)) as u64;
-    let start = Instant::now();
-    for _ in 0..iters {
-        routine();
-    }
-    let elapsed = start.elapsed();
-    Row {
-        name,
-        backend,
-        batch,
-        ns_per_op: elapsed.as_nanos() as f64 / (iters as f64 * ops_per_iter as f64),
-        bytes_per_op,
+impl Row {
+    fn new(
+        name: &'static str,
+        backend: &'static str,
+        batch: usize,
+        bytes_per_op: usize,
+        ns_per_op: f64,
+    ) -> Row {
+        Row {
+            name,
+            backend,
+            batch,
+            ns_per_op,
+            bytes_per_op,
+        }
     }
 }
 
@@ -130,14 +106,13 @@ fn main() {
         // Raw block throughput: 8 blocks per pass, reported per block.
         let aes = Aes128::with_backend(&key, backend);
         let mut blocks = [[0u8; 16]; 8];
-        rows.push(run("aes128/encrypt_block", label, 8, 16, 8, || {
-            aes.encrypt_blocks(std::hint::black_box(&mut blocks));
-        }));
+        let ns = time(|| aes.encrypt_blocks(black_box(&mut blocks))).ns_per_iter;
+        rows.push(Row::new("aes128/encrypt_block", label, 8, 16, ns / 8.0));
 
         for batch in BATCHES {
             let mut bufs: Vec<Vec<u8>> = vec![Vec::with_capacity(PAYLOAD_LEN + 16); batch];
             let nonces: Vec<[u8; 13]> = (0..batch).map(|i| [(i * 29) as u8; 13]).collect();
-            rows.push(run("ccm/seal", label, batch, PAYLOAD_LEN, batch, || {
+            let ns = time(|| {
                 if batch == 1 {
                     let buf = &mut bufs[0];
                     buf.clear();
@@ -162,8 +137,16 @@ fn main() {
                     ccm.seal_suffix_batch(&mut reqs)
                         .expect("parameters are valid");
                 }
-                std::hint::black_box(&mut bufs);
-            }));
+                black_box(&mut bufs);
+            })
+            .ns_per_iter;
+            rows.push(Row::new(
+                "ccm/seal",
+                label,
+                batch,
+                PAYLOAD_LEN,
+                ns / batch as f64,
+            ));
         }
 
         for batch in BATCHES {
@@ -176,11 +159,11 @@ fn main() {
                 })
                 .collect();
             let mut bufs: Vec<Vec<u8>> = vec![Vec::with_capacity(PAYLOAD_LEN + 16); batch];
-            rows.push(run("ccm/open", label, batch, PAYLOAD_LEN, batch, || {
+            let ns = time(|| {
                 if batch == 1 {
                     let buf = &mut bufs[0];
                     buf.clear();
-                    buf.extend_from_slice(std::hint::black_box(&sealed[0]));
+                    buf.extend_from_slice(black_box(&sealed[0]));
                     ccm.open_in_place(&nonces[0], b"aad", buf)
                         .expect("sealed bytes authenticate");
                 } else {
@@ -189,7 +172,7 @@ fn main() {
                         .zip(sealed.iter().zip(nonces.iter()))
                         .map(|(buf, (packet, nonce))| {
                             buf.clear();
-                            buf.extend_from_slice(std::hint::black_box(packet));
+                            buf.extend_from_slice(black_box(packet));
                             OpenRequest {
                                 nonce,
                                 aad: b"aad",
@@ -201,21 +184,33 @@ fn main() {
                     ccm.open_suffix_batch(&mut reqs)
                         .expect("sealed bytes authenticate");
                 }
-                std::hint::black_box(&mut bufs);
-            }));
+                black_box(&mut bufs);
+            })
+            .ns_per_iter;
+            rows.push(Row::new(
+                "ccm/open",
+                label,
+                batch,
+                PAYLOAD_LEN,
+                ns / batch as f64,
+            ));
         }
     }
 
     // SHA-256: the portable schedule and the dispatched path (SHA-NI
     // when the machine has it — otherwise both rows measure scalar).
     let msg = vec![0xA5u8; 1024];
-    rows.push(run("sha256/hash_1k", "scalar", 1, msg.len(), 1, || {
-        std::hint::black_box(sha256_portable(std::hint::black_box(&msg)));
-    }));
+    let ns = time(|| {
+        black_box(sha256_portable(black_box(&msg)));
+    })
+    .ns_per_iter;
+    rows.push(Row::new("sha256/hash_1k", "scalar", 1, msg.len(), ns));
     let sha_label = if sha_ni_active() { "shani" } else { "scalar" };
-    rows.push(run("sha256/hash_1k", sha_label, 1, msg.len(), 1, || {
-        std::hint::black_box(sha256(std::hint::black_box(&msg)));
-    }));
+    let ns = time(|| {
+        black_box(sha256(black_box(&msg)));
+    })
+    .ns_per_iter;
+    rows.push(Row::new("sha256/hash_1k", sha_label, 1, msg.len(), ns));
 
     println!(
         "{:<22} {:>10} {:>6} {:>12} {:>8}",
@@ -230,8 +225,6 @@ fn main() {
 
     // In-process guardrails, enforced only on full measurement windows
     // (smoke runs just print the observed ratios).
-    let measure_ms = env_ms("BENCH_MEASURE_MS", 200).as_millis() as u64;
-    let full_measurement = measure_ms >= 100;
     let ns_of = |name: &str, backend: &str, batch: usize| {
         rows.iter()
             .find(|r| r.name == name && r.backend == backend && r.batch == batch)
@@ -240,7 +233,7 @@ fn main() {
     };
     if Backend::available().contains(&Backend::AesNi) {
         let speedup = ns_of("ccm/seal", "reference", 1) / ns_of("ccm/seal", "aesni", 1);
-        if full_measurement {
+        if full_window() {
             assert!(
                 speedup >= 2.0,
                 "aesni seal is only {speedup:.2}x the reference (claimed: >=2x)"
@@ -255,7 +248,7 @@ fn main() {
         }
         for op in ["ccm/seal", "ccm/open"] {
             let gain = ns_of(op, backend, 1) / ns_of(op, backend, 8);
-            if full_measurement {
+            if full_window() {
                 assert!(
                     gain >= 1.3,
                     "{backend} batch-8 {op} gains only {gain:.2}x over batch-1 (claimed: >=1.3x)"
@@ -271,6 +264,6 @@ fn main() {
     let active = Backend::active().label();
     let path = std::env::var("BENCH_CRYPTO_JSON")
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json").into());
-    emit_json(&rows, measure_ms, active, &path).expect("write BENCH_crypto.json");
+    emit_json(&rows, measure_ms(), active, &path).expect("write BENCH_crypto.json");
     println!("\nwrote {path}");
 }

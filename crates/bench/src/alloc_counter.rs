@@ -1,7 +1,8 @@
 //! A shared allocation-counting `GlobalAlloc` wrapper.
 //!
-//! The `encode` and `throughput` benches and the `doc-bench` load
-//! generator all report heap allocations per operation. The counter
+//! The `encode` bench (through [`crate::harness::time`]) and the
+//! `doc-bench` load generator report heap allocations per operation,
+//! and the `crypto` bench installs the same allocator. The counter
 //! type and its event tally live here once; each binary only opts in
 //! with the two lines Rust requires to be in the final crate:
 //!

@@ -20,8 +20,8 @@ fn main() {
         }
         println!();
         // Rows come from the shared transport × method matrix (the same
-        // table the end-to-end suite and the throughput bench use), so
-        // a new transport appears here automatically.
+        // table the end-to-end suite uses), so a new transport appears
+        // here automatically.
         let configs: Vec<(String, TransportKind, DocMethod)> = TRANSPORT_MATRIX
             .iter()
             .map(|&(transport, method)| {

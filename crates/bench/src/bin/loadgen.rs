@@ -9,10 +9,18 @@
 //!     --names 256 --shards 16 --json BENCH_proxy.json
 //! ```
 //!
-//! All flags are optional; the defaults match the `throughput` bench.
-//! Worker counts and `--names` must be at least 1. With `--json PATH`
-//! the run also writes a `doc-bench/proxy/v5` artifact; a 1,2,4,8
-//! sweep passes `bench_gate proxy` like the bench's own.
+//! All flags are optional: the worker sweep defaults to 1,2,4,8 and the
+//! rest to `LoadSpec::default()` (50,000 requests, concurrency 256, 256
+//! names, 16 shards, 300 ‰ GET). Worker counts, `--requests` and
+//! `--names` must be at least 1. Every row must answer every request
+//! from a hit-dominated steady state (> 90 % hits), or the run panics.
+//!
+//! With `--json PATH` the run also writes the `doc-bench/proxy/v5`
+//! artifact (`BENCH_proxy.json`): the worker rows plus the
+//! deterministic congested-bottleneck `recovery` rows. A 1,2,4,8 sweep
+//! passes `bench_gate proxy`; `bench_gate proxy --require-scaling`
+//! adds the 4-vs-1 scaling bound, scaled to the parallelism the
+//! artifact records.
 
 use doc_bench::alloc_counter::{alloc_count, CountingAllocator};
 use doc_bench::throughput::{
@@ -24,7 +32,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 const USAGE: &str = "usage: doc-bench [--workers N,N,..] [--requests N] [--concurrency N] \
                      [--names N] [--shards N] [--get-permille N] [--json PATH]\n\
-                     worker counts and --names must be >= 1";
+                     worker counts, --requests and --names must be >= 1";
 
 fn usage() -> ! {
     eprintln!("{USAGE}");
@@ -63,7 +71,12 @@ fn main() {
                     })
                     .collect();
             }
-            "--requests" => base.total_requests = parse_num(it.next()),
+            "--requests" => {
+                base.total_requests = parse_num(it.next());
+                if base.total_requests == 0 {
+                    usage();
+                }
+            }
             "--concurrency" => base.concurrency = parse_num(it.next()) as usize,
             "--names" => {
                 base.unique_names = parse_num(it.next()) as u32;
@@ -93,12 +106,22 @@ fn main() {
         };
         let row = run_load(&spec, &alloc_count);
         print_row(&row);
+        // Machine-independent sanity: a healthy closed loop answers
+        // every request, from a hit-dominated steady state.
+        assert_eq!(
+            row.replies, row.requests,
+            "lost replies at {} workers",
+            row.workers
+        );
+        assert!(
+            row.cache_hit_rate > 0.9,
+            "steady state not hit-dominated at {} workers: {}",
+            row.workers,
+            row.cache_hit_rate
+        );
         rows.push(row);
     }
     if let Some(path) = json_path {
-        // The artifact must satisfy the v5 schema, so the ad-hoc
-        // loadgen run carries the same deterministic recovery rows
-        // the full bench emits.
         std::fs::write(&path, proxy_json(&rows, &recovery_rows())).expect("write JSON artifact");
         println!("wrote {path}");
     }

@@ -23,11 +23,13 @@
 //! | `fig15` | Fig. 15 — block-wise resolution CDFs |
 //! | `compression` | §7 — dns+cbor compression |
 //!
-//! `cargo bench -p doc-bench` additionally runs the Criterion
-//! micro-benchmarks (`codecs`, `crypto`, `ablations`).
+//! `cargo bench -p doc-bench` additionally runs the codec (`encode`)
+//! and crypto (`crypto`) micro-benchmarks on [`harness::time`], and the
+//! `doc-bench` binary runs the multi-worker proxy load generator.
 
 pub mod alloc_counter;
 pub mod gate;
+pub mod harness;
 pub mod json;
 pub mod throughput;
 

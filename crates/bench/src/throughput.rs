@@ -69,8 +69,6 @@ pub struct ThroughputRow {
     pub requests: u64,
     /// Replies produced (must equal `requests` on a healthy run).
     pub replies: u64,
-    /// Wall-clock time of the measured window, nanoseconds.
-    pub elapsed_ns: u64,
     /// Closed-loop throughput.
     pub req_per_s: f64,
     /// Median sojourn latency (pull → reply), microseconds.
@@ -247,7 +245,6 @@ pub fn run_load(spec: &LoadSpec, alloc_count: &dyn Fn() -> u64) -> ThroughputRow
         workers: pool.workers(),
         requests: total,
         replies: stats.replies,
-        elapsed_ns: elapsed.as_nanos() as u64,
         req_per_s: stats.replies as f64 / elapsed.as_secs_f64().max(1e-9),
         p50_us: percentile_us(&latencies, 0.50),
         p99_us: percentile_us(&latencies, 0.99),
@@ -318,16 +315,8 @@ pub fn proxy_json(
     json
 }
 
-/// The standard worker sweep of the throughput bench.
+/// The default worker sweep of the `doc-bench` load generator.
 pub const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
-/// Read an env-var override for a numeric knob.
-pub fn env_u64(var: &str, default: u64) -> u64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 #[cfg(test)]
 mod tests {
@@ -419,7 +408,6 @@ mod tests {
             workers,
             requests: 100,
             replies: 100,
-            elapsed_ns: 1_000_000,
             req_per_s: 1000.0 * workers as f64,
             p50_us: 10.0,
             p99_us: 90.0,

@@ -30,6 +30,11 @@ fn zero_names_is_a_usage_error() {
 }
 
 #[test]
+fn zero_requests_is_a_usage_error() {
+    assert_eq!(exit_code(&["--workers", "1", "--requests", "0"]), Some(2));
+}
+
+#[test]
 fn removed_transport_flag_is_a_usage_error() {
     assert_eq!(exit_code(&["--transport", "coap"]), Some(2));
 }

@@ -427,6 +427,10 @@ impl<'a> Driver<'a> {
                 || (!cfg.proxy_cache && !cfg.client_coap_cache && !cfg.client_dns_cache),
             "caching scenarios use unencrypted CoAP (paper §6.1)"
         );
+        assert!(
+            !cfg.proxy_cache || cfg.block_size.is_none(),
+            "the caching proxy does not relay block-wise exchanges"
+        );
         let n = cfg.num_clients;
         let proxy_id = n;
         let br_id = n + 1;
@@ -1200,6 +1204,16 @@ mod tests {
             loss_permille: 50,
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the caching proxy does not relay block-wise exchanges")]
+    fn proxy_cache_with_block_size_is_rejected() {
+        run(&ExperimentConfig {
+            proxy_cache: true,
+            block_size: Some(32),
+            ..base_cfg()
+        });
     }
 
     #[test]

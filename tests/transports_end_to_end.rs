@@ -25,9 +25,8 @@ fn cfg(transport: TransportKind, method: DocMethod) -> ExperimentConfig {
 }
 
 /// Every row of the shared transport × method matrix — the same table
-/// the throughput bench and Fig. 7 derive their sweeps from, so a new
-/// transport cannot be silently omitted here — resolves under 10%
-/// frame loss.
+/// Fig. 7 derives its sweep from, so a new transport cannot be
+/// silently omitted here — resolves under 10% frame loss.
 #[test]
 fn all_transports_resolve() {
     for (transport, method) in TRANSPORT_MATRIX {
