@@ -21,10 +21,13 @@
 //! gate; smoke runs (`BENCH_MEASURE_MS` < 100) print the observed
 //! ratios instead. Every row is timed by [`doc_bench::harness::time`].
 //! The batch-1 rows drive `seal_suffix_in_place` and
-//! `open_in_place` (the single-packet DTLS/OSCORE paths); larger
-//! batches drive `seal_suffix_batch` and `open_suffix_batch` (what the
-//! proxy pool's drain amortizes). Every open row copies its sealed
-//! packets in first, like a receive path refilling its buffers.
+//! `open_suffix_in_place` (the single-packet DTLS/OSCORE paths); larger
+//! batches drive `seal_suffix_batch_with` and `open_suffix_batch_with`
+//! the way the proxy pool's drain does: the `CcmScratch` and the
+//! request vector (parked between iterations with `recycle`) live
+//! outside the timed routine, so every CCM row is asserted to allocate
+//! nothing per iteration, on every window. Every open row copies its
+//! sealed packets in first, like a receive path refilling its buffers.
 
 use std::hint::black_box;
 
@@ -32,7 +35,7 @@ use doc_bench::alloc_counter::CountingAllocator;
 use doc_bench::harness::{full_window, measure_ms, time};
 use doc_crypto::aes::Aes128;
 use doc_crypto::backend::{sha_ni_active, sha_ni_detected, Backend};
-use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
+use doc_crypto::ccm::{recycle, AesCcm, CcmScratch, OpenRequest, SealRequest};
 use doc_crypto::sha256::{sha256, sha256_portable};
 
 #[global_allocator]
@@ -89,6 +92,16 @@ fn emit_json(rows: &[Row], measure_ms: u64, active: &str, path: &str) -> std::io
     std::fs::write(path, json)
 }
 
+/// Every CCM row runs on buffers held outside the timed routine, like
+/// the serving path's, so it must not allocate: asserted on every
+/// window, since an allocation count does not depend on timing noise.
+fn assert_zero_allocs(op: &str, backend: &str, batch: usize, allocs_per_iter: f64) {
+    assert_eq!(
+        allocs_per_iter, 0.0,
+        "{backend} batch-{batch} {op} allocates {allocs_per_iter} times per iteration"
+    );
+}
+
 /// Representative DoC payload size: a ~64-byte DNS response wire.
 const PAYLOAD_LEN: usize = 64;
 /// CCM batch sizes every backend is swept over.
@@ -109,10 +122,16 @@ fn main() {
         let ns = time(|| aes.encrypt_blocks(black_box(&mut blocks))).ns_per_iter;
         rows.push(Row::new("aes128/encrypt_block", label, 8, 16, ns / 8.0));
 
+        // The batch rows' buffers, kept across iterations like a pool
+        // worker keeps them across drains.
+        let mut scratch = CcmScratch::default();
+        let mut parked_seals: Vec<SealRequest<'static>> = Vec::new();
+        let mut parked_opens: Vec<OpenRequest<'static>> = Vec::new();
+
         for batch in BATCHES {
             let mut bufs: Vec<Vec<u8>> = vec![Vec::with_capacity(PAYLOAD_LEN + 16); batch];
             let nonces: Vec<[u8; 13]> = (0..batch).map(|i| [(i * 29) as u8; 13]).collect();
-            let ns = time(|| {
+            let t = time(|| {
                 if batch == 1 {
                     let buf = &mut bufs[0];
                     buf.clear();
@@ -120,32 +139,30 @@ fn main() {
                     ccm.seal_suffix_in_place(&nonces[0], b"aad", buf, 0)
                         .expect("parameters are valid");
                 } else {
-                    let mut reqs: Vec<SealRequest<'_>> = bufs
-                        .iter_mut()
-                        .zip(nonces.iter())
-                        .map(|(buf, nonce)| {
-                            buf.clear();
-                            buf.extend_from_slice(&payload);
-                            SealRequest {
-                                nonce,
-                                aad: b"aad",
-                                buf,
-                                start: 0,
-                            }
-                        })
-                        .collect();
-                    ccm.seal_suffix_batch(&mut reqs)
+                    let mut reqs: Vec<SealRequest<'_>> = recycle(std::mem::take(&mut parked_seals));
+                    reqs.extend(bufs.iter_mut().zip(nonces.iter()).map(|(buf, nonce)| {
+                        buf.clear();
+                        buf.extend_from_slice(&payload);
+                        SealRequest {
+                            nonce,
+                            aad: b"aad",
+                            buf,
+                            start: 0,
+                        }
+                    }));
+                    ccm.seal_suffix_batch_with(&mut reqs, &mut scratch)
                         .expect("parameters are valid");
+                    parked_seals = recycle(reqs);
                 }
                 black_box(&mut bufs);
-            })
-            .ns_per_iter;
+            });
+            assert_zero_allocs("ccm/seal", label, batch, t.allocs_per_iter);
             rows.push(Row::new(
                 "ccm/seal",
                 label,
                 batch,
                 PAYLOAD_LEN,
-                ns / batch as f64,
+                t.ns_per_iter / batch as f64,
             ));
         }
 
@@ -159,18 +176,17 @@ fn main() {
                 })
                 .collect();
             let mut bufs: Vec<Vec<u8>> = vec![Vec::with_capacity(PAYLOAD_LEN + 16); batch];
-            let ns = time(|| {
+            let t = time(|| {
                 if batch == 1 {
                     let buf = &mut bufs[0];
                     buf.clear();
                     buf.extend_from_slice(black_box(&sealed[0]));
-                    ccm.open_in_place(&nonces[0], b"aad", buf)
+                    ccm.open_suffix_in_place(&nonces[0], b"aad", buf, 0)
                         .expect("sealed bytes authenticate");
                 } else {
-                    let mut reqs: Vec<OpenRequest<'_>> = bufs
-                        .iter_mut()
-                        .zip(sealed.iter().zip(nonces.iter()))
-                        .map(|(buf, (packet, nonce))| {
+                    let mut reqs: Vec<OpenRequest<'_>> = recycle(std::mem::take(&mut parked_opens));
+                    reqs.extend(bufs.iter_mut().zip(sealed.iter().zip(nonces.iter())).map(
+                        |(buf, (packet, nonce))| {
                             buf.clear();
                             buf.extend_from_slice(black_box(packet));
                             OpenRequest {
@@ -179,20 +195,21 @@ fn main() {
                                 buf,
                                 start: 0,
                             }
-                        })
-                        .collect();
-                    ccm.open_suffix_batch(&mut reqs)
+                        },
+                    ));
+                    ccm.open_suffix_batch_with(&mut reqs, &mut scratch)
                         .expect("sealed bytes authenticate");
+                    parked_opens = recycle(reqs);
                 }
                 black_box(&mut bufs);
-            })
-            .ns_per_iter;
+            });
+            assert_zero_allocs("ccm/open", label, batch, t.allocs_per_iter);
             rows.push(Row::new(
                 "ccm/open",
                 label,
                 batch,
                 PAYLOAD_LEN,
-                ns / batch as f64,
+                t.ns_per_iter / batch as f64,
             ));
         }
     }

@@ -11,6 +11,15 @@
 //! Both directions (seal/open) are implemented; CCM only needs the AES
 //! forward transform.
 //!
+//! One packet is sealed by [`AesCcm::seal_suffix_in_place`] and opened
+//! by [`AesCcm::open_suffix_in_place`]: the suffix of a buffer becomes
+//! `ciphertext || tag` or the plaintext, in place. [`AesCcm::seal`] and
+//! [`AesCcm::seal_into`] copy the plaintext into a buffer and seal it
+//! there; [`AesCcm::open`] copies `ciphertext || tag` into a fresh
+//! buffer and opens it there. Many packets go through
+//! [`AesCcm::seal_suffix_batch_with`] and
+//! [`AesCcm::open_suffix_batch_with`].
+//!
 //! Every path builds the CBC-MAC block sequence (`B_0`, the
 //! length-prefixed AAD, the zero-padded message; RFC 3610 §2.2) and the
 //! counter blocks from the same helpers (`b0`, `aad_block`,
@@ -237,24 +246,12 @@ impl AesCcm {
             .inspect_err(|_| out.truncate(start))
     }
 
-    /// Encrypt `buf` in place and append the tag: the buffer holding
-    /// the plaintext *becomes* the `ciphertext || tag` — the zero-copy
-    /// path OSCORE uses so a serialized inner message is protected
-    /// without ever being copied.
-    pub fn seal_in_place(
-        &self,
-        nonce: &[u8],
-        aad: &[u8],
-        buf: &mut Vec<u8>,
-    ) -> Result<(), CryptoError> {
-        self.seal_suffix_in_place(nonce, aad, buf, 0)
-    }
-
-    /// [`AesCcm::seal_in_place`] over only the tail `buf[start..]`: the
-    /// suffix holding the plaintext becomes `ciphertext || tag` while
-    /// everything before `start` (outer headers, options, markers) is
-    /// left untouched. This is what lets OSCORE serialize a whole outer
-    /// message into one buffer and protect the inner part at the end.
+    /// Encrypt the tail `buf[start..]` in place and append the tag:
+    /// the suffix holding the plaintext *becomes* `ciphertext || tag`
+    /// while everything before `start` (outer headers, options,
+    /// markers) is left untouched. This is what lets OSCORE serialize a
+    /// whole outer message into one buffer and protect the inner part
+    /// at the end without copying it.
     pub fn seal_suffix_in_place(
         &self,
         nonce: &[u8],
@@ -270,19 +267,13 @@ impl AesCcm {
         Ok(())
     }
 
-    /// [`AesCcm::seal_suffix_batch_with`] on buffers allocated for this
-    /// one call. A caller sealing batch after batch keeps a
-    /// [`CcmScratch`] and calls that instead.
-    pub fn seal_suffix_batch(&self, reqs: &mut [SealRequest<'_>]) -> Result<(), CryptoError> {
-        self.seal_suffix_batch_with(reqs, &mut CcmScratch::default())
-    }
-
     /// Seal many packets in one batched pass through the lockstep core
     /// (see the module doc): per group of packets, the keystreams come
     /// from one wide encrypt and the CBC-MAC chains advance together,
     /// one wide encrypt per block round. Validation is all-or-nothing:
     /// if any packet has a bad nonce or an oversized payload, no buffer
-    /// is modified.
+    /// is modified. `scratch` is reused across calls, so a warm batch
+    /// allocates nothing.
     pub fn seal_suffix_batch_with(
         &self,
         reqs: &mut [SealRequest<'_>],
@@ -311,71 +302,26 @@ impl AesCcm {
     }
 
     /// Decrypt and verify `ciphertext || tag`; returns the plaintext.
+    /// The input is copied into the returned buffer and opened there
+    /// ([`AesCcm::open_suffix_in_place`]).
     pub fn open(
         &self,
         nonce: &[u8],
         aad: &[u8],
         ciphertext_and_tag: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
-        let mut plain = Vec::with_capacity(ciphertext_and_tag.len().saturating_sub(self.tag_len));
-        self.open_into(nonce, aad, ciphertext_and_tag, &mut plain)?;
-        Ok(plain)
+        let mut buf = ciphertext_and_tag.to_vec();
+        self.open_suffix_in_place(nonce, aad, &mut buf, 0)?;
+        Ok(buf)
     }
 
-    /// Decrypt and verify `ciphertext || tag`, appending the plaintext
-    /// to `out` — the allocation-free unprotect counterpart of
-    /// [`AesCcm::seal_into`] for callers with a reusable buffer. On
-    /// authentication failure `out` is restored to its original length.
-    pub fn open_into(
-        &self,
-        nonce: &[u8],
-        aad: &[u8],
-        ciphertext_and_tag: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), CryptoError> {
-        if nonce.len() != self.nonce_len() {
-            return Err(CryptoError::InvalidParameter);
-        }
-        if ciphertext_and_tag.len() < self.tag_len {
-            return Err(CryptoError::AuthFailed);
-        }
-        let split = ciphertext_and_tag.len() - self.tag_len;
-        let (ct, recv_tag_enc) = ciphertext_and_tag.split_at(split);
-        let start = out.len();
-        out.extend_from_slice(ct);
-        let mut s0 = [0u8; 16];
-        self.ctr_stream(nonce, &mut s0, &mut out[start..]);
-        let expect_tag = self.cbc_mac(nonce, aad, &out[start..]);
-        let mut recv_tag = [0u8; 16];
-        for i in 0..self.tag_len {
-            recv_tag[i] = recv_tag_enc[i] ^ s0[i];
-        }
-        if !ct_eq(&recv_tag[..self.tag_len], &expect_tag[..self.tag_len]) {
-            out.truncate(start);
-            return Err(CryptoError::AuthFailed);
-        }
-        Ok(())
-    }
-
-    /// Decrypt and verify `buf` (holding `ciphertext || tag`) in place:
-    /// on success the buffer *becomes* the plaintext (tag truncated
-    /// off); on failure it is restored byte-exactly. The zero-copy
-    /// mirror of [`AesCcm::seal_in_place`] for the receive paths.
-    pub fn open_in_place(
-        &self,
-        nonce: &[u8],
-        aad: &[u8],
-        buf: &mut Vec<u8>,
-    ) -> Result<(), CryptoError> {
-        self.open_suffix_in_place(nonce, aad, buf, 0)
-    }
-
-    /// [`AesCcm::open_in_place`] over only the tail `buf[start..]`: the
-    /// suffix holding `ciphertext || tag` becomes the plaintext while
-    /// everything before `start` is left untouched — the mirror of
-    /// [`AesCcm::seal_suffix_in_place`]. On authentication failure the
-    /// whole buffer is restored byte-exactly (CTR is an XOR involution,
-    /// so re-applying the keystream undoes the trial decryption).
+    /// Decrypt and verify the tail `buf[start..]` (holding `ciphertext
+    /// || tag`) in place: on success the suffix *becomes* the plaintext
+    /// (tag truncated off) while everything before `start` is left
+    /// untouched — the mirror of [`AesCcm::seal_suffix_in_place`]. On
+    /// authentication failure the whole buffer is restored byte-exactly
+    /// (CTR is an XOR involution, so re-applying the keystream undoes
+    /// the trial decryption).
     pub fn open_suffix_in_place(
         &self,
         nonce: &[u8],
@@ -409,13 +355,6 @@ impl AesCcm {
         }
         buf.truncate(split);
         Ok(())
-    }
-
-    /// [`AesCcm::open_suffix_batch_with`] on buffers allocated for this
-    /// one call. A caller opening batch after batch keeps a
-    /// [`CcmScratch`] and calls that instead.
-    pub fn open_suffix_batch(&self, reqs: &mut [OpenRequest<'_>]) -> Result<(), CryptoError> {
-        self.open_suffix_batch_with(reqs, &mut CcmScratch::default())
     }
 
     /// Open many packets in one batched pass — the inbound mirror of
@@ -817,8 +756,8 @@ mod tests {
         }
     }
 
-    /// `seal_in_place` / `seal_into` / `seal_suffix_in_place` /
-    /// single-packet `seal_suffix_batch` are byte-identical to `seal`.
+    /// `seal_into` / `seal_suffix_in_place` / single-packet
+    /// `seal_suffix_batch_with` are byte-identical to `seal`.
     #[test]
     fn seal_variants_agree() {
         let ccm = AesCcm::new(&[7u8; 16], 8, 2).unwrap();
@@ -826,10 +765,6 @@ mod tests {
         let aad = b"binding";
         let plain = b"a plaintext spanning multiple AES blocks for good measure";
         let sealed = ccm.seal(&nonce, aad, plain).unwrap();
-
-        let mut in_place = plain.to_vec();
-        ccm.seal_in_place(&nonce, aad, &mut in_place).unwrap();
-        assert_eq!(in_place, sealed);
 
         let mut framed = vec![0xEE, 0xFF]; // pre-existing framing bytes
         ccm.seal_into(&nonce, aad, plain, &mut framed).unwrap();
@@ -851,7 +786,8 @@ mod tests {
             buf: &mut batched,
             start: 2,
         }];
-        ccm.seal_suffix_batch(&mut reqs).unwrap();
+        ccm.seal_suffix_batch_with(&mut reqs, &mut CcmScratch::default())
+            .unwrap();
         assert_eq!(&batched[..2], &[0xEE, 0xFF]);
         assert_eq!(&batched[2..], &sealed[..]);
 
@@ -895,7 +831,8 @@ mod tests {
                     start: 0,
                 })
                 .collect();
-            ccm.seal_suffix_batch(&mut reqs).unwrap();
+            ccm.seal_suffix_batch_with(&mut reqs, &mut CcmScratch::default())
+                .unwrap();
             assert_eq!(bufs, expect, "{}", backend.label());
         }
     }
@@ -923,7 +860,7 @@ mod tests {
             },
         ];
         assert_eq!(
-            ccm.seal_suffix_batch(&mut reqs),
+            ccm.seal_suffix_batch_with(&mut reqs, &mut CcmScratch::default()),
             Err(CryptoError::InvalidParameter)
         );
         assert_eq!(good, b"fine");
@@ -970,7 +907,8 @@ mod tests {
                     start: 3,
                 })
                 .collect();
-            ccm.open_suffix_batch(&mut reqs).unwrap();
+            ccm.open_suffix_batch_with(&mut reqs, &mut CcmScratch::default())
+                .unwrap();
             for (i, buf) in bufs.iter().enumerate() {
                 assert_eq!(&buf[..3], &[0xEE, 0xFF, i as u8], "{}", backend.label());
                 assert_eq!(&buf[3..], plains[i], "{}", backend.label());
@@ -1066,7 +1004,8 @@ mod tests {
 
     /// A forged packet anywhere in an open batch fails the whole batch
     /// and restores *every* buffer byte-exactly — no plaintext of any
-    /// packet (valid or forged) is left behind.
+    /// packet (valid or forged) is left behind — and the scratch that
+    /// failed opens the next clean batch.
     #[test]
     fn open_batch_failure_restores_every_buffer() {
         let ccm = AesCcm::cose_ccm_16_64_128(&[0x61u8; 16]);
@@ -1077,8 +1016,10 @@ mod tests {
                     .unwrap()
             })
             .collect();
+        let clean = bufs.clone();
         bufs[1][2] ^= 0x80; // forge the middle packet
         let snapshots = bufs.clone();
+        let mut scratch = CcmScratch::default();
         let mut reqs: Vec<OpenRequest<'_>> = bufs
             .iter_mut()
             .enumerate()
@@ -1090,7 +1031,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            ccm.open_suffix_batch(&mut reqs),
+            ccm.open_suffix_batch_with(&mut reqs, &mut scratch),
             Err(CryptoError::AuthFailed)
         );
         assert_eq!(bufs, snapshots, "all buffers restored on failure");
@@ -1109,7 +1050,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            ccm.open_suffix_batch(&mut reqs),
+            ccm.open_suffix_batch_with(&mut reqs, &mut scratch),
             Err(CryptoError::InvalidParameter)
         );
         let mut tiny = vec![1u8, 2, 3];
@@ -1120,10 +1061,28 @@ mod tests {
             start: 0,
         }];
         assert_eq!(
-            ccm.open_suffix_batch(&mut reqs),
+            ccm.open_suffix_batch_with(&mut reqs, &mut scratch),
             Err(CryptoError::AuthFailed)
         );
         assert_eq!(tiny, vec![1u8, 2, 3]);
+
+        // The scratch that saw every failure above still opens a clean
+        // batch.
+        let mut bufs = clean;
+        let mut reqs: Vec<OpenRequest<'_>> = bufs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, buf)| OpenRequest {
+                nonce: &nonces[i],
+                aad: b"aad",
+                buf,
+                start: 0,
+            })
+            .collect();
+        ccm.open_suffix_batch_with(&mut reqs, &mut scratch).unwrap();
+        for (i, buf) in bufs.iter().enumerate() {
+            assert_eq!(buf, format!("packet {i}").as_bytes());
+        }
     }
 
     /// `new_cached` builds the same cipher as `new` (through the
@@ -1143,29 +1102,9 @@ mod tests {
         assert!(AesCcm::new_cached(&key, 8, 1).is_err());
     }
 
-    /// `open_into` appends after existing bytes, and restores the
-    /// buffer on authentication failure.
-    #[test]
-    fn open_into_appends_and_rolls_back() {
-        let ccm = AesCcm::cose_ccm_16_64_128(&[7u8; 16]);
-        let nonce = [9u8; 13];
-        let sealed = ccm.seal(&nonce, b"aad", b"payload").unwrap();
-        let mut out = vec![0xAB];
-        ccm.open_into(&nonce, b"aad", &sealed, &mut out).unwrap();
-        assert_eq!(out, b"\xABpayload");
-        let mut bad = sealed.clone();
-        bad[0] ^= 1;
-        let mut out = vec![0xAB];
-        assert_eq!(
-            ccm.open_into(&nonce, b"aad", &bad, &mut out),
-            Err(CryptoError::AuthFailed)
-        );
-        assert_eq!(out, vec![0xAB], "buffer restored on failure");
-    }
-
-    /// `open_in_place` / `open_suffix_in_place` mirror the seal side:
-    /// success leaves the plaintext, failure restores the ciphertext
-    /// byte-exactly.
+    /// `open_suffix_in_place` mirrors the seal side, over a whole
+    /// buffer or a framed suffix: success leaves the plaintext, failure
+    /// restores the ciphertext byte-exactly.
     #[test]
     fn open_in_place_roundtrip_and_restore() {
         let ccm = AesCcm::cose_ccm_16_64_128(&[7u8; 16]);
@@ -1174,7 +1113,8 @@ mod tests {
         let sealed = ccm.seal(&nonce, b"aad", plain).unwrap();
 
         let mut buf = sealed.clone();
-        ccm.open_in_place(&nonce, b"aad", &mut buf).unwrap();
+        ccm.open_suffix_in_place(&nonce, b"aad", &mut buf, 0)
+            .unwrap();
         assert_eq!(buf, plain);
 
         let mut framed = vec![0xEE, 0xFF];
@@ -1189,7 +1129,7 @@ mod tests {
         bad[3] ^= 0x80;
         let snapshot = bad.clone();
         assert_eq!(
-            ccm.open_in_place(&nonce, b"aad", &mut bad),
+            ccm.open_suffix_in_place(&nonce, b"aad", &mut bad, 0),
             Err(CryptoError::AuthFailed)
         );
         assert_eq!(bad, snapshot, "ciphertext restored on failure");
@@ -1197,7 +1137,7 @@ mod tests {
         // Truncated input (shorter than the tag) fails cleanly.
         let mut tiny = sealed[..4].to_vec();
         assert_eq!(
-            ccm.open_in_place(&nonce, b"aad", &mut tiny),
+            ccm.open_suffix_in_place(&nonce, b"aad", &mut tiny, 0),
             Err(CryptoError::AuthFailed)
         );
         // `start` beyond the buffer is a parameter error, not a panic.

@@ -16,6 +16,8 @@
 //!   derivation.
 //! * [`prf`] — the TLS 1.2 / DTLS 1.2 pseudo-random function
 //!   (P_SHA256, RFC 5246 §5).
+//! * [`replay`] — the sliding anti-replay window DTLS (RFC 6347
+//!   §4.1.2.6) and OSCORE (RFC 8613 §7.4) both keep.
 //! * [`base64url`] — unpadded base64url (RFC 4648 §5), used for the DoC
 //!   GET request `dns=` query variable.
 //! * [`cbor`] — a compact CBOR encoder/decoder (RFC 8949) sufficient for
@@ -54,6 +56,7 @@ pub mod ccm;
 pub mod hkdf;
 pub mod hmac;
 pub mod prf;
+pub mod replay;
 pub mod sha256;
 
 /// Errors produced by cryptographic operations in this crate.

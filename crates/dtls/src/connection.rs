@@ -24,9 +24,10 @@ use crate::handshake::{
     ClientHello, ClientKeyExchangePsk, HelloVerifyRequest, HsMessage, HsType, ServerHello,
     TLS_PSK_WITH_AES_128_CCM_8, VERIFY_DATA_LEN,
 };
-use crate::record::{CipherState, ContentType, Record, RecordView, ReplayWindow};
+use crate::record::{CipherState, ContentType, Record, RecordView};
 use crate::DtlsError;
 use doc_crypto::prf::{prf, psk_premaster_secret};
+use doc_crypto::replay::ReplayWindow;
 use doc_crypto::sha256::Sha256;
 
 /// Events surfaced to the caller.
@@ -126,6 +127,21 @@ impl Session {
             self.write = Some(CipherState::new(&server_key, server_iv));
             self.read = Some(CipherState::new(&client_key, client_iv));
         }
+    }
+
+    /// Open a protected (epoch ≥ 1) record, and only once it has
+    /// authenticated mark its sequence number seen (RFC 6347
+    /// §4.1.2.6): a forged record never moves the replay window.
+    fn open(&mut self, rec: &RecordView<'_>) -> Result<Vec<u8>, DtlsError> {
+        let plain = self
+            .read
+            .as_ref()
+            .ok_or(DtlsError::UnexpectedMessage)?
+            .open(rec.ctype, rec.epoch, rec.seq, rec.payload)?;
+        if !self.replay.check_and_update(rec.seq) {
+            return Err(DtlsError::Replay);
+        }
+        Ok(plain)
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -350,14 +366,7 @@ impl DtlsClient {
                 let body = if rec.epoch == 0 {
                     rec.payload.to_vec()
                 } else {
-                    if !self.session.replay.check_and_update(rec.seq) {
-                        return Err(DtlsError::Replay);
-                    }
-                    self.session
-                        .read
-                        .as_ref()
-                        .ok_or(DtlsError::UnexpectedMessage)?
-                        .open(ContentType::Handshake, rec.epoch, rec.seq, rec.payload)?
+                    self.session.open(&rec)?
                 };
                 let (msg, _) = HsMessage::decode(&body)?;
                 self.handle_handshake(now, msg)
@@ -373,16 +382,7 @@ impl DtlsClient {
                 if self.state != ClientState::Connected {
                     return Err(DtlsError::NotConnected);
                 }
-                if !self.session.replay.check_and_update(rec.seq) {
-                    return Err(DtlsError::Replay);
-                }
-                let plain = self.session.read.as_ref().expect("connected").open(
-                    ContentType::ApplicationData,
-                    rec.epoch,
-                    rec.seq,
-                    rec.payload,
-                )?;
-                Ok(vec![DtlsEvent::ApplicationData(plain)])
+                Ok(vec![DtlsEvent::ApplicationData(self.session.open(&rec)?)])
             }
             ContentType::Alert => Ok(Vec::new()),
         }
@@ -631,14 +631,7 @@ impl DtlsServer {
                 let body = if rec.epoch == 0 {
                     rec.payload.to_vec()
                 } else {
-                    if !self.session.replay.check_and_update(rec.seq) {
-                        return Err(DtlsError::Replay);
-                    }
-                    self.session
-                        .read
-                        .as_ref()
-                        .ok_or(DtlsError::UnexpectedMessage)?
-                        .open(ContentType::Handshake, rec.epoch, rec.seq, rec.payload)?
+                    self.session.open(&rec)?
                 };
                 let (msg, _) = HsMessage::decode(&body)?;
                 self.handle_handshake(msg)
@@ -654,16 +647,7 @@ impl DtlsServer {
                 if self.state != ServerState::Connected {
                     return Err(DtlsError::NotConnected);
                 }
-                if !self.session.replay.check_and_update(rec.seq) {
-                    return Err(DtlsError::Replay);
-                }
-                let plain = self.session.read.as_ref().expect("connected").open(
-                    ContentType::ApplicationData,
-                    rec.epoch,
-                    rec.seq,
-                    rec.payload,
-                )?;
-                Ok(vec![DtlsEvent::ApplicationData(plain)])
+                Ok(vec![DtlsEvent::ApplicationData(self.session.open(&rec)?)])
             }
             ContentType::Alert => Ok(Vec::new()),
         }
@@ -1083,5 +1067,45 @@ mod tests {
         assert!(evs.is_empty());
         let evs = client.handle_datagram(0, &server_flight[1]);
         assert!(!evs.is_empty(), "handshake continues after duplicate");
+    }
+
+    /// A copy of the one-record datagram `genuine` claiming sequence
+    /// number `00 00 00 00 10 00`, far ahead of the window, with its
+    /// tag broken.
+    fn forged_future(genuine: &[u8]) -> Vec<u8> {
+        let mut forged = genuine.to_vec();
+        forged[5..11].copy_from_slice(&[0, 0, 0, 0, 0x10, 0]);
+        let n = forged.len();
+        forged[n - 1] ^= 0xFF;
+        forged
+    }
+
+    /// A forged far-future record fails authentication before it can
+    /// slide the server's window, so the genuine record still arrives.
+    #[test]
+    fn forged_future_record_leaves_server_window_alone() {
+        let (mut client, mut server, _) = handshake();
+        let genuine = client.send_application_data(b"query").unwrap();
+        assert!(server
+            .handle_datagram(0, &forged_future(&genuine))
+            .is_empty());
+        assert_eq!(
+            server.handle_datagram(0, &genuine),
+            vec![DtlsEvent::ApplicationData(b"query".to_vec())]
+        );
+    }
+
+    /// The same on the client's receive side.
+    #[test]
+    fn forged_future_record_leaves_client_window_alone() {
+        let (mut client, mut server, _) = handshake();
+        let genuine = server.send_application_data(b"answer").unwrap();
+        assert!(client
+            .handle_datagram(0, &forged_future(&genuine))
+            .is_empty());
+        assert_eq!(
+            client.handle_datagram(0, &genuine),
+            vec![DtlsEvent::ApplicationData(b"answer".to_vec())]
+        );
     }
 }

@@ -5,8 +5,8 @@
 //! bytes").
 //!
 //! * [`record`] — the 13-byte DTLS record layer, epoch/sequence
-//!   numbers, the CCM cipher state with RFC 6655 partially-explicit
-//!   nonces, and a 64-entry sliding replay window.
+//!   numbers, and the CCM cipher state with RFC 6655 partially-explicit
+//!   nonces.
 //! * [`handshake`] — handshake message codecs with byte-accurate wire
 //!   sizes: ClientHello, HelloVerifyRequest (cookie exchange),
 //!   ServerHello, ServerHelloDone, ClientKeyExchange (PSK identity),
@@ -15,8 +15,11 @@
 //! * [`connection`] — sans-IO client/server state machines: flight
 //!   retransmission, the RFC 5246 §8.1 key schedule
 //!   (master secret → key block), Finished verification over the
-//!   handshake transcript, and post-handshake application-data
-//!   protection.
+//!   handshake transcript, post-handshake application-data
+//!   protection, and replay protection through
+//!   [`doc_crypto::replay::ReplayWindow`] (its size is configurable;
+//!   each connection keeps 64 entries), marked only once a record has
+//!   authenticated (RFC 6347 §4.1.2.6).
 //!
 //! Like every protocol crate in this workspace the implementation is
 //! sans-IO and driven with explicit millisecond timestamps, so the

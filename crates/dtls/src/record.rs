@@ -10,7 +10,7 @@
 //! `epoch(2) || seq(6) || type(1) || version(2) || plaintext_length(2)`.
 
 use crate::DtlsError;
-use doc_crypto::ccm::{AesCcm, SealRequest};
+use doc_crypto::ccm::{AesCcm, CcmScratch, SealRequest};
 
 /// DTLS 1.2 on-the-wire version bytes ({254, 253}).
 pub const VERSION_DTLS12: [u8; 2] = [254, 253];
@@ -364,7 +364,7 @@ impl CipherState {
     ///
     /// The CBC-MAC chains of every record advance in lockstep and the
     /// CTR keystreams are generated in one flattened multi-block AES
-    /// pass ([`AesCcm::seal_suffix_batch`]). Validation is
+    /// pass ([`AesCcm::seal_suffix_batch_with`]). Validation is
     /// all-or-nothing. This allocates every payload; a caller whose
     /// plaintexts already sit in buffers that should become the record
     /// wire frames them with [`CipherState::frame_in_place`] instead.
@@ -391,7 +391,7 @@ impl CipherState {
             })
             .collect();
         self.ccm
-            .seal_suffix_batch(&mut reqs)
+            .seal_suffix_batch_with(&mut reqs, &mut CcmScratch::default())
             .map_err(|_| DtlsError::Crypto)?;
         Ok(outs)
     }
@@ -427,7 +427,8 @@ impl CipherState {
         &self.ccm
     }
 
-    /// Unprotect a record payload.
+    /// Unprotect a record payload (`explicit_nonce || ciphertext ||
+    /// tag`), returning the plaintext.
     pub fn open(
         &self,
         ctype: ContentType,
@@ -435,144 +436,22 @@ impl CipherState {
         seq: u64,
         payload: &[u8],
     ) -> Result<Vec<u8>, DtlsError> {
-        let mut out = Vec::with_capacity(payload.len().saturating_sub(Self::OVERHEAD));
-        self.open_into(ctype, epoch, seq, payload, &mut out)?;
-        Ok(out)
-    }
-
-    /// Unprotect a record payload, appending the plaintext to a
-    /// caller-owned buffer — with a reused `out` the whole record
-    /// unprotect allocates nothing. Pairs with [`RecordView`] for the
-    /// zero-copy receive path: `RecordView::decode` borrows the payload
-    /// from the datagram, `open_into` decrypts it into the reused
-    /// buffer. On failure `out` is left at its original length.
-    pub fn open_into(
-        &self,
-        ctype: ContentType,
-        epoch: u16,
-        seq: u64,
-        payload: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<(), DtlsError> {
-        if payload.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
+        if payload.len() < Self::OVERHEAD {
             return Err(DtlsError::Malformed);
         }
         let (explicit, ct) = payload
             .split_first_chunk::<EXPLICIT_NONCE_LEN>()
             .ok_or(DtlsError::Malformed)?;
         let nonce = self.nonce(explicit);
-        let plain_len = ct.len() - TAG_LEN;
-        let aad = Self::aad(ctype, epoch, seq, plain_len);
+        let aad = Self::aad(ctype, epoch, seq, ct.len() - TAG_LEN);
         self.ccm
-            .open_into(&nonce, &aad, ct, out)
+            .open(&nonce, &aad, ct)
             .map_err(|_| DtlsError::Crypto)
-    }
-
-    /// Unprotect a borrowed record in one step (view decode + AEAD
-    /// open into the reused buffer).
-    pub fn open_record_into(
-        &self,
-        record: &RecordView<'_>,
-        out: &mut Vec<u8>,
-    ) -> Result<(), DtlsError> {
-        self.open_into(record.ctype, record.epoch, record.seq, record.payload, out)
-    }
-
-    /// Unprotect an owned record payload **in place**: on success the
-    /// `Vec` that held `explicit_nonce || ciphertext || tag` becomes
-    /// the plaintext; on authentication failure it is left byte-exactly
-    /// as it was. Built on [`AesCcm::open_suffix_in_place`], so the
-    /// ciphertext is never copied into a scratch buffer — this is the
-    /// receive-path mirror of [`CipherState::seal`] for callers holding
-    /// an owned [`Record`].
-    pub fn open_payload_in_place(
-        &self,
-        ctype: ContentType,
-        epoch: u16,
-        seq: u64,
-        payload: &mut Vec<u8>,
-    ) -> Result<(), DtlsError> {
-        if payload.len() < EXPLICIT_NONCE_LEN + TAG_LEN {
-            return Err(DtlsError::Malformed);
-        }
-        let (explicit, _) = payload
-            .split_first_chunk::<EXPLICIT_NONCE_LEN>()
-            .ok_or(DtlsError::Malformed)?;
-        let nonce = self.nonce(explicit);
-        let plain_len = payload.len() - Self::OVERHEAD;
-        let aad = Self::aad(ctype, epoch, seq, plain_len);
-        self.ccm
-            .open_suffix_in_place(&nonce, &aad, payload, EXPLICIT_NONCE_LEN)
-            .map_err(|_| DtlsError::Crypto)?;
-        payload.drain(..EXPLICIT_NONCE_LEN);
-        Ok(())
     }
 
     /// Per-record protection overhead in bytes (nonce + tag) — the
     /// quantity that inflates every DTLS frame in the paper's Fig. 6.
     pub const OVERHEAD: usize = EXPLICIT_NONCE_LEN + TAG_LEN;
-}
-
-/// Sliding anti-replay window (RFC 6347 §4.1.2.6), 64 entries.
-///
-/// The paper notes "we increase … the OSCORE replay window size" for
-/// long experiment runs; the window size here is configurable for the
-/// same reason.
-#[derive(Debug, Clone)]
-pub struct ReplayWindow {
-    window: u128,
-    highest: u64,
-    bits: u32,
-    initialized: bool,
-}
-
-impl ReplayWindow {
-    /// A window covering `bits` sequence numbers (max 128).
-    pub fn new(bits: u32) -> Self {
-        ReplayWindow {
-            window: 0,
-            highest: 0,
-            bits: bits.clamp(1, 128),
-            initialized: false,
-        }
-    }
-
-    /// Check whether `seq` is fresh and mark it seen. Returns `false`
-    /// for replays or records older than the window.
-    pub fn check_and_update(&mut self, seq: u64) -> bool {
-        if !self.initialized {
-            self.initialized = true;
-            self.highest = seq;
-            self.window = 1;
-            return true;
-        }
-        if seq > self.highest {
-            let shift = seq - self.highest;
-            if shift >= self.bits as u64 {
-                self.window = 1;
-            } else {
-                self.window = (self.window << shift) | 1;
-            }
-            self.highest = seq;
-            true
-        } else {
-            let offset = self.highest - seq;
-            if offset >= self.bits as u64 {
-                return false; // too old
-            }
-            let mask = 1u128 << offset;
-            if self.window & mask != 0 {
-                return false; // replay
-            }
-            self.window |= mask;
-            true
-        }
-    }
-
-    /// Highest sequence number accepted so far.
-    pub fn highest(&self) -> u64 {
-        self.highest
-    }
 }
 
 #[cfg(test)]
@@ -696,38 +575,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn open_into_reuses_buffer_and_rolls_back() {
-        let cs = CipherState::new(&[7u8; 16], [1, 2, 3, 4]);
-        let sealed_rec = Record {
-            ctype: ContentType::ApplicationData,
-            epoch: 1,
-            seq: 42,
-            payload: cs
-                .seal(ContentType::ApplicationData, 1, 42, b"dns response")
-                .unwrap(),
-        };
-        let wire = sealed_rec.encode();
-        let (view, _) = RecordView::decode(&wire).unwrap();
-        let mut buf = Vec::new();
-        for _ in 0..3 {
-            buf.clear();
-            cs.open_record_into(&view, &mut buf).unwrap();
-            assert_eq!(buf, b"dns response");
-        }
-        // Tampered ciphertext leaves the buffer untouched.
-        let mut bad = view.payload.to_vec();
-        let n = bad.len();
-        bad[n - 1] ^= 1;
-        buf.clear();
-        buf.push(0x77);
-        assert_eq!(
-            cs.open_into(ContentType::ApplicationData, 1, 42, &bad, &mut buf),
-            Err(DtlsError::Crypto)
-        );
-        assert_eq!(buf, vec![0x77]);
-    }
-
     /// A record framed in place and sealed at `CIPHERTEXT_OFFSET` is
     /// the encoded record of `seal`'s payload; a sequence number past
     /// 48 bits is refused on every seal path, leaving buffers as they
@@ -794,34 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn open_payload_in_place_roundtrip_and_restore() {
-        let cs = CipherState::new(&[7u8; 16], [1, 2, 3, 4]);
-        let mut payload = cs
-            .seal(ContentType::ApplicationData, 1, 42, b"dns response")
-            .unwrap();
-        let sealed = payload.clone();
-        cs.open_payload_in_place(ContentType::ApplicationData, 1, 42, &mut payload)
-            .unwrap();
-        assert_eq!(payload, b"dns response");
-        // Tampered: buffer untouched, byte-exactly.
-        let mut bad = sealed.clone();
-        let n = bad.len();
-        bad[n - 1] ^= 1;
-        let snapshot = bad.clone();
-        assert_eq!(
-            cs.open_payload_in_place(ContentType::ApplicationData, 1, 42, &mut bad),
-            Err(DtlsError::Crypto)
-        );
-        assert_eq!(bad, snapshot);
-        // Too short for nonce + tag.
-        let mut tiny = sealed[..10].to_vec();
-        assert_eq!(
-            cs.open_payload_in_place(ContentType::ApplicationData, 1, 42, &mut tiny),
-            Err(DtlsError::Malformed)
-        );
-    }
-
-    #[test]
     fn cipher_binds_aad() {
         let cs = CipherState::new(&[7u8; 16], [1, 2, 3, 4]);
         let sealed = cs
@@ -846,45 +665,5 @@ mod tests {
             cs.open(ContentType::ApplicationData, 1, 0, &[0u8; 10]),
             Err(DtlsError::Malformed)
         );
-    }
-
-    #[test]
-    fn replay_window_basics() {
-        let mut w = ReplayWindow::new(64);
-        assert!(w.check_and_update(5));
-        assert!(!w.check_and_update(5)); // replay
-        assert!(w.check_and_update(6));
-        assert!(w.check_and_update(4)); // in-window, unseen
-        assert!(!w.check_and_update(4)); // now a replay
-        assert_eq!(w.highest(), 6);
-    }
-
-    #[test]
-    fn replay_window_too_old() {
-        let mut w = ReplayWindow::new(8);
-        assert!(w.check_and_update(100));
-        assert!(!w.check_and_update(92)); // 8 behind, outside window
-        assert!(w.check_and_update(93)); // 7 behind, inside
-    }
-
-    #[test]
-    fn replay_window_big_jump() {
-        let mut w = ReplayWindow::new(64);
-        assert!(w.check_and_update(1));
-        assert!(w.check_and_update(1000));
-        assert!(!w.check_and_update(1000));
-        assert!(!w.check_and_update(1)); // far outside the shifted window
-        assert!(w.check_and_update(999));
-    }
-
-    #[test]
-    fn out_of_order_within_window() {
-        let mut w = ReplayWindow::new(64);
-        for seq in [10u64, 8, 9, 12, 11, 7] {
-            assert!(w.check_and_update(seq), "seq {seq} should be fresh");
-        }
-        for seq in [10u64, 8, 9, 12, 11, 7] {
-            assert!(!w.check_and_update(seq), "seq {seq} should be replay");
-        }
     }
 }

@@ -1,24 +1,25 @@
 //! Crypto substrate: every AES backend against the scalar reference,
-//! batched sealing against sequential, in-place open against the
-//! copying open, both SHA-256 compression loops, and a full OSCORE
-//! protect/unprotect round trip.
+//! batched sealing and opening against per-packet, both SHA-256
+//! compression loops, and a full OSCORE protect/unprotect round trip.
 //!
 //! Unlike the parser families, the input is not a wire message — it is
 //! an entropy pool the target derives keys, nonces, AAD and plaintext
 //! from. Each implementation pair must then agree *byte-exactly*:
 //! the bitsliced and AES-NI backends must seal identically to the
-//! scalar reference ([`Backend::Reference`]), `seal_suffix_batch` and
-//! `open_suffix_batch` must match per-packet `seal_suffix_in_place`
-//! and `open_suffix_in_place`, a tampered ciphertext must fail on every
-//! backend — alone or inside a batch — and leave every buffer restored,
-//! and
-//! the SHA-NI and portable SHA-256 schedules must hash identically.
+//! scalar reference ([`Backend::Reference`]); `seal_suffix_batch_with`
+//! and `open_suffix_batch_with` must match per-packet
+//! `seal_suffix_in_place` and `open_suffix_in_place`, on one
+//! [`CcmScratch`] reused through a clean seal, a clean open, a forged
+//! open and a clean open after that failure; a tampered ciphertext must
+//! fail on every backend — alone or inside a batch — and leave every
+//! buffer restored; and the SHA-NI and portable SHA-256 schedules must
+//! hash identically.
 //! Any disagreement is a divergence the engine shrinks, so every CI
 //! run cross-checks the vector paths against the reference on mutated
 //! inputs — not just on the fixed known-answer vectors.
 
 use doc_crypto::backend::Backend;
-use doc_crypto::ccm::{AesCcm, OpenRequest, SealRequest};
+use doc_crypto::ccm::{AesCcm, CcmScratch, OpenRequest, SealRequest};
 use doc_crypto::sha256::{sha256, sha256_portable};
 use doc_crypto::CryptoError;
 use doc_oscore::context::SecurityContext;
@@ -71,6 +72,8 @@ impl DifferentialTarget for CryptoTarget {
         let golden = reference
             .seal(&nonce, aad, plaintext)
             .map_err(|e| format!("reference seal failed: {e:?}"))?;
+        // One scratch for every batch below, on every backend.
+        let mut scratch = CcmScratch::default();
         for backend in Backend::available() {
             let ccm = AesCcm::with_backend(&key, 8, 2, backend)
                 .map_err(|e| format!("{}: AesCcm construction failed: {e:?}", backend.label()))?;
@@ -83,21 +86,12 @@ impl DifferentialTarget for CryptoTarget {
                     backend.label()
                 ));
             }
-            // In-place open == copying open, and the round trip holds.
+            // The round trip holds.
             let opened = ccm.open(&nonce, aad, &golden).map_err(|e| {
                 format!("{}: open of reference seal failed: {e:?}", backend.label())
             })?;
             if opened != plaintext {
                 return Err(format!("{}: open round trip corrupted", backend.label()));
-            }
-            let mut buf = golden.clone();
-            ccm.open_in_place(&nonce, aad, &mut buf)
-                .map_err(|e| format!("{}: open_in_place rejected: {e:?}", backend.label()))?;
-            if buf != plaintext {
-                return Err(format!(
-                    "{}: open_in_place disagrees with open",
-                    backend.label()
-                ));
             }
             // A tampered ciphertext must fail and restore the buffer.
             let mut tampered = golden.clone();
@@ -152,11 +146,13 @@ impl DifferentialTarget for CryptoTarget {
                     start: 0,
                 })
                 .collect();
-            ccm.seal_suffix_batch(&mut reqs)
-                .map_err(|e| format!("{}: seal_suffix_batch failed: {e:?}", backend.label()))?;
+            ccm.seal_suffix_batch_with(&mut reqs, &mut scratch)
+                .map_err(|e| {
+                    format!("{}: seal_suffix_batch_with failed: {e:?}", backend.label())
+                })?;
             if bufs != expect {
                 return Err(format!(
-                    "{}: seal_suffix_batch diverges from sequential sealing",
+                    "{}: seal_suffix_batch_with diverges from sequential sealing",
                     backend.label()
                 ));
             }
@@ -173,7 +169,7 @@ impl DifferentialTarget for CryptoTarget {
                         .map_err(|e| format!("{}: chunk open failed: {e:?}", backend.label()))
                 })
                 .collect::<Result<_, _>>()?;
-            let open_batch = |bufs: &mut [Vec<u8>]| {
+            let mut open_batch = |bufs: &mut [Vec<u8>]| {
                 let mut reqs: Vec<OpenRequest<'_>> = bufs
                     .iter_mut()
                     .zip(nonces.iter())
@@ -184,13 +180,14 @@ impl DifferentialTarget for CryptoTarget {
                         start: 0,
                     })
                     .collect();
-                ccm.open_suffix_batch(&mut reqs)
+                ccm.open_suffix_batch_with(&mut reqs, &mut scratch)
             };
-            open_batch(&mut bufs)
-                .map_err(|e| format!("{}: open_suffix_batch failed: {e:?}", backend.label()))?;
+            open_batch(&mut bufs).map_err(|e| {
+                format!("{}: open_suffix_batch_with failed: {e:?}", backend.label())
+            })?;
             if bufs != one_by_one || bufs != chunks {
                 return Err(format!(
-                    "{}: open_suffix_batch diverges from sequential opening",
+                    "{}: open_suffix_batch_with diverges from sequential opening",
                     backend.label()
                 ));
             }
@@ -214,6 +211,22 @@ impl DifferentialTarget for CryptoTarget {
             if forged != before {
                 return Err(format!(
                     "{}: failed batch open did not restore every buffer",
+                    backend.label()
+                ));
+            }
+
+            // The scratch that just failed opens the clean batch again
+            // exactly as the per-packet path does.
+            let mut again = expect.clone();
+            open_batch(&mut again).map_err(|e| {
+                format!(
+                    "{}: open after a failed batch rejected: {e:?}",
+                    backend.label()
+                )
+            })?;
+            if again != one_by_one {
+                return Err(format!(
+                    "{}: open after a failed batch diverges from sequential opening",
                     backend.label()
                 ));
             }

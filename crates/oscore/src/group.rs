@@ -21,13 +21,14 @@
 //! cryptographically non-repudiable.
 
 use crate::context::{decode_piv, ALG_AES_CCM_16_64_128, KEY_LEN, NONCE_LEN, TAG_LEN};
-use crate::protect::{OscoreOption, ReplayWindow};
+use crate::protect::OscoreOption;
 use crate::OscoreError;
 use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_crypto::cbor::Value;
 use doc_crypto::ccm::AesCcm;
 use doc_crypto::hkdf;
+use doc_crypto::replay::ReplayWindow;
 use std::collections::HashMap;
 
 /// Length of the per-message authenticity tag standing in for the

@@ -14,7 +14,8 @@
 //!   including the RFC 8613 Appendix C test vectors.
 //! * [`protect`] — the compressed COSE object (§6), OSCORE option
 //!   encoding, AAD/nonce construction (§5), request/response
-//!   protect/unprotect, replay windows, and the Echo-based replay
+//!   protect/unprotect, replay protection
+//!   ([`doc_crypto::replay::ReplayWindow`]), and the Echo-based replay
 //!   window initialization the paper's Fig. 6 shows
 //!   ("4.01 Unauthorized / Query (w/ Echo)").
 

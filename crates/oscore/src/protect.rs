@@ -15,10 +15,10 @@
 
 use crate::context::{decode_piv, SecurityContext, TAG_LEN};
 use crate::OscoreError;
-use doc_coap::msg::{CoapMessage, Code, MsgType};
+use doc_coap::msg::{CoapMessage, Code};
 use doc_coap::opt::{CoapOption, OptionNumber};
-use doc_coap::view::CoapView;
-use doc_crypto::ccm::{AesCcm, SealRequest};
+use doc_crypto::ccm::AesCcm;
+use doc_crypto::replay::ReplayWindow;
 
 /// Decoded OSCORE option value.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -272,7 +272,7 @@ fn open_inner(
 /// options merged with the OSCORE option, payload marker — followed by
 /// the still-plaintext inner message (RFC 8613 §5.3). Returns the
 /// offset where the inner part begins so the caller can seal the
-/// buffer's suffix in place (single or batched).
+/// buffer's suffix in place.
 fn serialize_outer_request(msg: &CoapMessage, kid: &[u8], piv: &[u8], out: &mut Vec<u8>) -> usize {
     assert!(msg.token.len() <= 8, "token too long");
     debug_assert!(
@@ -320,58 +320,6 @@ fn serialize_outer_request(msg: &CoapMessage, kid: &[u8], piv: &[u8], out: &mut 
         out.extend_from_slice(&msg.payload);
     }
     inner_start
-}
-
-/// Sliding replay window for recipient PIVs.
-#[derive(Debug, Clone)]
-pub struct ReplayWindow {
-    window: u128,
-    highest: u64,
-    bits: u32,
-    initialized: bool,
-}
-
-impl ReplayWindow {
-    /// A window covering `bits` sequence numbers.
-    pub fn new(bits: u32) -> Self {
-        ReplayWindow {
-            window: 0,
-            highest: 0,
-            bits: bits.clamp(1, 128),
-            initialized: false,
-        }
-    }
-
-    /// Accept-and-mark; false on replay/too-old.
-    pub fn check_and_update(&mut self, seq: u64) -> bool {
-        if !self.initialized {
-            self.initialized = true;
-            self.highest = seq;
-            self.window = 1;
-            return true;
-        }
-        if seq > self.highest {
-            let shift = seq - self.highest;
-            if shift >= self.bits as u64 {
-                self.window = 1;
-            } else {
-                self.window = (self.window << shift) | 1;
-            }
-            self.highest = seq;
-            true
-        } else {
-            let offset = self.highest - seq;
-            if offset >= self.bits as u64 {
-                return false;
-            }
-            let mask = 1u128 << offset;
-            if self.window & mask != 0 {
-                return false;
-            }
-            self.window |= mask;
-            true
-        }
-    }
 }
 
 /// An OSCORE endpoint: security context + replay window + Echo state.
@@ -423,7 +371,7 @@ impl OscoreEndpoint {
         let aad = build_aad(&kid, &piv);
         let nonce = self.ctx.nonce(&kid, &piv);
         self.sender_ccm
-            .seal_in_place(&nonce, aad.as_slice(), &mut ciphertext)
+            .seal_suffix_in_place(&nonce, aad.as_slice(), &mut ciphertext, 0)
             .map_err(|_| OscoreError::Crypto)?;
         let opt = OscoreOption {
             piv: piv.clone(),
@@ -471,51 +419,9 @@ impl OscoreEndpoint {
         Ok(RequestBinding { kid, piv })
     }
 
-    /// Protect a whole batch of requests in one pass, returning each
-    /// request's wire bytes and binding — byte-identical to calling
-    /// [`OscoreEndpoint::protect_request_into`] per message, but the
-    /// CBC-MAC chains of all requests advance in lockstep and every
-    /// keystream is generated through one flattened multi-block AES
-    /// pass ([`AesCcm::seal_suffix_batch`]). This is how a `ProxyPool`
-    /// worker amortizes keystream setup across a `pop_batch` drain.
-    pub fn protect_batch(
-        &mut self,
-        msgs: &[CoapMessage],
-    ) -> Result<(Vec<Vec<u8>>, Vec<RequestBinding>), OscoreError> {
-        let n = msgs.len();
-        let mut wires: Vec<Vec<u8>> = Vec::with_capacity(n);
-        let mut bindings: Vec<RequestBinding> = Vec::with_capacity(n);
-        let mut nonces = Vec::with_capacity(n);
-        let mut aads = Vec::with_capacity(n);
-        let mut starts = Vec::with_capacity(n);
-        for msg in msgs {
-            let piv = self.ctx.next_piv()?;
-            let kid = self.ctx.sender_id.clone();
-            let mut out = Vec::new();
-            starts.push(serialize_outer_request(msg, &kid, &piv, &mut out));
-            wires.push(out);
-            nonces.push(self.ctx.nonce(&kid, &piv));
-            aads.push(build_aad(&kid, &piv));
-            bindings.push(RequestBinding { kid, piv });
-        }
-        let mut reqs: Vec<SealRequest<'_>> = wires
-            .iter_mut()
-            .zip(nonces.iter().zip(aads.iter().zip(starts.iter())))
-            .map(|(buf, (nonce, (aad, &start)))| SealRequest {
-                nonce,
-                aad: aad.as_slice(),
-                buf,
-                start,
-            })
-            .collect();
-        self.sender_ccm
-            .seal_suffix_batch(&mut reqs)
-            .map_err(|_| OscoreError::Crypto)?;
-        Ok((wires, bindings))
-    }
-
     /// Unprotect a request; enforces replay protection and, when
-    /// enabled, the Echo round trip.
+    /// enabled, the Echo round trip. The replay window is marked only
+    /// once the request has authenticated (RFC 8613 §7.4).
     pub fn unprotect_request(
         &mut self,
         outer: &CoapMessage,
@@ -523,43 +429,7 @@ impl OscoreEndpoint {
         let opt_value = outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_request_parts(
-            &opt_value.value,
-            outer.mtype,
-            outer.message_id,
-            &outer.token,
-            &outer.payload,
-        )
-    }
-
-    /// [`OscoreEndpoint::unprotect_request`] over a borrowed wire view:
-    /// the outer message is never materialized — option value, token
-    /// and ciphertext are read straight from the datagram.
-    pub fn unprotect_request_view(
-        &mut self,
-        outer: &CoapView<'_>,
-    ) -> Result<(CoapMessage, RequestBinding), OscoreError> {
-        let opt_value = outer
-            .option(OptionNumber::OSCORE)
-            .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_request_parts(
-            opt_value.value,
-            outer.mtype,
-            outer.message_id,
-            outer.token(),
-            outer.payload(),
-        )
-    }
-
-    fn unprotect_request_parts(
-        &mut self,
-        opt_value: &[u8],
-        mtype: MsgType,
-        message_id: u16,
-        token: &[u8],
-        payload: &[u8],
-    ) -> Result<(CoapMessage, RequestBinding), OscoreError> {
-        let opt = OscoreOption::decode(opt_value)?;
+        let opt = OscoreOption::decode(&opt_value.value)?;
         let kid = opt.kid.clone().ok_or(OscoreError::Malformed)?;
         if kid != self.ctx.recipient_id {
             return Err(OscoreError::Crypto);
@@ -567,10 +437,10 @@ impl OscoreEndpoint {
         let seq = decode_piv(&opt.piv).ok_or(OscoreError::Malformed)?;
         let aad = build_aad(&kid, &opt.piv);
         let nonce = self.ctx.nonce(&kid, &opt.piv);
-        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), payload)?;
-        inner.mtype = mtype;
-        inner.message_id = message_id;
-        inner.token = token.to_vec();
+        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), &outer.payload)?;
+        inner.mtype = outer.mtype;
+        inner.message_id = outer.message_id;
+        inner.token = outer.token.clone();
 
         // Echo-based replay-window initialization (RFC 8613 Appendix
         // B.1.2 / RFC 9175): before accepting the first request, demand
@@ -630,7 +500,7 @@ impl OscoreEndpoint {
         let aad = build_aad(&binding.kid, &binding.piv);
         let nonce = self.ctx.nonce(&binding.kid, &binding.piv);
         self.sender_ccm
-            .seal_in_place(&nonce, aad.as_slice(), &mut ciphertext)
+            .seal_suffix_in_place(&nonce, aad.as_slice(), &mut ciphertext, 0)
             .map_err(|_| OscoreError::Crypto)?;
         let mut outer = CoapMessage {
             mtype: msg.mtype,
@@ -656,47 +526,12 @@ impl OscoreEndpoint {
         outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_response_parts(
-            binding,
-            outer.mtype,
-            outer.message_id,
-            &outer.token,
-            &outer.payload,
-        )
-    }
-
-    /// [`OscoreEndpoint::unprotect_response`] over a borrowed wire view.
-    pub fn unprotect_response_view(
-        &self,
-        outer: &CoapView<'_>,
-        binding: &RequestBinding,
-    ) -> Result<CoapMessage, OscoreError> {
-        outer
-            .option(OptionNumber::OSCORE)
-            .ok_or(OscoreError::NotOscore)?;
-        self.unprotect_response_parts(
-            binding,
-            outer.mtype,
-            outer.message_id,
-            outer.token(),
-            outer.payload(),
-        )
-    }
-
-    fn unprotect_response_parts(
-        &self,
-        binding: &RequestBinding,
-        mtype: MsgType,
-        message_id: u16,
-        token: &[u8],
-        payload: &[u8],
-    ) -> Result<CoapMessage, OscoreError> {
         let aad = build_aad(&binding.kid, &binding.piv);
         let nonce = self.ctx.nonce(&binding.kid, &binding.piv);
-        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), payload)?;
-        inner.mtype = mtype;
-        inner.message_id = message_id;
-        inner.token = token.to_vec();
+        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), &outer.payload)?;
+        inner.mtype = outer.mtype;
+        inner.message_id = outer.message_id;
+        inner.token = outer.token.clone();
         Ok(inner)
     }
 
@@ -1009,74 +844,14 @@ mod tests {
             assert_eq!(wire, outer.encode());
             assert_eq!(binding_a, binding_b);
         }
-        // And the server can unprotect it straight from the view.
+        // And the server can unprotect the decoded wire.
         let mut server =
             OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[0x01], &[]), false);
-        let view = doc_coap::view::CoapView::parse(&wire).unwrap();
-        let (inner, _) = server.unprotect_request_view(&view).unwrap();
+        let (inner, _) = server
+            .unprotect_request(&CoapMessage::decode(&wire).unwrap())
+            .unwrap();
         assert_eq!(inner.code, Code::GET);
         assert_eq!(inner.uri_path(), "/dns");
-    }
-
-    /// `protect_batch` must produce exactly the wires and bindings of
-    /// protecting each request sequentially with `protect_request_into`
-    /// — and the server must unprotect every batched wire.
-    #[test]
-    fn protect_batch_matches_sequential() {
-        let secret = b"0123456789abcdef";
-        // Two identically-derived endpoints so both paths consume the
-        // same PIV sequence.
-        let mut seq =
-            OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[], &[0x01]), false);
-        let mut bat =
-            OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[], &[0x01]), false);
-        let msgs: Vec<CoapMessage> = (0..7u16)
-            .map(|i| {
-                CoapMessage::request(Code::FETCH, MsgType::Con, 100 + i, vec![i as u8, 0xBB])
-                    .with_option(CoapOption::new(OptionNumber::URI_PATH, b"dns".to_vec()))
-                    .with_payload(vec![0x5A; 10 + 17 * i as usize])
-            })
-            .collect();
-        let (wires, bindings) = bat.protect_batch(&msgs).unwrap();
-        let mut server =
-            OscoreEndpoint::new(SecurityContext::derive(secret, b"s", &[0x01], &[]), false);
-        for (i, msg) in msgs.iter().enumerate() {
-            let mut expect = Vec::new();
-            let expect_binding = seq.protect_request_into(msg, &mut expect).unwrap();
-            assert_eq!(wires[i], expect, "wire {i}");
-            assert_eq!(bindings[i], expect_binding, "binding {i}");
-            let view = doc_coap::view::CoapView::parse(&wires[i]).unwrap();
-            let (inner, _) = server.unprotect_request_view(&view).unwrap();
-            assert_eq!(inner.payload, msg.payload, "unprotect {i}");
-        }
-    }
-
-    #[test]
-    fn unprotect_view_agrees_with_owned() {
-        let (mut client, mut server) = contexts();
-        let req = fetch_request();
-        let (outer, binding) = client.protect_request(&req).unwrap();
-        let wire = outer.encode();
-        let view = doc_coap::view::CoapView::parse(&wire).unwrap();
-        let (inner, s_binding) = server.unprotect_request_view(&view).unwrap();
-        assert_eq!(inner.code, Code::FETCH);
-        assert_eq!(inner.payload, req.payload);
-        assert_eq!(s_binding, binding);
-        // Replay protection also applies on the view path.
-        assert_eq!(
-            server.unprotect_request_view(&view),
-            Err(OscoreError::Replay)
-        );
-        // Response unprotection over a view.
-        let resp =
-            CoapMessage::ack_response(&inner, Code::CONTENT).with_payload(b"answer".to_vec());
-        let outer_resp = server.protect_response(&resp, &s_binding, &outer).unwrap();
-        let resp_wire = outer_resp.encode();
-        let resp_view = doc_coap::view::CoapView::parse(&resp_wire).unwrap();
-        let inner_resp = client
-            .unprotect_response_view(&resp_view, &binding)
-            .unwrap();
-        assert_eq!(inner_resp.payload, b"answer");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! ```
 
 use crate::{varint, QuicError};
-use doc_crypto::ccm::{recycle, AesCcm, CcmScratch, OpenRequest, SealRequest};
+use doc_crypto::ccm::{recycle, AesCcm, CcmScratch, OpenRequest};
 use doc_crypto::hkdf;
 
 /// First byte of a QUIC-lite long-header (handshake) packet.
@@ -139,51 +139,8 @@ impl PacketKeys {
             .map_err(|_| QuicError::Crypto)
     }
 
-    /// Seal a whole batch of 1-RTT packets in one pass: each item's
-    /// plaintext is appended to its `out` (which typically already
-    /// holds the encoded header) and protected, byte-identically to
-    /// calling [`PacketKeys::seal_into`] per packet — but the CBC-MAC
-    /// chains advance in lockstep and every packet's CTR keystream
-    /// comes from one flattened multi-block AES pass
-    /// ([`AesCcm::seal_suffix_batch`]). On failure every `out` is
-    /// restored to its original length.
-    pub fn seal_batch(&self, items: &mut [PacketSeal<'_>]) -> Result<(), QuicError> {
-        let nonces: Vec<[u8; 12]> = items.iter().map(|it| self.nonce(it.pn)).collect();
-        let starts: Vec<usize> = items
-            .iter_mut()
-            .map(|it| {
-                let start = it.out.len();
-                it.out.extend_from_slice(it.plaintext);
-                start
-            })
-            .collect();
-        let mut reqs: Vec<SealRequest<'_>> = items
-            .iter_mut()
-            .zip(nonces.iter().zip(starts.iter()))
-            .map(|(it, (nonce, &start))| SealRequest {
-                nonce,
-                aad: it.header,
-                buf: &mut *it.out,
-                start,
-            })
-            .collect();
-        self.ccm.seal_suffix_batch(&mut reqs).map_err(|_| {
-            for (it, &start) in items.iter_mut().zip(starts.iter()) {
-                it.out.truncate(start);
-            }
-            QuicError::Crypto
-        })
-    }
-
-    /// [`PacketKeys::open_batch_with`] on buffers allocated for this
-    /// one call.
-    pub fn open_batch(&self, items: &mut [PacketOpen<'_>]) -> Result<(), QuicError> {
-        self.open_batch_with(items, &mut OpenScratch::default())
-    }
-
-    /// Open a whole batch of 1-RTT packet bodies in one pass — the
-    /// inbound mirror of [`PacketKeys::seal_batch`] for a worker
-    /// draining many protected datagrams at once
+    /// Open a whole batch of 1-RTT packet bodies in one pass, for a
+    /// worker draining many protected datagrams at once
     /// ([`AesCcm::open_suffix_batch_with`]). Each item's `buf[start..]`
     /// holds `ciphertext || tag` and becomes the plaintext on success.
     /// All-or-nothing: on any failure every buffer is restored
@@ -227,7 +184,7 @@ pub struct OpenScratch {
     reqs: Vec<OpenRequest<'static>>,
 }
 
-/// One packet of a batched 1-RTT open (see [`PacketKeys::open_batch`]).
+/// One packet of a batched 1-RTT open (see [`PacketKeys::open_batch_with`]).
 pub struct PacketOpen<'a> {
     /// Packet number (forms the nonce).
     pub pn: u64,
@@ -239,19 +196,6 @@ pub struct PacketOpen<'a> {
     /// Offset where the protected body begins (typically the header
     /// length, so the datagram is opened in place).
     pub start: usize,
-}
-
-/// One packet of a batched 1-RTT seal (see [`PacketKeys::seal_batch`]).
-pub struct PacketSeal<'a> {
-    /// Packet number (forms the nonce).
-    pub pn: u64,
-    /// Header bytes to authenticate as AAD.
-    pub header: &'a [u8],
-    /// Frame plaintext to protect.
-    pub plaintext: &'a [u8],
-    /// Output buffer; `ciphertext || tag` is appended after whatever it
-    /// already holds (typically the encoded header).
-    pub out: &'a mut Vec<u8>,
 }
 
 #[cfg(test)]
@@ -299,8 +243,11 @@ mod tests {
         assert!(rx.open(7, &[0u8; 4], &sealed).is_err());
     }
 
+    /// Batched opening over one reused scratch: the whole flight
+    /// decrypts in place to what per-packet `open` returns, and a
+    /// forged datagram fails the batch and restores every buffer.
     #[test]
-    fn seal_batch_matches_sequential() {
+    fn open_batch_matches_sequential() {
         let secret = b"psk-0123456789abcdef-randoms";
         let tx = PacketKeys::derive(secret, "client write");
         let rx = PacketKeys::derive(secret, "client write");
@@ -312,8 +259,8 @@ mod tests {
                 h
             })
             .collect();
-        // Sequential reference datagrams: header || sealed body.
-        let expect: Vec<Vec<u8>> = plains
+        // Datagrams: header || sealed body.
+        let wires: Vec<Vec<u8>> = plains
             .iter()
             .enumerate()
             .map(|(i, p)| {
@@ -323,62 +270,38 @@ mod tests {
                 out
             })
             .collect();
-        let mut outs: Vec<Vec<u8>> = headers.clone();
-        let mut items: Vec<PacketSeal<'_>> = outs
-            .iter_mut()
-            .enumerate()
-            .map(|(i, out)| PacketSeal {
-                pn: 500 + i as u64,
-                header: &headers[i],
-                plaintext: &plains[i],
-                out,
-            })
-            .collect();
-        tx.seal_batch(&mut items).unwrap();
-        assert_eq!(outs, expect);
-        for (i, wire) in outs.iter().enumerate() {
-            let body = &wire[headers[i].len()..];
-            assert_eq!(
-                rx.open(500 + i as u64, &headers[i], body).unwrap(),
-                plains[i]
-            );
-        }
+        let mut scratch = OpenScratch::default();
+        let mut open_all = |wires: &mut [Vec<u8>]| {
+            let mut opens: Vec<PacketOpen<'_>> = wires
+                .iter_mut()
+                .enumerate()
+                .map(|(i, buf)| PacketOpen {
+                    pn: 500 + i as u64,
+                    header: &headers[i],
+                    buf,
+                    start: headers[i].len(),
+                })
+                .collect();
+            rx.open_batch_with(&mut opens, &mut scratch)
+        };
 
-        // Batched open: the whole flight decrypts in place in one
-        // pass, leaving header || plaintext per datagram.
-        let mut wires = outs.clone();
-        let mut opens: Vec<PacketOpen<'_>> = wires
-            .iter_mut()
-            .enumerate()
-            .map(|(i, buf)| PacketOpen {
-                pn: 500 + i as u64,
-                header: &headers[i],
-                buf,
-                start: headers[i].len(),
-            })
-            .collect();
-        rx.open_batch(&mut opens).unwrap();
-        for (i, wire) in wires.iter().enumerate() {
+        let mut opened = wires.clone();
+        open_all(&mut opened).unwrap();
+        for (i, wire) in opened.iter().enumerate() {
+            let body = &wires[i][headers[i].len()..];
             assert_eq!(&wire[..headers[i].len()], &headers[i][..]);
+            assert_eq!(
+                wire[headers[i].len()..],
+                rx.open(500 + i as u64, &headers[i], body).unwrap()
+            );
             assert_eq!(&wire[headers[i].len()..], plains[i]);
         }
 
-        // A forged datagram fails the batch and restores every buffer.
-        let mut wires = outs.clone();
-        wires[4][headers[4].len()] ^= 1;
-        let snapshots = wires.clone();
-        let mut opens: Vec<PacketOpen<'_>> = wires
-            .iter_mut()
-            .enumerate()
-            .map(|(i, buf)| PacketOpen {
-                pn: 500 + i as u64,
-                header: &headers[i],
-                buf,
-                start: headers[i].len(),
-            })
-            .collect();
-        assert_eq!(rx.open_batch(&mut opens), Err(QuicError::Crypto));
-        assert_eq!(wires, snapshots);
+        let mut forged = wires.clone();
+        forged[4][headers[4].len()] ^= 1;
+        let snapshots = forged.clone();
+        assert_eq!(open_all(&mut forged), Err(QuicError::Crypto));
+        assert_eq!(forged, snapshots);
     }
 
     /// Rederiving packet keys for the same secret hits the AES
