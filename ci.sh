@@ -15,8 +15,9 @@
 #                    # QUIC transport against doc-models::quic) + the
 #                    # UDP provider tests (tests/io_providers.rs:
 #                    # sim/UDP byte parity, batches past 64 datagrams,
-#                    # IPv6) and the UDP allocation pin
-#                    # (tests/udp_allocs.rs), re-run in release
+#                    # IPv6) and the allocation pins of the serving
+#                    # paths (tests/udp_allocs.rs, forward_allocs.rs,
+#                    # sealed_allocs.rs), re-run in release
 #                    # + the 17 fig/table goldens re-run in release
 #   ./ci.sh bench    # tier-1 build + the loopback UdpProvider smoke
 #                    # (real UDP sockets through the identical worker
@@ -151,12 +152,16 @@ run_goldens() {
     cargo test --release -q -p doc-bench --test fig_golden
 }
 
-run_udp() {
+run_release_pins() {
     # The batched socket path (recvmmsg/sendmmsg on Linux) in release:
-    # its provider tests, and the allocation pin of the UDP serving
-    # path (<= 0.05 allocations per request through one run_io call).
-    echo "==> udp provider (release): cargo test --release -q --test io_providers --test udp_allocs"
-    cargo test --release -q --test io_providers --test udp_allocs
+    # its provider tests. Then the allocation pins of the serving paths
+    # in release, where the optimiser may drop or add allocations the
+    # debug run does not see: UDP (<= 0.05 allocations per request
+    # through one run_io call), forwards under churn (<= 3 per forward,
+    # <= 1 per revalidation) and the protected hit path.
+    echo "==> udp provider and allocation pins (release): cargo test --release -q --test io_providers --test udp_allocs --test forward_allocs --test sealed_allocs"
+    cargo test --release -q --test io_providers --test udp_allocs --test forward_allocs \
+        --test sealed_allocs
 }
 
 case "$mode" in
@@ -164,7 +169,7 @@ case "$mode" in
         run_tier1
         run_conformance
         run_goldens
-        run_udp
+        run_release_pins
         ;;
     full)
         run_tier1

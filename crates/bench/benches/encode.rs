@@ -11,8 +11,10 @@
 //!   allocations per request — down from 16 with the per-request CBOR
 //!   AAD tree.
 //!
-//! The other rows time the remaining codec paths (dns+cbor, cache
-//! keys, GET construction, OSCORE, 6LoWPAN fragmentation) and the
+//! The other rows time the server's origin leg (`server/answer_into`,
+//! which must not allocate either, and the ETag hash over its 58-byte
+//! answer), the remaining codec paths (dns+cbor, cache keys, GET
+//! construction, OSCORE, 6LoWPAN fragmentation) and the
 //! design ablations (ETag strategy, canonicalization, wire vs.
 //! dns+cbor, Block2 slice size).
 //!
@@ -32,7 +34,9 @@ use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::view::CoapView;
 use doc_core::method::{build_request, DocMethod};
 use doc_core::policy::{prepare_response, CachePolicy};
+use doc_core::server::MockUpstream;
 use doc_core::transport::{dns_query_bytes, dns_response_bytes, experiment_name};
+use doc_crypto::sha256::sha256;
 use doc_dns::view::MessageView;
 use doc_dns::{cbor_fmt, Message, Question, RecordType};
 use doc_oscore::context::SecurityContext;
@@ -139,6 +143,24 @@ fn main() {
             black_box(buf.len());
         },
     ));
+
+    // The origin leg of a forward: the upstream writes the prepared
+    // answer of an A query (58 bytes, as `churn`'s A names get) into a
+    // reused buffer, and the server hashes it for the ETag.
+    let upstream = MockUpstream::new(1, 300, 300);
+    let a_name = experiment_name(1);
+    upstream.add_a(a_name.clone(), 1);
+    let a_query = dns_query_bytes(&a_name, RecordType::A);
+    let a_view = MessageView::parse(&a_query).unwrap();
+    let mut answer = Vec::new();
+    upstream.answer_into(&a_view, CachePolicy::EolTtls, 0, &mut answer);
+    assert_eq!(answer.len(), 58, "the ETag row's name says 58 bytes");
+    samples.push(sample("server/answer_into", answer.len(), || {
+        black_box(upstream.answer_into(black_box(&a_view), CachePolicy::EolTtls, 0, &mut buf));
+    }));
+    samples.push(sample("server/etag_sha256_58B", answer.len(), || {
+        black_box(sha256(black_box(&answer)));
+    }));
 
     // Decode paths: owned decoders vs. borrowed views. The view rows
     // parse (full validation walk) and then touch the same fields a hot

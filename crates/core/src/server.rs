@@ -11,6 +11,12 @@
 //! ([`MockUpstream::answer_into`]), and the reply is assembled field by
 //! field — the owned-message entry points decode what it writes.
 //!
+//! The answer has `Message::encode`'s layout: header, the lowercased
+//! question spelled out at offset 12, then the sorted records, each
+//! owned by the question's name and so written as the pointer `C0 0C`
+//! (a single `0` byte for the root). Questions after the first, which
+//! no DoC client sends, are compressed against the names before them.
+//!
 //! The upstream mirrors the paper's setup: "The recursive resolver is
 //! mocked up to generate the desired responses" — a programmable zone
 //! whose records refresh their TTLs on expiry (uniformly drawn from a
@@ -136,6 +142,11 @@ impl ZoneKey {
 
     fn as_bytes(&self) -> &[u8] {
         &self.bytes[..self.len]
+    }
+
+    /// The name's uncompressed wire form, root byte included.
+    fn name(&self) -> &[u8] {
+        &self.bytes[..self.len - 2]
     }
 
     /// Append the (lowercase) name, compressed against `table`.
@@ -317,7 +328,8 @@ impl MockUpstream {
     /// and the TTL state and draw sequence advance exactly as there;
     /// but the RRset is found by a key built on the stack and its sorted
     /// answers are written straight from the zone, so no `Name`,
-    /// `Message` or record copy is built.
+    /// `Message` or record copy is built. The module doc gives the
+    /// layout.
     pub fn answer_into(
         &self,
         query: &MessageView<'_>,
@@ -329,11 +341,16 @@ impl MockUpstream {
         // Header last (its rcode and answer count depend on the
         // lookup); compression offsets count from the message start.
         out.extend_from_slice(&[0; 12]);
-        let mut table = CompressionMap::new();
+        // Only a query with more than one question (no DoC client sends
+        // one) needs a compression map; a single name is spelled out.
+        let mut table = (query.question_count() > 1).then(CompressionMap::new);
         let mut first: Option<ZoneKey> = None;
         for q in query.questions() {
             let key = ZoneKey::new(q.qname.labels(), q.qtype);
-            key.encode_name(out, &mut table);
+            match &mut table {
+                Some(table) => key.encode_name(out, table),
+                None => out.extend_from_slice(key.name()),
+            }
             out.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
             out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
             first.get_or_insert(key);
@@ -346,17 +363,24 @@ impl MockUpstream {
                         CachePolicy::EolTtls => 0,
                         CachePolicy::DohLike => ttl,
                     };
-                    let rtype = &key.as_bytes()[key.len - 2..];
+                    // Owner, TYPE, CLASS, TTL and a RDLENGTH patched
+                    // after the RDATA.
+                    let mut fixed = [0xC0, 0x0C, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+                    fixed[2..4].copy_from_slice(&key.as_bytes()[key.len - 2..]);
+                    fixed[4..6].copy_from_slice(&RecordClass::In.to_u16().to_be_bytes());
+                    fixed[6..10].copy_from_slice(&wire_ttl.to_be_bytes());
+                    let fixed = if key.name() == [0] {
+                        fixed[1] = 0;
+                        &fixed[1..]
+                    } else {
+                        &fixed[..]
+                    };
                     for data in rrset.sorted() {
-                        key.encode_name(out, &mut table);
-                        out.extend_from_slice(rtype);
-                        out.extend_from_slice(&RecordClass::In.to_u16().to_be_bytes());
-                        out.extend_from_slice(&wire_ttl.to_be_bytes());
-                        let rdlen_at = out.len();
-                        out.extend_from_slice(&[0, 0]);
+                        out.extend_from_slice(fixed);
+                        let rdata_at = out.len();
                         data.encode(out);
-                        let rdlen = (out.len() - rdlen_at - 2) as u16;
-                        out[rdlen_at..rdlen_at + 2].copy_from_slice(&rdlen.to_be_bytes());
+                        let rdlen = (out.len() - rdata_at) as u16;
+                        out[rdata_at - 2..rdata_at].copy_from_slice(&rdlen.to_be_bytes());
                     }
                     let n = rrset.data.len();
                     (n, if n > 0 { ttl } else { 0 })

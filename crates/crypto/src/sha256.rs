@@ -9,6 +9,12 @@
 //! [`crate::backend::sha_ni_active`]; `DOC_CRYPTO_BACKEND=reference` or
 //! `soft` forces the scalar loop). [`sha256_portable`] pins the scalar
 //! path for differential tests.
+//!
+//! [`Sha256::finalize`] writes the whole padding — `0x80`, the zero
+//! fill and the 64-bit length — into the block buffer at once and
+//! compresses one block, or two when fewer than 8 bytes are left after
+//! the `0x80`. A short message, such as the server's ETag input, thus
+//! costs one or two compressions and no per-byte work.
 
 /// SHA-256 output size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -81,8 +87,7 @@ impl Sha256 {
             self.buf_len += take;
             data = &data[take..];
             if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress_blocks(&block);
+                compress_blocks(&mut self.state, self.accel, &self.buf);
                 self.buf_len = 0;
             }
         }
@@ -91,7 +96,7 @@ impl Sha256 {
         let whole = data.len() - data.len() % 64;
         if whole > 0 {
             let (blocks, rest) = data.split_at(whole);
-            self.compress_blocks(blocks);
+            compress_blocks(&mut self.state, self.accel, blocks);
             data = rest;
         }
         if !data.is_empty() {
@@ -102,36 +107,44 @@ impl Sha256 {
 
     /// Finish the hash and return the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80 then zeros then 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        // Padding (FIPS 180-4 §5.1.1), written into the block buffer in
+        // one go: 0x80, the zero fill, then the 64-bit big-endian bit
+        // length. `buf_len` is below 64 here; when fewer than 8 bytes
+        // are left after the 0x80, the length goes into one more block.
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            compress_blocks(&mut self.state, self.accel, &self.buf);
+            self.buf = [0; 64];
         }
-        // Manually absorb the length without updating total_len semantics.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress_blocks(&block);
+        self.buf[56..].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, self.accel, &self.buf);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    /// Compress a whole run of 64-byte blocks.
-    fn compress_blocks(&mut self, blocks: &[u8]) {
-        debug_assert!(blocks.len().is_multiple_of(64));
-        #[cfg(target_arch = "x86_64")]
-        if self.accel {
-            // SAFETY: `accel` is only set when `sha_ni_active` reported
-            // the sha/sse4.1/ssse3 features present on this CPU, which
-            // is the target-feature contract of the SHA-NI path.
-            unsafe { shani::compress_blocks(&mut self.state, blocks) };
-            return;
-        }
-        scalar_compress_blocks(&mut self.state, blocks);
+/// Compress a whole run of 64-byte blocks into `state`, on the SHA-NI
+/// path when `accel` is set. A free function so a hasher can compress
+/// its own buffer in place; `accel` is always that hasher's field.
+fn compress_blocks(state: &mut [u32; 8], accel: bool, blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(64));
+    #[cfg(target_arch = "x86_64")]
+    if accel {
+        // SAFETY: every caller passes a hasher's `accel`, which is only
+        // set when `sha_ni_active` reported the sha/sse4.1/ssse3
+        // features present on this CPU, the target-feature contract of
+        // the SHA-NI path.
+        unsafe { shani::compress_blocks(state, blocks) };
+        return;
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = accel;
+    scalar_compress_blocks(state, blocks);
 }
 
 /// The portable FIPS 180-4 §6.2 compression loop over a run of blocks.
@@ -310,6 +323,72 @@ mod tests {
         let expect = "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1";
         assert_eq!(hex(&sha256(msg)), expect);
         assert_eq!(hex(&sha256_portable(msg)), expect);
+    }
+
+    /// Padding known answers: the bytes `(37 * i + 11) mod 256` at every
+    /// length where the padding changes shape (the length fits the
+    /// first block or spills into a second one), digests from coreutils
+    /// `sha256sum`, on both compression paths and fed in one update and
+    /// byte by byte.
+    #[test]
+    fn padding_known_answers() {
+        let expect = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                1,
+                "e7cf46a078fed4fafd0b5e3aff144802b853f8ae459a4f0c14add3314b7cc3a6",
+            ),
+            (
+                55,
+                "2900465fcb533e05a158fd2b3be0e5e3b03740d83060aa3580e0d98a96bf2384",
+            ),
+            (
+                56,
+                "31454ff48ef36af2f08fd511bdc37d9d5855ac23e992e5ff5445cb6b7674a674",
+            ),
+            (
+                57,
+                "bcc0a5d3791b985b7550e04ca660a6c63a589ba1edd2283c8e110e5b515df124",
+            ),
+            (
+                63,
+                "5f6401b96532c36de4e65beec0409b69b1d181864c8009b7a04f43e5d56350d1",
+            ),
+            (
+                64,
+                "94eb5de4943613fd048dc93393ab06877405faa39c11f53e9386083339833e7e",
+            ),
+            (
+                65,
+                "fc518669b6eb4b4dd91827ecacef86689c725bd5bab888fd3b26dbb196eec954",
+            ),
+            (
+                119,
+                "b0dc41b1a384e2f1203f0351b38fbeaafceef577ce1191d5bfc25da39f721eae",
+            ),
+            (
+                120,
+                "5df24dd802ac26132ce608dcb5f09841eef039ee0f152acf98d26d17fe4e88e6",
+            ),
+            (
+                128,
+                "0aedd4856f8eba0963627336ad5144a9a7dbe12498e6066f0165fc97d8ddee4c",
+            ),
+        ];
+        let data: Vec<u8> = (0..128u32).map(|i| (i * 37 + 11) as u8).collect();
+        for (len, digest) in expect {
+            let msg = &data[..len];
+            assert_eq!(hex(&sha256(msg)), digest, "len {len}");
+            assert_eq!(hex(&sha256_portable(msg)), digest, "len {len} portable");
+            let mut h = Sha256::new();
+            for b in msg {
+                h.update(std::slice::from_ref(b));
+            }
+            assert_eq!(hex(&h.finalize()), digest, "len {len} bytewise");
+        }
     }
 
     /// The dispatched path (SHA-NI where available) must agree with the

@@ -1393,3 +1393,155 @@ proptest! {
         }
     }
 }
+
+/// One `answer_into` case. The question names are suffixes of one base
+/// name, some behind an extra label; the records, if any, are
+/// registered under the first question.
+#[derive(Debug, Clone)]
+struct AnswerCase {
+    /// Mixed-case labels: none (the root), a few, 127 one-byte labels
+    /// or four long ones (both 255 wire bytes).
+    base: Vec<Vec<u8>>,
+    /// Per question: labels of `base` skipped, an optional label in
+    /// front, and the record type (A, AAAA or TXT).
+    questions: Vec<(usize, Option<Vec<u8>>, RecordType)>,
+    /// `None` leaves the first question's name out of the zone
+    /// (NXDOMAIN).
+    records: Option<Vec<doc_repro::dns::RecordData>>,
+    ttl: (u32, u32),
+    /// First query time and the gap to the second, in milliseconds.
+    times: (u64, u64),
+    seed: u64,
+}
+
+impl AnswerCase {
+    /// The labels of question `i` (mixed case).
+    fn qname(&self, i: usize) -> Vec<Vec<u8>> {
+        let (skip, prefix, _) = &self.questions[i];
+        let mut labels = self.base[(*skip).min(self.base.len())..].to_vec();
+        if let Some(prefix) = prefix {
+            // The name's wire length with the prefix label in front.
+            let wire: usize = labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1;
+            if wire + 1 + prefix.len() <= 255 {
+                labels.insert(0, prefix.clone());
+            }
+        }
+        labels
+    }
+
+    /// The query, every name spelled out in its mixed case.
+    fn query_wire(&self) -> Vec<u8> {
+        let mut wire = vec![(self.seed >> 8) as u8, self.seed as u8, 0x01, 0];
+        wire.extend_from_slice(&(self.questions.len() as u16).to_be_bytes());
+        wire.extend_from_slice(&[0; 6]);
+        for (i, &(_, _, qtype)) in self.questions.iter().enumerate() {
+            for label in self.qname(i) {
+                wire.push(label.len() as u8);
+                wire.extend_from_slice(&label);
+            }
+            wire.push(0);
+            wire.extend_from_slice(&qtype.to_u16().to_be_bytes());
+            wire.extend_from_slice(&[0, 1]);
+        }
+        wire
+    }
+
+    fn upstream(&self) -> doc_repro::doc::server::MockUpstream {
+        let up = doc_repro::doc::server::MockUpstream::new(self.seed, self.ttl.0, self.ttl.1);
+        if let Some(records) = &self.records {
+            let name = Name::from_labels(&self.qname(0)).expect("names stay in bounds");
+            up.add_rrset(name, self.questions[0].2, records.clone());
+        }
+        up
+    }
+}
+
+fn arb_answer_case() -> impl Strategy<Value = AnswerCase> {
+    const ALPHA: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ";
+    let label = || proptest::string::string_regex("[a-zA-Z0-9][a-zA-Z0-9-]{0,20}").expect("regex");
+    let base = (
+        0u8..4,
+        proptest::collection::vec(label(), 1..6),
+        proptest::collection::vec(any::<u8>(), 127),
+    )
+        .prop_map(|(kind, labels, bytes)| {
+            let letter = |b: u8| ALPHA[usize::from(b) % ALPHA.len()];
+            match kind {
+                0 => Vec::new(),
+                1 => labels.into_iter().map(String::into_bytes).collect(),
+                2 => bytes.iter().map(|&b| vec![letter(b)]).collect(),
+                _ => [63, 63, 63, 61]
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &len)| (0..len).map(|j| letter(bytes[(i * 7 + j) % 127])).collect())
+                    .collect(),
+            }
+        });
+    let question = (
+        prop_oneof![0usize..3, 0usize..128],
+        (any::<bool>(), label()),
+        0u8..3,
+    )
+        .prop_map(|(skip, (prefixed, prefix), qtype)| {
+            let qtype = [RecordType::A, RecordType::Aaaa, RecordType::Txt][usize::from(qtype)];
+            (skip, prefixed.then(|| prefix.into_bytes()), qtype)
+        });
+    let record = (0u8..4, proptest::collection::vec(any::<u8>(), 16)).prop_map(|(kind, b)| {
+        use doc_repro::dns::RecordData;
+        match kind {
+            0 => RecordData::A(std::net::Ipv4Addr::new(b[0], b[1], b[2], b[3])),
+            1 => RecordData::Aaaa(std::net::Ipv6Addr::from(<[u8; 16]>::try_from(b).unwrap())),
+            2 => RecordData::Txt(vec![b[..usize::from(b[0] % 16)].to_vec()]),
+            _ => RecordData::Cname(
+                Name::from_labels(&[&b[..1 + usize::from(b[0] % 4)]])
+                    .unwrap_or_else(|_| Name::root()),
+            ),
+        }
+    });
+    (
+        base,
+        proptest::collection::vec(question, 1..=3),
+        (any::<bool>(), proptest::collection::vec(record, 0..=4)),
+        (1u32..60, 0u32..60),
+        (0u64..200_000, 0u64..200_000),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(base, questions, (nx, records), (lo, span), times, seed)| AnswerCase {
+                base,
+                questions,
+                records: (!nx).then_some(records),
+                ttl: (lo, lo + span),
+                times,
+                seed,
+            },
+        )
+}
+
+proptest! {
+    /// `MockUpstream::answer_into` writes what the owned path prepares:
+    /// on twin upstreams queried at the same times, its bytes and
+    /// Max-Age equal `prepare_response(policy, &resolve(&query.to_owned(),
+    /// now))` under both policies — over the root, mixed-case names and
+    /// names at the 255-byte and 127-label bounds, one to three
+    /// questions sharing suffixes, NXDOMAIN and zero to four records,
+    /// at a first query and a second one that finds the TTL decayed or
+    /// redrawn.
+    #[test]
+    fn answer_into_matches_owned_resolution(case in arb_answer_case()) {
+        use doc_repro::doc::policy::{prepare_response, CachePolicy};
+        let wire = case.query_wire();
+        let view = MessageView::parse(&wire).unwrap();
+        let query = view.to_owned();
+        for policy in [CachePolicy::DohLike, CachePolicy::EolTtls] {
+            let (ours, theirs) = (case.upstream(), case.upstream());
+            for now in [case.times.0, case.times.0 + case.times.1] {
+                let mut out = vec![0xAA];
+                let max_age = ours.answer_into(&view, policy, now, &mut out);
+                let prepared = prepare_response(policy, &theirs.resolve(&query, now));
+                prop_assert_eq!(&out, &prepared.payload, "{:?} at {}", policy, now);
+                prop_assert_eq!(max_age, prepared.max_age, "{:?} at {}", policy, now);
+            }
+        }
+    }
+}
