@@ -23,11 +23,6 @@ impl<T> JoinHandle<T> {
         JoinHandle { exec, tid, slot }
     }
 
-    /// The model thread id (spawn order; thread 0 is the body).
-    pub fn thread_id(&self) -> usize {
-        self.tid
-    }
-
     /// Wait for the thread to finish and return its value.
     pub fn join(self) -> T {
         let (cur, me) = sched::current().expect("doc_check join outside a model execution");

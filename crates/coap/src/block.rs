@@ -182,10 +182,15 @@ impl Block1Sender {
     }
 }
 
+/// The largest body a [`BlockAssembler`] reassembles: 65,535 bytes, the
+/// largest DNS message (its length is a 16-bit field, RFC 1035 §4.2.2).
+pub const MAX_BODY: usize = 65_535;
+
 /// Server-side Block1 reassembler / client-side Block2 reassembler.
 ///
 /// Accumulates blocks in order; rejects gaps or overlaps (the strict
-/// sequential mode both RIOT gCoAP and the paper's experiments use).
+/// sequential mode both RIOT gCoAP and the paper's experiments use) and
+/// a body that would grow past [`MAX_BODY`].
 #[derive(Debug, Clone, Default)]
 pub struct BlockAssembler {
     body: Vec<u8>,
@@ -199,7 +204,8 @@ impl BlockAssembler {
         Self::default()
     }
 
-    /// Feed one block; returns `Some(body)` when the body is complete.
+    /// Feed one block; returns `Some(body)` when the body is complete,
+    /// and [`CoapError::TooLarge`] when it would exceed [`MAX_BODY`].
     pub fn push(&mut self, block: BlockOpt, payload: &[u8]) -> Result<Option<Vec<u8>>, CoapError> {
         if self.done {
             return Err(CoapError::BlockSequence);
@@ -210,6 +216,9 @@ impl BlockAssembler {
         // All non-final blocks must be exactly the negotiated size.
         if block.more && payload.len() != block.size() {
             return Err(CoapError::BadBlock);
+        }
+        if self.body.len() + payload.len() > MAX_BODY {
+            return Err(CoapError::TooLarge);
         }
         self.body.extend_from_slice(payload);
         self.next_num += 1;
@@ -236,14 +245,14 @@ impl BlockAssembler {
 #[derive(Debug, Clone)]
 pub struct Block2Server {
     body: Vec<u8>,
-    block_size: usize,
 }
 
 impl Block2Server {
-    /// Create a responder over `body` with the given default block size.
+    /// Create a responder over `body`; `block_size` must be a valid
+    /// block size (16..=1024, a power of two).
     pub fn new(body: Vec<u8>, block_size: usize) -> Result<Self, CoapError> {
         BlockOpt::new(0, false, block_size)?;
-        Ok(Block2Server { body, block_size })
+        Ok(Block2Server { body })
     }
 
     /// Produce block `num` (at `size` bytes per block, allowing the
@@ -264,12 +273,6 @@ impl Block2Server {
         let end = (start + size).min(body.len());
         let more = end < body.len();
         Ok((&body[start..end], BlockOpt::new(num, more, size)?))
-    }
-
-    /// The default block size negotiated at construction (used when the
-    /// client does not request a specific size).
-    pub fn default_block_size(&self) -> usize {
-        self.block_size
     }
 
     /// Whole-body length.
@@ -448,6 +451,22 @@ mod tests {
         let mut a = BlockAssembler::new();
         let b0 = BlockOpt::new(0, true, 32).unwrap();
         assert_eq!(a.push(b0, &[0u8; 31]), Err(CoapError::BadBlock));
+    }
+
+    /// A body may reach [`MAX_BODY`] but not pass it, whether the last
+    /// block is a full one or a short final one.
+    #[test]
+    fn assembler_bounds_the_body() {
+        let mut a = BlockAssembler::new();
+        for num in 0..63 {
+            let block = BlockOpt::new(num, true, 1024).unwrap();
+            assert_eq!(a.push(block, &[0u8; 1024]), Ok(None));
+        }
+        let full = BlockOpt::new(63, true, 1024).unwrap();
+        assert_eq!(a.push(full, &[0u8; 1024]), Err(CoapError::TooLarge));
+        let last = BlockOpt::new(63, false, 1024).unwrap();
+        let body = a.push(last, &[0u8; 1023]).unwrap().unwrap();
+        assert_eq!(body.len(), MAX_BODY);
     }
 
     #[test]

@@ -38,14 +38,10 @@
 //! a payload-free `2.03 Valid` without a walk of the options. The reply
 //! is byte-identical to encoding the response with every Max-Age
 //! replaced by one carrying the remaining seconds.
-//!
-//! The owned API ([`ResponseCache::insert`], [`ResponseCache::lookup`],
-//! [`ResponseCache::revalidate`]) encodes into and decodes out of the
-//! same entries.
 
 use crate::msg::{
-    encode_header_into, encode_options_into, encode_payload_into, encode_raw_option_into,
-    encode_uint_option_into, CoapMessage, Code, MsgType,
+    encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
+    CoapMessage, Code, MsgType,
 };
 use crate::opt::{CoapOption, OptionNumber};
 use crate::shard::{BuildPassThrough, Fnv1a};
@@ -170,8 +166,8 @@ pub fn cache_key_view_reusing(msg: &CoapView<'_>, mut data: Vec<u8>) -> CacheKey
     CacheKey::from_bytes(data)
 }
 
-/// The client a reply is encoded for when the owned API turns an entry
-/// back into a message: no exchange, no ETag.
+/// The client a reply is encoded for when a refresh re-reads an entry's
+/// options: no exchange, no ETag.
 const NO_CLIENT: ReplyTo<'static> = ReplyTo {
     message_id: 0,
     token: &[],
@@ -292,18 +288,6 @@ impl Entry {
         out.extend_from_slice(self.wire.get(tail).unwrap_or_default());
     }
 
-    /// The entry as an owned message: the reply a hit with `max_age`
-    /// seconds left would serve, decoded, as an Ack with message ID 0
-    /// and no token.
-    fn to_message(&self, max_age: u32) -> CoapMessage {
-        let mut wire = Vec::new();
-        self.encode_reply_into(max_age, NO_CLIENT, &mut wire);
-        // The wire was encoded from parsed options, so it decodes; the
-        // fallback keeps the owned API total.
-        CoapMessage::decode(&wire)
-            .unwrap_or_else(|_| CoapMessage::ack_reply(0, Vec::new(), self.code()))
-    }
-
     /// Whether a refresh by `valid` leaves the stored options as they
     /// are: it carries nothing but Max-Age and, at most, one ETag equal
     /// to the entry's only ETag.
@@ -321,33 +305,8 @@ impl Entry {
     }
 }
 
-/// Result of a cache lookup.
-///
-/// The responses are the entry as a hit would serve it, decoded: an Ack
-/// with message ID 0 and no token (a cached response belongs to no
-/// exchange until it is re-addressed) and one Max-Age carrying the
-/// seconds of freshness left.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Lookup {
-    /// No entry.
-    Miss,
-    /// Fresh entry: a response ready to serve, with `Max-Age` already
-    /// rewritten to the remaining freshness.
-    Fresh(CoapMessage),
-    /// Stale entry carrying this ETag — eligible for revalidation.
-    Stale {
-        /// The ETag to send in the revalidation request.
-        etag: Vec<u8>,
-        /// The stale response body (served again on `2.03 Valid`), with
-        /// Max-Age 0.
-        response: CoapMessage,
-    },
-    /// Stale entry without an ETag — must be re-fetched in full.
-    StaleNoEtag,
-}
-
-/// What [`ResponseCache::lookup_into`] found. It counts in the
-/// statistics exactly like the matching [`Lookup`] variant.
+/// What [`ResponseCache::lookup_into`] found; each outcome counts in
+/// its own [`CacheStats`] field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Probe {
     /// Fresh entry: the client reply was encoded into `out`.
@@ -402,6 +361,23 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: Self) {
+        let CacheStats {
+            hits,
+            misses,
+            stale,
+            revalidations,
+            evictions,
+        } = other;
+        self.hits += hits;
+        self.misses += misses;
+        self.stale += stale;
+        self.revalidations += revalidations;
+        self.evictions += evictions;
+    }
+}
+
 /// An LRU-ish response cache (FIFO eviction, matching the small
 /// fixed-size caches of `CONFIG_NANOCOAP_CACHE_ENTRIES` in Table 6).
 pub struct ResponseCache {
@@ -441,38 +417,12 @@ impl ResponseCache {
         self.entries.is_empty()
     }
 
-    /// Look up a request's cache key; the owned form of
-    /// [`ResponseCache::lookup_into`].
-    pub fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup {
-        match self.entries.get(key) {
-            None => {
-                self.stats.misses += 1;
-                Lookup::Miss
-            }
-            Some(e) if e.is_fresh(now) => {
-                self.stats.hits += 1;
-                Lookup::Fresh(e.to_message(e.remaining_s(now)))
-            }
-            Some(e) => {
-                self.stats.stale += 1;
-                match e.etag() {
-                    Some(etag) => Lookup::Stale {
-                        etag: etag.to_vec(),
-                        response: e.to_message(0),
-                    },
-                    None => Lookup::StaleNoEtag,
-                }
-            }
-        }
-    }
-
     /// Zero-alloc lookup for the proxy's wire path: a fresh entry's
     /// client reply is spliced straight into `out` (cleared at entry);
     /// a stale entry's ETag is copied into `stale_etag` (cleared at
-    /// entry). The reply is byte-identical to [`ResponseCache::lookup`]'s
-    /// `Fresh` response re-keyed to `to` — or a payload-free
-    /// `2.03 Valid` when `to` already holds the entry's ETag. Counts
-    /// exactly like `lookup`.
+    /// entry). The reply is the stored response addressed to `to` with
+    /// Max-Age the seconds left — or a payload-free `2.03 Valid` when
+    /// `to` already holds the entry's ETag.
     pub fn lookup_into(
         &mut self,
         key: &CacheKey,
@@ -502,22 +452,11 @@ impl ResponseCache {
         }
     }
 
-    /// Store a (success) response under `key`. Non-success responses
-    /// and responses to non-cacheable methods should not be inserted by
-    /// the caller. The owned form of [`ResponseCache::insert_wire`]: the
-    /// response is encoded (without its token, which an entry does not
-    /// keep) and stored from that wire; one the wire cannot carry is
-    /// not stored.
-    pub fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64) {
-        let wire = tokenless_wire(&response);
-        if let Ok(view) = CoapView::parse(&wire) {
-            self.insert_wire(key, &view, now);
-        }
-    }
-
     /// Store a (success) response, borrowed from its wire, under `key`.
-    /// The entry is built straight from the view: one allocation, plus
-    /// the key's place in the eviction order when the key is new.
+    /// Non-success responses and responses to non-cacheable methods
+    /// should not be inserted by the caller. The entry is built straight
+    /// from the view: one allocation, plus the key's place in the
+    /// eviction order when the key is new.
     pub fn insert_wire(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64) {
         let entry = Entry::new(
             response.code,
@@ -554,27 +493,10 @@ impl ResponseCache {
     /// counterparts on the cached response (RFC 7252 §5.9.1.3 — in
     /// particular Max-Age *and* ETag, so a server that rotated the ETag
     /// while confirming the payload leaves us revalidating with the new
-    /// tag, not a dead one). Returns the refreshed cached response
-    /// (full payload, Max-Age the 2.03's) or `None` if the entry
-    /// vanished. The owned form of [`ResponseCache::revalidate_wire`].
-    pub fn revalidate(
-        &mut self,
-        key: &CacheKey,
-        valid: &CoapMessage,
-        now: u64,
-    ) -> Option<CoapMessage> {
-        debug_assert_eq!(valid.code, Code::VALID);
-        let wire = tokenless_wire(valid);
-        let valid = CoapView::parse(&wire).ok()?;
-        let e = self.refresh(key, &valid, now)?;
-        Some(e.to_message(e.remaining_s(now)))
-    }
-
-    /// [`ResponseCache::revalidate`] for a borrowed `2.03 Valid`, with
-    /// the client reply encoded into `out` (cleared at entry) instead of
-    /// returned — the refreshed response addressed to `to`, exactly as
-    /// [`ResponseCache::lookup_into`] serves a fresh hit. Returns
-    /// `false` (and leaves `out` empty) if the entry vanished.
+    /// tag, not a dead one). The client reply is encoded into `out`
+    /// (cleared at entry): the refreshed response addressed to `to`,
+    /// exactly as [`ResponseCache::lookup_into`] serves a fresh hit.
+    /// Returns `false` (and leaves `out` empty) if the entry vanished.
     pub fn revalidate_wire(
         &mut self,
         key: &CacheKey,
@@ -592,7 +514,7 @@ impl ResponseCache {
         true
     }
 
-    /// The refresh shared by both revalidation entry points: reset the
+    /// The refresh behind [`ResponseCache::revalidate_wire`]: reset the
     /// timer to the 2.03's Max-Age — a 2.03 without one means the
     /// default 60 s (RFC 7252 §5.10.5) — and, unless the 2.03 carries
     /// nothing but Max-Age and the entry's own ETag, rebuild the entry
@@ -628,29 +550,6 @@ impl ResponseCache {
         self.stats.revalidations += 1;
         Some(e)
     }
-
-    /// Remove an entry (e.g. after the origin replaced the payload).
-    pub fn invalidate(&mut self, key: &CacheKey) {
-        self.entries.remove(key);
-        self.order.retain(|k| k != key);
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
-    }
-}
-
-/// The wire of an owned message without its token: what the owned API
-/// stores from and refreshes with (an entry keeps no token, and one
-/// longer than the wire's 8 bytes must not stop the caching).
-fn tokenless_wire(msg: &CoapMessage) -> Vec<u8> {
-    let mut wire = Vec::new();
-    encode_header_into(msg.mtype, msg.code, msg.message_id, &[], &mut wire);
-    encode_options_into(msg.options.iter(), &mut wire);
-    encode_payload_into(&msg.payload, &mut wire);
-    wire
 }
 
 #[cfg(test)]
@@ -723,6 +622,48 @@ mod tests {
         let mut r = response(max_age, etag, b"");
         r.code = Code::VALID;
         r
+    }
+
+    /// What a lookup found, with a hit's reply decoded.
+    #[derive(Debug, PartialEq)]
+    enum Found {
+        Miss,
+        Fresh(CoapMessage),
+        Stale(Vec<u8>),
+        StaleNoEtag,
+    }
+
+    /// Look `key` up through [`ResponseCache::lookup_into`] for a client
+    /// with no exchange and no ETag.
+    fn lookup(cache: &mut ResponseCache, key: &CacheKey, now: u64) -> Found {
+        let (mut out, mut etag) = (Vec::new(), Vec::new());
+        match cache.lookup_into(key, now, NO_CLIENT, &mut out, &mut etag) {
+            Probe::Hit => Found::Fresh(CoapMessage::decode(&out).unwrap()),
+            Probe::Miss => Found::Miss,
+            Probe::Stale => Found::Stale(etag),
+            Probe::StaleNoEtag => Found::StaleNoEtag,
+        }
+    }
+
+    /// Store an owned response through [`ResponseCache::insert_wire`].
+    fn insert(cache: &mut ResponseCache, key: CacheKey, resp: CoapMessage, now: u64) {
+        let wire = resp.encode();
+        cache.insert_wire(key, &CoapView::parse(&wire).unwrap(), now);
+    }
+
+    /// Refresh through [`ResponseCache::revalidate_wire`], with the
+    /// reply to a client with no exchange and no ETag decoded.
+    fn revalidate(
+        cache: &mut ResponseCache,
+        key: &CacheKey,
+        valid: &CoapMessage,
+        now: u64,
+    ) -> Option<CoapMessage> {
+        let (wire, mut out) = (valid.encode(), Vec::new());
+        let view = CoapView::parse(&wire).unwrap();
+        cache
+            .revalidate_wire(key, &view, now, NO_CLIENT, &mut out)
+            .then(|| CoapMessage::decode(&out).unwrap())
     }
 
     #[test]
@@ -804,9 +745,9 @@ mod tests {
     fn fresh_hit_rewrites_max_age() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(10, None, b"data"), 0);
-        match cache.lookup(&key, 4_000) {
-            Lookup::Fresh(resp) => {
+        insert(&mut cache, key.clone(), response(10, None, b"data"), 0);
+        match lookup(&mut cache, &key, 4_000) {
+            Found::Fresh(resp) => {
                 assert_eq!(resp.max_age(), 6);
                 assert_eq!(resp.payload, b"data");
             }
@@ -819,9 +760,14 @@ mod tests {
     fn expiry_goes_stale() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
-        match cache.lookup(&key, 5_000) {
-            Lookup::Stale { etag, .. } => assert_eq!(etag, vec![0xE1]),
+        insert(
+            &mut cache,
+            key.clone(),
+            response(5, Some(&[0xE1]), b"data"),
+            0,
+        );
+        match lookup(&mut cache, &key, 5_000) {
+            Found::Stale(etag) => assert_eq!(etag, vec![0xE1]),
             other => panic!("expected stale, got {other:?}"),
         }
         assert_eq!(cache.stats().stale, 1);
@@ -831,24 +777,28 @@ mod tests {
     fn stale_without_etag() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(5, None, b"data"), 0);
-        assert_eq!(cache.lookup(&key, 6_000), Lookup::StaleNoEtag);
+        insert(&mut cache, key.clone(), response(5, None, b"data"), 0);
+        assert_eq!(lookup(&mut cache, &key, 6_000), Found::StaleNoEtag);
     }
 
     #[test]
     fn revalidation_resets_timer() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
-        assert!(matches!(cache.lookup(&key, 6_000), Lookup::Stale { .. }));
+        insert(
+            &mut cache,
+            key.clone(),
+            response(5, Some(&[0xE1]), b"data"),
+            0,
+        );
+        assert!(matches!(lookup(&mut cache, &key, 6_000), Found::Stale(_)));
         // 2.03 Valid arrives with new Max-Age 7.
-        let refreshed = cache
-            .revalidate(&key, &valid_response(7, Some(&[0xE1])), 6_000)
-            .unwrap();
+        let refreshed =
+            revalidate(&mut cache, &key, &valid_response(7, Some(&[0xE1])), 6_000).unwrap();
         assert_eq!(refreshed.payload, b"data");
         assert_eq!(refreshed.max_age(), 7);
-        match cache.lookup(&key, 9_000) {
-            Lookup::Fresh(r) => assert_eq!(r.max_age(), 4),
+        match lookup(&mut cache, &key, 9_000) {
+            Found::Fresh(r) => assert_eq!(r.max_age(), 4),
             other => panic!("expected fresh after revalidation, got {other:?}"),
         }
         assert_eq!(cache.stats().revalidations, 1);
@@ -910,24 +860,28 @@ mod tests {
     fn revalidation_adopts_rotated_etag() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
+        insert(
+            &mut cache,
+            key.clone(),
+            response(5, Some(&[0xE1]), b"data"),
+            0,
+        );
         // Stale at t=6 s; server confirms payload but rotates to 0xE2.
-        let etag1 = match cache.lookup(&key, 6_000) {
-            Lookup::Stale { etag, .. } => etag,
+        let etag1 = match lookup(&mut cache, &key, 6_000) {
+            Found::Stale(etag) => etag,
             other => panic!("expected stale, got {other:?}"),
         };
         assert_eq!(etag1, vec![0xE1]);
-        let refreshed = cache
-            .revalidate(&key, &valid_response(5, Some(&[0xE2])), 6_000)
-            .unwrap();
+        let refreshed =
+            revalidate(&mut cache, &key, &valid_response(5, Some(&[0xE2])), 6_000).unwrap();
         assert_eq!(refreshed.payload, b"data", "payload survives refresh");
         assert_eq!(
             refreshed.option(OptionNumber::ETAG).unwrap().value,
             vec![0xE2]
         );
         // Next staleness exposes the *new* tag for revalidation.
-        match cache.lookup(&key, 12_000) {
-            Lookup::Stale { etag, .. } => assert_eq!(etag, vec![0xE2]),
+        match lookup(&mut cache, &key, 12_000) {
+            Found::Stale(etag) => assert_eq!(etag, vec![0xE2]),
             other => panic!("expected stale with rotated etag, got {other:?}"),
         }
     }
@@ -936,12 +890,17 @@ mod tests {
     fn revalidation_without_max_age_defaults_to_60s() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
+        insert(
+            &mut cache,
+            key.clone(),
+            response(5, Some(&[0xE1]), b"data"),
+            0,
+        );
         let mut valid = valid_response(0, Some(&[0xE1]));
         valid.remove_option(OptionNumber::MAX_AGE);
-        let refreshed = cache.revalidate(&key, &valid, 6_000).unwrap();
+        let refreshed = revalidate(&mut cache, &key, &valid, 6_000).unwrap();
         assert_eq!(refreshed.max_age(), 60);
-        assert!(matches!(cache.lookup(&key, 60_000), Lookup::Fresh(_)));
+        assert!(matches!(lookup(&mut cache, &key, 60_000), Found::Fresh(_)));
     }
 
     #[test]
@@ -949,8 +908,8 @@ mod tests {
         // EOL-TTLs responses whose records expired carry Max-Age 0.
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        cache.insert(key.clone(), response(0, Some(&[1]), b"x"), 0);
-        assert!(matches!(cache.lookup(&key, 0), Lookup::Stale { .. }));
+        insert(&mut cache, key.clone(), response(0, Some(&[1]), b"x"), 0);
+        assert!(matches!(lookup(&mut cache, &key, 0), Found::Stale(_)));
     }
 
     #[test]
@@ -959,13 +918,13 @@ mod tests {
         let k1 = cache_key(&fetch_req(b"1"));
         let k2 = cache_key(&fetch_req(b"2"));
         let k3 = cache_key(&fetch_req(b"3"));
-        cache.insert(k1.clone(), response(60, None, b"1"), 0);
-        cache.insert(k2.clone(), response(60, None, b"2"), 0);
-        cache.insert(k3.clone(), response(60, None, b"3"), 0);
+        insert(&mut cache, k1.clone(), response(60, None, b"1"), 0);
+        insert(&mut cache, k2.clone(), response(60, None, b"2"), 0);
+        insert(&mut cache, k3.clone(), response(60, None, b"3"), 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.lookup(&k1, 1), Lookup::Miss);
-        assert!(matches!(cache.lookup(&k2, 1), Lookup::Fresh(_)));
-        assert!(matches!(cache.lookup(&k3, 1), Lookup::Fresh(_)));
+        assert_eq!(lookup(&mut cache, &k1, 1), Found::Miss);
+        assert!(matches!(lookup(&mut cache, &k2, 1), Found::Fresh(_)));
+        assert!(matches!(lookup(&mut cache, &k3, 1), Found::Fresh(_)));
         assert_eq!(cache.stats().evictions, 1);
     }
 
@@ -973,19 +932,20 @@ mod tests {
     fn reinsert_updates_in_place() {
         let mut cache = ResponseCache::new(2);
         let k = cache_key(&fetch_req(b"1"));
-        cache.insert(k.clone(), response(60, None, b"old"), 0);
-        cache.insert(k.clone(), response(60, None, b"new"), 10);
+        insert(&mut cache, k.clone(), response(60, None, b"old"), 0);
+        insert(&mut cache, k.clone(), response(60, None, b"new"), 10);
         assert_eq!(cache.len(), 1);
-        match cache.lookup(&k, 20) {
-            Lookup::Fresh(r) => assert_eq!(r.payload, b"new"),
+        match lookup(&mut cache, &k, 20) {
+            Found::Fresh(r) => assert_eq!(r.payload, b"new"),
             other => panic!("{other:?}"),
         }
     }
 
     /// The wire-direct hit path must produce byte-identical replies to
-    /// the owned path (lookup → clone → re-key → encode) in every
-    /// shape: plain hit, decayed Max-Age, options above/below Max-Age,
-    /// ETag-match 2.03, empty payload, zero remaining seconds.
+    /// the owned path (clone the stored message → rewrite Max-Age →
+    /// re-key → encode) in every shape: plain hit, decayed Max-Age,
+    /// options above/below Max-Age, ETag-match 2.03, empty payload, zero
+    /// remaining seconds.
     #[test]
     fn lookup_into_hit_matches_owned_path_bytes() {
         let mut shaped = response(300, Some(&[0xE7, 0x01]), b"payload-bytes");
@@ -1013,7 +973,7 @@ mod tests {
             ] {
                 let mut cache = ResponseCache::new(8);
                 let key = cache_key(&fetch_req(b"q"));
-                cache.insert(key.clone(), resp.clone(), 0);
+                insert(&mut cache, key.clone(), resp.clone(), 0);
                 let mut wire = vec![0xAA; 7]; // stale garbage must be cleared
                 let to = ReplyTo {
                     message_id: 0x1234,
@@ -1022,45 +982,29 @@ mod tests {
                 };
                 let probe = cache.lookup_into(&key, now, to, &mut wire, &mut Vec::new());
                 assert_eq!(probe, Probe::Hit, "case {i} now {now}");
-                // Owned reference: lookup's Fresh arm + the proxy's
-                // reply construction.
-                let cached = match cache.lookup(&key, now) {
-                    Lookup::Fresh(c) => c,
-                    other => panic!("case {i}: {other:?}"),
-                };
-                let entry_etag = cached.option(OptionNumber::ETAG).map(|o| o.value.clone());
-                let expect = if client_etag.is_some() && client_etag == entry_etag {
-                    let mut v = CoapMessage::ack_reply(0x1234, vec![9, 8, 7], Code::VALID);
-                    if let Some(e) = entry_etag {
-                        v.set_option(CoapOption::new(OptionNumber::ETAG, e));
-                    }
-                    v.set_option(CoapOption::uint(OptionNumber::MAX_AGE, cached.max_age()));
-                    v
-                } else {
-                    let mut full = cached.clone();
-                    full.message_id = 0x1234;
-                    full.token = vec![9, 8, 7];
-                    full.mtype = MsgType::Ack;
-                    full
-                };
-                assert_eq!(wire, expect.encode(), "case {i} now {now}");
-                assert_eq!(cache.stats().hits, 2, "hit path and lookup each count");
+                let remaining_s = ((u64::from(resp.max_age()) * 1000 - now) / 1000) as u32;
+                let mut expect = Vec::new();
+                encode_entry_reply_into(&resp, remaining_s, to, &mut expect);
+                assert_eq!(wire, expect, "case {i} now {now}");
+                assert_eq!(cache.stats().hits, 1);
             }
         }
     }
 
-    /// Miss and stale outcomes count exactly like `lookup`, write no
-    /// reply, and hand out the stale entry's ETag for revalidation.
+    /// Miss and stale outcomes each count in their own statistic, write
+    /// no reply, and hand out the stale entry's ETag for revalidation.
     #[test]
-    fn lookup_into_classifies_and_counts_like_lookup() {
-        let mut probed = ResponseCache::new(8);
-        let mut looked_up = ResponseCache::new(8);
+    fn lookup_into_classifies_and_counts() {
+        let mut cache = ResponseCache::new(8);
         let tagged = cache_key(&fetch_req(b"tagged"));
         let untagged = cache_key(&fetch_req(b"untagged"));
-        for cache in [&mut probed, &mut looked_up] {
-            cache.insert(tagged.clone(), response(5, Some(&[0xE1, 0xE2]), b"data"), 0);
-            cache.insert(untagged.clone(), response(5, None, b"data"), 0);
-        }
+        insert(
+            &mut cache,
+            tagged.clone(),
+            response(5, Some(&[0xE1, 0xE2]), b"data"),
+            0,
+        );
+        insert(&mut cache, untagged.clone(), response(5, None, b"data"), 0);
         let to = ReplyTo {
             message_id: 1,
             token: &[1],
@@ -1069,12 +1013,11 @@ mod tests {
         let (mut out, mut etag) = (Vec::new(), vec![0xAA; 3]);
         let absent = cache_key(&fetch_req(b"absent"));
         assert_eq!(
-            probed.lookup_into(&absent, 0, to, &mut out, &mut etag),
+            cache.lookup_into(&absent, 0, to, &mut out, &mut etag),
             Probe::Miss
         );
-        assert_eq!(looked_up.lookup(&absent, 0), Lookup::Miss);
         assert_eq!(
-            probed.lookup_into(&tagged, 6_000, to, &mut out, &mut etag),
+            cache.lookup_into(&tagged, 6_000, to, &mut out, &mut etag),
             Probe::Stale
         );
         assert_eq!(
@@ -1082,23 +1025,24 @@ mod tests {
             vec![0xE1, 0xE2],
             "stale ETag copied, old bytes cleared"
         );
-        assert!(matches!(
-            looked_up.lookup(&tagged, 6_000),
-            Lookup::Stale { .. }
-        ));
         assert_eq!(
-            probed.lookup_into(&untagged, 6_000, to, &mut out, &mut etag),
+            cache.lookup_into(&untagged, 6_000, to, &mut out, &mut etag),
             Probe::StaleNoEtag
         );
-        assert_eq!(looked_up.lookup(&untagged, 6_000), Lookup::StaleNoEtag);
         assert!(out.is_empty(), "no reply for a non-hit");
-        assert_eq!(probed.stats(), looked_up.stats());
+        let expect = CacheStats {
+            misses: 1,
+            stale: 2,
+            ..CacheStats::default()
+        };
+        assert_eq!(cache.stats(), expect);
     }
 
     /// The wire revalidation refreshes the entry exactly like the owned
-    /// one and serves the refreshed response as a hit would: full reply
-    /// with the 2.03's Max-Age and rotated ETag, or a 2.03 to a client
-    /// that already holds the new ETag; a vanished entry writes nothing.
+    /// refresh (the 2.03's options replace the stored ones) and serves
+    /// the refreshed response as a hit would: full reply with the 2.03's
+    /// Max-Age and rotated ETag, or a 2.03 to a client that already
+    /// holds the new ETag; a vanished entry writes nothing.
     #[test]
     fn revalidate_wire_matches_owned_revalidate() {
         let key = cache_key(&fetch_req(b"q"));
@@ -1108,29 +1052,36 @@ mod tests {
             .push(CoapOption::new(OptionNumber::SIZE1, vec![9]));
         let valid_wire = valid.encode();
         let valid_view = CoapView::parse(&valid_wire).unwrap();
+        // The owned refresh: the stored response with every option the
+        // 2.03 carries replaced by the 2.03's.
+        let mut refreshed = response(7, Some(&[0xE2]), b"data");
+        refreshed.set_option(CoapOption::new(OptionNumber::SIZE1, vec![9]));
         for client_etag in [None, Some(&[0xE2][..]), Some(&[0xE1][..])] {
-            let mut owned = ResponseCache::new(8);
-            let mut wire = ResponseCache::new(8);
-            for cache in [&mut owned, &mut wire] {
-                cache.insert(key.clone(), response(5, Some(&[0xE1]), b"data"), 0);
-            }
+            let mut cache = ResponseCache::new(8);
+            insert(
+                &mut cache,
+                key.clone(),
+                response(5, Some(&[0xE1]), b"data"),
+                0,
+            );
             let to = ReplyTo {
                 message_id: 0x4242,
                 token: &[4, 2],
                 etag: client_etag,
             };
             let mut out = vec![0xAA];
-            assert!(wire.revalidate_wire(&key, &valid_view, 6_000, to, &mut out));
-            let refreshed = owned.revalidate(&key, &valid, 6_000).unwrap();
+            assert!(cache.revalidate_wire(&key, &valid_view, 6_000, to, &mut out));
             let mut expect = Vec::new();
-            encode_entry_reply_into(&refreshed, refreshed.max_age(), to, &mut expect);
+            encode_entry_reply_into(&refreshed, 7, to, &mut expect);
             assert_eq!(out, expect, "{client_etag:?}");
+            let mut later = Vec::new();
+            encode_entry_reply_into(&refreshed, 5, NO_CLIENT, &mut later);
             assert_eq!(
-                wire.lookup(&key, 8_000),
-                owned.lookup(&key, 8_000),
+                lookup(&mut cache, &key, 8_000),
+                Found::Fresh(CoapMessage::decode(&later).unwrap()),
                 "same refreshed entry"
             );
-            assert_eq!(wire.stats(), owned.stats());
+            assert_eq!(cache.stats().revalidations, 1);
         }
         let mut empty = ResponseCache::new(8);
         let to = ReplyTo {
@@ -1149,16 +1100,16 @@ mod tests {
     fn fifo_eviction_order_survives_two_full_turnovers() {
         let mut cache = ResponseCache::new(3);
         let key = |i: u8| cache_key(&fetch_req(&[i]));
-        cache.insert(key(0), response(60, None, b"0"), 0);
-        cache.insert(key(1), response(60, None, b"1"), 0);
-        cache.insert(key(0), response(60, None, b"0'"), 0);
+        insert(&mut cache, key(0), response(60, None, b"0"), 0);
+        insert(&mut cache, key(1), response(60, None, b"1"), 0);
+        insert(&mut cache, key(0), response(60, None, b"0'"), 0);
         for i in 2..9u8 {
-            cache.insert(key(i), response(60, None, &[i]), 0);
+            insert(&mut cache, key(i), response(60, None, &[i]), 0);
             // After inserting i, exactly the three newest keys survive.
             for j in 0..=i {
                 let alive = j + 3 > i;
                 assert_eq!(
-                    matches!(cache.lookup(&key(j), 1), Lookup::Fresh(_)),
+                    matches!(lookup(&mut cache, &key(j), 1), Found::Fresh(_)),
                     alive,
                     "after {i}: key {j}"
                 );
@@ -1182,17 +1133,5 @@ mod tests {
             buf = key.into_bytes();
             assert!(!buf.is_empty());
         }
-    }
-
-    #[test]
-    fn invalidate_and_clear() {
-        let mut cache = ResponseCache::new(4);
-        let k = cache_key(&fetch_req(b"1"));
-        cache.insert(k.clone(), response(60, None, b"x"), 0);
-        cache.invalidate(&k);
-        assert!(cache.is_empty());
-        cache.insert(k.clone(), response(60, None, b"x"), 0);
-        cache.clear();
-        assert_eq!(cache.lookup(&k, 0), Lookup::Miss);
     }
 }

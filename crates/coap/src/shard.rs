@@ -18,7 +18,7 @@
 //!
 //! With a single shard, `ShardedResponseCache` is observationally
 //! identical to `ResponseCache` (same FIFO eviction order, same stats,
-//! same `Lookup` results) — the equivalence the property tests in
+//! same replies) — the equivalence the property tests in
 //! `tests/sharded_cache.rs` pin down. With `n` shards the key space is
 //! partitioned, so per-key behaviour is still identical as long as no
 //! shard overflows its slice of the capacity (`capacity / n` entries,
@@ -28,8 +28,7 @@
 //! [`cache_key`]: crate::cache::cache_key
 //! [`cache_key_view`]: crate::cache::cache_key_view
 
-use crate::cache::{CacheKey, CacheStats, Lookup, Probe, ReplyTo, ResponseCache};
-use crate::msg::CoapMessage;
+use crate::cache::{CacheKey, CacheStats, Probe, ReplyTo, ResponseCache};
 use crate::view::CoapView;
 use std::borrow::Borrow;
 use std::collections::HashMap;
@@ -264,11 +263,6 @@ impl ShardedResponseCache {
         &self.shards[shard_index(key.precomputed_hash(), self.mask)]
     }
 
-    /// Look up a request's cache key (see [`ResponseCache::lookup`]).
-    pub fn lookup(&self, key: &CacheKey, now: u64) -> Lookup {
-        self.shard(key).lock().unwrap().lookup(key, now)
-    }
-
     /// Zero-alloc lookup with the client reply of a fresh hit encoded
     /// into `out` under the shard lock (see
     /// [`ResponseCache::lookup_into`]).
@@ -286,11 +280,6 @@ impl ShardedResponseCache {
             .lookup_into(key, now, to, out, stale_etag)
     }
 
-    /// Store a success response (see [`ResponseCache::insert`]).
-    pub fn insert(&self, key: CacheKey, response: CoapMessage, now: u64) {
-        self.shard(&key).lock().unwrap().insert(key, response, now)
-    }
-
     /// Store a success response borrowed from its wire (see
     /// [`ResponseCache::insert_wire`]).
     pub fn insert_wire(&self, key: CacheKey, response: &CoapView<'_>, now: u64) {
@@ -298,12 +287,6 @@ impl ShardedResponseCache {
             .lock()
             .unwrap()
             .insert_wire(key, response, now)
-    }
-
-    /// Refresh a stale entry after `2.03 Valid` (see
-    /// [`ResponseCache::revalidate`]).
-    pub fn revalidate(&self, key: &CacheKey, valid: &CoapMessage, now: u64) -> Option<CoapMessage> {
-        self.shard(key).lock().unwrap().revalidate(key, valid, now)
     }
 
     /// Refresh a stale entry from a borrowed `2.03 Valid` and encode the
@@ -322,18 +305,6 @@ impl ShardedResponseCache {
             .revalidate_wire(key, valid, now, to, out)
     }
 
-    /// Remove an entry.
-    pub fn invalidate(&self, key: &CacheKey) {
-        self.shard(key).lock().unwrap().invalidate(key)
-    }
-
-    /// Drop every entry in every shard.
-    pub fn clear(&self) {
-        for s in self.shards.iter() {
-            s.lock().unwrap().clear();
-        }
-    }
-
     /// Total entries across shards.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
@@ -348,12 +319,7 @@ impl ShardedResponseCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in self.shards.iter() {
-            let st = s.lock().unwrap().stats();
-            total.hits += st.hits;
-            total.misses += st.misses;
-            total.stale += st.stale;
-            total.revalidations += st.revalidations;
-            total.evictions += st.evictions;
+            total += s.lock().unwrap().stats();
         }
         total
     }
@@ -363,7 +329,7 @@ impl ShardedResponseCache {
 mod tests {
     use super::*;
     use crate::cache::cache_key;
-    use crate::msg::{Code, MsgType};
+    use crate::msg::{CoapMessage, Code, MsgType};
     use crate::opt::{CoapOption, OptionNumber};
     use std::sync::Arc;
 
@@ -382,6 +348,42 @@ mod tests {
             options: vec![CoapOption::uint(OptionNumber::MAX_AGE, max_age)],
             payload: payload.to_vec(),
         }
+    }
+
+    /// The reply to a client with no exchange and no ETag.
+    const TO: ReplyTo<'static> = ReplyTo {
+        message_id: 0,
+        token: &[],
+        etag: None,
+    };
+
+    /// Store `response(60, payload)` through
+    /// [`ShardedResponseCache::insert_wire`] at time 0.
+    fn insert(cache: &ShardedResponseCache, key: CacheKey, payload: &[u8]) {
+        let wire = response(60, payload).encode();
+        cache.insert_wire(key, &CoapView::parse(&wire).unwrap(), 0);
+    }
+
+    /// The payload of a hit's reply `out`, or the outcome that was not
+    /// a hit.
+    fn found(probe: Probe, out: &[u8]) -> Result<Vec<u8>, Probe> {
+        match probe {
+            Probe::Hit => Ok(CoapView::parse(out).unwrap().payload().to_vec()),
+            other => Err(other),
+        }
+    }
+
+    /// What a lookup of `key` found (see [`found`]).
+    fn fresh_payload(
+        cache: &ShardedResponseCache,
+        key: &CacheKey,
+        now: u64,
+    ) -> Result<Vec<u8>, Probe> {
+        let mut out = Vec::new();
+        found(
+            cache.lookup_into(key, now, TO, &mut out, &mut Vec::new()),
+            &out,
+        )
     }
 
     #[test]
@@ -423,20 +425,16 @@ mod tests {
     fn sharded_response_cache_hits_and_stats() {
         let cache = ShardedResponseCache::new(64, 8);
         for i in 0..32u8 {
-            let key = cache_key(&fetch_req(&[i]));
-            cache.insert(key, response(60, &[i]), 0);
+            insert(&cache, cache_key(&fetch_req(&[i])), &[i]);
         }
         assert_eq!(cache.len(), 32);
         for i in 0..32u8 {
             let key = cache_key(&fetch_req(&[i]));
-            match cache.lookup(&key, 1_000) {
-                Lookup::Fresh(r) => assert_eq!(r.payload, vec![i]),
-                other => panic!("expected fresh for {i}, got {other:?}"),
-            }
+            assert_eq!(fresh_payload(&cache, &key, 1_000), Ok(vec![i]), "key {i}");
         }
         assert_eq!(
-            cache.lookup(&cache_key(&fetch_req(b"nope")), 0),
-            Lookup::Miss
+            fresh_payload(&cache, &cache_key(&fetch_req(b"nope")), 0),
+            Err(Probe::Miss)
         );
         let st = cache.stats();
         assert_eq!(st.hits, 32);
@@ -448,7 +446,7 @@ mod tests {
         // 8 shards × ceil(16/8)=2 entries: total stays bounded.
         let cache = ShardedResponseCache::new(16, 8);
         for i in 0..64u8 {
-            cache.insert(cache_key(&fetch_req(&[i])), response(60, &[i]), 0);
+            insert(&cache, cache_key(&fetch_req(&[i])), &[i]);
         }
         assert!(cache.len() <= 16, "len {} over capacity", cache.len());
         assert!(cache.stats().evictions >= 48);
@@ -461,13 +459,21 @@ mod tests {
         let mut flat = ResponseCache::new(2);
         for i in 0..5u8 {
             let key = cache_key(&fetch_req(&[i]));
-            sharded.insert(key.clone(), response(60, &[i]), 0);
-            flat.insert(key, response(60, &[i]), 0);
+            insert(&sharded, key.clone(), &[i]);
+            let wire = response(60, &[i]).encode();
+            flat.insert_wire(key, &CoapView::parse(&wire).unwrap(), 0);
         }
         for i in 0..5u8 {
             let key = cache_key(&fetch_req(&[i]));
-            assert_eq!(sharded.lookup(&key, 1), flat.lookup(&key, 1), "key {i}");
+            let mut out = Vec::new();
+            let flat_probe = flat.lookup_into(&key, 1, TO, &mut out, &mut Vec::new());
+            assert_eq!(
+                fresh_payload(&sharded, &key, 1),
+                found(flat_probe, &out),
+                "key {i}"
+            );
         }
+        assert_eq!(sharded.stats(), flat.stats());
     }
 
     #[test]
@@ -480,9 +486,9 @@ mod tests {
                     for round in 0..200u8 {
                         let i = round.wrapping_mul(31).wrapping_add(t) % 64;
                         let key = cache_key(&fetch_req(&[i]));
-                        cache.insert(key.clone(), response(60, &[i]), 0);
-                        if let Lookup::Fresh(r) = cache.lookup(&key, 1) {
-                            assert_eq!(r.payload, vec![i], "cross-key response bleed");
+                        insert(&cache, key.clone(), &[i]);
+                        if let Ok(payload) = fresh_payload(&cache, &key, 1) {
+                            assert_eq!(payload, vec![i], "cross-key response bleed");
                         }
                     }
                 })

@@ -15,9 +15,10 @@
 use crate::method::{build_request, DocMethod};
 use crate::policy::{restore_ttls, CachePolicy};
 use crate::DocError;
-use doc_coap::cache::{cache_key, CacheKey, Lookup, ResponseCache};
+use doc_coap::cache::{cache_key, CacheKey, Probe, ReplyTo, ResponseCache};
 use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::{CoapOption, OptionNumber};
+use doc_coap::view::CoapView;
 use doc_dns::{Message, Question};
 use std::collections::HashMap;
 
@@ -95,6 +96,25 @@ pub struct ClientStats {
     pub full_responses: u32,
 }
 
+impl std::ops::AddAssign for ClientStats {
+    fn add_assign(&mut self, other: Self) {
+        let ClientStats {
+            queries,
+            dns_cache_hits,
+            coap_cache_hits,
+            revalidations_sent,
+            revalidated,
+            full_responses,
+        } = other;
+        self.queries += queries;
+        self.dns_cache_hits += dns_cache_hits;
+        self.coap_cache_hits += coap_cache_hits;
+        self.revalidations_sent += revalidations_sent;
+        self.revalidated += revalidated;
+        self.full_responses += full_responses;
+    }
+}
+
 /// What `begin_query` decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryOutcome {
@@ -107,7 +127,25 @@ pub enum QueryOutcome {
 struct PendingExchange {
     question: Question,
     key: CacheKey,
-    revalidating: bool,
+}
+
+/// The client a cached reply is encoded for: the client itself, which
+/// only decodes it, so no exchange and no ETag.
+const CACHE_READER: ReplyTo<'static> = ReplyTo {
+    message_id: 0,
+    token: &[],
+    etag: None,
+};
+
+/// A response's wire without its token: what the CoAP cache stores from
+/// and refreshes with (an entry keeps no token, and one longer than the
+/// wire's 8 bytes must not stop the caching).
+fn wire_without_token(resp: &CoapMessage) -> Vec<u8> {
+    CoapMessage {
+        token: Vec::new(),
+        ..resp.clone()
+    }
+    .encode()
 }
 
 /// The DoC client.
@@ -185,35 +223,28 @@ impl DocClient {
         )?;
         let key = cache_key(&req);
         // 3. Client CoAP cache (only for cacheable methods).
-        let mut revalidating = false;
         if self.method.cacheable() {
             if let Some(cache) = &mut self.coap_cache {
-                match cache.lookup(&key, now_ms) {
-                    Lookup::Fresh(resp) => {
+                let (mut reply, mut etag) = (Vec::new(), Vec::new());
+                match cache.lookup_into(&key, now_ms, CACHE_READER, &mut reply, &mut etag) {
+                    Probe::Hit => {
                         self.stats.coap_cache_hits += 1;
-                        let answer = self.decode_response(&question, &resp)?;
+                        let answer = self.decode_reply(&reply)?;
                         if let Some(dc) = &mut self.dns_cache {
                             dc.insert(question.clone(), answer.clone(), now_ms);
                         }
                         return Ok(QueryOutcome::Answered(answer));
                     }
-                    Lookup::Stale { etag, .. } => {
+                    Probe::Stale => {
                         req.set_option(CoapOption::new(OptionNumber::ETAG, etag));
-                        revalidating = true;
                         self.stats.revalidations_sent += 1;
                     }
-                    Lookup::Miss | Lookup::StaleNoEtag => {}
+                    Probe::Miss | Probe::StaleNoEtag => {}
                 }
             }
         }
-        self.pending.insert(
-            token,
-            PendingExchange {
-                question,
-                key,
-                revalidating,
-            },
-        );
+        self.pending
+            .insert(token, PendingExchange { question, key });
         Ok(QueryOutcome::SendRequest(Box::new(req)))
     }
 
@@ -229,34 +260,40 @@ impl DocClient {
             .pending
             .remove(token)
             .ok_or(DocError::UnknownExchange)?;
-        let final_resp: CoapMessage = match resp.code {
+        let answer = match resp.code {
             Code::CONTENT => {
                 self.stats.full_responses += 1;
                 if self.method.cacheable() {
                     if let Some(cache) = &mut self.coap_cache {
-                        cache.insert(pending.key.clone(), resp.clone(), now_ms);
+                        let wire = wire_without_token(resp);
+                        if let Ok(view) = CoapView::parse(&wire) {
+                            cache.insert_wire(pending.key, &view, now_ms);
+                        }
                     }
                 }
-                resp.clone()
+                self.decode_response(&resp.payload, resp.max_age())?
             }
             Code::VALID => {
                 // 2.03: refresh the stale entry and serve it.
-                let refreshed = self
-                    .coap_cache
-                    .as_mut()
-                    .and_then(|c| c.revalidate(&pending.key, resp, now_ms));
-                match refreshed {
-                    Some(r) => {
-                        self.stats.revalidated += 1;
-                        r
-                    }
-                    None => return Err(DocError::UnknownExchange),
+                let (wire, mut reply) = (wire_without_token(resp), Vec::new());
+                let refreshed = match (&mut self.coap_cache, CoapView::parse(&wire)) {
+                    (Some(cache), Ok(valid)) => cache.revalidate_wire(
+                        &pending.key,
+                        &valid,
+                        now_ms,
+                        CACHE_READER,
+                        &mut reply,
+                    ),
+                    _ => false,
+                };
+                if !refreshed {
+                    return Err(DocError::UnknownExchange);
                 }
+                self.stats.revalidated += 1;
+                self.decode_reply(&reply)?
             }
             _ => return Err(DocError::BadDnsMessage),
         };
-        let _ = pending.revalidating;
-        let answer = self.decode_response(&pending.question, &final_resp)?;
         if let Some(dc) = &mut self.dns_cache {
             dc.insert(pending.question, answer.clone(), now_ms);
         }
@@ -268,13 +305,16 @@ impl DocClient {
         self.pending.remove(token).is_some()
     }
 
-    fn decode_response(
-        &self,
-        _question: &Question,
-        resp: &CoapMessage,
-    ) -> Result<Message, DocError> {
-        let mut msg = Message::decode(&resp.payload).map_err(|_| DocError::BadDnsMessage)?;
-        restore_ttls(self.policy, &mut msg, resp.max_age());
+    /// The DNS answer a cached reply's wire carries.
+    fn decode_reply(&self, reply: &[u8]) -> Result<Message, DocError> {
+        let reply = CoapView::parse(reply).map_err(|_| DocError::BadDnsMessage)?;
+        self.decode_response(reply.payload(), reply.max_age())
+    }
+
+    /// Decode a DoC response payload and restore its TTLs from Max-Age.
+    fn decode_response(&self, payload: &[u8], max_age: u32) -> Result<Message, DocError> {
+        let mut msg = Message::decode(payload).map_err(|_| DocError::BadDnsMessage)?;
+        restore_ttls(self.policy, &mut msg, max_age);
         Ok(msg)
     }
 }

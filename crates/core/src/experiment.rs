@@ -1125,25 +1125,12 @@ impl<'a> Driver<'a> {
     fn collect(self) -> ExperimentResult {
         let mut client_proxy = doc_netsim::LinkStats::default();
         for c in 0..self.n {
-            let s = self.sim.link_stats_bidir(c, self.proxy_id);
-            client_proxy.frames += s.frames;
-            client_proxy.bytes += s.bytes;
-            for k in 0..3 {
-                client_proxy.frames_by_tag[k] += s.frames_by_tag[k];
-                client_proxy.bytes_by_tag[k] += s.bytes_by_tag[k];
-            }
-            client_proxy.dropped_datagrams += s.dropped_datagrams;
+            client_proxy += self.sim.link_stats_bidir(c, self.proxy_id);
         }
         let proxy_br = self.sim.link_stats_bidir(self.proxy_id, self.br_id);
         let mut client_stats = crate::client::ClientStats::default();
         for c in &self.clients {
-            let s = c.doc.stats;
-            client_stats.queries += s.queries;
-            client_stats.dns_cache_hits += s.dns_cache_hits;
-            client_stats.coap_cache_hits += s.coap_cache_hits;
-            client_stats.revalidations_sent += s.revalidations_sent;
-            client_stats.revalidated += s.revalidated;
-            client_stats.full_responses += s.full_responses;
+            client_stats += c.doc.stats;
         }
         ExperimentResult {
             queries: self.queries,

@@ -235,13 +235,14 @@ impl CoapProxy {
     ///
     /// Owned-message convenience wrapper over the wire path: the
     /// request is encoded once and handled by [`CoapProxy::serve_wire`],
-    /// so both entry points exercise exactly the same logic (the
-    /// serialize pass is the deliberate price for not maintaining two
-    /// request handlers; latency-sensitive callers hold wire bytes
-    /// already and call `serve_wire` directly). A message that cannot
-    /// be represented on the wire (e.g. a token longer than 8 bytes) is
-    /// answered `4.00 Bad Request` rather than processed — with the
-    /// token truncated to 8 bytes so the reply itself stays encodable.
+    /// and what it writes or forwards is decoded, so both entry points
+    /// exercise exactly the same logic (the serialize pass is the
+    /// deliberate price for not maintaining two request handlers;
+    /// latency-sensitive callers hold wire bytes already and call
+    /// `serve_wire` directly). A message that cannot be represented on
+    /// the wire (e.g. a token longer than 8 bytes) is answered
+    /// `4.00 Bad Request` rather than processed — with the token
+    /// truncated to 8 bytes so the reply itself stays encodable.
     pub fn handle_client_request(&self, req: &CoapMessage, now_ms: u64) -> ProxyAction {
         if req.token.len() > 8 {
             bump(&self.stats.requests);
@@ -251,44 +252,31 @@ impl CoapProxy {
                 Code::BAD_REQUEST,
             )));
         }
-        let wire = req.encode();
-        match self.handle_client_request_wire(&wire, now_ms) {
-            Ok(action) => action,
-            Err(_) => {
-                bump(&self.stats.requests);
-                ProxyAction::Respond(Box::new(CoapMessage::ack_reply(
-                    req.message_id,
-                    req.token.clone(),
-                    Code::BAD_REQUEST,
-                )))
+        let (wire, mut out) = (req.encode(), Vec::new());
+        let action = match self.serve_wire(&wire, now_ms, &mut ProxyScratch::default(), &mut out) {
+            Ok(WireAction::Responded) => {
+                CoapMessage::decode(&out).map(|m| ProxyAction::Respond(Box::new(m)))
             }
-        }
-    }
-
-    /// Handle a client request straight from its datagram bytes, with
-    /// the outcome as owned messages: a decode of what
-    /// [`CoapProxy::serve_wire`] writes or forwards.
-    pub fn handle_client_request_wire(
-        &self,
-        wire: &[u8],
-        now_ms: u64,
-    ) -> Result<ProxyAction, CoapError> {
-        let mut out = Vec::new();
-        Ok(
-            match self.serve_wire(wire, now_ms, &mut ProxyScratch::default(), &mut out)? {
-                WireAction::Responded => ProxyAction::Respond(Box::new(CoapMessage::decode(&out)?)),
-                WireAction::Forward {
-                    request,
+            Ok(WireAction::Forward {
+                request,
+                exchange_id,
+            }) => {
+                request.encode_into(&mut out);
+                CoapMessage::decode(&out).map(|m| ProxyAction::Forward {
+                    request: Box::new(m),
                     exchange_id,
-                } => {
-                    request.encode_into(&mut out);
-                    ProxyAction::Forward {
-                        request: Box::new(CoapMessage::decode(&out)?),
-                        exchange_id,
-                    }
-                }
-            },
-        )
+                })
+            }
+            Err(e) => Err(e),
+        };
+        action.unwrap_or_else(|_| {
+            bump(&self.stats.requests);
+            ProxyAction::Respond(Box::new(CoapMessage::ack_reply(
+                req.message_id,
+                req.token.clone(),
+                Code::BAD_REQUEST,
+            )))
+        })
     }
 
     /// The proxy's client leg, wire in and wire out. The request is
@@ -540,14 +528,15 @@ mod tests {
     fn miss_then_hit_on_wire_path() {
         let proxy = CoapProxy::new(8);
         let server = doc_server(CachePolicy::EolTtls, 300);
+        let (mut scratch, mut out, mut fwd) = (ProxyScratch::default(), Vec::new(), Vec::new());
         let wire1 = fetch_req(1).encode();
-        let action = proxy.handle_client_request_wire(&wire1, 0).unwrap();
-        let r1 = match action {
-            ProxyAction::Forward {
+        let r1 = match proxy.serve_wire(&wire1, 0, &mut scratch, &mut out).unwrap() {
+            WireAction::Forward {
                 request,
                 exchange_id,
             } => {
-                let upstream = server.handle_request(&request, 0);
+                request.encode_into(&mut fwd);
+                let upstream = server.handle_request(&CoapMessage::decode(&fwd).unwrap(), 0);
                 proxy
                     .handle_upstream_response(exchange_id, &upstream, 0)
                     .unwrap()
@@ -557,17 +546,23 @@ mod tests {
         assert_eq!(r1.code, Code::CONTENT);
         // Second request hits the cache without any owned decode.
         let wire2 = fetch_req(2).encode();
-        let r2 = match proxy.handle_client_request_wire(&wire2, 10_000).unwrap() {
-            ProxyAction::Respond(resp) => *resp,
+        match proxy
+            .serve_wire(&wire2, 10_000, &mut scratch, &mut out)
+            .unwrap()
+        {
+            WireAction::Responded => {}
             other => panic!("{other:?}"),
-        };
+        }
+        let r2 = CoapMessage::decode(&out).unwrap();
         assert_eq!(r2.code, Code::CONTENT);
         assert_eq!(proxy.stats().cache_hits, 1);
         assert_eq!(r2.token, fetch_req(2).token);
         assert_eq!(r2.message_id, fetch_req(2).message_id);
         assert_eq!(r2.max_age(), 290);
         // Malformed datagrams are rejected, not panicked on.
-        assert!(proxy.handle_client_request_wire(&[0xFF, 0x01], 0).is_err());
+        assert!(proxy
+            .serve_wire(&[0xFF, 0x01], 0, &mut scratch, &mut out)
+            .is_err());
     }
 
     /// The wire chain (`serve_wire` → `ForwardRequest::encode_into` →

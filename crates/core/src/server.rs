@@ -36,7 +36,7 @@
 use crate::method::extract_query_view;
 use crate::policy::CachePolicy;
 use crate::{DocError, CONTENT_FORMAT_DNS_MESSAGE};
-use doc_coap::block::{Block2Server, BlockAssembler, BlockOpt};
+use doc_coap::block::{Block2Server, BlockAssembler, BlockOpt, MAX_BODY};
 use doc_coap::cache::{encode_valid_into, ReplyTo};
 use doc_coap::msg::{
     encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
@@ -601,12 +601,15 @@ impl DocServer {
     ) -> Result<(), DocError> {
         // Block1 reassembly: a block-wise transferred query (paper
         // Fig. 12a) is accumulated per token; non-final blocks are
-        // answered 2.31 Continue. The whole push-or-finish sequence
-        // runs under the key's shard lock, so concurrent blocks of one
-        // transaction cannot interleave mid-assembly.
+        // answered 2.31 Continue, and a body that would grow past
+        // `MAX_BODY` 4.13 with that bound in Size1 (RFC 7959 §2.9.3).
+        // The whole push-or-finish sequence runs under the key's shard
+        // lock, so concurrent blocks of one transaction cannot
+        // interleave mid-assembly.
         enum Block1Outcome {
             Done(Vec<u8>),
             Continue,
+            TooLarge,
             Bad,
         }
         let mut reassembled: Option<Vec<u8>> = None;
@@ -620,9 +623,12 @@ impl DocServer {
                         Block1Outcome::Done(full)
                     }
                     Ok(None) => Block1Outcome::Continue,
-                    Err(_) => {
+                    Err(e) => {
                         shard.remove(&key);
-                        Block1Outcome::Bad
+                        match e {
+                            CoapError::TooLarge => Block1Outcome::TooLarge,
+                            _ => Block1Outcome::Bad,
+                        }
                     }
                 }
             });
@@ -631,6 +637,12 @@ impl DocServer {
                 Block1Outcome::Continue => {
                     ack_into(Code::CONTINUE, req, out);
                     encode_uint_option_into(0, OptionNumber::BLOCK1.0, block1.value(), out);
+                    return Ok(());
+                }
+                Block1Outcome::TooLarge => {
+                    bump(&self.stats.errors);
+                    ack_into(Code::REQUEST_ENTITY_TOO_LARGE, req, out);
+                    encode_uint_option_into(0, OptionNumber::SIZE1.0, MAX_BODY as u32, out);
                     return Ok(());
                 }
                 Block1Outcome::Bad => return Err(DocError::BadRequest),
@@ -944,6 +956,35 @@ mod tests {
         );
         let resp = s.handle_request(&req, 0);
         assert_eq!(resp.code, Code::METHOD_NOT_ALLOWED);
+    }
+
+    /// A Block1 body past `MAX_BODY` is refused with 4.13 carrying the
+    /// bound in Size1, and the transaction's reassembly state is gone.
+    #[test]
+    fn block1_body_past_the_bound_gets_4_13() {
+        let s = server(CachePolicy::EolTtls);
+        let block = |num: u32| {
+            let mut req = CoapMessage::request(Code::FETCH, MsgType::Con, num as u16, vec![7])
+                .with_payload(vec![0; 1024]);
+            req.set_option(
+                BlockOpt::new(num, true, 1024)
+                    .unwrap()
+                    .to_option(OptionNumber::BLOCK1),
+            );
+            s.handle_request(&req, 0)
+        };
+        for num in 0..63 {
+            assert_eq!(block(num).code, Code::CONTINUE, "block {num}");
+        }
+        assert_eq!(s.block1_assembly.len(), 1);
+        let refused = block(63);
+        assert_eq!(refused.code, Code::REQUEST_ENTITY_TOO_LARGE);
+        assert_eq!(
+            refused.option(OptionNumber::SIZE1).map(|o| o.as_uint()),
+            Some(65_535)
+        );
+        assert!(s.block1_assembly.is_empty(), "transaction state kept");
+        assert_eq!(s.stats().errors, 1);
     }
 
     #[test]

@@ -179,23 +179,6 @@ pub enum RecordData {
 }
 
 impl RecordData {
-    /// The record type naturally described by this RDATA (Raw defaults
-    /// to the caller-supplied type in [`Record`]).
-    pub fn natural_type(&self) -> Option<RecordType> {
-        match self {
-            RecordData::A(_) => Some(RecordType::A),
-            RecordData::Aaaa(_) => Some(RecordType::Aaaa),
-            RecordData::Ns(_) => Some(RecordType::Ns),
-            RecordData::Cname(_) => Some(RecordType::Cname),
-            RecordData::Ptr(_) => Some(RecordType::Ptr),
-            RecordData::Txt(_) => Some(RecordType::Txt),
-            RecordData::Srv { .. } => Some(RecordType::Srv),
-            RecordData::Soa { .. } => Some(RecordType::Soa),
-            RecordData::Https { .. } => Some(RecordType::Https),
-            RecordData::Raw(_) => None,
-        }
-    }
-
     /// Wire length of this RDATA, computed without encoding.
     pub fn encoded_len(&self) -> usize {
         match self {

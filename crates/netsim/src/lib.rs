@@ -111,6 +111,25 @@ pub struct LinkStats {
     pub dropped_datagrams: u64,
 }
 
+impl std::ops::AddAssign for LinkStats {
+    fn add_assign(&mut self, other: Self) {
+        let LinkStats {
+            frames,
+            bytes,
+            frames_by_tag,
+            bytes_by_tag,
+            dropped_datagrams,
+        } = other;
+        self.frames += frames;
+        self.bytes += bytes;
+        for k in 0..3 {
+            self.frames_by_tag[k] += frames_by_tag[k];
+            self.bytes_by_tag[k] += bytes_by_tag[k];
+        }
+        self.dropped_datagrams += dropped_datagrams;
+    }
+}
+
 /// 802.15.4 bit rate (bit/s) — 2.4 GHz O-QPSK.
 pub const BITRATE: u64 = 250_000;
 /// Link-layer retry limit (paper: radios handle L2 retransmissions).
@@ -234,23 +253,9 @@ impl Sim {
 
     /// Combined (both directions) statistics for a link.
     pub fn link_stats_bidir(&self, a: NodeId, b: NodeId) -> LinkStats {
-        let x = self.link_stats(a, b);
-        let y = self.link_stats(b, a);
-        LinkStats {
-            frames: x.frames + y.frames,
-            bytes: x.bytes + y.bytes,
-            frames_by_tag: [
-                x.frames_by_tag[0] + y.frames_by_tag[0],
-                x.frames_by_tag[1] + y.frames_by_tag[1],
-                x.frames_by_tag[2] + y.frames_by_tag[2],
-            ],
-            bytes_by_tag: [
-                x.bytes_by_tag[0] + y.bytes_by_tag[0],
-                x.bytes_by_tag[1] + y.bytes_by_tag[1],
-                x.bytes_by_tag[2] + y.bytes_by_tag[2],
-            ],
-            dropped_datagrams: x.dropped_datagrams + y.dropped_datagrams,
-        }
+        let mut stats = self.link_stats(a, b);
+        stats += self.link_stats(b, a);
+        stats
     }
 
     /// Set a timer for `node` at absolute time `at`.

@@ -23,12 +23,13 @@ use std::process::ExitCode;
 
 use doc_check::sync::Arc;
 use doc_check::{explore, replay, thread, Config, Schedule};
-use doc_coap::cache::{cache_key, Lookup};
+use doc_coap::cache::{cache_key, Probe, ReplyTo};
 use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::{CoapOption, OptionNumber};
 use doc_coap::shard::{ShardedCache, ShardedResponseCache};
+use doc_coap::view::CoapView;
 use doc_core::method::{build_request, DocMethod};
-use doc_core::proxy::{CoapProxy, ProxyAction};
+use doc_core::proxy::{CoapProxy, ProxyScratch, WireAction};
 use doc_dns::{Message, Name, RecordType};
 
 /// One named model: a deterministic, self-contained body over the real
@@ -84,20 +85,21 @@ fn fetch_request(payload: &[u8]) -> CoapMessage {
         .with_payload(payload.to_vec())
 }
 
-fn content_response(payload: &[u8]) -> CoapMessage {
+/// A `2.05 Content` ACK with `max_age` seconds of freshness.
+fn content_response(message_id: u16, token: &[u8], max_age: u32, payload: &[u8]) -> CoapMessage {
     CoapMessage {
         mtype: MsgType::Ack,
         code: Code::CONTENT,
-        message_id: 1,
-        token: vec![1],
-        options: vec![CoapOption::uint(OptionNumber::MAX_AGE, 60)],
+        message_id,
+        token: token.to_vec(),
+        options: vec![CoapOption::uint(OptionNumber::MAX_AGE, max_age)],
         payload: payload.to_vec(),
     }
 }
 
 /// Two threads insert and look up *different* keys concurrently; each
-/// must read back its own payload (no cross-key bleed through the
-/// shard locks).
+/// must read back its own reply, byte for byte (no cross-key bleed
+/// through the shard locks).
 fn response_cache() {
     let cache = Arc::new(ShardedResponseCache::new(8, 2));
     let handles: Vec<_> = (0..2u8)
@@ -105,11 +107,20 @@ fn response_cache() {
             let cache = Arc::clone(&cache);
             thread::spawn(move || {
                 let key = cache_key(&fetch_request(&[i]));
-                cache.insert(key.clone(), content_response(&[i]), 0);
-                match cache.lookup(&key, 1) {
-                    Lookup::Fresh(r) => assert_eq!(r.payload, vec![i], "cross-key bleed"),
-                    other => panic!("inserted entry must be fresh, got {other:?}"),
-                }
+                let origin = content_response(1, &[1], 60, &[i]).encode();
+                let origin = CoapView::parse(&origin).expect("valid response");
+                cache.insert_wire(key.clone(), &origin, 0);
+                let to = ReplyTo {
+                    message_id: u16::from(i),
+                    token: &[i],
+                    etag: None,
+                };
+                let mut out = Vec::new();
+                let probe = cache.lookup_into(&key, 1, to, &mut out, &mut Vec::new());
+                assert_eq!(probe, Probe::Hit, "inserted entry must be fresh");
+                // 1 ms after the insert, 59 whole seconds are left.
+                let expect = content_response(u16::from(i), &[i], 59, &[i]);
+                assert_eq!(out, expect.encode(), "cross-key bleed");
             })
         })
         .collect();
@@ -133,34 +144,44 @@ fn doc_fetch_wire(name: &str, mid: u16) -> Vec<u8> {
     .encode()
 }
 
-/// The proxy's atomic stats under concurrent cache hits: every
-/// snapshot (taken mid-race by each worker) must be coherent
-/// (hits ≤ requests) and the final counters must account for every
-/// request exactly once.
+/// The proxy's atomic stats under concurrent cache hits, served the
+/// way the pool serves them (`serve_wire`/`serve_upstream_wire`, one
+/// `ProxyScratch` per thread): every snapshot (taken mid-race by each
+/// worker) must be coherent (hits ≤ requests) and the final counters
+/// must account for every request exactly once.
 fn stats_snapshot() {
     let proxy = Arc::new(CoapProxy::with_shards(8, 2));
     let wire = doc_fetch_wire("a.example.org", 9);
     // Prime the cache single-threaded so both model threads hit.
-    match proxy.handle_client_request_wire(&wire, 0) {
-        Ok(ProxyAction::Forward {
+    let (mut scratch, mut out, mut forwarded) = (ProxyScratch::default(), Vec::new(), Vec::new());
+    let exchange_id = match proxy.serve_wire(&wire, 0, &mut scratch, &mut out) {
+        Ok(WireAction::Forward {
             request,
             exchange_id,
         }) => {
-            let resp = content_response(&request.payload.clone());
-            proxy
-                .handle_upstream_response(exchange_id, &resp, 0)
-                .expect("primed");
+            request.encode_into(&mut forwarded);
+            exchange_id
         }
         other => panic!("first touch must forward, got {other:?}"),
-    }
+    };
+    let query = CoapView::parse(&forwarded).expect("valid request");
+    let origin = content_response(1, &[1], 60, query.payload()).encode();
+    assert_eq!(
+        proxy.serve_upstream_wire(exchange_id, &origin, 0, &mut out),
+        Ok(true),
+        "primed"
+    );
     let handles: Vec<_> = (0..2)
         .map(|_| {
             let proxy = Arc::clone(&proxy);
             let wire = wire.clone();
             thread::spawn(move || {
-                let action = proxy.handle_client_request_wire(&wire, 1).expect("valid");
+                let (mut scratch, mut out) = (ProxyScratch::default(), Vec::new());
+                let action = proxy
+                    .serve_wire(&wire, 1, &mut scratch, &mut out)
+                    .expect("valid");
                 assert!(
-                    matches!(action, ProxyAction::Respond(_)),
+                    matches!(action, WireAction::Responded),
                     "primed entry must hit"
                 );
                 let snap = proxy.stats();

@@ -6,7 +6,8 @@
 use doc_repro::check::sync::Arc;
 use doc_repro::check::{explore, thread, Config, FailureKind};
 use doc_repro::coap::shard::ShardedCache;
-use doc_repro::doc::proxy::{CoapProxy, ProxyAction};
+use doc_repro::coap::view::CoapView;
+use doc_repro::doc::proxy::{CoapProxy, ProxyScratch, WireAction};
 
 /// Debug builds explore noticeably slower than the release-mode gate,
 /// so tier-1 uses a tighter (but still exhaustive for these bodies)
@@ -84,35 +85,47 @@ fn proxy_stats_snapshots_stay_coherent_under_concurrent_hits() {
     let report = explore(&cfg(), || {
         let proxy = Arc::new(CoapProxy::with_shards(8, 2));
         let wire = fetch_wire("a.example.org");
-        match proxy.handle_client_request_wire(&wire, 0) {
-            Ok(ProxyAction::Forward {
+        let (mut scratch, mut out, mut forwarded) =
+            (ProxyScratch::default(), Vec::new(), Vec::new());
+        let exchange_id = match proxy.serve_wire(&wire, 0, &mut scratch, &mut out) {
+            Ok(WireAction::Forward {
                 request,
                 exchange_id,
             }) => {
-                let resp = doc_repro::coap::msg::CoapMessage {
-                    mtype: doc_repro::coap::msg::MsgType::Ack,
-                    code: doc_repro::coap::msg::Code::CONTENT,
-                    message_id: 1,
-                    token: vec![1],
-                    options: vec![doc_repro::coap::opt::CoapOption::uint(
-                        doc_repro::coap::opt::OptionNumber::MAX_AGE,
-                        60,
-                    )],
-                    payload: request.payload.clone(),
-                };
-                proxy
-                    .handle_upstream_response(exchange_id, &resp, 0)
-                    .expect("primed");
+                request.encode_into(&mut forwarded);
+                exchange_id
             }
             other => panic!("first touch must forward, got {other:?}"),
-        }
+        };
+        let resp = doc_repro::coap::msg::CoapMessage {
+            mtype: doc_repro::coap::msg::MsgType::Ack,
+            code: doc_repro::coap::msg::Code::CONTENT,
+            message_id: 1,
+            token: vec![1],
+            options: vec![doc_repro::coap::opt::CoapOption::uint(
+                doc_repro::coap::opt::OptionNumber::MAX_AGE,
+                60,
+            )],
+            payload: CoapView::parse(&forwarded)
+                .expect("valid")
+                .payload()
+                .to_vec(),
+        };
+        assert_eq!(
+            proxy.serve_upstream_wire(exchange_id, &resp.encode(), 0, &mut out),
+            Ok(true),
+            "primed"
+        );
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let proxy = Arc::clone(&proxy);
                 let wire = wire.clone();
                 thread::spawn(move || {
-                    let action = proxy.handle_client_request_wire(&wire, 1).expect("valid");
-                    assert!(matches!(action, ProxyAction::Respond(_)), "must hit");
+                    let (mut scratch, mut out) = (ProxyScratch::default(), Vec::new());
+                    let action = proxy
+                        .serve_wire(&wire, 1, &mut scratch, &mut out)
+                        .expect("valid");
+                    assert!(matches!(action, WireAction::Responded), "must hit");
                     let snap = proxy.stats();
                     assert!(snap.cache_hits <= snap.requests, "incoherent: {snap:?}");
                 })

@@ -852,7 +852,7 @@ proptest! {
 /// its options, every refresh an edit of the option list. The oracle
 /// the wire entries are checked against.
 mod message_cache {
-    use doc_repro::coap::cache::{encode_valid_into, CacheKey, CacheStats, Lookup, Probe, ReplyTo};
+    use doc_repro::coap::cache::{encode_valid_into, CacheKey, CacheStats, Probe, ReplyTo};
     use doc_repro::coap::msg::{
         encode_header_into, encode_payload_into, encode_raw_option_into, encode_uint_option_into,
         CoapMessage, MsgType,
@@ -891,31 +891,6 @@ mod message_cache {
             self.stats
         }
 
-        pub fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup {
-            match self.entries.get(key) {
-                None => {
-                    self.stats.misses += 1;
-                    Lookup::Miss
-                }
-                Some(e) if e.is_fresh(now) => {
-                    self.stats.hits += 1;
-                    let mut resp = e.response.clone();
-                    resp.set_option(CoapOption::uint(OptionNumber::MAX_AGE, e.remaining_s(now)));
-                    Lookup::Fresh(resp)
-                }
-                Some(e) => {
-                    self.stats.stale += 1;
-                    match e.response.option(OptionNumber::ETAG) {
-                        Some(etag) => Lookup::Stale {
-                            etag: etag.value.clone(),
-                            response: e.response.clone(),
-                        },
-                        None => Lookup::StaleNoEtag,
-                    }
-                }
-            }
-        }
-
         pub fn lookup_into(
             &mut self,
             key: &CacheKey,
@@ -945,7 +920,16 @@ mod message_cache {
             }
         }
 
-        pub fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64) {
+        /// What the proxy stored from an origin reply's view.
+        pub fn insert_view(&mut self, key: CacheKey, resp: &CoapView<'_>, now: u64) {
+            let response = CoapMessage {
+                mtype: resp.mtype,
+                code: resp.code,
+                message_id: resp.message_id,
+                token: Vec::new(),
+                options: resp.options().map(|o| o.to_owned()).collect(),
+                payload: resp.payload().to_vec(),
+            };
             let max_age_ms = response.max_age() as u64 * 1000;
             self.entries.insert(
                 key,
@@ -955,30 +939,6 @@ mod message_cache {
                     max_age_ms,
                 },
             );
-        }
-
-        /// What the proxy stored from an origin reply's view.
-        pub fn insert_view(&mut self, key: CacheKey, resp: &CoapView<'_>, now: u64) {
-            let stored = CoapMessage {
-                mtype: resp.mtype,
-                code: resp.code,
-                message_id: resp.message_id,
-                token: Vec::new(),
-                options: resp.options().map(|o| o.to_owned()).collect(),
-                payload: resp.payload().to_vec(),
-            };
-            self.insert(key, stored, now);
-        }
-
-        pub fn revalidate(
-            &mut self,
-            key: &CacheKey,
-            valid: &CoapMessage,
-            now: u64,
-        ) -> Option<CoapMessage> {
-            let options = valid.options.iter().map(|o| (o.number, o.value.as_slice()));
-            let e = self.refresh(key, options, valid.max_age(), now)?;
-            Some(e.response.clone())
         }
 
         pub fn revalidate_wire(
@@ -1072,9 +1032,7 @@ mod message_cache {
     /// by the wire cache and by this oracle alike.
     pub trait CacheOps {
         fn stats(&self) -> CacheStats;
-        fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64);
         fn insert_view(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64);
-        fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup;
         fn lookup_into(
             &mut self,
             key: &CacheKey,
@@ -1083,12 +1041,6 @@ mod message_cache {
             out: &mut Vec<u8>,
             stale_etag: &mut Vec<u8>,
         ) -> Probe;
-        fn revalidate(
-            &mut self,
-            key: &CacheKey,
-            valid: &CoapMessage,
-            now: u64,
-        ) -> Option<CoapMessage>;
         fn revalidate_wire(
             &mut self,
             key: &CacheKey,
@@ -1105,14 +1057,8 @@ mod message_cache {
                 fn stats(&self) -> CacheStats {
                     <$ty>::stats(self)
                 }
-                fn insert(&mut self, key: CacheKey, response: CoapMessage, now: u64) {
-                    <$ty>::insert(self, key, response, now)
-                }
                 fn insert_view(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64) {
                     <$ty>::$insert_view(self, key, response, now)
-                }
-                fn lookup(&mut self, key: &CacheKey, now: u64) -> Lookup {
-                    <$ty>::lookup(self, key, now)
                 }
                 fn lookup_into(
                     &mut self,
@@ -1123,14 +1069,6 @@ mod message_cache {
                     stale_etag: &mut Vec<u8>,
                 ) -> Probe {
                     <$ty>::lookup_into(self, key, now, to, out, stale_etag)
-                }
-                fn revalidate(
-                    &mut self,
-                    key: &CacheKey,
-                    valid: &CoapMessage,
-                    now: u64,
-                ) -> Option<CoapMessage> {
-                    <$ty>::revalidate(self, key, valid, now)
                 }
                 fn revalidate_wire(
                     &mut self,
@@ -1297,19 +1235,13 @@ fn arb_cache_case() -> impl Strategy<Value = CacheCase> {
 }
 
 /// Drive one case through a cache, returning every reply it writes
-/// and its statistics. The wire script stores from the origin's view
-/// and serves through `lookup_into`/`revalidate_wire`; the owned one
-/// stores the message and serves through `lookup`/`revalidate`, whose
-/// messages are re-addressed to the client and encoded. A stale
-/// entry's response is compared with Max-Age 0: the message cache
-/// handed out its stored Max-Age there, the wire cache the seconds
-/// left.
+/// and its statistics: the origin's reply is stored from its view and
+/// served through `lookup_into`/`revalidate_wire`.
 fn drive_cache_case(
     cache: &mut impl message_cache::CacheOps,
     case: &CacheCase,
-    wire: bool,
 ) -> (Vec<Vec<u8>>, doc_repro::coap::cache::CacheStats) {
-    use doc_repro::coap::cache::{cache_key, Lookup, Probe, ReplyTo};
+    use doc_repro::coap::cache::{cache_key, Probe, ReplyTo};
     let key = cache_key(
         &CoapMessage::request(Code::FETCH, MsgType::Con, 1, vec![1])
             .with_option(CoapOption::new(OptionNumber::URI_PATH, b"dns".to_vec()))
@@ -1321,14 +1253,7 @@ fn drive_cache_case(
         token: &[7, 8],
         etag: client_etag.as_deref(),
     };
-    let readdress = |mut m: CoapMessage| {
-        m.mtype = MsgType::Ack;
-        m.message_id = to.message_id;
-        m.token = to.token.to_vec();
-        m.encode()
-    };
-    let (origin, valid) = (case.origin(), case.valid());
-    let (origin_wire, valid_wire) = (origin.encode(), valid.encode());
+    let (origin_wire, valid_wire) = (case.origin().encode(), case.valid().encode());
     let mut trace = Vec::new();
     let mut probe = |cache: &mut dyn FnMut(&mut Vec<u8>, &mut Vec<u8>) -> Probe| {
         let (mut out, mut etag) = (vec![0xAA], vec![0xBB]);
@@ -1340,35 +1265,19 @@ fn drive_cache_case(
             Probe::Miss | Probe::StaleNoEtag => Vec::new(),
         }
     };
-    let looked_up = |lookup: Lookup| match lookup {
-        Lookup::Fresh(m) => readdress(m),
-        Lookup::Stale { etag, mut response } => {
-            response.set_option(CoapOption::uint(OptionNumber::MAX_AGE, 0));
-            [etag, readdress(response)].concat()
-        }
-        other => format!("{other:?}").into_bytes(),
-    };
     let mut replies = Vec::new();
-    if wire {
-        cache.insert_view(key.clone(), &CoapView::parse(&origin_wire).unwrap(), 0);
-        let valid_view = CoapView::parse(&valid_wire).unwrap();
-        replies.push(probe(&mut |out, etag| {
-            cache.lookup_into(&key, case.t1, to, out, etag)
-        }));
-        let mut out = vec![0xCC];
-        let refreshed = cache.revalidate_wire(&key, &valid_view, case.t1, to, &mut out);
-        replies.push([vec![u8::from(refreshed)], out].concat());
-        let t2 = case.t1 + case.dt;
-        replies.push(probe(&mut |out, etag| {
-            cache.lookup_into(&key, t2, to, out, etag)
-        }));
-    } else {
-        cache.insert(key.clone(), origin, 0);
-        replies.push(looked_up(cache.lookup(&key, case.t1)));
-        let refreshed = cache.revalidate(&key, &valid, case.t1);
-        replies.push(refreshed.map(readdress).unwrap_or_default());
-        replies.push(looked_up(cache.lookup(&key, case.t1 + case.dt)));
-    }
+    cache.insert_view(key.clone(), &CoapView::parse(&origin_wire).unwrap(), 0);
+    let valid_view = CoapView::parse(&valid_wire).unwrap();
+    replies.push(probe(&mut |out, etag| {
+        cache.lookup_into(&key, case.t1, to, out, etag)
+    }));
+    let mut out = vec![0xCC];
+    let refreshed = cache.revalidate_wire(&key, &valid_view, case.t1, to, &mut out);
+    replies.push([vec![u8::from(refreshed)], out].concat());
+    let t2 = case.t1 + case.dt;
+    replies.push(probe(&mut |out, etag| {
+        cache.lookup_into(&key, t2, to, out, etag)
+    }));
     trace.extend(replies);
     (trace, cache.stats())
 }
@@ -1376,21 +1285,18 @@ fn drive_cache_case(
 proptest! {
     /// The wire entries serve exactly what the message entries served:
     /// byte-identical hits (full replies and `2.03 Valid`s), stale
-    /// ETags, revalidation replies and the lookups after a refresh, on
-    /// both the wire and the owned API, with identical statistics —
-    /// over origin replies with options on both sides of Max-Age
-    /// (repeated, unsorted, with extended deltas), zero to two Max-Age
-    /// instances, ETags absent, kept or rotated by the 2.03, a 2.03
-    /// without Max-Age (60 s) or with another option, and a client ETag
-    /// that matches or does not.
+    /// ETags, revalidation replies and the lookups after a refresh,
+    /// with identical statistics — over origin replies with options on
+    /// both sides of Max-Age (repeated, unsorted, with extended
+    /// deltas), zero to two Max-Age instances, ETags absent, kept or
+    /// rotated by the 2.03, a 2.03 without Max-Age (60 s) or with
+    /// another option, and a client ETag that matches or does not.
     #[test]
     fn wire_cache_matches_message_cache(case in arb_cache_case()) {
         use doc_repro::coap::cache::ResponseCache;
-        for wire in [true, false] {
-            let ours = drive_cache_case(&mut ResponseCache::new(8), &case, wire);
-            let oracle = drive_cache_case(&mut message_cache::MessageCache::default(), &case, wire);
-            prop_assert_eq!(ours, oracle, "wire path: {}", wire);
-        }
+        let ours = drive_cache_case(&mut ResponseCache::new(8), &case);
+        let oracle = drive_cache_case(&mut message_cache::MessageCache::default(), &case);
+        prop_assert_eq!(ours, oracle);
     }
 }
 

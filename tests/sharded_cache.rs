@@ -10,10 +10,11 @@
 //! *victims* (each shard evicts locally); with a single shard even the
 //! victim order is identical, which a dedicated property pins down.
 
-use doc_repro::coap::cache::{cache_key, CacheKey, Lookup, ResponseCache};
+use doc_repro::coap::cache::{cache_key, CacheKey, Probe, ReplyTo, ResponseCache};
 use doc_repro::coap::msg::{CoapMessage, Code, MsgType};
 use doc_repro::coap::opt::{CoapOption, OptionNumber};
 use doc_repro::coap::shard::ShardedResponseCache;
+use doc_repro::coap::view::CoapView;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -61,7 +62,7 @@ enum Op {
         max_age_s: u32,
         etag: bool,
     },
-    Lookup {
+    Probe {
         key_id: u8,
     },
     Revalidate {
@@ -84,7 +85,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
                 etag
             }
         ),
-        (0u8..8).prop_map(|key_id| Op::Lookup { key_id }),
+        (0u8..8).prop_map(|key_id| Op::Probe { key_id }),
         (0u8..8, any::<u8>(), 1u32..20).prop_map(|(key_id, version, max_age_s)| {
             Op::Revalidate {
                 key_id,
@@ -96,31 +97,65 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// The client every reply is addressed to: no exchange, no ETag.
+const TO: ReplyTo<'static> = ReplyTo {
+    message_id: 0,
+    token: &[],
+    etag: None,
+};
+
+/// What a lookup found: a hit's decoded reply, or a stale entry's ETag.
+#[derive(Debug, PartialEq)]
+enum Found {
+    Miss,
+    Fresh(CoapMessage),
+    Stale(Vec<u8>),
+    StaleNoEtag,
+}
+
+impl Found {
+    fn new(probe: Probe, reply: &[u8], etag: Vec<u8>) -> Self {
+        match probe {
+            Probe::Hit => Found::Fresh(CoapMessage::decode(reply).unwrap()),
+            Probe::Miss => Found::Miss,
+            Probe::Stale => Found::Stale(etag),
+            Probe::StaleNoEtag => Found::StaleNoEtag,
+        }
+    }
+}
+
 /// Either cache behind one interface, so the same op script drives
-/// both implementations.
+/// both implementations through their wire entry points.
 enum CacheUnderTest<'a> {
     Flat(&'a mut ResponseCache),
     Sharded(&'a ShardedResponseCache),
 }
 
 impl CacheUnderTest<'_> {
-    fn lookup(&mut self, k: &CacheKey, now: u64) -> Lookup {
-        match self {
-            CacheUnderTest::Flat(c) => c.lookup(k, now),
-            CacheUnderTest::Sharded(c) => c.lookup(k, now),
-        }
+    fn lookup(&mut self, k: &CacheKey, now: u64) -> Found {
+        let (mut out, mut etag) = (Vec::new(), Vec::new());
+        let probe = match self {
+            CacheUnderTest::Flat(c) => c.lookup_into(k, now, TO, &mut out, &mut etag),
+            CacheUnderTest::Sharded(c) => c.lookup_into(k, now, TO, &mut out, &mut etag),
+        };
+        Found::new(probe, &out, etag)
     }
     fn insert(&mut self, k: CacheKey, r: CoapMessage, now: u64) {
+        let wire = r.encode();
+        let view = CoapView::parse(&wire).unwrap();
         match self {
-            CacheUnderTest::Flat(c) => c.insert(k, r, now),
-            CacheUnderTest::Sharded(c) => c.insert(k, r, now),
+            CacheUnderTest::Flat(c) => c.insert_wire(k, &view, now),
+            CacheUnderTest::Sharded(c) => c.insert_wire(k, &view, now),
         }
     }
     fn revalidate(&mut self, k: &CacheKey, v: &CoapMessage, now: u64) -> Option<CoapMessage> {
-        match self {
-            CacheUnderTest::Flat(c) => c.revalidate(k, v, now),
-            CacheUnderTest::Sharded(c) => c.revalidate(k, v, now),
-        }
+        let (wire, mut out) = (v.encode(), Vec::new());
+        let view = CoapView::parse(&wire).unwrap();
+        let refreshed = match self {
+            CacheUnderTest::Flat(c) => c.revalidate_wire(k, &view, now, TO, &mut out),
+            CacheUnderTest::Sharded(c) => c.revalidate_wire(k, &view, now, TO, &mut out),
+        };
+        refreshed.then(|| CoapMessage::decode(&out).unwrap())
     }
 }
 
@@ -142,7 +177,7 @@ fn apply_ops(ops: &[Op], mut cache: CacheUnderTest<'_>) -> Vec<String> {
                 response(*key_id, *version, *max_age_s, *etag),
                 now,
             ),
-            Op::Lookup { key_id } => {
+            Op::Probe { key_id } => {
                 trace.push(format!(
                     "lookup {key_id} -> {:?}",
                     cache.lookup(&key(*key_id), now)
@@ -192,15 +227,17 @@ proptest! {
     ) {
         let mut flat = ResponseCache::new(capacity);
         let sharded = ShardedResponseCache::new(capacity, 1);
+        let (mut flat_cache, mut sharded_cache) =
+            (CacheUnderTest::Flat(&mut flat), CacheUnderTest::Sharded(&sharded));
         for (key_id, version) in &inserts {
             let r = response(*key_id, *version, 60, true);
-            flat.insert(key(*key_id), r.clone(), 0);
-            sharded.insert(key(*key_id), r, 0);
+            flat_cache.insert(key(*key_id), r.clone(), 0);
+            sharded_cache.insert(key(*key_id), r, 0);
         }
         for key_id in 0u8..16 {
             prop_assert_eq!(
-                flat.lookup(&key(key_id), 1),
-                sharded.lookup(&key(key_id), 1),
+                flat_cache.lookup(&key(key_id), 1),
+                sharded_cache.lookup(&key(key_id), 1),
                 "key {}", key_id
             );
         }
@@ -214,7 +251,7 @@ proptest! {
 fn multi_shard_eviction_stays_bounded() {
     let sharded = ShardedResponseCache::new(16, 4);
     for i in 0..200u8 {
-        sharded.insert(key(i), response(i, 0, 60, false), 0);
+        CacheUnderTest::Sharded(&sharded).insert(key(i), response(i, 0, 60, false), 0);
     }
     assert!(sharded.len() <= 16, "len {}", sharded.len());
     assert!(sharded.stats().evictions >= 184);
@@ -222,7 +259,7 @@ fn multi_shard_eviction_stays_bounded() {
 
 /// Seeded-thread isolation: concurrent workers hammering the sharded
 /// cache never observe a response that crossed shard/key boundaries —
-/// every Fresh lookup and revalidation returns the payload written for
+/// every fresh hit and revalidation returns the payload written for
 /// exactly that key, and ETag-carrying stale entries expose that key's
 /// tag.
 #[test]
@@ -235,6 +272,7 @@ fn concurrent_workers_never_cross_shard_boundaries() {
         .map(|t| {
             let cache = Arc::clone(&cache);
             std::thread::spawn(move || {
+                let mut cache = CacheUnderTest::Sharded(&cache);
                 // Deterministic per-thread xorshift op stream.
                 let mut rng: u64 = 0x9E3779B97F4A7C15u64.wrapping_mul(t + 1) | 1;
                 let mut step = move || {
@@ -254,17 +292,14 @@ fn concurrent_workers_never_cross_shard_boundaries() {
                             now,
                         ),
                         1 => match cache.lookup(&key(key_id), now) {
-                            Lookup::Fresh(resp) => {
+                            Found::Fresh(resp) => {
                                 assert_eq!(
                                     resp.payload[0], key_id,
                                     "fresh response served across key/shard boundary"
                                 );
                             }
-                            Lookup::Stale { etag, response } => {
-                                assert_eq!(etag[0], key_id, "foreign ETag");
-                                assert_eq!(response.payload[0], key_id);
-                            }
-                            Lookup::Miss | Lookup::StaleNoEtag => {}
+                            Found::Stale(etag) => assert_eq!(etag[0], key_id, "foreign ETag"),
+                            Found::Miss | Found::StaleNoEtag => {}
                         },
                         _ => {
                             if let Some(refreshed) =
