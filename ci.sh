@@ -50,7 +50,8 @@
 #                    # disagreement.
 #   ./ci.sh check    # static analysis + model checking: lint_gate
 #                    # (workspace invariant linter: panic-free parsers,
-#                    # 0-alloc hot paths, SAFETY-commented unsafe, with
+#                    # 0-alloc hot paths, SAFETY-commented unsafe, a
+#                    # non-test caller for every crate `pub fn`, with
 #                    # `// lint:allow(<rule>): <reason>` waivers) and
 #                    # check_gate (doc-check: exhaustive bounded
 #                    # thread-interleaving exploration of the real

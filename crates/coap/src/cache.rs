@@ -142,6 +142,7 @@ fn is_cache_key_option(number: OptionNumber) -> bool {
 /// order (deltas are unsigned), and repeatable options keep their wire
 /// order, which is exactly the stable-by-number order the owned path
 /// produces. The only allocation is the key's own buffer.
+// lint:allow(pub-needs-caller): oracle that ties the serving path's cache_key_view_reusing to the owned cache_key in tests
 pub fn cache_key_view(msg: &CoapView<'_>) -> CacheKey {
     // lint:allow(no-alloc-in-into): the key's own buffer is this function's output, sized exactly once
     cache_key_view_reusing(msg, Vec::with_capacity(32 + msg.payload().len()))

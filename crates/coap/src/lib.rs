@@ -47,7 +47,7 @@
 //! let wire = request.encode();
 //! let back = CoapMessage::decode(&wire).unwrap();
 //! assert_eq!(back.code, Code::FETCH);
-//! assert_eq!(back.uri_path(), "/dns");
+//! assert_eq!(back.option(OptionNumber::URI_PATH).unwrap().value, b"dns");
 //! assert_eq!(back.payload, request.payload);
 //! ```
 

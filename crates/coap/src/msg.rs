@@ -252,15 +252,6 @@ impl CoapMessage {
             .unwrap_or(60)
     }
 
-    /// The reconstructed Uri-Path ("/a/b" form).
-    pub fn uri_path(&self) -> String {
-        let segs: Vec<String> = self
-            .options_of(OptionNumber::URI_PATH)
-            .map(|o| o.as_str())
-            .collect();
-        format!("/{}", segs.join("/"))
-    }
-
     /// Encode to wire bytes (exact-capacity allocation, then
     /// [`CoapMessage::encode_into`]).
     pub fn encode(&self) -> Vec<u8> {
@@ -589,7 +580,12 @@ mod tests {
             .with_option(CoapOption::new(OptionNumber::URI_PATH, b"dns".to_vec()))
             .with_option(CoapOption::new(OptionNumber::URI_PATH, b"query".to_vec()));
         let back = CoapMessage::decode(&m.encode()).unwrap();
-        assert_eq!(back.uri_path(), "/dns/query");
+        assert_eq!(
+            back.options_of(OptionNumber::URI_PATH)
+                .map(|o| o.as_str())
+                .collect::<Vec<_>>(),
+            ["dns", "query"]
+        );
         assert_eq!(back.options_of(OptionNumber::URI_PATH).count(), 2);
     }
 
@@ -718,7 +714,12 @@ mod tests {
             .with_option(CoapOption::new(OptionNumber::ETAG, vec![7]))
             .with_payload(b"x".to_vec());
         let back = CoapMessage::decode(&m.encode()).unwrap();
-        assert_eq!(back.uri_path(), "/a/b");
+        assert_eq!(
+            back.options_of(OptionNumber::URI_PATH)
+                .map(|o| o.as_str())
+                .collect::<Vec<_>>(),
+            ["a", "b"]
+        );
         assert_eq!(back.option(OptionNumber::ETAG).unwrap().value, vec![7]);
         assert_eq!(back.payload, b"x");
         assert_eq!(m.encoded_len(), m.encode().len());

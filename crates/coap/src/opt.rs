@@ -55,11 +55,6 @@ impl OptionNumber {
     /// No-Response (RFC 7967).
     pub const NO_RESPONSE: OptionNumber = OptionNumber(258);
 
-    /// Critical options must be understood by the receiver (bit 0).
-    pub fn is_critical(self) -> bool {
-        self.0 & 1 != 0
-    }
-
     /// Unsafe options must be forwarded opaquely / block proxying (bit 1).
     pub fn is_unsafe_to_forward(self) -> bool {
         self.0 & 2 != 0
@@ -172,37 +167,6 @@ pub fn decode_uint_value(value: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classes_per_rfc7252_table_4() {
-        // Critical: If-Match(1), Uri-Host(3), Uri-Path(11), Uri-Query(15),
-        // Accept(17), Block1(27), Block2(23), Proxy-Uri(35).
-        for opt in [
-            OptionNumber::IF_MATCH,
-            OptionNumber::URI_HOST,
-            OptionNumber::URI_PATH,
-            OptionNumber::URI_QUERY,
-            OptionNumber::ACCEPT,
-            OptionNumber::BLOCK1,
-            OptionNumber::BLOCK2,
-            OptionNumber::PROXY_URI,
-        ] {
-            assert!(opt.is_critical(), "{opt} should be critical");
-        }
-        // Elective: ETag(4), Observe(6), Location-Path(8), Content-Format(12),
-        // Max-Age(14), Size1(60), Echo(252).
-        for opt in [
-            OptionNumber::ETAG,
-            OptionNumber::OBSERVE,
-            OptionNumber::LOCATION_PATH,
-            OptionNumber::CONTENT_FORMAT,
-            OptionNumber::MAX_AGE,
-            OptionNumber::SIZE1,
-            OptionNumber::ECHO,
-        ] {
-            assert!(!opt.is_critical(), "{opt} should be elective");
-        }
-    }
 
     #[test]
     fn unsafe_options() {

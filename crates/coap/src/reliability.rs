@@ -40,16 +40,6 @@ impl Default for TransmissionParams {
     }
 }
 
-impl TransmissionParams {
-    /// Worst-case total time spent retransmitting
-    /// (`MAX_TRANSMIT_WAIT`-like bound): sum of all back-off intervals.
-    pub fn max_transmit_wait_ms(&self) -> u64 {
-        // ack_timeout * factor * (2^(max_retransmit+1) - 1)
-        self.ack_timeout_ms * self.ack_random_factor_permille / 1000
-            * ((1u64 << (self.max_retransmit + 1)) - 1)
-    }
-}
-
 /// Events produced by the endpoint for the caller to act on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event<A> {
@@ -359,12 +349,6 @@ impl<A: Copy + Eq> Endpoint<A> {
     pub fn next_timeout(&self) -> Option<u64> {
         self.pending.iter().map(|p| p.timeout_at).min()
     }
-
-    /// Forget an open request (e.g. application-level timeout).
-    pub fn cancel_request(&mut self, token: &[u8]) {
-        self.open_requests.remove(token);
-        self.pending.retain(|p| p.token != token);
-    }
 }
 
 #[cfg(test)]
@@ -570,25 +554,6 @@ mod tests {
         let token = client.alloc_token();
         let req = CoapMessage::request(Code::GET, MsgType::Non, mid, token);
         client.send_request(0, 2, &req);
-        assert_eq!(client.in_flight(), 0);
-        assert!(client.poll(100_000).is_empty());
-    }
-
-    #[test]
-    fn max_transmit_wait_matches_rfc() {
-        // 2000 * 1.5 * 31 = 93000 ms ≈ the 93 s MAX_TRANSMIT_WAIT of
-        // RFC 7252 — the paper's 41-44 s tail for 99% resolution fits
-        // inside this envelope.
-        let p = TransmissionParams::default();
-        assert_eq!(p.max_transmit_wait_ms(), 93_000);
-    }
-
-    #[test]
-    fn cancel_request_stops_everything() {
-        let mut client = Endpoint::<Addr>::new(10);
-        let req = fetch(&mut client);
-        client.send_request(0, 2, &req);
-        client.cancel_request(&req.token);
         assert_eq!(client.in_flight(), 0);
         assert!(client.poll(100_000).is_empty());
     }

@@ -33,11 +33,21 @@ use crate::view::CoapView;
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::PoisonError;
 // `doc_check::sync::Mutex` is a passthrough to `std::sync::Mutex`
 // outside model executions; under `check_gate` it lets the model
 // checker explore this module's lock interleavings (see
 // `crates/check`).
-use doc_check::sync::Mutex;
+use doc_check::sync::{Mutex, MutexGuard};
+
+/// Lock one shard. A panic while a shard is held leaves its map or
+/// cache in a state later calls handle (the worst case is a FIFO key
+/// whose entry was never inserted, which eviction skips), so poisoning
+/// is ignored: one panicking caller must not turn every later access
+/// to the shard into a panic.
+fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// FNV-1a, the stable 64-bit hash used for shard selection and for the
 /// sharded maps. Deterministic across runs and processes (unlike
@@ -170,12 +180,12 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
 
     /// Insert, returning the previous value.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
-        self.shard(&key).lock().unwrap().insert(key, value)
+        lock(self.shard(&key)).insert(key, value)
     }
 
     /// Remove, returning the value.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.shard(key).lock().unwrap().remove(key)
+        lock(self.shard(key)).remove(key)
     }
 
     /// Clone the value for `key` out of its shard.
@@ -183,7 +193,7 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
     where
         V: Clone,
     {
-        self.shard(key).lock().unwrap().get(key).cloned()
+        lock(self.shard(key)).get(key).cloned()
     }
 
     /// Run `f` with the locked shard map that owns `key` — the escape
@@ -199,23 +209,23 @@ impl<K: Hash + Eq, V, S: BuildHasher + Default + Clone> ShardedCache<K, V, S> {
     where
         K: Borrow<Q>,
     {
-        f(&mut self.shard(key).lock().unwrap())
+        f(&mut lock(self.shard(key)))
     }
 
     /// Total entries across shards (takes every lock in order).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().unwrap().is_empty())
+        self.shards.iter().all(|s| lock(s).is_empty())
     }
 
     /// Drop every entry.
     pub fn clear(&self) {
         for s in self.shards.iter() {
-            s.lock().unwrap().clear();
+            lock(s).clear();
         }
     }
 }
@@ -274,19 +284,13 @@ impl ShardedResponseCache {
         out: &mut Vec<u8>,
         stale_etag: &mut Vec<u8>,
     ) -> Probe {
-        self.shard(key)
-            .lock()
-            .unwrap()
-            .lookup_into(key, now, to, out, stale_etag)
+        lock(self.shard(key)).lookup_into(key, now, to, out, stale_etag)
     }
 
     /// Store a success response borrowed from its wire (see
     /// [`ResponseCache::insert_wire`]).
     pub fn insert_wire(&self, key: CacheKey, response: &CoapView<'_>, now: u64) {
-        self.shard(&key)
-            .lock()
-            .unwrap()
-            .insert_wire(key, response, now)
+        lock(self.shard(&key)).insert_wire(key, response, now)
     }
 
     /// Refresh a stale entry from a borrowed `2.03 Valid` and encode the
@@ -299,15 +303,12 @@ impl ShardedResponseCache {
         to: ReplyTo<'_>,
         out: &mut Vec<u8>,
     ) -> bool {
-        self.shard(key)
-            .lock()
-            .unwrap()
-            .revalidate_wire(key, valid, now, to, out)
+        lock(self.shard(key)).revalidate_wire(key, valid, now, to, out)
     }
 
     /// Total entries across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// Whether every shard is empty.
@@ -319,7 +320,7 @@ impl ShardedResponseCache {
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in self.shards.iter() {
-            total += s.lock().unwrap().stats();
+            total += lock(s).stats();
         }
         total
     }
@@ -402,6 +403,25 @@ mod tests {
         assert_eq!(ShardedCache::<u64, u64>::new(3).shard_count(), 4);
         assert_eq!(ShardedCache::<u64, u64>::new(8).shard_count(), 8);
         assert_eq!(ShardedResponseCache::new(50, 6).shard_count(), 8);
+    }
+
+    /// A closure that panics under a shard's lock poisons it; the shard
+    /// stays usable for later calls instead of panicking on each.
+    #[test]
+    fn panicking_closure_leaves_the_shard_usable() {
+        let c: ShardedCache<u32, u32> = ShardedCache::new(1);
+        c.insert(1, 10);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.with_shard_mut(&1, |m| {
+                m.insert(2, 20);
+                panic!("caller bug under the shard lock");
+            })
+        }));
+        assert!(caught.is_err());
+        assert_eq!(c.insert(3, 30), None);
+        assert_eq!(c.get_cloned(&1), Some(10));
+        assert_eq!(c.get_cloned(&2), Some(20));
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

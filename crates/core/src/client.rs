@@ -189,11 +189,6 @@ impl DocClient {
         self.method
     }
 
-    /// Outstanding exchange count.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Start resolving `question`. `mid`/`token` are allocated by the
     /// caller's CoAP endpoint.
     pub fn begin_query(
@@ -527,10 +522,10 @@ mod tests {
         let mut c = DocClient::new(DocMethod::Fetch, CachePolicy::EolTtls);
         let out = c.begin_query(question(), 1, vec![7], 0).unwrap();
         assert!(matches!(out, QueryOutcome::SendRequest(_)));
-        assert_eq!(c.pending_count(), 1);
+        assert_eq!(c.pending.len(), 1);
         assert!(c.fail_exchange(&[7]));
         assert!(!c.fail_exchange(&[7]));
-        assert_eq!(c.pending_count(), 0);
+        assert_eq!(c.pending.len(), 0);
     }
 
     #[test]

@@ -105,6 +105,7 @@ impl<'a> SimProvider<'a> {
     /// Datagrams the simulation delivered to nodes *other* than the
     /// served one (e.g. pool replies arriving back at their clients),
     /// in delivery order. Drained by the caller.
+    // lint:allow(pub-needs-caller): the simulation fake's outbox, read by the provider tests and the planned whole-proxy simulation
     pub fn take_delivered(&mut self) -> Vec<(NodeId, Vec<u8>)> {
         std::mem::take(&mut self.delivered)
     }

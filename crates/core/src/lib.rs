@@ -42,7 +42,6 @@ pub mod pool;
 pub mod proxy;
 pub mod server;
 pub mod transport;
-pub mod ttl_integrity;
 pub mod uri_template;
 
 pub use client::DocClient;

@@ -131,30 +131,9 @@ pub fn build_request_at(
     Ok(msg)
 }
 
-/// Extract the DNS query wire bytes from a DoC request (server side).
-pub fn extract_query(req: &CoapMessage) -> Result<Vec<u8>, DocError> {
-    match req.code {
-        Code::FETCH | Code::POST => {
-            if req.payload.is_empty() {
-                return Err(DocError::BadRequest);
-            }
-            Ok(req.payload.clone())
-        }
-        Code::GET => {
-            for q in req.options_of(OptionNumber::URI_QUERY) {
-                let s = q.as_str();
-                if let Some(encoded) = s.strip_prefix("dns=") {
-                    return base64url::decode(encoded).map_err(|_| DocError::BadEncoding);
-                }
-            }
-            Err(DocError::BadRequest)
-        }
-        _ => Err(DocError::BadRequest),
-    }
-}
-
-/// [`extract_query`] over a borrowed request view. FETCH/POST queries
-/// come back as a borrow of the datagram payload — no copy; GET's
+/// Extract the DNS query wire bytes from a DoC request view (server
+/// side). FETCH/POST queries come back as a borrow of the datagram
+/// payload — no copy; GET's
 /// base64url variable is decoded into `buf` (cleared first), a buffer
 /// the caller reuses across requests.
 pub fn extract_query_view<'a>(
@@ -199,6 +178,14 @@ mod tests {
         q.encode()
     }
 
+    /// [`extract_query_view`] over the encoded request, copied out.
+    fn extract_query(req: &CoapMessage) -> Result<Vec<u8>, DocError> {
+        let wire = req.encode();
+        let view = doc_coap::view::CoapView::parse(&wire).unwrap();
+        let mut buf = Vec::new();
+        extract_query_view(&view, &mut buf).map(<[u8]>::to_vec)
+    }
+
     #[test]
     fn table5_feature_matrix() {
         assert!(DocMethod::Fetch.cacheable());
@@ -219,7 +206,12 @@ mod tests {
         let q = dns_query();
         let req = build_request(DocMethod::Fetch, &q, MsgType::Con, 1, vec![1]).unwrap();
         assert_eq!(req.code, Code::FETCH);
-        assert_eq!(req.uri_path(), "/dns");
+        assert_eq!(
+            req.options_of(OptionNumber::URI_PATH)
+                .map(|o| o.as_str())
+                .collect::<Vec<_>>(),
+            ["dns"]
+        );
         assert_eq!(
             req.option(OptionNumber::CONTENT_FORMAT).unwrap().as_uint(),
             553
@@ -271,7 +263,12 @@ mod tests {
         let q = dns_query();
         let req =
             build_request_at(DocMethod::Fetch, &q, MsgType::Con, 1, vec![], "resolve").unwrap();
-        assert_eq!(req.uri_path(), "/resolve");
+        assert_eq!(
+            req.options_of(OptionNumber::URI_PATH)
+                .map(|o| o.as_str())
+                .collect::<Vec<_>>(),
+            ["resolve"]
+        );
     }
 
     #[test]

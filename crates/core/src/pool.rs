@@ -83,11 +83,6 @@ impl BufferPool {
         self.len() == 0
     }
 
-    /// Return one spent buffer.
-    pub fn put(&self, buf: Vec<u8>) {
-        self.free_list().push(buf);
-    }
-
     /// Return a batch of spent buffers under one lock acquisition.
     pub fn put_batch(&self, bufs: impl Iterator<Item = Vec<u8>>) {
         self.free_list().extend(bufs);
@@ -1096,7 +1091,7 @@ mod tests {
         assert!(buf.is_empty());
         buf.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
         let cap = buf.capacity();
-        pool.put(buf);
+        pool.put_batch(std::iter::once(buf));
         assert_eq!(pool.len(), 1);
         let again = pool.take();
         assert!(again.is_empty(), "recycled buffers come back cleared");

@@ -601,8 +601,10 @@ impl DocServer {
     ) -> Result<(), DocError> {
         // Block1 reassembly: a block-wise transferred query (paper
         // Fig. 12a) is accumulated per token; non-final blocks are
-        // answered 2.31 Continue, and a body that would grow past
-        // `MAX_BODY` 4.13 with that bound in Size1 (RFC 7959 §2.9.3).
+        // answered 2.31 Continue, a block out of sequence (or an empty
+        // reassembled body) 4.08 Request Entity Incomplete (RFC 7959
+        // §2.9.2), and a body that would grow past `MAX_BODY` 4.13 with
+        // that bound in Size1 (RFC 7959 §2.9.3).
         // The whole push-or-finish sequence runs under the key's shard
         // lock, so concurrent blocks of one transaction cannot
         // interleave mid-assembly.
@@ -610,8 +612,12 @@ impl DocServer {
             Done(Vec<u8>),
             Continue,
             TooLarge,
-            Bad,
+            Incomplete,
         }
+        let incomplete = |out: &mut Vec<u8>| {
+            bump(&self.stats.errors);
+            ack_into(Code::REQUEST_ENTITY_INCOMPLETE, req, out);
+        };
         let mut reassembled: Option<Vec<u8>> = None;
         if let Some(Ok(block1)) = BlockOpt::from_view(req, OptionNumber::BLOCK1) {
             let key = (peer, req.token().to_vec());
@@ -627,7 +633,7 @@ impl DocServer {
                         shard.remove(&key);
                         match e {
                             CoapError::TooLarge => Block1Outcome::TooLarge,
-                            _ => Block1Outcome::Bad,
+                            _ => Block1Outcome::Incomplete,
                         }
                     }
                 }
@@ -645,7 +651,10 @@ impl DocServer {
                     encode_uint_option_into(0, OptionNumber::SIZE1.0, MAX_BODY as u32, out);
                     return Ok(());
                 }
-                Block1Outcome::Bad => return Err(DocError::BadRequest),
+                Block1Outcome::Incomplete => {
+                    incomplete(out);
+                    return Ok(());
+                }
             }
         }
 
@@ -682,7 +691,8 @@ impl DocServer {
         let query = match &reassembled {
             Some(full) if matches!(req.code, Code::FETCH | Code::POST) => {
                 if full.is_empty() {
-                    return Err(DocError::BadRequest);
+                    incomplete(out);
+                    return Ok(());
                 }
                 full
             }
@@ -985,6 +995,29 @@ mod tests {
         );
         assert!(s.block1_assembly.is_empty(), "transaction state kept");
         assert_eq!(s.stats().errors, 1);
+    }
+
+    /// A Block1 transaction that cannot complete — a block out of
+    /// sequence (NUM 3 opening it), or a body that reassembles empty —
+    /// is answered 4.08 Request Entity Incomplete, and its state is
+    /// gone.
+    #[test]
+    fn incomplete_block1_bodies_get_4_08() {
+        for (num, payload) in [(3, vec![0; 32]), (0, Vec::new())] {
+            let s = server(CachePolicy::EolTtls);
+            let mut req =
+                CoapMessage::request(Code::FETCH, MsgType::Con, 1, vec![7]).with_payload(payload);
+            req.set_option(
+                BlockOpt::new(num, num > 0, 32)
+                    .unwrap()
+                    .to_option(OptionNumber::BLOCK1),
+            );
+            let resp = s.handle_request(&req, 0);
+            assert_eq!(resp.code.0, 0x88, "block {num}");
+            assert_eq!(resp.code, Code::REQUEST_ENTITY_INCOMPLETE);
+            assert!(s.block1_assembly.is_empty(), "transaction state kept");
+            assert_eq!(s.stats().errors, 1);
+        }
     }
 
     #[test]

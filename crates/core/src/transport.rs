@@ -60,12 +60,6 @@ impl TransportKind {
         }
     }
 
-    /// Whether the transport encrypts DNS messages (Table 1 row
-    /// "Message Encryption").
-    pub fn encrypted(self) -> bool {
-        !matches!(self, TransportKind::Udp | TransportKind::Coap)
-    }
-
     /// Whether the transport is CoAP-based (method choice applies).
     pub fn coap_based(self) -> bool {
         matches!(
@@ -854,11 +848,6 @@ mod tests {
 
     #[test]
     fn transport_properties() {
-        assert!(!TransportKind::Udp.encrypted());
-        assert!(!TransportKind::Coap.encrypted());
-        assert!(TransportKind::Dtls.encrypted());
-        assert!(TransportKind::Coaps.encrypted());
-        assert!(TransportKind::Oscore.encrypted());
         assert!(TransportKind::Coap.coap_based());
         assert!(!TransportKind::Udp.coap_based());
         for kind in [
@@ -866,7 +855,6 @@ mod tests {
             TransportKind::DohLite,
             TransportKind::Dot,
         ] {
-            assert!(kind.encrypted(), "{kind:?}");
             assert!(!kind.coap_based(), "{kind:?}");
             assert!(kind.stream_based(), "{kind:?}");
         }

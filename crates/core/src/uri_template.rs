@@ -91,17 +91,6 @@ impl UriTemplate {
         Ok(out)
     }
 
-    /// The variable names this template expects, in order.
-    pub fn variables(&self) -> Vec<&str> {
-        self.parts
-            .iter()
-            .filter_map(|p| match p {
-                Part::Simple(v) | Part::FormQuery(v) => Some(v.as_str()),
-                Part::Literal(_) => None,
-            })
-            .collect()
-    }
-
     /// Split an expanded URI into CoAP Uri-Path segments and Uri-Query
     /// strings (the forms a CoAP GET carries as options).
     pub fn to_coap_options(uri: &str) -> (Vec<String>, Vec<String>) {
@@ -132,7 +121,6 @@ mod tests {
     #[test]
     fn doh_style_template() {
         let t = UriTemplate::parse("/dns{?dns}").unwrap();
-        assert_eq!(t.variables(), vec!["dns"]);
         let uri = t.expand("dns", "AAABBB").unwrap();
         assert_eq!(uri, "/dns?dns=AAABBB");
     }
@@ -146,7 +134,6 @@ mod tests {
     #[test]
     fn literal_only() {
         let t = UriTemplate::parse("/plain/path").unwrap();
-        assert!(t.variables().is_empty());
         assert_eq!(t.expand("dns", "x").unwrap(), "/plain/path");
     }
 

@@ -156,6 +156,7 @@ impl Aes128 {
     }
 
     /// Encrypt a copy of `block` and return the ciphertext block.
+    // lint:allow(pub-needs-caller): single-block oracle the backend and batch tests compare against
     pub fn encrypt(&self, block: &[u8; 16]) -> [u8; 16] {
         let mut out = *block;
         self.encrypt_block(&mut out);
@@ -188,6 +189,7 @@ thread_local! {
 /// Cumulative [`Aes128::cached`] hit count on the calling thread —
 /// lets tests (and diagnostics) observe that rederivations actually
 /// bypass key expansion.
+// lint:allow(pub-needs-caller): lets tests observe that cached rederivations skip key expansion
 pub fn schedule_cache_hits() -> u64 {
     SCHEDULE_CACHE.with(|cache| cache.borrow().hits)
 }

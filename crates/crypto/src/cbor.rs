@@ -56,14 +56,6 @@ impl Value {
         }
     }
 
-    /// Convenience: view as text.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(t) => Some(t),
-            _ => None,
-        }
-    }
-
     /// Convenience: view as array slice.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -131,15 +123,6 @@ impl Value {
             Value::Uint(n as u64)
         } else {
             Value::Nint((-1 - n) as u64)
-        }
-    }
-
-    /// View as a signed integer if integral.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Uint(n) if *n <= i64::MAX as u64 => Some(*n as i64),
-            Value::Nint(n) if *n < i64::MAX as u64 => Some(-1 - (*n as i64)),
-            _ => None,
         }
     }
 }
@@ -408,16 +391,14 @@ mod tests {
 
     #[test]
     fn int_conversions() {
-        assert_eq!(Value::int(-1).as_int(), Some(-1));
-        assert_eq!(Value::int(42).as_int(), Some(42));
-        assert_eq!(Value::Uint(u64::MAX).as_int(), None);
-        assert_eq!(Value::int(i64::MIN + 1).as_int(), Some(i64::MIN + 1));
+        assert_eq!(Value::int(-1), Value::Nint(0));
+        assert_eq!(Value::int(42), Value::Uint(42));
+        assert_eq!(Value::int(i64::MIN + 1), Value::Nint(i64::MAX as u64 - 1));
     }
 
     #[test]
     fn accessors() {
         assert_eq!(Value::Uint(7).as_uint(), Some(7));
-        assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
         assert_eq!(Value::Bytes(vec![1]).as_bytes(), Some(&[1u8][..]));
         assert!(Value::Array(vec![]).as_array().is_some());
         assert_eq!(Value::Null.as_uint(), None);

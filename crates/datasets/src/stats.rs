@@ -93,13 +93,6 @@ pub fn density_histogram(lengths: &[usize], max_len: usize) -> Vec<f64> {
     hist
 }
 
-/// Fraction of the link-layer PDU a name of `len` chars occupies — §3.2
-/// computes "18.8% of 127 bytes" for the 24-char median and "40.7%" of
-/// LoRaWAN's 59 bytes.
-pub fn pdu_share(len: usize, pdu: usize) -> f64 {
-    len as f64 / pdu as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,13 +143,5 @@ mod tests {
         let h = density_histogram(&[5, 200], 85);
         assert!((h[5] - 50.0).abs() < 1e-9);
         assert!((h.iter().sum::<f64>() - 50.0).abs() < 1e-9);
-    }
-
-    /// §3.2: the 24-char median occupies 18.8% of the 802.15.4 PDU and
-    /// 40.7% of LoRaWAN's 59-byte PDU.
-    #[test]
-    fn pdu_share_paper_numbers() {
-        assert!((pdu_share(24, 127) - 0.188).abs() < 0.002);
-        assert!((pdu_share(24, 59) - 0.407).abs() < 0.002);
     }
 }

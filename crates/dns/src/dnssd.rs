@@ -10,7 +10,7 @@
 //! instance resolution (SRV + TXT + address records) and the
 //! corresponding response construction.
 
-use crate::message::{Message, Question, Rcode};
+use crate::message::{Message, Rcode};
 use crate::name::Name;
 use crate::rr::{Record, RecordClass, RecordData, RecordType};
 use crate::DnsError;
@@ -196,15 +196,6 @@ pub fn parse_browse_response(resp: &Message) -> Result<Vec<ServiceInstance>, Dns
     Ok(out)
 }
 
-/// Whether a question targets the mDNS service-discovery record space
-/// (ANY/PTR/SRV/TXT — the types Table 4 attributes to mDNS).
-pub fn is_service_discovery(q: &Question) -> bool {
-    matches!(
-        q.qtype,
-        RecordType::Any | RecordType::Ptr | RecordType::Srv | RecordType::Txt
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,14 +257,6 @@ mod tests {
         c.instance = "70ee50a3-4f84-4e3b-b9ac-1f6a7f9d2b31".into(); // UUID
         let n = c.instance_name().unwrap();
         assert!(n.presentation_len() > 50, "{}", n.presentation_len());
-    }
-
-    #[test]
-    fn service_discovery_classification() {
-        let ptr = Question::new(Name::parse("_coap._udp.local").unwrap(), RecordType::Ptr);
-        assert!(is_service_discovery(&ptr));
-        let aaaa = Question::new(Name::parse("example.org").unwrap(), RecordType::Aaaa);
-        assert!(!is_service_discovery(&aaaa));
     }
 
     #[test]

@@ -203,8 +203,7 @@ pub struct Message {
     /// Answer section.
     pub answers: Vec<Record>,
     /// Authority section. §3.2: "unsolicited NS records serve little
-    /// purpose in a constrained environment and should be omitted" —
-    /// [`Message::strip_optional_sections`] implements that lesson.
+    /// purpose in a constrained environment and should be omitted".
     pub authority: Vec<Record>,
     /// Additional section.
     pub additional: Vec<Record>,
@@ -432,14 +431,6 @@ impl Message {
         }
     }
 
-    /// Subtract `delta` seconds from every TTL (saturating), as a DNS
-    /// cache does while content ages (DoH-like scheme, client side).
-    pub fn decrement_ttls(&mut self, delta: u32) {
-        for r in self.records_mut() {
-            r.ttl = r.ttl.saturating_sub(delta);
-        }
-    }
-
     /// Add `max_age` seconds to every TTL. A DoC client receiving an
     /// *EOL TTLs* response "copies the CoAP Max-Age into the DNS
     /// resource records to restore the correctly decremented TTL
@@ -448,14 +439,6 @@ impl Message {
         for r in self.records_mut() {
             r.ttl = r.ttl.saturating_add(max_age);
         }
-    }
-
-    /// Drop authority and additional sections (§3.2 lesson: "the
-    /// authority and additional sections must only be provided if
-    /// necessary").
-    pub fn strip_optional_sections(&mut self) {
-        self.authority.clear();
-        self.additional.clear();
     }
 
     /// Sort answer records deterministically (by type, then RDATA wire
@@ -473,27 +456,12 @@ impl Message {
             })
         });
     }
-
-    /// Shuffle answers with the given RNG-like permutation seed —
-    /// client-side counterpart of [`Message::sort_answers`] (simple LCG
-    /// permutation; deterministic per seed for reproducibility).
-    pub fn shuffle_answers(&mut self, seed: u64) {
-        let n = self.answers.len();
-        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        for i in (1..n).rev() {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            self.answers.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{Ipv4Addr, Ipv6Addr};
+    use std::net::Ipv6Addr;
 
     fn example_query() -> Message {
         Message::query(
@@ -656,39 +624,11 @@ mod tests {
     }
 
     #[test]
-    fn ttl_decrement_saturates() {
-        let mut r = example_response(10, 1);
-        r.decrement_ttls(25);
-        assert_eq!(r.answers[0].ttl, 0);
-    }
-
-    #[test]
     fn ttl_restore_from_max_age() {
         let mut r = example_response(300, 2);
         r.set_all_ttls(0);
         r.restore_ttls_from_max_age(123);
         assert!(r.answers.iter().all(|rec| rec.ttl == 123));
-    }
-
-    #[test]
-    fn strip_optional_sections() {
-        let mut r = example_response(60, 1);
-        r.authority.push(Record {
-            name: Name::parse("example.org").unwrap(),
-            rtype: RecordType::Ns,
-            rclass: RecordClass::In,
-            ttl: 3600,
-            data: crate::rr::RecordData::Ns(Name::parse("ns1.example.org").unwrap()),
-        });
-        r.additional.push(Record::a(
-            Name::parse("ns1.example.org").unwrap(),
-            3600,
-            Ipv4Addr::new(192, 0, 2, 53),
-        ));
-        let before = r.encode().len();
-        r.strip_optional_sections();
-        assert!(r.authority.is_empty() && r.additional.is_empty());
-        assert!(r.encode().len() < before);
     }
 
     #[test]
@@ -701,20 +641,13 @@ mod tests {
         let mut r2 = example_response(60, 5);
         r2.sort_answers();
         assert_eq!(sorted.answers, r2.answers);
-        // Shuffle keeps the multiset.
+        // A client-side shuffle keeps the set: it sorts back to the
+        // same order.
         let mut shuffled = sorted.clone();
-        shuffled.shuffle_answers(7);
-        let mut a = sorted.answers.clone();
-        let mut b = shuffled.answers.clone();
-        a.sort_by_key(|r| match &r.data {
-            crate::rr::RecordData::Aaaa(ip) => ip.octets(),
-            _ => [0; 16],
-        });
-        b.sort_by_key(|r| match &r.data {
-            crate::rr::RecordData::Aaaa(ip) => ip.octets(),
-            _ => [0; 16],
-        });
-        assert_eq!(a, b);
+        shuffled.answers.rotate_left(2);
+        assert_ne!(shuffled.answers, sorted.answers);
+        shuffled.sort_answers();
+        assert_eq!(shuffled.answers, sorted.answers);
     }
 
     #[test]

@@ -420,11 +420,6 @@ impl<'a> MessageView<'a> {
         self.qdcount
     }
 
-    /// Number of answer records.
-    pub fn answer_count(&self) -> usize {
-        self.ancount
-    }
-
     /// Number of records across all three RR sections.
     pub fn record_count(&self) -> usize {
         self.ancount + self.nscount + self.arcount
@@ -636,7 +631,8 @@ mod tests {
             assert_eq!(view.to_owned(), owned);
             assert_eq!(view.header(), owned.header);
             assert_eq!(view.question_count(), owned.questions.len());
-            assert_eq!(view.answer_count(), owned.answers.len());
+            let answers = view.records().filter(|(s, _)| *s == Section::Answer);
+            assert_eq!(answers.count(), owned.answers.len());
         }
     }
 

@@ -1,8 +1,10 @@
 //! `lint_gate` — the workspace invariant linter's CI entry point.
 //!
-//! Walks `src/` plus every `crates/*/src`, runs the `doc-lint` rules,
-//! and exits 0 iff there are zero unwaivered *error*-severity
-//! violations. Warning-severity rules (those soaking before
+//! Walks `src/` plus every `crates/*/src` (and, for the
+//! `pub-needs-caller` caller set, `crates/*/benches`, `examples/` and
+//! `docbench/src`), runs the `doc-lint` rules, and exits 0 iff there
+//! are zero unwaivered *error*-severity violations.
+//! Warning-severity rules (those soaking before
 //! promotion, e.g. `no-raw-ms-in-quic`) are printed but never affect
 //! the exit status. Waived violations and unused waivers are printed
 //! as warnings so exceptions stay visible. `./ci.sh check` invokes

@@ -3,7 +3,8 @@
 //! A deliberately small static analyzer for the invariants this
 //! workspace cares about and `clippy` cannot express: wire-facing
 //! parsers must be total, `*_into`/`*_view` hot paths must not
-//! allocate, and every `unsafe` must carry a `// SAFETY:` comment.
+//! allocate, every `unsafe` must carry a `// SAFETY:` comment, and
+//! every `pub fn` in `crates/*/src` must have a caller outside tests.
 //!
 //! The pipeline is three layers, each independently testable:
 //!
@@ -14,7 +15,9 @@
 //! * [`rules`] — the rule engine plus the
 //!   `// lint:allow(<rule>): <reason>` waiver mechanism.
 //! * [`workspace`] — the file walker and report aggregator that
-//!   `lint_gate` (and `./ci.sh check`) drives.
+//!   `lint_gate` (and `./ci.sh check`) drives. It collects the
+//!   `pub-needs-caller` caller set from every caller root before it
+//!   lints file by file.
 
 pub mod lexer;
 pub mod rules;

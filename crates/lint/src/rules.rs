@@ -1,7 +1,6 @@
 //! The rule engine: project invariants enforced over the token stream.
 //!
-//! Three rules, matching the invariants the benches enforce
-//! dynamically:
+//! Five rules:
 //!
 //! * **`no-panic-in-parsers`** — the wire-facing decode/view modules
 //!   (attacker-controlled input) must be total: no `.unwrap()` /
@@ -12,6 +11,12 @@
 //!   `clone`, and friends inside them.
 //! * **`unsafe-needs-safety-comment`** — every `unsafe` keyword is
 //!   preceded (within two lines) by a `// SAFETY:` comment.
+//! * **`pub-needs-caller`** — every `pub fn` in `crates/*/src` is
+//!   named somewhere in non-test code under the caller roots
+//!   (`src/`, `crates/*/{src,benches}`, `examples/`, `docbench/src`);
+//!   a function only tests reach is dead API. Name-based: the caller
+//!   set comes from [`collect_callers`], and oracles or fakes that
+//!   only tests call carry a waiver with the reason they stay.
 //! * **`no-raw-ms-in-quic`** *(warning, soaking)* — `doc-quic` and
 //!   `doc-netsim` express time as the shared `doc-time` newtypes
 //!   (`Millis`/`Instant`); a raw `<name>_ms: u64` binding in those
@@ -30,6 +35,8 @@
 //! `#[cfg(test)]` modules are skipped entirely: tests are allowed to
 //! unwrap.
 
+use std::collections::HashSet;
+
 use crate::lexer::{lex, Token, TokenKind};
 
 /// Rule identifier: wire-facing parser/view modules must be total.
@@ -41,9 +48,18 @@ pub const UNSAFE_COMMENT: &str = "unsafe-needs-safety-comment";
 /// Rule identifier: `doc-quic`/`doc-netsim` use `doc-time` newtypes,
 /// not raw `*_ms: u64` bindings (warning severity while soaking).
 pub const NO_RAW_MS: &str = "no-raw-ms-in-quic";
+/// Rule identifier: a `pub fn` in `crates/*/src` needs a caller
+/// outside test code.
+pub const PUB_NEEDS_CALLER: &str = "pub-needs-caller";
 
 /// All rule names, in reporting order.
-pub const ALL_RULES: &[&str] = &[NO_PANIC, NO_ALLOC, UNSAFE_COMMENT, NO_RAW_MS];
+pub const ALL_RULES: &[&str] = &[
+    NO_PANIC,
+    NO_ALLOC,
+    UNSAFE_COMMENT,
+    NO_RAW_MS,
+    PUB_NEEDS_CALLER,
+];
 
 /// Path prefixes (repo-relative, `/`-separated) of the crates whose
 /// time surfaces are typed — the scope of [`NO_RAW_MS`].
@@ -285,10 +301,29 @@ fn alloc_checked_fn_bodies(tokens: &[Token], code: &[usize]) -> Vec<(usize, usiz
     bodies
 }
 
+/// Add every identifier in `source`'s non-test code to `callers`,
+/// except the name right after `fn`: a definition is not a caller.
+pub fn collect_callers(source: &str, callers: &mut HashSet<String>) {
+    let tokens = lex(source);
+    let masked = test_module_mask(&tokens);
+    let mut after_fn = false;
+    for (t, &in_test) in tokens.iter().zip(&masked) {
+        if matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
+            continue;
+        }
+        let is_ident = t.kind == TokenKind::Ident;
+        if is_ident && !in_test && !after_fn {
+            callers.insert(t.text.clone());
+        }
+        after_fn = is_ident && t.text == "fn";
+    }
+}
+
 /// Lint one source file. `file` is only a label for reports; the
 /// [`NO_PANIC`] scope check matches it against
-/// [`PANIC_FREE_MODULES`] suffixes.
-pub fn lint_source(file: &str, source: &str) -> FileReport {
+/// [`PANIC_FREE_MODULES`] suffixes. [`PUB_NEEDS_CALLER`] runs only
+/// when `callers` (built by [`collect_callers`]) is given.
+pub fn lint_source(file: &str, source: &str, callers: Option<&HashSet<String>>) -> FileReport {
     let tokens = lex(source);
     let masked = test_module_mask(&tokens);
     let code: Vec<usize> = (0..tokens.len())
@@ -489,6 +524,39 @@ pub fn lint_source(file: &str, source: &str) -> FileReport {
         }
     }
 
+    // --- pub-needs-caller ---------------------------------------------------
+    // `pub [const|unsafe|async] fn <name>` outside test modules, in a
+    // `crates/*/src` file, whose name no non-test code mentions.
+    // Trait methods carry no `pub`, so impls are never flagged.
+    let crate_src = normalized.starts_with("crates/") && normalized.contains("/src/");
+    if let Some(callers) = callers.filter(|_| crate_src) {
+        for (ci, &ti) in code.iter().enumerate() {
+            if masked[ti] || tokens[ti].text != "pub" {
+                continue;
+            }
+            let mut cj = ci + 1;
+            while code
+                .get(cj)
+                .is_some_and(|&n| matches!(tokens[n].text.as_str(), "const" | "unsafe" | "async"))
+            {
+                cj += 1;
+            }
+            let is_fn = code.get(cj).is_some_and(|&n| tokens[n].text == "fn");
+            let Some(name) = code.get(cj + 1).map(|&n| &tokens[n]).filter(|_| is_fn) else {
+                continue;
+            };
+            if !callers.contains(&name.text) {
+                raw.push(Violation {
+                    rule: PUB_NEEDS_CALLER,
+                    severity: Severity::Error,
+                    file: file.to_string(),
+                    line: name.line,
+                    message: format!("`pub fn {}` has no caller outside test code", name.text),
+                });
+            }
+        }
+    }
+
     // --- apply waivers ------------------------------------------------------
     let mut report = FileReport::default();
     for v in raw {
@@ -554,7 +622,7 @@ mod tests {
                 fn t() { y.unwrap(); data[0]; }
             }
         "#;
-        let report = lint_source("crates/dns/src/view.rs", src);
+        let report = lint_source("crates/dns/src/view.rs", src, None);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         assert_eq!(report.violations[0].line, 2);
     }
@@ -568,7 +636,7 @@ fn f() {
     let y = data[1];
 }
 ";
-        let report = lint_source("crates/coap/src/view.rs", src);
+        let report = lint_source("crates/coap/src/view.rs", src, None);
         assert_eq!(report.waived.len(), 1);
         assert_eq!(report.violations.len(), 1, "second index is not covered");
         assert_eq!(report.violations[0].line, 4);
@@ -578,7 +646,7 @@ fn f() {
     #[test]
     fn unused_waivers_are_reported() {
         let src = "// lint:allow(no-alloc-in-into): stale excuse\nfn g() {}\n";
-        let report = lint_source("crates/dns/src/view.rs", src);
+        let report = lint_source("crates/dns/src/view.rs", src, None);
         assert!(report.violations.is_empty());
         assert_eq!(report.unused_waivers.len(), 1);
         assert_eq!(report.unused_waivers[0].rule, "no-alloc-in-into");
@@ -587,22 +655,26 @@ fn f() {
     #[test]
     fn raw_ms_rule_warns_in_typed_time_crates_only() {
         let src = "pub fn set_timer(&mut self, at_ms: u64, token: u64) {}\n";
-        let report = lint_source("crates/netsim/src/lib.rs", src);
+        let report = lint_source("crates/netsim/src/lib.rs", src, None);
         assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
         let v = &report.violations[0];
         assert_eq!(v.rule, NO_RAW_MS);
         assert_eq!(v.severity, Severity::Warning);
         assert!(v.message.contains("at_ms"), "{}", v.message);
         // Struct fields are flagged too.
-        let report = lint_source("crates/quic/src/conn.rs", "struct S { deadline_ms: u64 }\n");
+        let report = lint_source(
+            "crates/quic/src/conn.rs",
+            "struct S { deadline_ms: u64 }\n",
+            None,
+        );
         assert_eq!(report.violations.len(), 1);
         // Outside the typed-time crates the same code is fine.
-        let report = lint_source("crates/core/src/pool.rs", src);
+        let report = lint_source("crates/core/src/pool.rs", src, None);
         assert!(report.violations.is_empty());
         // `_ms` bindings of a *typed* kind are fine, and `::` paths
         // are not type ascriptions.
         let ok = "fn f(at_ms: Millis) { let x = now_ms::helper(); }\n";
-        assert!(lint_source("crates/quic/src/conn.rs", ok)
+        assert!(lint_source("crates/quic/src/conn.rs", ok, None)
             .violations
             .is_empty());
     }
@@ -610,10 +682,10 @@ fn f() {
     #[test]
     fn rules_scope_to_their_modules() {
         // unwrap outside the parser allowlist is fine…
-        let report = lint_source("crates/bench/src/lib.rs", "fn f() { x.unwrap(); }");
+        let report = lint_source("crates/bench/src/lib.rs", "fn f() { x.unwrap(); }", None);
         assert!(report.violations.is_empty());
         // …but unsafe without SAFETY is flagged everywhere.
-        let report = lint_source("crates/bench/src/lib.rs", "unsafe fn f() {}");
+        let report = lint_source("crates/bench/src/lib.rs", "unsafe fn f() {}", None);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].rule, UNSAFE_COMMENT);
     }

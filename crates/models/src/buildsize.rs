@@ -99,10 +99,6 @@ impl BuildProfile {
     pub fn ram(&self) -> usize {
         self.rows.iter().map(|r| r.2).sum()
     }
-    /// ROM of one module group (0 if absent).
-    pub fn module_rom(&self, m: Module) -> usize {
-        self.rows.iter().filter(|r| r.0 == m).map(|r| r.1).sum()
-    }
 }
 
 /// Alias matching the figure terminology.
@@ -229,6 +225,11 @@ pub fn fig8_profiles() -> Vec<Fig8Profile> {
 mod tests {
     use super::*;
 
+    /// ROM of one module group (0 if absent).
+    fn module_rom(p: &BuildProfile, m: Module) -> usize {
+        p.rows.iter().filter(|r| r.0 == m).map(|r| r.1).sum()
+    }
+
     /// §5.2: "The encrypted transports add a considerable amount of
     /// ROM—about 24 kBytes in the case of DTLS and about 11 kBytes in
     /// the case of OSCORE—and in the case of DTLS also about 1.5
@@ -263,7 +264,7 @@ mod tests {
         assert_eq!(with.ram() - without.ram(), 173);
         // GET does not apply to non-CoAP transports.
         let udp = build_profile(TransportKind::Udp, true);
-        assert_eq!(udp.module_rom(Module::DnsGetOverhead), 0);
+        assert_eq!(module_rom(&udp, Module::DnsGetOverhead), 0);
     }
 
     /// Abstract: "With OSCORE, we can save more than 10 kBytes of code
@@ -300,8 +301,8 @@ mod tests {
     fn doc_dns_part_is_4k() {
         let doc = build_profile(TransportKind::Coap, false);
         let udp = build_profile(TransportKind::Udp, false);
-        assert_eq!(doc.module_rom(Module::Dns), 4_000);
-        assert!(doc.module_rom(Module::Dns) > 2 * udp.module_rom(Module::Dns));
+        assert_eq!(module_rom(&doc, Module::Dns), 4_000);
+        assert!(module_rom(&doc, Module::Dns) > 2 * module_rom(&udp, Module::Dns));
     }
 
     /// Fig. 5 bars stay within the figure's 0–60 kB axis.
@@ -361,7 +362,7 @@ mod tests {
         let p = build_profile(TransportKind::Oscore, true);
         let rom_sum: usize = p.rows.iter().map(|r| r.1).sum();
         assert_eq!(rom_sum, p.rom());
-        assert!(p.module_rom(Module::Oscore) == 11_000);
-        assert!(p.module_rom(Module::Dtls) == 0);
+        assert!(module_rom(&p, Module::Oscore) == 11_000);
+        assert!(module_rom(&p, Module::Dtls) == 0);
     }
 }

@@ -122,7 +122,6 @@ pub fn transport_features() -> Vec<FeatureMatrix> {
 mod tests {
     use super::*;
     use doc_core::method::DocMethod;
-    use doc_core::transport::TransportKind;
 
     #[test]
     fn nine_columns_in_order() {
@@ -145,27 +144,6 @@ mod tests {
                 "{}",
                 f.transport
             );
-        }
-    }
-
-    /// The encryption column must agree with the implementation's
-    /// [`TransportKind::encrypted`].
-    #[test]
-    fn encryption_column_matches_implementation() {
-        let map = [
-            ("UDP", TransportKind::Udp),
-            ("DTLS", TransportKind::Dtls),
-            ("CoAP", TransportKind::Coap),
-            ("CoAPS", TransportKind::Coaps),
-            ("OSCORE", TransportKind::Oscore),
-        ];
-        let features = transport_features();
-        for (label, kind) in map {
-            let row = features
-                .iter()
-                .find(|f| f.transport == label)
-                .expect("row exists");
-            assert_eq!(row.encryption, kind.encrypted(), "{label}");
         }
     }
 

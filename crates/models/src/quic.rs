@@ -52,6 +52,7 @@ pub fn doq_bytes_on_air(dns_len: usize, header: usize) -> usize {
 }
 
 /// Number of 802.15.4 frames the DoQ packet needs.
+// lint:allow(pub-needs-caller): the model side of the DoQ model-vs-implementation check in tests/quic_conformance.rs
 pub fn doq_frames(dns_len: usize, header: usize) -> usize {
     doc_sixlowpan::fragment_count(dns_len + header)
 }

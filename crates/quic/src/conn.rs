@@ -230,11 +230,6 @@ impl Connection {
         &self.rtt
     }
 
-    /// The active congestion controller's stable name.
-    pub fn controller_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     fn derive_keys(&mut self, peer_random: &[u8]) {
         let mut secret = self.psk.clone();
         match self.role {

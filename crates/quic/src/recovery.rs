@@ -69,11 +69,6 @@ impl RttEstimator {
         }
     }
 
-    /// Whether at least one sample has been observed.
-    pub fn has_sample(&self) -> bool {
-        self.srtt.is_some()
-    }
-
     /// The smoothed RTT, if any sample has been observed.
     pub fn srtt(&self) -> Option<Millis> {
         self.srtt
@@ -438,7 +433,7 @@ mod tests {
     #[test]
     fn rtt_first_sample_initializes_per_rfc6298() {
         let mut rtt = RttEstimator::new();
-        assert!(!rtt.has_sample());
+        assert_eq!(rtt.srtt(), None);
         assert_eq!(rtt.pto(), INITIAL_RTO);
         rtt.on_sample(at(0), ms(40));
         assert_eq!(rtt.srtt(), Some(ms(40)));

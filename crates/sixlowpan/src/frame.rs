@@ -1,5 +1,5 @@
-//! IEEE 802.15.4 data-frame codec (simplified to the fields the
-//! experiments need).
+//! IEEE 802.15.4 data-frame layout (simplified to the fields the
+//! experiments account for).
 //!
 //! The frame layout matches RIOT's configuration on the FIT IoT-LAB
 //! M3 nodes: 2.4 GHz O-QPSK PHY, data frames with 16-bit PAN IDs and
@@ -8,24 +8,13 @@
 //! ```text
 //! FCF(2) | Seq(1) | Dst PAN(2) | Dst(8) | Src PAN(2) | Src(8) | payload … | FCS(2)
 //! ```
+//!
+//! The simulator counts frame bytes; it never builds a frame, so only
+//! the per-frame overhead lives here.
 
-use crate::SixloError;
-
-/// 64-bit extended (EUI-64) link-layer address.
-pub type LongAddr = u64;
-
-/// Decoded MAC header.
+/// The MAC header's byte accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MacHeader {
-    /// Sequence number.
-    pub seq: u8,
-    /// Destination PAN identifier.
-    pub pan_id: u16,
-    /// Destination address.
-    pub dst: LongAddr,
-    /// Source address.
-    pub src: LongAddr,
-}
+pub struct MacHeader;
 
 impl MacHeader {
     /// Header bytes: FCF 2 + Seq 1 + DstPAN 2 + Dst 8 + SrcPAN 2 +
@@ -35,83 +24,6 @@ impl MacHeader {
     pub const FCS_LEN: usize = 2;
     /// Total non-payload bytes per frame.
     pub const OVERHEAD: usize = Self::HEADER_LEN + Self::FCS_LEN;
-
-    /// Frame Control Field for a data frame, long addresses, no PAN-ID
-    /// compression, ACK requested (the paper's radios "automatically
-    /// handle link layer retransmissions and acknowledgments").
-    /// Bits: type=001 (data), AR=1, dst-mode=11 (long), version=01,
-    /// src-mode=11 (long).
-    const FCF: [u8; 2] = [0x21, 0xDC];
-
-    /// Encode header + payload + (zeroed placeholder) FCS.
-    pub fn encode_frame(&self, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(Self::OVERHEAD + payload.len());
-        out.extend_from_slice(&Self::FCF);
-        out.push(self.seq);
-        out.extend_from_slice(&self.pan_id.to_le_bytes());
-        out.extend_from_slice(&self.dst.to_le_bytes());
-        out.extend_from_slice(&self.pan_id.to_le_bytes()); // src PAN
-        out.extend_from_slice(&self.src.to_le_bytes());
-        out.extend_from_slice(payload);
-        // FCS (CRC-16) — the simulator treats corruption explicitly, so
-        // a CRC over the bytes is computed for realism.
-        let crc = crc16(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Decode a frame into (header, payload); verifies the FCS.
-    pub fn decode_frame(frame: &[u8]) -> Result<(Self, &[u8]), SixloError> {
-        if frame.len() < Self::OVERHEAD {
-            return Err(SixloError::Truncated);
-        }
-        let body_len = frame.len() - Self::FCS_LEN;
-        let (body, fcs) = frame.split_at(body_len);
-        let expect = crc16(body);
-        let got = u16::from_le_bytes([fcs[0], fcs[1]]);
-        if expect != got {
-            return Err(SixloError::BadFragment);
-        }
-        if body[0..2] != Self::FCF {
-            return Err(SixloError::BadDispatch);
-        }
-        let seq = body[2];
-        let pan_id = u16::from_le_bytes([body[3], body[4]]);
-        let dst = LongAddr::from_le_bytes(body[5..13].try_into().expect("8 bytes"));
-        // body[13..15] is the source PAN (same PAN in these setups).
-        let src = LongAddr::from_le_bytes(body[15..23].try_into().expect("8 bytes"));
-        Ok((
-            MacHeader {
-                seq,
-                pan_id,
-                dst,
-                src,
-            },
-            &body[Self::HEADER_LEN..],
-        ))
-    }
-
-    /// Maximum payload bytes one frame can carry.
-    pub fn max_payload() -> usize {
-        crate::MAX_FRAME - Self::OVERHEAD
-    }
-}
-
-/// CRC-16/CCITT (the 802.15.4 FCS polynomial 0x1021, LSB-first variant
-/// "KERMIT" as used by the standard).
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0x0000;
-    for &b in data {
-        crc ^= b as u16;
-        for _ in 0..8 {
-            if crc & 1 != 0 {
-                crc = (crc >> 1) ^ 0x8408;
-            } else {
-                crc >>= 1;
-            }
-        }
-    }
-    crc
 }
 
 #[cfg(test)]
@@ -119,68 +31,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frame_roundtrip() {
-        let hdr = MacHeader {
-            seq: 42,
-            pan_id: 0x23,
-            dst: 0x1122334455667788,
-            src: 0x8877665544332211,
-        };
-        let payload = b"compressed ipv6 here";
-        let frame = hdr.encode_frame(payload);
-        assert_eq!(frame.len(), MacHeader::OVERHEAD + payload.len());
-        let (back, p) = MacHeader::decode_frame(&frame).unwrap();
-        assert_eq!(back, hdr);
-        assert_eq!(p, payload);
-    }
-
-    #[test]
-    fn fcs_detects_corruption() {
-        let hdr = MacHeader {
-            seq: 1,
-            pan_id: 1,
-            dst: 2,
-            src: 3,
-        };
-        let mut frame = hdr.encode_frame(b"data");
-        frame[10] ^= 0x01;
-        assert_eq!(
-            MacHeader::decode_frame(&frame),
-            Err(SixloError::BadFragment)
-        );
-    }
-
-    #[test]
-    fn reject_truncated() {
-        assert_eq!(
-            MacHeader::decode_frame(&[0u8; 10]),
-            Err(SixloError::Truncated)
-        );
-    }
-
-    #[test]
     fn max_payload_is_102() {
         // 127 - 25 bytes of overhead.
-        assert_eq!(MacHeader::max_payload(), 102);
-    }
-
-    #[test]
-    fn crc16_kermit_vector() {
-        // Known KERMIT check value for "123456789" is 0x2189.
-        assert_eq!(crc16(b"123456789"), 0x2189);
-    }
-
-    #[test]
-    fn empty_payload_frame() {
-        let hdr = MacHeader {
-            seq: 0,
-            pan_id: 0,
-            dst: 0,
-            src: 0,
-        };
-        let frame = hdr.encode_frame(&[]);
-        let (back, p) = MacHeader::decode_frame(&frame).unwrap();
-        assert_eq!(back, hdr);
-        assert!(p.is_empty());
+        assert_eq!(crate::MAX_FRAME - MacHeader::OVERHEAD, 102);
     }
 }

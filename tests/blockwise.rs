@@ -52,7 +52,7 @@ fn block1_query_then_block2_response() {
             let echoed = BlockOpt::from_message(&resp, OptionNumber::BLOCK1)
                 .unwrap()
                 .unwrap();
-            sender.handle_ack(echoed).unwrap();
+            assert_eq!(echoed, block);
         } else {
             assert_eq!(resp.code, Code::CONTENT);
             final_resp = Some(resp);
