@@ -19,6 +19,10 @@
 #                    # paths (tests/udp_allocs.rs, forward_allocs.rs,
 #                    # sealed_allocs.rs), re-run in release
 #                    # + the 17 fig/table goldens re-run in release
+#                    # + the five examples run end to end in release
+#                    # (each asserts its own exchange and exits 0;
+#                    # mdns_discovery drives Group OSCORE,
+#                    # secure_resolution the DTLS handshake pump)
 #   ./ci.sh bench    # tier-1 build + the loopback UdpProvider smoke
 #                    # (real UDP sockets through the identical worker
 #                    # code, byte-identical to the sim front-end) + the
@@ -165,12 +169,24 @@ run_release_pins() {
         --test sealed_allocs
 }
 
+run_examples() {
+    # The examples are compiled by tier-1 but no test runs them; run
+    # each so a protocol flow that only an example drives (Group OSCORE
+    # in mdns_discovery, the DTLS handshake in secure_resolution)
+    # cannot break unnoticed.
+    for example in quickstart secure_resolution caching_proxy mdns_discovery iot_workload; do
+        echo "==> example: cargo run --release -q --example $example"
+        cargo run --release -q --example "$example" > /dev/null
+    done
+}
+
 case "$mode" in
     quick)
         run_tier1
         run_conformance
         run_goldens
         run_release_pins
+        run_examples
         ;;
     full)
         run_tier1

@@ -1150,32 +1150,7 @@ impl<'a> Driver<'a> {
 fn establish_dtls(seed: u64) -> (doc_dtls::DtlsClient, doc_dtls::DtlsServer) {
     let mut client = doc_dtls::DtlsClient::new(seed | 1, b"Client_ID", b"123456789");
     let mut server = doc_dtls::DtlsServer::new((seed ^ 0xF00D) | 1, b"123456789");
-    let mut c2s: Vec<Vec<u8>> = Vec::new();
-    for ev in client.start(0) {
-        if let doc_dtls::DtlsEvent::Transmit { datagram, .. } = ev {
-            c2s.push(datagram);
-        }
-    }
-    for _ in 0..8 {
-        let mut s2c = Vec::new();
-        for d in c2s.drain(..) {
-            for ev in server.handle_datagram(0, &d) {
-                if let doc_dtls::DtlsEvent::Transmit { datagram, .. } = ev {
-                    s2c.push(datagram);
-                }
-            }
-        }
-        for d in s2c {
-            for ev in client.handle_datagram(0, &d) {
-                if let doc_dtls::DtlsEvent::Transmit { datagram, .. } = ev {
-                    c2s.push(datagram);
-                }
-            }
-        }
-        if client.is_connected() && server.is_connected() {
-            break;
-        }
-    }
+    doc_dtls::run_handshake(&mut client, &mut server);
     assert!(client.is_connected() && server.is_connected());
     (client, server)
 }

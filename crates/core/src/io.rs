@@ -4,11 +4,14 @@
 //! consumes [`Datagram`]s and emits [`Reply`]s. An [`IoProvider`] is
 //! where those datagrams come from and where the replies go:
 //!
-//! * [`SimProvider`] feeds the pool from a `doc-netsim` event drain,
-//!   so the paper's simulated workloads run through the *same* worker
-//!   code as production traffic — and stay bit-identical, because the
-//!   provider only re-plumbs `Sim::drain_due`, it does not reinterpret
-//!   the schedule.
+//! * [`SimProvider`] feeds the pool from a `doc-netsim` event drain:
+//!   it only re-plumbs `Sim::drain_due`, it does not reinterpret the
+//!   schedule. The provider tests use it to serve a simulated topology
+//!   through the same worker code as real sockets. The paper's
+//!   simulated experiments do not run through the pool:
+//!   `experiment.rs` drives `Sim::next_event` itself and hands each
+//!   event to the node it addresses (a client, the single-threaded
+//!   `CoapProxy` or the server).
 //! * [`UdpProvider`] (Linux only) serves real datagrams from a
 //!   [`std::net::UdpSocket`]. A batch is one `recvmmsg` of up to 64
 //!   datagrams (with one `poll` for the deadline when the socket is
@@ -73,9 +76,9 @@ pub trait IoProvider {
 /// simulation along its installed routes.
 ///
 /// The provider is a pure re-plumbing of [`Sim::drain_due`] — event
-/// order, timestamps and bytes pass through untouched, which is what
-/// keeps the paper sims bit-identical whether they run through the
-/// pool or through the original experiment harness.
+/// order, timestamps and bytes pass through untouched. The paper's
+/// figures do not use it: their experiment harness steps
+/// `Sim::next_event` directly.
 pub struct SimProvider<'a> {
     sim: &'a mut Sim,
     node: NodeId,

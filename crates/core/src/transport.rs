@@ -296,7 +296,7 @@ pub fn dissect(kind: TransportKind, method: DocMethod, item: PacketItem) -> Diss
         }
         TransportKind::Oscore => {
             // Protect a real message pair and measure the outer bytes.
-            let (mut client, mut server) = oscore_pair();
+            let (mut client, mut server) = oscore_pair(false);
             let inner_req = coap_message(
                 DocMethod::Fetch,
                 PacketItem::Query,
@@ -379,12 +379,17 @@ pub fn frame_stream_response(kind: TransportKind, dns: &[u8]) -> Vec<u8> {
     }
 }
 
-fn oscore_pair() -> (OscoreEndpoint, OscoreEndpoint) {
+/// A client/server OSCORE pair; `require_echo` arms the server's
+/// replay-window initialization (the Fig. 6 Echo round trip).
+fn oscore_pair(require_echo: bool) -> (OscoreEndpoint, OscoreEndpoint) {
     let secret = b"0123456789abcdef";
     let salt = b"doc-salt";
     (
         OscoreEndpoint::new(SecurityContext::derive(secret, salt, &[], &[0x01]), false),
-        OscoreEndpoint::new(SecurityContext::derive(secret, salt, &[0x01], &[]), false),
+        OscoreEndpoint::new(
+            SecurityContext::derive(secret, salt, &[0x01], &[]),
+            require_echo,
+        ),
     )
 }
 
@@ -419,67 +424,15 @@ pub fn session_setup(kind: TransportKind) -> Vec<Dissection> {
         TransportKind::Dtls | TransportKind::Coaps => {
             let mut client = doc_dtls::DtlsClient::new(0xD0C, b"Client_ID", b"123456789");
             let mut server = doc_dtls::DtlsServer::new(0x5E4, b"123456789");
-            let mut trace: Vec<(&'static str, usize)> = Vec::new();
-            let mut c2s: Vec<Vec<u8>> = Vec::new();
-            let mut s2c: Vec<Vec<u8>> = Vec::new();
-            for ev in client.start(0) {
-                if let doc_dtls::DtlsEvent::Transmit { datagram, label } = ev {
-                    trace.push((label, datagram.len()));
-                    c2s.push(datagram);
-                }
-            }
-            for _ in 0..8 {
-                let mut next = Vec::new();
-                for d in c2s.drain(..) {
-                    for ev in server.handle_datagram(0, &d) {
-                        if let doc_dtls::DtlsEvent::Transmit { datagram, label } = ev {
-                            trace.push((label, datagram.len()));
-                            next.push(datagram);
-                        }
-                    }
-                }
-                s2c.extend(next);
-                let mut back = Vec::new();
-                for d in s2c.drain(..) {
-                    for ev in client.handle_datagram(0, &d) {
-                        if let doc_dtls::DtlsEvent::Transmit { datagram, label } = ev {
-                            trace.push((label, datagram.len()));
-                            back.push(datagram);
-                        }
-                    }
-                }
-                c2s.extend(back);
-                if client.is_connected() && server.is_connected() {
-                    break;
-                }
-            }
-            trace
+            doc_dtls::run_handshake(&mut client, &mut server)
                 .into_iter()
-                .map(|(label, len)| {
-                    let frames = fragment_count(len);
-                    let total = bytes_on_air(len);
-                    Dissection {
-                        label: label.to_string(),
-                        l2_sixlo: total - len,
-                        dtls: len,
-                        coap: 0,
-                        oscore: 0,
-                        dns: 0,
-                        frames,
-                        total,
-                    }
-                })
+                .map(|(label, len)| finish(label.to_string(), len, 0, 0, 0, len))
                 .collect()
         }
         TransportKind::Oscore => {
             // Replay-window initialization: request → 4.01 w/ Echo →
             // request w/ Echo.
-            let secret = b"0123456789abcdef";
-            let salt = b"doc-salt";
-            let mut client =
-                OscoreEndpoint::new(SecurityContext::derive(secret, salt, &[], &[0x01]), false);
-            let mut server =
-                OscoreEndpoint::new(SecurityContext::derive(secret, salt, &[0x01], &[]), true);
+            let (mut client, mut server) = oscore_pair(true);
             let name = experiment_name(0);
             let dns = dns_query_bytes(&name, RecordType::Aaaa);
             let inner = coap_message(DocMethod::Fetch, PacketItem::Query, &dns);
@@ -488,16 +441,9 @@ pub fn session_setup(kind: TransportKind) -> Vec<Dissection> {
                 Err(doc_oscore::OscoreError::EchoRequired(c)) => c,
                 other => panic!("expected echo challenge, got {other:?}"),
             };
-            let opt = doc_oscore::protect::OscoreOption::decode(
-                &outer1.option(OptionNumber::OSCORE).expect("option").value,
-            )
-            .expect("decodes");
-            let s_binding = doc_oscore::RequestBinding {
-                kid: opt.kid.expect("kid"),
-                piv: opt.piv,
-            };
+            // The server's binding is the client's: the same (kid, piv).
             let unauthorized = server
-                .protect_echo_challenge(&outer1, &s_binding, &challenge)
+                .protect_echo_challenge(&outer1, &binding1, &challenge)
                 .expect("protect");
             let echoed = client
                 .unprotect_response(&unauthorized, &binding1)
@@ -514,20 +460,7 @@ pub fn session_setup(kind: TransportKind) -> Vec<Dissection> {
                 ("Query (w/ Echo)", outer2.encoded_len()),
             ]
             .into_iter()
-            .map(|(label, len)| {
-                let frames = fragment_count(len);
-                let total = bytes_on_air(len);
-                Dissection {
-                    label: label.to_string(),
-                    l2_sixlo: total - len,
-                    dtls: 0,
-                    coap: 0,
-                    oscore: len,
-                    dns: 0,
-                    frames,
-                    total,
-                }
-            })
+            .map(|(label, len)| finish(label.to_string(), 0, 0, len, 0, len))
             .collect()
         }
         TransportKind::Quic | TransportKind::DohLite | TransportKind::Dot => {
@@ -549,20 +482,7 @@ pub fn session_setup(kind: TransportKind) -> Vec<Dissection> {
             assert!(client.is_established() && server.is_established());
             trace
                 .into_iter()
-                .map(|(label, len)| {
-                    let frames = fragment_count(len);
-                    let total = bytes_on_air(len);
-                    Dissection {
-                        label: label.to_string(),
-                        l2_sixlo: total - len,
-                        dtls: len,
-                        coap: 0,
-                        oscore: 0,
-                        dns: 0,
-                        frames,
-                        total,
-                    }
-                })
+                .map(|(label, len)| finish(label.to_string(), len, 0, 0, 0, len))
                 .collect()
         }
         _ => Vec::new(),

@@ -18,8 +18,6 @@
 //! is the multi-block entry point the batched CCM paths feed.
 
 use crate::backend::{soft, Backend};
-use crate::ct_eq;
-use std::cell::RefCell;
 
 /// The AES S-box (FIPS-197 Figure 7).
 #[rustfmt::skip]
@@ -66,37 +64,6 @@ impl Aes128 {
     /// Expand a 16-byte key for the process-wide active backend.
     pub fn new(key: &[u8; 16]) -> Self {
         Self::with_backend(key, Backend::active())
-    }
-
-    /// Fetch the expanded schedule for `key` from the per-thread cache,
-    /// expanding (and caching) it on a miss. Re-deriving the same
-    /// traffic key — e.g. `PacketKeys::derive` running both directions
-    /// of every QUIC connection through HKDF — then skips the key
-    /// expansion entirely. Entries are keyed on (key, active backend)
-    /// so a backend override between calls cannot serve a schedule
-    /// built for the wrong implementation; lookups compare keys in
-    /// constant time.
-    pub fn cached(key: &[u8; 16]) -> Self {
-        let backend = Backend::active();
-        SCHEDULE_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            if let Some(i) = cache
-                .entries
-                .iter()
-                .position(|(k, b, _)| *b == backend && ct_eq(k, key))
-            {
-                cache.hits += 1;
-                // Move-to-front keeps the hot keys resident.
-                let entry = cache.entries.remove(i);
-                let aes = entry.2.clone();
-                cache.entries.insert(0, entry);
-                return aes;
-            }
-            let aes = Self::with_backend(key, backend);
-            cache.entries.insert(0, (*key, backend, aes.clone()));
-            cache.entries.truncate(SCHEDULE_CACHE_CAP);
-            aes
-        })
     }
 
     /// Expand a 16-byte key, pinning a specific backend — used by the
@@ -162,36 +129,6 @@ impl Aes128 {
         self.encrypt_block(&mut out);
         out
     }
-}
-
-/// How many distinct key schedules the per-thread cache retains.
-///
-/// Sized for the working set of a pool worker: a handful of live
-/// traffic keys plus the DTLS/OSCORE contexts it multiplexes. The
-/// cache is deliberately thread-local — no locking on the hot path,
-/// and keys never cross a thread boundary through it.
-const SCHEDULE_CACHE_CAP: usize = 8;
-
-struct ScheduleCache {
-    entries: Vec<([u8; 16], Backend, Aes128)>,
-    hits: u64,
-}
-
-thread_local! {
-    static SCHEDULE_CACHE: RefCell<ScheduleCache> = const {
-        RefCell::new(ScheduleCache {
-            entries: Vec::new(),
-            hits: 0,
-        })
-    };
-}
-
-/// Cumulative [`Aes128::cached`] hit count on the calling thread —
-/// lets tests (and diagnostics) observe that rederivations actually
-/// bypass key expansion.
-// lint:allow(pub-needs-caller): lets tests observe that cached rederivations skip key expansion
-pub fn schedule_cache_hits() -> u64 {
-    SCHEDULE_CACHE.with(|cache| cache.borrow().hits)
 }
 
 /// Expand a 16-byte key into the 11-round-key schedule (FIPS-197 §5.2).
@@ -289,25 +226,6 @@ pub(crate) fn scalar_mix_columns(state: &mut [u8; 16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The per-thread schedule cache returns the same cipher as a
-    /// fresh expansion, and a repeated key actually hits the cache.
-    #[test]
-    fn schedule_cache_matches_fresh_expansion() {
-        let key = [0x5Au8; 16];
-        let block = [0x3Cu8; 16];
-        let fresh = Aes128::new(&key).encrypt(&block);
-        assert_eq!(Aes128::cached(&key).encrypt(&block), fresh);
-        let hits_before = schedule_cache_hits();
-        assert_eq!(Aes128::cached(&key).encrypt(&block), fresh);
-        assert!(
-            schedule_cache_hits() > hits_before,
-            "second lookup of the same key must hit the cache"
-        );
-        // Distinct keys get distinct schedules, even through the cache.
-        let other = Aes128::cached(&[0xA5u8; 16]).encrypt(&block);
-        assert_ne!(other, fresh);
-    }
 
     /// FIPS-197 Appendix C.1 example vector — on every backend the
     /// machine can run.

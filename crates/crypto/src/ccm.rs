@@ -181,19 +181,6 @@ impl AesCcm {
         })
     }
 
-    /// Like [`AesCcm::new`], but fetches the expanded AES key schedule
-    /// from the per-thread cache ([`Aes128::cached`]): re-deriving the
-    /// same traffic key (e.g. `PacketKeys::derive` rebuilding both
-    /// directions of a QUIC connection) skips the key expansion.
-    pub fn new_cached(key: &[u8; 16], tag_len: usize, l: usize) -> Result<Self, CryptoError> {
-        check_mode_params(tag_len, l)?;
-        Ok(AesCcm {
-            aes: Aes128::cached(key),
-            tag_len,
-            l,
-        })
-    }
-
     /// `AES-128-CCM-8` as used by the DTLS cipher suite
     /// `TLS_PSK_WITH_AES_128_CCM_8` (RFC 6655): 8-byte tag, 12-byte nonce.
     pub fn dtls_ccm8(key: &[u8; 16]) -> Self {
@@ -1083,23 +1070,6 @@ mod tests {
         for (i, buf) in bufs.iter().enumerate() {
             assert_eq!(buf, format!("packet {i}").as_bytes());
         }
-    }
-
-    /// `new_cached` builds the same cipher as `new` (through the
-    /// per-thread schedule cache) and rejects the same bad parameters.
-    #[test]
-    fn cached_constructor_matches_fresh() {
-        let key = [0x37u8; 16];
-        let nonce = [5u8; 13];
-        let sealed = AesCcm::new(&key, 8, 2)
-            .unwrap()
-            .seal(&nonce, b"aad", b"hello")
-            .unwrap();
-        let cached = AesCcm::new_cached(&key, 8, 2).unwrap();
-        assert_eq!(cached.seal(&nonce, b"aad", b"hello").unwrap(), sealed);
-        assert_eq!(cached.open(&nonce, b"aad", &sealed).unwrap(), b"hello");
-        assert!(AesCcm::new_cached(&key, 3, 2).is_err());
-        assert!(AesCcm::new_cached(&key, 8, 1).is_err());
     }
 
     /// `open_suffix_in_place` mirrors the seal side, over a whole

@@ -77,6 +77,7 @@ pub fn encode_response(msg: &Message, q: &Question) -> Vec<u8> {
 
 /// Decode a dns+cbor response into a full [`Message`], reconstructing
 /// elided fields from the request context `q`.
+// lint:allow(pub-needs-caller): the §7 CBOR decoder, oracle of the compression round-trip tests and of the crate doctest
 pub fn decode_response(data: &[u8], q: &Question) -> Result<Message, DnsError> {
     let v = Value::decode(data).map_err(|_| DnsError::BadCbor)?;
     let entries = v.as_array().ok_or(DnsError::BadCbor)?;

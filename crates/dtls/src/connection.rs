@@ -781,6 +781,55 @@ impl DtlsServer {
     }
 }
 
+/// Upper bound on the round trips [`run_handshake`] delivers; a PSK
+/// handshake needs three.
+const HANDSHAKE_ROUNDS: usize = 10;
+
+/// Run a loopback handshake at time 0: start `client`, then deliver
+/// each side's datagrams to the other until none is in flight (at most
+/// [`HANDSHAKE_ROUNDS`] round trips). Returns the `(label, length)` of
+/// every datagram sent, in send order — the Fig. 6 "Session setup"
+/// trace. Whether the handshake completed is the caller's to check
+/// with `is_connected`: on a Finished mismatch it stops with nothing
+/// in flight and neither end connected.
+pub fn run_handshake(
+    client: &mut DtlsClient,
+    server: &mut DtlsServer,
+) -> Vec<(&'static str, usize)> {
+    let mut trace = Vec::new();
+    let mut in_flight = transmits(client.start(0), &mut trace);
+    for _ in 0..HANDSHAKE_ROUNDS {
+        if in_flight.is_empty() {
+            break;
+        }
+        let events = in_flight
+            .iter()
+            .flat_map(|d| server.handle_datagram(0, d))
+            .collect();
+        let replies = transmits(events, &mut trace);
+        let events = replies
+            .iter()
+            .flat_map(|d| client.handle_datagram(0, d))
+            .collect();
+        in_flight = transmits(events, &mut trace);
+    }
+    trace
+}
+
+/// The datagrams of `events`' transmits, each recorded in `trace`.
+fn transmits(events: Vec<DtlsEvent>, trace: &mut Vec<(&'static str, usize)>) -> Vec<Vec<u8>> {
+    events
+        .into_iter()
+        .filter_map(|ev| match ev {
+            DtlsEvent::Transmit { datagram, label } => {
+                trace.push((label, datagram.len()));
+                Some(datagram)
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -793,50 +842,11 @@ mod tests {
     fn handshake() -> (DtlsClient, DtlsServer, Vec<(&'static str, usize)>) {
         let mut client = DtlsClient::new(11, IDENTITY, PSK);
         let mut server = DtlsServer::new(22, PSK);
-        let mut trace = Vec::new();
-        let mut c2s: Vec<Vec<u8>> = Vec::new();
-        let mut s2c: Vec<Vec<u8>> = Vec::new();
-        for ev in client.start(0) {
-            if let DtlsEvent::Transmit { datagram, label } = ev {
-                trace.push((label, datagram.len()));
-                c2s.push(datagram);
-            }
-        }
-        let mut connected = (false, false);
-        for _round in 0..10 {
-            let mut new_s2c = Vec::new();
-            for d in c2s.drain(..) {
-                for ev in server.handle_datagram(0, &d) {
-                    match ev {
-                        DtlsEvent::Transmit { datagram, label } => {
-                            trace.push((label, datagram.len()));
-                            new_s2c.push(datagram);
-                        }
-                        DtlsEvent::Connected => connected.1 = true,
-                        _ => {}
-                    }
-                }
-            }
-            s2c.extend(new_s2c);
-            let mut new_c2s = Vec::new();
-            for d in s2c.drain(..) {
-                for ev in client.handle_datagram(0, &d) {
-                    match ev {
-                        DtlsEvent::Transmit { datagram, label } => {
-                            trace.push((label, datagram.len()));
-                            new_c2s.push(datagram);
-                        }
-                        DtlsEvent::Connected => connected.0 = true,
-                        _ => {}
-                    }
-                }
-            }
-            c2s.extend(new_c2s);
-            if connected.0 && connected.1 {
-                break;
-            }
-        }
-        assert!(connected.0 && connected.1, "handshake did not complete");
+        let trace = run_handshake(&mut client, &mut server);
+        assert!(
+            client.is_connected() && server.is_connected(),
+            "handshake did not complete"
+        );
         (client, server, trace)
     }
 
@@ -898,40 +908,9 @@ mod tests {
     fn wrong_psk_fails_finished() {
         let mut client = DtlsClient::new(1, IDENTITY, b"123456789");
         let mut server = DtlsServer::new(2, b"987654321");
-        let mut datagrams: Vec<Vec<u8>> = Vec::new();
-        for ev in client.start(0) {
-            if let DtlsEvent::Transmit { datagram, .. } = ev {
-                datagrams.push(datagram);
-            }
-        }
-        let mut failed = true;
-        for _ in 0..10 {
-            let mut next = Vec::new();
-            for d in datagrams.drain(..) {
-                for ev in server.handle_datagram(0, &d) {
-                    match ev {
-                        DtlsEvent::Transmit { datagram, .. } => next.push(datagram),
-                        DtlsEvent::Connected => failed = false,
-                        _ => {}
-                    }
-                }
-            }
-            let mut back = Vec::new();
-            for d in next {
-                for ev in client.handle_datagram(0, &d) {
-                    match ev {
-                        DtlsEvent::Transmit { datagram, .. } => back.push(datagram),
-                        DtlsEvent::Connected => failed = false,
-                        _ => {}
-                    }
-                }
-            }
-            datagrams = back;
-            if datagrams.is_empty() {
-                break;
-            }
-        }
-        assert!(failed, "handshake must not complete with mismatched PSKs");
+        let trace = run_handshake(&mut client, &mut server);
+        // The server rejects the client's Finished and answers nothing.
+        assert_eq!(trace.last().map(|(l, _)| *l), Some("Change Cipher Spec"));
         assert!(!server.is_connected());
         assert!(!client.is_connected());
     }

@@ -29,7 +29,7 @@ pub mod connection;
 pub mod handshake;
 pub mod record;
 
-pub use connection::{DtlsClient, DtlsEvent, DtlsServer};
+pub use connection::{run_handshake, DtlsClient, DtlsEvent, DtlsServer};
 pub use record::{Record, RecordView};
 
 /// Errors produced by the DTLS layer.

@@ -15,8 +15,10 @@
 //!   named somewhere in non-test code under the caller roots
 //!   (`src/`, `crates/*/{src,benches}`, `examples/`, `docbench/src`);
 //!   a function only tests reach is dead API. Name-based: the caller
-//!   set comes from [`collect_callers`], and oracles or fakes that
-//!   only tests call carry a waiver with the reason they stay.
+//!   set comes from [`collect_callers`], where a `.name` token counts
+//!   only for a method (a `pub fn` in an `impl` body), and oracles or
+//!   fakes that only tests call carry a waiver with the reason they
+//!   stay.
 //! * **`no-raw-ms-in-quic`** *(warning, soaking)* — `doc-quic` and
 //!   `doc-netsim` express time as the shared `doc-time` newtypes
 //!   (`Millis`/`Instant`); a raw `<name>_ms: u64` binding in those
@@ -302,10 +304,15 @@ fn alloc_checked_fn_bodies(tokens: &[Token], code: &[usize]) -> Vec<(usize, usiz
 }
 
 /// Add every identifier in `source`'s non-test code to `callers`,
-/// except the name right after `fn`: a definition is not a caller.
+/// except the name right after `fn`: a definition is not a caller. A
+/// method-call or field token `.name` goes in as `".name"`, so it
+/// counts for a method called `name` but not for a free function.
 pub fn collect_callers(source: &str, callers: &mut HashSet<String>) {
     let tokens = lex(source);
     let masked = test_module_mask(&tokens);
+    // The two code tokens before the current one: `.name` is a method
+    // or field, `..name` a range end.
+    let mut prev: [Option<char>; 2] = [None, None];
     let mut after_fn = false;
     for (t, &in_test) in tokens.iter().zip(&masked) {
         if matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
@@ -313,10 +320,40 @@ pub fn collect_callers(source: &str, callers: &mut HashSet<String>) {
         }
         let is_ident = t.kind == TokenKind::Ident;
         if is_ident && !in_test && !after_fn {
-            callers.insert(t.text.clone());
+            if prev[0] == Some('.') && prev[1] != Some('.') {
+                callers.insert(format!(".{}", t.text));
+            } else {
+                callers.insert(t.text.clone());
+            }
         }
         after_fn = is_ident && t.text == "fn";
+        prev = [t.punct(), prev[0]];
     }
+}
+
+/// For each entry of `code`, whether the innermost `{}` block around
+/// it is an `impl` body, where a `pub fn` is a method.
+fn impl_body_mask(tokens: &[Token], code: &[usize]) -> Vec<bool> {
+    let mut blocks: Vec<bool> = Vec::new();
+    let mut header_has_impl = false;
+    code.iter()
+        .map(|&ti| {
+            let inside = blocks.last().copied().unwrap_or(false);
+            match tokens[ti].punct() {
+                Some('{') => {
+                    blocks.push(header_has_impl);
+                    header_has_impl = false;
+                }
+                Some('}') => {
+                    blocks.pop();
+                    header_has_impl = false;
+                }
+                Some(';') => header_has_impl = false,
+                _ => header_has_impl |= tokens[ti].text == "impl",
+            }
+            inside
+        })
+        .collect()
 }
 
 /// Lint one source file. `file` is only a label for reports; the
@@ -526,10 +563,12 @@ pub fn lint_source(file: &str, source: &str, callers: Option<&HashSet<String>>) 
 
     // --- pub-needs-caller ---------------------------------------------------
     // `pub [const|unsafe|async] fn <name>` outside test modules, in a
-    // `crates/*/src` file, whose name no non-test code mentions.
-    // Trait methods carry no `pub`, so impls are never flagged.
+    // `crates/*/src` file, whose name no non-test code mentions. A
+    // `.name` token only reaches a method (a `pub fn` in an `impl`
+    // body). Trait methods carry no `pub`, so impls are never flagged.
     let crate_src = normalized.starts_with("crates/") && normalized.contains("/src/");
     if let Some(callers) = callers.filter(|_| crate_src) {
+        let in_impl = impl_body_mask(&tokens, &code);
         for (ci, &ti) in code.iter().enumerate() {
             if masked[ti] || tokens[ti].text != "pub" {
                 continue;
@@ -545,7 +584,8 @@ pub fn lint_source(file: &str, source: &str, callers: Option<&HashSet<String>>) 
             let Some(name) = code.get(cj + 1).map(|&n| &tokens[n]).filter(|_| is_fn) else {
                 continue;
             };
-            if !callers.contains(&name.text) {
+            let method_called = in_impl[ci] && callers.contains(&format!(".{}", name.text));
+            if !callers.contains(&name.text) && !method_called {
                 raw.push(Violation {
                     rule: PUB_NEEDS_CALLER,
                     severity: Severity::Error,

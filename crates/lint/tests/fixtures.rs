@@ -260,6 +260,31 @@ impl S {
     assert_eq!(dead_pub_fns(&reports), ["crates/a/src/lib.rs:9"]);
 }
 
+/// A `.name` token is a method call (or a field): it reaches a
+/// `pub fn name` in an `impl` body but not a free `pub fn name` that
+/// only shares the name, while a path call or a range end `..name()`
+/// reaches the free one.
+#[test]
+fn method_call_tokens_do_not_reach_free_fns() {
+    let lib = r#"pub fn decode(data: &[u8]) -> u8 { data[0] }
+pub fn len_of() -> usize { 1 }
+pub struct Client;
+impl Client {
+    pub fn decode(&self) {}
+    pub fn run(&self) { self.decode(); }
+}
+pub fn run_all() { for _ in 0..len_of() { Client.run(); } }
+"#;
+    let reports = lint_tree(
+        "pub_fn_method_tokens",
+        &[
+            ("crates/a/src/lib.rs", lib),
+            ("src/main.rs", "fn main() { a::run_all(); }\n"),
+        ],
+    );
+    assert_eq!(dead_pub_fns(&reports), ["crates/a/src/lib.rs:1"]);
+}
+
 /// A waived oracle counts as waived; a waiver on a function that has
 /// a caller excuses nothing and is reported unused. The rule covers
 /// `crates/*/src` only, so the uncalled `pub fn` in `src/` is fine.

@@ -42,16 +42,31 @@ pub struct SecurityContext {
     pub sender_seq: u64,
 }
 
-/// Build the HKDF `info` structure of RFC 8613 §3.2.1.
-fn kdf_info(id: &[u8], type_: &str, len: usize) -> Vec<u8> {
+/// Build the HKDF `info` structure of RFC 8613 §3.2.1. `id_context`
+/// is `None` (CBOR null) for a pairwise context and the group id for a
+/// Group OSCORE one.
+fn kdf_info(id: &[u8], id_context: Option<&[u8]>, type_: &str, len: usize) -> Vec<u8> {
     Value::Array(vec![
         Value::Bytes(id.to_vec()),
-        Value::Null, // id_context not used in this deployment
+        id_context.map_or(Value::Null, |c| Value::Bytes(c.to_vec())),
         Value::int(ALG_AES_CCM_16_64_128),
         Value::Text(type_.to_string()),
         Value::Uint(len as u64),
     ])
     .encode()
+}
+
+/// Derive one `N`-byte parameter (`type_` "Key", "IV", …) for `id`
+/// with HKDF-SHA256 (RFC 8613 §3.2.1).
+pub(crate) fn derive_param<const N: usize>(
+    secret: &[u8],
+    salt: &[u8],
+    id: &[u8],
+    id_context: Option<&[u8]>,
+    type_: &str,
+) -> [u8; N] {
+    let okm = hkdf::hkdf(salt, secret, &kdf_info(id, id_context, type_, N), N);
+    okm.try_into().expect("HKDF returns N bytes")
 }
 
 impl SecurityContext {
@@ -66,64 +81,46 @@ impl SecurityContext {
         sender_id: &[u8],
         recipient_id: &[u8],
     ) -> Self {
-        let mut sender_key = [0u8; KEY_LEN];
-        sender_key.copy_from_slice(&hkdf::hkdf(
-            master_salt,
-            master_secret,
-            &kdf_info(sender_id, "Key", KEY_LEN),
-            KEY_LEN,
-        ));
-        let mut recipient_key = [0u8; KEY_LEN];
-        recipient_key.copy_from_slice(&hkdf::hkdf(
-            master_salt,
-            master_secret,
-            &kdf_info(recipient_id, "Key", KEY_LEN),
-            KEY_LEN,
-        ));
-        let mut common_iv = [0u8; NONCE_LEN];
-        common_iv.copy_from_slice(&hkdf::hkdf(
-            master_salt,
-            master_secret,
-            &kdf_info(&[], "IV", NONCE_LEN),
-            NONCE_LEN,
-        ));
+        let param = |id, type_| derive_param(master_secret, master_salt, id, None, type_);
         SecurityContext {
             sender_id: sender_id.to_vec(),
             recipient_id: recipient_id.to_vec(),
-            sender_key,
-            recipient_key,
-            common_iv,
+            sender_key: param(sender_id, "Key"),
+            recipient_key: param(recipient_id, "Key"),
+            common_iv: derive_param(master_secret, master_salt, &[], None, "IV"),
             sender_seq: 0,
         }
     }
+}
 
-    /// Compute the AEAD nonce for (`id`, `piv`) per RFC 8613 §5.2:
-    /// left-pad PIV to 5 bytes, left-pad ID to `nonce_len - 6`, prefix
-    /// the ID length, XOR with the Common IV.
-    pub fn nonce(&self, id: &[u8], piv: &[u8]) -> [u8; NONCE_LEN] {
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce[0] = id.len() as u8;
-        // ID left-padded into bytes [1 .. nonce_len-5).
-        let id_field_len = NONCE_LEN - 6;
-        nonce[1 + id_field_len - id.len()..1 + id_field_len].copy_from_slice(id);
-        // PIV left-padded into the last 5 bytes.
-        nonce[NONCE_LEN - piv.len()..].copy_from_slice(piv);
-        for (n, c) in nonce.iter_mut().zip(self.common_iv.iter()) {
-            *n ^= c;
-        }
-        nonce
+/// Compute the AEAD nonce for (`id`, `piv`) per RFC 8613 §5.2:
+/// left-pad PIV to 5 bytes, left-pad ID to `nonce_len - 6`, prefix the
+/// ID length, XOR with the Common IV. An `id` longer than
+/// `NONCE_LEN - 6` bytes has no nonce; [`crate::OscoreOption::decode`]
+/// rejects such a kid before it gets here.
+pub(crate) fn nonce(common_iv: &[u8; NONCE_LEN], id: &[u8], piv: &[u8]) -> [u8; NONCE_LEN] {
+    let mut nonce = [0u8; NONCE_LEN];
+    nonce[0] = id.len() as u8;
+    // ID left-padded into bytes [1 .. nonce_len-5).
+    let id_field_len = NONCE_LEN - 6;
+    nonce[1 + id_field_len - id.len()..1 + id_field_len].copy_from_slice(id);
+    // PIV left-padded into the last 5 bytes.
+    nonce[NONCE_LEN - piv.len()..].copy_from_slice(piv);
+    for (n, c) in nonce.iter_mut().zip(common_iv) {
+        *n ^= c;
     }
+    nonce
+}
 
-    /// Take the next partial IV (minimal big-endian encoding, at least
-    /// one byte, at most 5).
-    pub fn next_piv(&mut self) -> Result<Vec<u8>, crate::OscoreError> {
-        if self.sender_seq >= 1 << 40 {
-            return Err(crate::OscoreError::PivExhausted);
-        }
-        let piv = encode_piv(self.sender_seq);
-        self.sender_seq += 1;
-        Ok(piv)
+/// Take the next partial IV from a sender sequence number (minimal
+/// big-endian encoding, at least one byte, at most 5).
+pub(crate) fn next_piv(sender_seq: &mut u64) -> Result<Vec<u8>, crate::OscoreError> {
+    if *sender_seq >= 1 << 40 {
+        return Err(crate::OscoreError::PivExhausted);
     }
+    let piv = encode_piv(*sender_seq);
+    *sender_seq += 1;
+    Ok(piv)
 }
 
 /// Minimal big-endian PIV encoding (RFC 8613 §6.1: 0 encodes as one
@@ -195,7 +192,7 @@ mod tests {
         let secret = unhex("0102030405060708090a0b0c0d0e0f10");
         let salt = unhex("9e7ca92223786340");
         let ctx = SecurityContext::derive(&secret, &salt, &[], &[0x01]);
-        let nonce = ctx.nonce(&[], &[0x14]);
+        let nonce = nonce(&ctx.common_iv, &[], &[0x14]);
         assert_eq!(hex(&nonce), "4622d4dd6d944168eefb549868");
     }
 
@@ -223,8 +220,8 @@ mod tests {
             unhex("9e7ca92223786340"),
         );
         let mut ctx = SecurityContext::derive(&ctx_params.0, &ctx_params.1, &[], &[1]);
-        assert_eq!(ctx.next_piv().unwrap(), vec![0x00]);
-        assert_eq!(ctx.next_piv().unwrap(), vec![0x01]);
+        assert_eq!(next_piv(&mut ctx.sender_seq).unwrap(), vec![0x00]);
+        assert_eq!(next_piv(&mut ctx.sender_seq).unwrap(), vec![0x01]);
         assert_eq!(ctx.sender_seq, 2);
     }
 
@@ -232,7 +229,10 @@ mod tests {
     fn piv_exhaustion() {
         let mut ctx = SecurityContext::derive(b"secret", b"", &[], &[1]);
         ctx.sender_seq = 1 << 40;
-        assert_eq!(ctx.next_piv(), Err(crate::OscoreError::PivExhausted));
+        assert_eq!(
+            next_piv(&mut ctx.sender_seq),
+            Err(crate::OscoreError::PivExhausted)
+        );
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! One multicast request (e.g. an mDNS PTR browse) yields protected
 //! unicast responses from several members, each bound to the request.
 //!
+//! Group protection runs on the pairwise OSCORE core: the same HKDF
+//! `info` (with the group id as ID context), nonce, Enc_structure AAD
+//! (with the group id as the fifth external-AAD element), inner codec,
+//! outer messages, [`OscoreOption`] codec (the group id travels as the
+//! kid context) and partial-IV step. What stays here is only what is
+//! group-specific: per-sender key derivation from the group secret, the
+//! authenticity tag below, and one replay window per peer.
+//!
 //! **Substitution note (see DESIGN.md):** real Group OSCORE
 //! additionally countersigns every message with the sender's asymmetric
 //! key pair so that group members cannot impersonate each other. This
@@ -20,14 +28,15 @@
 //! source-authenticity guarantee is group-internal rather than
 //! cryptographically non-repudiable.
 
-use crate::context::{decode_piv, ALG_AES_CCM_16_64_128, KEY_LEN, NONCE_LEN, TAG_LEN};
-use crate::protect::OscoreOption;
+use crate::context::{decode_piv, derive_param, next_piv, nonce, KEY_LEN, NONCE_LEN, TAG_LEN};
+use crate::protect::{
+    build_aad, encode_inner, open_inner, outer_request, outer_response, OscoreOption,
+    RequestBinding, MAX_KID_CONTEXT_LEN,
+};
 use crate::OscoreError;
-use doc_coap::msg::{CoapMessage, Code, MsgType};
-use doc_coap::opt::{CoapOption, OptionNumber};
-use doc_crypto::cbor::Value;
+use doc_coap::msg::CoapMessage;
+use doc_coap::opt::OptionNumber;
 use doc_crypto::ccm::AesCcm;
-use doc_crypto::hkdf;
 use doc_crypto::replay::ReplayWindow;
 use std::collections::HashMap;
 
@@ -55,42 +64,34 @@ pub struct GroupContext {
     replay: HashMap<Vec<u8>, ReplayWindow>,
 }
 
-fn kdf_info(id: &[u8], group_id: &[u8], type_: &str, len: usize) -> Vec<u8> {
-    Value::Array(vec![
-        Value::Bytes(id.to_vec()),
-        Value::Bytes(group_id.to_vec()),
-        Value::int(ALG_AES_CCM_16_64_128),
-        Value::Text(type_.to_string()),
-        Value::Uint(len as u64),
-    ])
-    .encode()
+/// The AEAD key and authenticity key of group member `id`.
+fn member_keys(secret: &[u8], salt: &[u8], gid: &[u8], id: &[u8]) -> ([u8; KEY_LEN], [u8; 32]) {
+    (
+        derive_param(secret, salt, id, Some(gid), "Key"),
+        derive_param(secret, salt, id, Some(gid), "Auth"),
+    )
+}
+
+/// The authenticity tag over `ciphertext` (countersignature stand-in).
+fn auth_tag(auth_key: &[u8; 32], ciphertext: &[u8]) -> [u8; AUTH_TAG_LEN] {
+    let mac = doc_crypto::hmac::hmac_sha256(auth_key, ciphertext);
+    mac[..AUTH_TAG_LEN].try_into().expect("8 bytes")
 }
 
 impl GroupContext {
     /// Join a group: derive this member's keys from the group master
     /// secret/salt (as provisioned by a Group Manager).
+    ///
+    /// # Panics
+    ///
+    /// If `group_id` is longer than `MAX_KID_CONTEXT_LEN` (32) bytes.
     pub fn join(group_secret: &[u8], group_salt: &[u8], group_id: &[u8], sender_id: &[u8]) -> Self {
-        let mut sender_key = [0u8; KEY_LEN];
-        sender_key.copy_from_slice(&hkdf::hkdf(
-            group_salt,
-            group_secret,
-            &kdf_info(sender_id, group_id, "Key", KEY_LEN),
-            KEY_LEN,
-        ));
-        let mut sender_auth_key = [0u8; 32];
-        sender_auth_key.copy_from_slice(&hkdf::hkdf(
-            group_salt,
-            group_secret,
-            &kdf_info(sender_id, group_id, "Auth", 32),
-            32,
-        ));
-        let mut common_iv = [0u8; NONCE_LEN];
-        common_iv.copy_from_slice(&hkdf::hkdf(
-            group_salt,
-            group_secret,
-            &kdf_info(&[], group_id, "IV", NONCE_LEN),
-            NONCE_LEN,
-        ));
+        assert!(
+            group_id.len() <= MAX_KID_CONTEXT_LEN,
+            "group id longer than 32 bytes"
+        );
+        let (sender_key, sender_auth_key) =
+            member_keys(group_secret, group_salt, group_id, sender_id);
         GroupContext {
             sender_id: sender_id.to_vec(),
             group_id: group_id.to_vec(),
@@ -98,142 +99,75 @@ impl GroupContext {
             group_salt: group_salt.to_vec(),
             sender_key,
             sender_auth_key,
-            common_iv,
+            common_iv: derive_param(group_secret, group_salt, &[], Some(group_id), "IV"),
             sender_seq: 0,
             replay: HashMap::new(),
         }
     }
 
-    /// Derive the (recipient) key material of any group member.
-    fn peer_keys(&self, peer_id: &[u8]) -> ([u8; KEY_LEN], [u8; 32]) {
-        let mut key = [0u8; KEY_LEN];
-        key.copy_from_slice(&hkdf::hkdf(
-            &self.group_salt,
-            &self.group_secret,
-            &kdf_info(peer_id, &self.group_id, "Key", KEY_LEN),
-            KEY_LEN,
-        ));
-        let mut auth = [0u8; 32];
-        auth.copy_from_slice(&hkdf::hkdf(
-            &self.group_salt,
-            &self.group_secret,
-            &kdf_info(peer_id, &self.group_id, "Auth", 32),
-            32,
-        ));
-        (key, auth)
+    /// Seal `msg`'s inner form under our sender key with partial IV
+    /// `piv`, bound to `request`, and append the authenticity tag.
+    fn seal(
+        &self,
+        msg: &CoapMessage,
+        piv: &[u8],
+        request: &RequestBinding,
+    ) -> Result<Vec<u8>, OscoreError> {
+        let mut sealed = encode_inner(msg);
+        let aad = build_aad(&request.kid, &request.piv, &self.group_id);
+        let nonce = nonce(&self.common_iv, &self.sender_id, piv);
+        AesCcm::cose_ccm_16_64_128(&self.sender_key)
+            .seal_suffix_in_place(&nonce, aad.as_slice(), &mut sealed, 0)
+            .map_err(|_| OscoreError::Crypto)?;
+        let tag = auth_tag(&self.sender_auth_key, &sealed);
+        sealed.extend_from_slice(&tag);
+        Ok(sealed)
     }
 
-    fn nonce(&self, id: &[u8], piv: &[u8]) -> [u8; NONCE_LEN] {
-        let mut nonce = [0u8; NONCE_LEN];
-        nonce[0] = id.len() as u8;
-        let id_field_len = NONCE_LEN - 6;
-        nonce[1 + id_field_len - id.len()..1 + id_field_len].copy_from_slice(id);
-        nonce[NONCE_LEN - piv.len()..].copy_from_slice(piv);
-        for (n, c) in nonce.iter_mut().zip(self.common_iv.iter()) {
-            *n ^= c;
-        }
-        nonce
-    }
-
-    fn aad(&self, request_kid: &[u8], request_piv: &[u8]) -> Vec<u8> {
-        let external_aad = Value::Array(vec![
-            Value::Uint(1),
-            Value::Array(vec![Value::int(ALG_AES_CCM_16_64_128)]),
-            Value::Bytes(request_kid.to_vec()),
-            Value::Bytes(request_piv.to_vec()),
-            Value::Bytes(self.group_id.clone()), // gid enters the AAD
-        ])
-        .encode();
-        Value::Array(vec![
-            Value::Text("Encrypt0".to_string()),
-            Value::Bytes(Vec::new()),
-            Value::Bytes(external_aad),
-        ])
-        .encode()
-    }
-
-    fn encode_inner(msg: &CoapMessage) -> Vec<u8> {
-        let shadow = CoapMessage {
-            mtype: MsgType::Non,
-            code: msg.code,
-            message_id: 0,
-            token: Vec::new(),
-            options: msg
-                .options
-                .iter()
-                .filter(|o| o.number != OptionNumber::OSCORE)
-                .cloned()
-                .collect(),
-            payload: msg.payload.clone(),
-        };
-        let wire = shadow.encode();
-        let mut out = vec![msg.code.0];
-        out.extend_from_slice(&wire[4..]);
-        out
-    }
-
-    fn decode_inner(plain: &[u8]) -> Result<CoapMessage, OscoreError> {
-        if plain.is_empty() {
+    /// Check member `kid`'s authenticity tag on `outer`'s payload and
+    /// open it (partial IV `piv`, bound to `request`).
+    fn open(
+        &self,
+        outer: &CoapMessage,
+        kid: &[u8],
+        piv: &[u8],
+        request: &RequestBinding,
+    ) -> Result<CoapMessage, OscoreError> {
+        if outer.payload.len() < AUTH_TAG_LEN + TAG_LEN {
             return Err(OscoreError::Malformed);
         }
-        let mut wire = vec![0x40, plain[0], 0, 0];
-        wire.extend_from_slice(&plain[1..]);
-        CoapMessage::decode(&wire).map_err(|_| OscoreError::Malformed)
-    }
-
-    fn auth_tag(auth_key: &[u8; 32], ciphertext: &[u8]) -> [u8; AUTH_TAG_LEN] {
-        let mac = doc_crypto::hmac::hmac_sha256(auth_key, ciphertext);
-        mac[..AUTH_TAG_LEN].try_into().expect("8 bytes")
+        let (ciphertext, auth) = outer.payload.split_at(outer.payload.len() - AUTH_TAG_LEN);
+        let (key, auth_key) =
+            member_keys(&self.group_secret, &self.group_salt, &self.group_id, kid);
+        if !doc_crypto::ct_eq(&auth_tag(&auth_key, ciphertext), auth) {
+            return Err(OscoreError::Crypto);
+        }
+        let aad = build_aad(&request.kid, &request.piv, &self.group_id);
+        let nonce = nonce(&self.common_iv, kid, piv);
+        let ccm = AesCcm::cose_ccm_16_64_128(&key);
+        open_inner(&ccm, &nonce, aad.as_slice(), outer, ciphertext)
     }
 
     /// Protect a (multicast) group request. The OSCORE option carries
     /// kid context = group id and kid = sender id, so any member can
-    /// locate the group and the sender.
+    /// locate the group and the sender; the Class-U options stay on
+    /// the outer message.
     pub fn protect_request(
         &mut self,
         msg: &CoapMessage,
-    ) -> Result<(CoapMessage, GroupBinding), OscoreError> {
-        if self.sender_seq >= 1 << 40 {
-            return Err(OscoreError::PivExhausted);
-        }
-        let piv = crate::context::encode_piv(self.sender_seq);
-        self.sender_seq += 1;
-        let plaintext = Self::encode_inner(msg);
-        let aad = self.aad(&self.sender_id, &piv);
-        let nonce = self.nonce(&self.sender_id, &piv);
-        let ccm = AesCcm::cose_ccm_16_64_128(&self.sender_key);
-        let mut ciphertext = ccm
-            .seal(&nonce, &aad, &plaintext)
-            .map_err(|_| OscoreError::Crypto)?;
-        // Countersignature stand-in.
-        let tag = Self::auth_tag(&self.sender_auth_key, &ciphertext);
-        ciphertext.extend_from_slice(&tag);
-
-        // Option value with kid context (h flag): flags | piv |
-        // ctxlen | ctx | kid.
-        let mut value = Vec::new();
-        value.push(0x18 | piv.len() as u8); // h=1, k=1, n=piv len
-        value.extend_from_slice(&piv);
-        value.push(self.group_id.len() as u8);
-        value.extend_from_slice(&self.group_id);
-        value.extend_from_slice(&self.sender_id);
-
-        let mut outer = CoapMessage {
-            mtype: msg.mtype,
-            code: Code::POST,
-            message_id: msg.message_id,
-            token: msg.token.clone(),
-            options: Vec::new(),
-            payload: ciphertext,
+    ) -> Result<(CoapMessage, RequestBinding), OscoreError> {
+        let piv = next_piv(&mut self.sender_seq)?;
+        let binding = RequestBinding {
+            kid: self.sender_id.clone(),
+            piv,
         };
-        outer.set_option(CoapOption::new(OptionNumber::OSCORE, value));
-        Ok((
-            outer,
-            GroupBinding {
-                kid: self.sender_id.clone(),
-                piv,
-            },
-        ))
+        let ciphertext = self.seal(msg, &binding.piv, &binding)?;
+        let opt = OscoreOption {
+            piv: binding.piv.clone(),
+            kid: Some(binding.kid.clone()),
+            kid_context: Some(self.group_id.clone()),
+        };
+        Ok((outer_request(msg, &opt, ciphertext), binding))
     }
 
     /// Unprotect a group request from any member; returns the inner
@@ -241,60 +175,32 @@ impl GroupContext {
     pub fn unprotect_request(
         &mut self,
         outer: &CoapMessage,
-    ) -> Result<(CoapMessage, Vec<u8>, GroupBinding), OscoreError> {
-        let opt = outer
+    ) -> Result<(CoapMessage, Vec<u8>, RequestBinding), OscoreError> {
+        let opt_value = outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
-        let value = &opt.value;
-        if value.is_empty() || value[0] & 0x18 != 0x18 {
+        let opt = OscoreOption::decode(&opt_value.value)?;
+        let (Some(gid), Some(kid)) = (opt.kid_context, opt.kid) else {
             return Err(OscoreError::Malformed);
-        }
-        let n = (value[0] & 0x07) as usize;
-        let piv = value.get(1..1 + n).ok_or(OscoreError::Malformed)?.to_vec();
-        let ctx_len = *value.get(1 + n).ok_or(OscoreError::Malformed)? as usize;
-        let gid = value
-            .get(2 + n..2 + n + ctx_len)
-            .ok_or(OscoreError::Malformed)?
-            .to_vec();
+        };
         if gid != self.group_id {
             return Err(OscoreError::Crypto);
         }
-        let kid = value[2 + n + ctx_len..].to_vec();
         if kid.is_empty() {
             return Err(OscoreError::Malformed);
         }
-        let seq = decode_piv(&piv).ok_or(OscoreError::Malformed)?;
-
-        // Split ciphertext || auth tag.
-        if outer.payload.len() < AUTH_TAG_LEN + TAG_LEN {
-            return Err(OscoreError::Malformed);
-        }
-        let split = outer.payload.len() - AUTH_TAG_LEN;
-        let (ciphertext, auth) = outer.payload.split_at(split);
-        let (peer_key, peer_auth) = self.peer_keys(&kid);
-        let expect = Self::auth_tag(&peer_auth, ciphertext);
-        if !doc_crypto::ct_eq(&expect, auth) {
-            return Err(OscoreError::Crypto);
-        }
-        let aad = self.aad(&kid, &piv);
-        let nonce = self.nonce(&kid, &piv);
-        let ccm = AesCcm::cose_ccm_16_64_128(&peer_key);
-        let plain = ccm
-            .open(&nonce, &aad, ciphertext)
-            .map_err(|_| OscoreError::Crypto)?;
+        let seq = decode_piv(&opt.piv).ok_or(OscoreError::Malformed)?;
+        let binding = RequestBinding { kid, piv: opt.piv };
+        let inner = self.open(outer, &binding.kid, &binding.piv, &binding)?;
         // Replay protection per peer.
         let window = self
             .replay
-            .entry(kid.clone())
+            .entry(binding.kid.clone())
             .or_insert_with(|| ReplayWindow::new(64));
         if !window.check_and_update(seq) {
             return Err(OscoreError::Replay);
         }
-        let mut inner = Self::decode_inner(&plain)?;
-        inner.mtype = outer.mtype;
-        inner.message_id = outer.message_id;
-        inner.token = outer.token.clone();
-        Ok((inner, kid.clone(), GroupBinding { kid, piv }))
+        Ok((inner, binding.kid.clone(), binding))
     }
 
     /// Protect a unicast response to a group request. The responder
@@ -303,90 +209,44 @@ impl GroupContext {
     pub fn protect_response(
         &mut self,
         msg: &CoapMessage,
-        request: &GroupBinding,
+        request: &RequestBinding,
         request_outer: &CoapMessage,
     ) -> Result<CoapMessage, OscoreError> {
-        if self.sender_seq >= 1 << 40 {
-            return Err(OscoreError::PivExhausted);
-        }
-        let piv = crate::context::encode_piv(self.sender_seq);
-        self.sender_seq += 1;
-        let plaintext = Self::encode_inner(msg);
-        let aad = self.aad(&request.kid, &request.piv);
-        let nonce = self.nonce(&self.sender_id, &piv);
-        let ccm = AesCcm::cose_ccm_16_64_128(&self.sender_key);
-        let mut ciphertext = ccm
-            .seal(&nonce, &aad, &plaintext)
-            .map_err(|_| OscoreError::Crypto)?;
-        let tag = Self::auth_tag(&self.sender_auth_key, &ciphertext);
-        ciphertext.extend_from_slice(&tag);
-
+        let piv = next_piv(&mut self.sender_seq)?;
+        let ciphertext = self.seal(msg, &piv, request)?;
         // Response option: piv + kid (the responder's), no kid context.
         let opt = OscoreOption {
             piv,
             kid: Some(self.sender_id.clone()),
+            kid_context: None,
         };
-        let mut outer = CoapMessage {
-            mtype: msg.mtype,
-            code: Code::CHANGED,
-            message_id: request_outer.message_id,
-            token: request_outer.token.clone(),
-            options: Vec::new(),
-            payload: ciphertext,
-        };
-        outer.set_option(CoapOption::new(OptionNumber::OSCORE, opt.encode()));
-        Ok(outer)
+        Ok(outer_response(msg, request_outer, &opt, ciphertext))
     }
 
     /// Unprotect one member's response to our group request.
     pub fn unprotect_response(
         &mut self,
         outer: &CoapMessage,
-        request: &GroupBinding,
+        request: &RequestBinding,
     ) -> Result<(CoapMessage, Vec<u8>), OscoreError> {
         let opt_value = outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
         let opt = OscoreOption::decode(&opt_value.value)?;
-        let kid = opt.kid.clone().ok_or(OscoreError::Malformed)?;
+        let kid = opt.kid.ok_or(OscoreError::Malformed)?;
         if opt.piv.is_empty() {
             return Err(OscoreError::Malformed);
         }
-        if outer.payload.len() < AUTH_TAG_LEN + TAG_LEN {
-            return Err(OscoreError::Malformed);
-        }
-        let split = outer.payload.len() - AUTH_TAG_LEN;
-        let (ciphertext, auth) = outer.payload.split_at(split);
-        let (peer_key, peer_auth) = self.peer_keys(&kid);
-        if !doc_crypto::ct_eq(&Self::auth_tag(&peer_auth, ciphertext), auth) {
-            return Err(OscoreError::Crypto);
-        }
-        let aad = self.aad(&request.kid, &request.piv);
-        let nonce = self.nonce(&kid, &opt.piv);
-        let ccm = AesCcm::cose_ccm_16_64_128(&peer_key);
-        let plain = ccm
-            .open(&nonce, &aad, ciphertext)
-            .map_err(|_| OscoreError::Crypto)?;
-        let mut inner = Self::decode_inner(&plain)?;
-        inner.mtype = outer.mtype;
-        inner.message_id = outer.message_id;
-        inner.token = outer.token.clone();
+        let inner = self.open(outer, &kid, &opt.piv, request)?;
         Ok((inner, kid))
     }
-}
-
-/// Binding of a group request (kid + piv of the requester).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupBinding {
-    /// Requester's sender ID.
-    pub kid: Vec<u8>,
-    /// Requester's partial IV.
-    pub piv: Vec<u8>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use doc_coap::msg::{Code, MsgType};
+    use doc_coap::opt::CoapOption;
 
     const SECRET: &[u8] = b"group-master-secret!";
     const SALT: &[u8] = b"gsalt";
@@ -507,6 +367,50 @@ mod tests {
             Err(OscoreError::Crypto)
         ));
         let _ = binding2;
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact wire of one multicast request and one member's
+    /// response for fixed inputs, so a change to the shared OSCORE
+    /// core cannot silently move the group wire.
+    #[test]
+    fn group_wire_is_pinned() {
+        let mut querier = member(b"Q");
+        let mut cam = member(b"A");
+        let (outer, _) = querier.protect_request(&browse_request()).unwrap();
+        assert_eq!(hex(&outer.encode()), "51020007319a190006646e732d736451ff8b02a4ded31c904cddd119b6a20d3768c00db8e6aa0c052fd8860c58d047c45f948950599f15a20bb61397d8daf6a4493a2466ed");
+        let (inner, _, bind) = cam.unprotect_request(&outer).unwrap();
+        let resp = CoapMessage::ack_response(&inner, Code::CONTENT)
+            .with_payload(b"kitchen-cam._coap._udp.local".to_vec());
+        let outer_resp = cam.protect_response(&resp, &bind, &outer).unwrap();
+        assert_eq!(hex(&outer_resp.encode()), "614400073193090041ff076d384d18222f1daf0e9f907b07642210b6897fd1b2a414f632c57e0650598667fa4281e5a2232d649a81c2de09");
+    }
+
+    /// A group request's Uri-Host is a Class-U option: it stays on the
+    /// outer message, as pairwise OSCORE keeps it, and out of the
+    /// ciphertext.
+    #[test]
+    fn group_request_keeps_uri_host_outside() {
+        let mut querier = member(b"Q");
+        let mut twin = member(b"Q");
+        let mut responder = member(b"A");
+        let with_host =
+            browse_request().with_option(CoapOption::new(OptionNumber::URI_HOST, b"mdns".to_vec()));
+        let (outer, _) = querier.protect_request(&with_host).unwrap();
+        let (plain, _) = twin.protect_request(&browse_request()).unwrap();
+        assert_eq!(
+            outer
+                .option(OptionNumber::URI_HOST)
+                .map(|o| o.value.as_slice()),
+            Some(&b"mdns"[..])
+        );
+        assert_eq!(outer.payload.len(), plain.payload.len());
+        let (inner, _, _) = responder.unprotect_request(&outer).unwrap();
+        assert!(inner.option(OptionNumber::URI_HOST).is_none());
+        assert_eq!(inner.payload, with_host.payload);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the AAD, which is what makes mismatch/replay attacks fail and lets
 //! responses stay valid across CoAP retransmissions (paper §4.3).
 
-use crate::context::{decode_piv, SecurityContext, TAG_LEN};
+use crate::context::{decode_piv, next_piv, nonce, SecurityContext, NONCE_LEN, TAG_LEN};
 use crate::OscoreError;
 use doc_coap::msg::{CoapMessage, Code};
 use doc_coap::opt::{CoapOption, OptionNumber};
@@ -27,12 +27,15 @@ pub struct OscoreOption {
     pub piv: Vec<u8>,
     /// Key identifier (the sender ID of the requester).
     pub kid: Option<Vec<u8>>,
+    /// Key identifier context (the group id of a Group OSCORE request).
+    pub kid_context: Option<Vec<u8>>,
 }
 
 impl OscoreOption {
-    /// Encode to option-value bytes (RFC 8613 §6.1).
+    /// Encode to option-value bytes (RFC 8613 §6.1): flags, PIV, then
+    /// the length-prefixed kid context, then the kid.
     pub fn encode(&self) -> Vec<u8> {
-        if self.piv.is_empty() && self.kid.is_none() {
+        if *self == OscoreOption::default() {
             return Vec::new();
         }
         let mut out = Vec::with_capacity(1 + self.piv.len());
@@ -40,15 +43,23 @@ impl OscoreOption {
         if self.kid.is_some() {
             flags |= 0x08;
         }
+        if self.kid_context.is_some() {
+            flags |= 0x10;
+        }
         out.push(flags);
         out.extend_from_slice(&self.piv);
+        if let Some(context) = &self.kid_context {
+            out.push(context.len() as u8);
+            out.extend_from_slice(context);
+        }
         if let Some(kid) = &self.kid {
             out.extend_from_slice(kid);
         }
         out
     }
 
-    /// Decode from option-value bytes.
+    /// Decode from option-value bytes. A kid longer than the nonce's
+    /// `NONCE_LEN - 6` id field (RFC 8613 §3.3) is `Malformed`.
     pub fn decode(value: &[u8]) -> Result<Self, OscoreError> {
         if value.is_empty() {
             return Ok(OscoreOption::default());
@@ -67,21 +78,29 @@ impl OscoreOption {
             .ok_or(OscoreError::Malformed)?
             .to_vec();
         pos += n;
-        if flags & 0x10 != 0 {
-            // kid context: length-prefixed (unused in this deployment,
-            // but parsed for robustness).
+        let kid_context = if flags & 0x10 != 0 {
             let l = *value.get(pos).ok_or(OscoreError::Malformed)? as usize;
+            let context = value
+                .get(pos + 1..pos + 1 + l)
+                .ok_or(OscoreError::Malformed)?;
             pos += 1 + l;
-            if pos > value.len() {
+            Some(context.to_vec())
+        } else {
+            None
+        };
+        let kid = if flags & 0x08 != 0 {
+            if value.len() - pos > NONCE_LEN - 6 {
                 return Err(OscoreError::Malformed);
             }
-        }
-        let kid = if flags & 0x08 != 0 {
             Some(value[pos..].to_vec())
         } else {
             None
         };
-        Ok(OscoreOption { piv, kid })
+        Ok(OscoreOption {
+            piv,
+            kid,
+            kid_context,
+        })
     }
 }
 
@@ -95,22 +114,25 @@ pub struct RequestBinding {
     pub piv: Vec<u8>,
 }
 
+/// Longest group id (the fifth external-AAD element and the OSCORE
+/// kid context) [`build_aad`] takes: Group Managers assign ids of a few
+/// bytes, and 32 keeps the AAD inside the stack buffer below.
+pub(crate) const MAX_KID_CONTEXT_LEN: usize = 32;
+
 /// Upper bound on the stack-resident AAD: the constant skeleton (11) +
-/// external-AAD head (≤ 2) + fixed external-AAD bytes (5) + kid/piv
-/// heads and bodies at the ≤ 23 bytes each the `debug_assert` in
-/// [`build_aad`] permits (48) — 66 total, rounded up. Both ids are
-/// bounded far lower in practice by the RFC 8613 §5.2 nonce
-/// construction (≤ 7-byte kid, ≤ 5-byte piv).
-const AAD_BUF_LEN: usize = 72;
+/// external-AAD head (2) + fixed external-AAD bytes (4) + the kid and
+/// piv heads and bodies at the RFC 8613 §5.2 nonce's limits (≤ 7-byte
+/// kid, ≤ 5-byte piv: 14) + the fifth element's head (≤ 2) and body.
+const AAD_BUF_LEN: usize = 11 + 2 + 4 + 14 + 2 + MAX_KID_CONTEXT_LEN;
 
 /// The Enc_structure AAD of RFC 8613 §5.4, built on the stack.
-struct Aad {
+pub(crate) struct Aad {
     buf: [u8; AAD_BUF_LEN],
     len: usize,
 }
 
 impl Aad {
-    fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.buf[..self.len]
     }
 }
@@ -124,41 +146,59 @@ const AAD_SKELETON: [u8; 11] = [
     0x40, // bytes(0): empty protected bucket
 ];
 
+/// Length of the CBOR head of a byte string of `len` (< 256) bytes.
+fn bstr_head_len(len: usize) -> usize {
+    if len < 24 {
+        1
+    } else {
+        2
+    }
+}
+
+/// Write the CBOR head of a byte string of `len` (< 256) bytes at
+/// `buf[i..]`; returns the index after it.
+fn put_bstr_head(buf: &mut [u8], i: usize, len: usize) -> usize {
+    if len < 24 {
+        buf[i] = 0x40 | len as u8;
+    } else {
+        buf[i..i + 2].copy_from_slice(&[0x58, len as u8]);
+    }
+    i + bstr_head_len(len)
+}
+
+/// Write `bytes` as a CBOR byte string at `buf[i..]`; returns the
+/// index after it.
+fn put_bstr(buf: &mut [u8], i: usize, bytes: &[u8]) -> usize {
+    let i = put_bstr_head(buf, i, bytes.len());
+    buf[i..i + bytes.len()].copy_from_slice(bytes);
+    i + bytes.len()
+}
+
 /// Build the Enc_structure AAD of RFC 8613 §5.4 without touching the
-/// heap: the constant skeleton is precomputed and only `(kid, piv)` are
-/// streamed into the stack buffer. Byte-identical to encoding the
-/// equivalent CBOR `Value` tree (asserted in tests).
-fn build_aad(request_kid: &[u8], request_piv: &[u8]) -> Aad {
-    debug_assert!(request_kid.len() <= 23 && request_piv.len() <= 23);
+/// heap: the constant skeleton is precomputed and only the external
+/// AAD `[1, [10], kid, piv, fifth]` is streamed into the stack buffer.
+/// `fifth` is the Class-I options (`h''`: none in this deployment) for
+/// pairwise OSCORE and the group id for Group OSCORE. Byte-identical
+/// to encoding the equivalent CBOR `Value` tree (asserted in tests).
+pub(crate) fn build_aad(request_kid: &[u8], request_piv: &[u8], fifth: &[u8]) -> Aad {
+    debug_assert!(request_kid.len() <= NONCE_LEN - 6 && request_piv.len() <= 5);
+    debug_assert!(fifth.len() <= MAX_KID_CONTEXT_LEN);
     debug_assert_eq!(crate::context::ALG_AES_CCM_16_64_128, 10);
     let mut buf = [0u8; AAD_BUF_LEN];
     buf[..AAD_SKELETON.len()].copy_from_slice(&AAD_SKELETON);
-    let mut i = AAD_SKELETON.len();
-    // external_aad = [1, [10], kid, piv, h''] wrapped as a byte string.
-    let ea_len = 1 + 1 + 2 + (1 + request_kid.len()) + (1 + request_piv.len()) + 1;
-    if ea_len < 24 {
-        buf[i] = 0x40 | ea_len as u8;
-        i += 1;
-    } else {
-        buf[i] = 0x58;
-        buf[i + 1] = ea_len as u8;
-        i += 2;
-    }
+    let ea_len = 4 + [request_kid, request_piv, fifth]
+        .iter()
+        .map(|b| bstr_head_len(b.len()) + b.len())
+        .sum::<usize>();
+    let mut i = put_bstr_head(&mut buf, AAD_SKELETON.len(), ea_len);
     buf[i] = 0x85; // array(5)
     buf[i + 1] = 0x01; // oscore_version = 1
     buf[i + 2] = 0x81; // algorithms: array(1)
     buf[i + 3] = 0x0A; // AES-CCM-16-64-128 (COSE alg 10)
     i += 4;
-    buf[i] = 0x40 | request_kid.len() as u8;
-    i += 1;
-    buf[i..i + request_kid.len()].copy_from_slice(request_kid);
-    i += request_kid.len();
-    buf[i] = 0x40 | request_piv.len() as u8;
-    i += 1;
-    buf[i..i + request_piv.len()].copy_from_slice(request_piv);
-    i += request_piv.len();
-    buf[i] = 0x40; // Class-I options (none)
-    i += 1;
+    for element in [request_kid, request_piv, fifth] {
+        i = put_bstr(&mut buf, i, element);
+    }
     Aad { buf, len: i }
 }
 
@@ -215,7 +255,7 @@ fn is_outer_option(number: OptionNumber) -> bool {
 /// payload` (RFC 8613 §5.3), written directly into one buffer — no
 /// shadow message, no option clones. The returned buffer is then
 /// encrypted *in place* by the callers.
-fn encode_inner(msg: &CoapMessage) -> Vec<u8> {
+pub(crate) fn encode_inner(msg: &CoapMessage) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 16 + msg.payload.len() + TAG_LEN);
     out.push(msg.code.0);
     doc_coap::msg::encode_options_into(
@@ -246,11 +286,13 @@ fn decode_inner(plain: &[u8]) -> Result<CoapMessage, OscoreError> {
 /// scratch plaintext buffer: the ciphertext is copied once into the
 /// codec's framing buffer (after a fake 4-byte CoAP header) and
 /// decrypted **in place** there via [`AesCcm::open_suffix_in_place`] —
-/// one allocation on the whole unprotect path instead of two.
-fn open_inner(
+/// one allocation on the whole unprotect path instead of two. The
+/// inner message takes `outer`'s type, message ID and token.
+pub(crate) fn open_inner(
     ccm: &AesCcm,
     nonce: &[u8],
     aad: &[u8],
+    outer: &CoapMessage,
     ciphertext: &[u8],
 ) -> Result<CoapMessage, OscoreError> {
     let mut wire = Vec::with_capacity(4 + ciphertext.len());
@@ -265,7 +307,57 @@ fn open_inner(
     }
     wire[1] = wire[4];
     wire.remove(4);
-    CoapMessage::decode(&wire).map_err(|_| OscoreError::Malformed)
+    let mut inner = CoapMessage::decode(&wire).map_err(|_| OscoreError::Malformed)?;
+    inner.mtype = outer.mtype;
+    inner.message_id = outer.message_id;
+    inner.token = outer.token.clone();
+    Ok(inner)
+}
+
+/// The outer message of a protected request (RFC 8613 §4.1.3.5): the
+/// caller's type, message ID and token, code POST, the Class-U
+/// options and the OSCORE option `opt`, and `ciphertext` as payload.
+pub(crate) fn outer_request(
+    msg: &CoapMessage,
+    opt: &OscoreOption,
+    ciphertext: Vec<u8>,
+) -> CoapMessage {
+    let mut outer = CoapMessage {
+        mtype: msg.mtype,
+        code: Code::POST,
+        message_id: msg.message_id,
+        token: msg.token.clone(),
+        options: msg
+            .options
+            .iter()
+            .filter(|o| is_outer_option(o.number))
+            .cloned()
+            .collect(),
+        payload: ciphertext,
+    };
+    outer.set_option(CoapOption::new(OptionNumber::OSCORE, opt.encode()));
+    outer
+}
+
+/// The outer message of a protected response: `msg`'s type, the
+/// request's message ID and token, code 2.04 (RFC 8613 §4.1.3.5), the
+/// OSCORE option `opt`, and `ciphertext` as payload.
+pub(crate) fn outer_response(
+    msg: &CoapMessage,
+    request_outer: &CoapMessage,
+    opt: &OscoreOption,
+    ciphertext: Vec<u8>,
+) -> CoapMessage {
+    let mut outer = CoapMessage {
+        mtype: msg.mtype,
+        code: Code::CHANGED,
+        message_id: request_outer.message_id,
+        token: request_outer.token.clone(),
+        options: Vec::new(),
+        payload: ciphertext,
+    };
+    outer.set_option(CoapOption::new(OptionNumber::OSCORE, opt.encode()));
+    outer
 }
 
 /// Serialize the outer request wire — header (code POST), Class-U
@@ -363,34 +455,22 @@ impl OscoreEndpoint {
         &mut self,
         msg: &CoapMessage,
     ) -> Result<(CoapMessage, RequestBinding), OscoreError> {
-        let piv = self.ctx.next_piv()?;
+        let piv = next_piv(&mut self.ctx.sender_seq)?;
         let kid = self.ctx.sender_id.clone();
         // The serialized inner message is encrypted in place: the same
         // buffer becomes the outer payload, no intermediate copies.
         let mut ciphertext = encode_inner(msg);
-        let aad = build_aad(&kid, &piv);
-        let nonce = self.ctx.nonce(&kid, &piv);
+        let aad = build_aad(&kid, &piv, &[]);
+        let nonce = nonce(&self.ctx.common_iv, &kid, &piv);
         self.sender_ccm
             .seal_suffix_in_place(&nonce, aad.as_slice(), &mut ciphertext, 0)
             .map_err(|_| OscoreError::Crypto)?;
         let opt = OscoreOption {
             piv: piv.clone(),
             kid: Some(kid.clone()),
+            kid_context: None,
         };
-        let mut outer = CoapMessage {
-            mtype: msg.mtype,
-            code: Code::POST,
-            message_id: msg.message_id,
-            token: msg.token.clone(),
-            options: msg
-                .options
-                .iter()
-                .filter(|o| is_outer_option(o.number))
-                .cloned()
-                .collect(),
-            payload: ciphertext,
-        };
-        outer.set_option(CoapOption::new(OptionNumber::OSCORE, opt.encode()));
+        let outer = outer_request(msg, &opt, ciphertext);
         Ok((outer, RequestBinding { kid, piv }))
     }
 
@@ -407,12 +487,12 @@ impl OscoreEndpoint {
         msg: &CoapMessage,
         out: &mut Vec<u8>,
     ) -> Result<RequestBinding, OscoreError> {
-        let piv = self.ctx.next_piv()?;
+        let piv = next_piv(&mut self.ctx.sender_seq)?;
         // lint:allow(no-alloc-in-into): one of the two documented RequestBinding allocations this function returns
         let kid = self.ctx.sender_id.clone();
         let inner_start = serialize_outer_request(msg, &kid, &piv, out);
-        let aad = build_aad(&kid, &piv);
-        let nonce = self.ctx.nonce(&kid, &piv);
+        let aad = build_aad(&kid, &piv, &[]);
+        let nonce = nonce(&self.ctx.common_iv, &kid, &piv);
         self.sender_ccm
             .seal_suffix_in_place(&nonce, aad.as_slice(), out, inner_start)
             .map_err(|_| OscoreError::Crypto)?;
@@ -435,12 +515,15 @@ impl OscoreEndpoint {
             return Err(OscoreError::Crypto);
         }
         let seq = decode_piv(&opt.piv).ok_or(OscoreError::Malformed)?;
-        let aad = build_aad(&kid, &opt.piv);
-        let nonce = self.ctx.nonce(&kid, &opt.piv);
-        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), &outer.payload)?;
-        inner.mtype = outer.mtype;
-        inner.message_id = outer.message_id;
-        inner.token = outer.token.clone();
+        let aad = build_aad(&kid, &opt.piv, &[]);
+        let nonce = nonce(&self.ctx.common_iv, &kid, &opt.piv);
+        let inner = open_inner(
+            &self.recipient_ccm,
+            &nonce,
+            aad.as_slice(),
+            outer,
+            &outer.payload,
+        )?;
 
         // Echo-based replay-window initialization (RFC 8613 Appendix
         // B.1.2 / RFC 9175): before accepting the first request, demand
@@ -497,24 +580,17 @@ impl OscoreEndpoint {
         request_outer: &CoapMessage,
     ) -> Result<CoapMessage, OscoreError> {
         let mut ciphertext = encode_inner(msg);
-        let aad = build_aad(&binding.kid, &binding.piv);
-        let nonce = self.ctx.nonce(&binding.kid, &binding.piv);
+        let aad = build_aad(&binding.kid, &binding.piv, &[]);
+        let nonce = nonce(&self.ctx.common_iv, &binding.kid, &binding.piv);
         self.sender_ccm
             .seal_suffix_in_place(&nonce, aad.as_slice(), &mut ciphertext, 0)
             .map_err(|_| OscoreError::Crypto)?;
-        let mut outer = CoapMessage {
-            mtype: msg.mtype,
-            code: Code::CHANGED, // outer 2.04 (RFC 8613 §4.1.3.5)
-            message_id: request_outer.message_id,
-            token: request_outer.token.clone(),
-            options: Vec::new(),
-            payload: ciphertext,
-        };
-        outer.set_option(CoapOption::new(
-            OptionNumber::OSCORE,
-            OscoreOption::default().encode(),
-        ));
-        Ok(outer)
+        Ok(outer_response(
+            msg,
+            request_outer,
+            &OscoreOption::default(),
+            ciphertext,
+        ))
     }
 
     /// Unprotect a response bound to our earlier request.
@@ -526,13 +602,15 @@ impl OscoreEndpoint {
         outer
             .option(OptionNumber::OSCORE)
             .ok_or(OscoreError::NotOscore)?;
-        let aad = build_aad(&binding.kid, &binding.piv);
-        let nonce = self.ctx.nonce(&binding.kid, &binding.piv);
-        let mut inner = open_inner(&self.recipient_ccm, &nonce, aad.as_slice(), &outer.payload)?;
-        inner.mtype = outer.mtype;
-        inner.message_id = outer.message_id;
-        inner.token = outer.token.clone();
-        Ok(inner)
+        let aad = build_aad(&binding.kid, &binding.piv, &[]);
+        let nonce = nonce(&self.ctx.common_iv, &binding.kid, &binding.piv);
+        open_inner(
+            &self.recipient_ccm,
+            &nonce,
+            aad.as_slice(),
+            outer,
+            &outer.payload,
+        )
     }
 
     /// Per-message ciphertext overhead (the COSE tag).
@@ -569,18 +647,74 @@ mod tests {
             OscoreOption {
                 piv: vec![0x00],
                 kid: Some(vec![]),
+                kid_context: None,
             },
             OscoreOption {
                 piv: vec![0x14],
                 kid: Some(vec![0x01]),
+                kid_context: None,
             },
             OscoreOption {
                 piv: vec![1, 2, 3, 4, 5],
-                kid: Some(b"clientid".to_vec()),
+                kid: Some(b"client1".to_vec()),
+                kid_context: None,
+            },
+            OscoreOption {
+                kid_context: Some(Vec::new()),
+                ..OscoreOption::default()
+            },
+            OscoreOption {
+                piv: vec![1],
+                kid: None,
+                kid_context: Some(vec![0xAB; 40]),
             },
         ] {
             assert_eq!(OscoreOption::decode(&opt.encode()).unwrap(), opt);
         }
+    }
+
+    /// The kid context (flag `0x10`, one length byte, the context)
+    /// sits between the PIV and the kid and survives a round trip.
+    #[test]
+    fn option_kid_context_roundtrip() {
+        let opt = OscoreOption {
+            piv: vec![0x07],
+            kid: Some(b"Q".to_vec()),
+            kid_context: Some(b"dns-sd".to_vec()),
+        };
+        let wire = opt.encode();
+        assert_eq!(wire, b"\x19\x07\x06dns-sdQ");
+        assert_eq!(OscoreOption::decode(&wire).unwrap(), opt);
+        // A context running past the option value is malformed.
+        assert_eq!(
+            OscoreOption::decode(b"\x19\x07\x09dns-sdQ"),
+            Err(OscoreError::Malformed)
+        );
+    }
+
+    /// A kid longer than the nonce's 7-byte id field (RFC 8613 §3.3)
+    /// is malformed, so the nonce is never asked to hold it.
+    #[test]
+    fn option_rejects_kid_longer_than_nonce_id_field() {
+        let kid = |len: usize| OscoreOption {
+            piv: vec![0x01],
+            kid: Some(vec![0x42; len]),
+            kid_context: None,
+        };
+        assert!(OscoreOption::decode(&kid(NONCE_LEN - 6).encode()).is_ok());
+        assert_eq!(
+            OscoreOption::decode(&kid(NONCE_LEN - 5).encode()),
+            Err(OscoreError::Malformed)
+        );
+        // A request carrying such a kid is refused before any crypto.
+        let (_, mut server) = contexts();
+        let mut outer = CoapMessage::request(Code::POST, MsgType::Con, 1, vec![]);
+        outer.set_option(CoapOption::new(OptionNumber::OSCORE, kid(8).encode()));
+        outer.payload = vec![0; 16];
+        assert_eq!(
+            server.unprotect_request(&outer),
+            Err(OscoreError::Malformed)
+        );
     }
 
     #[test]
@@ -784,13 +918,13 @@ mod tests {
     #[test]
     fn stack_aad_matches_cbor_value_tree() {
         use doc_crypto::cbor::Value;
-        let reference = |kid: &[u8], piv: &[u8]| -> Vec<u8> {
+        let reference = |kid: &[u8], piv: &[u8], fifth: &[u8]| -> Vec<u8> {
             let external_aad = Value::Array(vec![
                 Value::Uint(1),
                 Value::Array(vec![Value::int(crate::context::ALG_AES_CCM_16_64_128)]),
                 Value::Bytes(kid.to_vec()),
                 Value::Bytes(piv.to_vec()),
-                Value::Bytes(Vec::new()),
+                Value::Bytes(fifth.to_vec()),
             ])
             .encode();
             Value::Array(vec![
@@ -800,16 +934,22 @@ mod tests {
             ])
             .encode()
         };
-        for (kid, piv) in [
-            (&b""[..], &[0x00][..]),
-            (&[0x01][..], &[0x14][..]),
-            (b"clientid", &[1, 2, 3, 4, 5][..]),
-            (&[0xAB; 23][..], &[0xFF; 5][..]), // forces the 2-byte head
+        // Pairwise: the fifth element is h'' (no Class-I options).
+        // Group: it is the group id.
+        let long_gid = [0x5Au8; 24];
+        let max_gid = [0xC3u8; MAX_KID_CONTEXT_LEN];
+        for (kid, piv, fifth) in [
+            (&b""[..], &[0x00][..], &b""[..]),
+            (&[0x01][..], &[0x14][..], &b""[..]),
+            (b"client1", &[1, 2, 3, 4, 5][..], &b""[..]),
+            (b"Q", &[0x00][..], b"dns-sd"),
+            (b"Q", &[0x00][..], &long_gid[..]), // 2-byte gid and outer heads
+            (&[0xAB; 7][..], &[0xFF; 5][..], &max_gid[..]), // the largest AAD
         ] {
             assert_eq!(
-                build_aad(kid, piv).as_slice(),
-                &reference(kid, piv)[..],
-                "kid {kid:02X?} piv {piv:02X?}"
+                build_aad(kid, piv, fifth).as_slice(),
+                &reference(kid, piv, fifth)[..],
+                "kid {kid:02X?} piv {piv:02X?} fifth {fifth:02X?}"
             );
         }
     }

@@ -11,7 +11,7 @@ use doc_repro::dns::{Message, Name, RecordType};
 use doc_repro::doc::method::{build_request, DocMethod};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 use doc_repro::doc::transport::{dns_query_bytes, session_setup, TransportKind};
-use doc_repro::dtls::{DtlsClient, DtlsEvent, DtlsServer};
+use doc_repro::dtls::{run_handshake, DtlsClient, DtlsEvent, DtlsServer};
 use doc_repro::oscore::context::SecurityContext;
 use doc_repro::oscore::protect::OscoreEndpoint;
 
@@ -96,40 +96,13 @@ fn dtls_resolution(name: &Name, query: &[u8]) {
     let mut server_dtls = DtlsServer::new(8, PSK);
 
     // Handshake (8 flights).
-    let mut c2s: Vec<Vec<u8>> = Vec::new();
-    let mut flights = 0;
-    let mut bytes = 0usize;
-    for ev in client.start(0) {
-        if let DtlsEvent::Transmit { datagram, label } = ev {
-            println!("   handshake: {label} ({} bytes)", datagram.len());
-            flights += 1;
-            bytes += datagram.len();
-            c2s.push(datagram);
-        }
+    let trace = run_handshake(&mut client, &mut server_dtls);
+    assert!(client.is_connected() && server_dtls.is_connected());
+    for (label, len) in &trace {
+        println!("   handshake: {label} ({len} bytes)");
     }
-    while !(client.is_connected() && server_dtls.is_connected()) {
-        let mut s2c = Vec::new();
-        for d in c2s.drain(..) {
-            for ev in server_dtls.handle_datagram(0, &d) {
-                if let DtlsEvent::Transmit { datagram, label } = ev {
-                    println!("   handshake: {label} ({} bytes)", datagram.len());
-                    flights += 1;
-                    bytes += datagram.len();
-                    s2c.push(datagram);
-                }
-            }
-        }
-        for d in s2c {
-            for ev in client.handle_datagram(0, &d) {
-                if let DtlsEvent::Transmit { datagram, label } = ev {
-                    println!("   handshake: {label} ({} bytes)", datagram.len());
-                    flights += 1;
-                    bytes += datagram.len();
-                    c2s.push(datagram);
-                }
-            }
-        }
-    }
+    let flights = trace.len();
+    let bytes: usize = trace.iter().map(|(_, len)| len).sum();
     println!("   handshake complete: {flights} flights, {bytes} bytes");
 
     // Resolve over the established session.
