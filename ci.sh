@@ -46,9 +46,10 @@
 #                    # and opening each >=1.3x batch-1 on the
 #                    # multi-block backends).
 #   ./ci.sh fuzz     # release build + the deterministic differential
-#                    # fuzzing campaign (fuzz_gate): 140k fixed-seed
-#                    # iterations across the seven differential
-#                    # families (six parsers + the crypto substrate),
+#                    # fuzzing campaign (fuzz_gate): 160k fixed-seed
+#                    # iterations across the eight differential
+#                    # families (six parsers, the crypto substrate and
+#                    # the origin's answer wire),
 #                    # failing with a shrunk counterexample on any
 #                    # owned/view/re-encode (or backend/batch)
 #                    # disagreement.
@@ -98,11 +99,12 @@ run_gate() {
 run_fuzz() {
     # The differential fuzzing gate: one mutated corpus through every
     # family (owned vs view vs re-encode for the six parsers; scalar vs
-    # vector vs batched for the crypto substrate), 20k iterations per
+    # vector vs batched for the crypto substrate; zone wire vs owned
+    # resolution for the origin), 20k iterations per
     # family under a fixed seed, so the campaign is reproducible and
     # every CI run is a fuzzing run. A divergence exits non-zero with a
     # shrunk counterexample and a one-line replay command.
-    echo "==> fuzz_gate: deterministic differential campaign (140k iterations)"
+    echo "==> fuzz_gate: deterministic differential campaign (160k iterations)"
     cargo run --release -q -p doc-fuzz --bin fuzz_gate
 }
 

@@ -12,8 +12,9 @@
 //!   AAD tree.
 //!
 //! The other rows time the server's origin leg (`server/answer_into`,
-//! which must not allocate either, and the ETag hash over its 58-byte
-//! answer), the remaining codec paths (dns+cbor, cache keys, GET
+//! which must not allocate either and returns the answer's ETag, and
+//! the hash over its 58-byte answer that an ETag memo miss costs), the
+//! remaining codec paths (dns+cbor, cache keys, GET
 //! construction, OSCORE, 6LoWPAN fragmentation) and the
 //! design ablations (ETag strategy, canonicalization, wire vs.
 //! dns+cbor, Block2 slice size).
@@ -146,7 +147,9 @@ fn main() {
 
     // The origin leg of a forward: the upstream writes the prepared
     // answer of an A query (58 bytes, as `churn`'s A names get) into a
-    // reused buffer, and the server hashes it for the ETag.
+    // reused buffer and returns its ETag. The warm `server/answer_into`
+    // row times an ETag memo hit (the zone entry answered the same
+    // query before); `server/etag_sha256_58B` is what a miss adds.
     let upstream = MockUpstream::new(1, 300, 300);
     let a_name = experiment_name(1);
     upstream.add_a(a_name.clone(), 1);

@@ -101,6 +101,8 @@ impl Code {
     pub const INTERNAL_SERVER_ERROR: Code = Code(0xA0);
     /// 5.02 Bad Gateway.
     pub const BAD_GATEWAY: Code = Code(0xA2);
+    /// 5.03 Service Unavailable.
+    pub const SERVICE_UNAVAILABLE: Code = Code(0xA3);
     /// 5.04 Gateway Timeout.
     pub const GATEWAY_TIMEOUT: Code = Code(0xA4);
 

@@ -63,12 +63,19 @@ pub fn prepare_response(policy: CachePolicy, response: &Message) -> PreparedResp
         msg.set_all_ttls(0);
     }
     let payload = msg.encode();
-    let etag = doc_crypto::sha256::sha256(&payload)[..8].to_vec();
     PreparedResponse {
+        etag: etag_of(&payload).to_vec(),
         payload,
         max_age,
-        etag,
     }
+}
+
+/// The paper's naive ETag (§7): the first 8 bytes of the payload's
+/// SHA-256 — what breaks under DoH-like TTL decay.
+pub(crate) fn etag_of(payload: &[u8]) -> [u8; 8] {
+    doc_crypto::sha256::sha256(payload)[..8]
+        .try_into()
+        .expect("8 bytes")
 }
 
 /// Restore TTLs on the client after receiving a response with

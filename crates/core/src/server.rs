@@ -7,15 +7,25 @@
 //!
 //! The request path runs wire in, wire out ([`DocServer::serve_wire`]):
 //! request and query are borrowed views, the upstream writes the
-//! prepared answer straight from its zone into a reusable buffer
-//! ([`MockUpstream::answer_into`]), and the reply is assembled field by
-//! field — the owned-message entry points decode what it writes.
+//! prepared answer and its ETag straight from its zone into a reusable
+//! buffer ([`MockUpstream::answer_into`]), and the reply is assembled
+//! field by field — the owned-message entry points decode what it
+//! writes.
 //!
-//! The answer has `Message::encode`'s layout: header, the lowercased
-//! question spelled out at offset 12, then the sorted records, each
-//! owned by the question's name and so written as the pointer `C0 0C`
-//! (a single `0` byte for the root). Questions after the first, which
-//! no DoC client sends, are compressed against the names before them.
+//! A zone entry is one RRset as answer wire: its records in
+//! `Message::sort_answers`' order, each owned by the question's name and
+//! so written as the pointer `C0 0C` (`0` for the root), with TTL 0. An
+//! answer has `Message::encode`'s layout: header, the lowercased
+//! question spelled out at offset 12 (later questions, which no DoC
+//! client sends, compressed), then a copy of the block, its TTLs
+//! stamped only when the policy keeps a non-zero one.
+//!
+//! The ETag is the paper's naive one (§7), 8 bytes of SHA-256 over the
+//! answer. The entry fixes a single-question answer up to the flags
+//! word, qclass and wire TTL, so it memoises its last answer's ETag
+//! under those three (under EOL TTLs an RRset hashes once); other
+//! three miss and re-fill it, and re-registration drops it.
+//! Multi-question, NXDOMAIN and FormErr answers are always hashed.
 //!
 //! The upstream mirrors the paper's setup: "The recursive resolver is
 //! mocked up to generate the desired responses" — a programmable zone
@@ -34,7 +44,7 @@
 //! through snapshot accessors.
 
 use crate::method::extract_query_view;
-use crate::policy::CachePolicy;
+use crate::policy::{etag_of, CachePolicy};
 use crate::{DocError, CONTENT_FORMAT_DNS_MESSAGE};
 use doc_coap::block::{Block2Server, BlockAssembler, BlockOpt, MAX_BODY};
 use doc_coap::cache::{encode_valid_into, ReplyTo};
@@ -51,64 +61,87 @@ use doc_dns::view::MessageView;
 use doc_dns::{
     CompressionMap, Header, Message, Name, Rcode, Record, RecordClass, RecordData, RecordType,
 };
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
-/// One RRset of the mock zone: the records plus the TTL state machine
-/// (absolute expiry of the current TTL draw; 0 = not yet drawn).
+/// One RRset of the mock zone: its answer wire, the TTL state machine
+/// and the ETag memo (the module doc gives both).
 struct Rrset {
-    /// Records in registration order — the order `resolve` answers in.
-    data: Vec<RecordData>,
-    /// `data` indices in answer order (by RDATA wire bytes, ties in
-    /// registration order: what `Message::sort_answers` does to one
-    /// RRset); empty when that is registration order.
-    order: Box<[u16]>,
+    /// The `count` records in answer order, each owner `C0 0C` (`0`
+    /// for the root), TYPE, CLASS IN, TTL 0, RDLENGTH and RDATA.
+    records: Box<[u8]>,
+    count: u16,
+    /// Absolute expiry of the current TTL draw; 0 = not yet drawn.
     expires_at_ms: u64,
+    /// Flags word, qclass and wire TTL of the answer `etag` was hashed
+    /// from; 0 = none yet (a response's flags word has QR set).
+    etag_key: u64,
+    etag: [u8; 8],
 }
 
 impl Rrset {
-    fn new(data: Vec<RecordData>, expires_at_ms: u64) -> Self {
-        Rrset {
-            order: Self::answer_order(&data),
-            data,
-            expires_at_ms,
-        }
-    }
-
-    /// The `order` of `data`: empty when registration order is already
-    /// answer order.
-    fn answer_order(data: &[RecordData]) -> Box<[u16]> {
-        if data.len() < 2 {
-            return Box::default();
-        }
-        let index = |i: usize| u16::try_from(i).expect("an RRset fits one DNS message");
-        let mut keyed: Vec<(Vec<u8>, u16)> = data
-            .iter()
-            .enumerate()
-            .map(|(i, d)| {
-                let mut wire = Vec::with_capacity(d.encoded_len());
-                d.encode(&mut wire);
-                (wire, index(i))
-            })
-            .collect();
-        keyed.sort();
-        let identity = keyed
-            .iter()
-            .enumerate()
-            .all(|(i, &(_, j))| usize::from(j) == i);
-        if identity {
-            Box::default()
+    fn new(key: &ZoneKey, data: &[RecordData], expires_at_ms: u64) -> Self {
+        let mut fixed = [0xC0, 0x0C, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
+        fixed[2..4].copy_from_slice(&key.as_bytes()[key.len - 2..]);
+        fixed[4..6].copy_from_slice(&RecordClass::In.to_u16().to_be_bytes());
+        let fixed = if key.name() == [0] {
+            fixed[1] = 0;
+            &fixed[1..]
         } else {
-            keyed.into_iter().map(|(_, j)| j).collect()
+            &fixed[..]
+        };
+        let len = data.iter().map(|d| fixed.len() + d.encoded_len()).sum();
+        let mut block = Vec::with_capacity(len);
+        for d in data {
+            block.extend_from_slice(fixed);
+            let rdata_at = block.len();
+            d.encode(&mut block);
+            let rdlen = u16::try_from(block.len() - rdata_at).expect("RDATA fits RDLENGTH");
+            block[rdata_at - 2..rdata_at].copy_from_slice(&rdlen.to_be_bytes());
+        }
+        if data.len() > 1 {
+            // Answer order: by RDATA bytes, ties in registration order.
+            let mut rdata: Vec<_> = records(&block).map(|(_, r)| r).collect();
+            if !rdata.is_sorted_by_key(|r| &block[r.clone()]) {
+                rdata.sort_by_key(|r| &block[r.clone()]);
+                let record = |r: &Range<usize>| &block[r.start - fixed.len()..r.end];
+                block = rdata.iter().flat_map(record).copied().collect();
+            }
+        }
+        Rrset {
+            records: block.into_boxed_slice(),
+            count: u16::try_from(data.len()).expect("an RRset fits one DNS message"),
+            expires_at_ms,
+            etag_key: 0,
+            etag: [0; 8],
         }
     }
 
-    /// The records in answer order.
-    fn sorted(&self) -> impl Iterator<Item = &RecordData> {
-        (0..self.data.len()).map(move |i| match self.order.get(i) {
-            Some(&j) => &self.data[usize::from(j)],
-            None => &self.data[i],
-        })
+    /// The ETag of `answer`, this entry's single-question answer under
+    /// `key`: the memo if hashed under `key`, else hashed and memoised.
+    fn etag(&mut self, key: u64, answer: &[u8]) -> [u8; 8] {
+        if self.etag_key == key {
+            debug_assert_eq!(self.etag, etag_of(answer), "stale ETag memo");
+        } else {
+            #[cfg(test)]
+            tests::ETAG_MEMO_MISSES.with(|n| n.set(n.get() + 1));
+            (self.etag_key, self.etag) = (key, etag_of(answer));
+        }
+        self.etag
     }
+}
+
+/// Walk an answer block: each record's TTL offset and RDATA range.
+fn records(block: &[u8]) -> impl Iterator<Item = (usize, Range<usize>)> + '_ {
+    let owner = if block.first() == Some(&0) { 1 } else { 2 };
+    let mut pos = 0;
+    std::iter::from_fn(move || {
+        let ttl_at = pos + owner + 4;
+        let rdlen = block.get(ttl_at + 4..ttl_at + 6)?;
+        let rdata_at = ttl_at + 6;
+        pos = rdata_at + usize::from(u16::from_be_bytes([rdlen[0], rdlen[1]]));
+        Some((ttl_at, rdata_at..pos))
+    })
 }
 
 /// A zone key built on the stack: the name's lowercased uncompressed
@@ -231,17 +264,17 @@ impl MockUpstream {
     }
 
     /// Register an RRset. Re-registering an existing `(name, rtype)`
-    /// replaces the record data but keeps the in-flight TTL window,
-    /// matching the historical behaviour where record data and TTL
-    /// state lived in separate maps.
+    /// replaces the record data (and drops its ETag memo) but keeps the
+    /// in-flight TTL window, matching the historical behaviour where
+    /// record data and TTL state lived in separate maps.
     pub fn add_rrset(&self, name: Name, rtype: RecordType, data: Vec<RecordData>) {
-        let key = ZoneKey::new(name.labels().iter().map(Vec::as_slice), rtype);
-        let key = key.as_bytes();
+        let zone_key = ZoneKey::new(name.labels().iter().map(Vec::as_slice), rtype);
+        let key = zone_key.as_bytes();
         self.zone
             .with_shard_mut(key, |shard| match shard.get_mut(key) {
-                Some(rrset) => *rrset = Rrset::new(data, rrset.expires_at_ms),
+                Some(rrset) => *rrset = Rrset::new(&zone_key, &data, rrset.expires_at_ms),
                 None => {
-                    shard.insert(key.into(), Rrset::new(data, 0));
+                    shard.insert(key.into(), Rrset::new(&zone_key, &data, 0));
                 }
             });
     }
@@ -271,7 +304,7 @@ impl MockUpstream {
         &self,
         key: &[u8],
         now_ms: u64,
-        f: impl FnOnce(&Rrset, u32) -> R,
+        f: impl FnOnce(&mut Rrset, u32) -> R,
     ) -> Option<R> {
         self.zone.with_shard_mut(key, |shard| {
             let rrset = shard.get_mut(key)?;
@@ -296,54 +329,62 @@ impl MockUpstream {
 
     /// Resolve a DNS query at virtual time `now_ms`. Returns a response
     /// with *remaining* TTLs (the decrementing behaviour of a real
-    /// recursive cache).
+    /// recursive cache) and the records in answer order, decoded from
+    /// the zone's answer wire (as `Raw` where the registered data does
+    /// not round-trip under the RRset's type).
     pub fn resolve(&self, query: &Message, now_ms: u64) -> Message {
         let Some(q) = query.questions.first() else {
             return Message::response(query, Rcode::FormErr, vec![]);
         };
         let key = ZoneKey::new(q.qname.labels().iter().map(Vec::as_slice), q.qtype);
-        let resolved = self.with_rrset(key.as_bytes(), now_ms, |rrset, ttl| {
-            (rrset.data.clone(), ttl)
-        });
-        let Some((data, ttl)) = resolved else {
-            return Message::response(query, Rcode::NxDomain, vec![]);
-        };
-        let answers: Vec<Record> = data
-            .into_iter()
-            .map(|d| Record {
+        let answers = self.with_rrset(key.as_bytes(), now_ms, |rrset, ttl| {
+            let block = &rrset.records[..];
+            let mut again = Vec::new();
+            let mut decode = |r: Range<usize>| {
+                let d = RecordData::decode(q.qtype, block, r.start, r.len()).ok()?;
+                again.clear();
+                d.encode(&mut again);
+                (again == block[r]).then_some(d)
+            };
+            let record = |(_, r): (usize, Range<usize>)| Record {
                 name: q.qname.clone(),
                 rtype: q.qtype,
                 rclass: RecordClass::In,
                 ttl,
-                data: d,
-            })
-            .collect();
-        Message::response(query, Rcode::NoError, answers)
+                data: decode(r.clone()).unwrap_or_else(|| RecordData::Raw(block[r].to_vec())),
+            };
+            records(block).map(record).collect()
+        });
+        match answers {
+            Some(answers) => Message::response(query, Rcode::NoError, answers),
+            None => Message::response(query, Rcode::NxDomain, vec![]),
+        }
     }
 
     /// Resolve `query` at `now_ms` and write the DoC response prepared
-    /// under `policy` into `out` (cleared first), returning its Max-Age.
-    /// The bytes and the Max-Age are those of
-    /// `prepare_response(policy, &self.resolve(&query.to_owned(), now_ms))`
-    /// and the TTL state and draw sequence advance exactly as there;
-    /// but the RRset is found by a key built on the stack and its sorted
-    /// answers are written straight from the zone, so no `Name`,
-    /// `Message` or record copy is built. The module doc gives the
-    /// layout.
+    /// under `policy` into `out` (cleared first), returning its Max-Age
+    /// and ETag: those of
+    /// `prepare_response(policy, &self.resolve(&query.to_owned(), now_ms))`,
+    /// with the TTL state and draw sequence advancing exactly as there.
+    /// But the RRset is found by a key built on the stack and its block
+    /// is copied straight from the zone, so no `Name`, `Message` or
+    /// record copy is built, and the ETag comes from the entry's memo
+    /// when that holds it. The module doc gives the layout and the memo.
     pub fn answer_into(
         &self,
         query: &MessageView<'_>,
         policy: CachePolicy,
         now_ms: u64,
         out: &mut Vec<u8>,
-    ) -> u32 {
+    ) -> (u32, [u8; 8]) {
         out.clear();
         // Header last (its rcode and answer count depend on the
         // lookup); compression offsets count from the message start.
         out.extend_from_slice(&[0; 12]);
+        let qdcount = query.question_count() as u16;
         // Only a query with more than one question (no DoC client sends
         // one) needs a compression map; a single name is spelled out.
-        let mut table = (query.question_count() > 1).then(CompressionMap::new);
+        let mut table = (qdcount > 1).then(CompressionMap::new);
         let mut first: Option<ZoneKey> = None;
         for q in query.questions() {
             let key = ZoneKey::new(q.qname.labels(), q.qtype);
@@ -355,49 +396,44 @@ impl MockUpstream {
             out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
             first.get_or_insert(key);
         }
-        let (rcode, answers, max_age) = match &first {
-            None => (Rcode::FormErr, 0, 0),
-            Some(key) => {
-                let answered = self.with_rrset(key.as_bytes(), now_ms, |rrset, ttl| {
-                    let wire_ttl = match policy {
-                        CachePolicy::EolTtls => 0,
-                        CachePolicy::DohLike => ttl,
-                    };
-                    // Owner, TYPE, CLASS, TTL and a RDLENGTH patched
-                    // after the RDATA.
-                    let mut fixed = [0xC0, 0x0C, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-                    fixed[2..4].copy_from_slice(&key.as_bytes()[key.len - 2..]);
-                    fixed[4..6].copy_from_slice(&RecordClass::In.to_u16().to_be_bytes());
-                    fixed[6..10].copy_from_slice(&wire_ttl.to_be_bytes());
-                    let fixed = if key.name() == [0] {
-                        fixed[1] = 0;
-                        &fixed[1..]
-                    } else {
-                        &fixed[..]
-                    };
-                    for data in rrset.sorted() {
-                        out.extend_from_slice(fixed);
-                        let rdata_at = out.len();
-                        data.encode(out);
-                        let rdlen = (out.len() - rdata_at) as u16;
-                        out[rdata_at - 2..rdata_at].copy_from_slice(&rdlen.to_be_bytes());
-                    }
-                    let n = rrset.data.len();
-                    (n, if n > 0 { ttl } else { 0 })
-                });
-                match answered {
-                    Some((n, max_age)) => (Rcode::NoError, n, max_age),
-                    None => (Rcode::NxDomain, 0, 0),
-                }
-            }
-        };
-        let header = Header {
+        let id0 = Header {
             id: 0,
-            ..Header::response_to(&query.header(), rcode)
+            ..query.header()
         };
-        let counts = [query.question_count() as u16, answers as u16, 0, 0];
-        out[..12].copy_from_slice(&header.to_bytes(counts));
-        max_age
+        let header = |rcode, n| Header::response_to(&id0, rcode).to_bytes([qdcount, n, 0, 0]);
+        if let Some(key) = &first {
+            let answered = self.with_rrset(key.as_bytes(), now_ms, |rrset, ttl| {
+                let wire_ttl = match policy {
+                    CachePolicy::EolTtls => 0,
+                    CachePolicy::DohLike => ttl,
+                };
+                let at = out.len();
+                out.extend_from_slice(&rrset.records);
+                if wire_ttl != 0 {
+                    for (ttl_at, _) in records(&rrset.records) {
+                        out[at + ttl_at..at + ttl_at + 4].copy_from_slice(&wire_ttl.to_be_bytes());
+                    }
+                }
+                out[..12].copy_from_slice(&header(Rcode::NoError, rrset.count));
+                let max_age = if rrset.count > 0 { ttl } else { 0 };
+                if qdcount > 1 {
+                    return (max_age, etag_of(out));
+                }
+                // Flags word, qclass (the question's last field) and TTL.
+                let word = |i: usize| u64::from(u16::from_be_bytes([out[i], out[i + 1]]));
+                let memo = word(2) << 48 | word(at - 2) << 32 | u64::from(wire_ttl);
+                (max_age, rrset.etag(memo, out))
+            });
+            if let Some(answer) = answered {
+                return answer;
+            }
+        }
+        let rcode = match first {
+            Some(_) => Rcode::NxDomain,
+            None => Rcode::FormErr,
+        };
+        out[..12].copy_from_slice(&header(rcode, 0));
+        (0, etag_of(out))
     }
 }
 
@@ -440,6 +476,15 @@ fn bump(c: &AtomicU32) {
     c.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Open Block1 transactions one shard of the reassembly table holds.
+/// A new transaction that finds its shard full first drops those idle
+/// for [`EXCHANGE_LIFETIME_MS`]; if none is, it is answered 5.03.
+const MAX_BLOCK1_PER_SHARD: usize = 64;
+
+/// EXCHANGE_LIFETIME (RFC 7252 §4.8.2): how long a transaction's state
+/// outlives its last block.
+const EXCHANGE_LIFETIME_MS: u64 = 247_000;
+
 /// The DoC server.
 pub struct DocServer {
     policy: CachePolicy,
@@ -451,8 +496,10 @@ pub struct DocServer {
     /// (peer, request token) — clients reuse one token per block-wise
     /// transaction.
     block_state: ShardedCache<(u64, Vec<u8>), Vec<u8>>,
-    /// In-progress Block1 query reassembly, keyed by (peer, token).
-    block1_assembly: ShardedCache<(u64, Vec<u8>), BlockAssembler>,
+    /// In-progress Block1 query reassembly, keyed by (peer, token),
+    /// with the time of each transaction's last block; at most
+    /// [`MAX_BLOCK1_PER_SHARD`] open transactions per shard.
+    block1_assembly: ShardedCache<(u64, Vec<u8>), (BlockAssembler, u64)>,
     stats: AtomicServerStats,
 }
 
@@ -561,8 +608,8 @@ impl DocServer {
     /// (cleared first). The request is parsed as a borrowed
     /// [`CoapView`] and the query inside it as a borrowed
     /// [`MessageView`]; the upstream writes the prepared DNS answer
-    /// into `scratch` ([`MockUpstream::answer_into`]), the ETag is the
-    /// first 8 bytes of its SHA-256, and the CoAP reply is assembled
+    /// into `scratch` and returns its ETag, memoised in the zone entry
+    /// ([`MockUpstream::answer_into`]); and the CoAP reply is assembled
     /// field by field. With a warm `scratch` and `out`, a FETCH, GET or
     /// POST that needs no block-wise transfer allocates nothing. A
     /// datagram that is not CoAP at all is an error (no reply); a
@@ -603,8 +650,9 @@ impl DocServer {
         // Fig. 12a) is accumulated per token; non-final blocks are
         // answered 2.31 Continue, a block out of sequence (or an empty
         // reassembled body) 4.08 Request Entity Incomplete (RFC 7959
-        // §2.9.2), and a body that would grow past `MAX_BODY` 4.13 with
-        // that bound in Size1 (RFC 7959 §2.9.3).
+        // §2.9.2), a body that would grow past `MAX_BODY` 4.13 with
+        // that bound in Size1 (RFC 7959 §2.9.3), and a new transaction
+        // that finds its shard full of live ones 5.03.
         // The whole push-or-finish sequence runs under the key's shard
         // lock, so concurrent blocks of one transaction cannot
         // interleave mid-assembly.
@@ -613,6 +661,7 @@ impl DocServer {
             Continue,
             TooLarge,
             Incomplete,
+            Full,
         }
         let incomplete = |out: &mut Vec<u8>| {
             bump(&self.stats.errors);
@@ -622,7 +671,16 @@ impl DocServer {
         if let Some(Ok(block1)) = BlockOpt::from_view(req, OptionNumber::BLOCK1) {
             let key = (peer, req.token().to_vec());
             let outcome = self.block1_assembly.with_shard_mut(&key, |shard| {
-                let assembler = shard.entry(key.clone()).or_default();
+                if shard.len() >= MAX_BLOCK1_PER_SHARD && !shard.contains_key(&key) {
+                    shard.retain(|_, &mut (_, last_ms)| {
+                        now_ms.saturating_sub(last_ms) < EXCHANGE_LIFETIME_MS
+                    });
+                    if shard.len() >= MAX_BLOCK1_PER_SHARD {
+                        return Block1Outcome::Full;
+                    }
+                }
+                let (assembler, last_ms) = shard.entry(key.clone()).or_default();
+                *last_ms = now_ms;
                 match assembler.push(block1, req.payload()) {
                     Ok(Some(full)) => {
                         shard.remove(&key);
@@ -653,6 +711,11 @@ impl DocServer {
                 }
                 Block1Outcome::Incomplete => {
                     incomplete(out);
+                    return Ok(());
+                }
+                Block1Outcome::Full => {
+                    bump(&self.stats.errors);
+                    ack_into(Code::SERVICE_UNAVAILABLE, req, out);
                     return Ok(());
                 }
             }
@@ -699,13 +762,9 @@ impl DocServer {
             _ => extract_query_view(req, query)?,
         };
         let qview = MessageView::parse(query).map_err(|_| DocError::BadDnsMessage)?;
-        let max_age = self
+        let (max_age, etag) = self
             .upstream
             .answer_into(&qview, self.policy, now_ms, payload);
-        // The paper's naive ETag (§7): 8 bytes of SHA-256 over the
-        // payload — what breaks under DoH-like TTL decay.
-        let mut etag = [0u8; 8];
-        etag.copy_from_slice(&doc_crypto::sha256::sha256(payload)[..8]);
 
         // ETag revalidation: if the client presented the current ETag,
         // confirm with 2.03 Valid carrying only ETag + Max-Age.
@@ -766,7 +825,7 @@ fn ack_into(code: Code, req: &CoapView<'_>, out: &mut Vec<u8>) {
 #[derive(Debug, Default)]
 pub struct ServerScratch {
     /// The prepared DNS response, written before the CoAP reply so its
-    /// ETag can be hashed first.
+    /// ETag is known first.
     payload: Vec<u8>,
     /// A GET request's base64url-decoded query.
     query: Vec<u8>,
@@ -777,6 +836,13 @@ mod tests {
     use super::*;
     use crate::method::{build_request, DocMethod};
     use doc_coap::opt::CoapOption;
+    use doc_crypto::sha256::sha256;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// ETag memo misses on this thread (each test has its own).
+        pub(super) static ETAG_MEMO_MISSES: Cell<u32> = const { Cell::new(0) };
+    }
 
     fn name() -> Name {
         Name::parse("name-01234.c.example.org").unwrap()
@@ -836,6 +902,107 @@ mod tests {
         );
         // Malformed CoAP datagram is rejected, not panicked on.
         assert!(s2.handle_request_wire(0, &[0xFF], 0).is_err());
+    }
+
+    /// Every input of a single-question answer's bytes keys the ETag
+    /// memo: each query below differs from the one the memo holds in
+    /// one input only (RD, qclass, the policy's wire TTL and its decay,
+    /// the entry's re-registration) and must miss it; a repeat hits.
+    /// Every ETag is the payload's hash, and a two-question answer,
+    /// hashed apart, leaves the memo alone.
+    #[test]
+    fn etag_memo_follows_every_input() {
+        let up = MockUpstream::new(1, 300, 300);
+        up.add_aaaa(name(), 2);
+        let ask = |query: &Message, policy, now| {
+            let wire = query.encode();
+            let mut out = Vec::new();
+            let before = ETAG_MEMO_MISSES.with(Cell::get);
+            let view = MessageView::parse(&wire).unwrap();
+            let (_, etag) = up.answer_into(&view, policy, now, &mut out);
+            assert_eq!(etag[..], sha256(&out)[..8], "{query:?} {policy:?} at {now}");
+            (etag, ETAG_MEMO_MISSES.with(Cell::get) - before)
+        };
+        let base = Message::query(0, name(), RecordType::Aaaa);
+        let mut no_rd = base.clone();
+        no_rd.header.rd = false;
+        let mut any = base.clone();
+        any.questions[0].qclass = RecordClass::Other(255);
+        let (eol, misses) = ask(&base, CachePolicy::EolTtls, 0);
+        assert_eq!(misses, 1);
+        assert_eq!(ask(&base, CachePolicy::EolTtls, 5_000), (eol, 0), "repeat");
+        let (rd_off, misses) = ask(&no_rd, CachePolicy::EolTtls, 0);
+        assert!(rd_off != eol && misses == 1, "RD off");
+        assert_eq!(ask(&base, CachePolicy::EolTtls, 0), (eol, 1), "RD on");
+        let (class_any, misses) = ask(&any, CachePolicy::EolTtls, 0);
+        assert!(class_any != eol && misses == 1, "qclass ANY");
+
+        let (t, misses) = ask(&any, CachePolicy::DohLike, 10_000);
+        assert!(t != class_any && misses == 1, "DoH-like TTL 290");
+        let (t1, misses) = ask(&any, CachePolicy::DohLike, 11_000);
+        assert!(t1 != t && misses == 1, "DoH-like TTL 289");
+        assert_eq!(ask(&any, CachePolicy::DohLike, 11_000), (t1, 0), "repeat");
+
+        up.add_aaaa(name(), 3);
+        let (more, misses) = ask(&any, CachePolicy::DohLike, 11_000);
+        assert!(more != t1 && misses == 1, "re-registered");
+        let mut two = any.clone();
+        two.questions.push(base.questions[0].clone());
+        let (both, misses) = ask(&two, CachePolicy::DohLike, 11_000);
+        assert!(both != more && misses == 0, "two questions");
+        assert_eq!(
+            ask(&any, CachePolicy::DohLike, 11_000),
+            (more, 0),
+            "memo kept"
+        );
+    }
+
+    /// The Block1 table holds at most `MAX_BLOCK1_PER_SHARD` open
+    /// transactions per shard: a new one finding its shard full is
+    /// answered 5.03 and counted, an open one still continues, and once
+    /// the oldest are idle for EXCHANGE_LIFETIME they make room.
+    #[test]
+    fn block1_table_is_bounded_per_shard() {
+        let s = server(CachePolicy::EolTtls);
+        let block = |token: u16, num: u32, now: u64| {
+            let mut req = CoapMessage::request(
+                Code::FETCH,
+                MsgType::Con,
+                token,
+                token.to_be_bytes().to_vec(),
+            )
+            .with_payload(vec![0; 32]);
+            req.set_option(
+                BlockOpt::new(num, true, 32)
+                    .unwrap()
+                    .to_option(OptionNumber::BLOCK1),
+            );
+            s.handle_request(&req, now).code
+        };
+        let mut refused = 0;
+        for token in 0..1_000u16 {
+            match block(token, 0, u64::from(token)) {
+                Code::CONTINUE => {}
+                Code::SERVICE_UNAVAILABLE => refused += 1,
+                other => panic!("token {token}: {other:?}"),
+            }
+        }
+        for token in 0..1_000u16 {
+            let key = (0, token.to_be_bytes().to_vec());
+            let open = s.block1_assembly.with_shard_mut(&key, |shard| shard.len());
+            assert!(open <= MAX_BLOCK1_PER_SHARD, "token {token}: {open}");
+        }
+        assert_eq!(s.block1_assembly.len() + refused, 1_000);
+        assert_eq!(s.stats().errors, refused as u32);
+        assert_eq!(s.block1_assembly.len(), 8 * MAX_BLOCK1_PER_SHARD);
+
+        assert_eq!(block(1_000, 0, 1_000), Code::SERVICE_UNAVAILABLE);
+        assert_eq!(
+            block(0, 1, 1_000),
+            Code::CONTINUE,
+            "an open transaction continues"
+        );
+        assert_eq!(block(1_000, 0, 999 + EXCHANGE_LIFETIME_MS), Code::CONTINUE);
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! shrinker ([`proptest::minimize`]).
 //!
 //! The [`target::DifferentialTarget`] trait is the extension point;
-//! [`targets::all`] enumerates the five built-in parser families
-//! (dns, coap, dtls, quic, json). The `fuzz_gate` binary runs a
+//! [`targets::all`] enumerates the built-in families (dns, coap, dtls,
+//! quic, json, sixlowpan, crypto and origin, the last holding the mock
+//! upstream's answer wire and ETag memo to its owned resolution path).
+//! The `fuzz_gate` binary runs a
 //! bounded campaign over all of them and is wired into `./ci.sh fuzz`.
 
 pub mod corpus;

@@ -5,6 +5,7 @@ pub mod crypto;
 pub mod dns;
 pub mod dtls;
 pub mod json;
+pub mod origin;
 pub mod quic;
 pub mod sixlowpan;
 
@@ -20,6 +21,7 @@ pub fn all() -> Vec<Box<dyn DifferentialTarget>> {
         Box::new(json::JsonTarget),
         Box::new(sixlowpan::SixlowpanTarget),
         Box::new(crypto::CryptoTarget),
+        Box::new(origin::OriginTarget),
     ]
 }
 

@@ -24,6 +24,9 @@ pub const KEY_LEN: usize = 16;
 pub const NONCE_LEN: usize = 13;
 /// Tag length for the AEAD algorithm.
 pub const TAG_LEN: usize = 8;
+/// Longest sender or recipient ID: the nonce's ID field (RFC 8613
+/// §5.2), `NONCE_LEN - 6` bytes.
+pub const MAX_ID_LEN: usize = NONCE_LEN - 6;
 
 /// A derived OSCORE security context for one sender/recipient pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,12 +78,21 @@ impl SecurityContext {
     /// `sender_id`/`recipient_id` are from *this endpoint's*
     /// perspective: a client configured with `(sender=C, recipient=S)`
     /// pairs with a server configured `(sender=S, recipient=C)`.
+    ///
+    /// # Panics
+    ///
+    /// If `sender_id` or `recipient_id` is longer than [`MAX_ID_LEN`]
+    /// (7) bytes: the nonce has no room for it (RFC 8613 §3.3).
     pub fn derive(
         master_secret: &[u8],
         master_salt: &[u8],
         sender_id: &[u8],
         recipient_id: &[u8],
     ) -> Self {
+        assert!(
+            sender_id.len() <= MAX_ID_LEN && recipient_id.len() <= MAX_ID_LEN,
+            "sender or recipient id longer than 7 bytes"
+        );
         let param = |id, type_| derive_param(master_secret, master_salt, id, None, type_);
         SecurityContext {
             sender_id: sender_id.to_vec(),
@@ -96,14 +108,14 @@ impl SecurityContext {
 /// Compute the AEAD nonce for (`id`, `piv`) per RFC 8613 §5.2:
 /// left-pad PIV to 5 bytes, left-pad ID to `nonce_len - 6`, prefix the
 /// ID length, XOR with the Common IV. An `id` longer than
-/// `NONCE_LEN - 6` bytes has no nonce; [`crate::OscoreOption::decode`]
-/// rejects such a kid before it gets here.
+/// [`MAX_ID_LEN`] bytes has no nonce: [`SecurityContext::derive`] and
+/// [`crate::group::GroupContext::join`] refuse such a configured ID and
+/// [`crate::OscoreOption::decode`] such a received kid.
 pub(crate) fn nonce(common_iv: &[u8; NONCE_LEN], id: &[u8], piv: &[u8]) -> [u8; NONCE_LEN] {
     let mut nonce = [0u8; NONCE_LEN];
     nonce[0] = id.len() as u8;
     // ID left-padded into bytes [1 .. nonce_len-5).
-    let id_field_len = NONCE_LEN - 6;
-    nonce[1 + id_field_len - id.len()..1 + id_field_len].copy_from_slice(id);
+    nonce[1 + MAX_ID_LEN - id.len()..1 + MAX_ID_LEN].copy_from_slice(id);
     // PIV left-padded into the last 5 bytes.
     nonce[NONCE_LEN - piv.len()..].copy_from_slice(piv);
     for (n, c) in nonce.iter_mut().zip(common_iv) {
@@ -170,6 +182,32 @@ mod tests {
         assert_eq!(hex(&ctx.sender_key), "f0910ed7295e6ad4b54fc793154302ff");
         assert_eq!(hex(&ctx.recipient_key), "ffb14e093c94c9cac9471648b4f98710");
         assert_eq!(hex(&ctx.common_iv), "4622d4dd6d944168eefb54987c");
+    }
+
+    /// The longest IDs the nonce holds derive and round-trip; one byte
+    /// more is refused at set-up, not at the first `protect_request`.
+    #[test]
+    fn ids_are_bounded_at_set_up() {
+        use crate::protect::OscoreEndpoint;
+        use doc_coap::{CoapMessage, Code, MsgType};
+        let (client_id, server_id) = (b"client1", b"server1");
+        let client = SecurityContext::derive(b"secret", b"salt", client_id, server_id);
+        let server = SecurityContext::derive(b"secret", b"salt", server_id, client_id);
+        let (mut client, mut server) = (
+            OscoreEndpoint::new(client, false),
+            OscoreEndpoint::new(server, false),
+        );
+        let req = CoapMessage::request(Code::FETCH, MsgType::Con, 1, vec![1]).with_payload(vec![7]);
+        let (outer, _) = client.protect_request(&req).unwrap();
+        let (inner, _) = server.unprotect_request(&outer).unwrap();
+        assert_eq!(inner.payload, [7]);
+        for (sender, recipient) in [(&[1u8; 8][..], &[2u8][..]), (&[1], &[2; 8])] {
+            let derive = || SecurityContext::derive(b"secret", b"salt", sender, recipient);
+            assert!(
+                std::panic::catch_unwind(derive).is_err(),
+                "{sender:?} {recipient:?}"
+            );
+        }
     }
 
     /// RFC 8613 Appendix C.1.2: the server's derivation mirrors the

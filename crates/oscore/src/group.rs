@@ -28,7 +28,9 @@
 //! source-authenticity guarantee is group-internal rather than
 //! cryptographically non-repudiable.
 
-use crate::context::{decode_piv, derive_param, next_piv, nonce, KEY_LEN, NONCE_LEN, TAG_LEN};
+use crate::context::{
+    decode_piv, derive_param, next_piv, nonce, KEY_LEN, MAX_ID_LEN, NONCE_LEN, TAG_LEN,
+};
 use crate::protect::{
     build_aad, encode_inner, open_inner, outer_request, outer_response, OscoreOption,
     RequestBinding, MAX_KID_CONTEXT_LEN,
@@ -84,11 +86,17 @@ impl GroupContext {
     ///
     /// # Panics
     ///
-    /// If `group_id` is longer than `MAX_KID_CONTEXT_LEN` (32) bytes.
+    /// If `group_id` is longer than `MAX_KID_CONTEXT_LEN` (32) bytes, or
+    /// `sender_id` longer than [`MAX_ID_LEN`] (7), the most the nonce
+    /// holds (RFC 8613 §3.3).
     pub fn join(group_secret: &[u8], group_salt: &[u8], group_id: &[u8], sender_id: &[u8]) -> Self {
         assert!(
             group_id.len() <= MAX_KID_CONTEXT_LEN,
             "group id longer than 32 bytes"
+        );
+        assert!(
+            sender_id.len() <= MAX_ID_LEN,
+            "sender id longer than 7 bytes"
         );
         let (sender_key, sender_auth_key) =
             member_keys(group_secret, group_salt, group_id, sender_id);
@@ -294,6 +302,21 @@ mod tests {
         assert_eq!(kid_b, b"B");
         assert_eq!(in_a.payload, b"kitchen-cam._coap._udp.local");
         assert_eq!(in_b.payload, b"hall-sensor._coap._udp.local");
+    }
+
+    /// A 7-byte sender id, the most the nonce holds, joins and
+    /// round-trips; an 8-byte one is refused at join.
+    #[test]
+    fn sender_id_is_bounded_at_join() {
+        let mut querier = member(b"querier");
+        let mut responder = member(b"respond");
+        let (outer, _) = querier.protect_request(&browse_request()).unwrap();
+        let (inner, from, _) = responder.unprotect_request(&outer).unwrap();
+        assert_eq!(
+            (inner.payload, from),
+            (browse_request().payload, b"querier".to_vec())
+        );
+        assert!(std::panic::catch_unwind(|| member(b"querier8")).is_err());
     }
 
     #[test]

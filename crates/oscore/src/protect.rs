@@ -13,7 +13,7 @@
 //! the AAD, which is what makes mismatch/replay attacks fail and lets
 //! responses stay valid across CoAP retransmissions (paper §4.3).
 
-use crate::context::{decode_piv, next_piv, nonce, SecurityContext, NONCE_LEN, TAG_LEN};
+use crate::context::{decode_piv, next_piv, nonce, SecurityContext, MAX_ID_LEN, TAG_LEN};
 use crate::OscoreError;
 use doc_coap::msg::{CoapMessage, Code};
 use doc_coap::opt::{CoapOption, OptionNumber};
@@ -89,7 +89,7 @@ impl OscoreOption {
             None
         };
         let kid = if flags & 0x08 != 0 {
-            if value.len() - pos > NONCE_LEN - 6 {
+            if value.len() - pos > MAX_ID_LEN {
                 return Err(OscoreError::Malformed);
             }
             Some(value[pos..].to_vec())
@@ -181,7 +181,7 @@ fn put_bstr(buf: &mut [u8], i: usize, bytes: &[u8]) -> usize {
 /// pairwise OSCORE and the group id for Group OSCORE. Byte-identical
 /// to encoding the equivalent CBOR `Value` tree (asserted in tests).
 pub(crate) fn build_aad(request_kid: &[u8], request_piv: &[u8], fifth: &[u8]) -> Aad {
-    debug_assert!(request_kid.len() <= NONCE_LEN - 6 && request_piv.len() <= 5);
+    debug_assert!(request_kid.len() <= MAX_ID_LEN && request_piv.len() <= 5);
     debug_assert!(fifth.len() <= MAX_KID_CONTEXT_LEN);
     debug_assert_eq!(crate::context::ALG_AES_CCM_16_64_128, 10);
     let mut buf = [0u8; AAD_BUF_LEN];
@@ -620,6 +620,7 @@ impl OscoreEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::NONCE_LEN;
     use doc_coap::msg::MsgType;
 
     fn contexts() -> (OscoreEndpoint, OscoreEndpoint) {

@@ -1426,8 +1426,9 @@ fn arb_answer_case() -> impl Strategy<Value = AnswerCase> {
 
 proptest! {
     /// `MockUpstream::answer_into` writes what the owned path prepares:
-    /// on twin upstreams queried at the same times, its bytes and
-    /// Max-Age equal `prepare_response(policy, &resolve(&query.to_owned(),
+    /// on twin upstreams queried at the same times, its bytes, Max-Age
+    /// and ETag (memoised at the second query when the answer repeats)
+    /// equal `prepare_response(policy, &resolve(&query.to_owned(),
     /// now))` under both policies — over the root, mixed-case names and
     /// names at the 255-byte and 127-label bounds, one to three
     /// questions sharing suffixes, NXDOMAIN and zero to four records,
@@ -1443,10 +1444,11 @@ proptest! {
             let (ours, theirs) = (case.upstream(), case.upstream());
             for now in [case.times.0, case.times.0 + case.times.1] {
                 let mut out = vec![0xAA];
-                let max_age = ours.answer_into(&view, policy, now, &mut out);
+                let (max_age, etag) = ours.answer_into(&view, policy, now, &mut out);
                 let prepared = prepare_response(policy, &theirs.resolve(&query, now));
                 prop_assert_eq!(&out, &prepared.payload, "{:?} at {}", policy, now);
                 prop_assert_eq!(max_age, prepared.max_age, "{:?} at {}", policy, now);
+                prop_assert_eq!(&etag[..], &prepared.etag[..], "{:?} at {}", policy, now);
             }
         }
     }
