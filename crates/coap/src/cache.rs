@@ -18,12 +18,22 @@
 //!
 //! # Entry layout
 //!
-//! An entry keeps the origin reply as the wire its hits copy, in one
-//! `Box<[u8]>`, with every Max-Age instance left out:
+//! The cache is a ring of at most `capacity` slots in insertion order,
+//! like the fixed array of `CONFIG_NANOCOAP_CACHE_ENTRIES` entries the
+//! paper's proxy runs on (Table 6): once every slot is taken, a new
+//! key takes the oldest entry's slot (FIFO eviction) and reuses its
+//! buffer, so a warm cache stores a reply without allocating. An
+//! open-addressed index of slot numbers, at least twice the entries
+//! and probed linearly, finds a key's slot; a removal shifts the rest
+//! of its probe chain back, so the index never holds tombstones.
+//!
+//! A slot keeps the key's bytes and then the origin reply as the wire
+//! its hits copy, in one `Vec<u8>`, with every Max-Age instance left
+//! out:
 //!
 //! ```text
-//! [code] [options numbered below 14] [options above 14] [0xFF payload]
-//!         ^ 1                        ^ split
+//! [key] [code] [options numbered below 14] [options above 14] [0xFF payload]
+//!       ^ wire  ^ 1                        ^ split
 //! ```
 //!
 //! Max-Age (14) is the one option a served copy rewrites (RFC 7252
@@ -44,15 +54,13 @@ use crate::msg::{
     CoapMessage, Code, MsgType,
 };
 use crate::opt::{CoapOption, OptionNumber};
-use crate::shard::{BuildPassThrough, Fnv1a};
+use crate::shard::Fnv1a;
 use crate::view::{CoapView, OptionView};
-use std::collections::{HashMap, VecDeque};
 
 /// A computed cache key: opaque bytes plus their FNV-1a hash, computed
 /// once at derivation time. The hash does double duty — it selects the
-/// shard in [`crate::shard::ShardedResponseCache`] and, through a
-/// pass-through hasher, indexes the per-shard map — so key bytes are
-/// never hashed a second time.
+/// shard in [`crate::shard::ShardedResponseCache`] and places the key
+/// in the shard's index — so key bytes are never hashed a second time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     hash: u64,
@@ -83,8 +91,8 @@ impl CacheKey {
 
 impl std::hash::Hash for CacheKey {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Emit only the precomputed value; paired with a pass-through
-        // hasher this makes map operations hash-free.
+        // Emit only the precomputed value: a map keyed by `CacheKey`
+        // never re-walks the key's bytes.
         state.write_u64(self.hash);
     }
 }
@@ -175,41 +183,55 @@ const NO_CLIENT: ReplyTo<'static> = ReplyTo {
     etag: None,
 };
 
-/// One cached response: its wire without Max-Age (see the module doc)
-/// and its freshness timer. Offsets into the wire are `u32`, which a
-/// reply (datagram-sized) never outgrows; the map holds one of these
-/// per entry, so every byte counts.
-#[derive(Debug, Clone)]
+/// One slot of the ring: a key, its response's wire without Max-Age
+/// (see the module doc) and the wire's freshness timer. Offsets into
+/// the wire are `u32`, which a reply (datagram-sized) never outgrows.
+#[derive(Debug, Default)]
 struct Entry {
-    /// The code, the options other than Max-Age, and the payload.
-    wire: Box<[u8]>,
-    /// Where Max-Age belongs in `wire`: the end of the options numbered
-    /// below it.
+    /// The key's precomputed hash.
+    hash: u64,
+    /// The key's bytes, then the wire: the code, the options other than
+    /// Max-Age, and the payload.
+    buf: Vec<u8>,
+    /// Where the wire starts in `buf`.
+    key_len: u32,
+    /// Where Max-Age belongs in the wire: the end of the options
+    /// numbered below it.
     split: u32,
     /// The number of the last option before `split` (0 if none), which
     /// Max-Age's delta counts from.
     before_split: u16,
-    /// The byte range of the first ETag's value in `wire`.
+    /// The byte range of the first ETag's value in the wire.
     etag: Option<(u32, u32)>,
     stored_at_ms: u64,
     max_age_ms: u64,
 }
 
 impl Entry {
-    /// Build an entry from a response's code, its options in ascending
-    /// number order (every Max-Age is skipped) and its payload. The wire
-    /// is staged in `buf`, so the box is allocated once, at its size.
-    fn new<'v>(
+    /// Make this slot `key`'s.
+    fn set_key(&mut self, key: &CacheKey) {
+        self.buf.clear();
+        self.buf.extend_from_slice(&key.data);
+        self.hash = key.hash;
+        self.key_len = key.data.len() as u32;
+    }
+
+    /// Store the wire of a response's code, its options in ascending
+    /// number order (every Max-Age is skipped) and its payload after the
+    /// key, fresh for `max_age` seconds from `now`. The wire is staged
+    /// in `build`, so the buffer grows at most once, to its size, and
+    /// only past the longest entry the slot has held.
+    fn set_wire<'v>(
+        &mut self,
         code: Code,
         options: impl IntoIterator<Item = OptionView<'v>>,
         payload: &[u8],
-        max_age: u32,
-        now: u64,
-        buf: &mut Vec<u8>,
-    ) -> Self {
+        (max_age, now): (u32, u64),
+        build: &mut Vec<u8>,
+    ) {
         const MAX_AGE: u16 = OptionNumber::MAX_AGE.0;
-        buf.clear();
-        buf.push(code.0);
+        build.clear();
+        build.push(code.0);
         let (mut prev, mut before_split) = (0u16, 0u16);
         let (mut split, mut etag) = (None, None);
         for o in options {
@@ -217,31 +239,34 @@ impl Entry {
                 continue;
             }
             if split.is_none() && o.number.0 > MAX_AGE {
-                split = Some(buf.len() as u32);
+                split = Some(build.len() as u32);
                 before_split = prev;
                 prev = MAX_AGE;
             }
-            prev = encode_raw_option_into(prev, o.number.0, o.value, buf);
+            prev = encode_raw_option_into(prev, o.number.0, o.value, build);
             if o.number == OptionNumber::ETAG && etag.is_none() {
-                etag = Some(((buf.len() - o.value.len()) as u32, buf.len() as u32));
+                etag = Some(((build.len() - o.value.len()) as u32, build.len() as u32));
             }
         }
-        let split = match split {
+        self.split = match split {
             Some(at) => at,
             None => {
                 before_split = prev;
-                buf.len() as u32
+                build.len() as u32
             }
         };
-        encode_payload_into(payload, buf);
-        Entry {
-            wire: Box::from(buf.as_slice()),
-            split,
-            before_split,
-            etag,
-            stored_at_ms: now,
-            max_age_ms: u64::from(max_age) * 1000,
-        }
+        encode_payload_into(payload, build);
+        self.buf.truncate(self.key_len as usize);
+        self.buf.reserve_exact(build.len());
+        self.buf.extend_from_slice(build);
+        self.before_split = before_split;
+        self.etag = etag;
+        self.stored_at_ms = now;
+        self.max_age_ms = u64::from(max_age) * 1000;
+    }
+
+    fn wire(&self) -> &[u8] {
+        self.buf.get(self.key_len as usize..).unwrap_or_default()
     }
 
     fn age_ms(&self, now: u64) -> u64 {
@@ -256,13 +281,13 @@ impl Entry {
 
     /// The stored response's code.
     fn code(&self) -> Code {
-        Code(self.wire.first().copied().unwrap_or_default())
+        Code(self.wire().first().copied().unwrap_or_default())
     }
 
     /// The first ETag's value.
     fn etag(&self) -> Option<&[u8]> {
         let (start, end) = self.etag?;
-        self.wire.get(start as usize..end as usize)
+        self.wire().get(start as usize..end as usize)
     }
 
     /// Whether a second ETag follows the first. Options ascend, so the
@@ -270,7 +295,7 @@ impl Entry {
     /// is 0.
     fn etag_repeats(&self) -> bool {
         self.etag.is_some_and(|(_, end)| {
-            end < self.split && self.wire.get(end as usize).is_some_and(|b| b >> 4 == 0)
+            end < self.split && self.wire().get(end as usize).is_some_and(|b| b >> 4 == 0)
         })
     }
 
@@ -284,9 +309,9 @@ impl Entry {
         }
         encode_header_into(MsgType::Ack, self.code(), to.message_id, to.token, out);
         let (head, tail) = (1..self.split as usize, self.split as usize..);
-        out.extend_from_slice(self.wire.get(head).unwrap_or_default());
+        out.extend_from_slice(self.wire().get(head).unwrap_or_default());
         encode_uint_option_into(self.before_split, OptionNumber::MAX_AGE.0, max_age, out);
-        out.extend_from_slice(self.wire.get(tail).unwrap_or_default());
+        out.extend_from_slice(self.wire().get(tail).unwrap_or_default());
     }
 
     /// Whether a refresh by `valid` leaves the stored options as they
@@ -379,14 +404,21 @@ impl std::ops::AddAssign for CacheStats {
     }
 }
 
-/// An LRU-ish response cache (FIFO eviction, matching the small
-/// fixed-size caches of `CONFIG_NANOCOAP_CACHE_ENTRIES` in Table 6).
+/// A FIFO response cache: the ring of slots and its index described in
+/// the module doc, bounded like `CONFIG_NANOCOAP_CACHE_ENTRIES` in
+/// Table 6.
 pub struct ResponseCache {
-    entries: HashMap<CacheKey, Entry, BuildPassThrough>,
-    order: VecDeque<CacheKey>,
+    /// The entries, oldest first from `next` once the ring is full.
+    slots: Vec<Entry>,
+    /// The oldest entry's slot once `slots` holds `capacity` entries:
+    /// where the next new key goes.
+    next: usize,
+    /// Slot + 1 at each key's probe position, 0 where empty: a power of
+    /// two of at least twice `slots.len()`, so a probe always ends.
+    index: Vec<u32>,
     capacity: usize,
     stats: CacheStats,
-    /// Where a new entry's wire is staged before it is boxed.
+    /// Where a new wire is staged before it is copied into its slot.
     build: Vec<u8>,
 }
 
@@ -395,9 +427,10 @@ impl ResponseCache {
     /// clients use 8, the proxy 50 — Table 6).
     pub fn new(capacity: usize) -> Self {
         ResponseCache {
-            entries: HashMap::default(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
+            slots: Vec::new(),
+            next: 0,
+            index: Vec::new(),
+            capacity: capacity.clamp(1, u32::MAX as usize),
             stats: CacheStats::default(),
             build: Vec::new(),
         }
@@ -410,12 +443,118 @@ impl ResponseCache {
 
     /// Current number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
+    }
+
+    /// The index position a key of `hash` probes first: the top bits of
+    /// the hash mixed as in `shard::shard_index`. That function takes
+    /// the shard from the mixed value's bits 32 and up, and FNV-1a's
+    /// raw bits 32..40 do not depend on a key's last byte, so neither
+    /// would spread one shard's keys.
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.index.len().trailing_zeros();
+        let mixed = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        mixed.checked_shr(64 - bits).unwrap_or(0) as usize
+    }
+
+    /// The first index position from `hash`'s home on whose value
+    /// `stop` accepts, or `None` for an empty index.
+    fn probe(&self, hash: u64, stop: impl Fn(u32) -> bool) -> Option<usize> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut pos = self.home(hash);
+        loop {
+            if stop(*self.index.get(pos)?) {
+                return Some(pos);
+            }
+            pos = (pos + 1) & mask;
+        }
+    }
+
+    /// The slot holding `key`: hashes are compared first, then bytes.
+    fn find(&self, key: &CacheKey) -> Option<usize> {
+        let holds_key = |tag: u32| {
+            let e = self.slots.get((tag as usize).wrapping_sub(1));
+            tag == 0
+                || e.is_some_and(|e| {
+                    e.hash == key.hash && e.buf.get(..e.key_len as usize) == Some(&key.data)
+                })
+        };
+        let pos = self.probe(key.hash, holds_key)?;
+        (*self.index.get(pos)? as usize).checked_sub(1)
+    }
+
+    /// Index `slot` at the first empty position of its probe.
+    fn index_insert(&mut self, slot: usize) {
+        let hash = self.slots.get(slot).map_or(0, |e| e.hash);
+        let pos = self.probe(hash, |tag| tag == 0);
+        if let Some(tag) = pos.and_then(|pos| self.index.get_mut(pos)) {
+            *tag = slot as u32 + 1;
+        }
+    }
+
+    /// Unindex `slot`, shifting every later position of the probe chain
+    /// back into the hole unless that would move it before its home.
+    fn index_remove(&mut self, slot: usize) {
+        let Some(hash) = self.slots.get(slot).map(|e| e.hash) else {
+            return;
+        };
+        let tag = slot as u32 + 1;
+        let Some(mut hole) = self.probe(hash, |t| t == 0 || t == tag) else {
+            return;
+        };
+        let mask = self.index.len() - 1;
+        let mut pos = hole;
+        loop {
+            pos = (pos + 1) & mask;
+            let moved = self.index.get(pos).copied().unwrap_or(0);
+            let Some(e) = self.slots.get((moved as usize).wrapping_sub(1)) else {
+                break;
+            };
+            // `moved` may fill the hole unless its home lies in
+            // (hole, pos], cyclically.
+            let home = self.home(e.hash);
+            if pos.wrapping_sub(home) & mask >= pos.wrapping_sub(hole) & mask {
+                if let Some(t) = self.index.get_mut(hole) {
+                    *t = moved;
+                }
+                hole = pos;
+            }
+        }
+        if let Some(t) = self.index.get_mut(hole) {
+            *t = 0;
+        }
+    }
+
+    /// Give `key` a slot — a new one while the ring has room, else the
+    /// oldest entry's, evicted — and index it.
+    fn claim(&mut self, key: &CacheKey) -> usize {
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(Entry::default());
+            self.slots.len() - 1
+        } else {
+            let oldest = self.next;
+            self.next = (oldest + 1) % self.capacity;
+            self.index_remove(oldest);
+            self.stats.evictions += 1;
+            oldest
+        };
+        if let Some(e) = self.slots.get_mut(slot) {
+            e.set_key(key);
+        }
+        if self.index.len() < 2 * self.slots.len() {
+            let len = (2 * self.slots.len()).next_power_of_two().max(8);
+            self.index.clear();
+            self.index.resize(len, 0);
+            (0..self.slots.len()).for_each(|s| self.index_insert(s));
+        } else {
+            self.index_insert(slot);
+        }
+        slot
     }
 
     /// Zero-alloc lookup for the proxy's wire path: a fresh entry's
@@ -432,7 +571,7 @@ impl ResponseCache {
         out: &mut Vec<u8>,
         stale_etag: &mut Vec<u8>,
     ) -> Probe {
-        let Some(e) = self.entries.get(key) else {
+        let Some(e) = self.find(key).and_then(|slot| self.slots.get(slot)) else {
             self.stats.misses += 1;
             return Probe::Miss;
         };
@@ -455,38 +594,19 @@ impl ResponseCache {
 
     /// Store a (success) response, borrowed from its wire, under `key`.
     /// Non-success responses and responses to non-cacheable methods
-    /// should not be inserted by the caller. The entry is built straight
-    /// from the view: one allocation, plus the key's place in the
-    /// eviction order when the key is new.
-    pub fn insert_wire(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64) {
-        let entry = Entry::new(
-            response.code,
-            response.options(),
-            response.payload(),
-            response.max_age(),
-            now,
-            &mut self.build,
-        );
-        if !self.entries.contains_key(&key) {
-            if self.entries.len() >= self.capacity {
-                // A full cache turns over: std's map rehashes its
-                // tombstones away in place only while at most half
-                // full, so it needs room for twice the entries or it
-                // grows mid-run. Reserved here, at the first eviction,
-                // so a cache that never fills never pays for it.
-                let room = 2 * self.capacity + 2;
-                if self.entries.capacity() < room {
-                    self.entries.reserve(room - self.entries.len());
-                }
-                // FIFO eviction.
-                if let Some(victim) = self.order.pop_front() {
-                    self.entries.remove(&victim);
-                    self.stats.evictions += 1;
-                }
-            }
-            self.order.push_back(key.clone());
+    /// should not be inserted by the caller. The wire is built straight
+    /// from the view into the key's slot, which allocates only when the
+    /// slot's buffer is shorter than the key and the wire.
+    pub fn insert_wire(&mut self, key: &CacheKey, response: &CoapView<'_>, now: u64) {
+        let slot = match self.find(key) {
+            Some(slot) => slot,
+            None => self.claim(key),
+        };
+        if let Some(e) = self.slots.get_mut(slot) {
+            let (code, options) = (response.code, response.options());
+            let fresh = (response.max_age(), now);
+            e.set_wire(code, options, response.payload(), fresh, &mut self.build);
         }
-        self.entries.insert(key, entry);
     }
 
     /// Refresh a stale entry after a `2.03 Valid`: the entry's timer is
@@ -523,7 +643,7 @@ impl ResponseCache {
     /// is dropped and the 2.03's instances adopted, so repeatable
     /// options keep all their values and their order.
     fn refresh(&mut self, key: &CacheKey, valid: &CoapView<'_>, now: u64) -> Option<&Entry> {
-        let e = self.entries.get_mut(key)?;
+        let e = self.find(key).and_then(|slot| self.slots.get_mut(slot))?;
         let max_age = valid.max_age();
         if !e.refresh_keeps_options(valid) {
             let mut old_wire = Vec::new();
@@ -536,12 +656,11 @@ impl ResponseCache {
                     .chain(valid.options())
                     .collect();
                 options.sort_by_key(|o| o.number.0);
-                *e = Entry::new(
+                e.set_wire(
                     old.code,
                     options,
                     old.payload(),
-                    max_age,
-                    now,
+                    (max_age, now),
                     &mut self.build,
                 );
             }
@@ -647,7 +766,7 @@ mod tests {
     }
 
     /// Store an owned response through [`ResponseCache::insert_wire`].
-    fn insert(cache: &mut ResponseCache, key: CacheKey, resp: CoapMessage, now: u64) {
+    fn insert(cache: &mut ResponseCache, key: &CacheKey, resp: CoapMessage, now: u64) {
         let wire = resp.encode();
         cache.insert_wire(key, &CoapView::parse(&wire).unwrap(), now);
     }
@@ -746,7 +865,7 @@ mod tests {
     fn fresh_hit_rewrites_max_age() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(&mut cache, key.clone(), response(10, None, b"data"), 0);
+        insert(&mut cache, &key, response(10, None, b"data"), 0);
         match lookup(&mut cache, &key, 4_000) {
             Found::Fresh(resp) => {
                 assert_eq!(resp.max_age(), 6);
@@ -761,12 +880,7 @@ mod tests {
     fn expiry_goes_stale() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(
-            &mut cache,
-            key.clone(),
-            response(5, Some(&[0xE1]), b"data"),
-            0,
-        );
+        insert(&mut cache, &key, response(5, Some(&[0xE1]), b"data"), 0);
         match lookup(&mut cache, &key, 5_000) {
             Found::Stale(etag) => assert_eq!(etag, vec![0xE1]),
             other => panic!("expected stale, got {other:?}"),
@@ -778,7 +892,7 @@ mod tests {
     fn stale_without_etag() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(&mut cache, key.clone(), response(5, None, b"data"), 0);
+        insert(&mut cache, &key, response(5, None, b"data"), 0);
         assert_eq!(lookup(&mut cache, &key, 6_000), Found::StaleNoEtag);
     }
 
@@ -786,12 +900,7 @@ mod tests {
     fn revalidation_resets_timer() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(
-            &mut cache,
-            key.clone(),
-            response(5, Some(&[0xE1]), b"data"),
-            0,
-        );
+        insert(&mut cache, &key, response(5, Some(&[0xE1]), b"data"), 0);
         assert!(matches!(lookup(&mut cache, &key, 6_000), Found::Stale(_)));
         // 2.03 Valid arrives with new Max-Age 7.
         let refreshed =
@@ -861,12 +970,7 @@ mod tests {
     fn revalidation_adopts_rotated_etag() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(
-            &mut cache,
-            key.clone(),
-            response(5, Some(&[0xE1]), b"data"),
-            0,
-        );
+        insert(&mut cache, &key, response(5, Some(&[0xE1]), b"data"), 0);
         // Stale at t=6 s; server confirms payload but rotates to 0xE2.
         let etag1 = match lookup(&mut cache, &key, 6_000) {
             Found::Stale(etag) => etag,
@@ -891,12 +995,7 @@ mod tests {
     fn revalidation_without_max_age_defaults_to_60s() {
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(
-            &mut cache,
-            key.clone(),
-            response(5, Some(&[0xE1]), b"data"),
-            0,
-        );
+        insert(&mut cache, &key, response(5, Some(&[0xE1]), b"data"), 0);
         let mut valid = valid_response(0, Some(&[0xE1]));
         valid.remove_option(OptionNumber::MAX_AGE);
         let refreshed = revalidate(&mut cache, &key, &valid, 6_000).unwrap();
@@ -909,7 +1008,7 @@ mod tests {
         // EOL-TTLs responses whose records expired carry Max-Age 0.
         let mut cache = ResponseCache::new(8);
         let key = cache_key(&fetch_req(b"q"));
-        insert(&mut cache, key.clone(), response(0, Some(&[1]), b"x"), 0);
+        insert(&mut cache, &key, response(0, Some(&[1]), b"x"), 0);
         assert!(matches!(lookup(&mut cache, &key, 0), Found::Stale(_)));
     }
 
@@ -919,9 +1018,9 @@ mod tests {
         let k1 = cache_key(&fetch_req(b"1"));
         let k2 = cache_key(&fetch_req(b"2"));
         let k3 = cache_key(&fetch_req(b"3"));
-        insert(&mut cache, k1.clone(), response(60, None, b"1"), 0);
-        insert(&mut cache, k2.clone(), response(60, None, b"2"), 0);
-        insert(&mut cache, k3.clone(), response(60, None, b"3"), 0);
+        insert(&mut cache, &k1, response(60, None, b"1"), 0);
+        insert(&mut cache, &k2, response(60, None, b"2"), 0);
+        insert(&mut cache, &k3, response(60, None, b"3"), 0);
         assert_eq!(cache.len(), 2);
         assert_eq!(lookup(&mut cache, &k1, 1), Found::Miss);
         assert!(matches!(lookup(&mut cache, &k2, 1), Found::Fresh(_)));
@@ -933,8 +1032,8 @@ mod tests {
     fn reinsert_updates_in_place() {
         let mut cache = ResponseCache::new(2);
         let k = cache_key(&fetch_req(b"1"));
-        insert(&mut cache, k.clone(), response(60, None, b"old"), 0);
-        insert(&mut cache, k.clone(), response(60, None, b"new"), 10);
+        insert(&mut cache, &k, response(60, None, b"old"), 0);
+        insert(&mut cache, &k, response(60, None, b"new"), 10);
         assert_eq!(cache.len(), 1);
         match lookup(&mut cache, &k, 20) {
             Found::Fresh(r) => assert_eq!(r.payload, b"new"),
@@ -974,7 +1073,7 @@ mod tests {
             ] {
                 let mut cache = ResponseCache::new(8);
                 let key = cache_key(&fetch_req(b"q"));
-                insert(&mut cache, key.clone(), resp.clone(), 0);
+                insert(&mut cache, &key, resp.clone(), 0);
                 let mut wire = vec![0xAA; 7]; // stale garbage must be cleared
                 let to = ReplyTo {
                     message_id: 0x1234,
@@ -1001,11 +1100,11 @@ mod tests {
         let untagged = cache_key(&fetch_req(b"untagged"));
         insert(
             &mut cache,
-            tagged.clone(),
+            &tagged,
             response(5, Some(&[0xE1, 0xE2]), b"data"),
             0,
         );
-        insert(&mut cache, untagged.clone(), response(5, None, b"data"), 0);
+        insert(&mut cache, &untagged, response(5, None, b"data"), 0);
         let to = ReplyTo {
             message_id: 1,
             token: &[1],
@@ -1059,12 +1158,7 @@ mod tests {
         refreshed.set_option(CoapOption::new(OptionNumber::SIZE1, vec![9]));
         for client_etag in [None, Some(&[0xE2][..]), Some(&[0xE1][..])] {
             let mut cache = ResponseCache::new(8);
-            insert(
-                &mut cache,
-                key.clone(),
-                response(5, Some(&[0xE1]), b"data"),
-                0,
-            );
+            insert(&mut cache, &key, response(5, Some(&[0xE1]), b"data"), 0);
             let to = ReplyTo {
                 message_id: 0x4242,
                 token: &[4, 2],
@@ -1101,11 +1195,11 @@ mod tests {
     fn fifo_eviction_order_survives_two_full_turnovers() {
         let mut cache = ResponseCache::new(3);
         let key = |i: u8| cache_key(&fetch_req(&[i]));
-        insert(&mut cache, key(0), response(60, None, b"0"), 0);
-        insert(&mut cache, key(1), response(60, None, b"1"), 0);
-        insert(&mut cache, key(0), response(60, None, b"0'"), 0);
+        insert(&mut cache, &key(0), response(60, None, b"0"), 0);
+        insert(&mut cache, &key(1), response(60, None, b"1"), 0);
+        insert(&mut cache, &key(0), response(60, None, b"0'"), 0);
         for i in 2..9u8 {
-            insert(&mut cache, key(i), response(60, None, &[i]), 0);
+            insert(&mut cache, &key(i), response(60, None, &[i]), 0);
             // After inserting i, exactly the three newest keys survive.
             for j in 0..=i {
                 let alive = j + 3 > i;
@@ -1118,6 +1212,42 @@ mod tests {
         }
         assert_eq!(cache.len(), 3);
         assert_eq!(cache.stats().evictions, 6);
+    }
+
+    /// Keys of one hash and different bytes each get a slot of their
+    /// own, and evicting one leaves the other reachable: lookups compare
+    /// bytes after hashes, and a removal shifts the rest of its probe
+    /// chain back over the hole.
+    #[test]
+    fn equal_hashes_stay_apart_through_eviction() {
+        let key = |hash: u64, byte: u8| CacheKey {
+            hash,
+            data: vec![byte],
+        };
+        let payload = |cache: &mut ResponseCache, k: &CacheKey| match lookup(cache, k, 1) {
+            Found::Fresh(r) => Some(r.payload),
+            _ => None,
+        };
+        let (a, b) = (key(7, 0xA), key(7, 0xB));
+        let mut cache = ResponseCache::new(2);
+        insert(&mut cache, &a, response(60, None, b"a"), 0);
+        insert(&mut cache, &b, response(60, None, b"b"), 0);
+        assert_eq!(payload(&mut cache, &a), Some(b"a".to_vec()));
+        assert_eq!(payload(&mut cache, &b), Some(b"b".to_vec()));
+        // A key probing from elsewhere evicts `a`, the first of the
+        // chain; `b`, behind it, must still be found.
+        let other = (0..).find(|&h| cache.home(h) != cache.home(7)).unwrap();
+        let c = key(other, 0xC);
+        insert(&mut cache, &c, response(60, None, b"c"), 0);
+        assert_eq!(lookup(&mut cache, &a, 1), Found::Miss);
+        assert_eq!(payload(&mut cache, &b), Some(b"b".to_vec()));
+        assert_eq!(payload(&mut cache, &c), Some(b"c".to_vec()));
+        // `a` again evicts `b`: `a` and `c` stay reachable.
+        insert(&mut cache, &a, response(60, None, b"a'"), 0);
+        assert_eq!(lookup(&mut cache, &b, 1), Found::Miss);
+        assert_eq!(payload(&mut cache, &a), Some(b"a'".to_vec()));
+        assert_eq!(payload(&mut cache, &c), Some(b"c".to_vec()));
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 2));
     }
 
     /// Key derivation into a recycled buffer matches the allocating

@@ -12,9 +12,9 @@
 //!   same way, with each shard being a full unsharded
 //!   [`ResponseCache`]. Shard selection reuses the FNV-1a hash that
 //!   [`cache_key`]/[`cache_key_view`] already computed while building
-//!   the key, and the per-shard maps consume that same hash through a
-//!   pass-through hasher — key bytes are hashed exactly once per
-//!   request, at key-derivation time.
+//!   the key, and the per-shard index probes from that same hash —
+//!   key bytes are hashed exactly once per request, at key-derivation
+//!   time.
 //!
 //! With a single shard, `ShardedResponseCache` is observationally
 //! identical to `ResponseCache` (same FIFO eviction order, same stats,
@@ -41,10 +41,11 @@ use std::sync::PoisonError;
 use doc_check::sync::{Mutex, MutexGuard};
 
 /// Lock one shard. A panic while a shard is held leaves its map or
-/// cache in a state later calls handle (the worst case is a FIFO key
-/// whose entry was never inserted, which eviction skips), so poisoning
-/// is ignored: one panicking caller must not turn every later access
-/// to the shard into a panic.
+/// cache in a state later calls handle (the worst case is a cache slot
+/// whose key was written but not its wire, which answers with an empty
+/// reply until the key is stored again or evicted), so poisoning is
+/// ignored: one panicking caller must not turn every later access to
+/// the shard into a panic.
 fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -88,34 +89,6 @@ impl Hasher for Fnv1a {
     }
 }
 
-/// A hasher that passes a pre-computed 64-bit hash straight through.
-///
-/// [`CacheKey`] hashes itself by emitting the FNV-1a value computed
-/// once at key-derivation time; this hasher hands that value to the
-/// map unchanged, so storing or probing a key never re-walks its
-/// bytes.
-#[derive(Default, Clone, Copy)]
-pub struct PassThroughHasher(u64);
-
-impl Hasher for PassThroughHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        // Only fixed-width writes are expected; fold defensively so a
-        // stray byte-wise write still produces a usable value.
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-}
-
-/// `BuildHasher` for maps keyed by pre-hashed values.
-pub type BuildPassThrough = BuildHasherDefault<PassThroughHasher>;
-
 /// Round a requested shard count up to a power of two (at least 1) so
 /// shard selection is a mask, not a modulo.
 fn shard_count(requested: usize) -> usize {
@@ -124,16 +97,18 @@ fn shard_count(requested: usize) -> usize {
 
 /// Pick the shard index from a finalizer-mixed copy of the hash.
 ///
-/// Two constraints: (a) the per-shard hash maps derive their bucket
-/// index from the low bits of the *raw* hash, so shard selection must
-/// not reuse those bits or every key in shard `s` would share them,
-/// collapsing each map onto 1/shards of its buckets; (b) FNV-1a's last
-/// step is `(h ^ byte) * prime` with prime `2^40 + 2^8 + 0xb3`, so the
-/// final input byte only perturbs bits 0..18 and 40..48 — raw bits
-/// 32..40 are dead to it, and keys differing only in their last byte
-/// would all pile into one shard. A multiplicative finalizer (odd
-/// Weyl constant) avalanches every input bit into the mixed value's
-/// high half; taking shard bits from there satisfies both.
+/// Two constraints: (a) each shard's index probes from the top bits of
+/// this same mixed value, so the shard bits must lie below them, or
+/// every key in shard `s` would share them, collapsing each index onto
+/// 1/shards of its positions; (b) FNV-1a's last step is
+/// `(h ^ byte) * prime` with prime `2^40 + 2^8 + 0xb3`, so the final
+/// input byte only perturbs bits 0..18 and 40..48 — raw bits 32..40
+/// are dead to it, and keys differing only in their last byte would
+/// all pile into one shard. A multiplicative finalizer (odd Weyl
+/// constant) avalanches every input bit into the mixed value's high
+/// half; taking the shard from its bits 32 and up, below the index's
+/// bits while shards times index positions stay under 2^32, satisfies
+/// both.
 fn shard_index(hash: u64, mask: u64) -> usize {
     let mixed = hash.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((mixed >> 32) & mask) as usize
@@ -289,8 +264,8 @@ impl ShardedResponseCache {
 
     /// Store a success response borrowed from its wire (see
     /// [`ResponseCache::insert_wire`]).
-    pub fn insert_wire(&self, key: CacheKey, response: &CoapView<'_>, now: u64) {
-        lock(self.shard(&key)).insert_wire(key, response, now)
+    pub fn insert_wire(&self, key: &CacheKey, response: &CoapView<'_>, now: u64) {
+        lock(self.shard(key)).insert_wire(key, response, now)
     }
 
     /// Refresh a stale entry from a borrowed `2.03 Valid` and encode the
@@ -362,7 +337,7 @@ mod tests {
     /// [`ShardedResponseCache::insert_wire`] at time 0.
     fn insert(cache: &ShardedResponseCache, key: CacheKey, payload: &[u8]) {
         let wire = response(60, payload).encode();
-        cache.insert_wire(key, &CoapView::parse(&wire).unwrap(), 0);
+        cache.insert_wire(&key, &CoapView::parse(&wire).unwrap(), 0);
     }
 
     /// The payload of a hit's reply `out`, or the outcome that was not
@@ -481,7 +456,7 @@ mod tests {
             let key = cache_key(&fetch_req(&[i]));
             insert(&sharded, key.clone(), &[i]);
             let wire = response(60, &[i]).encode();
-            flat.insert_wire(key, &CoapView::parse(&wire).unwrap(), 0);
+            flat.insert_wire(&key, &CoapView::parse(&wire).unwrap(), 0);
         }
         for i in 0..5u8 {
             let key = cache_key(&fetch_req(&[i]));

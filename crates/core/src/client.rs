@@ -262,7 +262,7 @@ impl DocClient {
                     if let Some(cache) = &mut self.coap_cache {
                         let wire = wire_without_token(resp);
                         if let Ok(view) = CoapView::parse(&wire) {
-                            cache.insert_wire(pending.key, &view, now_ms);
+                            cache.insert_wire(&pending.key, &view, now_ms);
                         }
                     }
                 }

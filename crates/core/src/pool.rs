@@ -6,7 +6,7 @@
 //! each worker pulls a drain of raw datagrams and runs the *existing*
 //! borrowed-view path, wire in and wire out on every leg —
 //! [`CoapProxy::serve_wire`] for the client leg and, on a miss or
-//! revalidation, [`ForwardRequest::encode_into`] →
+//! revalidation, [`crate::proxy::ForwardRequest::encode_into`] →
 //! [`DocServer::serve_wire`] → [`CoapProxy::serve_upstream_wire`] for
 //! the origin leg, all on per-worker buffers — against state that is
 //! lock-striped per shard ([`doc_coap::shard`]).
@@ -21,10 +21,10 @@
 //!   reply sealing ([`RequestOpen`], [`ReplySeal`]), and the reply is
 //!   handed to a caller-supplied sink as a *borrowed* [`Reply`] — the
 //!   worker retains the reply buffer, so a steady-state cache hit
-//!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`) and
-//!   a forward allocates only what the proxy keeps: the exchange's key,
-//!   the key's place in the cache's eviction order and the stored
-//!   reply wire.
+//!   allocates nothing (see `BENCH_proxy.json`'s `allocs_per_req`), and
+//!   neither does a forward once the cache is full: the exchange's key
+//!   buffer returns to the worker, and the stored reply reuses the
+//!   evicted entry's buffer, growing it only for a longer reply.
 //!
 //! Where datagrams come from is the caller's choice: the throughput
 //! harness (`doc-bench`) hands [`ProxyPool::run`] an iterator over a
@@ -34,7 +34,7 @@
 //! serving thread pulls a drain, serves it and hands the replies out.
 
 use crate::io::IoRun;
-use crate::proxy::{CoapProxy, ForwardRequest, ProxyScratch, WireAction};
+use crate::proxy::{CoapProxy, ProxyScratch, WireAction};
 use crate::server::{DocServer, ServerScratch};
 // The sync primitives come from `doc-check`, as in the proxy: outside
 // a model execution they are passthroughs to `std::sync` (see
@@ -505,10 +505,10 @@ impl ProxyPool {
 
     /// The serve core the workers run: the reply wire is written into
     /// `out` (cleared first) and `scratch` is reused across calls, so
-    /// once both are warm a fresh cache hit allocates nothing and a
-    /// forward allocates only what the proxy keeps (the exchange's key,
-    /// the key's place in the cache's eviction order and the stored
-    /// reply wire). Returns whether a reply was produced.
+    /// once both and the cache are warm neither a fresh cache hit nor a
+    /// forward allocates (a stored reply longer than the slot's last
+    /// one grows its buffer once). Returns whether a reply was
+    /// produced.
     pub fn serve_wire(&self, d: &Datagram, scratch: &mut ServeScratch, out: &mut Vec<u8>) -> bool {
         out.clear();
         let now = d.at.as_millis();
@@ -518,7 +518,13 @@ impl ProxyPool {
             Ok(WireAction::Forward {
                 request,
                 exchange_id,
-            }) => origin.exchange(self, d.peer, now, request, exchange_id, out),
+            }) => {
+                // Encoded first: `request` borrows the proxy scratch
+                // the origin's reply hands the exchange's key back to.
+                origin.request.clear();
+                request.encode_into(&mut origin.request);
+                origin.exchange(self, d.peer, now, exchange_id, proxy, out)
+            }
             Err(_) => false,
         }
     }
@@ -710,27 +716,25 @@ struct OriginLeg {
 }
 
 impl OriginLeg {
-    /// Run a forwarded exchange through the origin and back into the
-    /// proxy, writing the client reply into `out`. Returns whether a
-    /// reply was produced.
+    /// Run a forwarded exchange, its request wire in `self.request`,
+    /// through the origin and back into the proxy, writing the client
+    /// reply into `out`. Returns whether a reply was produced.
     fn exchange(
         &mut self,
         pool: &ProxyPool,
         peer: u64,
         now: u64,
-        request: ForwardRequest<'_>,
         exchange_id: u64,
+        proxy: &mut ProxyScratch,
         out: &mut Vec<u8>,
     ) -> bool {
-        self.request.clear();
-        request.encode_into(&mut self.request);
         let served =
             pool.server
                 .serve_wire(peer, &self.request, now, &mut self.server, &mut self.reply);
         served.is_ok()
             && pool
                 .proxy
-                .serve_upstream_wire(exchange_id, &self.reply, now, out)
+                .serve_upstream_wire(exchange_id, &self.reply, now, proxy, out)
                 .unwrap_or(false)
     }
 }

@@ -12,8 +12,8 @@
 //! view and either encodes the reply (fresh hit) or hands back a
 //! [`ForwardRequest`] that borrows the datagram;
 //! [`CoapProxy::serve_upstream_wire`] parses the origin's reply as a
-//! view, builds the cache entry (one box of reply wire) straight from
-//! it, and encodes the client reply. The owned-message entry points
+//! view, writes the cache entry straight from it into the key's slot,
+//! and encodes the client reply. The owned-message entry points
 //! ([`CoapProxy::handle_client_request`],
 //! [`CoapProxy::handle_upstream_response`]) are encode → wire core →
 //! decode wrappers around the same two calls.
@@ -284,10 +284,11 @@ impl CoapProxy {
     /// `scratch`'s recycled buffer. A fresh hit encodes the reply
     /// directly into `out` (cleared at entry) and allocates nothing. A
     /// miss, a stale entry or a non-cacheable method opens an exchange
-    /// — its table entry holds an exact-size copy of the key and the
+    /// — its table entry takes the key, buffer and all, and holds the
     /// client's identifiers inline — and returns the request to
     /// forward, borrowing `wire` (and, on a revalidation, the stale
-    /// ETag in `scratch`).
+    /// ETag in `scratch`). [`CoapProxy::serve_upstream_wire`] hands the
+    /// key's buffer back to the scratch it is given.
     pub fn serve_wire<'a>(
         &self,
         wire: &'a [u8],
@@ -330,7 +331,7 @@ impl CoapProxy {
         self.outstanding.insert(
             exchange_id,
             Outstanding {
-                key: key.clone(),
+                key,
                 client_mid: req.message_id,
                 client_token: Token::new(req.token()),
                 method: req.code,
@@ -338,7 +339,6 @@ impl CoapProxy {
                 revalidating,
             },
         );
-        *key_buf = key.into_bytes();
         let etag: &'a Vec<u8> = etag;
         Ok(WireAction::Forward {
             request: ForwardRequest {
@@ -371,8 +371,8 @@ impl CoapProxy {
             }
             .encode()
         };
-        let mut out = Vec::new();
-        match self.serve_upstream_wire(exchange_id, &wire, now_ms, &mut out) {
+        let (mut scratch, mut out) = (ProxyScratch::default(), Vec::new());
+        match self.serve_upstream_wire(exchange_id, &wire, now_ms, &mut scratch, &mut out) {
             Ok(true) => CoapMessage::decode(&out).ok(),
             Ok(false) | Err(_) => None,
         }
@@ -392,12 +392,15 @@ impl CoapProxy {
     /// * Errors pass through unchanged, re-keyed to the client.
     ///
     /// A success whose ETag the client already holds becomes a
-    /// payload-free `2.03 Valid`.
+    /// payload-free `2.03 Valid`. The closed exchange's key buffer goes
+    /// back to `scratch`, so the next [`CoapProxy::serve_wire`] on it
+    /// derives its key without allocating.
     pub fn serve_upstream_wire(
         &self,
         exchange_id: u64,
         wire: &[u8],
         now_ms: u64,
+        scratch: &mut ProxyScratch,
         out: &mut Vec<u8>,
     ) -> Result<bool, CoapError> {
         let resp = CoapView::parse(wire)?;
@@ -430,7 +433,7 @@ impl CoapProxy {
                     // The entry is built straight from the view; it
                     // keeps no header, since a cached reply is always
                     // re-addressed to the client it serves.
-                    self.cache.insert_wire(ex.key, &resp, now_ms);
+                    self.cache.insert_wire(&ex.key, &resp, now_ms);
                 }
                 let etag = resp.option(OptionNumber::ETAG).map(|o| o.value);
                 match etag.filter(|e| to.holds(e)) {
@@ -442,6 +445,7 @@ impl CoapProxy {
             // client's exchange).
             _ => resp.encode_rekeyed_into(resp.mtype, to.message_id, to.token, out),
         }
+        scratch.key_buf = ex.key.into_bytes();
         Ok(true)
     }
 }
@@ -662,7 +666,7 @@ mod tests {
                 .unwrap();
             out.push(0xAA); // stale bytes must be cleared
             assert_eq!(
-                p_new.serve_upstream_wire(exchange_id, &up, *now, &mut out),
+                p_new.serve_upstream_wire(exchange_id, &up, *now, &mut scratch, &mut out),
                 Ok(true)
             );
             assert_eq!(out, expect_fwd.1, "reply at {now}");
@@ -688,8 +692,13 @@ mod tests {
         assert!(p_new
             .serve_wire(&[0xFF, 0x01], 0, &mut scratch, &mut out)
             .is_err());
-        assert!(p_new.serve_upstream_wire(1, &[0xFF], 0, &mut out).is_err());
-        assert_eq!(p_new.serve_upstream_wire(99, &up, 0, &mut out), Ok(false));
+        assert!(p_new
+            .serve_upstream_wire(1, &[0xFF], 0, &mut scratch, &mut out)
+            .is_err());
+        assert_eq!(
+            p_new.serve_upstream_wire(99, &up, 0, &mut scratch, &mut out),
+            Ok(false)
+        );
     }
 
     #[test]

@@ -200,15 +200,23 @@ impl GroupContext {
         let seq = decode_piv(&opt.piv).ok_or(OscoreError::Malformed)?;
         let binding = RequestBinding { kid, piv: opt.piv };
         let inner = self.open(outer, &binding.kid, &binding.piv, &binding)?;
-        // Replay protection per peer.
+        self.check_replay(&binding.kid, seq)?;
+        Ok((inner, binding.kid.clone(), binding))
+    }
+
+    /// Accept partial IV `seq` from member `kid` once. Requests and
+    /// responses share one window per member, because a member draws
+    /// the partial IVs of both from one sequence.
+    fn check_replay(&mut self, kid: &[u8], seq: u64) -> Result<(), OscoreError> {
         let window = self
             .replay
-            .entry(binding.kid.clone())
+            .entry(kid.to_vec())
             .or_insert_with(|| ReplayWindow::new(64));
-        if !window.check_and_update(seq) {
-            return Err(OscoreError::Replay);
+        if window.check_and_update(seq) {
+            Ok(())
+        } else {
+            Err(OscoreError::Replay)
         }
-        Ok((inner, binding.kid.clone(), binding))
     }
 
     /// Protect a unicast response to a group request. The responder
@@ -242,10 +250,9 @@ impl GroupContext {
             .ok_or(OscoreError::NotOscore)?;
         let opt = OscoreOption::decode(&opt_value.value)?;
         let kid = opt.kid.ok_or(OscoreError::Malformed)?;
-        if opt.piv.is_empty() {
-            return Err(OscoreError::Malformed);
-        }
+        let seq = decode_piv(&opt.piv).ok_or(OscoreError::Malformed)?;
         let inner = self.open(outer, &kid, &opt.piv, request)?;
+        self.check_replay(&kid, seq)?;
         Ok((inner, kid))
     }
 }
@@ -349,6 +356,24 @@ mod tests {
         assert!(responder.unprotect_request(&outer).is_ok());
         assert!(matches!(
             responder.unprotect_request(&outer),
+            Err(OscoreError::Replay)
+        ));
+    }
+
+    /// A member's protected response is accepted once; the same
+    /// response again is a replay, like a repeated request.
+    #[test]
+    fn response_replay_rejected() {
+        let mut querier = member(b"Q");
+        let mut responder = member(b"A");
+        let (outer, binding) = querier.protect_request(&browse_request()).unwrap();
+        let (inner, _, bind) = responder.unprotect_request(&outer).unwrap();
+        let resp = CoapMessage::ack_response(&inner, Code::CONTENT).with_payload(b"x".to_vec());
+        let protected = responder.protect_response(&resp, &bind, &outer).unwrap();
+        let (opened, kid) = querier.unprotect_response(&protected, &binding).unwrap();
+        assert_eq!((opened.payload, kid), (b"x".to_vec(), b"A".to_vec()));
+        assert!(matches!(
+            querier.unprotect_response(&protected, &binding),
             Err(OscoreError::Replay)
         ));
     }

@@ -53,6 +53,11 @@ const MODELS: &[Model] = &[
         body: response_cache,
     },
     Model {
+        name: "response-evict",
+        about: "ShardedResponseCache: two keys racing for one slot read their own reply or Miss",
+        body: response_cache_eviction,
+    },
+    Model {
         name: "stats-snapshot",
         about: "CoapProxy: atomic stats snapshots stay coherent under concurrent requests",
         body: stats_snapshot,
@@ -101,7 +106,24 @@ fn content_response(message_id: u16, token: &[u8], max_age: u32, payload: &[u8])
 /// must read back its own reply, byte for byte (no cross-key bleed
 /// through the shard locks).
 fn response_cache() {
-    let cache = Arc::new(ShardedResponseCache::new(8, 2));
+    let cache = race_two_keys(ShardedResponseCache::new(8, 2), false);
+    assert_eq!(cache.len(), 2);
+}
+
+/// The same race in one shard of capacity 1, so each insert may evict
+/// the other thread's entry from the slot both keys share: a lookup
+/// finds its own reply or `Miss`, never the other key's bytes.
+fn response_cache_eviction() {
+    let cache = race_two_keys(ShardedResponseCache::new(1, 1), true);
+    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.stats().evictions, 1, "the second insert evicts");
+}
+
+/// Run the two threads of a response-cache model on `cache`, each
+/// inserting its own key and looking it up, where `may_miss` allows
+/// the lookup to find its entry evicted.
+fn race_two_keys(cache: ShardedResponseCache, may_miss: bool) -> Arc<ShardedResponseCache> {
+    let cache = Arc::new(cache);
     let handles: Vec<_> = (0..2u8)
         .map(|i| {
             let cache = Arc::clone(&cache);
@@ -109,7 +131,7 @@ fn response_cache() {
                 let key = cache_key(&fetch_request(&[i]));
                 let origin = content_response(1, &[1], 60, &[i]).encode();
                 let origin = CoapView::parse(&origin).expect("valid response");
-                cache.insert_wire(key.clone(), &origin, 0);
+                cache.insert_wire(&key, &origin, 0);
                 let to = ReplyTo {
                     message_id: u16::from(i),
                     token: &[i],
@@ -117,6 +139,9 @@ fn response_cache() {
                 };
                 let mut out = Vec::new();
                 let probe = cache.lookup_into(&key, 1, to, &mut out, &mut Vec::new());
+                if probe == Probe::Miss && may_miss {
+                    return;
+                }
                 assert_eq!(probe, Probe::Hit, "inserted entry must be fresh");
                 // 1 ms after the insert, 59 whole seconds are left.
                 let expect = content_response(u16::from(i), &[i], 59, &[i]);
@@ -127,7 +152,7 @@ fn response_cache() {
     for h in handles {
         h.join();
     }
-    assert_eq!(cache.len(), 2);
+    cache
 }
 
 fn doc_fetch_wire(name: &str, mid: u16) -> Vec<u8> {
@@ -167,7 +192,7 @@ fn stats_snapshot() {
     let query = CoapView::parse(&forwarded).expect("valid request");
     let origin = content_response(1, &[1], 60, query.payload()).encode();
     assert_eq!(
-        proxy.serve_upstream_wire(exchange_id, &origin, 0, &mut out),
+        proxy.serve_upstream_wire(exchange_id, &origin, 0, &mut scratch, &mut out),
         Ok(true),
         "primed"
     );

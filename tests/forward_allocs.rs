@@ -4,11 +4,14 @@
 //! advances 1 ms per request: about half the requests are fresh hits,
 //! the rest are forwards — misses with a FIFO eviction, and stale
 //! entries revalidated with their ETag. Once the per-caller buffers
-//! are warm, a fresh hit must allocate nothing and a forward at most
-//! three times: the exchange's key, the key's place in the cache's
-//! eviction order, and the stored reply wire. A revalidation the
-//! origin confirms with the same ETag only resets the entry's timer,
-//! so it allocates the exchange's key and nothing else.
+//! and the cache are warm, neither a fresh hit nor a forward should
+//! allocate: the exchange takes the key's buffer and the origin leg
+//! hands it back, and a stored reply reuses the evicted entry's slot.
+//! The one allocation left is a slot's buffer growing to a longer key
+//! and reply than it held before, at most once per forward and rarely
+//! (a mean of at most 0.01 per forward). A revalidation the origin
+//! confirms with the same ETag only resets the entry's timer, so it
+//! allocates nothing.
 //!
 //! This binary holds a single test because the counting allocator is
 //! process-wide.
@@ -23,11 +26,11 @@ use std::sync::Arc;
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// Allocations one forwarded exchange may make in steady state.
-const FORWARD_BUDGET: u64 = 3;
-/// Allocations one revalidation confirmed with an unchanged ETag may
-/// make in steady state.
-const REVALIDATION_BUDGET: u64 = 1;
+/// Allocations one forwarded exchange may make in steady state: a
+/// slot's buffer growing once.
+const FORWARD_BUDGET: u64 = 1;
+/// Mean allocations per forward in steady state.
+const FORWARD_MEAN_BUDGET: f64 = 0.01;
 
 #[test]
 fn forward_path_allocation_budget() {
@@ -100,13 +103,13 @@ fn forward_path_allocation_budget() {
     );
     assert!(proxy.cache_stats().evictions > 1000, "evictions exercised");
     assert_eq!(hit_allocs, 0, "allocations over {hits} fresh hits");
+    let mean = forward_allocs as f64 / forwards as f64;
     assert!(
-        worst_forward <= FORWARD_BUDGET,
-        "a forward allocated {worst_forward} times (mean {:.2})",
-        forward_allocs as f64 / forwards as f64
+        worst_forward <= FORWARD_BUDGET && mean <= FORWARD_MEAN_BUDGET,
+        "a forward allocated up to {worst_forward} times (mean {mean:.4})"
     );
-    assert!(
-        worst_revalidation <= REVALIDATION_BUDGET,
+    assert_eq!(
+        worst_revalidation, 0,
         "a revalidation with an unchanged ETag allocated {worst_revalidation} times"
     );
 }

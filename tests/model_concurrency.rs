@@ -112,7 +112,7 @@ fn proxy_stats_snapshots_stay_coherent_under_concurrent_hits() {
                 .to_vec(),
         };
         assert_eq!(
-            proxy.serve_upstream_wire(exchange_id, &resp.encode(), 0, &mut out),
+            proxy.serve_upstream_wire(exchange_id, &resp.encode(), 0, &mut scratch, &mut out),
             Ok(true),
             "primed"
         );

@@ -847,10 +847,11 @@ proptest! {
     }
 }
 
-/// The proxy cache as it was before entries kept the reply wire: each
-/// entry an owned `CoapMessage`, every hit re-encoded by a walk over
-/// its options, every refresh an edit of the option list. The oracle
-/// the wire entries are checked against.
+/// The proxy cache as it was before entries kept the reply wire in a
+/// ring of slots: each entry an owned `CoapMessage` in a `HashMap`,
+/// evicted in insertion order through a `VecDeque` of keys, every hit
+/// re-encoded by a walk over its options, every refresh an edit of the
+/// option list. The oracle the ring of wire entries is checked against.
 mod message_cache {
     use doc_repro::coap::cache::{encode_valid_into, CacheKey, CacheStats, Probe, ReplyTo};
     use doc_repro::coap::msg::{
@@ -859,7 +860,7 @@ mod message_cache {
     };
     use doc_repro::coap::opt::{CoapOption, OptionNumber};
     use doc_repro::coap::view::CoapView;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, VecDeque};
 
     struct Entry {
         response: CoapMessage,
@@ -879,16 +880,30 @@ mod message_cache {
         }
     }
 
-    /// One cache without capacity pressure: the properties use one key.
-    #[derive(Default)]
+    /// A FIFO cache of at most `capacity` entries.
     pub struct MessageCache {
         entries: HashMap<CacheKey, Entry>,
+        order: VecDeque<CacheKey>,
+        capacity: usize,
         stats: CacheStats,
     }
 
     impl MessageCache {
+        pub fn new(capacity: usize) -> Self {
+            MessageCache {
+                entries: HashMap::new(),
+                order: VecDeque::new(),
+                capacity: capacity.max(1),
+                stats: CacheStats::default(),
+            }
+        }
+
         pub fn stats(&self) -> CacheStats {
             self.stats
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.len()
         }
 
         pub fn lookup_into(
@@ -920,8 +935,10 @@ mod message_cache {
             }
         }
 
-        /// What the proxy stored from an origin reply's view.
-        pub fn insert_view(&mut self, key: CacheKey, resp: &CoapView<'_>, now: u64) {
+        /// What the proxy stored from an origin reply's view. A new key
+        /// in a full cache evicts the oldest key; a stored key keeps its
+        /// place in the order.
+        pub fn insert_view(&mut self, key: &CacheKey, resp: &CoapView<'_>, now: u64) {
             let response = CoapMessage {
                 mtype: resp.mtype,
                 code: resp.code,
@@ -931,8 +948,17 @@ mod message_cache {
                 payload: resp.payload().to_vec(),
             };
             let max_age_ms = response.max_age() as u64 * 1000;
+            if !self.entries.contains_key(key) {
+                if self.entries.len() >= self.capacity {
+                    if let Some(victim) = self.order.pop_front() {
+                        self.entries.remove(&victim);
+                        self.stats.evictions += 1;
+                    }
+                }
+                self.order.push_back(key.clone());
+            }
             self.entries.insert(
-                key,
+                key.clone(),
                 Entry {
                     response,
                     stored_at_ms: now,
@@ -1032,7 +1058,8 @@ mod message_cache {
     /// by the wire cache and by this oracle alike.
     pub trait CacheOps {
         fn stats(&self) -> CacheStats;
-        fn insert_view(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64);
+        fn len(&self) -> usize;
+        fn insert_view(&mut self, key: &CacheKey, response: &CoapView<'_>, now: u64);
         fn lookup_into(
             &mut self,
             key: &CacheKey,
@@ -1057,7 +1084,10 @@ mod message_cache {
                 fn stats(&self) -> CacheStats {
                     <$ty>::stats(self)
                 }
-                fn insert_view(&mut self, key: CacheKey, response: &CoapView<'_>, now: u64) {
+                fn len(&self) -> usize {
+                    <$ty>::len(self)
+                }
+                fn insert_view(&mut self, key: &CacheKey, response: &CoapView<'_>, now: u64) {
                     <$ty>::$insert_view(self, key, response, now)
                 }
                 fn lookup_into(
@@ -1266,7 +1296,7 @@ fn drive_cache_case(
         }
     };
     let mut replies = Vec::new();
-    cache.insert_view(key.clone(), &CoapView::parse(&origin_wire).unwrap(), 0);
+    cache.insert_view(&key, &CoapView::parse(&origin_wire).unwrap(), 0);
     let valid_view = CoapView::parse(&valid_wire).unwrap();
     replies.push(probe(&mut |out, etag| {
         cache.lookup_into(&key, case.t1, to, out, etag)
@@ -1295,8 +1325,131 @@ proptest! {
     fn wire_cache_matches_message_cache(case in arb_cache_case()) {
         use doc_repro::coap::cache::ResponseCache;
         let ours = drive_cache_case(&mut ResponseCache::new(8), &case);
-        let oracle = drive_cache_case(&mut message_cache::MessageCache::default(), &case);
+        let oracle = drive_cache_case(&mut message_cache::MessageCache::new(8), &case);
         prop_assert_eq!(ours, oracle);
+    }
+}
+
+/// One operation of a cache script: `(kind, key, variant, ms)` — an
+/// insert (kind 0), a lookup (1) or a revalidation (2) of key `key`,
+/// with the reply, the client's ETag or the `2.03 Valid` picked by
+/// `variant`, after the clock advances `ms`.
+type CacheOp = (u8, usize, u8, u64);
+
+/// The request key of script key `k`: FETCH payloads of four lengths,
+/// so a slot's next key may be longer or shorter than its last.
+fn script_key(k: usize) -> doc_repro::coap::cache::CacheKey {
+    doc_repro::coap::cache::cache_key(
+        &CoapMessage::request(Code::FETCH, MsgType::Con, 1, vec![1])
+            .with_option(CoapOption::new(OptionNumber::URI_PATH, b"dns".to_vec()))
+            .with_payload(vec![k as u8; 1 + k % 4]),
+    )
+}
+
+/// The origin reply `variant` for key `k`: a payload of 0 to 47 bytes,
+/// 0 to 4 s of freshness, an ETag from a set of four or none, and a
+/// Size1 option above Max-Age or none.
+fn script_reply(k: usize, variant: u8) -> Vec<u8> {
+    let mut r = CoapMessage {
+        mtype: MsgType::Ack,
+        code: Code::CONTENT,
+        message_id: 0x0102,
+        token: vec![0xA0],
+        options: vec![CoapOption::uint(
+            OptionNumber::MAX_AGE,
+            u32::from(variant % 5),
+        )],
+        payload: vec![k as u8; usize::from(variant) % 48],
+    };
+    if !variant.is_multiple_of(3) {
+        r.set_option(CoapOption::new(OptionNumber::ETAG, vec![variant % 4]));
+    }
+    if variant.is_multiple_of(7) {
+        r.set_option(CoapOption::uint(OptionNumber::SIZE1, u32::from(variant)));
+    }
+    r.encode()
+}
+
+/// The `2.03 Valid` `variant`: an ETag from the same set of four or
+/// none, 0 to 4 s of freshness or no Max-Age (60 s), and sometimes a
+/// Size1 that replaces the stored one.
+fn script_valid(variant: u8) -> Vec<u8> {
+    let mut v = CoapMessage::ack_reply(0x0203, vec![0xB0], Code::VALID);
+    if variant % 4 != 3 {
+        v.set_option(CoapOption::new(OptionNumber::ETAG, vec![variant % 4]));
+    }
+    if variant % 6 != 5 {
+        v.set_option(CoapOption::uint(
+            OptionNumber::MAX_AGE,
+            u32::from(variant % 5),
+        ));
+    }
+    if variant.is_multiple_of(11) {
+        v.set_option(CoapOption::uint(OptionNumber::SIZE1, 7));
+    }
+    v.encode()
+}
+
+/// Run one script operation, returning what it wrote: the probe and
+/// its reply or stale ETag, or whether the revalidation found the
+/// entry and its reply; then the statistics and the entry count.
+fn run_cache_op(
+    cache: &mut impl message_cache::CacheOps,
+    (kind, k, variant, _): CacheOp,
+    now: u64,
+) -> (String, Vec<u8>, doc_repro::coap::cache::CacheStats, usize) {
+    use doc_repro::coap::cache::ReplyTo;
+    let key = script_key(k);
+    let client_etag = [variant % 4];
+    let to = ReplyTo {
+        message_id: 0x7788,
+        token: &[7, 8],
+        etag: variant.is_multiple_of(2).then_some(&client_etag[..]),
+    };
+    let (mut out, mut etag) = (vec![0xAA], vec![0xBB]);
+    let outcome = match kind {
+        0 => {
+            let wire = script_reply(k, variant);
+            cache.insert_view(&key, &CoapView::parse(&wire).unwrap(), now);
+            "stored".to_string()
+        }
+        1 => format!(
+            "{:?}",
+            cache.lookup_into(&key, now, to, &mut out, &mut etag)
+        ),
+        _ => {
+            let wire = script_valid(variant);
+            let valid = CoapView::parse(&wire).unwrap();
+            format!("{}", cache.revalidate_wire(&key, &valid, now, to, &mut out))
+        }
+    };
+    (outcome, [out, etag].concat(), cache.stats(), cache.len())
+}
+
+proptest! {
+    /// The ring of slots and its open-addressed index behave exactly
+    /// like a `HashMap` with a `VecDeque` FIFO of keys: over random
+    /// scripts of inserts (new keys, and stored keys re-inserted with
+    /// longer or shorter replies), lookups and revalidations at random
+    /// times, with capacities 1 to 8 and three times as many keys or
+    /// more, every operation finds the same outcome, writes the same
+    /// reply or stale ETag and leaves the same statistics and count.
+    #[test]
+    fn ring_cache_matches_fifo_map(
+        capacity in 1usize..=8,
+        extra in 0usize..4,
+        ops in proptest::collection::vec((0u8..3, 0usize..64, any::<u8>(), 0u64..2_500), 0..160),
+    ) {
+        use doc_repro::coap::cache::ResponseCache;
+        let keys = 3 * capacity + extra;
+        let (mut ours, mut oracle) = (ResponseCache::new(capacity), message_cache::MessageCache::new(capacity));
+        let mut now = 0;
+        for (i, &(kind, k, variant, ms)) in ops.iter().enumerate() {
+            now += ms;
+            let op = (kind, k % keys, variant, ms);
+            let got = run_cache_op(&mut ours, op, now);
+            prop_assert_eq!(got, run_cache_op(&mut oracle, op, now), "op {}: {:?}", i, op);
+        }
     }
 }
 

@@ -144,8 +144,8 @@ impl CacheUnderTest<'_> {
         let wire = r.encode();
         let view = CoapView::parse(&wire).unwrap();
         match self {
-            CacheUnderTest::Flat(c) => c.insert_wire(k, &view, now),
-            CacheUnderTest::Sharded(c) => c.insert_wire(k, &view, now),
+            CacheUnderTest::Flat(c) => c.insert_wire(&k, &view, now),
+            CacheUnderTest::Sharded(c) => c.insert_wire(&k, &view, now),
         }
     }
     fn revalidate(&mut self, k: &CacheKey, v: &CoapMessage, now: u64) -> Option<CoapMessage> {
