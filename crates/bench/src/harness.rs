@@ -5,15 +5,15 @@
 //! times the batch while counting allocator events. Allocations are
 //! counted through [`crate::alloc_counter`], so a binary reads real
 //! counts only when it installs `CountingAllocator` as its global
-//! allocator; the counter is process-wide, so a routine's count is
-//! exact only while no other thread allocates.
+//! allocator. The count is the calling thread's own, so it is exact for
+//! a routine that runs on that thread even while other threads allocate.
 //!
 //! The windows come from the environment: `BENCH_WARMUP_MS` (default
 //! 50) and `BENCH_MEASURE_MS` (default 200).
 
 use std::time::{Duration, Instant};
 
-use crate::alloc_counter::alloc_count;
+use crate::alloc_counter::thread_alloc_count;
 
 /// Mean cost of one call of a timed routine.
 #[derive(Debug)]
@@ -56,13 +56,13 @@ pub fn time(mut routine: impl FnMut()) -> Timing {
     }
     let per_iter = warm_start.elapsed().as_nanos().max(1) / u128::from(warm_iters.max(1));
     let batch = (measure.as_nanos() / per_iter.max(1)).clamp(1, u128::from(u64::MAX)) as u64;
-    let allocs_before = alloc_count();
+    let allocs_before = thread_alloc_count();
     let start = Instant::now();
     for _ in 0..batch {
         routine();
     }
     let elapsed = start.elapsed();
-    let allocs = alloc_count() - allocs_before;
+    let allocs = thread_alloc_count() - allocs_before;
     Timing {
         ns_per_iter: elapsed.as_nanos() as f64 / batch as f64,
         allocs_per_iter: allocs as f64 / batch as f64,

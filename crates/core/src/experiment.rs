@@ -28,8 +28,9 @@ use crate::transport::{
 use doc_coap::block::{Block1Sender, BlockAssembler, BlockOpt};
 use doc_coap::msg::{CoapMessage, Code, MsgType};
 use doc_coap::opt::OptionNumber;
-use doc_coap::reliability::{Endpoint, Event as EpEvent};
+use doc_coap::reliability::{Endpoint, Event as EpEvent, TransmissionParams};
 use doc_dns::{Message, Question, RecordType};
+use doc_dtls::DtlsConnection;
 use doc_netsim::{LinkKind, NodeId, Sim, SimEvent, Tag};
 use doc_oscore::context::SecurityContext;
 use doc_oscore::protect::OscoreEndpoint;
@@ -221,7 +222,9 @@ impl RawRetrans {
         self.rng.wrapping_mul(0x2545F4914F6CDD1D)
     }
     fn arm(&mut self, dns_id: u16, query_idx: usize, dns_bytes: Vec<u8>, now: u64) {
-        let backoff = 2000 + self.rand() % 1001; // [2.0, 3.0] s
+        let p = TransmissionParams::default(); // CoAP's first CON timeout: [2.0, 3.0] s
+        let spread = p.ack_timeout_ms * (p.ack_random_factor_permille - 1000) / 1000;
+        let backoff = p.ack_timeout_ms + self.rand() % (spread + 1);
         self.entries.push(RawEntry {
             dns_id,
             query_idx,
@@ -236,14 +239,14 @@ impl RawRetrans {
         Some(self.entries.remove(idx).query_idx)
     }
     /// Returns the (dns_bytes, query_idx) pairs due for a resend. An
-    /// entry due after its fourth retransmission is dropped.
+    /// entry due after CoAP's MAX_RETRANSMIT retransmissions is dropped.
     fn poll(&mut self, now: u64) -> Vec<(Vec<u8>, usize)> {
         let mut resend = Vec::new();
         self.entries.retain_mut(|e| {
             if e.timeout_at > now {
                 return true;
             }
-            if e.retries >= 4 {
+            if e.retries >= TransmissionParams::default().max_retransmit {
                 return false;
             }
             e.retries += 1;
@@ -315,9 +318,18 @@ impl QuicEnd {
 }
 
 /// Both ends of one session.
-struct Ends<C, S> {
-    client: C,
-    server: S,
+struct Ends<T> {
+    client: T,
+    server: T,
+}
+
+impl<T> Ends<T> {
+    fn end(&mut self, end: End) -> &mut T {
+        match end {
+            End::Client => &mut self.client,
+            End::Server => &mut self.server,
+        }
+    }
 }
 
 /// The protection between one client and the server. Each end's state
@@ -325,11 +337,11 @@ struct Ends<C, S> {
 enum Session {
     /// UDP and CoAP.
     Plain,
-    Oscore(Box<Ends<OscoreEndpoint, OscoreEndpoint>>),
+    Oscore(Box<Ends<OscoreEndpoint>>),
     /// DTLS and CoAPS.
-    Dtls(Box<Ends<doc_dtls::DtlsClient, doc_dtls::DtlsServer>>),
+    Dtls(Box<Ends<DtlsConnection>>),
     /// The stream transports: DoQ, DoH, DoT.
-    Quic(Box<Ends<QuicEnd, QuicEnd>>),
+    Quic(Box<Ends<QuicEnd>>),
 }
 
 impl Session {
@@ -344,14 +356,16 @@ impl Session {
                 let (secret, salt, kid) = (b"0123456789abcdef", b"doc-salt", [c as u8 + 1]);
                 let cctx = SecurityContext::derive(secret, salt, &kid, &[0x00]);
                 let sctx = SecurityContext::derive(secret, salt, &[0x00], &kid);
-                let (client, server) = (
-                    OscoreEndpoint::new(cctx, false),
-                    OscoreEndpoint::new(sctx, false),
-                );
+                let client = OscoreEndpoint::new(cctx, false);
+                let server = OscoreEndpoint::new(sctx, false);
                 Session::Oscore(Box::new(Ends { client, server }))
             }
             TransportKind::Dtls | TransportKind::Coaps => {
-                let (client, server) = establish_dtls(seed);
+                let psk = b"123456789";
+                let mut client = DtlsConnection::client(seed | 1, b"Client_ID", psk);
+                let mut server = DtlsConnection::server((seed ^ 0xF00D) | 1, psk);
+                doc_dtls::run_handshake(&mut client, &mut server);
+                assert!(client.is_connected() && server.is_connected());
                 Session::Dtls(Box::new(Ends { client, server }))
             }
             TransportKind::Quic | TransportKind::DohLite | TransportKind::Dot => {
@@ -369,9 +383,8 @@ impl Session {
     }
 
     fn quic(&mut self, end: End) -> Option<&mut QuicEnd> {
-        match (self, end) {
-            (Session::Quic(ends), End::Client) => Some(&mut ends.client),
-            (Session::Quic(ends), End::Server) => Some(&mut ends.server),
+        match self {
+            Session::Quic(ends) => Some(ends.end(end)),
             _ => None,
         }
     }
@@ -579,8 +592,7 @@ impl<'a> Driver<'a> {
     /// record, or the bytes as they are.
     fn seal(&mut self, from: NodeId, to: NodeId, bytes: Vec<u8>) -> Vec<u8> {
         match self.session(from, to) {
-            Some((Session::Dtls(ends), End::Client)) => ends.client.send_application_data(&bytes),
-            Some((Session::Dtls(ends), End::Server)) => ends.server.send_application_data(&bytes),
+            Some((Session::Dtls(ends), end)) => ends.end(end).send_application_data(&bytes),
             _ => return bytes,
         }
         .expect("session established")
@@ -590,8 +602,7 @@ impl<'a> Driver<'a> {
     /// dropped the record (e.g. a replay).
     fn open(&mut self, at: NodeId, from: NodeId, now: u64, bytes: Vec<u8>) -> Option<Vec<u8>> {
         let evs = match self.session(at, from) {
-            Some((Session::Dtls(ends), End::Client)) => ends.client.handle_datagram(now, &bytes),
-            Some((Session::Dtls(ends), End::Server)) => ends.server.handle_datagram(now, &bytes),
+            Some((Session::Dtls(ends), end)) => ends.end(end).handle_datagram(now.into(), &bytes),
             _ => return Some(bytes),
         };
         // The last application record the datagram carried.
@@ -1142,17 +1153,6 @@ impl<'a> Driver<'a> {
             server_stats: self.server.stats(),
         }
     }
-}
-
-/// Establish one DTLS session out-of-band (paper-style
-/// pre-initialization; the handshake cost is measured separately in
-/// Fig. 6).
-fn establish_dtls(seed: u64) -> (doc_dtls::DtlsClient, doc_dtls::DtlsServer) {
-    let mut client = doc_dtls::DtlsClient::new(seed | 1, b"Client_ID", b"123456789");
-    let mut server = doc_dtls::DtlsServer::new((seed ^ 0xF00D) | 1, b"123456789");
-    doc_dtls::run_handshake(&mut client, &mut server);
-    assert!(client.is_connected() && server.is_connected());
-    (client, server)
 }
 
 #[cfg(test)]

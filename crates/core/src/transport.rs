@@ -422,8 +422,8 @@ fn finish(
 pub fn session_setup(kind: TransportKind) -> Vec<Dissection> {
     match kind {
         TransportKind::Dtls | TransportKind::Coaps => {
-            let mut client = doc_dtls::DtlsClient::new(0xD0C, b"Client_ID", b"123456789");
-            let mut server = doc_dtls::DtlsServer::new(0x5E4, b"123456789");
+            let mut client = doc_dtls::DtlsConnection::client(0xD0C, b"Client_ID", b"123456789");
+            let mut server = doc_dtls::DtlsConnection::server(0x5E4, b"123456789");
             doc_dtls::run_handshake(&mut client, &mut server)
                 .into_iter()
                 .map(|(label, len)| finish(label.to_string(), len, 0, 0, 0, len))

@@ -1,4 +1,5 @@
-//! Sans-IO DTLS 1.2 PSK client and server connections.
+//! A sans-IO DTLS 1.2 PSK connection: one type for both ends, its
+//! role chosen at construction, as `doc_quic::Connection` is.
 //!
 //! Implements the cookie-exchange handshake of RFC 6347 §4.2 with the
 //! PSK key exchange — the exact message sequence of the paper's Fig. 6
@@ -17,8 +18,11 @@
 //!
 //! Key schedule per RFC 5246 §8.1 with the PSK premaster secret of RFC
 //! 4279 §2; Finished verification over the SHA-256 transcript hash.
-//! Flights are retransmitted with exponential back-off (initial 1 s)
-//! until acknowledged by progress, per RFC 6347 §4.2.4.
+//! Each end keeps its last flight (RFC 6347 §4.2.4). The client resends
+//! it on a timer with exponential back-off (initial 1 s) until the
+//! peer's next flight arrives; either end resends it when the peer's
+//! previous flight arrives again, so a lost server flight is recovered
+//! too.
 
 use crate::handshake::{
     ClientHello, ClientKeyExchangePsk, HelloVerifyRequest, HsMessage, HsType, ServerHello,
@@ -29,6 +33,15 @@ use crate::DtlsError;
 use doc_crypto::prf::{prf, psk_premaster_secret};
 use doc_crypto::replay::ReplayWindow;
 use doc_crypto::sha256::Sha256;
+use doc_time::{Instant, Millis};
+
+/// Records each connection's replay window spans (RFC 6347 §4.1.2.6).
+const REPLAY_WINDOW_BITS: u32 = 64;
+/// A flight's first retransmission timeout (RFC 6347 §4.2.4.1); it
+/// doubles on every retry.
+const INITIAL_TIMEOUT: Millis = Millis::from_millis(1000);
+/// Retransmissions of one flight before the handshake fails.
+const MAX_RETRIES: u32 = 6;
 
 /// Events surfaced to the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,20 +62,36 @@ pub enum DtlsEvent {
     HandshakeFailed,
 }
 
+/// Connection role.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    Client,
+    /// The server keys its stateless cookies with this secret.
+    Server {
+        cookie_secret: [u8; 32],
+    },
+}
+
+impl Role {
+    /// The Finished labels (RFC 5246 §7.4.9): this end's, then the
+    /// peer's.
+    fn finished_labels(self) -> (&'static [u8], &'static [u8]) {
+        match self {
+            Role::Client => (b"client finished", b"server finished"),
+            Role::Server { .. } => (b"server finished", b"client finished"),
+        }
+    }
+}
+
+/// Handshake progress. The states up to `AwaitServerHelloDone` are the
+/// client's, `AwaitClientHello` and `AwaitClientKeyExchange` the
+/// server's; both ends pass through the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ClientState {
+enum State {
     Start,
     AwaitHelloVerify,
     AwaitServerHello,
     AwaitServerHelloDone,
-    AwaitChangeCipher,
-    AwaitFinished,
-    Connected,
-    Failed,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServerState {
     AwaitClientHello,
     AwaitClientKeyExchange,
     AwaitChangeCipher,
@@ -84,14 +113,14 @@ struct Session {
 }
 
 impl Session {
-    fn new(replay_window_bits: u32) -> Self {
+    fn new() -> Self {
         Session {
             master_secret: [0u8; 48],
             write: None,
             read: None,
             epoch: 0,
             seq: 0,
-            replay: ReplayWindow::new(replay_window_bits),
+            replay: ReplayWindow::new(REPLAY_WINDOW_BITS),
         }
     }
 
@@ -129,6 +158,28 @@ impl Session {
         }
     }
 
+    /// Frame `body` as this end's next record of `ctype`, sealed once
+    /// the epoch is 1.
+    fn record(&mut self, ctype: ContentType, body: &[u8]) -> Result<Vec<u8>, DtlsError> {
+        let epoch = self.epoch;
+        let seq = self.next_seq();
+        let payload = if epoch == 0 {
+            body.to_vec()
+        } else {
+            self.write
+                .as_ref()
+                .ok_or(DtlsError::NotConnected)?
+                .seal(ctype, epoch, seq, body)?
+        };
+        Ok(Record {
+            ctype,
+            epoch,
+            seq,
+            payload,
+        }
+        .encode())
+    }
+
     /// Open a protected (epoch ≥ 1) record, and only once it has
     /// authenticated mark its sequence number seen (RFC 6347
     /// §4.1.2.6): a forged record never moves the replay window.
@@ -157,52 +208,28 @@ impl Session {
     }
 }
 
-/// Flight retransmission bookkeeping (RFC 6347 §4.2.4).
-struct FlightTimer {
+/// This end's last flight, kept to be sent again (RFC 6347 §4.2.4).
+struct Flight {
     datagrams: Vec<(Vec<u8>, &'static str)>,
-    timeout_at: u64,
-    backoff_ms: u64,
+    /// The first message of the peer flight this one answers: when it
+    /// arrives again, this flight was lost.
+    answers: Option<HsType>,
+    /// When the client resends unprompted; a server only resends when
+    /// prompted.
+    deadline: Option<Instant>,
+    timeout: Millis,
     retries: u32,
-    max_retries: u32,
-    armed: bool,
 }
 
-impl FlightTimer {
-    fn new() -> Self {
-        FlightTimer {
-            datagrams: Vec::new(),
-            timeout_at: 0,
-            backoff_ms: 1000,
-            retries: 0,
-            max_retries: 6,
-            armed: false,
-        }
-    }
-
-    fn arm(&mut self, now: u64, datagrams: Vec<(Vec<u8>, &'static str)>) {
-        self.datagrams = datagrams;
-        self.backoff_ms = 1000;
-        self.retries = 0;
-        self.timeout_at = now + self.backoff_ms;
-        self.armed = true;
-    }
-
-    fn disarm(&mut self) {
-        self.armed = false;
-    }
-
-    fn poll(&mut self, now: u64) -> Option<Vec<(Vec<u8>, &'static str)>> {
-        if !self.armed || now < self.timeout_at {
-            return None;
-        }
-        if self.retries >= self.max_retries {
-            self.armed = false;
-            return Some(Vec::new()); // signal failure with empty flight
-        }
-        self.retries += 1;
-        self.backoff_ms *= 2;
-        self.timeout_at = now + self.backoff_ms;
-        Some(self.datagrams.clone())
+impl Flight {
+    fn transmits(&self) -> Vec<DtlsEvent> {
+        self.datagrams
+            .iter()
+            .map(|(datagram, label)| DtlsEvent::Transmit {
+                datagram: datagram.clone(),
+                label,
+            })
+            .collect()
     }
 }
 
@@ -219,89 +246,91 @@ fn rand32(state: &mut u64) -> [u8; 32] {
     out
 }
 
-/// Wrap a handshake message in an (optionally encrypted) record.
-fn hs_record(session: &mut Session, msg: &HsMessage) -> Result<Record, DtlsError> {
-    let body = msg.encode();
-    let epoch = session.epoch;
-    let seq = session.next_seq();
-    let payload = if epoch == 0 {
-        body
-    } else {
-        session
-            .write
-            .as_ref()
-            .ok_or(DtlsError::NotConnected)?
-            .seal(ContentType::Handshake, epoch, seq, &body)?
-    };
-    Ok(Record {
-        ctype: ContentType::Handshake,
-        epoch,
-        seq,
-        payload,
-    })
-}
-
-/// A DTLS 1.2 PSK client connection.
-pub struct DtlsClient {
-    state: ClientState,
+/// One end of a DTLS 1.2 PSK connection.
+pub struct DtlsConnection {
+    role: Role,
+    state: State,
     psk: Vec<u8>,
+    /// The PSK identity: the client's own; the server learns it from
+    /// the ClientKeyExchange.
     identity: Vec<u8>,
     session: Session,
     transcript: Vec<u8>,
     client_random: [u8; 32],
     server_random: [u8; 32],
     msg_seq: u16,
-    timer: FlightTimer,
+    flight: Flight,
 }
 
-impl DtlsClient {
-    /// Create a client for the given PSK identity/key.
-    pub fn new(seed: u64, identity: &[u8], psk: &[u8]) -> Self {
-        let mut rng = seed | 1;
-        let client_random = rand32(&mut rng);
-        let _ = rng;
-        DtlsClient {
-            state: ClientState::Start,
+impl DtlsConnection {
+    fn new(role: Role, psk: &[u8], identity: &[u8]) -> Self {
+        DtlsConnection {
+            role,
+            state: match role {
+                Role::Client => State::Start,
+                Role::Server { .. } => State::AwaitClientHello,
+            },
             psk: psk.to_vec(),
             identity: identity.to_vec(),
-            session: Session::new(64),
+            session: Session::new(),
             transcript: Vec::new(),
-            client_random,
+            client_random: [0u8; 32],
             server_random: [0u8; 32],
             msg_seq: 0,
-            timer: FlightTimer::new(),
+            flight: Flight {
+                datagrams: Vec::new(),
+                answers: None,
+                deadline: None,
+                timeout: INITIAL_TIMEOUT,
+                retries: 0,
+            },
+        }
+    }
+
+    /// A client for the given PSK identity/key.
+    pub fn client(seed: u64, identity: &[u8], psk: &[u8]) -> Self {
+        let mut rng = seed | 1;
+        DtlsConnection {
+            client_random: rand32(&mut rng),
+            ..DtlsConnection::new(Role::Client, psk, identity)
+        }
+    }
+
+    /// A server endpoint (one per client endpoint) with the given PSK.
+    pub fn server(seed: u64, psk: &[u8]) -> Self {
+        let mut rng = seed | 1;
+        let cookie_secret = rand32(&mut rng);
+        DtlsConnection {
+            server_random: rand32(&mut rng),
+            ..DtlsConnection::new(Role::Server { cookie_secret }, psk, &[])
         }
     }
 
     /// Whether the handshake has completed.
     pub fn is_connected(&self) -> bool {
-        self.state == ClientState::Connected
+        self.state == State::Connected
     }
 
-    /// Begin the handshake: emits the first ClientHello.
-    pub fn start(&mut self, now: u64) -> Vec<DtlsEvent> {
-        assert_eq!(self.state, ClientState::Start, "start() called twice");
-        let ch = ClientHello {
+    /// Begin the handshake (client only): emits the first ClientHello.
+    pub fn start(&mut self, now: Instant) -> Vec<DtlsEvent> {
+        assert_eq!(
+            self.state,
+            State::Start,
+            "start() on a server or called twice"
+        );
+        let hello = self.client_hello(Vec::new());
+        let datagram = self.hs_record(HsType::ClientHello, hello).expect("epoch 0");
+        self.state = State::AwaitHelloVerify;
+        self.send_flight(now, vec![(datagram, "Client Hello")], None)
+    }
+
+    fn client_hello(&self, cookie: Vec<u8>) -> Vec<u8> {
+        ClientHello {
             random: self.client_random,
-            cookie: Vec::new(),
+            cookie,
             cipher_suites: vec![TLS_PSK_WITH_AES_128_CCM_8],
-        };
-        let msg = HsMessage {
-            htype: HsType::ClientHello,
-            message_seq: self.take_msg_seq(),
-            body: ch.encode(),
-        };
-        // Initial ClientHello/HelloVerifyRequest are NOT in the
-        // transcript (RFC 6347 §4.2.1).
-        let rec = hs_record(&mut self.session, &msg).expect("epoch 0");
-        let datagram = rec.encode();
-        self.state = ClientState::AwaitHelloVerify;
-        self.timer
-            .arm(now, vec![(datagram.clone(), "Client Hello")]);
-        vec![DtlsEvent::Transmit {
-            datagram,
-            label: "Client Hello",
-        }]
+        }
+        .encode()
     }
 
     fn take_msg_seq(&mut self) -> u16 {
@@ -316,41 +345,80 @@ impl DtlsClient {
         h.finalize()
     }
 
+    /// Frame this end's next handshake message as a record and add it
+    /// to the transcript.
+    fn hs_record(&mut self, htype: HsType, body: Vec<u8>) -> Result<Vec<u8>, DtlsError> {
+        let msg = HsMessage {
+            htype,
+            message_seq: self.take_msg_seq(),
+            body,
+        }
+        .encode();
+        self.transcript.extend_from_slice(&msg);
+        self.session.record(ContentType::Handshake, &msg)
+    }
+
+    fn install_keys(&mut self) {
+        self.session.install_keys(
+            &self.client_random,
+            &self.server_random,
+            &self.psk,
+            self.role == Role::Client,
+        );
+    }
+
+    /// ChangeCipherSpec, the switch to epoch 1, then this end's
+    /// Finished under the new keys: one datagram.
+    fn finished_flight(&mut self) -> Result<Vec<u8>, DtlsError> {
+        let mut datagram = self.session.record(ContentType::ChangeCipherSpec, &[1])?;
+        self.session.epoch = 1;
+        self.session.seq = 0;
+        let (label, _) = self.role.finished_labels();
+        let verify_data = self.session.verify_data(label, &self.transcript_hash());
+        datagram.extend_from_slice(&self.hs_record(HsType::Finished, verify_data.to_vec())?);
+        Ok(datagram)
+    }
+
+    /// Send `datagrams` as this end's flight and keep them until the
+    /// next one, to resend when the peer's `answers` arrives again; a
+    /// client also arms its timer.
+    fn send_flight(
+        &mut self,
+        now: Instant,
+        datagrams: Vec<(Vec<u8>, &'static str)>,
+        answers: Option<HsType>,
+    ) -> Vec<DtlsEvent> {
+        self.flight = Flight {
+            datagrams,
+            answers,
+            deadline: (self.role == Role::Client).then_some(now + INITIAL_TIMEOUT),
+            timeout: INITIAL_TIMEOUT,
+            retries: 0,
+        };
+        self.flight.transmits()
+    }
+
     /// Encrypt and frame application data (requires a completed
     /// handshake).
     pub fn send_application_data(&mut self, data: &[u8]) -> Result<Vec<u8>, DtlsError> {
-        if self.state != ClientState::Connected {
+        if self.state != State::Connected {
             return Err(DtlsError::NotConnected);
         }
-        let epoch = self.session.epoch;
-        let seq = self.session.next_seq();
-        let payload = self.session.write.as_ref().expect("connected").seal(
-            ContentType::ApplicationData,
-            epoch,
-            seq,
-            data,
-        )?;
-        Ok(Record {
-            ctype: ContentType::ApplicationData,
-            epoch,
-            seq,
-            payload,
-        }
-        .encode())
+        self.session.record(ContentType::ApplicationData, data)
     }
 
     /// Process an incoming datagram. Records are walked as borrowed
     /// [`RecordView`]s — payloads are only copied out of the datagram
     /// by decryption (or epoch-0 handshake reassembly).
-    pub fn handle_datagram(&mut self, now: u64, datagram: &[u8]) -> Vec<DtlsEvent> {
+    pub fn handle_datagram(&mut self, now: Instant, datagram: &[u8]) -> Vec<DtlsEvent> {
         let Ok(records) = RecordView::iter(datagram).collect::<Result<Vec<_>, _>>() else {
             return Vec::new();
         };
         let mut events = Vec::new();
         for rec in records {
-            match self.handle_record(now, rec) {
-                Ok(mut evs) => events.append(&mut evs),
-                Err(_) => { /* drop bad record */ }
+            // A bad record is dropped.
+            if let Ok(mut evs) = self.handle_record(now, rec) {
+                events.append(&mut evs);
             }
         }
         events
@@ -358,7 +426,7 @@ impl DtlsClient {
 
     fn handle_record(
         &mut self,
-        now: u64,
+        now: Instant,
         rec: RecordView<'_>,
     ) -> Result<Vec<DtlsEvent>, DtlsError> {
         match rec.ctype {
@@ -372,14 +440,14 @@ impl DtlsClient {
                 self.handle_handshake(now, msg)
             }
             ContentType::ChangeCipherSpec => {
-                if self.state != ClientState::AwaitChangeCipher {
+                if self.state != State::AwaitChangeCipher {
                     return Err(DtlsError::UnexpectedMessage);
                 }
-                self.state = ClientState::AwaitFinished;
+                self.state = State::AwaitFinished;
                 Ok(Vec::new())
             }
             ContentType::ApplicationData => {
-                if self.state != ClientState::Connected {
+                if self.state != State::Connected {
                     return Err(DtlsError::NotConnected);
                 }
                 Ok(vec![DtlsEvent::ApplicationData(self.session.open(&rec)?)])
@@ -388,396 +456,158 @@ impl DtlsClient {
         }
     }
 
-    fn handle_handshake(&mut self, now: u64, msg: HsMessage) -> Result<Vec<DtlsEvent>, DtlsError> {
+    fn handle_handshake(
+        &mut self,
+        now: Instant,
+        msg: HsMessage,
+    ) -> Result<Vec<DtlsEvent>, DtlsError> {
         match (self.state, msg.htype) {
-            (ClientState::AwaitHelloVerify, HsType::HelloVerifyRequest) => {
+            // Client, flight 3: the ClientHello echoing the cookie.
+            (State::AwaitHelloVerify, HsType::HelloVerifyRequest) => {
                 let hv = HelloVerifyRequest::decode(&msg.body)?;
-                let ch = ClientHello {
-                    random: self.client_random,
-                    cookie: hv.cookie,
-                    cipher_suites: vec![TLS_PSK_WITH_AES_128_CCM_8],
-                };
-                let hs = HsMessage {
-                    htype: HsType::ClientHello,
-                    message_seq: self.take_msg_seq(),
-                    body: ch.encode(),
-                };
-                self.transcript.extend_from_slice(&hs.encode());
-                let rec = hs_record(&mut self.session, &hs)?;
-                let datagram = rec.encode();
-                self.state = ClientState::AwaitServerHello;
-                self.timer
-                    .arm(now, vec![(datagram.clone(), "Client Hello [Cookie]")]);
-                Ok(vec![DtlsEvent::Transmit {
-                    datagram,
-                    label: "Client Hello [Cookie]",
-                }])
+                // The first ClientHello and the HelloVerifyRequest stay
+                // out of the transcript (RFC 6347 §4.2.6).
+                self.transcript.clear();
+                let hello = self.client_hello(hv.cookie);
+                let datagram = self.hs_record(HsType::ClientHello, hello)?;
+                self.state = State::AwaitServerHello;
+                let flight = vec![(datagram, "Client Hello [Cookie]")];
+                Ok(self.send_flight(now, flight, Some(HsType::HelloVerifyRequest)))
             }
-            (ClientState::AwaitServerHello, HsType::ServerHello) => {
+            (State::AwaitServerHello, HsType::ServerHello) => {
                 let sh = ServerHello::decode(&msg.body)?;
                 if sh.cipher_suite != TLS_PSK_WITH_AES_128_CCM_8 {
-                    self.state = ClientState::Failed;
+                    self.state = State::Failed;
                     return Err(DtlsError::BadCipherSuite);
                 }
                 self.server_random = sh.random;
                 self.transcript.extend_from_slice(&msg.encode());
-                self.state = ClientState::AwaitServerHelloDone;
+                self.state = State::AwaitServerHelloDone;
                 Ok(Vec::new())
             }
-            (ClientState::AwaitServerHelloDone, HsType::ServerHelloDone) => {
+            // Client, flight 5: ClientKeyExchange + CCS + Finished.
+            (State::AwaitServerHelloDone, HsType::ServerHelloDone) => {
                 self.transcript.extend_from_slice(&msg.encode());
-                // Flight 5: ClientKeyExchange + CCS + Finished.
                 let cke = ClientKeyExchangePsk {
                     identity: self.identity.clone(),
-                };
-                let cke_msg = HsMessage {
-                    htype: HsType::ClientKeyExchange,
-                    message_seq: self.take_msg_seq(),
-                    body: cke.encode(),
-                };
-                self.transcript.extend_from_slice(&cke_msg.encode());
-                let cke_rec = hs_record(&mut self.session, &cke_msg)?;
-
+                }
+                .encode();
+                let cke = self.hs_record(HsType::ClientKeyExchange, cke)?;
                 // Derive keys now that both randoms are known.
-                self.session.install_keys(
-                    &self.client_random,
-                    &self.server_random,
-                    &self.psk,
-                    true,
-                );
-
-                // ChangeCipherSpec record (epoch 0), then epoch switch.
-                let ccs_seq = self.session.next_seq();
-                let ccs_rec = Record {
-                    ctype: ContentType::ChangeCipherSpec,
-                    epoch: 0,
-                    seq: ccs_seq,
-                    payload: vec![1],
-                };
-                self.session.epoch = 1;
-                self.session.seq = 0;
-
-                // Finished (encrypted).
-                let vd = self
-                    .session
-                    .verify_data(b"client finished", &self.transcript_hash());
-                let fin_msg = HsMessage {
-                    htype: HsType::Finished,
-                    message_seq: self.take_msg_seq(),
-                    body: vd.to_vec(),
-                };
-                self.transcript.extend_from_slice(&fin_msg.encode());
-                let fin_rec = hs_record(&mut self.session, &fin_msg)?;
-
-                let d1 = cke_rec.encode();
-                let mut d2 = ccs_rec.encode();
-                d2.extend_from_slice(&fin_rec.encode());
-                self.state = ClientState::AwaitChangeCipher;
-                self.timer.arm(
-                    now,
-                    vec![
-                        (d1.clone(), "Client Key Exchange"),
-                        (d2.clone(), "Change Cipher Spec"),
-                    ],
-                );
-                Ok(vec![
-                    DtlsEvent::Transmit {
-                        datagram: d1,
-                        label: "Client Key Exchange",
-                    },
-                    DtlsEvent::Transmit {
-                        datagram: d2,
-                        label: "Change Cipher Spec",
-                    },
-                ])
+                self.install_keys();
+                let fin = self.finished_flight()?;
+                self.state = State::AwaitChangeCipher;
+                let flight = vec![(cke, "Client Key Exchange"), (fin, "Change Cipher Spec")];
+                Ok(self.send_flight(now, flight, Some(HsType::ServerHello)))
             }
-            (ClientState::AwaitFinished, HsType::Finished) => {
-                let expect = self
-                    .session
-                    .verify_data(b"server finished", &self.transcript_hash());
-                if !doc_crypto::ct_eq(&expect, &msg.body) {
-                    self.state = ClientState::Failed;
-                    return Err(DtlsError::BadFinished);
-                }
-                self.state = ClientState::Connected;
-                self.timer.disarm();
-                Ok(vec![DtlsEvent::Connected])
-            }
-            // Retransmitted server flights are ignored once we advanced.
-            _ => Ok(Vec::new()),
-        }
-    }
-
-    /// Advance retransmission timers.
-    pub fn poll(&mut self, now: u64) -> Vec<DtlsEvent> {
-        match self.timer.poll(now) {
-            None => Vec::new(),
-            Some(flight) if flight.is_empty() => {
-                self.state = ClientState::Failed;
-                vec![DtlsEvent::HandshakeFailed]
-            }
-            Some(flight) => flight
-                .into_iter()
-                .map(|(datagram, label)| DtlsEvent::Transmit { datagram, label })
-                .collect(),
-        }
-    }
-
-    /// Earliest pending timer.
-    pub fn next_timeout(&self) -> Option<u64> {
-        self.timer.armed.then_some(self.timer.timeout_at)
-    }
-}
-
-/// A DTLS 1.2 PSK server connection (one per client endpoint).
-pub struct DtlsServer {
-    state: ServerState,
-    psk: Vec<u8>,
-    cookie_secret: [u8; 32],
-    session: Session,
-    transcript: Vec<u8>,
-    client_random: [u8; 32],
-    server_random: [u8; 32],
-    msg_seq: u16,
-    /// Identity presented by the client (available after CKE).
-    pub client_identity: Option<Vec<u8>>,
-}
-
-impl DtlsServer {
-    /// Create a server endpoint with the given PSK.
-    pub fn new(seed: u64, psk: &[u8]) -> Self {
-        let mut rng = seed | 1;
-        let cookie_secret = rand32(&mut rng);
-        let server_random = rand32(&mut rng);
-        DtlsServer {
-            state: ServerState::AwaitClientHello,
-            psk: psk.to_vec(),
-            cookie_secret,
-            session: Session::new(64),
-            transcript: Vec::new(),
-            client_random: [0u8; 32],
-            server_random,
-            msg_seq: 0,
-            client_identity: None,
-        }
-    }
-
-    /// Whether the handshake completed.
-    pub fn is_connected(&self) -> bool {
-        self.state == ServerState::Connected
-    }
-
-    fn cookie_for(&self, client_random: &[u8; 32]) -> Vec<u8> {
-        doc_crypto::hmac::hmac_sha256(&self.cookie_secret, client_random)[..16].to_vec()
-    }
-
-    fn take_msg_seq(&mut self) -> u16 {
-        let s = self.msg_seq;
-        self.msg_seq += 1;
-        s
-    }
-
-    fn transcript_hash(&self) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(&self.transcript);
-        h.finalize()
-    }
-
-    /// Encrypt and frame application data.
-    pub fn send_application_data(&mut self, data: &[u8]) -> Result<Vec<u8>, DtlsError> {
-        if self.state != ServerState::Connected {
-            return Err(DtlsError::NotConnected);
-        }
-        let epoch = self.session.epoch;
-        let seq = self.session.next_seq();
-        let payload = self.session.write.as_ref().expect("connected").seal(
-            ContentType::ApplicationData,
-            epoch,
-            seq,
-            data,
-        )?;
-        Ok(Record {
-            ctype: ContentType::ApplicationData,
-            epoch,
-            seq,
-            payload,
-        }
-        .encode())
-    }
-
-    /// Process an incoming datagram. Records are walked as borrowed
-    /// [`RecordView`]s — payloads are only copied out of the datagram
-    /// by decryption (or epoch-0 handshake reassembly).
-    pub fn handle_datagram(&mut self, now: u64, datagram: &[u8]) -> Vec<DtlsEvent> {
-        let Ok(records) = RecordView::iter(datagram).collect::<Result<Vec<_>, _>>() else {
-            return Vec::new();
-        };
-        let mut events = Vec::new();
-        for rec in records {
-            if let Ok(mut evs) = self.handle_record(now, rec) {
-                events.append(&mut evs);
-            }
-        }
-        events
-    }
-
-    fn handle_record(
-        &mut self,
-        _now: u64,
-        rec: RecordView<'_>,
-    ) -> Result<Vec<DtlsEvent>, DtlsError> {
-        match rec.ctype {
-            ContentType::Handshake => {
-                let body = if rec.epoch == 0 {
-                    rec.payload.to_vec()
-                } else {
-                    self.session.open(&rec)?
-                };
-                let (msg, _) = HsMessage::decode(&body)?;
-                self.handle_handshake(msg)
-            }
-            ContentType::ChangeCipherSpec => {
-                if self.state != ServerState::AwaitChangeCipher {
+            (State::AwaitClientHello, HsType::ClientHello) => {
+                let Role::Server { cookie_secret } = self.role else {
                     return Err(DtlsError::UnexpectedMessage);
-                }
-                self.state = ServerState::AwaitFinished;
-                Ok(Vec::new())
-            }
-            ContentType::ApplicationData => {
-                if self.state != ServerState::Connected {
-                    return Err(DtlsError::NotConnected);
-                }
-                Ok(vec![DtlsEvent::ApplicationData(self.session.open(&rec)?)])
-            }
-            ContentType::Alert => Ok(Vec::new()),
-        }
-    }
-
-    fn handle_handshake(&mut self, msg: HsMessage) -> Result<Vec<DtlsEvent>, DtlsError> {
-        match (self.state, msg.htype) {
-            (ServerState::AwaitClientHello, HsType::ClientHello) => {
+                };
                 let ch = ClientHello::decode(&msg.body)?;
                 if !ch.cipher_suites.contains(&TLS_PSK_WITH_AES_128_CCM_8) {
                     return Err(DtlsError::BadCipherSuite);
                 }
-                let expected_cookie = self.cookie_for(&ch.random);
+                let cookie =
+                    doc_crypto::hmac::hmac_sha256(&cookie_secret, &ch.random)[..16].to_vec();
                 if ch.cookie.is_empty() {
-                    // Flight 2: stateless HelloVerifyRequest.
-                    let hv = HelloVerifyRequest {
-                        cookie: expected_cookie,
-                    };
-                    let hs = HsMessage {
+                    // Flight 2: a stateless HelloVerifyRequest. It reuses
+                    // the incoming message_seq (RFC 6347 §4.2.1) and is
+                    // neither in the transcript nor kept.
+                    let hv = HsMessage {
                         htype: HsType::HelloVerifyRequest,
-                        // HVR reuses the incoming message_seq (RFC 6347
-                        // §4.2.1); it is not in the transcript.
                         message_seq: msg.message_seq,
-                        body: hv.encode(),
+                        body: HelloVerifyRequest { cookie }.encode(),
                     };
-                    let rec = Record {
-                        ctype: ContentType::Handshake,
-                        epoch: 0,
-                        seq: self.session.next_seq(),
-                        payload: hs.encode(),
-                    };
+                    let datagram = self.session.record(ContentType::Handshake, &hv.encode())?;
                     return Ok(vec![DtlsEvent::Transmit {
-                        datagram: rec.encode(),
+                        datagram,
                         label: "Hello Verify Request",
                     }]);
                 }
-                if ch.cookie != expected_cookie {
+                if ch.cookie != cookie {
                     return Err(DtlsError::BadCookie);
                 }
-                // Valid second ClientHello: enters the transcript.
+                // Server, flight 4. The valid second ClientHello starts
+                // the transcript.
                 self.client_random = ch.random;
                 self.transcript.extend_from_slice(&msg.encode());
                 self.msg_seq = msg.message_seq + 1;
-
                 let sh = ServerHello {
                     random: self.server_random,
                     cipher_suite: TLS_PSK_WITH_AES_128_CCM_8,
-                };
-                let sh_msg = HsMessage {
-                    htype: HsType::ServerHello,
-                    message_seq: self.take_msg_seq(),
-                    body: sh.encode(),
-                };
-                self.transcript.extend_from_slice(&sh_msg.encode());
-                let sh_rec = hs_record(&mut self.session, &sh_msg)?;
-
-                let shd_msg = HsMessage {
-                    htype: HsType::ServerHelloDone,
-                    message_seq: self.take_msg_seq(),
-                    body: Vec::new(),
-                };
-                self.transcript.extend_from_slice(&shd_msg.encode());
-                let shd_rec = hs_record(&mut self.session, &shd_msg)?;
-
-                self.state = ServerState::AwaitClientKeyExchange;
-                Ok(vec![
-                    DtlsEvent::Transmit {
-                        datagram: sh_rec.encode(),
-                        label: "Server Hello",
-                    },
-                    DtlsEvent::Transmit {
-                        datagram: shd_rec.encode(),
-                        label: "Server Hello Done",
-                    },
-                ])
+                }
+                .encode();
+                let sh = self.hs_record(HsType::ServerHello, sh)?;
+                let shd = self.hs_record(HsType::ServerHelloDone, Vec::new())?;
+                self.state = State::AwaitClientKeyExchange;
+                let flight = vec![(sh, "Server Hello"), (shd, "Server Hello Done")];
+                Ok(self.send_flight(now, flight, Some(HsType::ClientHello)))
             }
-            (ServerState::AwaitClientKeyExchange, HsType::ClientKeyExchange) => {
-                let cke = ClientKeyExchangePsk::decode(&msg.body)?;
-                self.client_identity = Some(cke.identity);
+            (State::AwaitClientKeyExchange, HsType::ClientKeyExchange) => {
+                self.identity = ClientKeyExchangePsk::decode(&msg.body)?.identity;
                 self.transcript.extend_from_slice(&msg.encode());
-                self.session.install_keys(
-                    &self.client_random,
-                    &self.server_random,
-                    &self.psk,
-                    false,
-                );
-                self.state = ServerState::AwaitChangeCipher;
+                self.install_keys();
+                self.state = State::AwaitChangeCipher;
                 Ok(Vec::new())
             }
-            (ServerState::AwaitFinished, HsType::Finished) => {
+            (State::AwaitFinished, HsType::Finished) => {
+                let (_, peer_label) = self.role.finished_labels();
                 let expect = self
                     .session
-                    .verify_data(b"client finished", &self.transcript_hash());
+                    .verify_data(peer_label, &self.transcript_hash());
                 if !doc_crypto::ct_eq(&expect, &msg.body) {
-                    self.state = ServerState::Failed;
+                    self.state = State::Failed;
                     return Err(DtlsError::BadFinished);
                 }
-                self.transcript.extend_from_slice(&msg.encode());
-
-                // Flight 6: CCS + Finished.
-                let ccs_rec = Record {
-                    ctype: ContentType::ChangeCipherSpec,
-                    epoch: 0,
-                    seq: self.session.next_seq(),
-                    payload: vec![1],
+                let mut events = match self.role {
+                    Role::Client => {
+                        self.flight.deadline = None;
+                        Vec::new()
+                    }
+                    // Server, flight 6: CCS + Finished.
+                    Role::Server { .. } => {
+                        self.transcript.extend_from_slice(&msg.encode());
+                        let fin = self.finished_flight()?;
+                        let answers = Some(HsType::ClientKeyExchange);
+                        self.send_flight(now, vec![(fin, "Finish")], answers)
+                    }
                 };
-                self.session.epoch = 1;
-                self.session.seq = 0;
-                let vd = self
-                    .session
-                    .verify_data(b"server finished", &self.transcript_hash());
-                let fin_msg = HsMessage {
-                    htype: HsType::Finished,
-                    message_seq: self.take_msg_seq(),
-                    body: vd.to_vec(),
-                };
-                let fin_rec = hs_record(&mut self.session, &fin_msg)?;
-                let mut datagram = ccs_rec.encode();
-                datagram.extend_from_slice(&fin_rec.encode());
-                self.state = ServerState::Connected;
-                Ok(vec![
-                    DtlsEvent::Transmit {
-                        datagram,
-                        label: "Finish",
-                    },
-                    DtlsEvent::Connected,
-                ])
+                self.state = State::Connected;
+                events.push(DtlsEvent::Connected);
+                Ok(events)
             }
+            // The peer sent the flight ours answers again, so ours was
+            // lost: resend it (RFC 6347 §4.2.4). A resent Finished is
+            // dropped as a replay before it gets here, so the trigger
+            // is its flight's first, epoch-0 message.
+            (state, htype) if state != State::Failed && self.flight.answers == Some(htype) => {
+                Ok(self.flight.transmits())
+            }
+            // Other repeats and strays are ignored.
             _ => Ok(Vec::new()),
         }
+    }
+
+    /// Advance the retransmission timer.
+    pub fn poll(&mut self, now: Instant) -> Vec<DtlsEvent> {
+        if self.flight.deadline.is_none_or(|at| now < at) {
+            return Vec::new();
+        }
+        if self.flight.retries >= MAX_RETRIES {
+            self.flight.deadline = None;
+            self.state = State::Failed;
+            return vec![DtlsEvent::HandshakeFailed];
+        }
+        self.flight.retries += 1;
+        self.flight.timeout = self.flight.timeout * 2;
+        self.flight.deadline = Some(now + self.flight.timeout);
+        self.flight.transmits()
+    }
+
+    /// Earliest pending timer.
+    pub fn next_timeout(&self) -> Option<Instant> {
+        self.flight.deadline
     }
 }
 
@@ -793,23 +623,24 @@ const HANDSHAKE_ROUNDS: usize = 10;
 /// with `is_connected`: on a Finished mismatch it stops with nothing
 /// in flight and neither end connected.
 pub fn run_handshake(
-    client: &mut DtlsClient,
-    server: &mut DtlsServer,
+    client: &mut DtlsConnection,
+    server: &mut DtlsConnection,
 ) -> Vec<(&'static str, usize)> {
+    let now = Instant::EPOCH;
     let mut trace = Vec::new();
-    let mut in_flight = transmits(client.start(0), &mut trace);
+    let mut in_flight = transmits(client.start(now), &mut trace);
     for _ in 0..HANDSHAKE_ROUNDS {
         if in_flight.is_empty() {
             break;
         }
         let events = in_flight
             .iter()
-            .flat_map(|d| server.handle_datagram(0, d))
+            .flat_map(|d| server.handle_datagram(now, d))
             .collect();
         let replies = transmits(events, &mut trace);
         let events = replies
             .iter()
-            .flat_map(|d| client.handle_datagram(0, d))
+            .flat_map(|d| client.handle_datagram(now, d))
             .collect();
         in_flight = transmits(events, &mut trace);
     }
@@ -833,15 +664,17 @@ fn transmits(events: Vec<DtlsEvent>, trace: &mut Vec<(&'static str, usize)>) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     const PSK: &[u8] = b"123456789"; // 9 bytes, as in the paper
     const IDENTITY: &[u8] = b"Client_ID";
+    const T0: Instant = Instant::EPOCH;
 
     /// Run a full loopback handshake, returning both endpoints and the
     /// labeled datagram trace.
-    fn handshake() -> (DtlsClient, DtlsServer, Vec<(&'static str, usize)>) {
-        let mut client = DtlsClient::new(11, IDENTITY, PSK);
-        let mut server = DtlsServer::new(22, PSK);
+    fn handshake() -> (DtlsConnection, DtlsConnection, Vec<(&'static str, usize)>) {
+        let mut client = DtlsConnection::client(11, IDENTITY, PSK);
+        let mut server = DtlsConnection::server(22, PSK);
         let trace = run_handshake(&mut client, &mut server);
         assert!(
             client.is_connected() && server.is_connected(),
@@ -870,17 +703,17 @@ mod tests {
                 "Finish",
             ]
         );
-        assert_eq!(server.client_identity.as_deref(), Some(IDENTITY));
+        assert_eq!(server.identity, IDENTITY);
     }
 
     #[test]
     fn application_data_both_directions() {
         let (mut client, mut server, _) = handshake();
         let d = client.send_application_data(b"dns query").unwrap();
-        let evs = server.handle_datagram(0, &d);
+        let evs = server.handle_datagram(T0, &d);
         assert_eq!(evs, vec![DtlsEvent::ApplicationData(b"dns query".to_vec())]);
         let d = server.send_application_data(b"dns response").unwrap();
-        let evs = client.handle_datagram(0, &d);
+        let evs = client.handle_datagram(T0, &d);
         assert_eq!(
             evs,
             vec![DtlsEvent::ApplicationData(b"dns response".to_vec())]
@@ -891,8 +724,8 @@ mod tests {
     fn replayed_application_record_dropped() {
         let (mut client, mut server, _) = handshake();
         let d = client.send_application_data(b"once").unwrap();
-        assert_eq!(server.handle_datagram(0, &d).len(), 1);
-        assert_eq!(server.handle_datagram(0, &d).len(), 0);
+        assert_eq!(server.handle_datagram(T0, &d).len(), 1);
+        assert_eq!(server.handle_datagram(T0, &d).len(), 0);
     }
 
     #[test]
@@ -901,13 +734,13 @@ mod tests {
         let mut d = client.send_application_data(b"secret").unwrap();
         let n = d.len();
         d[n - 1] ^= 0xFF;
-        assert!(server.handle_datagram(0, &d).is_empty());
+        assert!(server.handle_datagram(T0, &d).is_empty());
     }
 
     #[test]
     fn wrong_psk_fails_finished() {
-        let mut client = DtlsClient::new(1, IDENTITY, b"123456789");
-        let mut server = DtlsServer::new(2, b"987654321");
+        let mut client = DtlsConnection::client(1, IDENTITY, b"123456789");
+        let mut server = DtlsConnection::server(2, b"987654321");
         let trace = run_handshake(&mut client, &mut server);
         // The server rejects the client's Finished and answers nothing.
         assert_eq!(trace.last().map(|(l, _)| *l), Some("Change Cipher Spec"));
@@ -917,13 +750,13 @@ mod tests {
 
     #[test]
     fn bad_cookie_rejected() {
-        let mut client = DtlsClient::new(5, IDENTITY, PSK);
-        let mut server = DtlsServer::new(6, PSK);
-        let first = match &client.start(0)[0] {
+        let mut client = DtlsConnection::client(5, IDENTITY, PSK);
+        let mut server = DtlsConnection::server(6, PSK);
+        let first = match &client.start(T0)[0] {
             DtlsEvent::Transmit { datagram, .. } => datagram.clone(),
             _ => unreachable!(),
         };
-        let hv = &server.handle_datagram(0, &first)[0];
+        let hv = &server.handle_datagram(T0, &first)[0];
         let hv_datagram = match hv {
             DtlsEvent::Transmit { datagram, .. } => datagram.clone(),
             _ => unreachable!(),
@@ -932,23 +765,23 @@ mod tests {
         let mut bad = hv_datagram.clone();
         let n = bad.len();
         bad[n - 1] ^= 0xFF;
-        let evs = client.handle_datagram(0, &bad);
+        let evs = client.handle_datagram(T0, &bad);
         // Client echoes the corrupted cookie; server rejects silently.
         if let Some(DtlsEvent::Transmit { datagram, .. }) = evs.first() {
-            assert!(server.handle_datagram(0, datagram).is_empty());
+            assert!(server.handle_datagram(T0, datagram).is_empty());
         }
         assert!(!server.is_connected());
     }
 
     #[test]
     fn client_retransmits_lost_flight() {
-        let mut client = DtlsClient::new(7, IDENTITY, PSK);
-        let evs = client.start(0);
+        let mut client = DtlsConnection::client(7, IDENTITY, PSK);
+        let evs = client.start(T0);
         assert_eq!(evs.len(), 1);
         // Nothing arrives; time passes beyond the 1 s initial timeout.
         let t = client.next_timeout().unwrap();
-        assert_eq!(t, 1000);
-        let evs = client.poll(1000);
+        assert_eq!(t, Instant::from_millis(1000));
+        let evs = client.poll(Instant::from_millis(1000));
         assert_eq!(evs.len(), 1);
         assert!(matches!(
             evs[0],
@@ -958,13 +791,16 @@ mod tests {
             }
         ));
         // Back-off doubles.
-        assert_eq!(client.next_timeout().unwrap(), 1000 + 2000);
+        assert_eq!(
+            client.next_timeout().unwrap(),
+            Instant::from_millis(1000 + 2000)
+        );
     }
 
     #[test]
     fn handshake_gives_up_eventually() {
-        let mut client = DtlsClient::new(8, IDENTITY, PSK);
-        client.start(0);
+        let mut client = DtlsConnection::client(8, IDENTITY, PSK);
+        client.start(T0);
         let mut failed = false;
         for _ in 0..20 {
             let now = match client.next_timeout() {
@@ -983,9 +819,50 @@ mod tests {
         assert!(failed);
     }
 
+    /// RFC 6347 §4.2.4: whichever handshake datagram is lost once, the
+    /// client's timer and each end's resending of its last flight when
+    /// the peer's previous one comes again still connect both ends.
+    #[test]
+    fn each_lost_handshake_datagram_is_recovered() {
+        for lost in 0..8 {
+            let mut client = DtlsConnection::client(41, IDENTITY, PSK);
+            let mut server = DtlsConnection::server(42, PSK);
+            let mut now = T0;
+            // (bound for the server, datagram), in send order.
+            let mut wire: VecDeque<(bool, Vec<u8>)> = transmits(client.start(now), &mut Vec::new())
+                .into_iter()
+                .map(|d| (true, d))
+                .collect();
+            let mut sent = 0;
+            for _ in 0..100 {
+                let Some((to_server, datagram)) = wire.pop_front() else {
+                    // Nothing in flight: let the client's timer run.
+                    let Some(at) = client.next_timeout() else {
+                        break;
+                    };
+                    now = at;
+                    let resent = transmits(client.poll(now), &mut Vec::new());
+                    wire.extend(resent.into_iter().map(|d| (true, d)));
+                    continue;
+                };
+                sent += 1;
+                if sent == lost + 1 {
+                    continue;
+                }
+                let to = if to_server { &mut server } else { &mut client };
+                let replies = transmits(to.handle_datagram(now, &datagram), &mut Vec::new());
+                wire.extend(replies.into_iter().map(|d| (!to_server, d)));
+            }
+            assert!(
+                client.is_connected() && server.is_connected(),
+                "datagram {lost} lost"
+            );
+        }
+    }
+
     #[test]
     fn app_data_before_handshake_fails() {
-        let mut client = DtlsClient::new(9, IDENTITY, PSK);
+        let mut client = DtlsConnection::client(9, IDENTITY, PSK);
         assert_eq!(
             client.send_application_data(b"x"),
             Err(DtlsError::NotConnected)
@@ -1017,22 +894,22 @@ mod tests {
 
     #[test]
     fn duplicate_server_hello_ignored() {
-        let mut client = DtlsClient::new(31, IDENTITY, PSK);
-        let mut server = DtlsServer::new(32, PSK);
-        let d0 = match &client.start(0)[0] {
+        let mut client = DtlsConnection::client(31, IDENTITY, PSK);
+        let mut server = DtlsConnection::server(32, PSK);
+        let d0 = match &client.start(T0)[0] {
             DtlsEvent::Transmit { datagram, .. } => datagram.clone(),
             _ => unreachable!(),
         };
-        let hv = match &server.handle_datagram(0, &d0)[0] {
+        let hv = match &server.handle_datagram(T0, &d0)[0] {
             DtlsEvent::Transmit { datagram, .. } => datagram.clone(),
             _ => unreachable!(),
         };
-        let ch2 = match &client.handle_datagram(0, &hv)[0] {
+        let ch2 = match &client.handle_datagram(T0, &hv)[0] {
             DtlsEvent::Transmit { datagram, .. } => datagram.clone(),
             _ => unreachable!(),
         };
         let server_flight: Vec<Vec<u8>> = server
-            .handle_datagram(0, &ch2)
+            .handle_datagram(T0, &ch2)
             .into_iter()
             .filter_map(|e| match e {
                 DtlsEvent::Transmit { datagram, .. } => Some(datagram),
@@ -1041,10 +918,10 @@ mod tests {
             .collect();
         // Deliver ServerHello twice: the duplicate must not disturb the
         // state machine.
-        client.handle_datagram(0, &server_flight[0]);
-        let evs = client.handle_datagram(0, &server_flight[0]);
+        client.handle_datagram(T0, &server_flight[0]);
+        let evs = client.handle_datagram(T0, &server_flight[0]);
         assert!(evs.is_empty());
-        let evs = client.handle_datagram(0, &server_flight[1]);
+        let evs = client.handle_datagram(T0, &server_flight[1]);
         assert!(!evs.is_empty(), "handshake continues after duplicate");
     }
 
@@ -1060,31 +937,33 @@ mod tests {
     }
 
     /// A forged far-future record fails authentication before it can
-    /// slide the server's window, so the genuine record still arrives.
-    #[test]
-    fn forged_future_record_leaves_server_window_alone() {
+    /// slide the receiver's window, so the genuine record still
+    /// arrives. `to_server` picks the receive side: the server's, or
+    /// the client's.
+    fn forged_future_record_leaves_window_alone(to_server: bool, data: &[u8]) {
         let (mut client, mut server, _) = handshake();
-        let genuine = client.send_application_data(b"query").unwrap();
-        assert!(server
-            .handle_datagram(0, &forged_future(&genuine))
+        let (sender, receiver) = if to_server {
+            (&mut client, &mut server)
+        } else {
+            (&mut server, &mut client)
+        };
+        let genuine = sender.send_application_data(data).unwrap();
+        assert!(receiver
+            .handle_datagram(T0, &forged_future(&genuine))
             .is_empty());
         assert_eq!(
-            server.handle_datagram(0, &genuine),
-            vec![DtlsEvent::ApplicationData(b"query".to_vec())]
+            receiver.handle_datagram(T0, &genuine),
+            vec![DtlsEvent::ApplicationData(data.to_vec())]
         );
     }
 
-    /// The same on the client's receive side.
+    #[test]
+    fn forged_future_record_leaves_server_window_alone() {
+        forged_future_record_leaves_window_alone(true, b"query");
+    }
+
     #[test]
     fn forged_future_record_leaves_client_window_alone() {
-        let (mut client, mut server, _) = handshake();
-        let genuine = server.send_application_data(b"answer").unwrap();
-        assert!(client
-            .handle_datagram(0, &forged_future(&genuine))
-            .is_empty());
-        assert_eq!(
-            client.handle_datagram(0, &genuine),
-            vec![DtlsEvent::ApplicationData(b"answer".to_vec())]
-        );
+        forged_future_record_leaves_window_alone(false, b"answer");
     }
 }

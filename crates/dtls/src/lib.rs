@@ -12,24 +12,25 @@
 //!   ServerHello, ServerHelloDone, ClientKeyExchange (PSK identity),
 //!   ChangeCipherSpec and Finished — the eight flights whose frame
 //!   sizes appear in the paper's Fig. 6 "Session setup" panels.
-//! * [`connection`] — sans-IO client/server state machines: flight
-//!   retransmission, the RFC 5246 §8.1 key schedule
-//!   (master secret → key block), Finished verification over the
-//!   handshake transcript, post-handshake application-data
-//!   protection, and replay protection through
-//!   [`doc_crypto::replay::ReplayWindow`] (its size is configurable;
-//!   each connection keeps 64 entries), marked only once a record has
-//!   authenticated (RFC 6347 §4.1.2.6).
+//! * [`connection`] — one sans-IO connection, [`DtlsConnection`],
+//!   whose role (client or server) is chosen at construction: flight
+//!   retransmission and the resending of a lost last flight, the RFC
+//!   5246 §8.1 key schedule (master secret → key block), Finished
+//!   verification over the handshake transcript, post-handshake
+//!   application-data protection, and replay protection through
+//!   [`doc_crypto::replay::ReplayWindow`] (64 records per
+//!   connection), marked only once a record has authenticated (RFC
+//!   6347 §4.1.2.6).
 //!
 //! Like every protocol crate in this workspace the implementation is
-//! sans-IO and driven with explicit millisecond timestamps, so the
-//! simulator can reproduce handshake timing behaviour deterministically.
+//! sans-IO. Its timers run on explicit `doc_time::Instant` timestamps,
+//! so the simulator can reproduce handshake timing deterministically.
 
 pub mod connection;
 pub mod handshake;
 pub mod record;
 
-pub use connection::{run_handshake, DtlsClient, DtlsEvent, DtlsServer};
+pub use connection::{run_handshake, DtlsConnection, DtlsEvent};
 pub use record::{Record, RecordView};
 
 /// Errors produced by the DTLS layer.

@@ -19,9 +19,9 @@
 //!   only for a method (a `pub fn` in an `impl` body), and oracles or
 //!   fakes that only tests call carry a waiver with the reason they
 //!   stay.
-//! * **`no-raw-ms-in-quic`** *(warning, soaking)* — `doc-quic` and
-//!   `doc-netsim` express time as the shared `doc-time` newtypes
-//!   (`Millis`/`Instant`); a raw `<name>_ms: u64` binding in those
+//! * **`no-raw-ms-in-quic`** *(warning, soaking)* — `doc-quic`,
+//!   `doc-netsim` and `doc-dtls` express time as the shared `doc-time`
+//!   newtypes (`Millis`/`Instant`); a raw `<name>_ms: u64` binding in those
 //!   crates reintroduces the unit-confusable surface the typed API
 //!   removed. Soaks at [`Severity::Warning`] (reported, does not fail
 //!   the gate) until the remaining escape hatches are retired.
@@ -47,7 +47,7 @@ pub const NO_PANIC: &str = "no-panic-in-parsers";
 pub const NO_ALLOC: &str = "no-alloc-in-into";
 /// Rule identifier: `unsafe` needs an adjacent `// SAFETY:` comment.
 pub const UNSAFE_COMMENT: &str = "unsafe-needs-safety-comment";
-/// Rule identifier: `doc-quic`/`doc-netsim` use `doc-time` newtypes,
+/// Rule identifier: `doc-quic`/`doc-netsim`/`doc-dtls` use `doc-time` newtypes,
 /// not raw `*_ms: u64` bindings (warning severity while soaking).
 pub const NO_RAW_MS: &str = "no-raw-ms-in-quic";
 /// Rule identifier: a `pub fn` in `crates/*/src` needs a caller
@@ -65,7 +65,7 @@ pub const ALL_RULES: &[&str] = &[
 
 /// Path prefixes (repo-relative, `/`-separated) of the crates whose
 /// time surfaces are typed — the scope of [`NO_RAW_MS`].
-pub const TYPED_TIME_CRATES: &[&str] = &["crates/quic/", "crates/netsim/"];
+pub const TYPED_TIME_CRATES: &[&str] = &["crates/quic/", "crates/netsim/", "crates/dtls/"];
 
 /// Path suffixes (repo-relative, `/`-separated) of the modules that
 /// parse or view attacker-controlled wire input — the scope of

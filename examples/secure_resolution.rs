@@ -11,9 +11,10 @@ use doc_repro::dns::{Message, Name, RecordType};
 use doc_repro::doc::method::{build_request, DocMethod};
 use doc_repro::doc::server::{DocServer, MockUpstream};
 use doc_repro::doc::transport::{dns_query_bytes, session_setup, TransportKind};
-use doc_repro::dtls::{run_handshake, DtlsClient, DtlsEvent, DtlsServer};
+use doc_repro::dtls::{run_handshake, DtlsConnection, DtlsEvent};
 use doc_repro::oscore::context::SecurityContext;
 use doc_repro::oscore::protect::OscoreEndpoint;
+use doc_repro::time::Instant;
 
 const PSK: &[u8] = b"123456789"; // 9-byte PSK, as in the paper
 
@@ -92,8 +93,8 @@ fn oscore_resolution(name: &Name, query: &[u8]) {
 /// DTLS: transport security; needs the full handshake first.
 fn dtls_resolution(name: &Name, query: &[u8]) {
     println!("=== DNS over DTLSv1.2 (PSK, AES-128-CCM-8) ===");
-    let mut client = DtlsClient::new(7, b"Client_identity", PSK);
-    let mut server_dtls = DtlsServer::new(8, PSK);
+    let mut client = DtlsConnection::client(7, b"Client_identity", PSK);
+    let mut server_dtls = DtlsConnection::server(8, PSK);
 
     // Handshake (8 flights).
     let trace = run_handshake(&mut client, &mut server_dtls);
@@ -115,7 +116,7 @@ fn dtls_resolution(name: &Name, query: &[u8]) {
         query.len()
     );
     let mut answer = None;
-    for ev in server_dtls.handle_datagram(0, &record) {
+    for ev in server_dtls.handle_datagram(Instant::EPOCH, &record) {
         if let DtlsEvent::ApplicationData(dns_query) = ev {
             let q = Message::decode(&dns_query).expect("valid DNS");
             let resp = upstream.resolve(&q, 0);
@@ -127,7 +128,7 @@ fn dtls_resolution(name: &Name, query: &[u8]) {
         }
     }
     let record = answer.expect("server answered");
-    for ev in client.handle_datagram(0, &record) {
+    for ev in client.handle_datagram(Instant::EPOCH, &record) {
         if let DtlsEvent::ApplicationData(dns_resp) = ev {
             let msg = Message::decode(&dns_resp).expect("valid DNS");
             println!(
